@@ -45,7 +45,11 @@ from .walk import (
     DEFAULT_WINDOW,
     MinimizationResult,
     WalkEvaluator,
-    _golden_min,
+    _curvature,
+    _grid_values,
+    _refine_minima,
+    _sq,
+    _sq_at,
 )
 
 __all__ = [
@@ -219,8 +223,10 @@ def subset_bound(d: SpectralDecomposition, u: int, subset,
     eigenvalue support of u.  For a >= 1/2 the triangle inequality gives
     |U(t)_{u,u}| >= |partial sum over S| - (1 - a).  A singleton S makes the
     partial sum constant and the bound 2a - 1 analytic; larger subsets
-    minimize the partial sum on a grid, which is honest evidence but not a
-    proof, so the certificate is flagged accordingly.
+    minimize the partial sum on a grid and refine every grid-local minimum
+    that the curvature bound cannot place above the grid minimum.  That is
+    honest evidence but not a proof, so the certificate is flagged
+    accordingly.
     """
     sup = support(d, u, support_tol)
     s, pos = _support_positions(sup, subset)
@@ -235,6 +241,7 @@ def subset_bound(d: SpectralDecomposition, u: int, subset,
 
     lam = np.array([sup.eigenvalues[p] for p in pos])
     wts = np.array([sup.weights[p] for p in pos])
+    coef = wts[:, None]
     certified = False
     if window is None:
         per = periodicity(d, u)
@@ -243,20 +250,10 @@ def subset_bound(d: SpectralDecomposition, u: int, subset,
         else:
             window = (0.0, DEFAULT_WINDOW)
     t0, t1 = float(window[0]), float(window[1])
-    spread = float(lam.max() - lam.min())
-    npts = grid or min(max(4096, math.ceil(64.0 * (t1 - t0) * spread / (2.0 * math.pi))),
-                       1 << 20)
-    ts = np.linspace(t0, t1, npts)
-    vals = np.abs(np.exp(1j * np.outer(ts, lam)) @ wts.astype(complex))
-
-    def f2(t: float) -> float:
-        z = complex(np.sum(wts * np.exp(1j * t * lam)))
-        return z.real * z.real + z.imag * z.imag
-
-    i = int(np.argmin(vals))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, npts - 1)]
-    x, fx, _ = _golden_min(f2, float(lo), float(hi), 1e-10)
-    fmin = min(float(vals[i]), math.sqrt(max(fx, 0.0)))
+    ts, vals = _grid_values(lam, coef, _sq, (t0, t1), grid)
+    _, _, fx = _refine_minima(lambda t: _sq_at(lam, wts, t), ts, vals,
+                              float(_curvature(lam, coef)[0]), float(vals.min()), 1e-10)
+    fmin = math.sqrt(max(min(float(vals.min()), float(fx.min(initial=np.inf))), 0.0))
     bound = max(fmin - (1.0 - a), 0.0)
     where = "certified period" if certified else "open window"
     return SedentaryCertificate(
@@ -275,7 +272,11 @@ def equality_condition(d: SpectralDecomposition, u: int, subset, t1: float,
     a >= 1/2, |U(t1)_{u,u}| equals 2a - 1, and that is verified too.
     """
     sup = support(d, u, support_tol)
-    s, pos = _support_positions(sup, subset)
+    _, pos = _support_positions(sup, subset)
+    return _equality_holds(sup, pos, t1, tol)
+
+
+def _equality_holds(sup, pos: list[int], t1: float, tol: float) -> bool:
     lam = np.array(sup.eigenvalues)
     wts = np.array(sup.weights)
     inside = np.zeros(len(lam), dtype=bool)
@@ -301,36 +302,33 @@ def find_equality_time(d: SpectralDecomposition, u: int, subset,
                        support_tol: float = DEFAULT_SUPPORT_TOL) -> float | None:
     """Earliest time in the window where equality_condition holds, or None.
 
-    Searches the smooth alignment defect (sum of squared phase deviations
-    from the target pattern) on a grid, refines local minima, and accepts
-    only times that pass the exact condition.
+    Scans the smooth alignment defect D(t) = sum_j |e^{i delta_j t} - s_j|^2
+    (delta_j the support eigenvalues less the first subset eigenvalue, s_j
+    = +1 on the subset and -1 off it) on a grid evaluated in chunks.  A time
+    that passes the condition has D <= k tol^2 for a support of size k, and
+    |D''| <= 2 sum_j delta_j^2, so grid-local minima whose value minus that
+    bound times h^2/8 exceeds k tol^2 cannot hold one and are skipped.  The
+    rest are refined by one batched golden-section, and the refined times
+    are checked against the exact condition in increasing order.
     """
     sup = support(d, u, support_tol)
-    s, pos = _support_positions(sup, subset)
+    _, pos = _support_positions(sup, subset)
     lam = np.array(sup.eigenvalues)
     sign = np.full(len(lam), -1.0)
     sign[pos] = 1.0
-    ref = lam[pos[0]]
-    deltas = lam - ref
+    deltas = lam - lam[pos[0]]
+    k = len(lam)
 
-    def defect(t: float) -> float:
-        z = np.exp(1j * t * deltas) - sign
-        return float(np.sum(z.real**2 + z.imag**2))
+    def defect(ts: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * np.outer(ts, deltas)) - sign
+        return np.sum(z.real ** 2 + z.imag ** 2, axis=1)
 
-    t0, t1 = float(window[0]), float(window[1])
-    spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
-    npts = grid or min(max(4096, math.ceil(64.0 * (t1 - t0) * spread / (2.0 * math.pi))),
-                       1 << 20)
-    ts = np.linspace(t0, t1, npts)
-    ph = np.exp(1j * np.outer(ts, deltas)) - sign
-    h = np.sum(ph.real**2 + ph.imag**2, axis=1)
-    hits: list[float] = []
-    for i in range(1, npts - 1):
-        if h[i] <= h[i - 1] and h[i] <= h[i + 1]:
-            x, _, _ = _golden_min(defect, float(ts[i - 1]), float(ts[i + 1]), 1e-12)
-            hits.append(x)
-    for t in sorted(hits):
-        if equality_condition(d, u, s, t, tol, support_tol):
+    ts, vals = _grid_values(deltas, sign[:, None],
+                            lambda z: 2.0 * k - 2.0 * z[:, 0].real, window, grid)
+    _, x, _ = _refine_minima(defect, ts, vals, 2.0 * float(np.sum(deltas ** 2)),
+                             k * tol * tol, 1e-12)
+    for t in x:
+        if _equality_holds(sup, pos, float(t), tol):
             return float(t)
     return None
 
@@ -490,22 +488,19 @@ def find_zero_crossing(d: SpectralDecomposition, u: int,
     if window is None:
         per = periodicity(d, u)
         window = (0.0, per.period) if per.periodic else (0.0, DEFAULT_WINDOW)
-    t0, t1 = float(window[0]), float(window[1])
-    spread = float(mu.max() - mu.min())
-    npts = grid or min(max(4096, math.ceil(64.0 * (t1 - t0) * spread / (2.0 * math.pi))),
-                       1 << 20)
-    ts = np.linspace(t0, t1, npts)
-    vals = np.cos(np.outer(ts, mu)) @ wts
+    ts, vals = _grid_values(mu, wts[:, None], lambda z: z[:, 0].real, window, grid)
     # both bracket values must clear numerical noise before claiming a zero
-    for i in range(npts - 1):
-        if vals[i] * vals[i + 1] < 0.0 and min(abs(vals[i]), abs(vals[i + 1])) > 1e-9:
-            t_zero = float(brentq(f, float(ts[i]), float(ts[i + 1]), xtol=1e-14))
-            mag = abs(complex(np.sum(wts * np.exp(1j * t_zero * lam))))
-            return SedentaryCertificate(
-                NOT_SEDENTARY_ZERO_CROSSING, u, 0.0, (), None, (t_zero,),
-                detail=f"real diagonal changes sign on "
-                       f"[{ts[i]:.9f}, {ts[i + 1]:.9f}]; |U| there is {mag:.3e}")
-    raise CertificateRefused("no sign change found on the window")
+    lo, hi = vals[:-1], vals[1:]
+    clean = np.flatnonzero((lo * hi < 0.0) & (np.minimum(np.abs(lo), np.abs(hi)) > 1e-9))
+    if not clean.size:
+        raise CertificateRefused("no sign change found on the window")
+    i = int(clean[0])
+    t_zero = float(brentq(f, float(ts[i]), float(ts[i + 1]), xtol=1e-14))
+    mag = abs(complex(np.sum(wts * np.exp(1j * t_zero * lam))))
+    return SedentaryCertificate(
+        NOT_SEDENTARY_ZERO_CROSSING, u, 0.0, (), None, (t_zero,),
+        detail=f"real diagonal changes sign on "
+               f"[{ts[i]:.9f}, {ts[i + 1]:.9f}]; |U| there is {mag:.3e}")
 
 
 # -- closed-form family catalogue -------------------------------------------------

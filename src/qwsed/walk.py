@@ -1,6 +1,9 @@
 """Evaluation of the continuous-time walk U(t) = exp(itM) through a spectral
 decomposition, closed-form diagonal entries for the catalogued families, and
-the grid-plus-refinement minimizer used to certify diagonal minima.
+the scan-and-refine primitive behind every search over time: f(t) =
+reduce(sum_j coef_j e^{i lam_j t}) is evaluated on a uniform grid
+(_grid_values), and the grid-local minima that a curvature bound cannot
+exclude are refined by one batched golden-section (_refine_minima).
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ __all__ = [
 DEFAULT_WINDOW = 200.0 * math.pi
 _GRID_BASE = 4096
 _GRID_CAP = 1 << 21
+# grid points per chunk: the step matrix and a block's base phases take
+# O(_CHUNK * support) memory, not O(grid * support)
+_CHUNK = 1024
+# candidates this close to the best squared minimum count as ties
+_TIE_BAND = 1e-9
 _PST_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -48,27 +56,112 @@ class WalkError(RuntimeError):
     """Walk evaluation or minimization could not proceed as requested."""
 
 
-def _golden_min(fun, a: float, b: float, xtol: float):
-    """Golden-section minimum of a scalar function on [a, b]."""
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
+# -- scan and refine ----------------------------------------------------------
+
+
+def _grid_size(span: float, spread: float, grid: int | None = None) -> int:
+    """Points of a uniform grid: 64 per period of the fastest phase
+    difference, between _GRID_BASE and _GRID_CAP; an explicit grid wins."""
+    if grid is not None:
+        return max(int(grid), 8)
+    n = max(_GRID_BASE, math.ceil(64.0 * span * spread / (2.0 * math.pi)))
+    return min(n, _GRID_CAP)
+
+
+def _trig_sums(lam: np.ndarray, coef: np.ndarray, times) -> np.ndarray:
+    """sum_j coef[j] e^{i lam_j t}: one row per time, one column per column
+    of coef, evaluated in blocks of _CHUNK times."""
+    ts = np.asarray(times, dtype=float).ravel()
+    blocks = [ts[i:i + _CHUNK] for i in range(0, len(ts), _CHUNK)] or [ts]
+    return np.concatenate([np.exp(1j * np.outer(b, lam)) @ coef for b in blocks])
+
+
+def _curvature(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Per column of coef, sum_jk |c_j||c_k|(lam_j - lam_k)^2, which bounds
+    |d^2/dt^2 |sum_j c_j e^{i lam_j t}|^2|; for weights summing to one it
+    is 2 Var_w(lam)."""
+    w = np.abs(coef)
+    total = w.sum(axis=0)
+    mean = (w * lam[:, None]).sum(axis=0) / np.where(total > 0.0, total, 1.0)
+    return 2.0 * total * (w * (lam[:, None] - mean) ** 2).sum(axis=0)
+
+
+def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
+                 window: tuple[float, float], grid: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Grid times (sized from the spread of lam) and reduce of the sums
+    there; reduce maps one row per time, one column per coef column, to one
+    value per time.  A k x _CHUNK step matrix e^{i m h lam} is built once;
+    each chunk's base phase e^{i t_s lam} is computed directly, so errors do
+    not accumulate along the grid, and a block of chunks is one product."""
+    t0, t1 = float(window[0]), float(window[1])
+    spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
+    npts = _grid_size(t1 - t0, spread, grid)
+    ts = np.linspace(t0, t1, npts)
+    h = (t1 - t0) / (npts - 1)
+    c = min(_CHUNK, npts)
+    k, m = coef.shape
+    step = np.exp(1j * h * np.outer(lam, np.arange(c)))
+    starts = t0 + h * c * np.arange(-(-npts // c))
+    per_block = max(1, _CHUNK // max(m, 1))
+    out = []
+    for i in range(0, len(starts), per_block):
+        s = starts[i:i + per_block]
+        base = np.exp(1j * np.outer(s, lam))[:, None, :] * coef.T
+        z = (base.reshape(-1, k) @ step).reshape(len(s), m, c)
+        out.append(reduce(z.transpose(0, 2, 1).reshape(len(s) * c, m)))
+    return ts, np.concatenate(out)[:npts]
+
+
+def _golden_batch(fun, a: np.ndarray, b: np.ndarray, xtol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minimum on every bracket [a_i, b_i] at once; fun maps
+    an array of times to an array of values."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    c = a + _INVPHI2 * (b - a)
+    d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)
-    evals = 2
-    while h > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = fun(d)
-        evals += 1
+    act = np.flatnonzero(b - a > xtol)
+    while act.size:
+        left = fc[act] < fd[act]
+        lo, hi = act[left], act[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = a[lo] + _INVPHI2 * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
+        fx = fun(np.where(left, c[act], d[act]))
+        fc[lo], fd[hi] = fx[left], fx[~left]
+        act = act[b[act] - a[act] > xtol]
     x = 0.5 * (a + b)
-    return x, fun(x), evals + 1
+    return x, fun(x)
+
+
+def _refine_minima(fun, ts: np.ndarray, vals: np.ndarray, m2: float,
+                   threshold: float, xtol: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kept grid-local minima of vals, their refined times and fun there.
+
+    With |f''| <= m2 and grid step h, f stays above vals[i] - m2 h^2/8 on
+    the bracket [t_{i-1}, t_{i+1}] of a grid-local minimum i; a bracket
+    where that exceeds threshold cannot reach it and is not refined.
+    """
+    mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
+    at = np.flatnonzero((mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))) + 1
+    h = ts[1] - ts[0]
+    at = at[vals[at] - m2 * h * h / 8.0 <= threshold]
+    return (at, *_golden_batch(fun, ts[at - 1], ts[at + 1], xtol))
+
+
+def _sq(z: np.ndarray) -> np.ndarray:
+    """|first column|^2."""
+    return z[:, 0].real ** 2 + z[:, 0].imag ** 2
+
+
+def _sq_at(lam: np.ndarray, wts: np.ndarray, times) -> np.ndarray:
+    """|sum_j wts_j e^{i lam_j t}|^2 at each time, summed per time in the
+    order np.sum uses, for refinement."""
+    z = (wts * np.exp(1j * np.outer(times, lam))).sum(axis=1)
+    return z.real ** 2 + z.imag ** 2
 
 
 @dataclass(frozen=True)
@@ -162,8 +255,7 @@ class WalkEvaluator:
     def diagonal_entry_series(self, u: int, times) -> np.ndarray:
         """Complex values of U(t)_{u,u} on a grid of times."""
         lam, wts = self._diag_data(u)
-        ts = np.asarray(times, dtype=float)
-        return np.exp(1j * np.outer(ts, lam)) @ wts.astype(complex)
+        return _trig_sums(lam, wts[:, None], times)[:, 0]
 
     def diagonal_magnitude_series(self, u: int, times) -> np.ndarray:
         """|U(t)_{u,u}| on a grid of times."""
@@ -171,10 +263,8 @@ class WalkEvaluator:
 
     def column_magnitude_series(self, u: int, times) -> np.ndarray:
         """Matrix of |U(t)_{v,u}| with one row per time, one column per v."""
-        d = self.decomposition
-        ts = np.asarray(times, dtype=float)
-        phases = np.exp(1j * np.outer(ts, d.eigenvalues))
-        return np.abs(phases @ self._column_data(u))
+        return np.abs(_trig_sums(self.decomposition.eigenvalues,
+                                 self._column_data(u), times))
 
     def unitarity_defect(self, t: float) -> float:
         um = self.transition_matrix(t)
@@ -183,10 +273,8 @@ class WalkEvaluator:
     # -- diagonal minimization ---------------------------------------------
 
     def _grid_size(self, span: float, spread: float, grid: int | None) -> int:
-        if grid is not None:
-            return max(int(grid), 8)
-        n = max(_GRID_BASE, math.ceil(64.0 * span * spread / (2.0 * math.pi)))
-        return min(n, _GRID_CAP)
+        # the grid every search uses, for callers that size it through the class
+        return _grid_size(span, spread, grid)
 
     def minimize_diagonal(self, u: int, window: tuple[float, float] | None = None,
                           grid: int | None = None,
@@ -195,58 +283,65 @@ class WalkEvaluator:
 
         With no window, a detected period gives the certified window
         [0, rho]; undetected periodicity is an error (pass a window, which is
-        then reported as uncertified).  Grid scan of |.|^2 followed by
-        golden-section refinement of every grid-local minimum; ties resolve
-        toward smaller t.
+        then reported as uncertified).
+
+        |U(t)_{u,u}|^2 is scanned on the grid in chunks, in O(chunk x
+        support) memory.  Its second derivative is at most M2 = 2 Var_w(lam),
+        so the bracket of a grid-local minimum g holds nothing below
+        g - M2 h^2/8 (h the grid step); brackets where that exceeds the grid
+        minimum plus 1e-9 can hold neither the minimum nor a tie with it and
+        are skipped, and the rest get one batched golden-section
+        (refinements counts them).  Each bracket offers the better of its
+        grid sample and its refinement, the window ends their samples; the
+        minimum is the least offer and argmin the earliest offer within 1e-9
+        of it in squared magnitude, so symmetric attainment times report
+        their first occurrence.
         """
-        d = self.decomposition
         lam, wts = self._diag_data(u)
-        certified = False
-        if window is None:
-            per = periodicity(d, u)
+        certified = window is None
+        if certified:
+            per = periodicity(self.decomposition, u)
             if not per.periodic:
                 raise WalkError(
                     f"no certified period for vertex {u}; pass an explicit window")
             window = (0.0, per.period)
-            certified = True
             spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
             if math.ceil(64.0 * per.period * spread / (2.0 * math.pi)) > _GRID_CAP:
                 # period too long to certify on a sane grid; fall back
-                window = (0.0, min(per.period, DEFAULT_WINDOW))
-                certified = False
+                window, certified = (0.0, min(per.period, DEFAULT_WINDOW)), False
         t0, t1 = float(window[0]), float(window[1])
         if not (t1 > t0 >= 0.0):
             raise WalkError(f"bad window {window!r}")
-        spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
-        npts = self._grid_size(t1 - t0, spread, grid)
-        ts = np.linspace(t0, t1, npts)
-        vec = np.exp(1j * np.outer(ts, lam)) @ wts.astype(complex)
-        sq = vec.real**2 + vec.imag**2
-
-        def f2(t: float) -> float:
-            z = complex(np.sum(wts * np.exp(1j * t * lam)))
-            return z.real * z.real + z.imag * z.imag
-
-        candidates: list[tuple[float, float]] = [
-            (float(sq[0]), float(ts[0])), (float(sq[-1]), float(ts[-1]))]
-        refinements = 0
-        for i in range(1, npts - 1):
-            if sq[i] <= sq[i - 1] and sq[i] <= sq[i + 1] and \
-                    (sq[i] < sq[i - 1] or sq[i] < sq[i + 1]):
-                candidates.append((float(sq[i]), float(ts[i])))
-                x, fx, _ = _golden_min(f2, float(ts[i - 1]), float(ts[i + 1]),
-                                       refine_tol)
-                candidates.append((fx, x))
-                refinements += 1
-        best_sq = min(sq_ for sq_, _ in candidates)
-        # the earliest candidate matching the minimum within refinement noise,
-        # so symmetric attainment times report their first occurrence
-        best_t = min(t_ for sq_, t_ in candidates if sq_ <= best_sq + 1e-9)
+        coef = wts[:, None]
+        ts, sq = _grid_values(lam, coef, _sq, (t0, t1), grid)
+        at, x, fx = _refine_minima(lambda t: _sq_at(lam, wts, t), ts, sq,
+                                   float(_curvature(lam, coef)[0]),
+                                   float(sq.min()) + _TIE_BAND, refine_tol)
+        refined = fx < sq[at]
+        offers = np.concatenate(([sq[0], sq[-1]], np.where(refined, fx, sq[at])))
+        times = np.concatenate(([t0, t1], np.where(refined, x, ts[at])))
+        best_sq = float(offers.min())
+        best_t = float(times[offers <= best_sq + _TIE_BAND].min())
         best = math.sqrt(max(best_sq, 0.0))
-        return MinimizationResult(u, best, best_t, (t0, t1), npts, certified,
-                                  refinements)
+        return MinimizationResult(u, best, best_t, (t0, t1), len(ts), certified,
+                                  len(at))
 
     # -- transfer phenomena -------------------------------------------------
+
+    def _column_scan(self, u: int, cols: list[int], reduce, combine,
+                     window: tuple[float, float], grid: int | None,
+                     ceiling: float) -> np.ndarray:
+        """Times, in order, among the window ends and the refined grid-local
+        minima of reduce(U(t)_{cols,u}) where it is at most ceiling; combine
+        folds the per-column curvature bounds into one for reduce."""
+        lam = self.decomposition.eigenvalues
+        coef = self._column_data(u)[:, cols]
+        ts, vals = _grid_values(lam, coef, reduce, window, grid)
+        _, x, fx = _refine_minima(lambda t: reduce(_trig_sums(lam, coef, t)), ts, vals,
+                                  float(combine(_curvature(lam, coef), initial=0.0)),
+                                  ceiling, 1e-12)
+        times = np.concatenate(([ts[0]], x, [ts[-1]]))
+        return times[np.concatenate(([vals[0]], fx, [vals[-1]])) <= ceiling]
 
     def find_perfect_state_transfer(self, u: int, window: tuple[float, float],
                                     grid: int | None = None
@@ -254,46 +349,18 @@ class WalkEvaluator:
         """Earliest time in the window where some |U(t)_{v,u}|, v != u,
         reaches 1 within 1e-8.  Numeric evidence only; the caller decides
         whether the window certifies anything."""
-        d = self.decomposition
-        t0, t1 = float(window[0]), float(window[1])
-        lam = d.eigenvalues
-        spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
-        npts = self._grid_size(t1 - t0, spread, grid)
-        ts = np.linspace(t0, t1, npts)
-        mags = self.column_magnitude_series(u, ts)
-        mags[:, u] = 0.0
-        peak = mags.max(axis=1)
-        cols = self._column_data(u)
-        hits: list[tuple[float, int, float]] = []
-        threshold = 1.0 - _PST_TOL
+        others = [v for v in range(self.n) if v != u]
 
-        def neg_sq(v: int):
-            col = cols[:, v].astype(complex)
+        def neg_peak(z: np.ndarray) -> np.ndarray:
+            return -np.max(z.real ** 2 + z.imag ** 2, axis=1, initial=0.0)
 
-            def fn(t: float) -> float:
-                z = complex(np.sum(col * np.exp(1j * t * lam)))
-                return -(z.real * z.real + z.imag * z.imag)
-            return fn
-
-        for i in range(npts):
-            interior = 0 < i < npts - 1
-            is_peak = (not interior) or (peak[i] >= peak[i - 1] and peak[i] >= peak[i + 1])
-            if not is_peak or peak[i] < threshold - 1e-3:
-                continue
-            v = int(np.argmax(mags[i]))
-            a = float(ts[max(i - 1, 0)])
-            b = float(ts[min(i + 1, npts - 1)])
-            if interior:
-                x, fx, _ = _golden_min(neg_sq(v), a, b, 1e-12)
-            else:
-                x, fx = float(ts[i]), -float(peak[i]) ** 2
-            mag = math.sqrt(max(-fx, 0.0))
-            if mag >= threshold:
-                hits.append((x, v, mag))
-        if not hits:
+        times = self._column_scan(u, others, neg_peak, np.max, window, grid,
+                                  -(1.0 - _PST_TOL) ** 2)
+        if not len(times):
             return None
-        t, v, mag = min(hits, key=lambda h: h[0])
-        return PerfectStateTransferWitness(u, v, t, mag)
+        mags = self.column_magnitude_series(u, times[:1])[0]
+        v = others[int(np.argmax(mags[others]))]
+        return PerfectStateTransferWitness(u, v, float(times[0]), float(mags[v]))
 
     def find_fractional_revival(self, u: int, v: int,
                                 window: tuple[float, float],
@@ -305,36 +372,15 @@ class WalkEvaluator:
         w outside the pair below leak_tol and |U(t)_{v,u}| > beta_tol."""
         if u == v:
             raise WalkError("fractional revival needs a pair of distinct vertices")
-        d = self.decomposition
-        t0, t1 = float(window[0]), float(window[1])
-        lam = d.eigenvalues
-        spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
-        npts = self._grid_size(t1 - t0, spread, grid)
-        ts = np.linspace(t0, t1, npts)
-        mags = self.column_magnitude_series(u, ts)
-        sq = mags**2
-        leak = sq.sum(axis=1) - sq[:, u] - sq[:, v]
-        cols = self._column_data(u)
-        others = [w for w in range(d.n) if w not in (u, v)]
-        leak_cols = cols[:, others].astype(complex)
 
-        def leak_fn(t: float) -> float:
-            z = leak_cols.T @ np.exp(1j * t * lam)
-            return float(np.sum(z.real**2 + z.imag**2))
+        def leak(z: np.ndarray) -> np.ndarray:
+            return np.sum(z.real ** 2 + z.imag ** 2, axis=1)
 
-        found: list[float] = []
-        for i in range(1, npts - 1):
-            if leak[i] <= leak[i - 1] and leak[i] <= leak[i + 1] and leak[i] < 1e-4:
-                x, fx, _ = _golden_min(leak_fn, float(ts[i - 1]), float(ts[i + 1]),
-                                       1e-12)
-                if fx <= leak_tol and x > 1e-9:
-                    beta = abs(self.transition_entry(x, v, u))
-                    if beta > beta_tol:
-                        found.append(x)
-        if leak[0] <= leak_tol and t0 > 1e-9:
-            if abs(self.transition_entry(t0, v, u)) > beta_tol:
-                found.append(t0)
-        return min(found) if found else None
+        for t in self._column_scan(u, [w for w in range(self.n) if w not in (u, v)],
+                                   leak, np.sum, window, grid, leak_tol):
+            if t > 1e-9 and abs(self.transition_entry(float(t), v, u)) > beta_tol:
+                return float(t)
+        return None
 
 
 # -- closed-form diagonals for the catalogued families -----------------------

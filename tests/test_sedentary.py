@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -113,6 +114,58 @@ def test_find_equality_time():
     d4 = _decomp("star:4")
     t4 = find_equality_time(d4, 1, (1,), (0.0, math.pi))
     assert t4 == pytest.approx(math.pi / 2.0, abs=1e-8)
+
+
+def test_find_equality_time_reads_the_support_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return support(*args, **kwargs)
+
+    monkeypatch.setattr("qwsed.sedentary.support", counting)
+    d = _decomp("complete:5")
+    assert find_equality_time(d, 0, (1,), (0.0, 20.0)) == \
+        pytest.approx(math.pi / 5.0, abs=1e-8)
+    assert len(calls) == 1
+
+
+def _random_graphs(rng):
+    for _ in range(4):
+        yield build_family(parse_family(
+            f"rook:{rng.integers(2, 5)},{rng.integers(3, 6)}"))
+    for _ in range(4):
+        n = int(rng.integers(4, 7))
+        yield WeightedGraph(n, tuple((i, j, float(rng.uniform(0.5, 2.0)))
+                                     for i in range(n) for j in range(i + 1, n)))
+    for _ in range(8):
+        n = int(rng.integers(5, 9))
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+        yield WeightedGraph(n, tuple((int(a), int(b), 1.0)
+                                     for a, b in zip(*np.nonzero(upper))))
+
+
+def test_subset_bound_never_exceeds_dense_partial_sum():
+    rng = np.random.default_rng(11)
+    window = (0.0, 30.0)
+    ts = np.linspace(*window, 30_001)
+    checked = 0
+    for g in _random_graphs(rng):
+        d = decompose(assemble(g, ADJACENCY))
+        for u in range(min(g.n, 3)):
+            sup = support(d, u)
+            phases = np.exp(1j * np.outer(ts, sup.eigenvalues))
+            subsets = itertools.chain(*(itertools.combinations(range(len(sup.indices)), r)
+                                        for r in (2, 3)))
+            for sub in subsets:
+                if len(sub) >= len(sup.indices) or sum(sup.weights[p] for p in sub) < 0.5:
+                    continue
+                cert = subset_bound(d, u, [sup.indices[p] for p in sub], window)
+                wts = np.array([sup.weights[p] for p in sub])
+                dense = float(np.min(np.abs(phases[:, list(sub)] @ wts)))
+                assert cert.bound <= max(dense - (1.0 - cert.weight), 0.0) + 1e-12
+                checked += 1
+    assert checked >= 20
 
 
 # -- twin bounds -----------------------------------------------------------------
@@ -437,6 +490,18 @@ def test_classify_product_route():
     assert r.bound == pytest.approx(0.2, abs=1e-9)
     kinds = [c.kind for c in r.certificates]
     assert "product-composition" in kinds
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_classify_star_square_centre_states_the_zero(m):
+    g = cartesian_product(star_graph(m), star_graph(m))
+    r = classify(g, 0, ADJACENCY)
+    assert r.classification == NOT_SEDENTARY
+    times = [t for c in r.certificates for t in c.equality_times]
+    assert times
+    # U(t)_00 = cos^2(sqrt(m) t) vanishes first at pi / (2 sqrt(m))
+    assert times[0] == pytest.approx(math.pi / (2.0 * math.sqrt(m)), abs=1e-6)
+    assert abs(WalkEvaluator.for_graph(g).transition_entry(times[0], 0, 0)) <= 1e-8
 
 
 def test_classify_product_poisoned_by_k2():

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from qwsed.graphs import (
+    WeightedGraph,
     build_family,
     cartesian_product,
     complete_graph,
@@ -13,9 +18,14 @@ from qwsed.graphs import (
 from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, generalized_adjacency
 from qwsed.spectral import decompose
 from qwsed.walk import (
+    _CHUNK,
     DEFAULT_WINDOW,
     WalkError,
     WalkEvaluator,
+    _curvature,
+    _golden_batch,
+    _grid_values,
+    _sq_at,
     check_fractional_revival,
     check_uniform_mixing,
     closed_form,
@@ -201,3 +211,125 @@ def test_closed_form_outside_catalogue():
 
 def test_default_window_constant():
     assert DEFAULT_WINDOW == pytest.approx(200.0 * math.pi)
+
+
+# -- the scan-and-refine primitive ---------------------------------------------
+
+
+def _gnp(rng, n, p):
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return WeightedGraph(n, tuple((int(a), int(b), 1.0) for a, b in zip(*np.nonzero(upper))))
+
+
+@pytest.mark.parametrize("npts", [8, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_grid_values_match_direct_sums(npts):
+    rng = np.random.default_rng(npts)
+    lam = rng.uniform(-4.0, 4.0, 7)
+    coef = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    ts, vals = _grid_values(lam, coef, lambda z: z, (0.3, 17.0), npts)
+    assert np.array_equal(ts, np.linspace(0.3, 17.0, npts))
+    direct = np.exp(1j * np.outer(ts, lam)) @ coef
+    assert vals.shape == (npts, 2)
+    assert np.max(np.abs(vals - direct)) < 1e-12
+
+
+def _golden_scalar(fun, a, b, xtol):
+    """Textbook golden-section on one bracket, the reference for the batch."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
+    h = b - a
+    c, d = a + invphi2 * h, a + invphi * h
+    fc, fd = fun(c), fun(d)
+    while h > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + invphi2 * h
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + invphi * h
+            fd = fun(d)
+    x = 0.5 * (a + b)
+    return x, fun(x)
+
+
+def test_golden_batch_matches_scalar_reference():
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(-3.0, 3.0, 6)
+    wts = rng.random(6)
+    wts /= wts.sum()
+    a = np.sort(rng.uniform(0.0, 40.0, 25))
+    b = a + rng.uniform(1e-3, 0.5, 25)
+    x, fx = _golden_batch(lambda t: _sq_at(lam, wts, t), a, b, 1e-10)
+    for i in range(len(a)):
+        rx, rfx = _golden_scalar(lambda t: float(_sq_at(lam, wts, [t])[0]),
+                                 float(a[i]), float(b[i]), 1e-10)
+        assert x[i] == rx and fx[i] == rfx
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 1.0)),
+                min_size=1, max_size=8))
+def test_curvature_bounds_second_derivative(terms):
+    lam = np.array([t[0] for t in terms])
+    w = np.array([t[1] for t in terms])
+    w /= w.sum()
+    mean = float(np.sum(w * lam))
+    m2 = 2.0 * float(np.sum(w * (lam - mean) ** 2))
+    assert _curvature(lam, w[:, None])[0] == pytest.approx(m2, rel=1e-9, abs=1e-12)
+    # |sum_j w_j e^{i lam_j t}|^2 = sum_jk w_j w_k cos((lam_j - lam_k) t)
+    diff = lam[:, None] - lam[None, :]
+    ww = w[:, None] * w[None, :]
+    ts = np.linspace(0.0, 30.0, 3001)
+    f2 = -np.einsum("jk,jk,tjk->t", ww, diff ** 2, np.cos(ts[:, None, None] * diff))
+    assert np.max(np.abs(f2)) <= m2 * (1.0 + 1e-9) + 1e-12
+
+
+def _dense_minimum(graph, u, window):
+    """Minimum of |U(t)_uu| from numpy's own eigh: a 16x denser grid, then
+    bounded Brent on every dense local minimum near the lowest sample."""
+    vals, vecs = np.linalg.eigh(assemble(graph, ADJACENCY).matrix)
+    wts = vecs[u] ** 2
+
+    def f2(t):
+        z = np.sum(wts * np.exp(1j * np.asarray(t)[..., None] * vals), axis=-1)
+        return z.real ** 2 + z.imag ** 2
+
+    ts = np.linspace(window[0], window[1], 16 * 4096)
+    sq = f2(ts)
+    best = float(sq.min())
+    mid, lo, hi = sq[1:-1], sq[:-2], sq[2:]
+    for i in np.flatnonzero((mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))) + 1:
+        if sq[i] <= best + 1e-6:
+            r = minimize_scalar(f2, bounds=(ts[i - 1], ts[i + 1]), method="bounded",
+                                options={"xatol": 1e-12})
+            best = min(best, float(r.fun))
+    return math.sqrt(max(best, 0.0))
+
+
+def test_minimize_diagonal_matches_dense_search():
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        n = int(rng.integers(5, 10))
+        g = _gnp(rng, n, 0.5)
+        u = int(rng.integers(n))
+        window = (0.0, 30.0)
+        res = WalkEvaluator.for_graph(g).minimize_diagonal(u, window)
+        assert abs(res.minimum - _dense_minimum(g, u, window)) <= 1e-9
+
+
+def test_open_window_oracle_memory():
+    g = _gnp(np.random.default_rng(7), 120, 0.1)
+    w = WalkEvaluator.for_graph(g)
+    k = len(w._diag_data(0)[0])
+    tracemalloc.start()
+    try:
+        res = w.minimize_diagonal(0, (0.0, DEFAULT_WINDOW))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one complex grid x support array would take several times the limit
+    assert res.grid * k * 16 > 128e6
+    assert peak < 64e6
