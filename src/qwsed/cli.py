@@ -34,7 +34,7 @@ from .graphs import (
     read_graph_file,
 )
 from .matrices import MatrixKind, parse_matrix_kind
-from .sedentary import CertificateRefused, ClassifyOptions, classify
+from .sedentary import CertificateRefused, ClassifyOptions, classify, classify_vertices
 from .spectral import DEFAULT_CLUSTER_TOL
 from .walk import (
     WalkError,
@@ -142,9 +142,9 @@ def _require_json(cfg: RunConfig) -> None:
 def cmd_analyze(cfg: RunConfig) -> int:
     _require_json(cfg)
     graph = _load_graph(cfg)
-    opts = _classify_options(cfg)
-    reports = [classify(graph, u, cfg.matrix, opts).to_dict()
-               for u in _resolve_vertices(graph, cfg.vertex)]
+    reports = [r.to_dict() for r in classify_vertices(
+        graph, _resolve_vertices(graph, cfg.vertex), cfg.matrix,
+        _classify_options(cfg))]
     _emit(_dump(reports[0] if len(reports) == 1 else reports), cfg.out)
     return 0
 
@@ -210,10 +210,11 @@ def expand_family_range(text: str) -> list[str]:
             for v in range(lo, hi + 1)]
 
 
-def _scan_worker(member: str, cfg: RunConfig) -> dict:
+def _scan_worker(member: str, cfg: RunConfig) -> tuple[int, dict]:
+    """Vertex count and report of one family member."""
     graph = build_family(parse_family(member))
     u = _resolve_vertices(graph, cfg.vertex)[0]
-    return classify(graph, u, cfg.matrix, _classify_options(cfg)).to_dict()
+    return graph.n, classify(graph, u, cfg.matrix, _classify_options(cfg)).to_dict()
 
 
 def _thread_cap() -> int:
@@ -229,17 +230,12 @@ def cmd_family_scan(cfg: RunConfig) -> int:
         raise GraphError("family-scan needs --family")
     members = expand_family_range(cfg.family)
     if len(members) == 1:
-        graph = build_family(parse_family(members[0]))
-        u = _resolve_vertices(graph, cfg.vertex)[0]
-        report = classify(graph, u, cfg.matrix, _classify_options(cfg))
-        _emit(_dump(report.to_dict()), cfg.out)
+        _emit(_dump(_scan_worker(members[0], cfg)[1]), cfg.out)
         return 0
     with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        reports = list(pool.map(lambda s: _scan_worker(s, cfg), members))
-    trend = []
-    for member, rep in zip(members, reports):
-        size = build_family(parse_family(member)).n
-        trend.append({"size": size, "C": rep["C"]})
+        results = list(pool.map(lambda s: _scan_worker(s, cfg), members))
+    reports = [rep for _, rep in results]
+    trend = [{"size": n, "C": rep["C"]} for n, rep in results]
     cs = [row["C"] for row in trend if row["C"] is not None]
     if len(cs) == len(trend) and cs == sorted(cs):
         direction = "nondecreasing"

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_SUPPORT_TOL,
     SpectralDecomposition,
+    TwinSet,
     decompose,
     find_twin_sets,
     integer_coordinates,
@@ -81,7 +83,7 @@ __all__ = [
     "family_closed_classification",
     "product_compose",
     "classify",
-    "report_to_dict",
+    "classify_vertices",
 ]
 
 # classification labels
@@ -178,10 +180,6 @@ class SedentaryReport:
             "certificates": [c.to_dict() for c in self.certificates],
             "oracle": self.oracle.to_dict() if self.oracle else None,
         }
-
-
-def report_to_dict(report: SedentaryReport) -> dict:
-    return report.to_dict()
 
 
 @dataclass(frozen=True)
@@ -337,19 +335,18 @@ def find_equality_time(d: SpectralDecomposition, u: int, subset,
 
 
 def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
-               decomposition: SpectralDecomposition | None = None) -> SedentaryCertificate:
+               decomposition: SpectralDecomposition | None = None,
+               twin_sets: Sequence[TwinSet] | None = None) -> SedentaryCertificate:
     """Membership in a twin class of size c gives |U(t)_{u,u}| >= 1 - 2/c.
 
     A pair (c = 2) yields the vacuous constant 0; the certificate is still
     emitted so reports can show the twin structure.  When a decomposition is
     supplied, the difference eigenvector is verified against the assembled
     matrix and the projector mass at the twin eigenvalue is recorded.
+    twin_sets, when given, is find_twin_sets(graph, kind) already computed.
     """
-    twins = None
-    for ts in find_twin_sets(graph, kind):
-        if u in ts.vertices:
-            twins = ts
-            break
+    sets = find_twin_sets(graph, kind) if twin_sets is None else twin_sets
+    twins = next((ts for ts in sets if u in ts.vertices), None)
     if twins is None:
         raise CertificateRefused(f"vertex {u} has no twin")
     c = twins.size
@@ -786,8 +783,8 @@ def _is_dominating_unit(graph: WeightedGraph, u: int) -> bool:
     return all(w == 1.0 for w in nb.values())
 
 
-def _detect_structures(graph: WeightedGraph, kind: MatrixKind,
-                       u: int) -> FamilyRuling | None:
+def _detect_structures(graph: WeightedGraph, kind: MatrixKind, u: int,
+                       twin_sets: Sequence[TwinSet]) -> FamilyRuling | None:
     """Recognize join patterns that carry closed-form constants.
 
     All patterns need a simple positively weighted graph and exact unit
@@ -800,7 +797,7 @@ def _detect_structures(graph: WeightedGraph, kind: MatrixKind,
     if name == "laplacian":
         if _is_dominating_unit(graph, u):
             return _clique_join_laplacian_ruling(graph.n)
-        block = _unit_joined_block(graph, u)
+        block = _unit_joined_block(graph, u, twin_sets)
         if block is not None and graph.n - block > 0:
             return _indep_block_laplacian_ruling(block, graph.n - block)
         return None
@@ -811,7 +808,7 @@ def _detect_structures(graph: WeightedGraph, kind: MatrixKind,
             if d is not None:
                 return _cone_apex_adjacency_ruling(d, len(rest))
             return None
-        block = _unit_joined_block(graph, u)
+        block = _unit_joined_block(graph, u, twin_sets)
         if block == 2:
             # the block check already proved neighbors(u) is the base set
             base = _induced(graph, sorted(graph.neighbors(u)))
@@ -822,20 +819,18 @@ def _detect_structures(graph: WeightedGraph, kind: MatrixKind,
     return None
 
 
-def _unit_joined_block(graph: WeightedGraph, u: int) -> int | None:
+def _unit_joined_block(graph: WeightedGraph, u: int,
+                       twin_sets: Sequence[TwinSet]) -> int | None:
     """Size of the independent twin block through u whose members are
-    unit-adjacent to every vertex outside the block, or None."""
-    for ts in find_twin_sets(graph, ADJACENCY):
-        if u not in ts.vertices:
-            continue
-        if ts.eta != 0.0 or ts.omega != 0.0:
-            return None
-        members = set(ts.vertices)
-        outside = set(range(graph.n)) - members
-        nb = graph.neighbors(u)
-        if set(nb) == outside and all(w == 1.0 for w in nb.values()):
-            return len(members)
+    unit-adjacent to every vertex outside the block, or None.  Twin classes
+    and their omega and eta do not depend on the matrix kind."""
+    ts = next((ts for ts in twin_sets if u in ts.vertices), None)
+    if ts is None or ts.eta != 0.0 or ts.omega != 0.0:
         return None
+    nb = graph.neighbors(u)
+    if set(nb) == set(range(graph.n)) - set(ts.vertices) \
+            and all(w == 1.0 for w in nb.values()):
+        return ts.size
     return None
 
 
@@ -844,12 +839,14 @@ def _unit_joined_block(graph: WeightedGraph, u: int) -> int | None:
 
 def _merge_odd_lattices(t1: float, t2: float) -> float | None:
     """Base of the intersection of {odd multiples of t1} and {odd multiples
-    of t2}, or None when the ratio is not a quotient of odd integers."""
+    of t2}, or None when the ratio is not a quotient of odd integers.  The
+    ratio is matched within 1e-7: oracle argmins resolve a flat minimum only
+    to about 1e-8, and product_compose checks the merged time."""
     if t1 <= 0.0 or t2 <= 0.0:
         return None
     ratio = t1 / t2
     frac = Fraction(ratio).limit_denominator(10**6)
-    if frac.numerator <= 0 or abs(ratio - float(frac)) > 1e-9 * max(ratio, 1.0):
+    if frac.numerator <= 0 or abs(ratio - float(frac)) > 1e-7 * ratio:
         return None
     if frac.numerator % 2 == 0 or frac.denominator % 2 == 0:
         return None
@@ -891,9 +888,7 @@ def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
         if r.bound is None or r.bound <= 0.0:
             raise CertificateRefused(
                 f"factor {r.graph} contributes no positive bound")
-    bound = 1.0
-    for r in reports:
-        bound *= r.bound
+    bound = math.prod(r.bound for r in reports)
     analytic = all(
         any(c.analytic and abs(c.bound - r.bound) <= 1e-9 for c in r.certificates)
         for r in reports)
@@ -941,8 +936,8 @@ def _verified_ruling(ruling: FamilyRuling, w: WalkEvaluator, u: int,
                         ruling.detail + " (stated attainment failed verification)")
 
 
-def _singleton_candidates(d: SpectralDecomposition, u: int, sup,
-                          twin_cert: SedentaryCertificate | None) -> list[tuple[int, ...]]:
+def _singleton_candidates(sup, twin_cert: SedentaryCertificate | None
+                          ) -> list[tuple[int, ...]]:
     if not sup.indices:
         return []
     best = max(range(len(sup.indices)), key=lambda p: (sup.weights[p], -p))
@@ -964,6 +959,22 @@ def _exhaustive_subsets(sup) -> list[tuple[int, ...]]:
     return out
 
 
+class _Context:
+    """What classification reads about one (graph, kind), built once: the
+    walk evaluator over its decomposition, its twin classes and, for a
+    Cartesian product, the contexts of its factors when first asked."""
+
+    def __init__(self, graph: WeightedGraph, kind: MatrixKind, cluster_tol: float):
+        self.graph, self.kind, self.cluster_tol = graph, kind, cluster_tol
+        self.walk = WalkEvaluator(decompose(assemble(graph, kind), cluster_tol))
+        self.twins = find_twin_sets(graph, kind)
+
+    @cached_property
+    def factors(self) -> tuple[_Context, _Context]:
+        return tuple(_Context(f, self.kind, self.cluster_tol)
+                     for f in self.graph.provenance[1:3])
+
+
 def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
              options: ClassifyOptions | None = None) -> SedentaryReport:
     """Classify one vertex: gather certificates, run the oracle, reconcile.
@@ -974,20 +985,40 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     composition, then reconciliation of the best certified bound against
     the oracle minimum.
     """
+    return classify_vertices(graph, [u], kind, options)[0]
+
+
+def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
+                      kind: MatrixKind = ADJACENCY,
+                      options: ClassifyOptions | None = None) -> list[SedentaryReport]:
+    """classify for each vertex in turn, sharing one eigendecomposition and
+    one twin-class search of (graph, kind), and of each Cartesian factor."""
     opts = options or ClassifyOptions()
-    if not 0 <= u < graph.n:
-        raise CertificateRefused(f"vertex {u} out of range")
-    d = decompose(assemble(graph, kind), opts.cluster_tol)
-    w = WalkEvaluator(d)
-    per = periodicity(d, u, opts.support_tol)
-    if opts.window is not None:
-        oracle = w.minimize_diagonal(u, opts.window, opts.grid)
-    elif per.periodic:
-        oracle = w.minimize_diagonal(u, None, opts.grid)
-    else:
-        oracle = w.minimize_diagonal(u, (0.0, DEFAULT_WINDOW), opts.grid)
-    gdesc, mdesc = describe_graph(graph), str(kind)
+    for u in vertices:
+        if not 0 <= u < graph.n:
+            raise CertificateRefused(f"vertex {u} out of range")
+    ctx = _Context(graph, kind, opts.cluster_tol)
+    return [_classify_vertex(ctx, u, opts) for u in vertices]
+
+
+def _classify_vertex(ctx: _Context, u: int, opts: ClassifyOptions) -> SedentaryReport:
+    window = opts.window
+    if window is None and not periodicity(ctx.walk.decomposition, u,
+                                          opts.support_tol).periodic:
+        window = (0.0, DEFAULT_WINDOW)
+    oracle = ctx.walk.minimize_diagonal(u, window, opts.grid)
     certs: list[SedentaryCertificate] = []
+    label, bound = _certify(ctx, u, opts, oracle, certs)
+    return SedentaryReport(describe_graph(ctx.graph), str(ctx.kind), u, label,
+                           bound, tuple(certs), oracle)
+
+
+def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
+             oracle: MinimizationResult,
+             certs: list[SedentaryCertificate]) -> tuple[str, float | None]:
+    """Label and bound of u, appending the certificates behind them."""
+    graph, kind, w = ctx.graph, ctx.kind, ctx.walk
+    d = w.decomposition
 
     # attained zero on a certified window settles the question immediately
     if oracle.certified_window and oracle.minimum <= opts.zero_tol:
@@ -1001,22 +1032,18 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
             certs.append(SedentaryCertificate(
                 NOT_SEDENTARY_ZERO_CROSSING, u, 0.0, (), None, (oracle.argmin,),
                 detail="certified-window minimum vanishes"))
-        return SedentaryReport(gdesc, mdesc, u, NOT_SEDENTARY, 0.0,
-                               tuple(certs), oracle)
+        return NOT_SEDENTARY, 0.0
 
     twin_cert = None
     try:
-        twin_cert = twin_bound(graph, u, kind, d)
+        twin_cert = twin_bound(graph, u, kind, d, ctx.twins)
         certs.append(twin_cert)
     except CertificateRefused:
         pass
 
     sup = support(d, u, opts.support_tol)
-    tried: set[tuple[int, ...]] = set()
-    for s in _singleton_candidates(d, u, sup, twin_cert):
-        if s in tried:
-            continue
-        tried.add(s)
+    tried = _singleton_candidates(sup, twin_cert)
+    for s in tried:
         try:
             certs.append(subset_bound(d, u, s, support_tol=opts.support_tol))
         except CertificateRefused:
@@ -1040,7 +1067,7 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
         ruling = family_closed_classification(graph.provenance, kind,
                                               _vertex_role(graph, u))
     if ruling is None:
-        ruling = _detect_structures(graph, kind, u)
+        ruling = _detect_structures(graph, kind, u, ctx.twins)
     if ruling is not None:
         ruling = _verified_ruling(ruling, w, u, opts.reconcile_tol)
         certs.append(SedentaryCertificate(
@@ -1054,18 +1081,17 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
                                                     support_tol=opts.support_tol))
                 except CertificateRefused:
                     pass
-            return SedentaryReport(gdesc, mdesc, u, NOT_SEDENTARY, 0.0,
-                                   tuple(certs), oracle)
+            return NOT_SEDENTARY, 0.0
 
     prov = graph.provenance
     if (isinstance(prov, tuple) and prov and prov[0] == "cartesian"
             and kind.is_degree_shifted):
-        x, y = prov[1], prov[2]
-        ux, uy = divmod(u, y.n)
+        cx, cy = ctx.factors
+        ux, uy = divmod(u, cy.graph.n)
         sub_opts = ClassifyOptions(cluster_tol=opts.cluster_tol,
                                    support_tol=opts.support_tol)
-        rx = classify(x, ux, kind, sub_opts)
-        ry = classify(y, uy, kind, sub_opts)
+        rx = _classify_vertex(cx, ux, sub_opts)
+        ry = _classify_vertex(cy, uy, sub_opts)
         if NOT_SEDENTARY in (rx.classification, ry.classification):
             bad = rx if rx.classification == NOT_SEDENTARY else ry
             t0 = next(
@@ -1074,24 +1100,19 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
                 PRODUCT_COMPOSITION, u, 0.0, (), None,
                 (t0,) if t0 is not None else (),
                 detail=f"factor {bad.graph} has vanishing diagonal infimum"))
-            return SedentaryReport(gdesc, mdesc, u, NOT_SEDENTARY, 0.0,
-                                   tuple(certs), oracle)
+            return NOT_SEDENTARY, 0.0
         try:
-            evx = WalkEvaluator(decompose(assemble(x, kind), opts.cluster_tol))
-            evy = WalkEvaluator(decompose(assemble(y, kind), opts.cluster_tol))
             certs.append(replace(
-                product_compose([rx, ry], kind, [evx, evy]), vertex=u))
+                product_compose([rx, ry], kind, [cx.walk, cy.walk]), vertex=u))
         except CertificateRefused:
             pass
 
-    return _reconcile(gdesc, mdesc, u, d, w, oracle, certs, ruling, opts)
+    return _reconcile(d, u, oracle, certs, ruling, opts)
 
 
-def _reconcile(gdesc: str, mdesc: str, u: int, d: SpectralDecomposition,
-               w: WalkEvaluator, oracle: MinimizationResult,
-               certs: list[SedentaryCertificate],
-               ruling: FamilyRuling | None,
-               opts: ClassifyOptions) -> SedentaryReport:
+def _reconcile(d: SpectralDecomposition, u: int, oracle: MinimizationResult,
+               certs: list[SedentaryCertificate], ruling: FamilyRuling | None,
+               opts: ClassifyOptions) -> tuple[str, float | None]:
     best = None
     for c in certs:
         # bounds inside zero_tol are numerically zero (half-weight subsets
@@ -1108,17 +1129,12 @@ def _reconcile(gdesc: str, mdesc: str, u: int, d: SpectralDecomposition,
         if best_bound > m + opts.reconcile_tol:
             best_bound = m
         if best_bound > 0.0 and m - best_bound <= opts.reconcile_tol:
-            return SedentaryReport(gdesc, mdesc, u, TIGHTLY_SEDENTARY,
-                                   best_bound, tuple(certs), oracle)
-        return SedentaryReport(gdesc, mdesc, u, TIGHTLY_SEDENTARY, m,
-                               tuple(certs), oracle)
+            return TIGHTLY_SEDENTARY, best_bound
+        return TIGHTLY_SEDENTARY, m
 
-    if ruling is not None and ruling.classification == TIGHTLY_SEDENTARY:
-        return SedentaryReport(gdesc, mdesc, u, TIGHTLY_SEDENTARY,
-                               ruling.bound, tuple(certs), oracle)
-    if ruling is not None and ruling.classification == SHARPLY_SEDENTARY:
-        return SedentaryReport(gdesc, mdesc, u, SHARPLY_SEDENTARY,
-                               ruling.bound, tuple(certs), oracle)
+    if ruling is not None and ruling.classification in (TIGHTLY_SEDENTARY,
+                                                        SHARPLY_SEDENTARY):
+        return ruling.classification, ruling.bound
 
     if best_bound > 0.0:
         # try to attain the best singleton bound, then to pin it as an infimum
@@ -1129,25 +1145,19 @@ def _reconcile(gdesc: str, mdesc: str, u: int, d: SpectralDecomposition,
                                         support_tol=opts.support_tol)
                 if t1 is not None:
                     certs[i] = replace(c, equality_times=(t1,))
-                    return SedentaryReport(gdesc, mdesc, u, TIGHTLY_SEDENTARY,
-                                           c.bound, tuple(certs), oracle)
+                    return TIGHTLY_SEDENTARY, c.bound
                 try:
                     certs.append(sharpness_parity(d, u, c.subset,
                                                   opts.support_tol))
-                    return SedentaryReport(gdesc, mdesc, u, SHARPLY_SEDENTARY,
-                                           c.bound, tuple(certs), oracle)
+                    return SHARPLY_SEDENTARY, c.bound
                 except (CertificateRefused, UnsupportedSpectrum):
                     pass
                 break
-        return SedentaryReport(gdesc, mdesc, u, SEDENTARY_AT_LEAST,
-                               best_bound, tuple(certs), oracle)
+        return SEDENTARY_AT_LEAST, best_bound
 
     try:
         certs.append(find_zero_crossing(d, u, oracle.window,
                                         support_tol=opts.support_tol))
-        return SedentaryReport(gdesc, mdesc, u, NOT_SEDENTARY, 0.0,
-                               tuple(certs), oracle)
     except CertificateRefused:
-        pass
-    return SedentaryReport(gdesc, mdesc, u, UNRESOLVED, None,
-                           tuple(certs), oracle)
+        return UNRESOLVED, None
+    return NOT_SEDENTARY, 0.0

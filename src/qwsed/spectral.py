@@ -46,12 +46,14 @@ class SpectralError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (descending) with orthogonal projectors onto the
-    corresponding eigenspaces, plus the matrix they reconstruct."""
+    """Distinct eigenvalues (descending), the eigenvectors as columns
+    grouped by eigenvalue (block V_j is columns offsets[j]:offsets[j+1], so
+    E_j = V_j V_j^T), weights[u, j] = (E_j)_{u,u}, and the matrix."""
 
     eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-    multiplicities: tuple[int, ...]
+    vectors: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
     cluster_tol: float
     matrix: np.ndarray
 
@@ -63,13 +65,27 @@ class SpectralDecomposition:
     def num_distinct(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(int(m) for m in np.diff(self.offsets))
+
+    def cluster_sums(self, x: np.ndarray) -> np.ndarray:
+        """Block sums of x's last axis, which runs over the columns of vectors."""
+        return np.add.reduceat(x, self.offsets[:-1], axis=-1)
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Dense projectors E_j, built on each call."""
+        return tuple(v @ v.T for v in np.split(self.vectors, self.offsets[1:-1], axis=1))
+
     def diagonal_weight(self, j: int, u: int) -> float:
         """(E_j)_{u,u}: the squared length of the projection of e_u."""
-        return float(self.projectors[j][u, u])
+        return float(self.weights[u, j])
 
     def projected_unit(self, j: int, u: int) -> np.ndarray:
         """E_j e_u as a vector."""
-        return np.asarray(self.projectors[j][:, u])
+        v = self.vectors[:, self.offsets[j]:self.offsets[j + 1]]
+        return v @ v[u]
 
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.eigenvalues))) if len(self.eigenvalues) else 1.0)
@@ -78,7 +94,7 @@ class SpectralDecomposition:
 def decompose(h: Hamiltonian | np.ndarray,
               cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
     """Eigendecompose a real symmetric matrix into distinct eigenvalues and
-    spectral projectors.
+    orthonormal eigenvector blocks.
 
     Eigenvalues closer than cluster_tol * max(1, spectral norm) are merged
     into one eigenspace; each reported eigenvalue is the mean of its cluster.
@@ -94,25 +110,18 @@ def decompose(h: Hamiltonian | np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     tol = cluster_tol * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    groups: list[list[int]] = []
-    for i in range(len(vals)):
-        if groups and vals[i] - vals[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    groups.reverse()  # descending
+    # a cluster ends where consecutive eigenvalues differ by more than tol
+    cuts = np.flatnonzero(np.diff(vals) > tol) + 1
+    groups = np.split(np.arange(len(vals)), cuts)[::-1] if len(vals) else []
     eigenvalues = np.array([float(np.mean(vals[g])) for g in groups])
-    projectors = []
-    for g in groups:
-        block = vecs[:, g]
-        e = block @ block.T
-        e = (e + e.T) / 2.0
-        e.setflags(write=False)
-        projectors.append(e)
+    vectors = vecs[:, [i for g in groups for i in g]]
+    offsets = np.cumsum([0] + [len(g) for g in groups])
+    weights = np.add.reduceat(vectors * vectors, offsets[:-1], axis=1)
     mm = np.array(m)
-    mm.setflags(write=False)
-    return SpectralDecomposition(eigenvalues, tuple(projectors),
-                                 tuple(len(g) for g in groups), cluster_tol, mm)
+    for a in (vectors, offsets, weights, mm):
+        a.setflags(write=False)
+    return SpectralDecomposition(eigenvalues, vectors, offsets, weights,
+                                 cluster_tol, mm)
 
 
 @dataclass(frozen=True)
@@ -131,21 +140,16 @@ def support(d: SpectralDecomposition, u: int,
     """Eigenvalue support of a vertex: indices j with ||E_j e_u|| > support_tol."""
     if not 0 <= u < d.n:
         raise SpectralError(f"vertex {u} out of range")
-    idx, lam, wts = [], [], []
-    for j in range(d.num_distinct):
-        col = d.projected_unit(j, u)
-        if float(np.linalg.norm(col)) > support_tol:
-            idx.append(j)
-            lam.append(float(d.eigenvalues[j]))
-            wts.append(d.diagonal_weight(j, u))
-    return EigenvalueSupport(u, tuple(idx), tuple(lam), tuple(wts))
+    wts = d.weights[u]
+    idx = np.flatnonzero(np.sqrt(wts) > support_tol)
+    return EigenvalueSupport(u, tuple(idx.tolist()), tuple(d.eigenvalues[idx].tolist()),
+                             tuple(wts[idx].tolist()))
 
 
 def are_cospectral(d: SpectralDecomposition, u: int, v: int,
                    tol: float = 1e-9) -> bool:
     """True when every projector gives u and v the same diagonal weight."""
-    return all(abs(d.diagonal_weight(j, u) - d.diagonal_weight(j, v)) <= tol
-               for j in range(d.num_distinct))
+    return bool(np.all(np.abs(d.weights[u] - d.weights[v]) <= tol))
 
 
 @dataclass(frozen=True)
@@ -174,22 +178,17 @@ def strong_cospectral(d: SpectralDecomposition, u: int, v: int,
     """Check E_j e_u = +/- E_j e_v on every eigenspace touching u or v."""
     if u == v:
         raise SpectralError("strong cospectrality needs two distinct vertices")
-    plus, minus = [], []
-    for j in range(d.num_distinct):
-        x = d.projected_unit(j, u)
-        y = d.projected_unit(j, v)
-        nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(y))
-        if nx <= support_tol and ny <= support_tol:
-            continue
-        if float(np.linalg.norm(x - y)) <= tol:
-            plus.append(j)
-        elif float(np.linalg.norm(x + y)) <= tol:
-            minus.append(j)
-        else:
-            return StrongCospectralPartition(u, v, False,
-                                             witness=float(d.eigenvalues[j]))
-    return StrongCospectralPartition(u, v, True, tuple(plus), tuple(minus))
+    # ||E_j (e_u -+ e_v)|| = ||V_j^T (e_u -+ e_v)||: rows of the blocks
+    x, y = d.vectors[u], d.vectors[v]
+    seen = (np.sqrt(d.weights[u]) > support_tol) | (np.sqrt(d.weights[v]) > support_tol)
+    plus = seen & (np.sqrt(d.cluster_sums((x - y) ** 2)) <= tol)
+    minus = seen & ~plus & (np.sqrt(d.cluster_sums((x + y) ** 2)) <= tol)
+    bad = np.flatnonzero(seen & ~plus & ~minus)
+    if bad.size:
+        return StrongCospectralPartition(u, v, False,
+                                         witness=float(d.eigenvalues[bad[0]]))
+    return StrongCospectralPartition(u, v, True, tuple(np.flatnonzero(plus).tolist()),
+                                     tuple(np.flatnonzero(minus).tolist()))
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,6 @@ class WalkEvaluator:
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
         self._diag_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._col_cache: dict[int, np.ndarray] = {}
 
     @classmethod
     def for_graph(cls, graph: WeightedGraph, kind: MatrixKind = ADJACENCY,
@@ -228,15 +227,14 @@ class WalkEvaluator:
 
     def transition_matrix(self, t: float) -> np.ndarray:
         d = self.decomposition
-        out = np.zeros((d.n, d.n), dtype=complex)
-        for lam, proj in zip(d.eigenvalues, d.projectors):
-            out += np.exp(1j * t * lam) * proj
-        return out
+        phases = np.repeat(np.exp(1j * t * d.eigenvalues), d.multiplicities)
+        return (d.vectors * phases) @ d.vectors.T
 
     def transition_entry(self, t: float, u: int, v: int) -> complex:
         d = self.decomposition
-        return complex(sum(np.exp(1j * t * lam) * proj[u, v]
-                           for lam, proj in zip(d.eigenvalues, d.projectors)))
+        # (E_j)_{u,v} = V_j[u] . V_j[v]
+        proj = d.cluster_sums(d.vectors[u] * d.vectors[v])
+        return complex(np.sum(np.exp(1j * t * d.eigenvalues) * proj))
 
     def _diag_data(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         if u not in self._diag_cache:
@@ -246,20 +244,14 @@ class WalkEvaluator:
         return self._diag_cache[u]
 
     def _column_data(self, u: int) -> np.ndarray:
-        # rows: one projected column E_j e_u per distinct eigenvalue
-        if u not in self._col_cache:
-            d = self.decomposition
-            self._col_cache[u] = np.stack([proj[:, u] for proj in d.projectors])
-        return self._col_cache[u]
+        """E_j e_u, one row per distinct eigenvalue: row j is V_j V_j[u]."""
+        d = self.decomposition
+        return d.cluster_sums(d.vectors * d.vectors[u]).T
 
     def diagonal_entry_series(self, u: int, times) -> np.ndarray:
         """Complex values of U(t)_{u,u} on a grid of times."""
         lam, wts = self._diag_data(u)
         return _trig_sums(lam, wts[:, None], times)[:, 0]
-
-    def diagonal_magnitude_series(self, u: int, times) -> np.ndarray:
-        """|U(t)_{u,u}| on a grid of times."""
-        return np.abs(self.diagonal_entry_series(u, times))
 
     def column_magnitude_series(self, u: int, times) -> np.ndarray:
         """Matrix of |U(t)_{v,u}| with one row per time, one column per v."""

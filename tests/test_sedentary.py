@@ -19,6 +19,7 @@ from qwsed.graphs import (
     star_graph,
 )
 from qwsed.matrices import ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY, assemble
+from qwsed.cli import main
 from qwsed.sedentary import (
     NOT_SEDENTARY,
     SEDENTARY_AT_LEAST,
@@ -29,7 +30,9 @@ from qwsed.sedentary import (
     CertificateRefused,
     ClassifyOptions,
     UnsupportedSpectrum,
+    _merge_odd_lattices,
     classify,
+    classify_vertices,
     equality_condition,
     family_closed_classification,
     find_equality_time,
@@ -405,7 +408,65 @@ def test_product_compose_refusals():
         product_compose([], ADJACENCY)
 
 
+def test_merge_odd_lattices_tolerates_argmin_resolution():
+    # oracle argmins of the two twin leaves of star:4 under the Laplacian
+    # (4 pi / 5), which agree only to about 1e-9 relative
+    base = _merge_odd_lattices(2.5132741215, 2.5132741241)
+    assert base == pytest.approx(4.0 * math.pi / 5.0, abs=1e-8)
+    assert _merge_odd_lattices(math.pi / 3.0, math.pi / 5.0) == pytest.approx(math.pi)
+    # an even quotient has no common odd multiple
+    assert _merge_odd_lattices(1.0, 2.0) is None
+    assert _merge_odd_lattices(2.0, 1.0) is None
+
+
 # -- classify --------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_analyze_all_vertices_decomposes_once(monkeypatch, tmp_path):
+    import qwsed.sedentary
+
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    twins = _count_calls(monkeypatch, qwsed.sedentary, "find_twin_sets")
+    out = tmp_path / "reports.json"
+    assert main(["analyze", "--family", "hamming:3,5", "--matrix", "laplacian",
+                 "--vertex", "all", "--out", str(out)]) == 0
+    assert len(eighs) == 1
+    assert len(twins) == 1
+
+
+def test_product_vertex_decomposes_each_factor_once(monkeypatch):
+    import qwsed.sedentary
+
+    g = cartesian_product(star_graph(4), star_graph(4))
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    twins = _count_calls(monkeypatch, qwsed.sedentary, "find_twin_sets")
+    r = classify(g, 7, LAPLACIAN)
+    assert "product-composition" in [c.kind for c in r.certificates]
+    # the product and its two factors
+    assert len(eighs) == 3
+    assert len(twins) == 3
+
+
+def test_classify_vertices_matches_classify():
+    g = cartesian_product(star_graph(3), complete_graph(3))
+    many = classify_vertices(g, [0, 4, 7], LAPLACIAN)
+    for u, r in zip([0, 4, 7], many):
+        assert r.to_dict() == classify(g, u, LAPLACIAN).to_dict()
+    with pytest.raises(CertificateRefused):
+        classify_vertices(g, [0, g.n], LAPLACIAN)
+
 
 
 def test_classify_complete():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qwsed.spectral import (
     support,
     verify_twin_eigenvector,
 )
+from qwsed.walk import WalkEvaluator
 
 
 def _decomp(fam, kind=ADJACENCY):
@@ -198,3 +200,88 @@ def test_blow_up_twin_union():
     assert len(twins) == 1
     assert twins[0].vertices == (0, 1, 2, 4, 5)
     assert twins[0].theta == 0.0
+
+
+# -- eigenvector blocks against dense projectors ----------------------------------
+
+
+def _gnp(rng, n, p):
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return WeightedGraph(n, tuple((int(a), int(b), 1.0) for a, b in zip(*np.nonzero(upper))))
+
+
+def _dense_projectors(m):
+    """Distinct eigenvalues (descending) and dense projectors, clustered as
+    decompose documents, from numpy's eigh alone."""
+    vals, vecs = np.linalg.eigh(m)
+    tol = DEFAULT_CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))))
+    groups = []
+    for i in range(len(vals)):
+        if groups and vals[i] - vals[groups[-1][-1]] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    groups.reverse()
+    lam = np.array([float(np.mean(vals[g])) for g in groups])
+    return lam, [vecs[:, g] @ vecs[:, g].T for g in groups]
+
+
+def test_decompose_memory_is_quadratic():
+    rng = np.random.default_rng(400)
+    m = assemble(_gnp(rng, 400, 0.1), ADJACENCY)
+    tracemalloc.start()
+    try:
+        d = decompose(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense 400 x 400 projector per distinct eigenvalue would take 512 MB
+    assert d.num_distinct == 400
+    assert peak < 16e6
+
+
+def test_blocks_agree_with_dense_projectors():
+    rng = np.random.default_rng(5150)
+    times = np.array([0.0, 0.4, 1.7, 5.3])
+    for i in range(200):
+        n = int(rng.integers(3, 10))
+        g = _gnp(rng, n, 0.5)
+        kind = (ADJACENCY, LAPLACIAN)[i % 2]
+        m = assemble(g, kind).matrix
+        d = decompose(m)
+        w = WalkEvaluator(d)
+        lam, proj = _dense_projectors(m)
+        assert np.allclose(d.eigenvalues, lam, rtol=0.0, atol=1e-12)
+        for u in range(n):
+            sup = support(d, u)
+            idx = [j for j, e in enumerate(proj) if np.linalg.norm(e[:, u]) > 1e-10]
+            assert sup.indices == tuple(idx)
+            assert np.allclose(sup.weights, [proj[j][u, u] for j in idx],
+                               rtol=0.0, atol=1e-12)
+            col = np.abs(sum(np.exp(1j * np.outer(times, [x]))
+                             * e[:, u] for x, e in zip(lam, proj)))
+            assert np.allclose(w.column_magnitude_series(u, times), col,
+                               rtol=0.0, atol=1e-12)
+            for v in range(n):
+                entry = sum(np.exp(1.7j * x) * e[u, v] for x, e in zip(lam, proj))
+                assert abs(w.transition_entry(1.7, u, v) - entry) <= 1e-12
+                if v <= u:
+                    continue
+                assert are_cospectral(d, u, v) == all(
+                    abs(e[u, u] - e[v, v]) <= 1e-9 for e in proj)
+                plus, minus, ok = [], [], True
+                for j, e in enumerate(proj):
+                    x, y = e[:, u], e[:, v]
+                    if max(np.linalg.norm(x), np.linalg.norm(y)) <= 1e-10:
+                        continue
+                    if np.linalg.norm(x - y) <= 1e-9:
+                        plus.append(j)
+                    elif np.linalg.norm(x + y) <= 1e-9:
+                        minus.append(j)
+                    else:
+                        ok = False
+                        break
+                sc = strong_cospectral(d, u, v)
+                assert bool(sc) == ok
+                if ok:
+                    assert (sc.plus, sc.minus) == (tuple(plus), tuple(minus))
