@@ -27,7 +27,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .graphs import FamilySpec, WeightedGraph, describe_graph
 from .matrices import ADJACENCY, MatrixKind, assemble
@@ -455,6 +454,24 @@ def sharpness_parity(d: SpectralDecomposition, u: int, subset,
 # -- zero crossings --------------------------------------------------------------
 
 
+def _bisect(f, a: float, b: float, xtol: float) -> float:
+    """A zero of f on [a, b], where f(a) and f(b) have opposite signs, to
+    within xtol or to adjacent floats."""
+    neg = f(a) < 0.0
+    while b - a > xtol:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == neg:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def find_zero_crossing(d: SpectralDecomposition, u: int,
                        window: tuple[float, float] | None = None,
                        grid: int | None = None,
@@ -492,7 +509,7 @@ def find_zero_crossing(d: SpectralDecomposition, u: int,
     if not clean.size:
         raise CertificateRefused("no sign change found on the window")
     i = int(clean[0])
-    t_zero = float(brentq(f, float(ts[i]), float(ts[i + 1]), xtol=1e-14))
+    t_zero = _bisect(f, float(ts[i]), float(ts[i + 1]), 1e-14)
     mag = abs(complex(np.sum(wts * np.exp(1j * t_zero * lam))))
     return SedentaryCertificate(
         NOT_SEDENTARY_ZERO_CROSSING, u, 0.0, (), None, (t_zero,),
@@ -1003,8 +1020,7 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
 
 def _classify_vertex(ctx: _Context, u: int, opts: ClassifyOptions) -> SedentaryReport:
     window = opts.window
-    if window is None and not periodicity(ctx.walk.decomposition, u,
-                                          opts.support_tol).periodic:
+    if window is None and not ctx.walk.periodicity(u, opts.support_tol).periodic:
         window = (0.0, DEFAULT_WINDOW)
     oracle = ctx.walk.minimize_diagonal(u, window, opts.grid)
     certs: list[SedentaryCertificate] = []

@@ -294,12 +294,17 @@ class PeriodicityInfo:
 
     method: 'integer-spectrum', 'rational-rescaled', or 'undetected'.
     Detection is sound but incomplete: 'undetected' makes no claim.
+    coordinates and step, when the support has more than one eigenvalue and
+    a period is found, are the integers p_j (aligned with the support's
+    index order, smallest 0) and the real s with lambda_j = min + s*p_j.
     """
 
     vertex: int
     periodic: bool
     period: float | None
     method: str
+    coordinates: tuple[int, ...] | None = None
+    step: float | None = None
 
 
 def _rescale_to_integers(values: np.ndarray, scale: float):
@@ -373,4 +378,4 @@ def periodicity(d: SpectralDecomposition, u: int,
     mag = abs(complex(np.sum(wts * np.exp(1j * rho * lam))))
     if abs(mag - 1.0) > _UNIT_TOL:
         return PeriodicityInfo(u, False, None, "undetected")
-    return PeriodicityInfo(u, True, float(rho), method)
+    return PeriodicityInfo(u, True, float(rho), method, tuple(p), s)

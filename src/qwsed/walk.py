@@ -3,7 +3,10 @@ decomposition, closed-form diagonal entries for the catalogued families, and
 the scan-and-refine primitive behind every search over time: f(t) =
 reduce(sum_j coef_j e^{i lam_j t}) is evaluated on a uniform grid
 (_grid_values), and the grid-local minima that a curvature bound cannot
-exclude are refined by one batched golden-section (_refine_minima).
+exclude are refined by one batched golden-section (_refine_minima).  On a
+certified period of low degree the diagonal oracle instead takes every
+critical point of |U(t)_{u,u}|^2 from one polynomial's roots
+(_critical_clusters).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from .graphs import FamilySpec, WeightedGraph
 from .matrices import (ADJACENCY, LAPLACIAN, Hamiltonian, MatrixKind, assemble)
-from .spectral import (DEFAULT_CLUSTER_TOL, SpectralDecomposition, decompose,
-                       periodicity, support)
+from .spectral import (DEFAULT_CLUSTER_TOL, DEFAULT_SUPPORT_TOL, PeriodicityInfo,
+                       SpectralDecomposition, decompose, periodicity, support)
 
 __all__ = [
     "WalkError",
@@ -50,6 +53,16 @@ _TIE_BAND = 1e-9
 _PST_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# the root path takes certified windows of degree Q <= _ROOT_CAP; np.roots
+# on the degree-2Q polynomial costs more than the scan beyond it
+_ROOT_CAP = 32
+# roots this close to the unit circle are kept as critical points
+_ROOT_BAND = 1e-2
+# a cluster centroid off the circle by more than this (but inside the band)
+# is ambiguous, and the scan runs instead
+_ROOT_EXACT = 1e-6
+# root angles closer than this form one cluster (a split multiple root)
+_ROOT_CLUSTER = 1e-3
 
 
 class WalkError(RuntimeError):
@@ -164,9 +177,69 @@ def _sq_at(lam: np.ndarray, wts: np.ndarray, times) -> np.ndarray:
     return z.real ** 2 + z.imag ** 2
 
 
+def _critical_clusters(q: np.ndarray, wts: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Critical points of |g(z)|^2 on the unit circle, g(z) = sum_j wts_j
+    z^{q_j} for integers q_j >= 0, as (centroid angles, member angles,
+    member cluster index); angles lie in [0, 2 pi).  None when a cluster
+    centroid is too far from the circle to tell.
+
+    On |z| = 1, |g|^2 = sum_{d=-Q}^{Q} c_d z^d with c the autocorrelation of
+    g's coefficients, so its derivative in the angle vanishes exactly at
+    the unit-circle roots of sum_d d c_d z^{d+Q}, of degree 2Q.  A multiple
+    root comes back split by about eps^(1/m); the roots whose angles are
+    closer than _ROOT_CLUSTER form one cluster, and its mean, an analytic
+    function of the perturbation, locates the root far better than any
+    member.
+    """
+    big_q = int(q.max())
+    v = np.zeros(big_q + 1)
+    v[q] = wts
+    c = np.convolve(v, v[::-1])
+    roots = np.roots((np.arange(-big_q, big_q + 1) * c)[::-1])
+    roots = roots[np.abs(np.abs(roots) - 1.0) < _ROOT_BAND]
+    ang = np.angle(roots) % (2.0 * math.pi)
+    order = np.argsort(ang)
+    roots, ang = roots[order], ang[order]
+    # a run across angle 0 would split in two; z = 1 is always a simple root
+    # there, the maximum |U(0)| = 1, so that never touches a minimum
+    label = np.concatenate(([0], np.cumsum(np.diff(ang) >= _ROOT_CLUSTER)))
+    size = np.bincount(label)
+    centre = (np.bincount(label, roots.real) + 1j * np.bincount(label, roots.imag)) / size
+    if np.any(np.abs(np.abs(centre) - 1.0) > _ROOT_EXACT):
+        return None
+    return np.angle(centre) % (2.0 * math.pi), ang, label
+
+
+def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Times and |U|^2 offers of the window ends [0, rho] and of every root
+    cluster over the period, or None when the root path does not apply."""
+    q = np.array(per.coordinates) // math.gcd(*per.coordinates)
+    if q.max() > _ROOT_CAP:
+        return None
+    found = _critical_clusters(q, wts)
+    if found is None:
+        return None
+    centre, member, label = found
+    rho = float(per.period)
+    scale = rho / (2.0 * math.pi)
+    best = _sq_at(lam, wts, centre * scale)
+    np.minimum.at(best, label, _sq_at(lam, wts, member * scale))
+    return (np.concatenate(([0.0, rho], centre * scale)),
+            np.concatenate((_sq_at(lam, wts, [0.0, rho]), best)))
+
+
 @dataclass(frozen=True)
 class MinimizationResult:
-    """Certified (or windowed) minimum of |U(t)_{u,u}|."""
+    """Certified (or windowed) minimum of |U(t)_{u,u}|.
+
+    grid is the size of the uniform grid the scan uses on the window.  The
+    root path of a certified window evaluates critical points instead of a
+    grid but reports the same size, so reports do not depend on the path.
+    refinements (not in to_dict) counts the golden-section brackets on the
+    scan and the critical points (root clusters) evaluated on the root path.
+    """
 
     vertex: int
     minimum: float
@@ -213,6 +286,7 @@ class WalkEvaluator:
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
         self._diag_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._period_cache: dict[tuple[int, float], PeriodicityInfo] = {}
 
     @classmethod
     def for_graph(cls, graph: WeightedGraph, kind: MatrixKind = ADJACENCY,
@@ -242,6 +316,14 @@ class WalkEvaluator:
             self._diag_cache[u] = (np.array(sup.eigenvalues),
                                    np.array(sup.weights))
         return self._diag_cache[u]
+
+    def periodicity(self, u: int,
+                    support_tol: float = DEFAULT_SUPPORT_TOL) -> PeriodicityInfo:
+        """spectral.periodicity of u, computed once per vertex and tolerance."""
+        key = (u, support_tol)
+        if key not in self._period_cache:
+            self._period_cache[key] = periodicity(self.decomposition, u, support_tol)
+        return self._period_cache[key]
 
     def _column_data(self, u: int) -> np.ndarray:
         """E_j e_u, one row per distinct eigenvalue: row j is V_j V_j[u]."""
@@ -277,22 +359,35 @@ class WalkEvaluator:
         [0, rho]; undetected periodicity is an error (pass a window, which is
         then reported as uncertified).
 
-        |U(t)_{u,u}|^2 is scanned on the grid in chunks, in O(chunk x
-        support) memory.  Its second derivative is at most M2 = 2 Var_w(lam),
-        so the bracket of a grid-local minimum g holds nothing below
-        g - M2 h^2/8 (h the grid step); brackets where that exceeds the grid
-        minimum plus 1e-9 can hold neither the minimum nor a tie with it and
-        are skipped, and the rest get one batched golden-section
+        Root path.  On a certified window with no explicit grid, a support
+        of more than one eigenvalue and integer coordinates q_j (relative
+        to the period) of degree Q = max q_j <= _ROOT_CAP, every critical
+        point of |U|^2 over the period is a unit-circle root of one
+        polynomial of degree 2Q (_critical_clusters).  Each root cluster
+        offers, at its centroid, the least |U|^2 over its members and its
+        centroid, evaluated on the support eigenvalues themselves; refinements
+        counts the clusters.  An ambiguous root cluster sends the call to
+        the scan.
+
+        Scan.  Otherwise |U(t)_{u,u}|^2 is scanned on the grid in chunks, in
+        O(chunk x support) memory.  Its second derivative is at most M2 = 2
+        Var_w(lam), so the bracket of a grid-local minimum g holds nothing
+        below g - M2 h^2/8 (h the grid step); brackets where that exceeds the
+        grid minimum plus 1e-9 can hold neither the minimum nor a tie with it
+        and are skipped, and the rest get one batched golden-section
         (refinements counts them).  Each bracket offers the better of its
-        grid sample and its refinement, the window ends their samples; the
-        minimum is the least offer and argmin the earliest offer within 1e-9
-        of it in squared magnitude, so symmetric attainment times report
-        their first occurrence.
+        grid sample and its refinement.
+
+        On both paths the window ends offer their values; the minimum is the
+        least offer and argmin the earliest offer within 1e-9 of it in
+        squared magnitude, so symmetric attainment times report their first
+        occurrence.  grid is the grid size for the window either way, so
+        reports do not depend on the path.
         """
         lam, wts = self._diag_data(u)
         certified = window is None
         if certified:
-            per = periodicity(self.decomposition, u)
+            per = self.periodicity(u)
             if not per.periodic:
                 raise WalkError(
                     f"no certified period for vertex {u}; pass an explicit window")
@@ -304,19 +399,28 @@ class WalkEvaluator:
         t0, t1 = float(window[0]), float(window[1])
         if not (t1 > t0 >= 0.0):
             raise WalkError(f"bad window {window!r}")
-        coef = wts[:, None]
-        ts, sq = _grid_values(lam, coef, _sq, (t0, t1), grid)
-        at, x, fx = _refine_minima(lambda t: _sq_at(lam, wts, t), ts, sq,
-                                   float(_curvature(lam, coef)[0]),
-                                   float(sq.min()) + _TIE_BAND, refine_tol)
-        refined = fx < sq[at]
-        offers = np.concatenate(([sq[0], sq[-1]], np.where(refined, fx, sq[at])))
-        times = np.concatenate(([t0, t1], np.where(refined, x, ts[at])))
+        found = None
+        if certified and grid is None and len(lam) > 1:
+            found = _root_offers(lam, wts, per)
+        if found is not None:
+            times, offers = found
+            npts = _grid_size(t1 - t0, float(lam.max() - lam.min()))
+            refinements = len(times) - 2
+        else:
+            coef = wts[:, None]
+            ts, sq = _grid_values(lam, coef, _sq, (t0, t1), grid)
+            at, x, fx = _refine_minima(lambda t: _sq_at(lam, wts, t), ts, sq,
+                                       float(_curvature(lam, coef)[0]),
+                                       float(sq.min()) + _TIE_BAND, refine_tol)
+            refined = fx < sq[at]
+            offers = np.concatenate(([sq[0], sq[-1]], np.where(refined, fx, sq[at])))
+            times = np.concatenate(([t0, t1], np.where(refined, x, ts[at])))
+            npts, refinements = len(ts), len(at)
         best_sq = float(offers.min())
         best_t = float(times[offers <= best_sq + _TIE_BAND].min())
         best = math.sqrt(max(best_sq, 0.0))
-        return MinimizationResult(u, best, best_t, (t0, t1), len(ts), certified,
-                                  len(at))
+        return MinimizationResult(u, best, best_t, (t0, t1), npts, certified,
+                                  refinements)
 
     # -- transfer phenomena -------------------------------------------------
 

@@ -1,5 +1,10 @@
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +23,8 @@ from qwsed.graphs import (
     path_graph,
     star_graph,
 )
-from qwsed.matrices import ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY, assemble
+from qwsed.matrices import (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY, assemble,
+                            parse_matrix_kind)
 from qwsed.cli import main
 from qwsed.sedentary import (
     NOT_SEDENTARY,
@@ -277,6 +283,55 @@ def test_zero_crossing_refused_without_sign_change():
     d = _decomp("path:3")
     with pytest.raises(CertificateRefused):
         find_zero_crossing(d, 0, (0.0, 2.0))
+
+
+def _corpus_zero_crossings():
+    """(family, kind, vertex, window, time) of every zero-crossing
+    certificate in the golden corpus that a sign change proved."""
+    path = pathlib.Path(__file__).with_name("golden") / "reports.json"
+    out = []
+    for case in json.loads(path.read_text(encoding="utf-8"))["cases"]:
+        argv = case["argv"]
+        if argv[0] != "analyze":
+            continue
+        for rep in case["output"]:
+            for c in rep["certificates"]:
+                if c["detail"].startswith("real diagonal changes sign"):
+                    out.append((argv[2], argv[4], rep["vertex"],
+                                tuple(rep["oracle"]["window"]), c["equality_times"][0]))
+    return out
+
+
+def test_zero_crossing_bisection_agrees_with_brentq(monkeypatch):
+    from scipy.optimize import brentq
+
+    import qwsed.sedentary as sed
+
+    cases = _corpus_zero_crossings()
+    assert len(cases) >= 10
+    for fam, kind, u, window, frozen in cases:
+        d = _decomp(fam, parse_matrix_kind(kind))
+        t = find_zero_crossing(d, u, window).equality_times[0]
+        with monkeypatch.context() as m:
+            m.setattr(sed, "_bisect",
+                      lambda f, a, b, xtol: float(brentq(f, a, b, xtol=xtol)))
+            t_brentq = find_zero_crossing(d, u, window).equality_times[0]
+        assert abs(t - t_brentq) <= 1e-12
+        assert abs(t - frozen) <= 1e-12
+
+
+def test_runtime_imports_no_scipy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, qwsed\n"
+            "g = qwsed.build_family(qwsed.parse_family('path:5'))\n"
+            "r = qwsed.classify(g, 0)\n"
+            "assert r.classification == 'not-sedentary', r.classification\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 # -- family catalogue ------------------------------------------------------------
