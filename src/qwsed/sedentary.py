@@ -50,7 +50,6 @@ from .walk import (
     _grid_values,
     _refine_minima,
     _sq,
-    _sq_at,
 )
 
 __all__ = [
@@ -220,8 +219,9 @@ def subset_bound(d: SpectralDecomposition, u: int, subset,
     eigenvalue support of u.  For a >= 1/2 the triangle inequality gives
     |U(t)_{u,u}| >= |partial sum over S| - (1 - a).  A singleton S makes the
     partial sum constant and the bound 2a - 1 analytic; larger subsets
-    minimize the partial sum on a grid and refine every grid-local minimum
-    that the curvature bound cannot place above the grid minimum.  That is
+    minimize the partial sum on a grid and refine, by batched safeguarded
+    Newton steps on its analytic derivative, every grid-local minimum that
+    the curvature bound cannot place above the grid minimum.  That is
     honest evidence but not a proof, so the certificate is flagged
     accordingly.
     """
@@ -248,7 +248,7 @@ def subset_bound(d: SpectralDecomposition, u: int, subset,
             window = (0.0, DEFAULT_WINDOW)
     t0, t1 = float(window[0]), float(window[1])
     ts, vals = _grid_values(lam, coef, _sq, (t0, t1), grid)
-    _, _, fx = _refine_minima(lambda t: _sq_at(lam, wts, t), ts, vals,
+    _, _, fx = _refine_minima(lam, coef, _sq, ts, vals,
                               float(_curvature(lam, coef)[0]), float(vals.min()), 1e-10)
     fmin = math.sqrt(max(min(float(vals.min()), float(fx.min(initial=np.inf))), 0.0))
     bound = max(fmin - (1.0 - a), 0.0)
@@ -292,6 +292,17 @@ def _equality_holds(sup, pos: list[int], t1: float, tol: float) -> bool:
     return abs(value - abs(2.0 * a - 1.0)) <= 100.0 * tol
 
 
+def _alignment_defect(k: int):
+    """The reducer 2k - 2 Re z of find_equality_time's defect, with the
+    derivatives -2 Re z' and -2 Re z'' when they are given."""
+
+    def defect(z, dz=None, d2z=None):
+        if dz is None:
+            return 2.0 * k - 2.0 * z[:, 0].real
+        return 2.0 * k - 2.0 * z[:, 0].real, -2.0 * dz[:, 0].real, -2.0 * d2z[:, 0].real
+    return defect
+
+
 def find_equality_time(d: SpectralDecomposition, u: int, subset,
                        window: tuple[float, float],
                        grid: int | None = None,
@@ -305,8 +316,10 @@ def find_equality_time(d: SpectralDecomposition, u: int, subset,
     that passes the condition has D <= k tol^2 for a support of size k, and
     |D''| <= 2 sum_j delta_j^2, so grid-local minima whose value minus that
     bound times h^2/8 exceeds k tol^2 cannot hold one and are skipped.  The
-    rest are refined by one batched golden-section, and the refined times
-    are checked against the exact condition in increasing order.
+    rest are refined together by safeguarded Newton steps on D' = -2 Re
+    sum_j i delta_j s_j e^{i delta_j t} (bisecting where a step would leave
+    its bracket or D'' <= 0, to 1e-12), and the refined times are checked
+    against the exact condition in increasing order.
     """
     sup = support(d, u, support_tol)
     _, pos = _support_positions(sup, subset)
@@ -315,15 +328,11 @@ def find_equality_time(d: SpectralDecomposition, u: int, subset,
     sign[pos] = 1.0
     deltas = lam - lam[pos[0]]
     k = len(lam)
-
-    def defect(ts: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * np.outer(ts, deltas)) - sign
-        return np.sum(z.real ** 2 + z.imag ** 2, axis=1)
-
-    ts, vals = _grid_values(deltas, sign[:, None],
-                            lambda z: 2.0 * k - 2.0 * z[:, 0].real, window, grid)
-    _, x, _ = _refine_minima(defect, ts, vals, 2.0 * float(np.sum(deltas ** 2)),
-                             k * tol * tol, 1e-12)
+    defect = _alignment_defect(k)
+    coef = sign[:, None]
+    ts, vals = _grid_values(deltas, coef, defect, window, grid)
+    _, x, _ = _refine_minima(deltas, coef, defect, ts, vals,
+                             2.0 * float(np.sum(deltas ** 2)), k * tol * tol, 1e-12)
     for t in x:
         if _equality_holds(sup, pos, float(t), tol):
             return float(t)

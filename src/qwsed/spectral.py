@@ -232,23 +232,18 @@ def find_twin_sets(g: WeightedGraph,
             a = parent[a]
         return a
 
-    # group by open-neighborhood signature first to keep the pair scan short
-    sig: dict[tuple, list[int]] = {}
+    # twins share a bucket: non-adjacent ones their weighted open
+    # neighbourhood, adjacent ones the vertex set N(u) + {u}
+    buckets: dict[tuple, list[int]] = {}
     for u in range(g.n):
-        items = tuple(sorted(g.neighbors(u).items()))
-        sig.setdefault((g.loop_weight(u), items), []).append(u)
-    candidates = set()
-    for bucket in sig.values():
+        nbrs, loop = g.neighbors(u), g.loop_weight(u)
+        buckets.setdefault(("open", loop, tuple(sorted(nbrs.items()))), []).append(u)
+        buckets.setdefault(("closed", loop, tuple(sorted([*nbrs, u]))), []).append(u)
+    for bucket in buckets.values():
         for i, u in enumerate(bucket):
             for v in bucket[i + 1:]:
-                candidates.add((u, v))
-    # adjacent twins have signatures differing in each other's entry only
-    for u, v, _ in g.edges:
-        if u != v:
-            candidates.add((u, v))
-    for u, v in sorted(candidates):
-        if find(u) != find(v) and _twin_pair(g, u, v):
-            parent[find(v)] = find(u)
+                if find(u) != find(v) and _twin_pair(g, u, v):
+                    parent[find(v)] = find(u)
 
     classes: dict[int, list[int]] = {}
     for u in range(g.n):

@@ -3,8 +3,12 @@ decomposition, closed-form diagonal entries for the catalogued families, and
 the scan-and-refine primitive behind every search over time: f(t) =
 reduce(sum_j coef_j e^{i lam_j t}) is evaluated on a uniform grid
 (_grid_values), and the grid-local minima that a curvature bound cannot
-exclude are refined by one batched golden-section (_refine_minima).  On a
-certified period of low degree the diagonal oracle instead takes every
+exclude are refined together (_refine_minima) by a batched Newton iteration
+on f' (_newton_batch).  Each search has one reducer: given z it returns f,
+and given z, z' and z'' it returns (f, f', f'').  The sign of f' keeps every
+iterate inside a bracket that holds a local minimum, a step that leaves it
+or meets f'' <= 0 bisects instead, and a checked cap bounds the steps.  On
+a certified period of low degree the diagonal oracle instead takes every
 critical point of |U(t)_{u,u}|^2 from one polynomial's roots
 (_critical_clusters).
 """
@@ -51,8 +55,8 @@ _CHUNK = 1024
 # candidates this close to the best squared minimum count as ties
 _TIE_BAND = 1e-9
 _PST_TOL = 1e-8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# Newton steps a bracket may take before it only bisects
+_NEWTON_STEPS = 16
 # the root path takes certified windows of degree Q <= _ROOT_CAP; np.roots
 # on the degree-2Q polynomial costs more than the scan beyond it
 _ROOT_CAP = 32
@@ -126,48 +130,100 @@ def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
     return ts, np.concatenate(out)[:npts]
 
 
-def _golden_batch(fun, a: np.ndarray, b: np.ndarray, xtol: float
+def _newton_batch(lam: np.ndarray, coef: np.ndarray, reduce, a: np.ndarray,
+                  b: np.ndarray, x: np.ndarray, xtol: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section minimum on every bracket [a_i, b_i] at once; fun maps
-    an array of times to an array of values."""
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    c = a + _INVPHI2 * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    act = np.flatnonzero(b - a > xtol)
-    while act.size:
-        left = fc[act] < fd[act]
-        lo, hi = act[left], act[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = a[lo] + _INVPHI2 * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
-        fx = fun(np.where(left, c[act], d[act]))
-        fc[lo], fd[hi] = fx[left], fx[~left]
-        act = act[b[act] - a[act] > xtol]
-    x = 0.5 * (a + b)
-    return x, fun(x)
+    """Safeguarded Newton iteration on f' for every bracket [a_i, b_i] at
+    once, from x_i inside it, where f = reduce(sum_j coef_j e^{i lam_j t}).
+    Returns the final iterates and f at the last point evaluated for each.
+
+    Each step computes e^{i lam t} once and forms z, z' and z'' with one
+    product; reduce(z, z', z'') gives (f, f', f'').  The sign of f' moves a
+    or b to the iterate, so the bracket keeps a local minimum and closes on
+    a kink.  The Newton step -f'/f'' is taken when f'' > 0 and it lands in
+    [a, b]; otherwise the iterate moves to the bracket midpoint.  A bracket
+    is done when its step (zero where f' = 0) or its width is at most xtol;
+    that last step is applied but not evaluated.  Newton converges in a few
+    steps.  A bracket still open after _NEWTON_STEPS only bisects, which
+    halves it at every step, so all are done within _NEWTON_STEPS + 2 +
+    log2(width / xtol) steps; running past that is an error.
+    """
+    a, b, x = (np.array(v, dtype=float) for v in (a, b, x))
+    fx = np.empty(len(x))
+    if not len(x):
+        return x, fx
+    m = coef.shape[1]
+    cols = np.concatenate((coef, 1j * lam[:, None] * coef,
+                           -(lam * lam)[:, None] * coef), axis=1)
+    cap = _NEWTON_STEPS + 2 + max(math.ceil(math.log2(float(np.max(b - a)) / xtol)), 0)
+    act = np.arange(len(x))
+    for i in range(cap):
+        xa = x[act]
+        z = np.exp(1j * np.outer(xa, lam)) @ cols
+        f, g, h = reduce(z[:, :m], z[:, m:2 * m], z[:, 2 * m:])
+        fx[act] = f
+        aa = np.where(g < 0.0, xa, a[act])
+        ba = np.where(g > 0.0, xa, b[act])
+        newton = xa - g / np.where(h > 0.0, h, 1.0)
+        ok = (g == 0.0) | ((h > 0.0) & (newton >= aa) & (newton <= ba)
+                           & (i < _NEWTON_STEPS))
+        step = np.where(ok, newton, 0.5 * (aa + ba)) - xa
+        a[act], b[act], x[act] = aa, ba, xa + step
+        act = act[(np.abs(step) > xtol) & (ba - aa > xtol)]
+        if not act.size:
+            return x, fx
+    raise WalkError(f"Newton refinement left {act.size} brackets open after {cap} steps")
 
 
-def _refine_minima(fun, ts: np.ndarray, vals: np.ndarray, m2: float,
-                   threshold: float, xtol: float
+def _refine_minima(lam: np.ndarray, coef: np.ndarray, reduce, ts: np.ndarray,
+                   vals: np.ndarray, m2: float, threshold: float, xtol: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kept grid-local minima of vals, their refined times and fun there.
+    """Kept grid-local minima of vals, their refined times and f there, for
+    the f = reduce(sum_j coef_j e^{i lam_j t}) that vals samples on ts.
 
     With |f''| <= m2 and grid step h, f stays above vals[i] - m2 h^2/8 on
     the bracket [t_{i-1}, t_{i+1}] of a grid-local minimum i; a bracket
-    where that exceeds threshold cannot reach it and is not refined.
+    where that exceeds threshold cannot reach it and is not refined.  The
+    rest go to one _newton_batch, each starting from its t_i.
     """
     mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
     at = np.flatnonzero((mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))) + 1
     h = ts[1] - ts[0]
     at = at[vals[at] - m2 * h * h / 8.0 <= threshold]
-    return (at, *_golden_batch(fun, ts[at - 1], ts[at + 1], xtol))
+    return (at, *_newton_batch(lam, coef, reduce, ts[at - 1], ts[at + 1], ts[at], xtol))
 
 
-def _sq(z: np.ndarray) -> np.ndarray:
-    """|first column|^2."""
-    return z[:, 0].real ** 2 + z[:, 0].imag ** 2
+def _sq_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|z|^2 and its first two time derivatives, elementwise."""
+    return (z.real ** 2 + z.imag ** 2,
+            2.0 * (z.real * dz.real + z.imag * dz.imag),
+            2.0 * (dz.real ** 2 + dz.imag ** 2 + z.real * d2z.real + z.imag * d2z.imag))
+
+
+def _sq(z: np.ndarray, dz: np.ndarray | None = None, d2z: np.ndarray | None = None):
+    """|first column|^2; given dz and d2z, (f, f', f'')."""
+    if dz is None:
+        return z[:, 0].real ** 2 + z[:, 0].imag ** 2
+    return _sq_terms(z[:, 0], dz[:, 0], d2z[:, 0])
+
+
+def _leak(z: np.ndarray, dz: np.ndarray | None = None, d2z: np.ndarray | None = None):
+    """sum_c |z_c|^2 per row; given dz and d2z, (f, f', f'')."""
+    if dz is None:
+        return np.sum(z.real ** 2 + z.imag ** 2, axis=1)
+    return tuple(v.sum(axis=1) for v in _sq_terms(z, dz, d2z))
+
+
+def _neg_peak(z: np.ndarray, dz: np.ndarray | None = None,
+              d2z: np.ndarray | None = None):
+    """-max_c |z_c|^2 per row (0 with no columns); given dz and d2z,
+    (f, f', f'') of the row's argmax column."""
+    sq = z.real ** 2 + z.imag ** 2
+    if dz is None:
+        return -np.max(sq, axis=1, initial=0.0)
+    rows, col = np.arange(len(z)), np.argmax(sq, axis=1)
+    return tuple(-v for v in _sq_terms(z[rows, col], dz[rows, col], d2z[rows, col]))
 
 
 def _sq_at(lam: np.ndarray, wts: np.ndarray, times) -> np.ndarray:
@@ -237,8 +293,9 @@ class MinimizationResult:
     grid is the size of the uniform grid the scan uses on the window.  The
     root path of a certified window evaluates critical points instead of a
     grid but reports the same size, so reports do not depend on the path.
-    refinements (not in to_dict) counts the golden-section brackets on the
-    scan and the critical points (root clusters) evaluated on the root path.
+    refinements (not in to_dict) counts the brackets the scan refines by
+    Newton steps and the critical points (root clusters) evaluated on the
+    root path.
     """
 
     vertex: int
@@ -374,9 +431,13 @@ class WalkEvaluator:
         Var_w(lam), so the bracket of a grid-local minimum g holds nothing
         below g - M2 h^2/8 (h the grid step); brackets where that exceeds the
         grid minimum plus 1e-9 can hold neither the minimum nor a tie with it
-        and are skipped, and the rest get one batched golden-section
-        (refinements counts them).  Each bracket offers the better of its
-        grid sample and its refinement.
+        and are skipped.  The rest (refinements counts them) are refined
+        together from their grid minima by safeguarded Newton steps on the
+        analytic derivative of |U|^2: the sign of the derivative keeps each
+        iterate in its bracket, a step that would leave it (or meets
+        negative curvature) bisects, and refine_tol bounds the last step or
+        the bracket.  Each bracket offers the better of its grid sample and
+        its refinement.
 
         On both paths the window ends offer their values; the minimum is the
         least offer and argmin the earliest offer within 1e-9 of it in
@@ -384,6 +445,8 @@ class WalkEvaluator:
         occurrence.  grid is the grid size for the window either way, so
         reports do not depend on the path.
         """
+        if not refine_tol > 0.0:
+            raise WalkError(f"refine_tol must be positive, got {refine_tol!r}")
         lam, wts = self._diag_data(u)
         certified = window is None
         if certified:
@@ -409,7 +472,7 @@ class WalkEvaluator:
         else:
             coef = wts[:, None]
             ts, sq = _grid_values(lam, coef, _sq, (t0, t1), grid)
-            at, x, fx = _refine_minima(lambda t: _sq_at(lam, wts, t), ts, sq,
+            at, x, fx = _refine_minima(lam, coef, _sq, ts, sq,
                                        float(_curvature(lam, coef)[0]),
                                        float(sq.min()) + _TIE_BAND, refine_tol)
             refined = fx < sq[at]
@@ -433,7 +496,7 @@ class WalkEvaluator:
         lam = self.decomposition.eigenvalues
         coef = self._column_data(u)[:, cols]
         ts, vals = _grid_values(lam, coef, reduce, window, grid)
-        _, x, fx = _refine_minima(lambda t: reduce(_trig_sums(lam, coef, t)), ts, vals,
+        _, x, fx = _refine_minima(lam, coef, reduce, ts, vals,
                                   float(combine(_curvature(lam, coef), initial=0.0)),
                                   ceiling, 1e-12)
         times = np.concatenate(([ts[0]], x, [ts[-1]]))
@@ -446,11 +509,7 @@ class WalkEvaluator:
         reaches 1 within 1e-8.  Numeric evidence only; the caller decides
         whether the window certifies anything."""
         others = [v for v in range(self.n) if v != u]
-
-        def neg_peak(z: np.ndarray) -> np.ndarray:
-            return -np.max(z.real ** 2 + z.imag ** 2, axis=1, initial=0.0)
-
-        times = self._column_scan(u, others, neg_peak, np.max, window, grid,
+        times = self._column_scan(u, others, _neg_peak, np.max, window, grid,
                                   -(1.0 - _PST_TOL) ** 2)
         if not len(times):
             return None
@@ -468,12 +527,8 @@ class WalkEvaluator:
         w outside the pair below leak_tol and |U(t)_{v,u}| > beta_tol."""
         if u == v:
             raise WalkError("fractional revival needs a pair of distinct vertices")
-
-        def leak(z: np.ndarray) -> np.ndarray:
-            return np.sum(z.real ** 2 + z.imag ** 2, axis=1)
-
         for t in self._column_scan(u, [w for w in range(self.n) if w not in (u, v)],
-                                   leak, np.sum, window, grid, leak_tol):
+                                   _leak, np.sum, window, grid, leak_tol):
             if t > 1e-9 and abs(self.transition_entry(float(t), v, u)) > beta_tol:
                 return float(t)
         return None

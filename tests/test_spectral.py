@@ -20,6 +20,7 @@ from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, twin_theta
 from qwsed.spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralError,
+    _twin_pair,
     are_cospectral,
     decompose,
     find_twin_sets,
@@ -133,6 +134,56 @@ def test_twin_sets_exclude_near_misses():
     # weights differ, so no twins even though the shape matches
     g = WeightedGraph(3, ((0, 2, 1.0), (1, 2, 1.0 + 1e-13)))
     assert list(find_twin_sets(g, ADJACENCY)) == []
+
+
+def _planted_twins(rng) -> WeightedGraph:
+    """A random weighted graph with loops, then copies of some vertices: each
+    copy repeats its source's loop and weighted neighbourhood, and is joined
+    to its source and the other copies by one weight or by none."""
+    n = int(rng.integers(3, 9))
+    weights = (1.0, 2.0, 0.5)
+    edges = {}
+    for u in range(n):
+        for v in range(u, n):
+            if rng.random() < (0.2 if u == v else 0.45):
+                edges[(u, v)] = weights[int(rng.integers(3))]
+    for src in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+        nbrs = {(v if u == src else u): w for (u, v), w in edges.items()
+                if src in (u, v) and u != v}
+        eta = weights[int(rng.integers(3))] * int(rng.integers(2))
+        clique = [int(src)]
+        for _ in range(int(rng.integers(1, 3))):
+            new, n = n, n + 1
+            for v, w in nbrs.items():
+                edges[(v, new)] = w
+            if (src, src) in edges:
+                edges[(new, new)] = edges[(src, src)]
+            for c in clique if eta else ():
+                edges[(c, new)] = eta
+            clique.append(new)
+    return WeightedGraph(n, tuple((u, v, w) for (u, v), w in sorted(edges.items())))
+
+
+def _twin_classes_by_all_pairs(g):
+    classes = []
+    for u in range(g.n):
+        home = next((c for c in classes if _twin_pair(g, c[0], u)), None)
+        if home is None:
+            classes.append([u])
+        else:
+            home.append(u)
+    return sorted(tuple(c) for c in classes if len(c) > 1)
+
+
+def test_twin_sets_match_an_all_pairs_search():
+    rng = np.random.default_rng(11)
+    found = 0
+    for _ in range(300):
+        g = _planted_twins(rng)
+        got = sorted(t.vertices for t in find_twin_sets(g, ADJACENCY))
+        assert got == _twin_classes_by_all_pairs(g)
+        found += len(got)
+    assert found >= 300
 
 
 def test_verify_twin_eigenvector():

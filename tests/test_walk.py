@@ -23,7 +23,6 @@ from qwsed.walk import (
     WalkError,
     WalkEvaluator,
     _curvature,
-    _golden_batch,
     _grid_values,
     _sq_at,
     check_fractional_revival,
@@ -231,42 +230,6 @@ def test_grid_values_match_direct_sums(npts):
     direct = np.exp(1j * np.outer(ts, lam)) @ coef
     assert vals.shape == (npts, 2)
     assert np.max(np.abs(vals - direct)) < 1e-12
-
-
-def _golden_scalar(fun, a, b, xtol):
-    """Textbook golden-section on one bracket, the reference for the batch."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h = b - a
-    c, d = a + invphi2 * h, a + invphi * h
-    fc, fd = fun(c), fun(d)
-    while h > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + invphi2 * h
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + invphi * h
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
-def test_golden_batch_matches_scalar_reference():
-    rng = np.random.default_rng(5)
-    lam = rng.uniform(-3.0, 3.0, 6)
-    wts = rng.random(6)
-    wts /= wts.sum()
-    a = np.sort(rng.uniform(0.0, 40.0, 25))
-    b = a + rng.uniform(1e-3, 0.5, 25)
-    x, fx = _golden_batch(lambda t: _sq_at(lam, wts, t), a, b, 1e-10)
-    for i in range(len(a)):
-        rx, rfx = _golden_scalar(lambda t: float(_sq_at(lam, wts, [t])[0]),
-                                 float(a[i]), float(b[i]), 1e-10)
-        assert x[i] == rx and fx[i] == rfx
 
 
 @settings(max_examples=60, deadline=None)
