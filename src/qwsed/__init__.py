@@ -1,111 +1,46 @@
 """Continuous-time quantum walks on weighted graphs: spectral evaluation,
-diagonal minimization, and certified sedentariness classification."""
+diagonal minimization, and certified sedentariness classification.
 
-from __future__ import annotations
+The top level holds the entry points of the command line, the library
+example in the README and the benchmark; everything else is imported from
+its module (qwsed.graphs, qwsed.matrices, qwsed.spectral, qwsed.walk,
+qwsed.sedentary)."""
 
-from .graphs import (
-    FamilySpec,
-    GraphError,
-    WeightedGraph,
-    attach_tails,
-    barbell_graph,
-    blow_up,
-    build_family,
-    cartesian_product,
-    complement,
-    complete_graph,
-    complete_multipartite_graph,
-    cone,
-    cycle_graph,
-    describe_graph,
-    direct_product,
-    double_cone,
-    double_star_graph,
-    empty_graph,
-    hamming_graph,
-    join,
-    lollipop_graph,
-    parse_family,
-    path_graph,
-    read_graph_file,
-    rook_graph,
-    star_graph,
-    threshold_graph,
-    union,
-    write_graph_file,
-    x_tail_graph,
-    y_tail_graph,
-)
-from .matrices import (
-    ADJACENCY,
-    LAPLACIAN,
-    NORMALIZED_ADJACENCY,
-    NORMALIZED_LAPLACIAN,
-    Hamiltonian,
-    MatrixKind,
-    assemble,
-    generalized_adjacency,
-    parse_matrix_kind,
-    twin_theta,
-)
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_SUPPORT_TOL,
-    EigenvalueSupport,
-    PeriodicityInfo,
-    SpectralDecomposition,
-    StrongCospectralPartition,
-    TwinSet,
-    are_cospectral,
-    decompose,
-    find_twin_sets,
-    integer_coordinates,
-    periodicity,
-    strong_cospectral,
-    support,
-    verify_twin_eigenvector,
-)
-from .walk import (
-    DEFAULT_WINDOW,
-    FractionalRevivalCheck,
-    MinimizationResult,
-    PerfectStateTransferWitness,
-    WalkError,
-    WalkEvaluator,
-    check_fractional_revival,
-    check_uniform_mixing,
-    closed_form,
-)
+from .graphs import GraphError, build_family, cartesian_product, parse_family, star_graph
+from .matrices import LAPLACIAN, assemble, parse_matrix_kind
+from .walk import WalkError, WalkEvaluator
 from .sedentary import (
-    CLOSED_FORM_FAMILY,
     NOT_SEDENTARY,
-    NOT_SEDENTARY_PST,
-    NOT_SEDENTARY_ZERO_CROSSING,
-    PRODUCT_COMPOSITION,
     SEDENTARY_AT_LEAST,
     SHARPLY_SEDENTARY,
-    SHARPNESS_PARITY,
-    SUBSET_BOUND,
     TIGHTLY_SEDENTARY,
-    TWIN_BOUND,
     UNRESOLVED,
     CertificateRefused,
-    ClassifyOptions,
-    FamilyRuling,
-    SedentaryCertificate,
-    SedentaryReport,
     UnsupportedSpectrum,
     classify,
     classify_vertices,
-    equality_condition,
-    family_closed_classification,
-    find_equality_time,
-    find_zero_crossing,
-    integer_kernel_basis,
-    product_compose,
-    sharpness_parity,
-    subset_bound,
-    twin_bound,
 )
+
+__all__ = [
+    "classify",
+    "classify_vertices",
+    "WalkEvaluator",
+    "build_family",
+    "parse_family",
+    "parse_matrix_kind",
+    "assemble",
+    "cartesian_product",
+    "star_graph",
+    "LAPLACIAN",
+    "NOT_SEDENTARY",
+    "SEDENTARY_AT_LEAST",
+    "SHARPLY_SEDENTARY",
+    "TIGHTLY_SEDENTARY",
+    "UNRESOLVED",
+    "GraphError",
+    "WalkError",
+    "CertificateRefused",
+    "UnsupportedSpectrum",
+]
 
 __version__ = "0.1.0"

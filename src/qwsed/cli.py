@@ -69,6 +69,8 @@ class RunConfig:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    if args.window is not None and not (math.isfinite(args.window) and args.window > 0.0):
+        raise GraphError(f"--window must be a finite positive time, got {args.window!r}")
     return RunConfig(
         command=args.command,
         graph_path=args.graph,

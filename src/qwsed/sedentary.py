@@ -15,6 +15,12 @@ sides into one of five labels:
 Certificates never overstate.  Grid-backed bounds are flagged non-analytic,
 and a bound whose validity is limited to an uncertified time window never
 drives the classification.
+
+The closed-form families (stars, cones and double cones, complete graphs
+and their box powers, double stars) form one catalogue read through one
+lookup, family_ruling.  It rules every join by the graph's structure, so
+the same edges get the same ruling with or without a family name, and
+reads the family provenance only where structure cannot tell.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ __all__ = [
     "integer_kernel_basis",
     "sharpness_parity",
     "find_zero_crossing",
-    "family_closed_classification",
+    "family_ruling",
     "product_compose",
     "classify",
     "classify_vertices",
@@ -565,7 +571,7 @@ def _complete_ruling(n: int) -> FamilyRuling:
         f"of pi/{n}")
 
 
-def _box_of_completes_ruling(sizes: Sequence[int]) -> FamilyRuling | None:
+def _box_of_completes_ruling(sizes: Sequence[int]) -> FamilyRuling:
     sizes = [int(s) for s in sizes if int(s) > 1]
     if not sizes:
         return FamilyRuling(TIGHTLY_SEDENTARY, 1.0, (), "trivial product")
@@ -596,21 +602,6 @@ def _star_leaf_adjacency_ruling(leaves: int) -> FamilyRuling:
     return FamilyRuling(TIGHTLY_SEDENTARY, 1.0 - 2.0 / leaves, (t,),
                         f"star leaf: minimum 1 - 2/{leaves} at odd multiples "
                         f"of pi/sqrt({leaves})")
-
-
-def _star_leaf_laplacian_ruling(leaves: int) -> FamilyRuling | None:
-    if leaves == 1:
-        return FamilyRuling(NOT_SEDENTARY, 0.0, (math.pi / 2.0,), "edge")
-    if leaves == 2:
-        return None
-    bound = 1.0 - 2.0 / leaves
-    if leaves % 2 == 1:
-        return FamilyRuling(TIGHTLY_SEDENTARY, bound, (math.pi,),
-                            f"independent block of {leaves} leaves over one "
-                            "center; odd side attains at odd multiples of pi")
-    return FamilyRuling(SEDENTARY_AT_LEAST, bound, (),
-                        "even leaf count: the bound holds but the minimum "
-                        "sits higher; the certified window decides")
 
 
 def _clique_join_laplacian_ruling(total: int) -> FamilyRuling:
@@ -652,7 +643,7 @@ def _indep_block_laplacian_ruling(m: int, nx: int) -> FamilyRuling:
                         "valuations differ so the minimum sits higher")
 
 
-def _indep_pair_adjacency_ruling(d: int, nx: int) -> FamilyRuling | None:
+def _indep_pair_adjacency_ruling(d: int, nx: int) -> FamilyRuling:
     # non-adjacent apex pair over an unweighted d-regular graph on nx vertices
     r2 = d * d + 8 * nx
     if not _is_square(r2):
@@ -691,9 +682,8 @@ def _cone_apex_adjacency_ruling(d: float, nx: int) -> FamilyRuling:
                         "two-point support with minimum d/sqrt(d^2+4n)")
 
 
-def _double_star_leaf_ruling(side: int, other: int) -> FamilyRuling | None:
-    if side == 1:
-        return None
+def _double_star_leaf_ruling(side: int, other: int) -> FamilyRuling:
+    # a leaf on a side of side >= 2 leaves, the other center holding other
     if side == 2:
         if other == 2:
             return FamilyRuling(TIGHTLY_SEDENTARY, 0.25, (2.0 * math.pi / 3.0,),
@@ -715,86 +705,6 @@ def _double_star_leaf_ruling(side: int, other: int) -> FamilyRuling | None:
                         "window decides")
 
 
-def _vertex_role(graph: WeightedGraph, u: int) -> str:
-    if graph.labels is None:
-        return ""
-    return graph.labels[u].partition(":")[0]
-
-
-def family_closed_classification(spec: FamilySpec, kind: MatrixKind,
-                                 role: str) -> FamilyRuling | None:
-    """Exact constants for a family vertex role, or None when nothing applies.
-
-    Regular families (complete, rook, hamming) accept any degree-shifted
-    kind since those agree with the adjacency diagonal up to a phase.
-    """
-    shifted = kind.is_degree_shifted
-    name = kind.name
-    p = spec.params
-
-    if spec.kind == "complete" and shifted:
-        return _complete_ruling(p[0])
-    if spec.kind in ("rook", "hamming") and shifted:
-        sizes = list(p) if spec.kind == "rook" else [p[1]] * p[0]
-        return _box_of_completes_ruling(sizes)
-    if spec.kind == "star":
-        leaves = p[0]
-        if role == "leaf":
-            if name == "adjacency":
-                return _star_leaf_adjacency_ruling(leaves)
-            if name == "laplacian":
-                return _star_leaf_laplacian_ruling(leaves)
-        if role == "center":
-            if name == "adjacency":
-                return FamilyRuling(NOT_SEDENTARY, 0.0,
-                                    (math.pi / (2.0 * math.sqrt(leaves)),),
-                                    "star center oscillates through 0")
-            if name == "laplacian":
-                return _clique_join_laplacian_ruling(leaves + 1)
-        return None
-    if spec.kind == "cone" and spec.base is not None:
-        base = spec.base
-        if role != "apex" or not (base.is_simple and base.is_positively_weighted):
-            return None
-        if name == "laplacian":
-            return _clique_join_laplacian_ruling(base.n + 1)
-        if name == "adjacency":
-            d = base.regular_degree()
-            if d is None:
-                return None
-            return _cone_apex_adjacency_ruling(d, base.n)
-        return None
-    if spec.kind == "doublecone" and spec.base is not None:
-        base = spec.base
-        if role != "apex" or not (base.is_simple and base.is_positively_weighted):
-            return None
-        if name == "laplacian":
-            if spec.mode == "connected":
-                return _clique_join_laplacian_ruling(base.n + 2)
-            return _indep_block_laplacian_ruling(2, base.n)
-        if name == "adjacency" and spec.mode == "disconnected":
-            d = base.regular_degree()
-            if d is None or not base.is_unweighted:
-                return None
-            return _indep_pair_adjacency_ruling(int(round(d)), base.n)
-        return None
-    if spec.kind == "doublestar" and name == "adjacency":
-        kk, ll = p
-        if role == "leafu":
-            return _double_star_leaf_ruling(kk, ll)
-        if role == "leafv":
-            return _double_star_leaf_ruling(ll, kk)
-        if role == "internal" and kk == ll:
-            return FamilyRuling(NOT_SEDENTARY, 0.0, (),
-                                "balanced internal vertex: the real diagonal "
-                                "changes sign")
-        return None
-    return None
-
-
-# -- structure detectors for graphs without family provenance ---------------------
-
-
 def _induced(graph: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:
     index = {v: i for i, v in enumerate(keep)}
     edges = tuple((index[a], index[b], w) for a, b, w in graph.edges
@@ -809,42 +719,6 @@ def _is_dominating_unit(graph: WeightedGraph, u: int) -> bool:
     return all(w == 1.0 for w in nb.values())
 
 
-def _detect_structures(graph: WeightedGraph, kind: MatrixKind, u: int,
-                       twin_sets: Sequence[TwinSet]) -> FamilyRuling | None:
-    """Recognize join patterns that carry closed-form constants.
-
-    All patterns need a simple positively weighted graph and exact unit
-    weights on the joining edges; the remainder of the graph is arbitrary
-    except where a ruling demands regularity.
-    """
-    if graph.n < 2 or not (graph.is_simple and graph.is_positively_weighted):
-        return None
-    name = kind.name
-    if name == "laplacian":
-        if _is_dominating_unit(graph, u):
-            return _clique_join_laplacian_ruling(graph.n)
-        block = _unit_joined_block(graph, u, twin_sets)
-        if block is not None and graph.n - block > 0:
-            return _indep_block_laplacian_ruling(block, graph.n - block)
-        return None
-    if name == "adjacency":
-        if _is_dominating_unit(graph, u):
-            rest = [v for v in range(graph.n) if v != u]
-            d = _induced(graph, rest).regular_degree()
-            if d is not None:
-                return _cone_apex_adjacency_ruling(d, len(rest))
-            return None
-        block = _unit_joined_block(graph, u, twin_sets)
-        if block == 2:
-            # the block check already proved neighbors(u) is the base set
-            base = _induced(graph, sorted(graph.neighbors(u)))
-            d = base.regular_degree()
-            if d is not None and base.is_unweighted and base.n > 0:
-                return _indep_pair_adjacency_ruling(int(round(d)), base.n)
-        return None
-    return None
-
-
 def _unit_joined_block(graph: WeightedGraph, u: int,
                        twin_sets: Sequence[TwinSet]) -> int | None:
     """Size of the independent twin block through u whose members are
@@ -857,6 +731,68 @@ def _unit_joined_block(graph: WeightedGraph, u: int,
     if set(nb) == set(range(graph.n)) - set(ts.vertices) \
             and all(w == 1.0 for w in nb.values()):
         return ts.size
+    return None
+
+
+def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
+                  twin_sets: Sequence[TwinSet] | None = None) -> FamilyRuling | None:
+    """Exact constants the closed-form catalogue assigns to vertex u, or None.
+
+    Joins are ruled by the graph's structure alone, so a family graph and
+    the same edges without provenance get the same ruling.  In a simple
+    positively weighted graph, a vertex unit-adjacent to every other one
+    (a star center, a cone or connected double-cone apex) and an
+    independent twin block unit-joined to the rest (star leaves, the apexes
+    of a disconnected double cone) carry closed forms under the Laplacian;
+    under the adjacency matrix the first needs a regular remainder and the
+    second a block of two over an unweighted regular remainder.
+
+    The family provenance rules only what structure cannot see: complete
+    graphs, rook and Hamming lattices under every degree-shifted kind (those
+    agree with the adjacency diagonal up to a phase), star leaves under the
+    adjacency matrix, and double stars.  twin_sets, when given, is
+    find_twin_sets(graph, kind) already computed.
+    """
+    spec = graph.provenance
+    if isinstance(spec, FamilySpec):
+        p = spec.params
+        role = graph.labels[u].partition(":")[0] if graph.labels is not None else ""
+        if kind.is_degree_shifted and spec.kind == "complete":
+            return _complete_ruling(p[0])
+        if kind.is_degree_shifted and spec.kind in ("rook", "hamming"):
+            return _box_of_completes_ruling(p if spec.kind == "rook" else [p[1]] * p[0])
+        if kind.name == "adjacency" and spec.kind == "star" and role == "leaf":
+            return _star_leaf_adjacency_ruling(p[0])
+        if kind.name == "adjacency" and spec.kind == "doublestar":
+            side, other = p if role == "leafu" else p[::-1]
+            if role in ("leafu", "leafv") and side > 1:
+                return _double_star_leaf_ruling(side, other)
+            if role == "internal" and side == other:
+                return FamilyRuling(NOT_SEDENTARY, 0.0, (),
+                                    "balanced internal vertex: the real diagonal "
+                                    "changes sign")
+
+    if (kind.name not in ("adjacency", "laplacian") or graph.n < 2
+            or not (graph.is_simple and graph.is_positively_weighted)):
+        return None
+    laplacian = kind.name == "laplacian"
+    if _is_dominating_unit(graph, u):
+        if laplacian:
+            return _clique_join_laplacian_ruling(graph.n)
+        d = _induced(graph, [v for v in range(graph.n) if v != u]).regular_degree()
+        return None if d is None else _cone_apex_adjacency_ruling(d, graph.n - 1)
+    block = _unit_joined_block(
+        graph, u, find_twin_sets(graph, kind) if twin_sets is None else twin_sets)
+    if block is None or block == graph.n:
+        return None
+    if laplacian:
+        return _indep_block_laplacian_ruling(block, graph.n - block)
+    if block == 2:
+        # the block check already proved neighbors(u) is the base set
+        base = _induced(graph, sorted(graph.neighbors(u)))
+        d = base.regular_degree()
+        if d is not None and base.is_unweighted:
+            return _indep_pair_adjacency_ruling(int(round(d)), base.n)
     return None
 
 
@@ -1006,10 +942,10 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     """Classify one vertex: gather certificates, run the oracle, reconcile.
 
     The pipeline order is fixed so reports are deterministic: attained zero
-    on a certified window, twin bound, subset bounds, closed-form catalogue
-    (by family provenance or detected join structure), box-product
-    composition, then reconciliation of the best certified bound against
-    the oracle minimum.
+    on a certified window, twin bound, subset bounds, the closed-form
+    catalogue (family_ruling: join structure, or the family provenance where
+    structure cannot tell), box-product composition, then reconciliation of
+    the best certified bound against the oracle minimum.
     """
     return classify_vertices(graph, [u], kind, options)[0]
 
@@ -1041,7 +977,13 @@ def _classify_vertex(ctx: _Context, u: int, opts: ClassifyOptions) -> SedentaryR
 def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
              oracle: MinimizationResult,
              certs: list[SedentaryCertificate]) -> tuple[str, float | None]:
-    """Label and bound of u, appending the certificates behind them."""
+    """Label and bound of u, appending the certificates behind them.
+
+    The closed-form catalogue is one lookup, family_ruling, and its ruling
+    is trusted only after _verified_ruling checks its stated time against
+    the walk.  A not-sedentary ruling settles the label; a tight or sharp
+    one decides it when the oracle window is not certified.
+    """
     graph, kind, w = ctx.graph, ctx.kind, ctx.walk
     d = w.decomposition
 
@@ -1087,12 +1029,7 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
         if best_extra is not None:
             certs.append(best_extra)
 
-    ruling = None
-    if isinstance(graph.provenance, FamilySpec):
-        ruling = family_closed_classification(graph.provenance, kind,
-                                              _vertex_role(graph, u))
-    if ruling is None:
-        ruling = _detect_structures(graph, kind, u, ctx.twins)
+    ruling = family_ruling(graph, kind, u, ctx.twins)
     if ruling is not None:
         ruling = _verified_ruling(ruling, w, u, opts.reconcile_tol)
         certs.append(SedentaryCertificate(

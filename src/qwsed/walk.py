@@ -1,14 +1,13 @@
 """Evaluation of the continuous-time walk U(t) = exp(itM) through a spectral
-decomposition, closed-form diagonal entries for the catalogued families, and
-the scan-and-refine primitive behind every search over time: f(t) =
-reduce(sum_j coef_j e^{i lam_j t}) is evaluated on a uniform grid
-(_grid_values), and the grid-local minima that a curvature bound cannot
+decomposition, and the scan-and-refine primitive behind every search over
+time: f(t) = reduce(sum_j coef_j e^{i lam_j t}) is evaluated on a uniform
+grid (_grid_values), and the grid-local minima that a curvature bound cannot
 exclude are refined together (_refine_minima) by a batched Newton iteration
 on f' (_newton_batch).  Each search has one reducer: given z it returns f,
 and given z, z' and z'' it returns (f, f', f'').  The sign of f' keeps every
 iterate inside a bracket that holds a local minimum, a step that leaves it
-or meets f'' <= 0 bisects instead, and a checked cap bounds the steps.  On
-a certified period of low degree the diagonal oracle instead takes every
+or meets f'' <= 0 bisects instead, and a checked cap bounds the steps.  On a
+certified period of low degree the diagonal oracle instead takes every
 critical point of |U(t)_{u,u}|^2 from one polynomial's roots
 (_critical_clusters).
 """
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FamilySpec, WeightedGraph
-from .matrices import (ADJACENCY, LAPLACIAN, Hamiltonian, MatrixKind, assemble)
+from .graphs import WeightedGraph
+from .matrices import ADJACENCY, MatrixKind, assemble
 from .spectral import (DEFAULT_CLUSTER_TOL, DEFAULT_SUPPORT_TOL, PeriodicityInfo,
                        SpectralDecomposition, decompose, periodicity, support)
 
@@ -32,16 +31,6 @@ __all__ = [
     "MinimizationResult",
     "FractionalRevivalCheck",
     "PerfectStateTransferWitness",
-    "complete_diagonal",
-    "complete_laplacian_diagonal",
-    "join_clique_laplacian_diagonal",
-    "join_empty_laplacian_diagonal",
-    "double_cone_adjacency_diagonal",
-    "double_star_internal_diagonal",
-    "double_star_leaf_diagonal",
-    "star_adjacency_leaf_diagonal",
-    "star_adjacency_center_diagonal",
-    "closed_form",
     "check_uniform_mixing",
     "check_fractional_revival",
 ]
@@ -460,7 +449,7 @@ class WalkEvaluator:
                 # period too long to certify on a sane grid; fall back
                 window, certified = (0.0, min(per.period, DEFAULT_WINDOW)), False
         t0, t1 = float(window[0]), float(window[1])
-        if not (t1 > t0 >= 0.0):
+        if not (math.isfinite(t1) and t1 > t0 >= 0.0):
             raise WalkError(f"bad window {window!r}")
         found = None
         if certified and grid is None and len(lam) > 1:
@@ -532,176 +521,6 @@ class WalkEvaluator:
             if t > 1e-9 and abs(self.transition_entry(float(t), v, u)) > beta_tol:
                 return float(t)
         return None
-
-
-# -- closed-form diagonals for the catalogued families -----------------------
-
-
-def complete_diagonal(n: int):
-    """Adjacency diagonal of a complete graph on n vertices."""
-    if n < 1:
-        raise WalkError("complete diagonal needs n >= 1")
-
-    def fn(t):
-        ts = np.asarray(t, dtype=float)
-        # eigenvalues n-1 and -1; e^{-it} carries the shared -1 phase
-        return np.exp(-1j * ts) * ((n - 1) + np.exp(1j * n * ts)) / n
-    return fn
-
-
-def complete_laplacian_diagonal(n: int):
-    if n < 1:
-        raise WalkError("complete diagonal needs n >= 1")
-
-    def fn(t):
-        return (1.0 + (n - 1) * np.exp(1j * n * np.asarray(t, dtype=float))) / n
-    return fn
-
-
-def join_clique_laplacian_diagonal(m: int, n: int):
-    """Laplacian diagonal at a clique vertex of (complete on m) join (any
-    simple positively weighted graph on n)."""
-    if m < 1 or n < 1:
-        raise WalkError("join diagonal needs m, n >= 1")
-    big = m + n
-
-    def fn(t):
-        return (1.0 + (big - 1) * np.exp(1j * big * np.asarray(t, dtype=float))) / big
-    return fn
-
-
-def join_empty_laplacian_diagonal(m: int, n: int):
-    """Laplacian diagonal at an independent-set vertex of (empty on m) join
-    (any simple positively weighted graph on n)."""
-    if m < 2 or n < 1:
-        raise WalkError("independent-side join diagonal needs m >= 2, n >= 1")
-    big = m + n
-
-    def fn(t):
-        ts = np.asarray(t, dtype=float)
-        return (1.0 / big
-                + (m - 1) / m * np.exp(1j * n * ts)
-                + n / (m * big) * np.exp(1j * big * ts))
-    return fn
-
-
-def double_cone_adjacency_diagonal(d: int, n: int):
-    """Adjacency diagonal at an apex of two isolated apexes joined to a
-    d-regular graph on n vertices."""
-    if n < 1 or d < 0:
-        raise WalkError("double cone diagonal needs n >= 1, d >= 0")
-    root = math.sqrt(d * d + 8.0 * n)
-    lam_p = (d + root) / 2.0
-    lam_m = (d - root) / 2.0
-
-    def fn(t):
-        ts = np.asarray(t, dtype=float)
-        return (0.5
-                + n / (2.0 * n + lam_p**2) * np.exp(1j * lam_p * ts)
-                + n / (2.0 * n + lam_m**2) * np.exp(1j * lam_m * ts))
-    return fn
-
-
-def _double_star_eigs(k: int) -> tuple[float, float]:
-    root = math.sqrt(4.0 * k + 1.0)
-    return -(1.0 + root) / 2.0, (-1.0 + root) / 2.0
-
-
-def double_star_internal_diagonal(k: int):
-    """Adjacency diagonal at a center of the balanced double star."""
-    if k < 1:
-        raise WalkError("double star diagonal needs k >= 1")
-    root = math.sqrt(4.0 * k + 1.0)
-    lam1, lam2 = _double_star_eigs(k)
-    c1 = (1.0 + root) ** 2 / (2.0 * (4.0 * k + 1.0 + root))
-    c2 = (1.0 - root) ** 2 / (2.0 * (4.0 * k + 1.0 - root))
-
-    def fn(t):
-        ts = np.asarray(t, dtype=float)
-        return (c1 * np.cos(lam1 * ts) + c2 * np.cos(lam2 * ts)).astype(complex)
-    return fn
-
-
-def double_star_leaf_diagonal(k: int):
-    """Adjacency diagonal at a leaf of the balanced double star."""
-    if k < 1:
-        raise WalkError("double star diagonal needs k >= 1")
-    root = math.sqrt(4.0 * k + 1.0)
-    lam1, lam2 = _double_star_eigs(k)
-
-    def fn(t):
-        ts = np.asarray(t, dtype=float)
-        return ((k - 1.0) / k
-                + 2.0 * np.cos(lam1 * ts) / (4.0 * k + 1.0 + root)
-                + 2.0 * np.cos(lam2 * ts) / (4.0 * k + 1.0 - root)).astype(complex)
-    return fn
-
-
-def star_adjacency_leaf_diagonal(n: int):
-    if n < 1:
-        raise WalkError("star diagonal needs n >= 1")
-    root = math.sqrt(float(n))
-
-    def fn(t):
-        ts = np.asarray(t, dtype=float)
-        return ((n - 1.0) / n + np.cos(root * ts) / n).astype(complex)
-    return fn
-
-
-def star_adjacency_center_diagonal(n: int):
-    if n < 1:
-        raise WalkError("star diagonal needs n >= 1")
-    root = math.sqrt(float(n))
-
-    def fn(t):
-        return np.cos(root * np.asarray(t, dtype=float)).astype(complex)
-    return fn
-
-
-def closed_form(family: FamilySpec, kind: MatrixKind, role: str):
-    """Closed-form diagonal for a (family, matrix kind, vertex role) in the
-    supported catalogue.  Raises WalkError outside it."""
-    kname = kind.name
-    if family.kind == "complete":
-        if kname == "adjacency":
-            return complete_diagonal(family.params[0])
-        if kname == "laplacian":
-            return complete_laplacian_diagonal(family.params[0])
-    if family.kind == "star":
-        leaves = family.params[0]
-        if kname == "adjacency" and role == "leaf":
-            return star_adjacency_leaf_diagonal(leaves)
-        if kname == "adjacency" and role == "center":
-            return star_adjacency_center_diagonal(leaves)
-        if kname == "laplacian" and role == "center":
-            return join_clique_laplacian_diagonal(1, leaves)
-        if kname == "laplacian" and role == "leaf" and leaves >= 2:
-            return join_empty_laplacian_diagonal(leaves, 1)
-    if family.kind == "cone" and role == "apex" and kname == "laplacian":
-        base = family.base
-        if base.n >= 1 and base.is_simple and base.is_positively_weighted:
-            return join_clique_laplacian_diagonal(1, base.n)
-    if family.kind == "doublecone" and role == "apex":
-        base = family.base
-        if kname == "laplacian" and base.is_simple and base.is_positively_weighted:
-            if family.mode == "connected":
-                return join_clique_laplacian_diagonal(2, base.n)
-            return join_empty_laplacian_diagonal(2, base.n)
-        if kname == "adjacency" and family.mode == "disconnected" \
-                and base.is_simple and base.is_unweighted:
-            d = base.regular_degree()
-            if d is not None and abs(d - round(d)) < 1e-12:
-                return double_cone_adjacency_diagonal(int(round(d)), base.n)
-    if family.kind == "doublestar" and kname == "adjacency":
-        k, ell = family.params
-        if k == ell:
-            if role == "internal":
-                return double_star_internal_diagonal(k)
-            # both sides are equivalent in the balanced case
-            if role in ("leaf", "leafu", "leafv"):
-                return double_star_leaf_diagonal(k)
-    raise WalkError(
-        f"no closed form for family={family.kind!r} kind={kind} role={role!r}")
 
 
 # -- pointwise mixing / revival checks ----------------------------------------

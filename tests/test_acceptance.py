@@ -41,7 +41,6 @@ from qwsed.walk import (
     WalkEvaluator,
     check_fractional_revival,
     check_uniform_mixing,
-    join_clique_laplacian_diagonal,
 )
 
 
@@ -143,11 +142,13 @@ def test_criterion_04_clique_join_laplacian(criterion_log):
         x = _random_graph(rng, n)
         g = join(complete_graph(m), x)
         w = WalkEvaluator.for_graph(g, LAPLACIAN)
-        fn = join_clique_laplacian_diagonal(m, n)
-        gap = float(np.max(np.abs(fn(ts) - w.diagonal_entry_series(0, ts))))
+        big = m + n
+        # a clique vertex of K_m join X: eigenvalue 0 with weight 1/big and
+        # eigenvalue big with the rest, for any X on n vertices
+        closed = (1.0 + (big - 1) * np.exp(1j * big * ts)) / big
+        gap = float(np.max(np.abs(closed - w.diagonal_entry_series(0, ts))))
         if gap > 1e-9:
             fails.append(f"trial {trial} m={m} n={n} closed-form gap {gap}")
-        big = m + n
         res = w.minimize_diagonal(0, window=(0.0, 2.0 * math.pi / big))
         if abs(res.minimum - (1.0 - 2.0 / big)) > 1e-6:
             fails.append(f"trial {trial} minimum {res.minimum}")

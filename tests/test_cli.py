@@ -85,6 +85,21 @@ def test_error_paths_exit_two(tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("window", ["inf", "-inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--family", "complete:5", "--vertex", "0"),
+    ("sweep", "--family", "complete:5", "--vertex", "0"),
+    ("family-scan", "--family", "star:3..5", "--vertex", "leaf"),
+    ("oracle", "--family", "complete:5", "--vertex", "0"),
+    ("mixing-check", "--family", "doublecone:disconnected:empty:4",
+     "--matrix", "laplacian", "--pair", "0,1"),
+])
+def test_window_must_be_finite_and_positive(capsys, argv, window):
+    code, out, err = run(capsys, *argv, f"--window={window}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --window") and err.count("\n") == 1
+
+
 def test_sweep_csv_shape(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "complete:4",
                        "--vertex", "0", "--window", str(math.pi),

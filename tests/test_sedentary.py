@@ -40,7 +40,7 @@ from qwsed.sedentary import (
     classify,
     classify_vertices,
     equality_condition,
-    family_closed_classification,
+    family_ruling,
     find_equality_time,
     find_zero_crossing,
     integer_kernel_basis,
@@ -337,97 +337,118 @@ def test_runtime_imports_no_scipy():
 # -- family catalogue ------------------------------------------------------------
 
 
+def _ruling(fam, kind, u=0):
+    return family_ruling(build_family(parse_family(fam)), kind, u)
+
+
 def test_family_ruling_complete():
-    spec = parse_family("complete:6")
-    ruling = family_closed_classification(spec, ADJACENCY, "")
+    ruling = _ruling("complete:6", ADJACENCY)
     assert ruling.classification == TIGHTLY_SEDENTARY
     assert ruling.bound == pytest.approx(2.0 / 3.0)
     assert ruling.equality_times[0] == pytest.approx(math.pi / 6.0)
-    assert family_closed_classification(parse_family("complete:2"),
-                                        LAPLACIAN, "").classification == NOT_SEDENTARY
+    assert _ruling("complete:2", LAPLACIAN).classification == NOT_SEDENTARY
 
 
 def test_family_ruling_rook_alignment():
-    same = family_closed_classification(parse_family("rook:3,5"), ADJACENCY, "")
+    same = _ruling("rook:3,5", ADJACENCY)
     assert same.classification == TIGHTLY_SEDENTARY
     assert same.bound == pytest.approx(0.2)
     assert same.equality_times[0] == pytest.approx(math.pi)
-    mixed = family_closed_classification(parse_family("rook:3,4"), ADJACENCY, "")
+    mixed = _ruling("rook:3,4", ADJACENCY)
     assert mixed.classification == SEDENTARY_AT_LEAST
     assert mixed.bound == pytest.approx(1.0 / 6.0)
-    two = family_closed_classification(parse_family("rook:2,5"), ADJACENCY, "")
+    two = _ruling("rook:2,5", ADJACENCY)
     assert two.classification == NOT_SEDENTARY
 
 
 def test_family_ruling_star_roles():
-    leafa = family_closed_classification(parse_family("star:9"), ADJACENCY, "leaf")
+    leafa = _ruling("star:9", ADJACENCY, 1)
     assert leafa.classification == TIGHTLY_SEDENTARY
     assert leafa.bound == pytest.approx(1.0 - 2.0 / 9.0)
     assert leafa.equality_times[0] == pytest.approx(math.pi / 3.0)
-    centa = family_closed_classification(parse_family("star:9"), ADJACENCY, "center")
+    centa = _ruling("star:9", ADJACENCY, 0)
     assert centa.classification == NOT_SEDENTARY
-    centl = family_closed_classification(parse_family("star:9"), LAPLACIAN, "center")
+    centl = _ruling("star:9", LAPLACIAN, 0)
     assert centl.bound == pytest.approx(0.8)
     # no ruling for normalized kinds
-    assert family_closed_classification(parse_family("star:9"),
-                                        NORMALIZED_ADJACENCY, "leaf") is None
+    assert _ruling("star:9", NORMALIZED_ADJACENCY, 1) is None
 
 
 def test_family_ruling_double_cone_laplacian():
     for n, expect in ((4, 1.0 / 3.0), (8, 0.2)):
-        spec = parse_family(f"doublecone:disconnected:empty:{n}")
-        ruling = family_closed_classification(spec, LAPLACIAN, "apex")
+        ruling = _ruling(f"doublecone:disconnected:empty:{n}", LAPLACIAN)
         assert ruling.classification == TIGHTLY_SEDENTARY
         assert ruling.bound == pytest.approx(expect)
         assert ruling.equality_times[0] == pytest.approx(math.pi / 2.0)
-    odd = family_closed_classification(
-        parse_family("doublecone:disconnected:empty:7"), LAPLACIAN, "apex")
+    odd = _ruling("doublecone:disconnected:empty:7", LAPLACIAN)
     assert odd.bound == pytest.approx(math.sqrt(2.0) / 9.0)
-    pst = family_closed_classification(
-        parse_family("doublecone:disconnected:empty:6"), LAPLACIAN, "apex")
+    pst = _ruling("doublecone:disconnected:empty:6", LAPLACIAN)
     assert pst.classification == NOT_SEDENTARY
 
 
 def test_family_ruling_double_cone_adjacency():
-    spec = parse_family("doublecone:disconnected:cycle:4")
-    ruling = family_closed_classification(spec, ADJACENCY, "apex")
+    ruling = _ruling("doublecone:disconnected:cycle:4", ADJACENCY)
     assert ruling.classification == TIGHTLY_SEDENTARY
     assert ruling.bound == pytest.approx(1.0 / 3.0)
     assert ruling.equality_times[0] == pytest.approx(math.pi / 2.0)
     # nonsquare discriminant: infimum zero without attainment
-    ruling = family_closed_classification(
-        parse_family("doublecone:disconnected:cycle:5"), ADJACENCY, "apex")
+    ruling = _ruling("doublecone:disconnected:cycle:5", ADJACENCY)
     assert ruling.classification == NOT_SEDENTARY
     assert ruling.equality_times == ()
 
 
 def test_family_ruling_double_star():
-    bal = family_closed_classification(parse_family("doublestar:2,2"),
-                                       ADJACENCY, "leafu")
+    bal = _ruling("doublestar:2,2", ADJACENCY)
     assert bal.classification == TIGHTLY_SEDENTARY
     assert bal.bound == pytest.approx(0.25)
     assert bal.equality_times[0] == pytest.approx(2.0 * math.pi / 3.0)
-    unb = family_closed_classification(parse_family("doublestar:2,5"),
-                                       ADJACENCY, "leafu")
+    unb = _ruling("doublestar:2,5", ADJACENCY)
     assert unb.classification == NOT_SEDENTARY
-    sharp = family_closed_classification(parse_family("doublestar:3,4"),
-                                         ADJACENCY, "leafu")
+    sharp = _ruling("doublestar:3,4", ADJACENCY)
     assert sharp.classification == SHARPLY_SEDENTARY
     assert sharp.bound == pytest.approx(1.0 / 3.0)
-    square = family_closed_classification(parse_family("doublestar:9,16"),
-                                          ADJACENCY, "leafu")
+    square = _ruling("doublestar:9,16", ADJACENCY)
     assert square.classification == SEDENTARY_AT_LEAST
 
 
 def test_family_ruling_cone():
-    la = family_closed_classification(parse_family("cone:cycle:6"),
-                                      LAPLACIAN, "apex")
+    la = _ruling("cone:cycle:6", LAPLACIAN)
     assert la.bound == pytest.approx(1.0 - 2.0 / 7.0)
     assert la.equality_times[0] == pytest.approx(math.pi / 7.0)
-    ad = family_closed_classification(parse_family("cone:cycle:6"),
-                                      ADJACENCY, "apex")
+    ad = _ruling("cone:cycle:6", ADJACENCY)
     assert ad.bound == pytest.approx(2.0 / math.sqrt(28.0))
     assert ad.equality_times[0] == pytest.approx(math.pi / math.sqrt(28.0))
+
+
+_JOIN_BASES = ("empty:1", "empty:2", "empty:3", "empty:4", "empty:6",
+               "complete:2", "complete:3", "complete:4", "path:3", "path:4",
+               "cycle:4", "cycle:5", "cycle:6", "star:3", "rook:2,3")
+_JOIN_FAMILIES = ([f"star:{k}" for k in range(1, 13)]
+                  + [f"{top}:{base}" for base in _JOIN_BASES
+                     for top in ("cone", "doublecone:connected",
+                                 "doublecone:disconnected")])
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian", "gen:0.5",
+                                  "norm-adj", "norm-lap"])
+def test_family_ruling_joins_read_structure_not_provenance(kind):
+    mk = parse_matrix_kind(kind)
+    for fam in _JOIN_FAMILIES:
+        g = build_family(parse_family(fam))
+        bare = WeightedGraph(g.n, g.edges)
+        for u in range(g.n):
+            if fam.startswith("star:") and u > 0 and mk.name == "adjacency":
+                # star leaves under the adjacency matrix are ruled by the
+                # family name, which the bare edges do not carry
+                continue
+            named, plain = family_ruling(g, mk, u), family_ruling(bare, mk, u)
+            assert (named is None) == (plain is None), (fam, u)
+            if named is None:
+                continue
+            assert named.classification == plain.classification, (fam, u)
+            assert named.bound == pytest.approx(plain.bound, abs=1e-12), (fam, u)
+            assert named.equality_times == pytest.approx(plain.equality_times,
+                                                         abs=1e-12), (fam, u)
 
 
 # -- products --------------------------------------------------------------------

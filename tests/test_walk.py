@@ -16,7 +16,7 @@ from qwsed.graphs import (
     parse_family,
 )
 from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, generalized_adjacency
-from qwsed.spectral import decompose
+from qwsed.spectral import decompose, support
 from qwsed.walk import (
     _CHUNK,
     DEFAULT_WINDOW,
@@ -27,7 +27,6 @@ from qwsed.walk import (
     _sq_at,
     check_fractional_revival,
     check_uniform_mixing,
-    closed_form,
 )
 
 
@@ -179,33 +178,52 @@ def test_fractional_revival_rejects_same_vertex():
         check_fractional_revival(w, 0, 0, 1.0)
 
 
-@pytest.mark.parametrize("fam,kind,role,vertex", [
-    ("complete:7", ADJACENCY, "", 0),
-    ("complete:7", LAPLACIAN, "", 0),
-    ("star:6", ADJACENCY, "leaf", 1),
-    ("star:6", ADJACENCY, "center", 0),
-    ("star:6", LAPLACIAN, "center", 0),
-    ("star:6", LAPLACIAN, "leaf", 1),
-    ("doublecone:disconnected:cycle:4", ADJACENCY, "apex", 0),
-    ("doublecone:disconnected:empty:5", LAPLACIAN, "apex", 0),
-    ("doublecone:connected:cycle:3", LAPLACIAN, "apex", 0),
-    ("doublestar:2,2", ADJACENCY, "leafu", 0),
-    ("doublestar:2,2", ADJACENCY, "internal", 2),
-    ("cone:cycle:5", LAPLACIAN, "apex", 0),
-])
-def test_closed_forms_match_spectral(fam, kind, role, vertex):
-    spec = parse_family(fam)
-    g = build_family(spec)
-    fn = closed_form(spec, kind, role)
+_S6 = math.sqrt(6.0)
+# (family, kind, vertex role, vertex, exact support: eigenvalue -> weight)
+_CLOSED_FORMS = [
+    ("complete:7", ADJACENCY, "", 0, {6.0: 1 / 7, -1.0: 6 / 7}),
+    ("complete:7", LAPLACIAN, "", 0, {0.0: 1 / 7, 7.0: 6 / 7}),
+    ("star:6", ADJACENCY, "leaf", 1, {-_S6: 1 / 12, 0.0: 5 / 6, _S6: 1 / 12}),
+    ("star:6", ADJACENCY, "center", 0, {-_S6: 1 / 2, _S6: 1 / 2}),
+    ("star:6", LAPLACIAN, "center", 0, {0.0: 1 / 7, 7.0: 6 / 7}),
+    ("star:6", LAPLACIAN, "leaf", 1, {0.0: 1 / 7, 1.0: 5 / 6, 7.0: 1 / 42}),
+    ("doublecone:disconnected:cycle:4", ADJACENCY, "apex", 0,
+     {-2.0: 1 / 3, 0.0: 1 / 2, 4.0: 1 / 6}),
+    ("doublecone:disconnected:empty:5", LAPLACIAN, "apex", 0,
+     {0.0: 1 / 7, 5.0: 1 / 2, 7.0: 5 / 14}),
+    ("doublecone:connected:cycle:3", LAPLACIAN, "apex", 0,
+     {0.0: 1 / 5, 5.0: 4 / 5}),
+    ("doublestar:2,2", ADJACENCY, "leafu", 0,
+     {-2.0: 1 / 12, -1.0: 1 / 6, 0.0: 1 / 2, 1.0: 1 / 6, 2.0: 1 / 12}),
+    ("doublestar:2,2", ADJACENCY, "internal", 2,
+     {-2.0: 1 / 3, -1.0: 1 / 6, 1.0: 1 / 6, 2.0: 1 / 3}),
+    ("cone:cycle:5", LAPLACIAN, "apex", 0, {0.0: 1 / 6, 6.0: 5 / 6}),
+]
+
+
+@pytest.mark.parametrize("fam,kind,role,vertex,exact", _CLOSED_FORMS, ids=[
+    f"{fam}-kind{i}-{role}-{vertex}"
+    for i, (fam, _, role, vertex, _) in enumerate(_CLOSED_FORMS)])
+def test_closed_forms_match_spectral(fam, kind, role, vertex, exact):
+    """The vertex's eigenvalue support (eigenvalue -> weight) is the exact
+    one, and sum_j w_j e^{i lam_j t} is its walk diagonal."""
+    g = build_family(parse_family(fam))
+    assert (g.labels[vertex].partition(":")[0] if g.labels else "") == role
     w = WalkEvaluator.for_graph(g, kind)
+    sup = support(w.decomposition, vertex)
+    sup = sorted(zip(sup.eigenvalues, sup.weights))
+    lam, wts = np.array(sorted(exact.items())).T
+    assert len(sup) == len(lam)
+    assert np.allclose(sup, np.column_stack((lam, wts)), atol=1e-9)
     ts = np.linspace(0.0, 9.0, 400)
-    vals = w.diagonal_entry_series(vertex, ts)
-    assert np.max(np.abs(np.asarray(fn(ts)) - vals)) < 1e-9
+    closed = np.exp(1j * np.outer(ts, lam)) @ wts
+    assert np.max(np.abs(closed - w.diagonal_entry_series(vertex, ts))) < 1e-9
 
 
-def test_closed_form_outside_catalogue():
-    with pytest.raises(WalkError):
-        closed_form(parse_family("cycle:5"), ADJACENCY, "")
+@pytest.mark.parametrize("end", [math.inf, math.nan, 0.0, -1.0])
+def test_minimize_rejects_bad_window_end(end):
+    with pytest.raises(WalkError, match="bad window"):
+        _walk("complete:3").minimize_diagonal(0, (0.0, end))
 
 
 def test_default_window_constant():
