@@ -175,19 +175,6 @@ class WeightedGraph:
             return d
         return None
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._neighbor_maps[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
-
     def with_labels(self, labels) -> "WeightedGraph":
         return replace(self, labels=tuple(labels))
 

@@ -16,6 +16,10 @@ Certificates never overstate.  Grid-backed bounds are flagged non-analytic,
 and a bound whose validity is limited to an uncertified time window never
 drives the classification.
 
+The spectral certificates take the walk evaluator and a vertex, and read
+the vertex's support, periodicity and default window from it
+(WalkEvaluator.spectrum, computed once per vertex, and default_window).
+
 The closed-form families (stars, cones and double cones, complete graphs
 and their box powers, double stars) form one catalogue read through one
 lookup, family_ruling.  It rules every join by the graph's structure, so
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -38,19 +41,15 @@ from .graphs import FamilySpec, WeightedGraph, describe_graph
 from .matrices import ADJACENCY, MatrixKind, assemble
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
-    DEFAULT_SUPPORT_TOL,
     SpectralDecomposition,
     TwinSet,
     decompose,
     find_twin_sets,
-    integer_coordinates,
-    periodicity,
-    support,
     verify_twin_eigenvector,
 )
 from .walk import (
-    DEFAULT_WINDOW,
     MinimizationResult,
+    VertexSpectrum,
     WalkEvaluator,
     _curvature,
     _grid_values,
@@ -188,37 +187,34 @@ class SedentaryReport:
 
 @dataclass(frozen=True)
 class ClassifyOptions:
-    """Tuning knobs for classify; defaults match the documented tolerances."""
+    """What classify may be told: an oracle window (None takes the vertex's
+    default window), a grid size, and the eigenvalue clustering tolerance."""
 
     window: tuple[float, float] | None = None
     grid: int | None = None
     cluster_tol: float = DEFAULT_CLUSTER_TOL
-    support_tol: float = DEFAULT_SUPPORT_TOL
-    subset_search: bool = False
-    reconcile_tol: float = RECONCILE_TOL
-    zero_tol: float = ZERO_TOL
 
 
 # -- subset bounds --------------------------------------------------------------
 
 
-def _support_positions(sup, subset) -> tuple[tuple[int, ...], list[int]]:
+def _support_positions(rec: VertexSpectrum, u: int,
+                       subset) -> tuple[tuple[int, ...], list[int]]:
     s = tuple(sorted(set(int(j) for j in subset)))
     if not s:
         raise CertificateRefused("empty subset")
-    missing = [j for j in s if j not in sup.indices]
+    missing = [j for j in s if j not in rec.indices]
     if missing:
         raise CertificateRefused(
-            f"eigenvalue indices {missing} are not in the support of vertex {sup.vertex}")
-    if len(s) == len(sup.indices):
+            f"eigenvalue indices {missing} are not in the support of vertex {u}")
+    if len(s) == len(rec.indices):
         raise CertificateRefused("subset must be a proper part of the support")
-    return s, [sup.indices.index(j) for j in s]
+    return s, [rec.indices.index(j) for j in s]
 
 
-def subset_bound(d: SpectralDecomposition, u: int, subset,
+def subset_bound(w: WalkEvaluator, u: int, subset,
                  window: tuple[float, float] | None = None,
-                 grid: int | None = None,
-                 support_tol: float = DEFAULT_SUPPORT_TOL) -> SedentaryCertificate:
+                 grid: int | None = None) -> SedentaryCertificate:
     """Lower bound on |U(t)_{u,u}| from the projector mass of a subset.
 
     Let a be the total diagonal weight of a proper nonempty subset S of the
@@ -229,11 +225,12 @@ def subset_bound(d: SpectralDecomposition, u: int, subset,
     Newton steps on its analytic derivative, every grid-local minimum that
     the curvature bound cannot place above the grid minimum.  That is
     honest evidence but not a proof, so the certificate is flagged
-    accordingly.
+    accordingly; with no window it scans w.default_window(u), and only a
+    certified default window certifies the bound.
     """
-    sup = support(d, u, support_tol)
-    s, pos = _support_positions(sup, subset)
-    a = float(sum(sup.weights[p] for p in pos))
+    rec = w.spectrum(u)
+    s, pos = _support_positions(rec, u, subset)
+    a = float(sum(rec.weights[p] for p in pos))
     if a < 0.5 - _HALF_TOL:
         raise CertificateRefused(
             f"subset mass {a:.9f} is below 1/2; the bound would be vacuous")
@@ -242,16 +239,11 @@ def subset_bound(d: SpectralDecomposition, u: int, subset,
             SUBSET_BOUND, u, max(2.0 * a - 1.0, 0.0), s, a,
             detail="single-eigenvalue mass bound")
 
-    lam = np.array([sup.eigenvalues[p] for p in pos])
-    wts = np.array([sup.weights[p] for p in pos])
+    lam, wts = rec.eigenvalues[pos], rec.weights[pos]
     coef = wts[:, None]
     certified = False
     if window is None:
-        per = periodicity(d, u)
-        if per.periodic:
-            window, certified = (0.0, per.period), True
-        else:
-            window = (0.0, DEFAULT_WINDOW)
+        window, certified = w.default_window(u)
     t0, t1 = float(window[0]), float(window[1])
     ts, vals = _grid_values(lam, coef, _sq, (t0, t1), grid)
     _, _, fx = _refine_minima(lam, coef, _sq, ts, vals,
@@ -264,9 +256,8 @@ def subset_bound(d: SpectralDecomposition, u: int, subset,
         detail=f"partial-sum minimum {fmin:.9f} on the {where} [{t0:g}, {t1:g}]")
 
 
-def equality_condition(d: SpectralDecomposition, u: int, subset, t1: float,
-                       tol: float = _PHASE_TOL,
-                       support_tol: float = DEFAULT_SUPPORT_TOL) -> bool:
+def equality_condition(w: WalkEvaluator, u: int, subset, t1: float,
+                       tol: float = _PHASE_TOL) -> bool:
     """Check the phase alignment that makes the subset bound an equality.
 
     At time t1 all subset phases must coincide at some unit z while every
@@ -274,14 +265,14 @@ def equality_condition(d: SpectralDecomposition, u: int, subset, t1: float,
     dominate the complementary mass.  When this holds with subset mass
     a >= 1/2, |U(t1)_{u,u}| equals 2a - 1, and that is verified too.
     """
-    sup = support(d, u, support_tol)
-    _, pos = _support_positions(sup, subset)
-    return _equality_holds(sup, pos, t1, tol)
+    rec = w.spectrum(u)
+    _, pos = _support_positions(rec, u, subset)
+    return _equality_holds(rec, pos, t1, tol)
 
 
-def _equality_holds(sup, pos: list[int], t1: float, tol: float) -> bool:
-    lam = np.array(sup.eigenvalues)
-    wts = np.array(sup.weights)
+def _equality_holds(rec: VertexSpectrum, pos: list[int], t1: float,
+                    tol: float) -> bool:
+    lam, wts = rec.eigenvalues, rec.weights
     inside = np.zeros(len(lam), dtype=bool)
     inside[pos] = True
     phases = np.exp(1j * t1 * lam)
@@ -309,11 +300,10 @@ def _alignment_defect(k: int):
     return defect
 
 
-def find_equality_time(d: SpectralDecomposition, u: int, subset,
+def find_equality_time(w: WalkEvaluator, u: int, subset,
                        window: tuple[float, float],
                        grid: int | None = None,
-                       tol: float = _PHASE_TOL,
-                       support_tol: float = DEFAULT_SUPPORT_TOL) -> float | None:
+                       tol: float = _PHASE_TOL) -> float | None:
     """Earliest time in the window where equality_condition holds, or None.
 
     Scans the smooth alignment defect D(t) = sum_j |e^{i delta_j t} - s_j|^2
@@ -327,9 +317,9 @@ def find_equality_time(d: SpectralDecomposition, u: int, subset,
     its bracket or D'' <= 0, to 1e-12), and the refined times are checked
     against the exact condition in increasing order.
     """
-    sup = support(d, u, support_tol)
-    _, pos = _support_positions(sup, subset)
-    lam = np.array(sup.eigenvalues)
+    rec = w.spectrum(u)
+    _, pos = _support_positions(rec, u, subset)
+    lam = rec.eigenvalues
     sign = np.full(len(lam), -1.0)
     sign[pos] = 1.0
     deltas = lam - lam[pos[0]]
@@ -340,7 +330,7 @@ def find_equality_time(d: SpectralDecomposition, u: int, subset,
     _, x, _ = _refine_minima(deltas, coef, defect, ts, vals,
                              2.0 * float(np.sum(deltas ** 2)), k * tol * tol, 1e-12)
     for t in x:
-        if _equality_holds(sup, pos, float(t), tol):
+        if _equality_holds(rec, pos, float(t), tol):
             return float(t)
     return None
 
@@ -430,8 +420,7 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return basis
 
 
-def sharpness_parity(d: SpectralDecomposition, u: int, subset,
-                     support_tol: float = DEFAULT_SUPPORT_TOL) -> SedentaryCertificate:
+def sharpness_parity(w: WalkEvaluator, u: int, subset) -> SedentaryCertificate:
     """Certify that the subset bound 2a - 1 is the exact infimum.
 
     The infimum of |U(t)_{u,u}| reaches 2a - 1 unless an integer relation
@@ -440,21 +429,23 @@ def sharpness_parity(d: SpectralDecomposition, u: int, subset,
     obstruction is a parity condition: the bound is the infimum when every
     such relation has an even coefficient sum over the subset.  Relations
     live in the integer kernel of the rescaled eigenvalue row stacked on the
-    all-ones row; checking a lattice basis decides all of them.
+    all-ones row; checking a lattice basis decides all of them.  The
+    rescaled row is the vertex's periodicity coordinates.
 
-    Raises UnsupportedSpectrum when the support has no integer rescaling,
-    and CertificateRefused when a parity-violating relation exists.
+    Raises UnsupportedSpectrum when no period gives the support integer
+    coordinates, and CertificateRefused when a parity-violating relation
+    exists.
     """
-    sup = support(d, u, support_tol)
-    s, pos = _support_positions(sup, subset)
-    a = float(sum(sup.weights[p] for p in pos))
+    rec = w.spectrum(u)
+    s, pos = _support_positions(rec, u, subset)
+    a = float(sum(rec.weights[p] for p in pos))
     if a < 0.5 - _HALF_TOL:
         raise CertificateRefused(f"subset mass {a:.9f} is below 1/2")
-    ints = integer_coordinates(d, u, support_tol)
+    ints = rec.periodicity.coordinates
     if ints is None:
         raise UnsupportedSpectrum(
-            "support eigenvalues admit no bounded integer rescaling")
-    rows = [ints, [1] * len(ints)]
+            "no detected period gives the support integer coordinates")
+    rows = [list(ints), [1] * len(ints)]
     basis = integer_kernel_basis(rows)
     for vec in basis:
         if sum(vec[p] for p in pos) % 2 != 0:
@@ -487,26 +478,24 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def find_zero_crossing(d: SpectralDecomposition, u: int,
+def find_zero_crossing(w: WalkEvaluator, u: int,
                        window: tuple[float, float] | None = None,
-                       grid: int | None = None,
-                       support_tol: float = DEFAULT_SUPPORT_TOL) -> SedentaryCertificate:
+                       grid: int | None = None) -> SedentaryCertificate:
     """Prove the infimum is 0 for a vertex with a phase-aligned real diagonal.
 
     When the support eigenvalues are symmetric about their midpoint with
     matching weights, U(t)_{u,u} is a real cosine combination times a global
     phase.  A sign change of that real function brackets an exact zero of
-    the magnitude, which no window restriction can take away.
+    the magnitude, which no window restriction can take away.  With no
+    window it scans w.default_window(u).
     """
-    sup = support(d, u, support_tol)
-    lam = np.array(sup.eigenvalues)
-    wts = np.array(sup.weights)
+    lam, wts = w.spectrum(u)[:2]
     if len(lam) < 2:
         raise CertificateRefused("single-eigenvalue support never vanishes")
     center = (float(lam.max()) + float(lam.min())) / 2.0
     mu = lam - center
     order = np.argsort(mu)
-    scale = max(d.scale(), 1.0)
+    scale = max(w.decomposition.scale(), 1.0)
     if (float(np.max(np.abs(mu[order] + mu[order[::-1]]))) > 1e-9 * scale
             or float(np.max(np.abs(wts[order] - wts[order[::-1]]))) > 1e-9):
         raise CertificateRefused("diagonal entry is not phase-aligned real")
@@ -515,8 +504,7 @@ def find_zero_crossing(d: SpectralDecomposition, u: int,
         return float(np.sum(wts * np.cos(mu * t)))
 
     if window is None:
-        per = periodicity(d, u)
-        window = (0.0, per.period) if per.periodic else (0.0, DEFAULT_WINDOW)
+        window, _ = w.default_window(u)
     ts, vals = _grid_values(mu, wts[:, None], lambda z: z[:, 0].real, window, grid)
     # both bracket values must clear numerical noise before claiming a zero
     lo, hi = vals[:-1], vals[1:]
@@ -645,15 +633,16 @@ def _indep_block_laplacian_ruling(m: int, nx: int) -> FamilyRuling:
 
 def _indep_pair_adjacency_ruling(d: int, nx: int) -> FamilyRuling:
     # non-adjacent apex pair over an unweighted d-regular graph on nx vertices
+    if d == 0:
+        # U(t)_uu = (1 + cos(sqrt(2 nx) t)) / 2
+        return FamilyRuling(NOT_SEDENTARY, 0.0,
+                            (math.pi / math.sqrt(2.0 * nx),),
+                            "apex pair over an empty base swaps perfectly")
     r2 = d * d + 8 * nx
     if not _is_square(r2):
         return FamilyRuling(NOT_SEDENTARY, 0.0, (),
                             "apex transfer gets arbitrarily close to perfect; "
                             "the diagonal infimum is 0 without attainment")
-    if d == 0:
-        return FamilyRuling(NOT_SEDENTARY, 0.0,
-                            (math.pi / math.sqrt(2.0 * nx),),
-                            "apex pair over an empty base swaps perfectly")
     r = math.isqrt(r2)
     s = (r - d) // 2
     if _nu2(d + s) == _nu2(s):
@@ -898,27 +887,18 @@ def _verified_ruling(ruling: FamilyRuling, w: WalkEvaluator, u: int,
                         ruling.detail + " (stated attainment failed verification)")
 
 
-def _singleton_candidates(sup, twin_cert: SedentaryCertificate | None
+def _singleton_candidates(rec: VertexSpectrum,
+                          twin_cert: SedentaryCertificate | None
                           ) -> list[tuple[int, ...]]:
-    if not sup.indices:
+    if not rec.indices:
         return []
-    best = max(range(len(sup.indices)), key=lambda p: (sup.weights[p], -p))
-    cands = [(sup.indices[best],)]
+    best = max(range(len(rec.indices)), key=lambda p: (rec.weights[p], -p))
+    cands = [(rec.indices[best],)]
     if twin_cert is not None and twin_cert.subset:
         tw = (twin_cert.subset[0],)
         if tw not in cands:
             cands.append(tw)
     return cands
-
-
-def _exhaustive_subsets(sup) -> list[tuple[int, ...]]:
-    idx = sup.indices
-    out = []
-    for size in range(1, len(idx)):
-        for combo in combinations(range(len(idx)), size):
-            if sum(sup.weights[p] for p in combo) >= 0.5 - _HALF_TOL:
-                out.append(tuple(idx[p] for p in combo))
-    return out
 
 
 class _Context:
@@ -964,10 +944,10 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
 
 
 def _classify_vertex(ctx: _Context, u: int, opts: ClassifyOptions) -> SedentaryReport:
-    window = opts.window
-    if window is None and not ctx.walk.periodicity(u, opts.support_tol).periodic:
-        window = (0.0, DEFAULT_WINDOW)
-    oracle = ctx.walk.minimize_diagonal(u, window, opts.grid)
+    window, certified = ((opts.window, False) if opts.window is not None
+                         else ctx.walk.default_window(u))
+    # the oracle certifies only the window it chooses itself
+    oracle = ctx.walk.minimize_diagonal(u, None if certified else window, opts.grid)
     certs: list[SedentaryCertificate] = []
     label, bound = _certify(ctx, u, opts, oracle, certs)
     return SedentaryReport(describe_graph(ctx.graph), str(ctx.kind), u, label,
@@ -985,10 +965,9 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
     one decides it when the oracle window is not certified.
     """
     graph, kind, w = ctx.graph, ctx.kind, ctx.walk
-    d = w.decomposition
 
     # attained zero on a certified window settles the question immediately
-    if oracle.certified_window and oracle.minimum <= opts.zero_tol:
+    if oracle.certified_window and oracle.minimum <= ZERO_TOL:
         pst = w.find_perfect_state_transfer(u, oracle.window, opts.grid)
         if pst is not None:
             certs.append(SedentaryCertificate(
@@ -1003,35 +982,20 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
 
     twin_cert = None
     try:
-        twin_cert = twin_bound(graph, u, kind, d, ctx.twins)
+        twin_cert = twin_bound(graph, u, kind, w.decomposition, ctx.twins)
         certs.append(twin_cert)
     except CertificateRefused:
         pass
 
-    sup = support(d, u, opts.support_tol)
-    tried = _singleton_candidates(sup, twin_cert)
-    for s in tried:
+    for s in _singleton_candidates(w.spectrum(u), twin_cert):
         try:
-            certs.append(subset_bound(d, u, s, support_tol=opts.support_tol))
+            certs.append(subset_bound(w, u, s))
         except CertificateRefused:
             pass
-    if opts.subset_search and len(sup.indices) <= 20:
-        best_extra = None
-        for s in _exhaustive_subsets(sup):
-            if s in tried:
-                continue
-            try:
-                cand = subset_bound(d, u, s, support_tol=opts.support_tol)
-            except CertificateRefused:
-                continue
-            if best_extra is None or cand.bound > best_extra.bound + 1e-12:
-                best_extra = cand
-        if best_extra is not None:
-            certs.append(best_extra)
 
     ruling = family_ruling(graph, kind, u, ctx.twins)
     if ruling is not None:
-        ruling = _verified_ruling(ruling, w, u, opts.reconcile_tol)
+        ruling = _verified_ruling(ruling, w, u, RECONCILE_TOL)
         certs.append(SedentaryCertificate(
             CLOSED_FORM_FAMILY, u,
             ruling.bound if ruling.classification != NOT_SEDENTARY else 0.0,
@@ -1039,8 +1003,7 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
         if ruling.classification == NOT_SEDENTARY:
             if not ruling.equality_times:
                 try:
-                    certs.append(find_zero_crossing(d, u, oracle.window,
-                                                    support_tol=opts.support_tol))
+                    certs.append(find_zero_crossing(w, u, oracle.window))
                 except CertificateRefused:
                     pass
             return NOT_SEDENTARY, 0.0
@@ -1050,8 +1013,7 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
             and kind.is_degree_shifted):
         cx, cy = ctx.factors
         ux, uy = divmod(u, cy.graph.n)
-        sub_opts = ClassifyOptions(cluster_tol=opts.cluster_tol,
-                                   support_tol=opts.support_tol)
+        sub_opts = ClassifyOptions(cluster_tol=opts.cluster_tol)
         rx = _classify_vertex(cx, ux, sub_opts)
         ry = _classify_vertex(cy, uy, sub_opts)
         if NOT_SEDENTARY in (rx.classification, ry.classification):
@@ -1069,17 +1031,17 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
         except CertificateRefused:
             pass
 
-    return _reconcile(d, u, oracle, certs, ruling, opts)
+    return _reconcile(w, u, oracle, certs, ruling)
 
 
-def _reconcile(d: SpectralDecomposition, u: int, oracle: MinimizationResult,
-               certs: list[SedentaryCertificate], ruling: FamilyRuling | None,
-               opts: ClassifyOptions) -> tuple[str, float | None]:
+def _reconcile(w: WalkEvaluator, u: int, oracle: MinimizationResult,
+               certs: list[SedentaryCertificate],
+               ruling: FamilyRuling | None) -> tuple[str, float | None]:
     best = None
     for c in certs:
-        # bounds inside zero_tol are numerically zero (half-weight subsets
+        # bounds inside ZERO_TOL are numerically zero (half-weight subsets
         # land at 2a-1 = O(ulp)) and must not drive a sedentary label
-        if (c.certified and c.bound > opts.zero_tol
+        if (c.certified and c.bound > ZERO_TOL
                 and (best is None or c.bound > best.bound + 1e-12)):
             best = c
     best_bound = best.bound if best is not None else 0.0
@@ -1088,9 +1050,9 @@ def _reconcile(d: SpectralDecomposition, u: int, oracle: MinimizationResult,
         m = oracle.minimum
         # a certified window plus a positive minimum means the infimum is
         # attained inside the window; the only question is its exact value
-        if best_bound > m + opts.reconcile_tol:
+        if best_bound > m + RECONCILE_TOL:
             best_bound = m
-        if best_bound > 0.0 and m - best_bound <= opts.reconcile_tol:
+        if best_bound > 0.0 and m - best_bound <= RECONCILE_TOL:
             return TIGHTLY_SEDENTARY, best_bound
         return TIGHTLY_SEDENTARY, m
 
@@ -1103,14 +1065,12 @@ def _reconcile(d: SpectralDecomposition, u: int, oracle: MinimizationResult,
         for i, c in enumerate(certs):
             if (c.kind == SUBSET_BOUND and c.analytic and len(c.subset) == 1
                     and abs(c.bound - best_bound) <= 1e-12 and c.bound > 0.0):
-                t1 = find_equality_time(d, u, c.subset, oracle.window,
-                                        support_tol=opts.support_tol)
+                t1 = find_equality_time(w, u, c.subset, oracle.window)
                 if t1 is not None:
                     certs[i] = replace(c, equality_times=(t1,))
                     return TIGHTLY_SEDENTARY, c.bound
                 try:
-                    certs.append(sharpness_parity(d, u, c.subset,
-                                                  opts.support_tol))
+                    certs.append(sharpness_parity(w, u, c.subset))
                     return SHARPLY_SEDENTARY, c.bound
                 except (CertificateRefused, UnsupportedSpectrum):
                     pass
@@ -1118,8 +1078,7 @@ def _reconcile(d: SpectralDecomposition, u: int, oracle: MinimizationResult,
         return SEDENTARY_AT_LEAST, best_bound
 
     try:
-        certs.append(find_zero_crossing(d, u, oracle.window,
-                                        support_tol=opts.support_tol))
+        certs.append(find_zero_crossing(w, u, oracle.window))
     except CertificateRefused:
         return UNRESOLVED, None
     return NOT_SEDENTARY, 0.0

@@ -17,7 +17,6 @@ from .matrices import ADJACENCY, Hamiltonian, MatrixKind, twin_theta
 __all__ = [
     "SpectralError",
     "DEFAULT_CLUSTER_TOL",
-    "DEFAULT_SUPPORT_TOL",
     "SpectralDecomposition",
     "decompose",
     "EigenvalueSupport",
@@ -30,11 +29,11 @@ __all__ = [
     "verify_twin_eigenvector",
     "PeriodicityInfo",
     "periodicity",
-    "integer_coordinates",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-8
-DEFAULT_SUPPORT_TOL = 1e-10
+# an eigenvalue is in a vertex's support when ||E_j e_u|| exceeds this
+_SUPPORT_TOL = 1e-10
 _MAX_DENOMINATOR = 10**6
 _INT_TOL = 1e-9
 _UNIT_TOL = 1e-8
@@ -81,11 +80,6 @@ class SpectralDecomposition:
     def diagonal_weight(self, j: int, u: int) -> float:
         """(E_j)_{u,u}: the squared length of the projection of e_u."""
         return float(self.weights[u, j])
-
-    def projected_unit(self, j: int, u: int) -> np.ndarray:
-        """E_j e_u as a vector."""
-        v = self.vectors[:, self.offsets[j]:self.offsets[j + 1]]
-        return v @ v[u]
 
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.eigenvalues))) if len(self.eigenvalues) else 1.0)
@@ -135,13 +129,12 @@ class EigenvalueSupport:
     weights: tuple[float, ...]
 
 
-def support(d: SpectralDecomposition, u: int,
-            support_tol: float = DEFAULT_SUPPORT_TOL) -> EigenvalueSupport:
-    """Eigenvalue support of a vertex: indices j with ||E_j e_u|| > support_tol."""
+def support(d: SpectralDecomposition, u: int) -> EigenvalueSupport:
+    """Eigenvalue support of a vertex: indices j with ||E_j e_u|| > 1e-10."""
     if not 0 <= u < d.n:
         raise SpectralError(f"vertex {u} out of range")
     wts = d.weights[u]
-    idx = np.flatnonzero(np.sqrt(wts) > support_tol)
+    idx = np.flatnonzero(np.sqrt(wts) > _SUPPORT_TOL)
     return EigenvalueSupport(u, tuple(idx.tolist()), tuple(d.eigenvalues[idx].tolist()),
                              tuple(wts[idx].tolist()))
 
@@ -173,14 +166,13 @@ class StrongCospectralPartition:
 
 
 def strong_cospectral(d: SpectralDecomposition, u: int, v: int,
-                      tol: float = 1e-9,
-                      support_tol: float = DEFAULT_SUPPORT_TOL) -> StrongCospectralPartition:
+                      tol: float = 1e-9) -> StrongCospectralPartition:
     """Check E_j e_u = +/- E_j e_v on every eigenspace touching u or v."""
     if u == v:
         raise SpectralError("strong cospectrality needs two distinct vertices")
     # ||E_j (e_u -+ e_v)|| = ||V_j^T (e_u -+ e_v)||: rows of the blocks
     x, y = d.vectors[u], d.vectors[v]
-    seen = (np.sqrt(d.weights[u]) > support_tol) | (np.sqrt(d.weights[v]) > support_tol)
+    seen = (np.sqrt(d.weights[u]) > _SUPPORT_TOL) | (np.sqrt(d.weights[v]) > _SUPPORT_TOL)
     plus = seen & (np.sqrt(d.cluster_sums((x - y) ** 2)) <= tol)
     minus = seen & ~plus & (np.sqrt(d.cluster_sums((x + y) ** 2)) <= tol)
     bad = np.flatnonzero(seen & ~plus & ~minus)
@@ -330,28 +322,18 @@ def _rescale_to_integers(values: np.ndarray, scale: float):
     return p, s, ref
 
 
-def integer_coordinates(d: SpectralDecomposition, u: int,
-                        support_tol: float = DEFAULT_SUPPORT_TOL):
-    """Integer coordinates of the support eigenvalues of u under an affine
-    rescaling lambda_j = ref + s*p_j, or None when no such rescaling with a
-    bounded denominator exists.  Aligned with the support's index order."""
-    sup = support(d, u, support_tol)
-    res = _rescale_to_integers(np.array(sup.eigenvalues), d.scale())
-    if res is None:
-        return None
-    return list(res[0])
-
-
 def periodicity(d: SpectralDecomposition, u: int,
-                support_tol: float = DEFAULT_SUPPORT_TOL) -> PeriodicityInfo:
+                sup: EigenvalueSupport | None = None) -> PeriodicityInfo:
     """Detect a period of the diagonal walk entry at u.
 
     |U(t)_{u,u}| is periodic exactly when the support eigenvalues become
     integers under an affine rescaling; the minimal period is then
     2*pi / (s * gcd of the integer coordinates relative to the smallest).
     The reported period is verified by evaluating |U(rho)_{u,u}| = 1.
+    sup, when given, is support(d, u) already computed.
     """
-    sup = support(d, u, support_tol)
+    if sup is None:
+        sup = support(d, u)
     lam = np.array(sup.eigenvalues)
     wts = np.array(sup.weights)
     scale = d.scale()

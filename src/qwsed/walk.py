@@ -16,18 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import WeightedGraph
 from .matrices import ADJACENCY, MatrixKind, assemble
-from .spectral import (DEFAULT_CLUSTER_TOL, DEFAULT_SUPPORT_TOL, PeriodicityInfo,
-                       SpectralDecomposition, decompose, periodicity, support)
+from .spectral import (DEFAULT_CLUSTER_TOL, PeriodicityInfo, SpectralDecomposition,
+                       decompose, periodicity, support)
 
 __all__ = [
     "WalkError",
     "DEFAULT_WINDOW",
     "WalkEvaluator",
+    "VertexSpectrum",
     "MinimizationResult",
     "FractionalRevivalCheck",
     "PerfectStateTransferWitness",
@@ -275,6 +277,17 @@ def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
             np.concatenate((_sq_at(lam, wts, [0.0, rho]), best)))
 
 
+class VertexSpectrum(NamedTuple):
+    """What every search over one vertex's diagonal reads: its eigenvalue
+    support (eigenvalues, diagonal projector weights and their indices into
+    the decomposition, in the decomposition's order) and its periodicity."""
+
+    eigenvalues: np.ndarray
+    weights: np.ndarray
+    indices: tuple[int, ...]
+    periodicity: PeriodicityInfo
+
+
 @dataclass(frozen=True)
 class MinimizationResult:
     """Certified (or windowed) minimum of |U(t)_{u,u}|.
@@ -327,12 +340,13 @@ class PerfectStateTransferWitness:
 
 
 class WalkEvaluator:
-    """Evaluates entries of U(t) = sum_j exp(it lambda_j) E_j."""
+    """Evaluates entries of U(t) = sum_j exp(it lambda_j) E_j, holding one
+    VertexSpectrum per vertex (spectrum) that the oracle and every
+    certificate read, computed on first use."""
 
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
-        self._diag_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._period_cache: dict[tuple[int, float], PeriodicityInfo] = {}
+        self._diag_cache: dict[int, VertexSpectrum] = {}
 
     @classmethod
     def for_graph(cls, graph: WeightedGraph, kind: MatrixKind = ADJACENCY,
@@ -356,20 +370,29 @@ class WalkEvaluator:
         proj = d.cluster_sums(d.vectors[u] * d.vectors[v])
         return complex(np.sum(np.exp(1j * t * d.eigenvalues) * proj))
 
-    def _diag_data(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        if u not in self._diag_cache:
+    def spectrum(self, u: int) -> VertexSpectrum:
+        """The support and periodicity of u, computed once per vertex."""
+        rec = self._diag_cache.get(u)
+        if rec is None:
             sup = support(self.decomposition, u)
-            self._diag_cache[u] = (np.array(sup.eigenvalues),
-                                   np.array(sup.weights))
-        return self._diag_cache[u]
+            rec = self._diag_cache[u] = VertexSpectrum(
+                np.array(sup.eigenvalues), np.array(sup.weights), sup.indices,
+                periodicity(self.decomposition, u, sup))
+        return rec
 
-    def periodicity(self, u: int,
-                    support_tol: float = DEFAULT_SUPPORT_TOL) -> PeriodicityInfo:
-        """spectral.periodicity of u, computed once per vertex and tolerance."""
-        key = (u, support_tol)
-        if key not in self._period_cache:
-            self._period_cache[key] = periodicity(self.decomposition, u, support_tol)
-        return self._period_cache[key]
+    def default_window(self, u: int) -> tuple[tuple[float, float], bool]:
+        """The window a search over u's diagonal takes when given none, and
+        whether it certifies: [0, rho] for a detected period rho; the open
+        window [0, DEFAULT_WINDOW] without one; and [0, min(rho,
+        DEFAULT_WINDOW)], uncertified, when rho is too long to scan in
+        _GRID_CAP points."""
+        lam, _, _, per = self.spectrum(u)
+        if not per.periodic:
+            return (0.0, DEFAULT_WINDOW), False
+        spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
+        if math.ceil(64.0 * per.period * spread / (2.0 * math.pi)) > _GRID_CAP:
+            return (0.0, min(per.period, DEFAULT_WINDOW)), False
+        return (0.0, per.period), True
 
     def _column_data(self, u: int) -> np.ndarray:
         """E_j e_u, one row per distinct eigenvalue: row j is V_j V_j[u]."""
@@ -378,7 +401,7 @@ class WalkEvaluator:
 
     def diagonal_entry_series(self, u: int, times) -> np.ndarray:
         """Complex values of U(t)_{u,u} on a grid of times."""
-        lam, wts = self._diag_data(u)
+        lam, wts = self.spectrum(u)[:2]
         return _trig_sums(lam, wts[:, None], times)[:, 0]
 
     def column_magnitude_series(self, u: int, times) -> np.ndarray:
@@ -401,9 +424,11 @@ class WalkEvaluator:
                           refine_tol: float = 1e-10) -> MinimizationResult:
         """Minimize |U(t)_{u,u}|.
 
-        With no window, a detected period gives the certified window
-        [0, rho]; undetected periodicity is an error (pass a window, which is
-        then reported as uncertified).
+        With no window, the search takes default_window(u): the certified
+        window [0, rho] of a detected period, or the uncertified fallback
+        when rho is too long to scan.  A vertex with no detected period has
+        no window to certify, so that is an error; a window passed in is
+        reported as uncertified.
 
         Root path.  On a certified window with no explicit grid, a support
         of more than one eigenvalue and integer coordinates q_j (relative
@@ -436,18 +461,13 @@ class WalkEvaluator:
         """
         if not refine_tol > 0.0:
             raise WalkError(f"refine_tol must be positive, got {refine_tol!r}")
-        lam, wts = self._diag_data(u)
-        certified = window is None
-        if certified:
-            per = self.periodicity(u)
+        lam, wts, _, per = self.spectrum(u)
+        certified = False
+        if window is None:
             if not per.periodic:
                 raise WalkError(
                     f"no certified period for vertex {u}; pass an explicit window")
-            window = (0.0, per.period)
-            spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
-            if math.ceil(64.0 * per.period * spread / (2.0 * math.pi)) > _GRID_CAP:
-                # period too long to certify on a sane grid; fall back
-                window, certified = (0.0, min(per.period, DEFAULT_WINDOW)), False
+            window, certified = self.default_window(u)
         t0, t1 = float(window[0]), float(window[1])
         if not (math.isfinite(t1) and t1 > t0 >= 0.0):
             raise WalkError(f"bad window {window!r}")

@@ -202,6 +202,12 @@ def test_oracle_command(capsys):
     assert payload["oracle"]["certified"] is False  # explicit window
 
 
+def test_oracle_without_window_needs_a_period(capsys):
+    code, out, err = run(capsys, "oracle", "--family", "path:5", "--vertex", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no certified period") and err.count("\n") == 1
+
+
 def test_mixing_check_uniform(capsys):
     t_local = math.pi / (3.0 * math.sqrt(3.0))
     code, out, _ = run(capsys, "mixing-check", "--family", "star:3",

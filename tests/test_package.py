@@ -1,12 +1,19 @@
 import contextlib
 import io
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import qwsed
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+# declared under [test] only; the runtime needs numpy alone
+TEST_ONLY = ("scipy", "sympy", "networkx", "mpmath", "hypothesis")
 
 
 def _library_example() -> str:
@@ -35,3 +42,21 @@ def test_top_level_exports_are_explicit():
     public = {n for n, v in vars(qwsed).items()
               if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert public == set(qwsed.__all__)
+
+
+def test_runtime_is_numpy_only(tmp_path):
+    """A fresh interpreter imports qwsed and its CLI and runs one analyze
+    without loading any package that only the tests declare."""
+    out = tmp_path / "report.json"
+    code = ("import sys\n"
+            "import qwsed, qwsed.cli\n"
+            f"argv = ['analyze', '--family', 'path:5', '--out', {str(out)!r}]\n"
+            "assert qwsed.cli.main(argv) == 0\n"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {TEST_ONLY!r}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["classification"] == "not-sedentary"

@@ -158,7 +158,7 @@ def _oracle(spec, kind, u):
 @pytest.mark.parametrize("spec,kind,u", _CORPUS_MOVED)
 def test_open_window_argmin_is_a_critical_point(spec, kind, u):
     ev, res = _oracle(spec, kind, u)
-    lam, wts = ev._diag_data(u)
+    lam, wts = ev.spectrum(u)[:2]
     with mpmath.workdps(50):
         lm = [mpmath.mpf(float(v)) for v in lam]
         wm = [mpmath.mpf(float(v)) for v in wts]

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-import qwsed.sedentary as sedentary
 import qwsed.walk as walk
 from qwsed.cli import main
 from qwsed.graphs import build_family, cartesian_product, parse_family, star_graph
@@ -64,7 +63,7 @@ def test_root_path_matches_dense_reference(qs, raw, step, ref):
     w = _synthetic(q, raw[:len(q)], step, ref)
     res = w.minimize_diagonal(0)
     assert res.certified_window
-    lam, wts = w._diag_data(0)
+    lam, wts = w.spectrum(0)[:2]
     assert abs(res.minimum - _dense_minimum(lam, wts, res.window)) <= 1e-9
     at = float(_sq_at(lam, wts, [res.argmin])[0])
     assert at <= res.minimum ** 2 + _TIE_BAND
@@ -132,7 +131,7 @@ def test_degree_above_cap_scans(scans):
     w = _synthetic([0, 1, _ROOT_CAP + 1], [0.5, 0.3, 0.2], 0.7)
     res = w.minimize_diagonal(0)
     assert len(scans) == 1 and res.certified_window
-    lam, wts = w._diag_data(0)
+    lam, wts = w.spectrum(0)[:2]
     assert abs(res.minimum - _dense_minimum(lam, wts, res.window)) <= 1e-9
 
 
@@ -169,7 +168,6 @@ def periodicity_calls(monkeypatch):
         return real(d, u, *args, **kwargs)
 
     monkeypatch.setattr(walk, "periodicity", counted)
-    monkeypatch.setattr(sedentary, "periodicity", counted)
     return calls
 
 

@@ -1,10 +1,8 @@
+import collections
 import itertools
 import json
 import math
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -34,7 +32,6 @@ from qwsed.sedentary import (
     TIGHTLY_SEDENTARY,
     UNRESOLVED,
     CertificateRefused,
-    ClassifyOptions,
     UnsupportedSpectrum,
     _merge_odd_lattices,
     classify,
@@ -49,18 +46,17 @@ from qwsed.sedentary import (
     subset_bound,
     twin_bound,
 )
-from qwsed.spectral import decompose, support
+from qwsed import spectral, walk
+from qwsed.spectral import decompose
 from qwsed.walk import WalkEvaluator
 
 
-def _decomp(fam, kind=ADJACENCY):
-    return decompose(assemble(build_family(parse_family(fam)), kind))
+def _walk(fam, kind=ADJACENCY):
+    return WalkEvaluator.for_graph(build_family(parse_family(fam)), kind)
 
 
-def _classify(fam, u, kind=ADJACENCY, **kw):
-    g = build_family(parse_family(fam))
-    opts = ClassifyOptions(**kw) if kw else None
-    return classify(g, u, kind, opts)
+def _classify(fam, u, kind=ADJACENCY):
+    return classify(build_family(parse_family(fam)), u, kind)
 
 
 def _rank_one_spectrum(eigenvalues, weights):
@@ -79,64 +75,86 @@ def _rank_one_spectrum(eigenvalues, weights):
 
 
 def test_subset_bound_singleton():
-    d = _decomp("complete:5")
-    cert = subset_bound(d, 0, (1,))
+    w = _walk("complete:5")
+    cert = subset_bound(w, 0, (1,))
     assert cert.bound == pytest.approx(0.6, abs=1e-12)
     assert cert.weight == pytest.approx(0.8)
     assert cert.analytic and cert.certified
 
 
 def test_subset_bound_refuses_light_subsets():
-    d = _decomp("complete:5")
+    w = _walk("complete:5")
     with pytest.raises(CertificateRefused):
-        subset_bound(d, 0, (0,))  # weight 1/5
+        subset_bound(w, 0, (0,))  # weight 1/5
     with pytest.raises(CertificateRefused):
-        subset_bound(d, 0, (0, 1))  # whole support
+        subset_bound(w, 0, (0, 1))  # whole support
     with pytest.raises(CertificateRefused):
-        subset_bound(d, 0, ())
+        subset_bound(w, 0, ())
 
 
 def test_subset_bound_pair_certified_window():
-    d = _decomp("rook:3,4")
-    sup = support(d, 0)
+    w = _walk("rook:3,4")
+    sup = w.spectrum(0)
     heavy = [sup.indices[i] for i in range(len(sup.indices))
              if sup.weights[i] >= 0.4]
     pair = (sup.indices[0], heavy[0])
-    cert = subset_bound(d, 0, pair)
+    cert = subset_bound(w, 0, pair)
     assert not cert.analytic
     assert cert.certified  # integer spectrum gives a certified period
-    w = WalkEvaluator(d)
     res = w.minimize_diagonal(0)
     assert cert.bound <= res.minimum + 1e-9
 
 
+def test_subset_bound_uncertified_past_the_grid_cap():
+    # period 2 pi, but a scan of it would need 64 * 40000 > _GRID_CAP points
+    w = WalkEvaluator(decompose(_rank_one_spectrum((40000.0, 1.0, 0.0),
+                                                   (0.6, 0.1, 0.3))))
+    assert w.spectrum(0).periodicity.period == pytest.approx(2.0 * math.pi)
+    window, certified = w.default_window(0)
+    assert window == pytest.approx((0.0, 2.0 * math.pi)) and not certified
+    cert = subset_bound(w, 0, (0, 2))
+    assert cert.bound == pytest.approx(0.2, abs=1e-6)
+    assert not cert.certified and "open window" in cert.detail
+
+
 def test_equality_condition_complete_graph():
-    d = _decomp("complete:5")
-    assert equality_condition(d, 0, (1,), math.pi / 5.0)
-    assert not equality_condition(d, 0, (1,), math.pi / 7.0)
+    w = _walk("complete:5")
+    assert equality_condition(w, 0, (1,), math.pi / 5.0)
+    assert not equality_condition(w, 0, (1,), math.pi / 7.0)
 
 
 def test_find_equality_time():
-    d = _decomp("complete:5")
-    t = find_equality_time(d, 0, (1,), (0.0, 2.0 * math.pi / 5.0))
+    w = _walk("complete:5")
+    t = find_equality_time(w, 0, (1,), (0.0, 2.0 * math.pi / 5.0))
     assert t == pytest.approx(math.pi / 5.0, abs=1e-8)
-    d4 = _decomp("star:4")
-    t4 = find_equality_time(d4, 1, (1,), (0.0, math.pi))
+    w4 = _walk("star:4")
+    t4 = find_equality_time(w4, 1, (1,), (0.0, math.pi))
     assert t4 == pytest.approx(math.pi / 2.0, abs=1e-8)
 
 
-def test_find_equality_time_reads_the_support_once(monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return support(*args, **kwargs)
-
-    monkeypatch.setattr("qwsed.sedentary.support", counting)
-    d = _decomp("complete:5")
-    assert find_equality_time(d, 0, (1,), (0.0, 20.0)) == \
-        pytest.approx(math.pi / 5.0, abs=1e-8)
-    assert len(calls) == 1
+@pytest.mark.parametrize("g,kind,factor_vertices", [
+    (build_family(parse_family("rook:3,4")), ADJACENCY, 0),
+    # the product recursion classifies factor vertices again and again
+    (cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 2 * 4),
+], ids=["rook:3,4-adjacency", "star3xstar3-laplacian"])
+def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, g, kind,
+                                                  factor_vertices):
+    """Classification computes each vertex's support and periodicity once
+    per evaluator, however many certificates read them."""
+    calls = {name: collections.Counter() for name in ("support", "periodicity")}
+    for name, real in (("support", spectral.support),
+                       ("periodicity", spectral.periodicity)):
+        def counted(d, u, *args, _name=name, _real=real, **kwargs):
+            calls[_name][(id(d), u)] += 1
+            return _real(d, u, *args, **kwargs)
+        for module in (spectral, walk):
+            monkeypatch.setattr(module, name, counted)
+    reports = classify_vertices(g, range(g.n), kind)
+    assert {r.vertex for r in reports} == set(range(g.n))
+    assert set(calls["support"]) == set(calls["periodicity"])
+    assert len(calls["support"]) == g.n + factor_vertices
+    assert set(calls["support"].values()) == {1}
+    assert set(calls["periodicity"].values()) == {1}
 
 
 def _random_graphs(rng):
@@ -160,16 +178,16 @@ def test_subset_bound_never_exceeds_dense_partial_sum():
     ts = np.linspace(*window, 30_001)
     checked = 0
     for g in _random_graphs(rng):
-        d = decompose(assemble(g, ADJACENCY))
+        w = WalkEvaluator.for_graph(g, ADJACENCY)
         for u in range(min(g.n, 3)):
-            sup = support(d, u)
+            sup = w.spectrum(u)
             phases = np.exp(1j * np.outer(ts, sup.eigenvalues))
             subsets = itertools.chain(*(itertools.combinations(range(len(sup.indices)), r)
                                         for r in (2, 3)))
             for sub in subsets:
                 if len(sub) >= len(sup.indices) or sum(sup.weights[p] for p in sub) < 0.5:
                     continue
-                cert = subset_bound(d, u, [sup.indices[p] for p in sub], window)
+                cert = subset_bound(w, u, [sup.indices[p] for p in sub], window)
                 wts = np.array([sup.weights[p] for p in sub])
                 dense = float(np.min(np.abs(phases[:, list(sub)] @ wts)))
                 assert cert.bound <= max(dense - (1.0 - cert.weight), 0.0) + 1e-12
@@ -233,56 +251,51 @@ def test_integer_kernel_single_row():
 
 
 def test_sharpness_parity_vacuous_on_complete():
-    d = _decomp("complete:5")
-    cert = sharpness_parity(d, 0, (1,))
+    cert = sharpness_parity(_walk("complete:5"), 0, (1,))
     assert cert.bound == pytest.approx(0.6)
 
 
 def test_sharpness_parity_refused_on_odd_relation():
     h = _rank_one_spectrum((3.0, 1.0, 0.0), (0.2, 0.55, 0.25))
-    d = decompose(h)
+    w = WalkEvaluator(decompose(h))
     with pytest.raises(CertificateRefused):
-        sharpness_parity(d, 0, (1,))
+        sharpness_parity(w, 0, (1,))
 
 
 def test_sharpness_parity_unsupported_spectrum():
-    d = _decomp("path:4")
-    sup = support(d, 0)
+    w = _walk("path:4")
+    sup = w.spectrum(0)
     heavy = max(range(len(sup.indices)), key=lambda i: sup.weights[i])
     with pytest.raises((UnsupportedSpectrum, CertificateRefused)):
-        sharpness_parity(d, 0, (sup.indices[heavy],))
+        sharpness_parity(w, 0, (sup.indices[heavy],))
 
 
 # -- zero crossings --------------------------------------------------------------
 
 
 def test_zero_crossing_edge():
-    d = _decomp("complete:2")
-    cert = find_zero_crossing(d, 0)
+    cert = find_zero_crossing(_walk("complete:2"), 0)
     assert cert.bound == 0.0
     assert cert.equality_times[0] == pytest.approx(math.pi / 2.0, abs=1e-10)
 
 
 def test_zero_crossing_double_star_internal():
-    d = _decomp("doublestar:2,2")
-    cert = find_zero_crossing(d, 2, (0.0, 2.0 * math.pi))
+    w = _walk("doublestar:2,2")
+    cert = find_zero_crossing(w, 2, (0.0, 2.0 * math.pi))
     t0 = cert.equality_times[0]
     assert 0.0 < t0 < 2.0 * math.pi
-    w = WalkEvaluator(d)
     assert abs(w.transition_entry(t0, 2, 2)) < 1e-9
 
 
 def test_zero_crossing_refused_for_asymmetric_diagonal():
-    d = _decomp("complete:5")
     with pytest.raises(CertificateRefused):
-        find_zero_crossing(d, 0)
+        find_zero_crossing(_walk("complete:5"), 0)
 
 
 def test_zero_crossing_refused_without_sign_change():
     # the path end grazes zero without crossing
-    d = _decomp("path:3")
     with pytest.raises(CertificateRefused):
-        find_zero_crossing(d, 0, (0.0, 2.0))
+        find_zero_crossing(_walk("path:3"), 0, (0.0, 2.0))
 
 
 def _corpus_zero_crossings():
@@ -310,28 +323,14 @@ def test_zero_crossing_bisection_agrees_with_brentq(monkeypatch):
     cases = _corpus_zero_crossings()
     assert len(cases) >= 10
     for fam, kind, u, window, frozen in cases:
-        d = _decomp(fam, parse_matrix_kind(kind))
-        t = find_zero_crossing(d, u, window).equality_times[0]
+        w = _walk(fam, parse_matrix_kind(kind))
+        t = find_zero_crossing(w, u, window).equality_times[0]
         with monkeypatch.context() as m:
             m.setattr(sed, "_bisect",
                       lambda f, a, b, xtol: float(brentq(f, a, b, xtol=xtol)))
-            t_brentq = find_zero_crossing(d, u, window).equality_times[0]
+            t_brentq = find_zero_crossing(w, u, window).equality_times[0]
         assert abs(t - t_brentq) <= 1e-12
         assert abs(t - frozen) <= 1e-12
-
-
-def test_runtime_imports_no_scipy():
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, qwsed\n"
-            "g = qwsed.build_family(qwsed.parse_family('path:5'))\n"
-            "r = qwsed.classify(g, 0)\n"
-            "assert r.classification == 'not-sedentary', r.classification\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
 
 
 # -- family catalogue ------------------------------------------------------------
@@ -449,6 +448,21 @@ def test_family_ruling_joins_read_structure_not_provenance(kind):
             assert named.bound == pytest.approx(plain.bound, abs=1e-12), (fam, u)
             assert named.equality_times == pytest.approx(plain.equality_times,
                                                          abs=1e-12), (fam, u)
+
+
+
+@pytest.mark.parametrize("fam,u,base", [("star:2", 1, 1),
+                                        ("doublecone:disconnected:empty:4", 0, 4)])
+def test_apex_pair_over_empty_base_vanishes(fam, u, base):
+    # U(t)_uu = (1 + cos(sqrt(2n) t)) / 2 over an empty base of n vertices,
+    # even where 2n is not a square
+    g = build_family(parse_family(fam))
+    bare = WeightedGraph(g.n, g.edges)
+    ruling = family_ruling(bare, ADJACENCY, u)
+    assert ruling.classification == NOT_SEDENTARY
+    assert ruling.equality_times == (math.pi / math.sqrt(2.0 * base),)
+    t = ruling.equality_times[0]
+    assert abs(WalkEvaluator.for_graph(bare).transition_entry(t, u, u)) <= 1e-12
 
 
 # -- products --------------------------------------------------------------------
@@ -671,15 +685,6 @@ def test_classify_dominating_vertex_adjacency():
     assert r.classification == TIGHTLY_SEDENTARY
     assert r.bound == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert r.oracle.argmin == pytest.approx(math.pi / 6.0, abs=1e-6)
-
-
-def test_classify_subset_search_stays_sound():
-    plain = _classify("rook:3,4", 0)
-    searched = _classify("rook:3,4", 0, subset_search=True)
-    assert searched.classification == plain.classification
-    for c in searched.certificates:
-        if c.certified:
-            assert c.bound <= searched.oracle.minimum + 1e-6
 
 
 def test_classify_rejects_bad_vertex():

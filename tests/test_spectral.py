@@ -24,7 +24,6 @@ from qwsed.spectral import (
     are_cospectral,
     decompose,
     find_twin_sets,
-    integer_coordinates,
     periodicity,
     strong_cospectral,
     support,
@@ -232,16 +231,16 @@ def test_periodicity_single_eigenvalue():
 
 def test_integer_coordinates():
     d = _decomp("complete:5")
-    ints = integer_coordinates(d, 0)
-    assert ints == [1, 0]
+    ints = periodicity(d, 0).coordinates
+    assert ints == (1, 0)
     d3 = _decomp("star:3")
     # support (sqrt 3, 0, -sqrt 3) rescales to consecutive integers
-    assert integer_coordinates(d3, 1) == [2, 1, 0]
+    assert periodicity(d3, 1).coordinates == (2, 1, 0)
 
 
 def test_integer_coordinates_none_for_incommensurable():
     d = _decomp("path:4")
-    assert integer_coordinates(d, 0) is None
+    assert periodicity(d, 0).coordinates is None
 
 
 def test_blow_up_twin_union():

@@ -304,7 +304,7 @@ def test_minimize_diagonal_matches_dense_search():
 def test_open_window_oracle_memory():
     g = _gnp(np.random.default_rng(7), 120, 0.1)
     w = WalkEvaluator.for_graph(g)
-    k = len(w._diag_data(0)[0])
+    k = len(w.spectrum(0).eigenvalues)
     tracemalloc.start()
     try:
         res = w.minimize_diagonal(0, (0.0, DEFAULT_WINDOW))
