@@ -182,6 +182,10 @@ class WeightedGraph:
         return replace(self, provenance=provenance)
 
     def content_hash(self) -> str:
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         text = f"{self.n};" + ";".join(f"{u},{v},{w!r}" for u, v, w in self.edges)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 

@@ -901,20 +901,44 @@ def _singleton_candidates(rec: VertexSpectrum,
     return cands
 
 
+def _annotated(g: WeightedGraph) -> tuple:
+    """What classification reads of g: its edges, labels, provenance and
+    description, with the graphs inside the provenance keyed the same way."""
+    prov = g.provenance
+    if isinstance(prov, tuple):
+        prov = tuple(_annotated(a) if isinstance(a, WeightedGraph) else a for a in prov)
+    return g, g.labels, prov, describe_graph(g)
+
+
 class _Context:
     """What classification reads about one (graph, kind), built once: the
     walk evaluator over its decomposition, its twin classes and, for a
-    Cartesian product, the contexts of its factors when first asked."""
+    Cartesian product, the contexts of its factors when first asked (one
+    context when both factors are the same graph).  A factor context holds
+    each vertex's default-options report once it is classified (report)."""
 
     def __init__(self, graph: WeightedGraph, kind: MatrixKind, cluster_tol: float):
         self.graph, self.kind, self.cluster_tol = graph, kind, cluster_tol
         self.walk = WalkEvaluator(decompose(assemble(graph, kind), cluster_tol))
         self.twins = find_twin_sets(graph, kind)
+        self._reports: dict[int, SedentaryReport] = {}
 
     @cached_property
     def factors(self) -> tuple[_Context, _Context]:
-        return tuple(_Context(f, self.kind, self.cluster_tol)
-                     for f in self.graph.provenance[1:3])
+        gx, gy = self.graph.provenance[1:3]
+        cx = _Context(gx, self.kind, self.cluster_tol)
+        if _annotated(gy) == _annotated(gx):
+            return cx, cx
+        return cx, _Context(gy, self.kind, self.cluster_tol)
+
+    def report(self, u: int) -> SedentaryReport:
+        """u classified with default options and this context's cluster_tol,
+        once per vertex."""
+        r = self._reports.get(u)
+        if r is None:
+            r = self._reports[u] = _classify_vertex(
+                self, u, ClassifyOptions(cluster_tol=self.cluster_tol))
+        return r
 
 
 def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
@@ -1013,9 +1037,7 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
             and kind.is_degree_shifted):
         cx, cy = ctx.factors
         ux, uy = divmod(u, cy.graph.n)
-        sub_opts = ClassifyOptions(cluster_tol=opts.cluster_tol)
-        rx = _classify_vertex(cx, ux, sub_opts)
-        ry = _classify_vertex(cy, uy, sub_opts)
+        rx, ry = cx.report(ux), cy.report(uy)
         if NOT_SEDENTARY in (rx.classification, ry.classification):
             bad = rx if rx.classification == NOT_SEDENTARY else ry
             t0 = next(

@@ -107,7 +107,9 @@ def decompose(h: Hamiltonian | np.ndarray,
     # a cluster ends where consecutive eigenvalues differ by more than tol
     cuts = np.flatnonzero(np.diff(vals) > tol) + 1
     groups = np.split(np.arange(len(vals)), cuts)[::-1] if len(vals) else []
-    eigenvalues = np.array([float(np.mean(vals[g])) for g in groups])
+    # a singleton's mean is its eigenvalue; only true clusters are averaged
+    eigenvalues = np.array([float(vals[g[0]]) if len(g) == 1 else float(np.mean(vals[g]))
+                            for g in groups])
     vectors = vecs[:, [i for g in groups for i in g]]
     offsets = np.cumsum([0] + [len(g) for g in groups])
     weights = np.add.reduceat(vectors * vectors, offsets[:-1], axis=1)

@@ -3,12 +3,17 @@ decomposition, and the scan-and-refine primitive behind every search over
 time: f(t) = reduce(sum_j coef_j e^{i lam_j t}) is evaluated on a uniform
 grid (_grid_values), and the grid-local minima that a curvature bound cannot
 exclude are refined together (_refine_minima) by a batched Newton iteration
-on f' (_newton_batch).  Each search has one reducer: given z it returns f,
-and given z, z' and z'' it returns (f, f', f'').  The sign of f' keeps every
-iterate inside a bracket that holds a local minimum, a step that leaves it
-or meets f'' <= 0 bisects instead, and a checked cap bounds the steps.  On a
-certified period of low degree the diagonal oracle instead takes every
-critical point of |U(t)_{u,u}|^2 from one polynomial's roots
+on f' (_newton_batch).  The grid's phase tables are built by doubling from
+directly computed factors (_phase_table): a grid value is a product of at
+most ceil(log2 c) + ceil(log2 per_block) + 1 direct phases wherever it
+lies, and a scan takes a logarithmic number of exponentials, none per grid
+point.  The Newton steps and pointwise sums evaluate arbitrary times and
+take direct exponentials.  Each search has one reducer: given z it returns
+f, and given z, z' and z'' it returns (f, f', f'').  The sign of f' keeps
+every iterate inside a bracket that holds a local minimum, a step that
+leaves it or meets f'' <= 0 bisects instead, and a checked cap bounds the
+steps.  On a certified period of low degree the diagonal oracle instead
+takes every critical point of |U(t)_{u,u}|^2 from one polynomial's roots
 (_critical_clusters).
 """
 
@@ -94,14 +99,41 @@ def _curvature(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return 2.0 * total * (w * (lam[:, None] - mean) ** 2).sum(axis=0)
 
 
+def _phase_table(lam: np.ndarray, dt: float, count: int) -> np.ndarray:
+    """e^{i m dt lam} for m < count, one row per m, by doubling: rows
+    [2^l, 2^(l+1)) are rows [0, 2^l) times e^{i 2^l dt lam}.  Each level's
+    factor is a direct exponential, never the square of the last one (which
+    would double its phase error), so row m is a product of at most
+    ceil(log2 count) direct phases, and count x k entries cost
+    ceil(log2 count) exponentials of k terms."""
+    out = np.empty((count, len(lam)), dtype=complex)
+    out[0] = 1.0
+    n = 1
+    while n < count:
+        r = min(n, count - n)
+        np.multiply(out[:r], np.exp(1j * (n * dt) * lam), out=out[n:n + r])
+        n *= 2
+    return out
+
+
 def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
                  window: tuple[float, float], grid: int | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Grid times (sized from the spread of lam) and reduce of the sums
     there; reduce maps one row per time, one column per coef column, to one
-    value per time.  A k x _CHUNK step matrix e^{i m h lam} is built once;
-    each chunk's base phase e^{i t_s lam} is computed directly, so errors do
-    not accumulate along the grid, and a block of chunks is one product."""
+    value per time.
+
+    The grid runs in chunks of c points from t_s = t0 + s c h, and a block
+    of per_block chunks is one product of base phases e^{i t_s lam} (times
+    coef) with the k x c step table e^{i m h lam}, m < c.  Both tables come
+    from _phase_table: the step table by doubling in h, and each block's
+    base phases as one direct e^{i t_s lam} at its first chunk times a
+    doubled table of e^{i j c h lam}, j < per_block.  Every grid value is
+    then a product of at most ceil(log2 c) + ceil(log2 per_block) + 1
+    directly computed phases, so errors do not accumulate along the grid,
+    and the scan evaluates ceil(log2 c) + ceil(log2 per_block) + blocks
+    exponentials of k terms, none per grid point or per chunk.
+    """
     t0, t1 = float(window[0]), float(window[1])
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
     npts = _grid_size(t1 - t0, spread, grid)
@@ -109,15 +141,16 @@ def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
     h = (t1 - t0) / (npts - 1)
     c = min(_CHUNK, npts)
     k, m = coef.shape
-    step = np.exp(1j * h * np.outer(lam, np.arange(c)))
-    starts = t0 + h * c * np.arange(-(-npts // c))
-    per_block = max(1, _CHUNK // max(m, 1))
+    chunks = -(-npts // c)
+    per_block = min(max(1, _CHUNK // max(m, 1)), chunks)
+    step = _phase_table(lam, h, c).T
+    shift = _phase_table(lam, c * h, per_block)
     out = []
-    for i in range(0, len(starts), per_block):
-        s = starts[i:i + per_block]
-        base = np.exp(1j * np.outer(s, lam))[:, None, :] * coef.T
-        z = (base.reshape(-1, k) @ step).reshape(len(s), m, c)
-        out.append(reduce(z.transpose(0, 2, 1).reshape(len(s) * c, m)))
+    for i in range(0, chunks, per_block):
+        nb = min(per_block, chunks - i)
+        base = (np.exp(1j * (t0 + h * c * i) * lam) * shift[:nb])[:, None, :] * coef.T
+        z = (base.reshape(-1, k) @ step).reshape(nb, m, c)
+        out.append(reduce(z.transpose(0, 2, 1).reshape(nb * c, m)))
     return ts, np.concatenate(out)[:npts]
 
 

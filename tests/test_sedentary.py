@@ -134,8 +134,8 @@ def test_find_equality_time():
 
 @pytest.mark.parametrize("g,kind,factor_vertices", [
     (build_family(parse_family("rook:3,4")), ADJACENCY, 0),
-    # the product recursion classifies factor vertices again and again
-    (cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 2 * 4),
+    # the equal factors share one context, so S_3's 4 vertices count once
+    (cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 4),
 ], ids=["rook:3,4-adjacency", "star3xstar3-laplacian"])
 def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, g, kind,
                                                   factor_vertices):
@@ -544,9 +544,19 @@ def test_product_vertex_decomposes_each_factor_once(monkeypatch):
     twins = _count_calls(monkeypatch, qwsed.sedentary, "find_twin_sets")
     r = classify(g, 7, LAPLACIAN)
     assert "product-composition" in [c.kind for c in r.certificates]
-    # the product and its two factors
+    # the product and its one factor, shared by both sides
+    assert len(eighs) == 2
+    assert len(twins) == 2
+
+
+def test_factors_differing_in_provenance_keep_their_own_contexts(monkeypatch):
+    # same edges and labels, but only the family factor is ruled by its
+    # provenance, so the two factors may not share a context
+    g = cartesian_product(build_family(parse_family("star:3")), star_graph(3))
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    r = classify(g, 5, LAPLACIAN)
+    assert "product-composition" in [c.kind for c in r.certificates]
     assert len(eighs) == 3
-    assert len(twins) == 3
 
 
 def test_classify_vertices_matches_classify():

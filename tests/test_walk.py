@@ -24,7 +24,9 @@ from qwsed.walk import (
     WalkEvaluator,
     _curvature,
     _grid_values,
+    _sq,
     _sq_at,
+    _trig_sums,
     check_fractional_revival,
     check_uniform_mixing,
 )
@@ -248,6 +250,59 @@ def test_grid_values_match_direct_sums(npts):
     direct = np.exp(1j * np.outer(ts, lam)) @ coef
     assert vals.shape == (npts, 2)
     assert np.max(np.abs(vals - direct)) < 1e-12
+
+
+def _open_window_support():
+    """The support of vertex 0 of a seeded G(120, 0.1): about 120 simple
+    eigenvalues, scanned on a grid of about 125k points over [0, 200 pi]."""
+    lam, wts = WalkEvaluator.for_graph(_gnp(np.random.default_rng(7), 120, 0.1)).spectrum(0)[:2]
+    assert len(lam) >= 100
+    return lam, wts[:, None]
+
+
+def test_grid_values_match_direct_sums_over_the_open_window():
+    lam, coef = _open_window_support()
+    ts, vals = _grid_values(lam, coef, lambda z: z, (0.0, DEFAULT_WINDOW))
+    assert len(ts) > 100 * _CHUNK
+    assert np.max(np.abs(vals - _trig_sums(lam, coef, ts))) <= 1e-12
+
+
+def test_grid_values_across_base_blocks():
+    # 257 columns leave 3 chunks to a block, so 5 chunks take two blocks and
+    # the second block restarts the base phases from a direct exponential
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(-4.0, 4.0, 9)
+    coef = rng.normal(size=(9, 257)) + 1j * rng.normal(size=(9, 257))
+    npts = 4 * _CHUNK + 9
+    ts, vals = _grid_values(lam, coef, lambda z: z, (2.5, 60.0), npts)
+    assert np.array_equal(ts, np.linspace(2.5, 60.0, npts))
+    assert np.max(np.abs(vals - np.exp(1j * np.outer(ts, lam)) @ coef)) < 1e-12
+
+
+def test_grid_values_build_phase_tables_by_doubling(monkeypatch):
+    """One open-window scan evaluates a logarithmic number of exponentials
+    of k terms, none per grid point or per chunk."""
+    lam, coef = _open_window_support()
+    evaluated = []
+    real_exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        out = real_exp(x, *args, **kwargs)
+        evaluated.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(np, "exp", counted)
+    ts, _ = _grid_values(lam, coef, _sq, (0.0, DEFAULT_WINDOW))
+    monkeypatch.undo()
+    k, npts = len(lam), len(ts)
+    c = min(_CHUNK, npts)
+    chunks = -(-npts // c)
+    per_block = min(_CHUNK, chunks)
+    blocks = -(-chunks // per_block)
+    cap = k * (math.ceil(math.log2(c)) + math.ceil(math.log2(per_block)) + blocks + 1)
+    assert 0 < sum(evaluated) <= cap
+    # a direct exponential per table entry would take k (c + chunks)
+    assert 20 * cap < k * (c + chunks)
 
 
 @settings(max_examples=60, deadline=None)
