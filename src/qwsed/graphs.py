@@ -8,8 +8,7 @@ returns a new instance.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -54,28 +53,87 @@ class GraphError(ValueError):
     """Invalid graph data, construction arguments, or family parameters."""
 
 
-def _canonical_edges(n: int, edges) -> tuple[tuple[int, int, float], ...]:
-    seen = set()
-    out = []
+def _numeric_columns(edges):
+    """The u, v, w columns of an edge list whose rows are all numeric pairs
+    or all numeric triples, converted as int() and float() would convert
+    each entry (a pair has weight 1.0).  None for any other list: ragged,
+    non-numeric, or with an endpoint a float64 does not hold exactly."""
+    try:
+        a = np.asarray(edges)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if a.ndim != 2 or a.shape[1] not in (2, 3) or a.dtype.kind not in "if":
+        return None
+    ends = a[:, :2]
+    if a.dtype.kind == "f" and not np.all(np.abs(ends) < 2.0 ** 53):
+        return None
+    u, v = ends.astype(np.int64).T  # truncates toward zero, as int() does
+    w = a[:, 2].astype(np.float64) if a.shape[1] == 3 else np.ones(len(a))
+    return u, v, w
+
+
+def _checked_columns(n: int, u, v, w):
+    """Order each edge u <= v and sort by (u, v).  The first edge in input
+    order that is out of range, has a non-finite or zero weight, or repeats
+    an earlier pair raises, with that precedence within one edge."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # lexsort is stable: a repeated pair sorts after its first occurrence
+    order = np.lexsort((hi, lo))
+    slo, shi = lo[order], hi[order]
+    repeat = np.zeros(len(u), dtype=bool)
+    repeat[order[1:]] = (slo[1:] == slo[:-1]) & (shi[1:] == shi[:-1])
+    out_of_range = (lo < 0) | (hi >= n)
+    bad_weight = ~np.isfinite(w) | (w == 0.0)
+    bad = out_of_range | bad_weight | repeat
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b, x = int(u[i]), int(v[i]), float(w[i])
+        if out_of_range[i]:
+            raise GraphError(f"edge ({a},{b}) out of range for n={n}")
+        if bad_weight[i]:
+            raise GraphError(f"edge ({a},{b}) has invalid weight {x!r}")
+        raise GraphError(f"duplicate edge ({min(a, b)},{max(a, b)})")
+    return slo, shi, w[order]
+
+
+def _columns(rows):
+    u, v, w = zip(*rows) if rows else ((), (), ())
+    return (np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
+            np.array(w, dtype=np.float64))
+
+
+def _canonical_edges(n: int, edges):
+    """The canonical (u, v, w) columns of an edge list.  Lists that
+    _numeric_columns cannot take are converted edge by edge; an edge that
+    fails to convert, or is out of range, raises once the edges before it
+    have passed their checks."""
+    cols = _numeric_columns(edges)
+    if cols is not None:
+        return _checked_columns(n, *cols)
+    rows = []
     for e in edges:
-        if len(e) == 2:
-            u, v = e
-            w = 1.0
-        else:
-            u, v, w = e
-        u, v, w = int(u), int(v), float(w)
+        try:
+            if len(e) == 2:
+                u, v = e
+                w = 1.0
+            else:
+                u, v, w = e
+            u, v, w = int(u), int(v), float(w)
+        except (TypeError, ValueError, OverflowError):
+            _checked_columns(n, *_columns(rows))
+            raise
         if not (0 <= u < n and 0 <= v < n):
+            _checked_columns(n, *_columns(rows))
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-        if not math.isfinite(w) or w == 0.0:
-            raise GraphError(f"edge ({u},{v}) has invalid weight {w!r}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise GraphError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        out.append((u, v, w))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return tuple(out)
+        rows.append((u, v, w))
+    return _checked_columns(n, *_columns(rows))
+
+
+def _checked_labels(n: int, labels) -> tuple[str, ...]:
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != n:
+        raise GraphError("labels length must match vertex count")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -83,24 +141,28 @@ class WeightedGraph:
     """An undirected weighted graph with optional loops.
 
     ``edges`` is canonicalized on construction: endpoints ordered u <= v,
-    sorted lexicographically, duplicates rejected.  ``labels`` and
-    ``provenance`` are annotations and do not participate in equality.
+    sorted lexicographically, duplicates rejected.  ``columns`` holds the
+    same edges as read-only arrays.  ``labels`` and ``provenance`` are
+    annotations and do not participate in equality.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...] = ()
     labels: tuple[str, ...] | None = field(default=None, compare=False)
     provenance: object = field(default=None, compare=False, repr=False)
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise GraphError("vertex count must be nonnegative")
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
+        cols = _canonical_edges(self.n, self.edges)
+        for c in cols:
+            c.setflags(write=False)
+        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "edges", tuple(zip(*(c.tolist() for c in cols))))
         if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != self.n:
-                raise GraphError("labels length must match vertex count")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _checked_labels(self.n, self.labels))
 
     # -- basic queries ------------------------------------------------------
 
@@ -139,10 +201,10 @@ class WeightedGraph:
     def adjacency_matrix(self) -> np.ndarray:
         """Symmetric adjacency matrix; a loop contributes its weight once to
         the diagonal."""
+        u, v, w = self.columns
         a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
+        a[u, v] = w
+        a[v, u] = w
         return a
 
     def degree(self, u: int) -> float:
@@ -150,20 +212,22 @@ class WeightedGraph:
         return 2.0 * self.loop_weight(u) + sum(self.neighbors(u).values())
 
     def degrees(self) -> np.ndarray:
-        a = self.adjacency_matrix()
-        return a.sum(axis=1) + np.diag(a)
+        """Weighted degrees of all vertices, with loops counted twice."""
+        u, v, w = self.columns
+        return np.bincount(u, w, self.n) + np.bincount(v, w, self.n)
 
     @property
     def is_simple(self) -> bool:
-        return all(u != v for u, v, _ in self.edges)
+        u, v, _ = self.columns
+        return not np.any(u == v)
 
     @property
     def is_unweighted(self) -> bool:
-        return all(w == 1.0 for _, _, w in self.edges)
+        return bool(np.all(self.columns[2] == 1.0))
 
     @property
     def is_positively_weighted(self) -> bool:
-        return all(w > 0.0 for _, _, w in self.edges)
+        return bool(np.all(self.columns[2] > 0.0))
 
     def regular_degree(self) -> float | None:
         """Common weighted degree if the graph is regular, else None."""
@@ -176,10 +240,17 @@ class WeightedGraph:
         return None
 
     def with_labels(self, labels) -> "WeightedGraph":
-        return replace(self, labels=tuple(labels))
+        return self._annotated(labels=_checked_labels(self.n, labels))
 
     def with_provenance(self, provenance) -> "WeightedGraph":
-        return replace(self, provenance=provenance)
+        return self._annotated(provenance=provenance)
+
+    def _annotated(self, **annotations) -> "WeightedGraph":
+        """A copy with other annotations.  Edges, columns and everything
+        cached from them are shared, not canonicalized again."""
+        g = object.__new__(type(self))
+        g.__dict__.update(self.__dict__, **annotations)
+        return g
 
     def content_hash(self) -> str:
         return self._content_hash
@@ -648,10 +719,49 @@ def build_family(spec: FamilySpec) -> WeightedGraph:
 # -- file format --------------------------------------------------------------
 
 
+# edge rows of a graph file whose lines all have 2 or all have 3 tokens
+_EDGE_ROWS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),
+              3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])}
+
+
+def _parse_columns(text: str) -> tuple[int, np.ndarray] | None:
+    """n and the (m, 3) edge array of a graph file's text, parsed a whole
+    column at a time (a line 'u v' has weight 1).  np.loadtxt takes the same
+    integer and float tokens as int() and float(), or fewer.  None when the
+    text is not ASCII, holds a '#', or has a header, line count, mixed line
+    widths, a token np.loadtxt refuses or an endpoint beyond float64
+    precision, all of which the line-by-line reader rules on."""
+    if "#" in text or not text.isascii():
+        return None
+    header, _, body = text.lstrip().partition("\n")
+    toks = header.split()
+    lines = body.split("\n")
+    first = next((t for t in map(str.split, lines) if t), ())
+    if len(toks) != 2 or len(first) not in _EDGE_ROWS:
+        return None
+    try:
+        n, m = int(toks[0]), int(toks[1])
+        rows = np.loadtxt(lines, dtype=_EDGE_ROWS[len(first)], ndmin=1)
+    except ValueError:
+        return None
+    a = np.ones((len(rows), 3))
+    for j, name in enumerate(rows.dtype.names):
+        a[:, j] = rows[name]
+    if m != len(rows) or np.any(np.abs(a[:, :2]) >= 2.0 ** 53):
+        return None
+    return n, a
+
+
 def read_graph_file(path) -> WeightedGraph:
-    """Read the plain text format: first line 'n m', then m lines 'u v w'."""
+    """Read the plain text format: first line 'n m', then m lines 'u v w'
+    (a line 'u v' has weight 1)."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        text = fh.read()
+    parsed = _parse_columns(text)
+    if parsed is not None:
+        return WeightedGraph(*parsed)
+    # line by line: the first bad line raises
+    lines = [s for ln in text.split("\n") if (s := ln.strip()) and not ln.startswith("#")]
     if not lines:
         raise GraphError(f"{path}: empty graph file")
     try:

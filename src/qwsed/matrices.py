@@ -102,7 +102,7 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
     isolated (zero-degree) vertices; negative degrees are rejected for them.
     """
     a = graph.adjacency_matrix()
-    deg = graph.degrees()
+    deg = a.sum(axis=1) + np.diag(a)
     zero = tuple(int(i) for i in np.flatnonzero(np.abs(deg) < 1e-12))
     if kind.name == "adjacency":
         m = a

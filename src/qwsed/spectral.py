@@ -203,12 +203,20 @@ class TwinSet:
         return len(self.vertices)
 
 
-def _twin_pair(g: WeightedGraph, u: int, v: int) -> bool:
-    if g.loop_weight(u) != g.loop_weight(v):
-        return False
-    nu = {j: w for j, w in g.neighbors(u).items() if j != v}
-    nv = {j: w for j, w in g.neighbors(v).items() if j != u}
-    return nu == nv
+def _closed_twin_classes(a: np.ndarray, bucket: list[int]) -> list[list[int]]:
+    """Split vertices of one closed bucket (pairwise adjacent, equal loops)
+    into twin classes: rows of a (diagonal cleared) equal off the pair."""
+    classes, left = [], list(bucket)
+    while left:
+        u, rest = left[0], np.array(left[1:], dtype=np.intp)
+        diff = a[rest] != a[u]
+        diff[:, u] = False
+        diff[np.arange(len(rest)), rest] = False
+        same = rest[~diff.any(axis=1)].tolist()
+        classes.append([u, *same])
+        taken = set(same)
+        left = [v for v in left[1:] if v not in taken]
+    return classes
 
 
 def find_twin_sets(g: WeightedGraph,
@@ -218,41 +226,29 @@ def find_twin_sets(g: WeightedGraph,
     Weight comparisons are exact: twins are a combinatorial notion on the
     given weights.  theta is computed for the requested matrix kind.
     """
-    parent = list(range(g.n))
+    a = g.adjacency_matrix()
+    loops = np.diag(a).tolist()
+    np.fill_diagonal(a, 0.0)
+    closed = a != 0.0
+    np.fill_diagonal(closed, True)
+    closed = np.packbits(closed, axis=1)
+    # non-adjacent twins have equal rows and loops, so an open bucket is a
+    # class; adjacent twins share the support of their closed neighbourhood
+    open_buckets: dict[tuple, list[int]] = {}
+    closed_buckets: dict[tuple, list[int]] = {}
+    for u, (loop, row, support) in enumerate(zip(loops, a, closed)):
+        open_buckets.setdefault((loop, row.tobytes()), []).append(u)
+        closed_buckets.setdefault((loop, support.tobytes()), []).append(u)
+    classes = [b for b in open_buckets.values() if len(b) > 1]
+    for bucket in closed_buckets.values():
+        if len(bucket) > 1:
+            classes += [c for c in _closed_twin_classes(a, bucket) if len(c) > 1]
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    # twins share a bucket: non-adjacent ones their weighted open
-    # neighbourhood, adjacent ones the vertex set N(u) + {u}
-    buckets: dict[tuple, list[int]] = {}
-    for u in range(g.n):
-        nbrs, loop = g.neighbors(u), g.loop_weight(u)
-        buckets.setdefault(("open", loop, tuple(sorted(nbrs.items()))), []).append(u)
-        buckets.setdefault(("closed", loop, tuple(sorted([*nbrs, u]))), []).append(u)
-    for bucket in buckets.values():
-        for i, u in enumerate(bucket):
-            for v in bucket[i + 1:]:
-                if find(u) != find(v) and _twin_pair(g, u, v):
-                    parent[find(v)] = find(u)
-
-    classes: dict[int, list[int]] = {}
-    for u in range(g.n):
-        classes.setdefault(find(u), []).append(u)
     out = []
-    for verts in sorted(classes.values()):
-        if len(verts) < 2:
-            continue
-        eta = g.weight(verts[0], verts[1])
-        for i, a in enumerate(verts):
-            for b in verts[i + 1:]:
-                if g.weight(a, b) != eta:  # pragma: no cover - ruled out above
-                    raise SpectralError("inconsistent twin class")
-        omega = g.loop_weight(verts[0])
-        degree = g.degree(verts[0])
+    for verts in sorted(classes):
+        row = a[verts[0]]
+        omega, eta = loops[verts[0]], float(row[verts[1]])
+        degree = 2.0 * omega + sum(row[row != 0.0].tolist())
         theta = twin_theta(kind, degree, omega, eta)
         out.append(TwinSet(tuple(verts), omega, eta, degree, theta, kind))
     return out
@@ -261,17 +257,18 @@ def find_twin_sets(g: WeightedGraph,
 def verify_twin_eigenvector(d: SpectralDecomposition, twins: TwinSet,
                             tol: float = 1e-9) -> bool:
     """Check M(e_u - e_v) = theta (e_u - e_v) for every pair in the twin set,
-    against the decomposed matrix."""
+    against the decomposed matrix.
+
+    With R = M[:, class] - theta I[:, class], the pair defect
+    ||R_u - R_v||_inf is largest over pairs as the largest row spread
+    max(R) - min(R), so one pass over the class's columns checks all pairs.
+    """
     m = d.matrix
     scale = max(1.0, float(np.max(np.abs(m))))
-    verts = twins.vertices
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            x = np.zeros(d.n)
-            x[u], x[v] = 1.0, -1.0
-            if float(np.max(np.abs(m @ x - twins.theta * x))) > tol * scale:
-                return False
-    return True
+    verts = list(twins.vertices)
+    r = m[:, verts]
+    r[verts, np.arange(len(verts))] -= twins.theta
+    return float(np.max(r.max(axis=1) - r.min(axis=1))) <= tol * scale
 
 
 # -- periodicity ---------------------------------------------------------------

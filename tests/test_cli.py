@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from qwsed import cli
 from qwsed.cli import build_parser, expand_family_range, main
 from qwsed.graphs import WeightedGraph, write_graph_file
 
@@ -250,3 +251,18 @@ def test_parser_rejects_missing_source():
     with pytest.raises(SystemExit):
         parser.parse_args(["analyze", "--graph", "a.graph", "--family",
                            "complete:3", "--vertex", "0"])
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(2):
+        code, out, _ = run(capsys, "analyze", "--family", "complete:3", "--vertex", "0")
+        assert code == 0 and json.loads(out)["vertex"] == 0
+    assert built == [1]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwsed.graphs import (
     FamilySpec,
@@ -228,3 +230,166 @@ def test_describe_anonymous_graph():
     g = WeightedGraph(3, ((0, 1, 1.0),))
     text = describe_graph(g)
     assert text.startswith("graph:3v,1e,")
+
+
+# -- canonical edges against a per-edge reference ----------------------------------
+
+
+def _reference_edges(n, edges):
+    """Edge by edge: convert, check range, weight and repeats, then sort."""
+    seen, out = set(), []
+    for e in edges:
+        if len(e) == 2:
+            u, v = e
+            w = 1.0
+        else:
+            u, v, w = e
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if not math.isfinite(w) or w == 0.0:
+            raise GraphError(f"edge ({u},{v}) has invalid weight {w!r}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        out.append((u, v, w))
+    return tuple(sorted(out, key=lambda t: (t[0], t[1])))
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # the type and message must agree too
+        return type(exc), str(exc)
+
+
+_ENDS = st.one_of(st.integers(-2, 6), st.sampled_from([1.0, 2.5, -0.5, 3.99]),
+                  st.sampled_from([math.nan, math.inf, 2 ** 70, "3", "1.5", None]))
+_WEIGHTS = st.one_of(st.sampled_from([1.0, 2.0, -0.5, 0.0, -0.0, 1e-300, 0.1,
+                                      math.nan, math.inf, -math.inf]),
+                     st.floats(allow_nan=True, allow_infinity=True),
+                     st.integers(-3, 3))
+_ROW = st.one_of(st.tuples(_ENDS, _ENDS), st.tuples(_ENDS, _ENDS, _WEIGHTS))
+# uniform numeric rows take the column path; the rest go edge by edge
+_NUMERIC = st.one_of(
+    st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6), _WEIGHTS), max_size=12),
+    st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=12),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                       st.sampled_from([1.0, 0.5, math.nan, 0.0])), max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 6), st.one_of(_NUMERIC, st.lists(_ROW, max_size=10)))
+def test_canonical_edges_match_a_per_edge_reference(n, edges):
+    want = _outcome(_reference_edges, n, edges)
+    got = _outcome(lambda: WeightedGraph(n, edges).edges)
+    assert got == want
+    if got[0] == "ok":
+        assert all(type(u) is int and type(v) is int and type(w) is float
+                   for u, v, w in got[1])
+    numeric = all(type(x) in (int, float) for e in edges for x in e)
+    if edges and numeric and len({len(e) for e in edges}) == 1:
+        assert _outcome(lambda: WeightedGraph(n, np.array(edges)).edges) == want
+
+
+def test_columns_and_predicates_read_the_canonical_edges():
+    g = WeightedGraph(4, ((3, 1, 0.5), (0, 0, 2.0), (2, 0, -1.0)))
+    u, v, w = g.columns
+    assert u.tolist() == [0, 0, 1] and v.tolist() == [0, 2, 3]
+    assert w.tolist() == [2.0, -1.0, 0.5]
+    assert not u.flags.writeable
+    assert g.degrees().tolist() == [3.0, 0.5, -1.0, 0.5]
+    assert not g.is_simple and not g.is_unweighted and not g.is_positively_weighted
+    assert g.with_labels("abcd").columns is g.columns
+
+
+def test_degrees_from_columns_match_the_dense_row_sums():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(3 * n, 2))}
+        g = WeightedGraph(n, tuple((a, b, float(rng.uniform(-2.0, 2.0))) for a, b in pairs
+                                   if (b, a) not in pairs or a <= b))
+        a = g.adjacency_matrix()
+        assert np.allclose(g.degrees(), a.sum(axis=1) + np.diag(a), rtol=1e-12, atol=1e-12)
+
+
+# -- the graph file reader -----------------------------------------------------------
+
+
+def _reference_read(path):
+    """Line by line, as the format is specified."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise GraphError(f"{path}: empty graph file")
+    try:
+        n, m = (int(tok) for tok in lines[0].split())
+    except ValueError as exc:
+        raise GraphError(f"{path}: bad header {lines[0]!r}") from exc
+    if len(lines) - 1 != m:
+        raise GraphError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
+    edges = []
+    for ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) not in (2, 3):
+            raise GraphError(f"{path}: bad edge line {ln!r}")
+        edges.append((int(toks[0]), int(toks[1]),
+                      float(toks[2]) if len(toks) == 3 else 1.0))
+    return WeightedGraph(n, tuple(edges))
+
+
+def _read_both(tmp_path, text):
+    path = tmp_path / "g.graph"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(lambda: read_graph_file(path).edges)
+    want = _outcome(lambda: _reference_read(path).edges)
+    return got, want
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("3 1\n0 1.5 1.0\n", ValueError, "invalid literal for int() with base 10: '1.5'"),
+    ("3 1\n1e3 1 1.0\n", ValueError, "invalid literal for int() with base 10: '1e3'"),
+    ("3 2\n0 1\n2\n", GraphError, "bad edge line '2'"),
+    ("3 1\n0 1 1.0 4\n", GraphError, "bad edge line '0 1 1.0 4'"),
+    ("3 3\n0 1\n1 2\n", GraphError, "expected 3 edge lines, found 2"),
+    ("3 1\n0 1 x\n", ValueError, "could not convert string to float: 'x'"),
+    ("3 2\n0 1 1.0\n1 2 1.0 #x\n", GraphError, "bad edge line '1 2 1.0 #x'"),
+    ("3 1\n0 3 1.0\n", GraphError, "edge (0,3) out of range for n=3"),
+    ("3\n0 1\n", GraphError, "bad header '3'"),
+    ("\n# nothing\n", GraphError, "empty graph file"),
+])
+def test_reader_errors_name_the_first_bad_line(tmp_path, text, error, message):
+    got, want = _read_both(tmp_path, text)
+    assert got == want
+    assert got[0] is error and got[1].endswith(message)
+
+
+def test_reader_takes_loops_pairs_comments_and_spacing(tmp_path):
+    text = "# a loop, a weighted edge and a pair\n4 3\n\n0 0 2.0\n1\t2  0.25\n 3 1\r\n"
+    got, want = _read_both(tmp_path, text)
+    assert got == want == ("ok", ((0, 0, 2.0), (1, 2, 0.25), (1, 3, 1.0)))
+
+
+_TOKENS = ["0", "1", "2", "+2", "-1", "007", "1_0", "1.5", "1.0", "1e3", "0x1", "nan",
+           "-nan", "+inf", "Infinity", ".5", "-0.0", "2.5", "٣", "9" * 20, "#", "x",
+           "1\x01"]
+_ENDPOINT = st.sampled_from(["0", "1", "2", "3", "+2", "007", "-1", "1_0", "1.0", "12"])
+_WEIGHT = st.sampled_from(["1.0", "0.5", "-2", "1e3", "nan", "0", ".5", "1_0.5", "x"])
+# lines of one width mostly take the column parser; the rest go line by line
+_LINES = st.one_of(
+    st.lists(st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=4), max_size=6),
+    st.lists(st.tuples(_ENDPOINT, _ENDPOINT, _WEIGHT).map(list), max_size=8),
+    st.lists(st.tuples(_ENDPOINT, _ENDPOINT).map(list), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), _LINES,
+       st.sampled_from([" ", "\t", "  ", "\x0b", "\x1c", "\xa0"]), st.booleans())
+def test_reader_matches_a_line_by_line_reference(tmp_path_factory, n, lines, sep, lead):
+    body = "\n".join(sep.join(toks) for toks in lines)
+    text = f"{sep if lead else ''}\n{n} {sum(1 for toks in lines if toks)}\n{body}\n"
+    got, want = _read_both(tmp_path_factory.mktemp("r"), text)
+    assert got == want

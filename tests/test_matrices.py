@@ -110,3 +110,19 @@ def test_graph_hash_tag():
     assert h1.graph_hash == h2.graph_hash
     other = assemble(path_graph(4), ADJACENCY)
     assert other.graph_hash != h1.graph_hash
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN, generalized_adjacency(0.5),
+                                  NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN])
+def test_assemble_builds_the_adjacency_matrix_once(monkeypatch, kind):
+    built = []
+    original = WeightedGraph.adjacency_matrix
+
+    def counting(self):
+        built.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(WeightedGraph, "adjacency_matrix", counting)
+    g = WeightedGraph(3, ((0, 0, 1.5), (0, 1, 2.0), (1, 2, 0.5)))
+    assemble(g, kind)
+    assert built == [3]

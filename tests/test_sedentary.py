@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -130,6 +131,17 @@ def test_find_equality_time():
     w4 = _walk("star:4")
     t4 = find_equality_time(w4, 1, (1,), (0.0, math.pi))
     assert t4 == pytest.approx(math.pi / 2.0, abs=1e-8)
+
+
+def test_star_400_leaf_laplacian_within_budget():
+    """The twin check of a 400-leaf class is one pass over its columns."""
+    g = build_family(parse_family("star:400"))
+    start = time.perf_counter()
+    report = classify(g, 1, LAPLACIAN).to_dict()
+    elapsed = time.perf_counter() - start
+    assert report["classification"] == TIGHTLY_SEDENTARY
+    assert report["C"] == pytest.approx(1.0 - 2.0 / 400, abs=1e-12)
+    assert elapsed < 0.2
 
 
 @pytest.mark.parametrize("g,kind,factor_vertices", [

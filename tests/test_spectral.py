@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, twin_theta
 from qwsed.spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralError,
-    _twin_pair,
     are_cospectral,
     decompose,
     find_twin_sets,
@@ -163,6 +165,14 @@ def _planted_twins(rng) -> WeightedGraph:
     return WeightedGraph(n, tuple((u, v, w) for (u, v), w in sorted(edges.items())))
 
 
+def _twin_pair(g: WeightedGraph, u: int, v: int) -> bool:
+    if g.loop_weight(u) != g.loop_weight(v):
+        return False
+    nu = {j: w for j, w in g.neighbors(u).items() if j != v}
+    nv = {j: w for j, w in g.neighbors(v).items() if j != u}
+    return nu == nv
+
+
 def _twin_classes_by_all_pairs(g):
     classes = []
     for u in range(g.n):
@@ -190,6 +200,56 @@ def test_verify_twin_eigenvector():
     d = decompose(assemble(g, ADJACENCY))
     for twins in find_twin_sets(g, ADJACENCY):
         assert verify_twin_eigenvector(d, twins)
+
+
+def _verify_all_pairs(d, twins, tol=1e-9):
+    """M(e_u - e_v) = theta (e_u - e_v), checked pair by pair."""
+    m = d.matrix
+    scale = max(1.0, float(np.max(np.abs(m))))
+    verts = twins.vertices
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            x = np.zeros(d.n)
+            x[u], x[v] = 1.0, -1.0
+            if float(np.max(np.abs(m @ x - twins.theta * x))) > tol * scale:
+                return False
+    return True
+
+
+def test_verify_twin_eigenvector_matches_an_all_pairs_check():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for i in range(150):
+        g = _planted_twins(rng)
+        kind = (ADJACENCY, LAPLACIAN)[i % 2]
+        d = decompose(assemble(g, kind))
+        scale = max(1.0, float(np.max(np.abs(d.matrix))))
+        for twins in find_twin_sets(g, kind):
+            assert verify_twin_eigenvector(d, twins) and _verify_all_pairs(d, twins)
+            # move one member's column: by half the tolerance it still
+            # passes, by twice the tolerance the class is rejected
+            u = twins.vertices[int(rng.integers(twins.size))]
+            for shift, ok in ((0.5e-9 * scale, True), (2e-9 * scale, False)):
+                m = np.array(d.matrix)
+                m[:, u] += shift
+                moved = dataclasses.replace(d, matrix=m)
+                assert verify_twin_eigenvector(moved, twins) is ok
+                assert _verify_all_pairs(moved, twins) is ok
+            checked += 1
+    assert checked >= 150
+
+
+def test_star_twin_class_of_2000_leaves_within_budget():
+    g = star_graph(2000)
+    m = assemble(g, LAPLACIAN).matrix
+    start = time.perf_counter()
+    (leaves,) = find_twin_sets(g, LAPLACIAN)
+    # the check reads only the matrix, so no 2001-vertex eigh is needed
+    ok = verify_twin_eigenvector(types.SimpleNamespace(matrix=m), leaves)
+    elapsed = time.perf_counter() - start
+    assert leaves.vertices == tuple(range(1, 2001)) and leaves.theta == 1.0
+    assert ok
+    assert elapsed < 2.0
 
 
 def test_twin_theta_matches_found_sets():
