@@ -8,7 +8,8 @@ returns a new instance.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "GraphError",
     "WeightedGraph",
+    "adjacency_degrees",
     "empty_graph",
     "complete_graph",
     "path_graph",
@@ -136,6 +138,11 @@ def _checked_labels(n: int, labels) -> tuple[str, ...]:
     return labels
 
 
+def adjacency_degrees(a: np.ndarray) -> np.ndarray:
+    """Weighted degrees from an adjacency matrix, with loops counted twice."""
+    return a.sum(axis=1) + np.diag(a)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """An undirected weighted graph with optional loops.
@@ -213,8 +220,7 @@ class WeightedGraph:
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees of all vertices, with loops counted twice."""
-        u, v, w = self.columns
-        return np.bincount(u, w, self.n) + np.bincount(v, w, self.n)
+        return adjacency_degrees(self.adjacency_matrix())
 
     @property
     def is_simple(self) -> bool:
@@ -240,17 +246,10 @@ class WeightedGraph:
         return None
 
     def with_labels(self, labels) -> "WeightedGraph":
-        return self._annotated(labels=_checked_labels(self.n, labels))
+        return replace(self, labels=labels)
 
     def with_provenance(self, provenance) -> "WeightedGraph":
-        return self._annotated(provenance=provenance)
-
-    def _annotated(self, **annotations) -> "WeightedGraph":
-        """A copy with other annotations.  Edges, columns and everything
-        cached from them are shared, not canonicalized again."""
-        g = object.__new__(type(self))
-        g.__dict__.update(self.__dict__, **annotations)
-        return g
+        return replace(self, provenance=provenance)
 
     def content_hash(self) -> str:
         return self._content_hash
@@ -727,7 +726,8 @@ _EDGE_ROWS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),
 def _parse_columns(text: str) -> tuple[int, np.ndarray] | None:
     """n and the (m, 3) edge array of a graph file's text, parsed a whole
     column at a time (a line 'u v' has weight 1).  np.loadtxt takes the same
-    integer and float tokens as int() and float(), or fewer.  None when the
+    integer and float tokens as int() and float(), or fewer, once its
+    float-parsed integers are refused.  None when the
     text is not ASCII, holds a '#', or has a header, line count, mixed line
     widths, a token np.loadtxt refuses or an endpoint beyond float64
     precision, all of which the line-by-line reader rules on."""
@@ -741,8 +741,12 @@ def _parse_columns(text: str) -> tuple[int, np.ndarray] | None:
         return None
     try:
         n, m = int(toks[0]), int(toks[1])
-        rows = np.loadtxt(lines, dtype=_EDGE_ROWS[len(first)], ndmin=1)
-    except ValueError:
+        # numpy releases that parse an integer field via float (so '1.5' and
+        # '1e3' pass) warn with a DeprecationWarning; refuse those tokens too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, dtype=_EDGE_ROWS[len(first)], ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
     a = np.ones((len(rows), 3))
     for j, name in enumerate(rows.dtype.names):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, adjacency_degrees
 
 __all__ = [
     "MatrixError",
@@ -102,7 +102,7 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
     isolated (zero-degree) vertices; negative degrees are rejected for them.
     """
     a = graph.adjacency_matrix()
-    deg = a.sum(axis=1) + np.diag(a)
+    deg = adjacency_degrees(a)
     zero = tuple(int(i) for i in np.flatnonzero(np.abs(deg) < 1e-12))
     if kind.name == "adjacency":
         m = a

@@ -203,15 +203,16 @@ class TwinSet:
         return len(self.vertices)
 
 
-def _closed_twin_classes(a: np.ndarray, bucket: list[int]) -> list[list[int]]:
-    """Split vertices of one closed bucket (pairwise adjacent, equal loops)
-    into twin classes: rows of a (diagonal cleared) equal off the pair."""
+def _twin_classes(a: np.ndarray, bucket: list[int], adjacent: bool) -> list[list[int]]:
+    """Split one bucket of vertices with equal loops into twin classes: rows
+    of a (diagonal cleared) equal, off the pair when the twins are adjacent."""
     classes, left = [], list(bucket)
     while left:
         u, rest = left[0], np.array(left[1:], dtype=np.intp)
         diff = a[rest] != a[u]
-        diff[:, u] = False
-        diff[np.arange(len(rest)), rest] = False
+        if adjacent:
+            diff[:, u] = False
+            diff[np.arange(len(rest)), rest] = False
         same = rest[~diff.any(axis=1)].tolist()
         classes.append([u, *same])
         taken = set(same)
@@ -232,17 +233,19 @@ def find_twin_sets(g: WeightedGraph,
     closed = a != 0.0
     np.fill_diagonal(closed, True)
     closed = np.packbits(closed, axis=1)
-    # non-adjacent twins have equal rows and loops, so an open bucket is a
-    # class; adjacent twins share the support of their closed neighbourhood
+    # non-adjacent twins have equal rows and loops: bucket them by the hash
+    # of the row; adjacent twins share the support of their closed
+    # neighbourhood.  Rows are compared exactly within a bucket.
     open_buckets: dict[tuple, list[int]] = {}
     closed_buckets: dict[tuple, list[int]] = {}
     for u, (loop, row, support) in enumerate(zip(loops, a, closed)):
-        open_buckets.setdefault((loop, row.tobytes()), []).append(u)
+        open_buckets.setdefault((loop, hash(row.tobytes())), []).append(u)
         closed_buckets.setdefault((loop, support.tobytes()), []).append(u)
-    classes = [b for b in open_buckets.values() if len(b) > 1]
-    for bucket in closed_buckets.values():
-        if len(bucket) > 1:
-            classes += [c for c in _closed_twin_classes(a, bucket) if len(c) > 1]
+    classes = []
+    for buckets, adjacent in ((open_buckets, False), (closed_buckets, True)):
+        for bucket in buckets.values():
+            if len(bucket) > 1:
+                classes += [c for c in _twin_classes(a, bucket, adjacent) if len(c) > 1]
 
     out = []
     for verts in sorted(classes):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,18 +303,9 @@ def test_columns_and_predicates_read_the_canonical_edges():
     assert not u.flags.writeable
     assert g.degrees().tolist() == [3.0, 0.5, -1.0, 0.5]
     assert not g.is_simple and not g.is_unweighted and not g.is_positively_weighted
-    assert g.with_labels("abcd").columns is g.columns
-
-
-def test_degrees_from_columns_match_the_dense_row_sums():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        n = int(rng.integers(1, 30))
-        pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(3 * n, 2))}
-        g = WeightedGraph(n, tuple((a, b, float(rng.uniform(-2.0, 2.0))) for a, b in pairs
-                                   if (b, a) not in pairs or a <= b))
-        a = g.adjacency_matrix()
-        assert np.allclose(g.degrees(), a.sum(axis=1) + np.diag(a), rtol=1e-12, atol=1e-12)
+    h = g.with_labels("abcd")
+    assert h == g and h.labels == tuple("abcd")
+    assert all(np.array_equal(x, y) for x, y in zip(h.columns, g.columns))
 
 
 # -- the graph file reader -----------------------------------------------------------
@@ -365,6 +357,34 @@ def test_reader_errors_name_the_first_bad_line(tmp_path, text, error, message):
     got, want = _read_both(tmp_path, text)
     assert got == want
     assert got[0] is error and got[1].endswith(message)
+
+
+def _loadtxt_via_float(real):
+    """np.loadtxt as numpy releases with the float-parsed integer deprecation
+    behave: an integer field whose token int() refuses is parsed as a float
+    and truncated, with a DeprecationWarning."""
+    def loadtxt(lines, dtype, ndmin):
+        for toks in map(str.split, lines):
+            for tok in toks[:2]:
+                try:
+                    int(tok)
+                except ValueError:
+                    warnings.warn("Parsing an integer via a float is deprecated.",
+                                  DeprecationWarning, stacklevel=2)
+        as_float = np.dtype([(name, np.float64) for name in dtype.names])
+        return real(lines, dtype=as_float, ndmin=ndmin).astype(dtype)
+    return loadtxt
+
+
+@pytest.mark.parametrize("text", ["3 1\n0 1.5 1.0\n", "3 1\n1e3 1 1.0\n",
+                                  "3 1\n0 1.5\n", "3 2\n0 1 1.0\n2.0 1 1.0\n"])
+def test_reader_refuses_float_endpoints_that_numpy_only_warns_about(
+        tmp_path, monkeypatch, text):
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_via_float(np.loadtxt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # as outside __main__
+        got, want = _read_both(tmp_path, text)
+    assert got == want and got[0] is ValueError
 
 
 def test_reader_takes_loops_pairs_comments_and_spacing(tmp_path):

@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+from qwsed import spectral
 from qwsed.graphs import (
     WeightedGraph,
     blow_up,
@@ -193,6 +194,17 @@ def test_twin_sets_match_an_all_pairs_search():
         assert got == _twin_classes_by_all_pairs(g)
         found += len(got)
     assert found >= 300
+
+
+def test_twin_sets_split_buckets_whose_row_hashes_collide(monkeypatch):
+    """With every row hash 0, each loop weight makes one open bucket; the
+    exact row comparison must still split it into twin classes."""
+    rng = np.random.default_rng(12)
+    monkeypatch.setattr(spectral, "hash", lambda row: 0, raising=False)
+    for _ in range(100):
+        g = _planted_twins(rng)
+        got = sorted(t.vertices for t in find_twin_sets(g, ADJACENCY))
+        assert got == _twin_classes_by_all_pairs(g)
 
 
 def test_verify_twin_eigenvector():
