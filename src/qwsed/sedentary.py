@@ -51,9 +51,10 @@ from .walk import (
     MinimizationResult,
     VertexSpectrum,
     WalkEvaluator,
+    _cubic,
     _curvature,
     _grid_values,
-    _refine_minima,
+    _scan_minima,
     _sq,
 )
 
@@ -221,12 +222,15 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
     eigenvalue support of u.  For a >= 1/2 the triangle inequality gives
     |U(t)_{u,u}| >= |partial sum over S| - (1 - a).  A singleton S makes the
     partial sum constant and the bound 2a - 1 analytic; larger subsets
-    minimize the partial sum on a grid and refine, by batched safeguarded
-    Newton steps on its analytic derivative, every grid-local minimum that
-    the curvature bound cannot place above the grid minimum.  That is
-    honest evidence but not a proof, so the certificate is flagged
-    accordingly; with no window it scans w.default_window(u), and only a
-    certified default window certifies the bound.
+    minimize the squared partial sum by the scan of walk._scan_minima.  On
+    a large grid its coarse pass drops every interval between coarse
+    points that the second- or third-derivative bound places above the
+    coarse minimum.  It refines, by batched safeguarded Newton steps on
+    the analytic derivative, every grid-local minimum that no bound places
+    above the grid minimum.  That is honest evidence but not a proof, so
+    the certificate is flagged accordingly; with no window it scans
+    w.default_window(u), and only a certified default window certifies the
+    bound.
     """
     rec = w.spectrum(u)
     s, pos = _support_positions(rec, u, subset)
@@ -245,10 +249,10 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
     if window is None:
         window, certified = w.default_window(u)
     t0, t1 = float(window[0]), float(window[1])
-    ts, vals = _grid_values(lam, coef, _sq, (t0, t1), grid)
-    _, _, fx = _refine_minima(lam, coef, _sq, ts, vals,
-                              float(_curvature(lam, coef)[0]), float(vals.min()), 1e-10)
-    fmin = math.sqrt(max(min(float(vals.min()), float(fx.min(initial=np.inf))), 0.0))
+    scan = _scan_minima(lam, coef, _sq, (t0, t1), grid, float(_curvature(lam, coef)[0]),
+                        lambda: float(_cubic(lam, coef)[0]), 1e-10)
+    # with no band, the scan's threshold is the least grid value
+    fmin = math.sqrt(max(min(scan.level, float(scan.fx.min(initial=np.inf))), 0.0))
     bound = max(fmin - (1.0 - a), 0.0)
     where = "certified period" if certified else "open window"
     return SedentaryCertificate(
@@ -308,14 +312,19 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
 
     Scans the smooth alignment defect D(t) = sum_j |e^{i delta_j t} - s_j|^2
     (delta_j the support eigenvalues less the first subset eigenvalue, s_j
-    = +1 on the subset and -1 off it) on a grid evaluated in chunks.  A time
-    that passes the condition has D <= k tol^2 for a support of size k, and
-    |D''| <= 2 sum_j delta_j^2, so grid-local minima whose value minus that
-    bound times h^2/8 exceeds k tol^2 cannot hold one and are skipped.  The
-    rest are refined together by safeguarded Newton steps on D' = -2 Re
-    sum_j i delta_j s_j e^{i delta_j t} (bisecting where a step would leave
-    its bracket or D'' <= 0, to 1e-12), and the refined times are checked
-    against the exact condition in increasing order.
+    = +1 on the subset and -1 off it) by the scan of walk._scan_minima.  A
+    time that passes the condition has D <= k tol^2 for a support of size
+    k, and |D''| <= 2 sum_j delta_j^2 and |D'''| <= 2 sum_j |delta_j|^3.
+    On a large grid, a coarse interval (step H) whose lesser end less the
+    first bound times H^2/8, or whose least quadratic through three coarse
+    points less the second bound times H^3/(9 sqrt 3), exceeds k tol^2
+    cannot hold one and is not evaluated further.  Grid-local minima are
+    skipped by the same bounds at the grid step (the first alone on a
+    small grid).  The others are refined together by safeguarded Newton
+    steps on D' = -2 Re sum_j i delta_j s_j e^{i delta_j t} (bisecting
+    where a step would leave its bracket or D'' <= 0, to 1e-12), and the
+    refined times are checked against the exact condition in increasing
+    order.
     """
     rec = w.spectrum(u)
     _, pos = _support_positions(rec, u, subset)
@@ -326,10 +335,10 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     k = len(lam)
     defect = _alignment_defect(k)
     coef = sign[:, None]
-    ts, vals = _grid_values(deltas, coef, defect, window, grid)
-    _, x, _ = _refine_minima(deltas, coef, defect, ts, vals,
-                             2.0 * float(np.sum(deltas ** 2)), k * tol * tol, 1e-12)
-    for t in x:
+    scan = _scan_minima(deltas, coef, defect, window, grid, 2.0 * float(np.sum(deltas ** 2)),
+                        lambda: 2.0 * float(np.sum(np.abs(deltas) ** 3)), 1e-12,
+                        ceiling=k * tol * tol)
+    for t in scan.x:
         if _equality_holds(rec, pos, float(t), tol):
             return float(t)
     return None
@@ -701,11 +710,21 @@ def _induced(graph: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:
     return WeightedGraph(len(keep), edges)
 
 
+def _unit_neighbors(graph: WeightedGraph, u: int) -> np.ndarray | None:
+    """The neighbours of u, read from the edge columns, when u has no loop
+    and every edge at u has weight 1; else None."""
+    a, b, w = graph.columns
+    at = (a == u) | (b == u)
+    # the other end of each edge at u (u itself for a loop)
+    nb = (a + b)[at] - u
+    if u in nb or np.any(w[at] != 1.0):
+        return None
+    return nb
+
+
 def _is_dominating_unit(graph: WeightedGraph, u: int) -> bool:
-    nb = graph.neighbors(u)
-    if len(nb) != graph.n - 1 or graph.loop_weight(u) != 0.0:
-        return False
-    return all(w == 1.0 for w in nb.values())
+    nb = _unit_neighbors(graph, u)
+    return nb is not None and len(nb) == graph.n - 1
 
 
 def _unit_joined_block(graph: WeightedGraph, u: int,
@@ -716,9 +735,8 @@ def _unit_joined_block(graph: WeightedGraph, u: int,
     ts = next((ts for ts in twin_sets if u in ts.vertices), None)
     if ts is None or ts.eta != 0.0 or ts.omega != 0.0:
         return None
-    nb = graph.neighbors(u)
-    if set(nb) == set(range(graph.n)) - set(ts.vertices) \
-            and all(w == 1.0 for w in nb.values()):
+    nb = _unit_neighbors(graph, u)
+    if nb is not None and set(nb.tolist()) == set(range(graph.n)) - set(ts.vertices):
         return ts.size
     return None
 
@@ -777,8 +795,8 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
     if laplacian:
         return _indep_block_laplacian_ruling(block, graph.n - block)
     if block == 2:
-        # the block check already proved neighbors(u) is the base set
-        base = _induced(graph, sorted(graph.neighbors(u)))
+        # the block check already proved u's neighbours are the base set
+        base = _induced(graph, sorted(_unit_neighbors(graph, u).tolist()))
         d = base.regular_degree()
         if d is not None and base.is_unweighted:
             return _indep_pair_adjacency_ruling(int(round(d)), base.n)

@@ -1,27 +1,43 @@
 """Evaluation of the continuous-time walk U(t) = exp(itM) through a spectral
-decomposition, and the scan-and-refine primitive behind every search over
-time: f(t) = reduce(sum_j coef_j e^{i lam_j t}) is evaluated on a uniform
-grid (_grid_values), and the grid-local minima that a curvature bound cannot
-exclude are refined together (_refine_minima) by a batched Newton iteration
-on f' (_newton_batch).  The grid's phase tables are built by doubling from
-directly computed factors (_phase_table): a grid value is a product of at
-most ceil(log2 c) + ceil(log2 per_block) + 1 direct phases wherever it
-lies, and a scan takes a logarithmic number of exponentials, none per grid
-point.  The Newton steps and pointwise sums evaluate arbitrary times and
-take direct exponentials.  Each search has one reducer: given z it returns
-f, and given z, z' and z'' it returns (f, f', f'').  The sign of f' keeps
-every iterate inside a bracket that holds a local minimum, a step that
-leaves it or meets f'' <= 0 bisects instead, and a checked cap bounds the
-steps.  On a certified period of low degree the diagonal oracle instead
-takes every critical point of |U(t)_{u,u}|^2 from one polynomial's roots
-(_critical_clusters).
+decomposition, and the scan-and-refine primitive behind every search for a
+minimum over time (_scan_minima): f(t) = reduce(sum_j coef_j e^{i lam_j t})
+is scanned on a uniform grid, and the grid-local minima that no derivative
+bound can exclude are refined together by a batched Newton iteration on f'
+(_newton_batch).
+
+Grid values come from _grid_values, whose phase tables are built by
+doubling from directly computed factors (_phase_table): a grid value is a
+product of at most ceil(log2 c) + ceil(log2 per_block) + 1 direct phases
+wherever it lies, and a pass takes a logarithmic number of exponentials,
+none per grid point.  A grid of at least _TWO_LEVEL points times terms is
+scanned in two levels.  The coarse pass evaluates every _COARSE-th grid
+point, and an interval between coarse points is dropped when a rigorous
+lower bound on f over it exceeds the search's threshold: the lesser
+endpoint less M2 H^2/8 with |f''| <= M2, and for a smooth reducer also the
+least quadratic through three coarse points less M3 H^3/(9 sqrt 3) with
+|f'''| <= M3 (H the coarse step).  The fine pass evaluates the grid points
+of the other intervals in blocks, each from one direct exponential times a
+shared step table (_fine_values), and the minimum test, both bounds at the
+grid step and the refinement run on them (_refine_minima).  Only intervals
+proven to stay above the threshold go unevaluated, so a search finds the
+minima a scan of every grid point finds.  A smaller grid is evaluated at
+every point and pruned by M2 alone, which costs less there.  The Newton
+steps and pointwise sums evaluate arbitrary times and take direct
+exponentials.  Each search has one reducer: given z it returns f, and
+given z, z' and z'' it returns (f, f', f'').  The sign of f' keeps every
+iterate inside a bracket that holds a local minimum, a step that leaves it
+or meets f'' <= 0 bisects instead, and a checked cap bounds the steps.
+find_zero_crossing in sedentary looks for a sign change, not a minimum,
+and reads the full grid from _grid_values.  On a certified period of low
+degree the diagonal oracle instead takes every critical point of
+|U(t)_{u,u}|^2 from one polynomial's roots (_critical_clusters).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +66,19 @@ _GRID_CAP = 1 << 21
 _CHUNK = 1024
 # candidates this close to the best squared minimum count as ties
 _TIE_BAND = 1e-9
+# a scan's coarse pass evaluates every _COARSE-th point of its grid
+_COARSE = 4
+# the fine pass evaluates aligned blocks of _FINE_BLOCK coarse intervals:
+# kept intervals cluster, and a direct exponential per block costs more
+# than the few grid points a block of several intervals adds
+_FINE_BLOCK = 4
+# grid points times terms (support x columns) from which a scan takes two
+# levels: below it one pass over every point costs less than the bookkeeping
+_TWO_LEVEL = 1 << 21
+# the quadratic through three samples h apart is within M3 h^3 _CUBIC of an
+# f with |f'''| <= M3 on their span: max |s(s - 1)(s - 2)|/6 on [0, 2]
+_CUBIC = 1.0 / (9.0 * math.sqrt(3.0))
+_TINY = float(np.finfo(float).tiny)
 _PST_TOL = 1e-8
 # Newton steps a bracket may take before it only bisects
 _NEWTON_STEPS = 16
@@ -97,6 +126,13 @@ def _curvature(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
     total = w.sum(axis=0)
     mean = (w * lam[:, None]).sum(axis=0) / np.where(total > 0.0, total, 1.0)
     return 2.0 * total * (w * (lam[:, None] - mean) ** 2).sum(axis=0)
+
+
+def _cubic(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Per column of coef, sum_jk |c_j||c_k||lam_j - lam_k|^3, which bounds
+    |d^3/dt^3 |sum_j c_j e^{i lam_j t}|^2|."""
+    w = np.abs(coef)
+    return np.sum(w * (np.abs(lam[:, None] - lam[None, :]) ** 3 @ w), axis=0)
 
 
 def _phase_table(lam: np.ndarray, dt: float, count: int) -> np.ndarray:
@@ -199,22 +235,187 @@ def _newton_batch(lam: np.ndarray, coef: np.ndarray, reduce, a: np.ndarray,
     raise WalkError(f"Newton refinement left {act.size} brackets open after {cap} steps")
 
 
-def _refine_minima(lam: np.ndarray, coef: np.ndarray, reduce, ts: np.ndarray,
-                   vals: np.ndarray, m2: float, threshold: float, xtol: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kept grid-local minima of vals, their refined times and f there, for
-    the f = reduce(sum_j coef_j e^{i lam_j t}) that vals samples on ts.
+def _quad_floor(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray, lo, hi,
+                ends: np.ndarray) -> np.ndarray:
+    """Least value over r in [lo, hi] of the quadratic through (-1, f0), (0,
+    f1) and (1, f2), elementwise, where lo < hi (scalars or arrays) are
+    sample positions in {-1, 0, 1} and ends is the lesser sample at them."""
+    # p(r) = f1 + b r + a r^2 is least on [lo, hi] at -b/2a, clipped to it,
+    # when a > 0, and at an end otherwise; the tiny divisor for a <= 0 sends
+    # r to an end (or to r = 0, a sample on the range), and an overflow to
+    # +-inf is clipped there too
+    a, b = 0.5 * (f0 + f2) - f1, 0.5 * (f2 - f0)
+    with np.errstate(over="ignore"):
+        r = np.clip(-b / np.maximum(2.0 * a, _TINY), lo, hi)
+    return np.minimum(ends, f1 + r * (b + a * r))
 
-    With |f''| <= m2 and grid step h, f stays above vals[i] - m2 h^2/8 on
-    the bracket [t_{i-1}, t_{i+1}] of a grid-local minimum i; a bracket
-    where that exceeds threshold cannot reach it and is not refined.  The
+
+def _coarse_keep(vals: np.ndarray, h: float, m2: float, m3: float | None,
+                 threshold: float) -> np.ndarray:
+    """Which intervals [t_i, t_{i+1}] between consecutive samples vals of
+    f, h apart, may hold a value of f at most threshold, where |f''| <= m2
+    and, unless m3 is None, |f'''| <= m3.
+
+    f stays above min(vals_i, vals_{i+1}) - m2 h^2/8 on an interval.  The
+    quadratic through three consecutive samples is within m3 h^3/(9 sqrt
+    3) of f on their span, so f also stays above the least value of that
+    quadratic on the interval, less the margin, for each triple the
+    interval belongs to.  An interval is dropped when any bound exceeds
+    threshold; the cubic bounds are computed only where the first is not."""
+    ends = np.minimum(vals[:-1], vals[1:])
+    keep = ends - m2 * h * h / 8.0 <= threshold
+    if m3 is not None:
+        j = np.flatnonzero(keep)
+        # the triple starting at an interval holds it at r in [-1, 0], the
+        # one starting a sample before it at r in [0, 1]
+        first, lo = np.concatenate((j, j - 1)), np.repeat([-1.0, 0.0], len(j))
+        ok = (first >= 0) & (first + 2 < len(vals))
+        i, first, lo = np.concatenate((j, j))[ok], first[ok], lo[ok]
+        floor = _quad_floor(vals[first], vals[first + 1], vals[first + 2], lo, lo + 1.0,
+                            ends[i])
+        keep[i[floor - m3 * h ** 3 * _CUBIC > threshold]] = False
+    return keep
+
+
+def _refine_minima(lam: np.ndarray, coef: np.ndarray, reduce, ts: np.ndarray,
+                   vals: np.ndarray, h: float, m2: float, m3: float | None,
+                   threshold: float, xtol: float, idx: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of the kept grid-local minima of vals, their refined times
+    and f there, for the f = reduce(sum_j coef_j e^{i lam_j t}) that vals
+    samples at times ts on a grid of step h.  The samples are consecutive
+    grid points, or else at the increasing grid indices idx; a sample is
+    tested only when both its grid neighbours are among them.
+
+    With |f''| <= m2, f stays above vals[i] - m2 h^2/8 on the bracket
+    [t_{i-1}, t_{i+1}] of a grid-local minimum i; with |f'''| <= m3 (m3
+    not None) it also stays above the least value there of the quadratic
+    through the three samples, less m3 h^3/(9 sqrt 3).  A bracket where
+    either bound exceeds threshold cannot reach it and is not refined.  The
     rest go to one _newton_batch, each starting from its t_i.
     """
     mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
-    at = np.flatnonzero((mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))) + 1
-    h = ts[1] - ts[0]
-    at = at[vals[at] - m2 * h * h / 8.0 <= threshold]
-    return (at, *_newton_batch(lam, coef, reduce, ts[at - 1], ts[at + 1], ts[at], xtol))
+    low = (mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))
+    if idx is not None:
+        low &= idx[2:] - idx[:-2] == 2
+    p = np.flatnonzero(low) + 1
+    p = p[vals[p] - m2 * h * h / 8.0 <= threshold]
+    if m3 is not None:
+        lo, hi = vals[p - 1], vals[p + 1]
+        p = p[_quad_floor(lo, vals[p], hi, -1.0, 1.0, np.minimum(lo, hi))
+              - m3 * h ** 3 * _CUBIC <= threshold]
+    return (p, *_newton_batch(lam, coef, reduce, ts[p - 1], ts[p + 1], ts[p], xtol))
+
+
+def _fine_points(j: np.ndarray, span: int, npts: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fine pass's blocks j (increasing) of span grid steps, on a grid
+    of npts points.  Block j holds grid points span j to span (j + 1) and
+    one neighbour on each side.  Returns each block's first grid index, the
+    block points to take, and their grid indices, which hold every point
+    of the blocks once, in order."""
+    starts = span * j - 1
+    idx = starts[:, None] + np.arange(span + 3)
+    # the leading points of a block that the block before it ends on
+    again = span + 3 - span * np.diff(j, prepend=-npts)
+    take = (np.arange(span + 3) >= again[:, None]) & (idx >= 0) & (idx < npts)
+    return starts, take, idx[take]
+
+
+def _fine_values(lam: np.ndarray, coef: np.ndarray, reduce, t0: float, h: float,
+                 starts: np.ndarray, width: int) -> np.ndarray:
+    """reduce of the sums at t0 + (s + p) h for p < width, one row of width
+    values per start s.  A start takes one direct e^{i (t0 + s h) lam},
+    times the step table e^{i p h lam} from _phase_table that all starts
+    share, and the starts go through one product per _CHUNK // columns
+    of them."""
+    k, m = coef.shape
+    step = _phase_table(lam, h, width).T
+    per = max(1, _CHUNK // max(m, 1))
+    out = []
+    for i in range(0, len(starts), per):
+        s = starts[i:i + per]
+        base = np.exp(1j * np.outer(t0 + s * h, lam))[:, None, :] * coef.T
+        z = (base.reshape(-1, k) @ step).reshape(len(s), m, width)
+        out.append(reduce(z.transpose(0, 2, 1).reshape(-1, m)))
+    return np.concatenate(out).reshape(len(starts), width)
+
+
+class _Scan(NamedTuple):
+    """What a scan finds: the size of the reported grid, f at the window
+    ends, the threshold it refined minima under (the ceiling, or the least
+    grid value plus the band), and for each refined grid-local minimum, in
+    time order, its grid time and value (t, f) and its refined time and
+    value (x, fx)."""
+
+    npts: int
+    ends: tuple[float, float]
+    level: float
+    t: np.ndarray
+    f: np.ndarray
+    x: np.ndarray
+    fx: np.ndarray
+
+
+def _scan_minima(lam: np.ndarray, coef: np.ndarray, reduce,
+                 window: tuple[float, float], grid: int | None, m2: float,
+                 m3: Callable[[], float] | None, xtol: float,
+                 ceiling: float | None = None, band: float = 0.0) -> _Scan:
+    """The refined grid-local minima of f = reduce(sum_j coef_j e^{i lam_j
+    t}) on the window's grid (_grid_size), where |f''| <= m2 and, for a
+    smooth reducer, |f'''| <= m3() (m3 None for one that is not; it is
+    called only on two levels).  Only minima whose bracket can reach the
+    threshold are refined: ceiling when given, else the least grid value
+    plus band.
+
+    A grid of at most 8 _COARSE points, or of fewer than _TWO_LEVEL points
+    times terms (support times columns), is scanned on one level:
+    _grid_values on every point, then _refine_minima with the m2 bound.
+    There that costs less than the bookkeeping of two levels.  Otherwise:
+
+    Coarse pass: one _grid_values on every _COARSE-th grid point.
+    _coarse_keep drops an interval between coarse points where a bound on
+    f exceeds the coarse threshold.  That threshold is at least the full
+    grid's, so a dropped interval holds no grid point and no time that
+    reaches the full grid's.  Fine pass: the aligned blocks of _FINE_BLOCK
+    intervals that hold a kept interval, the first and the last block
+    (which hold the window ends) and the partial interval up to t1 when
+    (npts - 1) % _COARSE != 0 evaluate their grid points plus one
+    neighbour on each side (_fine_values), one value per grid point.
+    _refine_minima runs on them with both bounds.  So the least grid value
+    and the refined minima are those a scan of every grid point gives, up
+    to rounding, and npts is the full grid's size.
+    """
+    t0, t1 = float(window[0]), float(window[1])
+    spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
+    npts = _grid_size(t1 - t0, spread, grid)
+    h = (t1 - t0) / (npts - 1)
+
+    def level(vals: np.ndarray) -> float:
+        return ceiling if ceiling is not None else float(vals.min()) + band
+
+    idx = None
+    if npts <= 8 * _COARSE or npts * coef.size < _TWO_LEVEL:
+        ts, vals = _grid_values(lam, coef, reduce, (t0, t1), npts)
+        cubic = None
+    else:
+        cubic = None if m3 is None else m3()
+        whole = (npts - 1) // _COARSE
+        _, coarse = _grid_values(lam, coef, reduce, (t0, t0 + _COARSE * h * whole), whole + 1)
+        keep = _coarse_keep(coarse, _COARSE * h, m2, cubic, level(coarse))
+        if whole * _COARSE < npts - 1:
+            keep = np.append(keep, True)
+        keep[0] = keep[-1] = True
+        span = _COARSE * _FINE_BLOCK
+        starts, take, idx = _fine_points(np.unique(np.flatnonzero(keep) // _FINE_BLOCK),
+                                         span, npts)
+        vals = _fine_values(lam, coef, reduce, t0, h, starts, span + 3)[take]
+        # the times np.linspace(t0, t1, npts) gives these points
+        ts = idx * h + t0
+        ts[-1] = t1
+    threshold = level(vals)
+    p, x, fx = _refine_minima(lam, coef, reduce, ts, vals, h, m2, cubic, threshold, xtol, idx)
+    return _Scan(npts, (float(vals[0]), float(vals[-1])), threshold, ts[p], vals[p], x, fx)
 
 
 def _sq_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
@@ -473,18 +674,31 @@ class WalkEvaluator:
         counts the clusters.  An ambiguous root cluster sends the call to
         the scan.
 
-        Scan.  Otherwise |U(t)_{u,u}|^2 is scanned on the grid in chunks, in
-        O(chunk x support) memory.  Its second derivative is at most M2 = 2
-        Var_w(lam), so the bracket of a grid-local minimum g holds nothing
-        below g - M2 h^2/8 (h the grid step); brackets where that exceeds the
-        grid minimum plus 1e-9 can hold neither the minimum nor a tie with it
-        and are skipped.  The rest (refinements counts them) are refined
-        together from their grid minima by safeguarded Newton steps on the
-        analytic derivative of |U|^2: the sign of the derivative keeps each
-        iterate in its bracket, a step that would leave it (or meets
-        negative curvature) bisects, and refine_tol bounds the last step or
-        the bracket.  Each bracket offers the better of its grid sample and
-        its refinement.
+        Scan.  Otherwise |U(t)_{u,u}|^2 is scanned by _scan_minima, in
+        O(chunk x support) memory.  Its second and third derivatives are at
+        most M2 = 2 Var_w(lam) and M3 = sum_jk w_j w_k |lam_j - lam_k|^3.  A
+        grid of at least _TWO_LEVEL points times support eigenvalues takes
+        two levels.  A coarse pass evaluates every fourth grid point, and an
+        interval between coarse points is dropped when a rigorous lower
+        bound on it, the lesser endpoint less M2 H^2/8 or the least
+        quadratic through three coarse points less M3 H^3/(9 sqrt 3) (H the
+        coarse step), lies more than 1e-9 above the coarse minimum: it can
+        hold neither the minimum nor a tie with it.  The fine pass
+        evaluates the grid points of the other intervals.  The bracket of a
+        grid-local minimum g there holds nothing below g - M2 h^2/8, nor
+        below the least quadratic through its three points less M3 h^3/(9
+        sqrt 3) (h the grid step); brackets where either exceeds the grid
+        minimum plus 1e-9 are skipped too.  A smaller grid is evaluated at
+        every point, and its brackets are pruned by the M2 bound alone.
+        The rest (refinements counts them) are refined together from their
+        grid minima by safeguarded Newton steps on the analytic derivative
+        of |U|^2: the sign of the derivative keeps each iterate in its
+        bracket, a step that would leave it (or meets negative curvature)
+        bisects, and refine_tol bounds the last step or the bracket.  Each
+        bracket offers the better of its grid sample and its refinement.
+        Only intervals proven to stay above the threshold go unevaluated,
+        so the minimum, the argmin and the ties are those of a scan of
+        every grid point, and grid is the full grid's size.
 
         On both paths the window ends offer their values; the minimum is the
         least offer and argmin the earliest offer within 1e-9 of it in
@@ -513,14 +727,14 @@ class WalkEvaluator:
             refinements = len(times) - 2
         else:
             coef = wts[:, None]
-            ts, sq = _grid_values(lam, coef, _sq, (t0, t1), grid)
-            at, x, fx = _refine_minima(lam, coef, _sq, ts, sq,
-                                       float(_curvature(lam, coef)[0]),
-                                       float(sq.min()) + _TIE_BAND, refine_tol)
-            refined = fx < sq[at]
-            offers = np.concatenate(([sq[0], sq[-1]], np.where(refined, fx, sq[at])))
-            times = np.concatenate(([t0, t1], np.where(refined, x, ts[at])))
-            npts, refinements = len(ts), len(at)
+            scan = _scan_minima(lam, coef, _sq, (t0, t1), grid,
+                                float(_curvature(lam, coef)[0]),
+                                lambda: float(_cubic(lam, coef)[0]), refine_tol,
+                                band=_TIE_BAND)
+            refined = scan.fx < scan.f
+            offers = np.concatenate((scan.ends, np.where(refined, scan.fx, scan.f)))
+            times = np.concatenate(([t0, t1], np.where(refined, scan.x, scan.t)))
+            npts, refinements = scan.npts, len(scan.x)
         best_sq = float(offers.min())
         best_t = float(times[offers <= best_sq + _TIE_BAND].min())
         best = math.sqrt(max(best_sq, 0.0))
@@ -529,20 +743,26 @@ class WalkEvaluator:
 
     # -- transfer phenomena -------------------------------------------------
 
-    def _column_scan(self, u: int, cols: list[int], reduce, combine,
+    def _column_scan(self, u: int, cols: list[int], reduce, smooth: bool,
                      window: tuple[float, float], grid: int | None,
                      ceiling: float) -> np.ndarray:
         """Times, in order, among the window ends and the refined grid-local
-        minima of reduce(U(t)_{cols,u}) where it is at most ceiling; combine
-        folds the per-column curvature bounds into one for reduce."""
+        minima of reduce(U(t)_{cols,u}) where it is at most ceiling.  A
+        smooth reduce sums the columns' |U|^2, so its derivative bounds are
+        the sums of theirs; one that is not takes a max, which has no third
+        derivative at a kink, and gets the largest second-derivative bound
+        alone."""
         lam = self.decomposition.eigenvalues
         coef = self._column_data(u)[:, cols]
-        ts, vals = _grid_values(lam, coef, reduce, window, grid)
-        _, x, fx = _refine_minima(lam, coef, reduce, ts, vals,
-                                  float(combine(_curvature(lam, coef), initial=0.0)),
-                                  ceiling, 1e-12)
-        times = np.concatenate(([ts[0]], x, [ts[-1]]))
-        return times[np.concatenate(([vals[0]], fx, [vals[-1]])) <= ceiling]
+        m2 = _curvature(lam, coef)
+        if smooth:
+            m2, m3 = float(m2.sum()), lambda: float(_cubic(lam, coef).sum())
+        else:
+            m2, m3 = float(m2.max(initial=0.0)), None
+        scan = _scan_minima(lam, coef, reduce, window, grid, m2, m3, 1e-12,
+                            ceiling=ceiling)
+        times = np.concatenate(([float(window[0])], scan.x, [float(window[1])]))
+        return times[np.concatenate(([scan.ends[0]], scan.fx, [scan.ends[1]])) <= ceiling]
 
     def find_perfect_state_transfer(self, u: int, window: tuple[float, float],
                                     grid: int | None = None
@@ -551,7 +771,7 @@ class WalkEvaluator:
         reaches 1 within 1e-8.  Numeric evidence only; the caller decides
         whether the window certifies anything."""
         others = [v for v in range(self.n) if v != u]
-        times = self._column_scan(u, others, _neg_peak, np.max, window, grid,
+        times = self._column_scan(u, others, _neg_peak, False, window, grid,
                                   -(1.0 - _PST_TOL) ** 2)
         if not len(times):
             return None
@@ -570,7 +790,7 @@ class WalkEvaluator:
         if u == v:
             raise WalkError("fractional revival needs a pair of distinct vertices")
         for t in self._column_scan(u, [w for w in range(self.n) if w not in (u, v)],
-                                   _leak, np.sum, window, grid, leak_tol):
+                                   _leak, True, window, grid, leak_tol):
             if t > 1e-9 and abs(self.transition_entry(float(t), v, u)) > beta_tol:
                 return float(t)
         return None

@@ -47,7 +47,7 @@ from qwsed.sedentary import (
     subset_bound,
     twin_bound,
 )
-from qwsed import spectral, walk
+from qwsed import sedentary, spectral, walk
 from qwsed.spectral import decompose
 from qwsed.walk import WalkEvaluator
 
@@ -461,6 +461,74 @@ def test_family_ruling_joins_read_structure_not_provenance(kind):
             assert named.equality_times == pytest.approx(plain.equality_times,
                                                          abs=1e-12), (fam, u)
 
+
+
+
+def _neighbors_dominating_unit(graph, u):
+    """_is_dominating_unit as it read graph.neighbors before it read the
+    edge columns."""
+    nb = graph.neighbors(u)
+    if len(nb) != graph.n - 1 or graph.loop_weight(u) != 0.0:
+        return False
+    return all(w == 1.0 for w in nb.values())
+
+
+def _neighbors_joined_block(graph, u, twin_sets):
+    """_unit_joined_block as it read graph.neighbors."""
+    ts = next((ts for ts in twin_sets if u in ts.vertices), None)
+    if ts is None or ts.eta != 0.0 or ts.omega != 0.0:
+        return None
+    nb = graph.neighbors(u)
+    if set(nb) == set(range(graph.n)) - set(ts.vertices) \
+            and all(w == 1.0 for w in nb.values()):
+        return ts.size
+    return None
+
+
+def _ruling_graphs():
+    yield from (star_graph(1), star_graph(5), cone(cycle_graph(5)), cone(path_graph(4)),
+                double_cone(cycle_graph(4)), double_cone(cycle_graph(6), "connected"),
+                double_cone(build_family(parse_family("empty:3"))),
+                complete_graph(2), complete_graph(6))
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        n = int(rng.integers(4, 9))
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+        g = WeightedGraph(n, tuple((int(a), int(b), 1.0) for a, b in zip(*np.nonzero(upper))))
+        yield g
+        yield cone(g)
+        yield join(WeightedGraph(2), g)
+    # an apex edge of weight 2, and a loop at the apex
+    g = cone(cycle_graph(5))
+    yield WeightedGraph(g.n, ((0, 1, 2.0),) + g.edges[1:])
+    yield WeightedGraph(g.n, ((0, 0, 1.0),) + g.edges)
+
+
+def test_rulings_unchanged_from_the_neighbour_maps(monkeypatch):
+    for g in _ruling_graphs():
+        for kind in (ADJACENCY, LAPLACIAN):
+            twins = spectral.find_twin_sets(g, kind)
+            ours = [family_ruling(g, kind, u) for u in range(g.n)]
+            for u in range(g.n):
+                assert sedentary._is_dominating_unit(g, u) == _neighbors_dominating_unit(g, u)
+                assert sedentary._unit_joined_block(g, u, twins) == \
+                    _neighbors_joined_block(g, u, twins)
+            with monkeypatch.context() as m:
+                m.setattr(sedentary, "_is_dominating_unit", _neighbors_dominating_unit)
+                m.setattr(sedentary, "_unit_joined_block", _neighbors_joined_block)
+                assert ours == [family_ruling(g, kind, u) for u in range(g.n)]
+
+
+def test_classify_leaves_the_neighbour_maps_unbuilt():
+    rng = np.random.default_rng(1)
+    upper = np.triu(rng.random((120, 120)) < 0.1, k=1)
+    g = WeightedGraph(120, tuple((int(a), int(b), 1.0) for a, b in zip(*np.nonzero(upper))))
+    classify(g, 0)
+    assert "_neighbor_maps" not in vars(g)
+    # a cone apex is a dominating unit, found without them too
+    c = cone(cycle_graph(7))
+    assert family_ruling(c, LAPLACIAN, 0) is not None
+    assert "_neighbor_maps" not in vars(c)
 
 
 @pytest.mark.parametrize("fam,u,base", [("star:2", 1, 1),

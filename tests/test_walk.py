@@ -15,15 +15,28 @@ from qwsed.graphs import (
     double_cone,
     parse_family,
 )
+from qwsed import sedentary, walk
 from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, generalized_adjacency
+from qwsed.sedentary import _alignment_defect, find_equality_time, subset_bound
 from qwsed.spectral import decompose, support
 from qwsed.walk import (
     _CHUNK,
+    _COARSE,
+    _CUBIC,
+    _TIE_BAND,
     DEFAULT_WINDOW,
     WalkError,
     WalkEvaluator,
+    _cubic,
     _curvature,
+    _fine_points,
     _grid_values,
+    _leak,
+    _neg_peak,
+    _newton_batch,
+    _quad_floor,
+    _Scan,
+    _scan_minima,
     _sq,
     _sq_at,
     _trig_sums,
@@ -369,3 +382,308 @@ def test_open_window_oracle_memory():
     # one complex grid x support array would take several times the limit
     assert res.grid * k * 16 > 128e6
     assert peak < 64e6
+
+
+# -- the two-level scan against a scan of every grid point ---------------------
+
+
+def _full_scan(lam, coef, reduce, window, grid, m2, m3, xtol, ceiling=None, band=0.0):
+    """The reference for _scan_minima, a scan of every grid point:
+    _grid_values on the whole grid, then the grid-local-minimum test, the
+    M2 prune and one _newton_batch.  m3 is not read."""
+    ts, vals = _grid_values(lam, coef, reduce, window, grid)
+    threshold = ceiling if ceiling is not None else float(vals.min()) + band
+    mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
+    at = np.flatnonzero((mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))) + 1
+    h = ts[1] - ts[0]
+    at = at[vals[at] - m2 * h * h / 8.0 <= threshold]
+    x, fx = _newton_batch(lam, coef, reduce, ts[at - 1], ts[at + 1], ts[at], xtol)
+    return _Scan(len(ts), (float(vals[0]), float(vals[-1])), threshold, ts[at], vals[at], x, fx)
+
+
+def _best(scan, window):
+    """The least offer and the earliest time within _TIE_BAND of it, by
+    minimize_diagonal's rule."""
+    refined = scan.fx < scan.f
+    offers = np.concatenate((scan.ends, np.where(refined, scan.fx, scan.f)))
+    times = np.concatenate((window, np.where(refined, scan.x, scan.t)))
+    best = float(offers.min())
+    return best, float(times[offers <= best + _TIE_BAND].min())
+
+
+def _scan_case(rng, name, tied):
+    """(lam, coef, reduce, m2, m3, mode) of one search: mode is 'band' for
+    minimize_diagonal's threshold, 'low' for subset_bound's and 'ceiling'
+    for the fixed ceilings of the column scans and find_equality_time.
+    tied supports are symmetric integer multiples of one step, so their
+    minima repeat every period and tie."""
+    k = int(rng.integers(2, 8))
+    if tied:
+        q = np.arange(k) - (k - 1) / 2.0
+        lam = float(rng.uniform(0.5, 2.0)) * np.round(2.0 * q)
+        w = rng.random(k)
+        w = w + w[::-1]
+    else:
+        lam = rng.uniform(-4.0, 4.0, k)
+        w = rng.random(k)
+    if name in ("sq", "subset"):
+        coef = (w / w.sum())[:, None]
+        return (lam, coef, _sq, float(_curvature(lam, coef)[0]),
+                float(_cubic(lam, coef)[0]), "band" if name == "sq" else "low")
+    if name == "defect":
+        # find_equality_time's defect: eigenvalues less the first of the
+        # subset, +1 on the subset and -1 off it
+        inside = rng.random(k) < 0.5
+        inside[0] = True
+        delta = lam - lam[0]
+        return (delta, np.where(inside, 1.0, -1.0)[:, None], _alignment_defect(k),
+                2.0 * float(np.sum(delta ** 2)), 2.0 * float(np.sum(np.abs(delta) ** 3)),
+                "ceiling")
+    m = int(rng.integers(1, 5))
+    coef = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    coef /= np.linalg.norm(coef)
+    m2 = _curvature(lam, coef)
+    if name == "leak":
+        return lam, coef, _leak, float(m2.sum()), float(_cubic(lam, coef).sum()), "ceiling"
+    return lam, coef, _neg_peak, float(m2.max()), None, "ceiling"
+
+
+_SCAN_GRIDS = (None, 5, 8, 29, 33, 34, 35, 36, 1001, 4099)
+_SCAN_WINDOWS = ((0.0, 40.0), (0.7, 40.0), (3.0, 9.5))
+
+
+def _compare_scans(rng, name, tied, grid, window):
+    lam, coef, reduce, m2, m3, mode = _scan_case(rng, name, tied)
+    xtol = 1e-12
+    ref = _full_scan(lam, coef, reduce, window, grid, m2, m3, xtol)
+    kw = {}
+    if mode == "band":
+        kw = {"band": _TIE_BAND}
+    elif mode == "ceiling":
+        # a ceiling a few minima reach, so that pruning decides which
+        kw = {"ceiling": float(np.quantile(np.concatenate((ref.f, ref.ends)), 0.3))}
+    ref = _full_scan(lam, coef, reduce, window, grid, m2, m3, xtol, **kw)
+    new = _scan_minima(lam, coef, reduce, window, grid, m2,
+                       None if m3 is None else lambda: m3, xtol, **kw)
+    assert new.npts == ref.npts
+    # the fine pass samples the window ends through another product of
+    # phases than the full grid does: they differ by rounding in time, about
+    # 1e-14 at t1 = 40, and so does a minimum that an end attains
+    assert np.max(np.abs(np.subtract(new.ends, ref.ends))) <= 1e-12
+    # every refined bracket starts from a time of the full grid
+    assert np.all(np.isin(new.t, np.linspace(window[0], window[1], new.npts)))
+    if mode == "band":
+        (fb, tb), (fr, tr) = _best(new, window), _best(ref, window)
+        assert abs(fb - fr) <= (1e-12 if tr in window else 1e-15)
+        assert abs(tb - tr) <= 1e-12
+    elif mode == "low":
+        best = min(ref.level, ref.fx.min(initial=np.inf))
+        assert abs(min(new.level, new.fx.min(initial=np.inf)) - best) <= \
+            (1e-12 if best == min(ref.ends) else 1e-15)
+    else:
+        ceiling = kw["ceiling"]
+        hit, ref_hit = new.fx <= ceiling, ref.fx <= ceiling
+        assert hit.sum() == ref_hit.sum()
+        assert np.max(np.abs(new.x[hit] - ref.x[ref_hit]), initial=0.0) <= 1e-12
+        assert np.max(np.abs(new.fx[hit] - ref.fx[ref_hit]), initial=0.0) <= 1e-15
+    return len(ref.x)
+
+
+@pytest.fixture
+def two_levels(monkeypatch):
+    """Every scan of more than 8 _COARSE grid points takes two levels, not
+    only those of at least _TWO_LEVEL grid points times terms."""
+    monkeypatch.setattr(walk, "_TWO_LEVEL", 0)
+
+
+@pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak", "defect"])
+@pytest.mark.parametrize("tied", [False, True])
+def test_two_level_scan_matches_the_full_grid(name, tied, two_levels):
+    rng = np.random.default_rng([len(name), tied])
+    brackets = 0
+    for grid in _SCAN_GRIDS:
+        for window in _SCAN_WINDOWS:
+            for _ in range(3):
+                brackets += _compare_scans(rng, name, tied, grid, window)
+    assert brackets > 200
+
+
+def _caller_results(w, u, v, subset, window, grid):
+    res = w.minimize_diagonal(u, window, grid)
+    pst = w.find_perfect_state_transfer(u, window, grid)
+    return (res.minimum, res.argmin, res.grid,
+            subset_bound(w, u, subset, window, grid).bound,
+            find_equality_time(w, u, subset, window, grid),
+            None if pst is None else (pst.time, pst.target, pst.magnitude),
+            w.find_fractional_revival(u, v, window, grid))
+
+
+def _caller_cases():
+    yield _walk("path:3"), 0, 2, (0.0, 7.0)
+    yield _walk("star:4"), 1, 2, (0.0, 13.0)
+    yield WalkEvaluator.for_graph(double_cone(build_family(parse_family("empty:4"))),
+                                  LAPLACIAN), 0, 1, (0.0, 11.0)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        n = int(rng.integers(5, 9))
+        yield WalkEvaluator.for_graph(_gnp(rng, n, 0.5)), 0, 1, (0.0, 40.0)
+
+
+@pytest.mark.parametrize("grid", [None, 8, 34, 4099])
+def test_callers_match_the_full_grid_scan(grid, two_levels, monkeypatch):
+    """minimize_diagonal, the column scans (perfect state transfer and
+    fractional revival), subset_bound and find_equality_time give the same
+    results on two levels as on a scan of every grid point."""
+    ours, theirs = [], []
+    for w, u, v, window in _caller_cases():
+        sup = w.spectrum(u)
+        # the heaviest eigenvalue and the next: a subset scanned on the grid
+        order = np.argsort(-sup.weights)
+        subset = [sup.indices[i] for i in order[:2]]
+        if len(sup.indices) < 3 or sup.weights[order[:2]].sum() < 0.5:
+            subset = [sup.indices[order[0]], sup.indices[order[-1]]]
+        try:
+            ours.append(_caller_results(w, u, v, subset, window, grid))
+        except sedentary.CertificateRefused:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(walk, "_scan_minima", _full_scan)
+            m.setattr(sedentary, "_scan_minima", _full_scan)
+            theirs.append(_caller_results(w, u, v, subset, window, grid))
+    assert len(ours) >= 5
+    assert any(r[5] is not None for r in ours) and any(r[6] is not None for r in ours)
+    for a, b in zip(ours, theirs):
+        assert abs(a[0] - b[0]) <= 1e-15 and abs(a[1] - b[1]) <= 1e-12
+        assert a[2] == b[2] and abs(a[3] - b[3]) <= 1e-15
+        for x, y in ((a[4], b[4]), (a[6], b[6])):
+            assert (x is None) == (y is None)
+            assert x is None or abs(x - y) <= 1e-12
+        assert (a[5] is None) == (b[5] is None)
+        if a[5] is not None:
+            assert abs(a[5][0] - b[5][0]) <= 1e-12 and a[5][1] == b[5][1]
+            assert abs(a[5][2] - b[5][2]) <= 1e-15
+
+
+# -- the third-derivative bound ------------------------------------------------
+
+
+def _bound_case(rng, name):
+    """(lam, coef, reduce, m3) with the M3 each search passes to the scan."""
+    k = int(rng.integers(2, 7))
+    lam = rng.uniform(-3.0, 3.0, k)
+    if name == "sq":
+        w = rng.random(k)
+        coef = (w / w.sum())[:, None]
+        return lam, coef, _sq, float(_cubic(lam, coef)[0])
+    if name == "leak":
+        coef = rng.normal(size=(k, 3)) + 1j * rng.normal(size=(k, 3))
+        return lam, coef, _leak, float(_cubic(lam, coef).sum())
+    coef = np.where(rng.random(k) < 0.5, 1.0, -1.0)[:, None]
+    return lam, coef, _alignment_defect(k), 2.0 * float(np.sum(np.abs(lam) ** 3))
+
+
+@pytest.mark.parametrize("name", ["sq", "leak", "defect"])
+def test_quadratic_through_three_samples_bounds_f(name):
+    """Dense samples of f on [t, t + 2h] never fall below the quadratic
+    through f(t), f(t + h), f(t + 2h) less M3 h^3/(9 sqrt 3), and so never
+    below _quad_floor less that margin on either half or the whole."""
+    rng = np.random.default_rng(len(name))
+    s = np.linspace(0.0, 2.0, 801)
+    tightest = 0.0
+    for _ in range(300):
+        lam, coef, reduce, m3 = _bound_case(rng, name)
+        t, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.05, 1.0))
+        f = reduce(_trig_sums(lam, coef, t + h * s))
+        f0, f1, f2 = f[0], f[400], f[800]
+        p2 = f0 * (s - 1.0) * (s - 2.0) / 2.0 - f1 * s * (s - 2.0) + f2 * s * (s - 1.0) / 2.0
+        cut = m3 * h ** 3 * _CUBIC
+        slack = 1e-12 * (1.0 + np.max(np.abs(f)))
+        assert np.all(f >= p2 - cut - slack)
+        tightest = max(tightest, float(np.max(p2 - f)) / cut)
+        one = np.array([1.0])
+        for lo, hi, part in ((-1, 0, f[:401]), (0, 1, f[400:]), (-1, 1, f)):
+            ends = min(f[400 * (lo + 1)], f[400 * (hi + 1)]) * one
+            floor = float(_quad_floor(f0 * one, f1 * one, f2 * one, lo, hi, ends)[0])
+            assert floor - cut <= part.min() + slack
+    # the margin is not slack: some bracket comes within a fifth of it
+    assert tightest > 0.2
+
+
+def test_cubic_bounds_third_derivative():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        k = int(rng.integers(1, 7))
+        lam = rng.uniform(-3.0, 3.0, k)
+        coef = rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))
+        ts = np.linspace(0.0, 20.0, 2001)
+        # |z|^2 = sum_jk c_j conj(c_k) e^{i (lam_j - lam_k) t}
+        d = lam[:, None] - lam[None, :]
+        for c, m3 in zip(coef.T, _cubic(lam, coef)):
+            cc = c[:, None] * c[None, :].conj()
+            f3 = np.einsum("jk,tjk->t", cc * (1j * d) ** 3,
+                           np.exp(1j * ts[:, None, None] * d)).real
+            assert np.max(np.abs(f3)) <= m3 * (1.0 + 1e-9) + 1e-12
+
+
+def test_open_window_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
+    """On the first vertex of the seed-1 G(120, 0.1) workload, one coarse
+    _grid_values call covers every fourth grid point, and the fine pass
+    evaluates at most 5% of the grid."""
+    rng = np.random.default_rng([1, 0])
+    g = _gnp(rng, 120, 0.1)
+    u = int(rng.integers(120))
+    w = WalkEvaluator.for_graph(g)
+    coarse, fine = [], []
+    real_grid, real_fine = walk._grid_values, walk._fine_values
+
+    def grid_values(*args, **kwargs):
+        coarse.append(args[4])
+        return real_grid(*args, **kwargs)
+
+    def fine_values(lam, coef, reduce, t0, h, starts, width):
+        fine.append(len(starts) * width)
+        return real_fine(lam, coef, reduce, t0, h, starts, width)
+
+    monkeypatch.setattr(walk, "_grid_values", grid_values)
+    monkeypatch.setattr(walk, "_fine_values", fine_values)
+    res = w.minimize_diagonal(u, (0.0, DEFAULT_WINDOW))
+    assert res.grid > 100_000
+    assert coarse == [(res.grid - 1) // _COARSE + 1]
+    assert len(fine) == 1 and fine[0] <= 0.05 * res.grid
+    assert res.refinements <= 30
+
+
+@pytest.mark.parametrize("span", [1, 2, _COARSE, 16])
+def test_fine_points_take_each_block_point_once(span):
+    rng = np.random.default_rng(span)
+    for _ in range(200):
+        npts = span * int(rng.integers(2, 30)) + int(rng.integers(1, span + 1))
+        j = np.flatnonzero(rng.random(-(-(npts - 1) // span)) < rng.random())
+        if not len(j):
+            continue
+        starts, take, idx = _fine_points(j, span, npts)
+        blocks = starts[:, None] + np.arange(span + 3)
+        want = np.unique(blocks[(blocks >= 0) & (blocks < npts)])
+        assert np.array_equal(idx, want)
+        assert np.array_equal(blocks[take], idx)
+
+
+def test_small_scans_take_one_level(monkeypatch):
+    """A scan of fewer than _TWO_LEVEL grid points times terms evaluates
+    every grid point once and refines as the full-grid scan does."""
+    w = _walk("lollipop:5,2")
+    lam, wts = w.spectrum(0)[:2]
+    coef = wts[:, None]
+    calls, fine = [], []
+    real_grid = walk._grid_values
+    monkeypatch.setattr(walk, "_grid_values",
+                        lambda *a: calls.append(a[4]) or real_grid(*a))
+    monkeypatch.setattr(walk, "_fine_values", lambda *a: fine.append(a))
+    res = w.minimize_diagonal(0, (0.0, DEFAULT_WINDOW))
+    assert res.grid * len(lam) < walk._TWO_LEVEL
+    assert calls == [res.grid] and not fine
+    monkeypatch.undo()
+    ref = _full_scan(lam, coef, _sq, (0.0, DEFAULT_WINDOW), None,
+                     float(_curvature(lam, coef)[0]), None, 1e-10, band=_TIE_BAND)
+    best, at = _best(ref, (0.0, DEFAULT_WINDOW))
+    assert (res.minimum, res.argmin) == (math.sqrt(best), at)
