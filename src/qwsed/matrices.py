@@ -82,12 +82,10 @@ def parse_matrix_kind(text: str) -> MatrixKind:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """An assembled real symmetric matrix, tagged with its kind and the
-    content hash of the source graph."""
+    """An assembled real symmetric matrix, tagged with its kind."""
 
     kind: MatrixKind
     matrix: np.ndarray
-    graph_hash: str
     zero_degree_vertices: tuple[int, ...] = ()
 
     @property
@@ -122,7 +120,7 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
         raise MatrixError(f"unknown matrix kind {kind!r}")
     m = (m + m.T) / 2.0
     m.setflags(write=False)
-    return Hamiltonian(kind, m, graph.content_hash(), zero)
+    return Hamiltonian(kind, m, zero)
 
 
 def twin_theta(kind: MatrixKind, degree: float, omega: float, eta: float) -> float:

@@ -51,9 +51,8 @@ from .walk import (
     MinimizationResult,
     VertexSpectrum,
     WalkEvaluator,
-    _cubic,
-    _curvature,
     _grid_values,
+    _Reducer,
     _scan_minima,
     _sq,
 )
@@ -243,14 +242,12 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
             SUBSET_BOUND, u, max(2.0 * a - 1.0, 0.0), s, a,
             detail="single-eigenvalue mass bound")
 
-    lam, wts = rec.eigenvalues[pos], rec.weights[pos]
-    coef = wts[:, None]
     certified = False
     if window is None:
         window, certified = w.default_window(u)
     t0, t1 = float(window[0]), float(window[1])
-    scan = _scan_minima(lam, coef, _sq, (t0, t1), grid, float(_curvature(lam, coef)[0]),
-                        lambda: float(_cubic(lam, coef)[0]), 1e-10)
+    scan = _scan_minima(rec.eigenvalues[pos], rec.weights[pos][:, None], _sq, (t0, t1),
+                        grid, 1e-10)
     # with no band, the scan's threshold is the least grid value
     fmin = math.sqrt(max(min(scan.level, float(scan.fx.min(initial=np.inf))), 0.0))
     bound = max(fmin - (1.0 - a), 0.0)
@@ -260,22 +257,21 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
         detail=f"partial-sum minimum {fmin:.9f} on the {where} [{t0:g}, {t1:g}]")
 
 
-def equality_condition(w: WalkEvaluator, u: int, subset, t1: float,
-                       tol: float = _PHASE_TOL) -> bool:
+def equality_condition(w: WalkEvaluator, u: int, subset, t1: float) -> bool:
     """Check the phase alignment that makes the subset bound an equality.
 
     At time t1 all subset phases must coincide at some unit z while every
     remaining support phase sits at -z; the subset's partial sum must also
     dominate the complementary mass.  When this holds with subset mass
-    a >= 1/2, |U(t1)_{u,u}| equals 2a - 1, and that is verified too.
+    a >= 1/2, |U(t1)_{u,u}| equals 2a - 1, and that is verified too.  Each
+    test allows _PHASE_TOL (100 _PHASE_TOL for the value).
     """
     rec = w.spectrum(u)
     _, pos = _support_positions(rec, u, subset)
-    return _equality_holds(rec, pos, t1, tol)
+    return _equality_holds(rec, pos, t1)
 
 
-def _equality_holds(rec: VertexSpectrum, pos: list[int], t1: float,
-                    tol: float) -> bool:
+def _equality_holds(rec: VertexSpectrum, pos: list[int], t1: float) -> bool:
     lam, wts = rec.eigenvalues, rec.weights
     inside = np.zeros(len(lam), dtype=bool)
     inside[pos] = True
@@ -283,38 +279,40 @@ def _equality_holds(rec: VertexSpectrum, pos: list[int], t1: float,
     zref = phases[pos[0]]
     align = max(float(np.max(np.abs(phases[inside] - zref))),
                 float(np.max(np.abs(phases[~inside] + zref))))
-    if align > tol:
+    if align > _PHASE_TOL:
         return False
     a = float(np.sum(wts[inside]))
     partial = abs(complex(np.sum(wts[inside] * phases[inside])))
-    if partial + tol < 1.0 - a:
+    if partial + _PHASE_TOL < 1.0 - a:
         return False
     value = abs(complex(np.sum(wts * phases)))
-    return abs(value - abs(2.0 * a - 1.0)) <= 100.0 * tol
+    return abs(value - abs(2.0 * a - 1.0)) <= 100.0 * _PHASE_TOL
 
 
-def _alignment_defect(k: int):
-    """The reducer 2k - 2 Re z of find_equality_time's defect, with the
-    derivatives -2 Re z' and -2 Re z'' when they are given."""
-
-    def defect(z, dz=None, d2z=None):
-        if dz is None:
-            return 2.0 * k - 2.0 * z[:, 0].real
-        return 2.0 * k - 2.0 * z[:, 0].real, -2.0 * dz[:, 0].real, -2.0 * d2z[:, 0].real
-    return defect
+def _alignment_defect(k: int) -> _Reducer:
+    """find_equality_time's defect 2k - 2 Re z as a reducer, with the
+    derivatives -2 Re z' and -2 Re z''.  For z = sum_j c_j e^{i lam_j t},
+    its second and third derivatives are at most 2 sum_j |c_j| lam_j^2 and
+    2 sum_j |c_j| |lam_j|^3."""
+    return _Reducer(
+        lambda z: 2.0 * k - 2.0 * z[:, 0].real,
+        lambda z, dz, d2z: (2.0 * k - 2.0 * z[:, 0].real, -2.0 * dz[:, 0].real,
+                            -2.0 * d2z[:, 0].real),
+        lambda lam, coef: 2.0 * float(np.sum(np.abs(coef[:, 0]) * lam ** 2)),
+        lambda lam, coef: 2.0 * float(np.sum(np.abs(coef[:, 0]) * np.abs(lam) ** 3)))
 
 
 def find_equality_time(w: WalkEvaluator, u: int, subset,
                        window: tuple[float, float],
-                       grid: int | None = None,
-                       tol: float = _PHASE_TOL) -> float | None:
+                       grid: int | None = None) -> float | None:
     """Earliest time in the window where equality_condition holds, or None.
 
     Scans the smooth alignment defect D(t) = sum_j |e^{i delta_j t} - s_j|^2
     (delta_j the support eigenvalues less the first subset eigenvalue, s_j
     = +1 on the subset and -1 off it) by the scan of walk._scan_minima.  A
     time that passes the condition has D <= k tol^2 for a support of size
-    k, and |D''| <= 2 sum_j delta_j^2 and |D'''| <= 2 sum_j |delta_j|^3.
+    k (tol = _PHASE_TOL), and the reducer _alignment_defect(k) gives the
+    scan |D''| <= 2 sum_j delta_j^2 and |D'''| <= 2 sum_j |delta_j|^3.
     On a large grid, a coarse interval (step H) whose lesser end less the
     first bound times H^2/8, or whose least quadratic through three coarse
     points less the second bound times H^3/(9 sqrt 3), exceeds k tol^2
@@ -333,13 +331,10 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     sign[pos] = 1.0
     deltas = lam - lam[pos[0]]
     k = len(lam)
-    defect = _alignment_defect(k)
-    coef = sign[:, None]
-    scan = _scan_minima(deltas, coef, defect, window, grid, 2.0 * float(np.sum(deltas ** 2)),
-                        lambda: 2.0 * float(np.sum(np.abs(deltas) ** 3)), 1e-12,
-                        ceiling=k * tol * tol)
+    scan = _scan_minima(deltas, sign[:, None], _alignment_defect(k), window, grid, 1e-12,
+                        ceiling=k * _PHASE_TOL * _PHASE_TOL)
     for t in scan.x:
-        if _equality_holds(rec, pos, float(t), tol):
+        if _equality_holds(rec, pos, float(t)):
             return float(t)
     return None
 
@@ -834,8 +829,8 @@ def _tight_time(report: SedentaryReport) -> float | None:
 
 
 def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
-                    evaluators: Sequence[WalkEvaluator] | None = None,
-                    tol: float = _PHASE_TOL) -> SedentaryCertificate:
+                    evaluators: Sequence[WalkEvaluator] | None = None
+                    ) -> SedentaryCertificate:
     """Combine factor bounds across a box product.
 
     For degree-shifted kinds the product diagonal factors entrywise, so
@@ -843,7 +838,8 @@ def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
     two-vertex factor, say) poison the product, and composing them into a
     positive bound is refused.  When every factor is tight and a common
     attainment time exists (their odd equality lattices intersect, verified
-    numerically when evaluators are given), the product bound is attained.
+    numerically, to _PHASE_TOL, when evaluators are given), the product
+    bound is attained.
     """
     if not kind.is_degree_shifted:
         raise CertificateRefused(
@@ -871,7 +867,8 @@ def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
                 break
         if base is not None and evaluators is not None:
             ok = all(
-                abs(abs(ev.transition_entry(base, r.vertex, r.vertex)) - r.bound) <= tol
+                abs(abs(ev.transition_entry(base, r.vertex, r.vertex)) - r.bound)
+                <= _PHASE_TOL
                 for ev, r in zip(evaluators, reports))
             if ok:
                 times = (float(base),)

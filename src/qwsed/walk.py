@@ -1,36 +1,41 @@
 """Evaluation of the continuous-time walk U(t) = exp(itM) through a spectral
 decomposition, and the scan-and-refine primitive behind every search for a
-minimum over time (_scan_minima): f(t) = reduce(sum_j coef_j e^{i lam_j t})
-is scanned on a uniform grid, and the grid-local minima that no derivative
-bound can exclude are refined together by a batched Newton iteration on f'
-(_newton_batch).
+minimum over time (_scan_minima): a reducer's f of the sums z = sum_j
+coef_j e^{i lam_j t} is scanned on a uniform grid, and the grid-local minima
+that no derivative bound can exclude are refined together by a batched
+Newton iteration on f' (_newton_batch).
 
-Grid values come from _grid_values, whose phase tables are built by
-doubling from directly computed factors (_phase_table): a grid value is a
-product of at most ceil(log2 c) + ceil(log2 per_block) + 1 direct phases
-wherever it lies, and a pass takes a logarithmic number of exponentials,
-none per grid point.  A grid of at least _TWO_LEVEL points times terms is
-scanned in two levels.  The coarse pass evaluates every _COARSE-th grid
-point, and an interval between coarse points is dropped when a rigorous
-lower bound on f over it exceeds the search's threshold: the lesser
-endpoint less M2 H^2/8 with |f''| <= M2, and for a smooth reducer also the
-least quadratic through three coarse points less M3 H^3/(9 sqrt 3) with
-|f'''| <= M3 (H the coarse step).  The fine pass evaluates the grid points
-of the other intervals in blocks, each from one direct exponential times a
-shared step table (_fine_values), and the minimum test, both bounds at the
-grid step and the refinement run on them (_refine_minima).  Only intervals
-proven to stay above the threshold go unevaluated, so a search finds the
-minima a scan of every grid point finds.  A smaller grid is evaluated at
-every point and pruned by M2 alone, which costs less there.  The Newton
-steps and pointwise sums evaluate arbitrary times and take direct
-exponentials.  Each search has one reducer: given z it returns f, and
-given z, z' and z'' it returns (f, f', f'').  The sign of f' keeps every
-iterate inside a bracket that holds a local minimum, a step that leaves it
-or meets f'' <= 0 bisects instead, and a checked cap bounds the steps.
-find_zero_crossing in sedentary looks for a sign change, not a minimum,
-and reads the full grid from _grid_values.  On a certified period of low
-degree the diagonal oracle instead takes every critical point of
-|U(t)_{u,u}|^2 from one polynomial's roots (_critical_clusters).
+Each search has one reducer (_Reducer): f of z, (f, f', f'') of z, z' and
+z'', and its bounds M2 (f sags below an interval's ends by at most M2 H^2/8,
+as |f''| <= M2 gives) and M3 >= |f'''| (None when f is not smooth).  The
+scan reads the bounds from the reducer; no caller passes them.
+
+Every grid value comes from one evaluator, _fine_values: a run of grid
+points from one direct exponential at its start, times a step table that
+all runs share, built by doubling from directly computed factors
+(_phase_table).  A value is a product of at most ceil(log2 c) + 1 direct
+phases wherever it lies, and runs of c points take ceil(log2 c)
+exponentials plus one per run, none per grid point.  _grid_values is that
+evaluator with a run every _CHUNK points.
+
+A grid of at least _TWO_LEVEL points times terms is scanned in two levels
+(_scan_minima): a coarse pass on every _COARSE-th grid point drops the
+intervals whose lower bound from M2 or M3 exceeds the search's threshold,
+and a fine pass evaluates the grid points of the rest, where the minimum
+test, both bounds at the grid step and the refinement run
+(_refine_minima).  Only intervals proven to stay above the threshold go
+unevaluated, so a search finds the minima a scan of every grid point
+finds.  A smaller grid is evaluated at every point and pruned by M2 alone,
+which costs less there.
+
+The Newton steps and pointwise sums evaluate arbitrary times and take
+direct exponentials.  The sign of f' keeps every iterate inside a bracket
+that holds a local minimum, a step that leaves it or meets f'' <= 0
+bisects instead, and a checked cap bounds the steps.  find_zero_crossing
+in sedentary looks for a sign change, not a minimum, and reads the full
+grid from _grid_values.  On a certified period of low degree the diagonal
+oracle instead takes every critical point of |U(t)_{u,u}|^2 from one
+polynomial's roots (_critical_clusters).
 """
 
 from __future__ import annotations
@@ -80,6 +85,11 @@ _TWO_LEVEL = 1 << 21
 _CUBIC = 1.0 / (9.0 * math.sqrt(3.0))
 _TINY = float(np.finfo(float).tiny)
 _PST_TOL = 1e-8
+# fractional revival: the leak outside the pair and the least cross term
+_LEAK_TOL = 1e-9
+_BETA_TOL = 1e-8
+# the Newton steps of the diagonal oracle stop at this step or bracket width
+_REFINE_TOL = 1e-10
 # Newton steps a bracket may take before it only bisects
 _NEWTON_STEPS = 16
 # the root path takes certified windows of degree Q <= _ROOT_CAP; np.roots
@@ -152,61 +162,66 @@ def _phase_table(lam: np.ndarray, dt: float, count: int) -> np.ndarray:
     return out
 
 
+def _fine_values(lam: np.ndarray, coef: np.ndarray, reduce, t0: float, h: float,
+                 starts: np.ndarray, width: int) -> np.ndarray:
+    """reduce of the sums at t0 + (s + p) h for p < width, one row of width
+    values per start s (one value per time, or one row of reduce's output):
+    the one evaluator of every grid.  A start takes one direct e^{i (t0 +
+    s h) lam}, times the step table e^{i p h lam} from _phase_table that
+    all starts share, and the starts go through one product per _CHUNK //
+    columns of them.  A value is thus a product of at most ceil(log2
+    width) + 1 directly computed phases wherever it lies, so errors do not
+    accumulate along the grid, and the call takes ceil(log2 width) +
+    len(starts) exponentials of k terms."""
+    k, m = coef.shape
+    step = _phase_table(lam, h, width).T
+    per = max(1, _CHUNK // max(m, 1))
+    out = []
+    for i in range(0, len(starts), per):
+        s = starts[i:i + per]
+        base = np.exp(1j * np.outer(t0 + s * h, lam))[:, None, :] * coef.T
+        z = (base.reshape(-1, k) @ step).reshape(len(s), m, width)
+        out.append(reduce(z.transpose(0, 2, 1).reshape(-1, m)))
+    out = np.concatenate(out)
+    return out.reshape(len(starts), width, *out.shape[1:])
+
+
 def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
                  window: tuple[float, float], grid: int | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Grid times (sized from the spread of lam) and reduce of the sums
     there; reduce maps one row per time, one column per coef column, to one
-    value per time.
-
-    The grid runs in chunks of c points from t_s = t0 + s c h, and a block
-    of per_block chunks is one product of base phases e^{i t_s lam} (times
-    coef) with the k x c step table e^{i m h lam}, m < c.  Both tables come
-    from _phase_table: the step table by doubling in h, and each block's
-    base phases as one direct e^{i t_s lam} at its first chunk times a
-    doubled table of e^{i j c h lam}, j < per_block.  Every grid value is
-    then a product of at most ceil(log2 c) + ceil(log2 per_block) + 1
-    directly computed phases, so errors do not accumulate along the grid,
-    and the scan evaluates ceil(log2 c) + ceil(log2 per_block) + blocks
-    exponentials of k terms, none per grid point or per chunk.
-    """
+    value per time.  The values are one _fine_values call with a start
+    every c = min(_CHUNK, npts) grid points, trimmed to npts: ceil(log2 c)
+    + ceil(npts / c) exponentials of k terms, none per grid point."""
     t0, t1 = float(window[0]), float(window[1])
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
     npts = _grid_size(t1 - t0, spread, grid)
-    ts = np.linspace(t0, t1, npts)
-    h = (t1 - t0) / (npts - 1)
     c = min(_CHUNK, npts)
-    k, m = coef.shape
-    chunks = -(-npts // c)
-    per_block = min(max(1, _CHUNK // max(m, 1)), chunks)
-    step = _phase_table(lam, h, c).T
-    shift = _phase_table(lam, c * h, per_block)
-    out = []
-    for i in range(0, chunks, per_block):
-        nb = min(per_block, chunks - i)
-        base = (np.exp(1j * (t0 + h * c * i) * lam) * shift[:nb])[:, None, :] * coef.T
-        z = (base.reshape(-1, k) @ step).reshape(nb, m, c)
-        out.append(reduce(z.transpose(0, 2, 1).reshape(nb * c, m)))
-    return ts, np.concatenate(out)[:npts]
+    vals = _fine_values(lam, coef, reduce, t0, (t1 - t0) / (npts - 1),
+                        np.arange(0, npts, c), c)
+    return np.linspace(t0, t1, npts), vals.reshape(-1, *vals.shape[2:])[:npts]
 
 
-def _newton_batch(lam: np.ndarray, coef: np.ndarray, reduce, a: np.ndarray,
+def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a: np.ndarray,
                   b: np.ndarray, x: np.ndarray, xtol: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton iteration on f' for every bracket [a_i, b_i] at
-    once, from x_i inside it, where f = reduce(sum_j coef_j e^{i lam_j t}).
-    Returns the final iterates and f at the last point evaluated for each.
+    once, from x_i inside it, where f is a reducer's value of z = sum_j
+    coef_j e^{i lam_j t}.  Returns the final iterates and f at the last
+    point evaluated for each.
 
     Each step computes e^{i lam t} once and forms z, z' and z'' with one
-    product; reduce(z, z', z'') gives (f, f', f'').  The sign of f' moves a
-    or b to the iterate, so the bracket keeps a local minimum and closes on
-    a kink.  The Newton step -f'/f'' is taken when f'' > 0 and it lands in
-    [a, b]; otherwise the iterate moves to the bracket midpoint.  A bracket
-    is done when its step (zero where f' = 0) or its width is at most xtol;
-    that last step is applied but not evaluated.  Newton converges in a few
-    steps.  A bracket still open after _NEWTON_STEPS only bisects, which
-    halves it at every step, so all are done within _NEWTON_STEPS + 2 +
-    log2(width / xtol) steps; running past that is an error.
+    product; the reducer's terms(z, z', z'') gives (f, f', f'').  The sign
+    of f' moves a or b to the iterate, so the bracket keeps a local minimum
+    and closes on a kink.  The Newton step -f'/f'' is taken when f'' > 0
+    and it lands in [a, b]; otherwise the iterate moves to the bracket
+    midpoint.  A bracket is done when its step (zero where f' = 0) or its
+    width is at most xtol; that last step is applied but not evaluated.
+    Newton converges in a few steps.  A bracket still open after
+    _NEWTON_STEPS only bisects, which halves it at every step, so all are
+    done within _NEWTON_STEPS + 2 + log2(width / xtol) steps; running past
+    that is an error.
     """
     a, b, x = (np.array(v, dtype=float) for v in (a, b, x))
     fx = np.empty(len(x))
@@ -220,7 +235,7 @@ def _newton_batch(lam: np.ndarray, coef: np.ndarray, reduce, a: np.ndarray,
     for i in range(cap):
         xa = x[act]
         z = np.exp(1j * np.outer(xa, lam)) @ cols
-        f, g, h = reduce(z[:, :m], z[:, m:2 * m], z[:, 2 * m:])
+        f, g, h = terms(z[:, :m], z[:, m:2 * m], z[:, 2 * m:])
         fx[act] = f
         aa = np.where(g < 0.0, xa, a[act])
         ba = np.where(g > 0.0, xa, b[act])
@@ -277,17 +292,18 @@ def _coarse_keep(vals: np.ndarray, h: float, m2: float, m3: float | None,
     return keep
 
 
-def _refine_minima(lam: np.ndarray, coef: np.ndarray, reduce, ts: np.ndarray,
+def _refine_minima(lam: np.ndarray, coef: np.ndarray, terms, ts: np.ndarray,
                    vals: np.ndarray, h: float, m2: float, m3: float | None,
                    threshold: float, xtol: float, idx: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions of the kept grid-local minima of vals, their refined times
-    and f there, for the f = reduce(sum_j coef_j e^{i lam_j t}) that vals
-    samples at times ts on a grid of step h.  The samples are consecutive
-    grid points, or else at the increasing grid indices idx; a sample is
-    tested only when both its grid neighbours are among them.
+    and f there, for the f of sum_j coef_j e^{i lam_j t} that vals samples
+    at times ts on a grid of step h and whose reducer's terms give (f, f',
+    f'').  The samples are consecutive grid points, or else at the
+    increasing grid indices idx; a sample is tested only when both its
+    grid neighbours are among them.
 
-    With |f''| <= m2, f stays above vals[i] - m2 h^2/8 on the bracket
+    With the reducer's m2, f stays above vals[i] - m2 h^2/8 on the bracket
     [t_{i-1}, t_{i+1}] of a grid-local minimum i; with |f'''| <= m3 (m3
     not None) it also stays above the least value there of the quadratic
     through the three samples, less m3 h^3/(9 sqrt 3).  A bracket where
@@ -304,7 +320,7 @@ def _refine_minima(lam: np.ndarray, coef: np.ndarray, reduce, ts: np.ndarray,
         lo, hi = vals[p - 1], vals[p + 1]
         p = p[_quad_floor(lo, vals[p], hi, -1.0, 1.0, np.minimum(lo, hi))
               - m3 * h ** 3 * _CUBIC <= threshold]
-    return (p, *_newton_batch(lam, coef, reduce, ts[p - 1], ts[p + 1], ts[p], xtol))
+    return (p, *_newton_batch(lam, coef, terms, ts[p - 1], ts[p + 1], ts[p], xtol))
 
 
 def _fine_points(j: np.ndarray, span: int, npts: int
@@ -322,23 +338,59 @@ def _fine_points(j: np.ndarray, span: int, npts: int
     return starts, take, idx[take]
 
 
-def _fine_values(lam: np.ndarray, coef: np.ndarray, reduce, t0: float, h: float,
-                 starts: np.ndarray, width: int) -> np.ndarray:
-    """reduce of the sums at t0 + (s + p) h for p < width, one row of width
-    values per start s.  A start takes one direct e^{i (t0 + s h) lam},
-    times the step table e^{i p h lam} from _phase_table that all starts
-    share, and the starts go through one product per _CHUNK // columns
-    of them."""
-    k, m = coef.shape
-    step = _phase_table(lam, h, width).T
-    per = max(1, _CHUNK // max(m, 1))
-    out = []
-    for i in range(0, len(starts), per):
-        s = starts[i:i + per]
-        base = np.exp(1j * np.outer(t0 + s * h, lam))[:, None, :] * coef.T
-        z = (base.reshape(-1, k) @ step).reshape(len(s), m, width)
-        out.append(reduce(z.transpose(0, 2, 1).reshape(-1, m)))
-    return np.concatenate(out).reshape(len(starts), width)
+class _Reducer(NamedTuple):
+    """What one search minimizes: an f of the sums z = sum_j coef_j e^{i
+    lam_j t} (one column per column of coef), with the bounds its scan
+    prunes by.  value(z) is f per row of z; terms(z, z', z'') is (f, f',
+    f''); m2(lam, coef) is an M2 such that f stays above the lesser end of
+    any interval of width H less M2 H^2/8 (|f''| <= M2 for a smooth f);
+    m3(lam, coef) bounds |f'''|, and is None when f is not smooth."""
+
+    value: Callable[[np.ndarray], np.ndarray]
+    terms: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
+    m2: Callable[[np.ndarray, np.ndarray], float]
+    m3: Callable[[np.ndarray, np.ndarray], float] | None
+
+
+def _sq_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|z|^2 and its first two time derivatives, elementwise."""
+    return (z.real ** 2 + z.imag ** 2,
+            2.0 * (z.real * dz.real + z.imag * dz.imag),
+            2.0 * (dz.real ** 2 + dz.imag ** 2 + z.real * d2z.real + z.imag * d2z.imag))
+
+
+# |first column|^2, bounded through that column alone
+_sq = _Reducer(
+    lambda z: z[:, 0].real ** 2 + z[:, 0].imag ** 2,
+    lambda z, dz, d2z: _sq_terms(z[:, 0], dz[:, 0], d2z[:, 0]),
+    lambda lam, coef: float(_curvature(lam, coef)[0]),
+    lambda lam, coef: float(_cubic(lam, coef)[0]))
+
+# sum_c |z_c|^2 per row: its derivatives, and so its bounds, are the
+# columns' sums
+_leak = _Reducer(
+    lambda z: np.sum(z.real ** 2 + z.imag ** 2, axis=1),
+    lambda z, dz, d2z: tuple(v.sum(axis=1) for v in _sq_terms(z, dz, d2z)),
+    lambda lam, coef: float(_curvature(lam, coef).sum()),
+    lambda lam, coef: float(_cubic(lam, coef).sum()))
+
+
+def _neg_peak_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, f', f'') of -|z_c|^2 at each row's argmax column c."""
+    rows, col = np.arange(len(z)), np.argmax(z.real ** 2 + z.imag ** 2, axis=1)
+    return tuple(-v for v in _sq_terms(z[rows, col], dz[rows, col], d2z[rows, col]))
+
+
+# -max_c |z_c|^2 per row (0 with no columns): the least of the -|z_c|^2, so
+# the largest column M2 bounds its sag below an interval's ends; it has no
+# third derivative at a kink, where the argmax column changes
+_neg_peak = _Reducer(
+    lambda z: -np.max(z.real ** 2 + z.imag ** 2, axis=1, initial=0.0),
+    _neg_peak_terms,
+    lambda lam, coef: float(_curvature(lam, coef).max(initial=0.0)),
+    None)
 
 
 class _Scan(NamedTuple):
@@ -357,20 +409,19 @@ class _Scan(NamedTuple):
     fx: np.ndarray
 
 
-def _scan_minima(lam: np.ndarray, coef: np.ndarray, reduce,
-                 window: tuple[float, float], grid: int | None, m2: float,
-                 m3: Callable[[], float] | None, xtol: float,
+def _scan_minima(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer,
+                 window: tuple[float, float], grid: int | None, xtol: float,
                  ceiling: float | None = None, band: float = 0.0) -> _Scan:
-    """The refined grid-local minima of f = reduce(sum_j coef_j e^{i lam_j
-    t}) on the window's grid (_grid_size), where |f''| <= m2 and, for a
-    smooth reducer, |f'''| <= m3() (m3 None for one that is not; it is
-    called only on two levels).  Only minima whose bracket can reach the
-    threshold are refined: ceiling when given, else the least grid value
-    plus band.
+    """The refined grid-local minima of the reducer's f of sum_j coef_j
+    e^{i lam_j t} on the window's grid (_grid_size), pruned by the
+    reducer's own bounds: M2 = reducer.m2(lam, coef) always, and for a
+    smooth f M3 = reducer.m3(lam, coef), computed only on two levels.
+    Only minima whose bracket can reach the threshold are refined: ceiling
+    when given, else the least grid value plus band.
 
     A grid of at most 8 _COARSE points, or of fewer than _TWO_LEVEL points
     times terms (support times columns), is scanned on one level:
-    _grid_values on every point, then _refine_minima with the m2 bound.
+    _grid_values on every point, then _refine_minima with the M2 bound.
     There that costs less than the bookkeeping of two levels.  Otherwise:
 
     Coarse pass: one _grid_values on every _COARSE-th grid point.
@@ -390,65 +441,35 @@ def _scan_minima(lam: np.ndarray, coef: np.ndarray, reduce,
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
     npts = _grid_size(t1 - t0, spread, grid)
     h = (t1 - t0) / (npts - 1)
+    m2 = reducer.m2(lam, coef)
 
     def level(vals: np.ndarray) -> float:
         return ceiling if ceiling is not None else float(vals.min()) + band
 
-    idx = None
+    idx = m3 = None
     if npts <= 8 * _COARSE or npts * coef.size < _TWO_LEVEL:
-        ts, vals = _grid_values(lam, coef, reduce, (t0, t1), npts)
-        cubic = None
+        ts, vals = _grid_values(lam, coef, reducer.value, (t0, t1), npts)
     else:
-        cubic = None if m3 is None else m3()
+        if reducer.m3 is not None:
+            m3 = reducer.m3(lam, coef)
         whole = (npts - 1) // _COARSE
-        _, coarse = _grid_values(lam, coef, reduce, (t0, t0 + _COARSE * h * whole), whole + 1)
-        keep = _coarse_keep(coarse, _COARSE * h, m2, cubic, level(coarse))
+        _, coarse = _grid_values(lam, coef, reducer.value,
+                                 (t0, t0 + _COARSE * h * whole), whole + 1)
+        keep = _coarse_keep(coarse, _COARSE * h, m2, m3, level(coarse))
         if whole * _COARSE < npts - 1:
             keep = np.append(keep, True)
         keep[0] = keep[-1] = True
         span = _COARSE * _FINE_BLOCK
         starts, take, idx = _fine_points(np.unique(np.flatnonzero(keep) // _FINE_BLOCK),
                                          span, npts)
-        vals = _fine_values(lam, coef, reduce, t0, h, starts, span + 3)[take]
+        vals = _fine_values(lam, coef, reducer.value, t0, h, starts, span + 3)[take]
         # the times np.linspace(t0, t1, npts) gives these points
         ts = idx * h + t0
         ts[-1] = t1
     threshold = level(vals)
-    p, x, fx = _refine_minima(lam, coef, reduce, ts, vals, h, m2, cubic, threshold, xtol, idx)
+    p, x, fx = _refine_minima(lam, coef, reducer.terms, ts, vals, h, m2, m3, threshold,
+                              xtol, idx)
     return _Scan(npts, (float(vals[0]), float(vals[-1])), threshold, ts[p], vals[p], x, fx)
-
-
-def _sq_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|z|^2 and its first two time derivatives, elementwise."""
-    return (z.real ** 2 + z.imag ** 2,
-            2.0 * (z.real * dz.real + z.imag * dz.imag),
-            2.0 * (dz.real ** 2 + dz.imag ** 2 + z.real * d2z.real + z.imag * d2z.imag))
-
-
-def _sq(z: np.ndarray, dz: np.ndarray | None = None, d2z: np.ndarray | None = None):
-    """|first column|^2; given dz and d2z, (f, f', f'')."""
-    if dz is None:
-        return z[:, 0].real ** 2 + z[:, 0].imag ** 2
-    return _sq_terms(z[:, 0], dz[:, 0], d2z[:, 0])
-
-
-def _leak(z: np.ndarray, dz: np.ndarray | None = None, d2z: np.ndarray | None = None):
-    """sum_c |z_c|^2 per row; given dz and d2z, (f, f', f'')."""
-    if dz is None:
-        return np.sum(z.real ** 2 + z.imag ** 2, axis=1)
-    return tuple(v.sum(axis=1) for v in _sq_terms(z, dz, d2z))
-
-
-def _neg_peak(z: np.ndarray, dz: np.ndarray | None = None,
-              d2z: np.ndarray | None = None):
-    """-max_c |z_c|^2 per row (0 with no columns); given dz and d2z,
-    (f, f', f'') of the row's argmax column."""
-    sq = z.real ** 2 + z.imag ** 2
-    if dz is None:
-        return -np.max(sq, axis=1, initial=0.0)
-    rows, col = np.arange(len(z)), np.argmax(sq, axis=1)
-    return tuple(-v for v in _sq_terms(z[rows, col], dz[rows, col], d2z[rows, col]))
 
 
 def _sq_at(lam: np.ndarray, wts: np.ndarray, times) -> np.ndarray:
@@ -654,8 +675,7 @@ class WalkEvaluator:
         return _grid_size(span, spread, grid)
 
     def minimize_diagonal(self, u: int, window: tuple[float, float] | None = None,
-                          grid: int | None = None,
-                          refine_tol: float = 1e-10) -> MinimizationResult:
+                          grid: int | None = None) -> MinimizationResult:
         """Minimize |U(t)_{u,u}|.
 
         With no window, the search takes default_window(u): the certified
@@ -674,31 +694,16 @@ class WalkEvaluator:
         counts the clusters.  An ambiguous root cluster sends the call to
         the scan.
 
-        Scan.  Otherwise |U(t)_{u,u}|^2 is scanned by _scan_minima, in
-        O(chunk x support) memory.  Its second and third derivatives are at
-        most M2 = 2 Var_w(lam) and M3 = sum_jk w_j w_k |lam_j - lam_k|^3.  A
-        grid of at least _TWO_LEVEL points times support eigenvalues takes
-        two levels.  A coarse pass evaluates every fourth grid point, and an
-        interval between coarse points is dropped when a rigorous lower
-        bound on it, the lesser endpoint less M2 H^2/8 or the least
-        quadratic through three coarse points less M3 H^3/(9 sqrt 3) (H the
-        coarse step), lies more than 1e-9 above the coarse minimum: it can
-        hold neither the minimum nor a tie with it.  The fine pass
-        evaluates the grid points of the other intervals.  The bracket of a
-        grid-local minimum g there holds nothing below g - M2 h^2/8, nor
-        below the least quadratic through its three points less M3 h^3/(9
-        sqrt 3) (h the grid step); brackets where either exceeds the grid
-        minimum plus 1e-9 are skipped too.  A smaller grid is evaluated at
-        every point, and its brackets are pruned by the M2 bound alone.
-        The rest (refinements counts them) are refined together from their
-        grid minima by safeguarded Newton steps on the analytic derivative
-        of |U|^2: the sign of the derivative keeps each iterate in its
-        bracket, a step that would leave it (or meets negative curvature)
-        bisects, and refine_tol bounds the last step or the bracket.  Each
-        bracket offers the better of its grid sample and its refinement.
-        Only intervals proven to stay above the threshold go unevaluated,
-        so the minimum, the argmin and the ties are those of a scan of
-        every grid point, and grid is the full grid's size.
+        Scan.  Otherwise |U(t)_{u,u}|^2 is scanned by _scan_minima with the
+        reducer _sq, in O(chunk x support) memory, pruned by the bounds _sq
+        carries: |f''| <= M2 = 2 Var_w(lam) and |f'''| <= M3 = sum_jk w_j w_k
+        |lam_j - lam_k|^3.  Its threshold is the grid minimum plus 1e-9, so
+        a pruned interval or bracket holds neither the minimum nor a tie
+        with it.  The kept grid-local minima (refinements counts them) are
+        refined by safeguarded Newton steps to _REFINE_TOL, and each offers
+        the better of its grid sample and its refinement.  The minimum, the
+        argmin and the ties are those of a scan of every grid point, and
+        grid is the full grid's size.
 
         On both paths the window ends offer their values; the minimum is the
         least offer and argmin the earliest offer within 1e-9 of it in
@@ -706,8 +711,6 @@ class WalkEvaluator:
         occurrence.  grid is the grid size for the window either way, so
         reports do not depend on the path.
         """
-        if not refine_tol > 0.0:
-            raise WalkError(f"refine_tol must be positive, got {refine_tol!r}")
         lam, wts, _, per = self.spectrum(u)
         certified = False
         if window is None:
@@ -726,10 +729,7 @@ class WalkEvaluator:
             npts = _grid_size(t1 - t0, float(lam.max() - lam.min()))
             refinements = len(times) - 2
         else:
-            coef = wts[:, None]
-            scan = _scan_minima(lam, coef, _sq, (t0, t1), grid,
-                                float(_curvature(lam, coef)[0]),
-                                lambda: float(_cubic(lam, coef)[0]), refine_tol,
+            scan = _scan_minima(lam, wts[:, None], _sq, (t0, t1), grid, _REFINE_TOL,
                                 band=_TIE_BAND)
             refined = scan.fx < scan.f
             offers = np.concatenate((scan.ends, np.where(refined, scan.fx, scan.f)))
@@ -743,24 +743,15 @@ class WalkEvaluator:
 
     # -- transfer phenomena -------------------------------------------------
 
-    def _column_scan(self, u: int, cols: list[int], reduce, smooth: bool,
+    def _column_scan(self, u: int, cols: list[int], reducer: _Reducer,
                      window: tuple[float, float], grid: int | None,
                      ceiling: float) -> np.ndarray:
         """Times, in order, among the window ends and the refined grid-local
-        minima of reduce(U(t)_{cols,u}) where it is at most ceiling.  A
-        smooth reduce sums the columns' |U|^2, so its derivative bounds are
-        the sums of theirs; one that is not takes a max, which has no third
-        derivative at a kink, and gets the largest second-derivative bound
-        alone."""
+        minima of the reducer's f of U(t)_{cols,u} where it is at most
+        ceiling."""
         lam = self.decomposition.eigenvalues
-        coef = self._column_data(u)[:, cols]
-        m2 = _curvature(lam, coef)
-        if smooth:
-            m2, m3 = float(m2.sum()), lambda: float(_cubic(lam, coef).sum())
-        else:
-            m2, m3 = float(m2.max(initial=0.0)), None
-        scan = _scan_minima(lam, coef, reduce, window, grid, m2, m3, 1e-12,
-                            ceiling=ceiling)
+        scan = _scan_minima(lam, self._column_data(u)[:, cols], reducer, window, grid,
+                            1e-12, ceiling=ceiling)
         times = np.concatenate(([float(window[0])], scan.x, [float(window[1])]))
         return times[np.concatenate(([scan.ends[0]], scan.fx, [scan.ends[1]])) <= ceiling]
 
@@ -771,7 +762,7 @@ class WalkEvaluator:
         reaches 1 within 1e-8.  Numeric evidence only; the caller decides
         whether the window certifies anything."""
         others = [v for v in range(self.n) if v != u]
-        times = self._column_scan(u, others, _neg_peak, False, window, grid,
+        times = self._column_scan(u, others, _neg_peak, window, grid,
                                   -(1.0 - _PST_TOL) ** 2)
         if not len(times):
             return None
@@ -781,17 +772,15 @@ class WalkEvaluator:
 
     def find_fractional_revival(self, u: int, v: int,
                                 window: tuple[float, float],
-                                grid: int | None = None,
-                                leak_tol: float = 1e-9,
-                                beta_tol: float = 1e-8) -> float | None:
+                                grid: int | None = None) -> float | None:
         """Earliest time where the walk column at u is supported on {u, v}
         with a nonzero cross term: min t with sum of |U(t)_{w,u}|^2 over
-        w outside the pair below leak_tol and |U(t)_{v,u}| > beta_tol."""
+        w outside the pair below _LEAK_TOL and |U(t)_{v,u}| > _BETA_TOL."""
         if u == v:
             raise WalkError("fractional revival needs a pair of distinct vertices")
         for t in self._column_scan(u, [w for w in range(self.n) if w not in (u, v)],
-                                   _leak, True, window, grid, leak_tol):
-            if t > 1e-9 and abs(self.transition_entry(float(t), v, u)) > beta_tol:
+                                   _leak, window, grid, _LEAK_TOL):
+            if t > 1e-9 and abs(self.transition_entry(float(t), v, u)) > _BETA_TOL:
                 return float(t)
         return None
 

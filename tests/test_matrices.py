@@ -104,12 +104,8 @@ def test_twin_theta_conventions():
 
 
 def test_graph_hash_tag():
-    g = path_graph(3)
-    h1 = assemble(g, ADJACENCY)
-    h2 = assemble(g, LAPLACIAN)
-    assert h1.graph_hash == h2.graph_hash
-    other = assemble(path_graph(4), ADJACENCY)
-    assert other.graph_hash != h1.graph_hash
+    assert path_graph(3).content_hash() == path_graph(3).content_hash()
+    assert path_graph(4).content_hash() != path_graph(3).content_hash()
 
 
 @pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN, generalized_adjacency(0.5),

@@ -18,7 +18,6 @@ from qwsed.sedentary import _alignment_defect
 from qwsed.walk import (
     DEFAULT_WINDOW,
     WalkEvaluator,
-    _curvature,
     _grid_values,
     _leak,
     _neg_peak,
@@ -45,16 +44,17 @@ def test_reducer_derivatives_match_central_differences(name, seed, k, m, t):
     rng = np.random.default_rng(seed)
     lam = rng.uniform(-3.0, 3.0, k)
     coef = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
-    reduce = _REDUCERS[name]
+    reducer = _REDUCERS[name]
     if name == "neg_peak":
         # away from a kink, where the argmax column changes
         sq = np.sort(np.abs(_sums(lam, coef, t)[0][0]) ** 2)
         assume(m == 1 or sq[-1] - sq[-2] > 1e-2)
     d = 1e-5
-    f, g, h = (float(v[0]) for v in reduce(*_sums(lam, coef, t)))
-    fm, gm, _ = (float(v[0]) for v in reduce(*_sums(lam, coef, t - d)))
-    fp, gp, _ = (float(v[0]) for v in reduce(*_sums(lam, coef, t + d)))
-    assert f == pytest.approx(float(reduce(_sums(lam, coef, t)[0])[0]), rel=1e-12, abs=1e-12)
+    f, g, h = (float(v[0]) for v in reducer.terms(*_sums(lam, coef, t)))
+    fm, gm, _ = (float(v[0]) for v in reducer.terms(*_sums(lam, coef, t - d)))
+    fp, gp, _ = (float(v[0]) for v in reducer.terms(*_sums(lam, coef, t + d)))
+    assert f == pytest.approx(float(reducer.value(_sums(lam, coef, t)[0])[0]),
+                              rel=1e-12, abs=1e-12)
     scale = 1.0 + float(np.sum(np.abs(coef))) ** 2 * 9.0
     assert abs(g - (fp - fm) / (2.0 * d)) <= 1e-6 * scale
     assert abs(h - (gp - gm) / (2.0 * d)) <= 1e-6 * scale * 3.0
@@ -69,9 +69,9 @@ def test_refined_values_beat_dense_bracket_samples():
         wts = rng.random(k)
         wts /= wts.sum()
         coef = wts[:, None]
-        ts, sq = _grid_values(lam, coef, _sq, (0.0, 60.0), 1024)
-        at, x, fx = _refine_minima(lam, coef, _sq, ts, sq, ts[1] - ts[0],
-                                   float(_curvature(lam, coef)[0]), None, math.inf, 1e-10)
+        ts, sq = _grid_values(lam, coef, _sq.value, (0.0, 60.0), 1024)
+        at, x, fx = _refine_minima(lam, coef, _sq.terms, ts, sq, ts[1] - ts[0],
+                                   _sq.m2(lam, coef), None, math.inf, 1e-10)
         for i, t, v in zip(at, x, fx):
             assert ts[i - 1] <= t <= ts[i + 1]
             dense = _sq_at(lam, wts, np.linspace(ts[i - 1], ts[i + 1], 512))
@@ -80,14 +80,13 @@ def test_refined_values_beat_dense_bracket_samples():
     assert brackets > 1000
 
 
-def _counted(reduce):
-    """reduce, counting the calls that ask for derivatives (one per step)."""
+def _counted(reducer):
+    """The reducer's terms, counting the calls (one per step)."""
     calls = []
 
-    def wrapped(z, dz=None, d2z=None):
-        if dz is not None:
-            calls.append(len(z))
-        return reduce(z, dz, d2z)
+    def wrapped(z, dz, d2z):
+        calls.append(len(z))
+        return reducer.terms(z, dz, d2z)
     return wrapped, calls
 
 
@@ -100,7 +99,7 @@ def test_concave_start_bisects_to_the_minimum():
     lam, coef = np.array([0.0, 1.0]), np.array([[0.5], [0.5]])
     a, x0, b = math.pi - 2.0, math.pi - 1.8, math.pi + 0.5
     reduce, calls = _counted(_sq)
-    assert float(_sq(*_sums(lam, coef, x0))[2][0]) < 0.0
+    assert float(_sq.terms(*_sums(lam, coef, x0))[2][0]) < 0.0
     x, fx = _newton_batch(lam, coef, reduce, [a], [b], [x0], 1e-12)
     assert abs(x[0] - math.pi) <= 1e-12
     assert fx[0] <= 1e-20
@@ -116,7 +115,8 @@ def test_neg_peak_kink_closes_the_bracket(x0, end):
     reduce, calls = _counted(_neg_peak)
     x, fx = _newton_batch(lam, coef, reduce, [0.2], [1.2], [x0], 1e-12)
     assert abs(x[0] - end) <= 1e-12
-    assert fx[0] == pytest.approx(float(_neg_peak(_sums(lam, coef, end)[0])[0]), abs=1e-12)
+    assert fx[0] == pytest.approx(float(_neg_peak.value(_sums(lam, coef, end)[0])[0]),
+                                  abs=1e-12)
     assert len(calls) <= _cap(0.2, 1.2, 1e-12)
 
 
@@ -130,12 +130,6 @@ def test_degenerate_minimum_stays_under_the_cap():
     # f' ~ t^3 sinks below rounding near the zero, so x is only ~1e-8
     assert abs(x[0]) <= 1e-7
     assert walk._NEWTON_STEPS < len(calls) <= _cap(-0.4, 0.3, 1e-12)
-
-
-def test_refine_tol_must_be_positive():
-    ev = WalkEvaluator.for_graph(build_family(parse_family("path:5")))
-    with pytest.raises(walk.WalkError):
-        ev.minimize_diagonal(0, window=(0.0, 50.0), refine_tol=0.0)
 
 
 # -- corpus argmins against 50-digit critical points ---------------------------

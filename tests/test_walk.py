@@ -281,8 +281,8 @@ def test_grid_values_match_direct_sums_over_the_open_window():
 
 
 def test_grid_values_across_base_blocks():
-    # 257 columns leave 3 chunks to a block, so 5 chunks take two blocks and
-    # the second block restarts the base phases from a direct exponential
+    # 257 columns leave 3 chunk starts to a product, so 5 chunks take two
+    # products
     rng = np.random.default_rng(11)
     lam = rng.uniform(-4.0, 4.0, 9)
     coef = rng.normal(size=(9, 257)) + 1j * rng.normal(size=(9, 257))
@@ -292,9 +292,10 @@ def test_grid_values_across_base_blocks():
     assert np.max(np.abs(vals - np.exp(1j * np.outer(ts, lam)) @ coef)) < 1e-12
 
 
-def test_grid_values_build_phase_tables_by_doubling(monkeypatch):
-    """One open-window scan evaluates a logarithmic number of exponentials
-    of k terms, none per grid point or per chunk."""
+def test_grid_values_take_one_exponential_per_chunk(monkeypatch):
+    """A pass over npts grid points with k terms evaluates exactly k
+    (ceil(log2 c) + ceil(npts / c)) exponentials, c = min(_CHUNK, npts):
+    the doubled step table and one direct phase per chunk start."""
     lam, coef = _open_window_support()
     evaluated = []
     real_exp = np.exp
@@ -305,17 +306,12 @@ def test_grid_values_build_phase_tables_by_doubling(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "exp", counted)
-    ts, _ = _grid_values(lam, coef, _sq, (0.0, DEFAULT_WINDOW))
-    monkeypatch.undo()
-    k, npts = len(lam), len(ts)
-    c = min(_CHUNK, npts)
-    chunks = -(-npts // c)
-    per_block = min(_CHUNK, chunks)
-    blocks = -(-chunks // per_block)
-    cap = k * (math.ceil(math.log2(c)) + math.ceil(math.log2(per_block)) + blocks + 1)
-    assert 0 < sum(evaluated) <= cap
-    # a direct exponential per table entry would take k (c + chunks)
-    assert 20 * cap < k * (c + chunks)
+    for grid in (None, 8, _CHUNK + 1):
+        evaluated.clear()
+        ts, _ = _grid_values(lam, coef, _sq.value, (0.0, DEFAULT_WINDOW), grid)
+        k, npts = len(lam), len(ts)
+        c = min(_CHUNK, npts)
+        assert sum(evaluated) == k * (math.ceil(math.log2(c)) + -(-npts // c))
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,17 +383,18 @@ def test_open_window_oracle_memory():
 # -- the two-level scan against a scan of every grid point ---------------------
 
 
-def _full_scan(lam, coef, reduce, window, grid, m2, m3, xtol, ceiling=None, band=0.0):
+def _full_scan(lam, coef, reducer, window, grid, xtol, ceiling=None, band=0.0):
     """The reference for _scan_minima, a scan of every grid point:
     _grid_values on the whole grid, then the grid-local-minimum test, the
-    M2 prune and one _newton_batch.  m3 is not read."""
-    ts, vals = _grid_values(lam, coef, reduce, window, grid)
+    prune by the reducer's M2 and one _newton_batch.  M3 is not read."""
+    m2 = reducer.m2(lam, coef)
+    ts, vals = _grid_values(lam, coef, reducer.value, window, grid)
     threshold = ceiling if ceiling is not None else float(vals.min()) + band
     mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
     at = np.flatnonzero((mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))) + 1
     h = ts[1] - ts[0]
     at = at[vals[at] - m2 * h * h / 8.0 <= threshold]
-    x, fx = _newton_batch(lam, coef, reduce, ts[at - 1], ts[at + 1], ts[at], xtol)
+    x, fx = _newton_batch(lam, coef, reducer.terms, ts[at - 1], ts[at + 1], ts[at], xtol)
     return _Scan(len(ts), (float(vals[0]), float(vals[-1])), threshold, ts[at], vals[at], x, fx)
 
 
@@ -412,7 +409,7 @@ def _best(scan, window):
 
 
 def _scan_case(rng, name, tied):
-    """(lam, coef, reduce, m2, m3, mode) of one search: mode is 'band' for
+    """(lam, coef, reducer, mode) of one search: mode is 'band' for
     minimize_diagonal's threshold, 'low' for subset_bound's and 'ceiling'
     for the fixed ceilings of the column scans and find_equality_time.
     tied supports are symmetric integer multiples of one step, so their
@@ -428,24 +425,18 @@ def _scan_case(rng, name, tied):
         w = rng.random(k)
     if name in ("sq", "subset"):
         coef = (w / w.sum())[:, None]
-        return (lam, coef, _sq, float(_curvature(lam, coef)[0]),
-                float(_cubic(lam, coef)[0]), "band" if name == "sq" else "low")
+        return lam, coef, _sq, "band" if name == "sq" else "low"
     if name == "defect":
         # find_equality_time's defect: eigenvalues less the first of the
         # subset, +1 on the subset and -1 off it
         inside = rng.random(k) < 0.5
         inside[0] = True
-        delta = lam - lam[0]
-        return (delta, np.where(inside, 1.0, -1.0)[:, None], _alignment_defect(k),
-                2.0 * float(np.sum(delta ** 2)), 2.0 * float(np.sum(np.abs(delta) ** 3)),
-                "ceiling")
+        sign = np.where(inside, 1.0, -1.0)[:, None]
+        return lam - lam[0], sign, _alignment_defect(k), "ceiling"
     m = int(rng.integers(1, 5))
     coef = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
     coef /= np.linalg.norm(coef)
-    m2 = _curvature(lam, coef)
-    if name == "leak":
-        return lam, coef, _leak, float(m2.sum()), float(_cubic(lam, coef).sum()), "ceiling"
-    return lam, coef, _neg_peak, float(m2.max()), None, "ceiling"
+    return lam, coef, _leak if name == "leak" else _neg_peak, "ceiling"
 
 
 _SCAN_GRIDS = (None, 5, 8, 29, 33, 34, 35, 36, 1001, 4099)
@@ -453,18 +444,17 @@ _SCAN_WINDOWS = ((0.0, 40.0), (0.7, 40.0), (3.0, 9.5))
 
 
 def _compare_scans(rng, name, tied, grid, window):
-    lam, coef, reduce, m2, m3, mode = _scan_case(rng, name, tied)
+    lam, coef, reducer, mode = _scan_case(rng, name, tied)
     xtol = 1e-12
-    ref = _full_scan(lam, coef, reduce, window, grid, m2, m3, xtol)
+    ref = _full_scan(lam, coef, reducer, window, grid, xtol)
     kw = {}
     if mode == "band":
         kw = {"band": _TIE_BAND}
     elif mode == "ceiling":
         # a ceiling a few minima reach, so that pruning decides which
         kw = {"ceiling": float(np.quantile(np.concatenate((ref.f, ref.ends)), 0.3))}
-    ref = _full_scan(lam, coef, reduce, window, grid, m2, m3, xtol, **kw)
-    new = _scan_minima(lam, coef, reduce, window, grid, m2,
-                       None if m3 is None else lambda: m3, xtol, **kw)
+    ref = _full_scan(lam, coef, reducer, window, grid, xtol, **kw)
+    new = _scan_minima(lam, coef, reducer, window, grid, xtol, **kw)
     assert new.npts == ref.npts
     # the fine pass samples the window ends through another product of
     # phases than the full grid does: they differ by rounding in time, about
@@ -564,49 +554,75 @@ def test_callers_match_the_full_grid_scan(grid, two_levels, monkeypatch):
             assert abs(a[5][2] - b[5][2]) <= 1e-15
 
 
-# -- the third-derivative bound ------------------------------------------------
+# -- the reducers' derivative bounds ------------------------------------------
 
 
 def _bound_case(rng, name):
-    """(lam, coef, reduce, m3) with the M3 each search passes to the scan."""
-    k = int(rng.integers(2, 7))
+    """(lam, coef, reducer) of a random search with that reducer."""
+    k = int(rng.integers(1 if name == "defect" else 2, 7))
     lam = rng.uniform(-3.0, 3.0, k)
     if name == "sq":
         w = rng.random(k)
-        coef = (w / w.sum())[:, None]
-        return lam, coef, _sq, float(_cubic(lam, coef)[0])
-    if name == "leak":
-        coef = rng.normal(size=(k, 3)) + 1j * rng.normal(size=(k, 3))
-        return lam, coef, _leak, float(_cubic(lam, coef).sum())
-    coef = np.where(rng.random(k) < 0.5, 1.0, -1.0)[:, None]
-    return lam, coef, _alignment_defect(k), 2.0 * float(np.sum(np.abs(lam) ** 3))
+        return lam, (w / w.sum())[:, None], _sq
+    if name in ("leak", "neg_peak"):
+        m = 3 if name == "leak" else int(rng.integers(1, 4))
+        coef = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+        return lam, coef, _leak if name == "leak" else _neg_peak
+    return lam, np.where(rng.random(k) < 0.5, 1.0, -1.0)[:, None], _alignment_defect(k)
+
+
+def _quadratic(f0, f1, f2, s):
+    """The quadratic through (0, f0), (1, f1) and (2, f2), at s."""
+    return f0 * (s - 1.0) * (s - 2.0) / 2.0 - f1 * s * (s - 2.0) + f2 * s * (s - 1.0) / 2.0
+
+
+@pytest.mark.parametrize("name", ["sq", "leak", "neg_peak", "defect"])
+def test_declared_bounds_hold(name):
+    """Dense samples of the reducer's f on random brackets [t, t + h] never
+    fall below the lesser end less m2 h^2/8, and on [t, t + 2h] (for an m3
+    not None) never below the quadratic through f(t), f(t + h), f(t + 2h)
+    less m3 h^3/(9 sqrt 3).  Neither bound is slack: some bracket sags
+    more than half of each, so half the declared bound fails."""
+    rng = np.random.default_rng(len(name))
+    s = np.linspace(0.0, 2.0, 801)
+    sag2 = sag3 = 0.0
+    for _ in range(300):
+        lam, coef, reducer = _bound_case(rng, name)
+        t, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.05, 1.0))
+        f = reducer.value(_trig_sums(lam, coef, t + h * s))
+        slack = 1e-12 * (1.0 + np.max(np.abs(f)))
+        cut = reducer.m2(lam, coef) * h * h / 8.0
+        for part in (f[:401], f[400:]):
+            assert part.min() >= min(part[0], part[-1]) - cut - slack
+            sag2 = max(sag2, (min(part[0], part[-1]) - part.min()) / cut)
+        if reducer.m3 is not None:
+            p2 = _quadratic(f[0], f[400], f[800], s)
+            cut = reducer.m3(lam, coef) * h ** 3 * _CUBIC
+            assert np.all(f >= p2 - cut - slack)
+            sag3 = max(sag3, float(np.max(p2 - f)) / cut)
+    assert sag2 > 0.5
+    assert reducer.m3 is None or sag3 > 0.5
 
 
 @pytest.mark.parametrize("name", ["sq", "leak", "defect"])
 def test_quadratic_through_three_samples_bounds_f(name):
-    """Dense samples of f on [t, t + 2h] never fall below the quadratic
-    through f(t), f(t + h), f(t + 2h) less M3 h^3/(9 sqrt 3), and so never
-    below _quad_floor less that margin on either half or the whole."""
+    """Dense samples of f on [t, t + 2h] never fall below _quad_floor of
+    f(t), f(t + h), f(t + 2h) less M3 h^3/(9 sqrt 3), on either half or the
+    whole, with the reducer's M3."""
     rng = np.random.default_rng(len(name))
     s = np.linspace(0.0, 2.0, 801)
-    tightest = 0.0
+    one = np.array([1.0])
     for _ in range(300):
-        lam, coef, reduce, m3 = _bound_case(rng, name)
+        lam, coef, reducer = _bound_case(rng, name)
         t, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.05, 1.0))
-        f = reduce(_trig_sums(lam, coef, t + h * s))
+        f = reducer.value(_trig_sums(lam, coef, t + h * s))
         f0, f1, f2 = f[0], f[400], f[800]
-        p2 = f0 * (s - 1.0) * (s - 2.0) / 2.0 - f1 * s * (s - 2.0) + f2 * s * (s - 1.0) / 2.0
-        cut = m3 * h ** 3 * _CUBIC
+        cut = reducer.m3(lam, coef) * h ** 3 * _CUBIC
         slack = 1e-12 * (1.0 + np.max(np.abs(f)))
-        assert np.all(f >= p2 - cut - slack)
-        tightest = max(tightest, float(np.max(p2 - f)) / cut)
-        one = np.array([1.0])
         for lo, hi, part in ((-1, 0, f[:401]), (0, 1, f[400:]), (-1, 1, f)):
             ends = min(f[400 * (lo + 1)], f[400 * (hi + 1)]) * one
             floor = float(_quad_floor(f0 * one, f1 * one, f2 * one, lo, hi, ends)[0])
             assert floor - cut <= part.min() + slack
-    # the margin is not slack: some bracket comes within a fifth of it
-    assert tightest > 0.2
 
 
 def test_cubic_bounds_third_derivative():
@@ -628,7 +644,8 @@ def test_cubic_bounds_third_derivative():
 def test_open_window_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
     """On the first vertex of the seed-1 G(120, 0.1) workload, one coarse
     _grid_values call covers every fourth grid point, and the fine pass
-    evaluates at most 5% of the grid."""
+    evaluates at most 5% of the grid.  Both evaluate through _fine_values,
+    the coarse pass in chunks of _CHUNK points."""
     rng = np.random.default_rng([1, 0])
     g = _gnp(rng, 120, 0.1)
     u = int(rng.integers(120))
@@ -649,7 +666,8 @@ def test_open_window_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
     res = w.minimize_diagonal(u, (0.0, DEFAULT_WINDOW))
     assert res.grid > 100_000
     assert coarse == [(res.grid - 1) // _COARSE + 1]
-    assert len(fine) == 1 and fine[0] <= 0.05 * res.grid
+    assert len(fine) == 2 and fine[0] == -(-coarse[0] // _CHUNK) * _CHUNK
+    assert fine[1] <= 0.05 * res.grid
     assert res.refinements <= 30
 
 
@@ -670,20 +688,22 @@ def test_fine_points_take_each_block_point_once(span):
 
 def test_small_scans_take_one_level(monkeypatch):
     """A scan of fewer than _TWO_LEVEL grid points times terms evaluates
-    every grid point once and refines as the full-grid scan does."""
+    every grid point once, in one _grid_values call and so one _fine_values
+    call of _CHUNK points per chunk, and refines as the full-grid scan
+    does."""
     w = _walk("lollipop:5,2")
     lam, wts = w.spectrum(0)[:2]
     coef = wts[:, None]
     calls, fine = [], []
-    real_grid = walk._grid_values
+    real_grid, real_fine = walk._grid_values, walk._fine_values
     monkeypatch.setattr(walk, "_grid_values",
                         lambda *a: calls.append(a[4]) or real_grid(*a))
-    monkeypatch.setattr(walk, "_fine_values", lambda *a: fine.append(a))
+    monkeypatch.setattr(walk, "_fine_values",
+                        lambda *a: fine.append(len(a[5]) * a[6]) or real_fine(*a))
     res = w.minimize_diagonal(0, (0.0, DEFAULT_WINDOW))
     assert res.grid * len(lam) < walk._TWO_LEVEL
-    assert calls == [res.grid] and not fine
+    assert calls == [res.grid] and fine == [-(-res.grid // _CHUNK) * _CHUNK]
     monkeypatch.undo()
-    ref = _full_scan(lam, coef, _sq, (0.0, DEFAULT_WINDOW), None,
-                     float(_curvature(lam, coef)[0]), None, 1e-10, band=_TIE_BAND)
+    ref = _full_scan(lam, coef, _sq, (0.0, DEFAULT_WINDOW), None, 1e-10, band=_TIE_BAND)
     best, at = _best(ref, (0.0, DEFAULT_WINDOW))
     assert (res.minimum, res.argmin) == (math.sqrt(best), at)
