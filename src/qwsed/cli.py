@@ -17,11 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +30,8 @@ from .graphs import (
     parse_family,
     read_graph_file,
 )
-from .matrices import MatrixKind, parse_matrix_kind
+from .matrices import parse_matrix_kind
 from .sedentary import CertificateRefused, ClassifyOptions, classify, classify_vertices
-from .spectral import DEFAULT_CLUSTER_TOL
 from .walk import (
     WalkError,
     WalkEvaluator,
@@ -46,52 +42,10 @@ from .walk import (
 _RANGE = re.compile(r"(\d+)\.\.(\d+)")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from flags."""
-
-    command: str
-    graph_path: str | None
-    family: str | None
-    matrix: MatrixKind
-    vertex: str
-    window: float | None
-    grid: int | None
-    cluster_tol: float
-    out: str | None
-    format: str | None
-    time: float | None = None
-    pair: str | None = None
-
-    def __post_init__(self):
-        if (self.graph_path is None) == (self.family is None):
-            raise GraphError("exactly one of --graph and --family is required")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    if args.window is not None and not (math.isfinite(args.window) and args.window > 0.0):
-        raise GraphError(f"--window must be a finite positive time, got {args.window!r}")
-    return RunConfig(
-        command=args.command,
-        graph_path=args.graph,
-        family=args.family,
-        matrix=parse_matrix_kind(args.matrix),
-        vertex=args.vertex,
-        window=args.window,
-        grid=args.grid,
-        cluster_tol=args.cluster_tol if args.cluster_tol is not None
-        else DEFAULT_CLUSTER_TOL,
-        out=args.out,
-        format=args.format,
-        time=getattr(args, "time", None),
-        pair=getattr(args, "pair", None),
-    )
-
-
-def _load_graph(cfg: RunConfig) -> WeightedGraph:
-    if cfg.graph_path is not None:
-        return read_graph_file(cfg.graph_path)
-    return build_family(parse_family(cfg.family))
+def _load_graph(args: argparse.Namespace) -> WeightedGraph:
+    if args.graph is not None:
+        return read_graph_file(args.graph)
+    return build_family(parse_family(args.family))
 
 
 def _resolve_vertices(graph: WeightedGraph, selector: str) -> list[int]:
@@ -127,74 +81,44 @@ def _dump(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _classify_options(cfg: RunConfig) -> ClassifyOptions:
-    window = (0.0, cfg.window) if cfg.window is not None else None
-    return ClassifyOptions(window=window, grid=cfg.grid,
-                           cluster_tol=cfg.cluster_tol)
+def _classify_options(args: argparse.Namespace) -> ClassifyOptions:
+    window = (0.0, args.window) if args.window is not None else None
+    return ClassifyOptions(window=window, grid=args.grid)
 
 
-def _require_json(cfg: RunConfig) -> None:
-    if cfg.format == "csv":
-        raise GraphError(f"{cfg.command} emits JSON; csv applies to sweep")
+def _require_json(args: argparse.Namespace) -> None:
+    if args.format == "csv":
+        raise GraphError(f"{args.command} emits JSON; csv applies to sweep")
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    _require_json(cfg)
-    graph = _load_graph(cfg)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    _require_json(args)
+    graph = _load_graph(args)
     reports = [r.to_dict() for r in classify_vertices(
-        graph, _resolve_vertices(graph, cfg.vertex), cfg.matrix,
-        _classify_options(cfg))]
-    _emit(_dump(reports[0] if len(reports) == 1 else reports), cfg.out)
+        graph, _resolve_vertices(graph, args.vertex), args.matrix,
+        _classify_options(args))]
+    _emit(_dump(reports[0] if len(reports) == 1 else reports), args.out)
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.format == "json":
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.format == "json":
         raise GraphError("sweep emits csv; json applies to report commands")
-    graph = _load_graph(cfg)
-    u = _resolve_vertices(graph, cfg.vertex)[0]
-    w = WalkEvaluator.for_graph(graph, cfg.matrix, cfg.cluster_tol)
-    horizon = cfg.window if cfg.window is not None else 2.0 * math.pi
-    npts = cfg.grid or 4096
+    graph = _load_graph(args)
+    u = _resolve_vertices(graph, args.vertex)[0]
+    w = WalkEvaluator.for_graph(graph, args.matrix)
+    horizon = args.window if args.window is not None else 2.0 * math.pi
+    npts = args.grid or 4096
     ts = np.linspace(0.0, horizon, npts)
     vals = w.diagonal_entry_series(u, ts)
     rows = ["t,re,im,abs"]
     for t, z in zip(ts, vals):
         rows.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g},{abs(z):.17g}")
-    _emit("\n".join(rows) + "\n", cfg.out)
+    _emit("\n".join(rows) + "\n", args.out)
     return 0
-
-
-def _normalize_keywords(text: str) -> str:
-    """Rewrite keyword family parameters into the positional form."""
-    head, _, rest = text.partition(":")
-    if "=" not in rest:
-        return text
-    kind = head.strip().lower()
-    seg, sep, tail = rest.partition(":")
-    if tail and "=" in tail:
-        raise GraphError("keyword parameters belong in the first segment")
-    kv: dict[str, int] = {}
-    for tok in seg.split(","):
-        key, eq, val = tok.partition("=")
-        if not eq:
-            raise GraphError(f"cannot mix keyword and positional parameters "
-                             f"in {text!r}")
-        kv[key.strip()] = int(val)
-    if kind == "rook":
-        k, n = kv.pop("k"), kv.pop("n")
-        params = [n] * k
-    elif kind == "hamming":
-        params = [kv.pop("k"), kv.pop("n")]
-    else:
-        raise GraphError(f"keyword parameters are not defined for {kind!r}")
-    if kv:
-        raise GraphError(f"unknown keyword parameters {sorted(kv)} for {kind!r}")
-    joined = ",".join(str(p) for p in params)
-    return f"{kind}:{joined}" + (f":{tail}" if tail else "")
 
 
 def expand_family_range(text: str) -> list[str]:
@@ -203,39 +127,29 @@ def expand_family_range(text: str) -> list[str]:
     if len(matches) > 1:
         raise GraphError("family-scan takes exactly one ranged parameter")
     if not matches:
-        return [_normalize_keywords(text)]
+        return [text]
     m = matches[0]
     lo, hi = int(m.group(1)), int(m.group(2))
     if hi < lo:
         raise GraphError(f"empty range {lo}..{hi}")
-    return [_normalize_keywords(text[:m.start()] + str(v) + text[m.end():])
-            for v in range(lo, hi + 1)]
+    return [text[:m.start()] + str(v) + text[m.end():] for v in range(lo, hi + 1)]
 
 
-def _scan_worker(member: str, cfg: RunConfig) -> tuple[int, dict]:
+def _scan_worker(member: str, args: argparse.Namespace) -> tuple[int, dict]:
     """Vertex count and report of one family member."""
     graph = build_family(parse_family(member))
-    u = _resolve_vertices(graph, cfg.vertex)[0]
-    return graph.n, classify(graph, u, cfg.matrix, _classify_options(cfg)).to_dict()
+    u = _resolve_vertices(graph, args.vertex)[0]
+    return graph.n, classify(graph, u, args.matrix, _classify_options(args)).to_dict()
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("QWSED_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def cmd_family_scan(cfg: RunConfig) -> int:
-    _require_json(cfg)
-    if cfg.family is None:
+def cmd_family_scan(args: argparse.Namespace) -> int:
+    _require_json(args)
+    if args.family is None:
         raise GraphError("family-scan needs --family")
-    members = expand_family_range(cfg.family)
-    if len(members) == 1:
-        _emit(_dump(_scan_worker(members[0], cfg)[1]), cfg.out)
+    results = [_scan_worker(member, args) for member in expand_family_range(args.family)]
+    if len(results) == 1:
+        _emit(_dump(results[0][1]), args.out)
         return 0
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        results = list(pool.map(lambda s: _scan_worker(s, cfg), members))
     reports = [rep for _, rep in results]
     trend = [{"size": n, "C": rep["C"]} for n, rep in results]
     cs = [row["C"] for row in trend if row["C"] is not None]
@@ -246,67 +160,67 @@ def cmd_family_scan(cfg: RunConfig) -> int:
     else:
         direction = "mixed"
     payload = {
-        "family": cfg.family,
-        "matrix": str(cfg.matrix),
-        "vertex": cfg.vertex,
+        "family": args.family,
+        "matrix": str(args.matrix),
+        "vertex": args.vertex,
         "reports": reports,
         "trend": trend,
         "trend_direction": direction,
     }
-    _emit(_dump(payload), cfg.out)
+    _emit(_dump(payload), args.out)
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    _require_json(cfg)
-    graph = _load_graph(cfg)
-    u = _resolve_vertices(graph, cfg.vertex)[0]
-    w = WalkEvaluator.for_graph(graph, cfg.matrix, cfg.cluster_tol)
-    window = (0.0, cfg.window) if cfg.window is not None else None
-    result = w.minimize_diagonal(u, window, cfg.grid)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    _require_json(args)
+    graph = _load_graph(args)
+    u = _resolve_vertices(graph, args.vertex)[0]
+    w = WalkEvaluator.for_graph(graph, args.matrix)
+    window = (0.0, args.window) if args.window is not None else None
+    result = w.minimize_diagonal(u, window, args.grid)
     payload = {
         "graph": describe_graph(graph),
-        "matrix": str(cfg.matrix),
+        "matrix": str(args.matrix),
         "vertex": u,
         "oracle": result.to_dict(),
     }
-    _emit(_dump(payload), cfg.out)
+    _emit(_dump(payload), args.out)
     return 0
 
 
-def cmd_mixing_check(cfg: RunConfig) -> int:
-    _require_json(cfg)
-    graph = _load_graph(cfg)
-    w = WalkEvaluator.for_graph(graph, cfg.matrix, cfg.cluster_tol)
-    payload: dict = {"graph": describe_graph(graph), "matrix": str(cfg.matrix)}
-    if cfg.pair is not None:
-        parts = cfg.pair.split(",")
+def cmd_mixing_check(args: argparse.Namespace) -> int:
+    _require_json(args)
+    graph = _load_graph(args)
+    w = WalkEvaluator.for_graph(graph, args.matrix)
+    payload: dict = {"graph": describe_graph(graph), "matrix": str(args.matrix)}
+    if args.pair is not None:
+        parts = args.pair.split(",")
         if len(parts) != 2:
             raise GraphError("--pair takes two vertices, e.g. 0,1")
         u = _resolve_vertices(graph, parts[0])[0]
         v = _resolve_vertices(graph, parts[1])[0]
-        t = cfg.time
+        t = args.time
         if t is None:
-            horizon = cfg.window if cfg.window is not None else 2.0 * math.pi
-            t = w.find_fractional_revival(u, v, (0.0, horizon), cfg.grid)
+            horizon = args.window if args.window is not None else 2.0 * math.pi
+            t = w.find_fractional_revival(u, v, (0.0, horizon), args.grid)
             if t is None:
                 payload["fractional_revival"] = None
-                _emit(_dump(payload), cfg.out)
+                _emit(_dump(payload), args.out)
                 return 0
         fr = check_fractional_revival(w, u, v, t)
         payload["fractional_revival"] = {
             "u": fr.u, "v": fr.v, "time": fr.time,
             "alpha": fr.alpha, "beta": fr.beta, "proper": fr.proper,
         }
-        _emit(_dump(payload), cfg.out)
+        _emit(_dump(payload), args.out)
         return 0
-    if cfg.time is None:
+    if args.time is None:
         raise GraphError("mixing-check needs --time (or --pair to search)")
-    u = _resolve_vertices(graph, cfg.vertex)[0]
+    u = _resolve_vertices(graph, args.vertex)[0]
     payload["vertex"] = u
-    payload["time"] = cfg.time
-    payload["uniform_mixing"] = check_uniform_mixing(w, u, cfg.time)
-    _emit(_dump(payload), cfg.out)
+    payload["time"] = args.time
+    payload["uniform_mixing"] = check_uniform_mixing(w, u, args.time)
+    _emit(_dump(payload), args.out)
     return 0
 
 
@@ -332,8 +246,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=float, metavar="T",
                    help="restrict times to [0, T]")
     p.add_argument("--grid", type=int, metavar="N", help="grid point override")
-    p.add_argument("--cluster-tol", type=float, dest="cluster_tol", metavar="X",
-                   help="eigenvalue clustering tolerance")
     p.add_argument("--out", metavar="PATH", help="write output here, not stdout")
     p.add_argument("--format", choices=("json", "csv"),
                    help="json for reports, csv for sweep series")
@@ -375,8 +287,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        return _COMMANDS[cfg.command](cfg)
+        # the commands read args directly, with --matrix parsed here
+        window = args.window
+        if window is not None and not (math.isfinite(window) and window > 0.0):
+            raise GraphError(f"--window must be a finite positive time, got {window!r}")
+        args.matrix = parse_matrix_kind(args.matrix)
+        return _COMMANDS[args.command](args)
     except (GraphError, WalkError, CertificateRefused, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -214,10 +214,6 @@ class WeightedGraph:
         a[v, u] = w
         return a
 
-    def degree(self, u: int) -> float:
-        """Weighted degree, with loops counted twice."""
-        return 2.0 * self.loop_weight(u) + sum(self.neighbors(u).values())
-
     def degrees(self) -> np.ndarray:
         """Weighted degrees of all vertices, with loops counted twice."""
         return adjacency_degrees(self.adjacency_matrix())

@@ -40,7 +40,6 @@ import numpy as np
 from .graphs import FamilySpec, WeightedGraph, describe_graph
 from .matrices import ADJACENCY, MatrixKind, assemble
 from .spectral import (
-    DEFAULT_CLUSTER_TOL,
     SpectralDecomposition,
     TwinSet,
     decompose,
@@ -188,11 +187,10 @@ class SedentaryReport:
 @dataclass(frozen=True)
 class ClassifyOptions:
     """What classify may be told: an oracle window (None takes the vertex's
-    default window), a grid size, and the eigenvalue clustering tolerance."""
+    default window) and a grid size."""
 
     window: tuple[float, float] | None = None
     grid: int | None = None
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
 
 
 # -- subset bounds --------------------------------------------------------------
@@ -932,27 +930,25 @@ class _Context:
     context when both factors are the same graph).  A factor context holds
     each vertex's default-options report once it is classified (report)."""
 
-    def __init__(self, graph: WeightedGraph, kind: MatrixKind, cluster_tol: float):
-        self.graph, self.kind, self.cluster_tol = graph, kind, cluster_tol
-        self.walk = WalkEvaluator(decompose(assemble(graph, kind), cluster_tol))
+    def __init__(self, graph: WeightedGraph, kind: MatrixKind):
+        self.graph, self.kind = graph, kind
+        self.walk = WalkEvaluator(decompose(assemble(graph, kind)))
         self.twins = find_twin_sets(graph, kind)
         self._reports: dict[int, SedentaryReport] = {}
 
     @cached_property
     def factors(self) -> tuple[_Context, _Context]:
         gx, gy = self.graph.provenance[1:3]
-        cx = _Context(gx, self.kind, self.cluster_tol)
+        cx = _Context(gx, self.kind)
         if _annotated(gy) == _annotated(gx):
             return cx, cx
-        return cx, _Context(gy, self.kind, self.cluster_tol)
+        return cx, _Context(gy, self.kind)
 
     def report(self, u: int) -> SedentaryReport:
-        """u classified with default options and this context's cluster_tol,
-        once per vertex."""
+        """u classified with default options, once per vertex."""
         r = self._reports.get(u)
         if r is None:
-            r = self._reports[u] = _classify_vertex(
-                self, u, ClassifyOptions(cluster_tol=self.cluster_tol))
+            r = self._reports[u] = _classify_vertex(self, u, ClassifyOptions())
         return r
 
 
@@ -978,7 +974,7 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
     for u in vertices:
         if not 0 <= u < graph.n:
             raise CertificateRefused(f"vertex {u} out of range")
-    ctx = _Context(graph, kind, opts.cluster_tol)
+    ctx = _Context(graph, kind)
     return [_classify_vertex(ctx, u, opts) for u in vertices]
 
 

@@ -53,7 +53,6 @@ class SpectralDecomposition:
     vectors: np.ndarray
     offsets: np.ndarray
     weights: np.ndarray
-    cluster_tol: float
     matrix: np.ndarray
 
     @property
@@ -116,8 +115,7 @@ def decompose(h: Hamiltonian | np.ndarray,
     mm = np.array(m)
     for a in (vectors, offsets, weights, mm):
         a.setflags(write=False)
-    return SpectralDecomposition(eigenvalues, vectors, offsets, weights,
-                                 cluster_tol, mm)
+    return SpectralDecomposition(eigenvalues, vectors, offsets, weights, mm)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ import numpy as np
 
 from .graphs import WeightedGraph
 from .matrices import ADJACENCY, MatrixKind, assemble
-from .spectral import (DEFAULT_CLUSTER_TOL, PeriodicityInfo, SpectralDecomposition,
-                       decompose, periodicity, support)
+from .spectral import (PeriodicityInfo, SpectralDecomposition, decompose,
+                       periodicity, support)
 
 __all__ = [
     "WalkError",
@@ -88,6 +88,8 @@ _PST_TOL = 1e-8
 # fractional revival: the leak outside the pair and the least cross term
 _LEAK_TOL = 1e-9
 _BETA_TOL = 1e-8
+# the pointwise uniform-mixing and fractional-revival checks
+_CHECK_TOL = 1e-8
 # the Newton steps of the diagonal oracle stop at this step or bracket width
 _REFINE_TOL = 1e-10
 # Newton steps a bracket may take before it only bisects
@@ -604,9 +606,9 @@ class WalkEvaluator:
         self._diag_cache: dict[int, VertexSpectrum] = {}
 
     @classmethod
-    def for_graph(cls, graph: WeightedGraph, kind: MatrixKind = ADJACENCY,
-                  cluster_tol: float = DEFAULT_CLUSTER_TOL) -> "WalkEvaluator":
-        return cls(decompose(assemble(graph, kind), cluster_tol))
+    def for_graph(cls, graph: WeightedGraph,
+                  kind: MatrixKind = ADJACENCY) -> "WalkEvaluator":
+        return cls(decompose(assemble(graph, kind)))
 
     @property
     def n(self) -> int:
@@ -788,20 +790,20 @@ class WalkEvaluator:
 # -- pointwise mixing / revival checks ----------------------------------------
 
 
-def check_uniform_mixing(w: WalkEvaluator, u: int, t: float,
-                         tol: float = 1e-8) -> bool:
-    """True when every |U(t)_{v,u}| equals 1/sqrt(n) within tol."""
+def check_uniform_mixing(w: WalkEvaluator, u: int, t: float) -> bool:
+    """True when every |U(t)_{v,u}| equals 1/sqrt(n) within _CHECK_TOL."""
     mags = w.column_magnitude_series(u, [t])[0]
-    return bool(np.max(np.abs(mags - 1.0 / math.sqrt(w.n))) <= tol)
+    return bool(np.max(np.abs(mags - 1.0 / math.sqrt(w.n))) <= _CHECK_TOL)
 
 
-def check_fractional_revival(w: WalkEvaluator, u: int, v: int, t: float,
-                             tol: float = 1e-8) -> FractionalRevivalCheck:
+def check_fractional_revival(w: WalkEvaluator, u: int, v: int,
+                             t: float) -> FractionalRevivalCheck:
     """Measure alpha = |U(t)_{u,u}|, beta = |U(t)_{v,u}|; proper when
-    alpha^2 + beta^2 = 1 within tol and beta exceeds tol."""
+    alpha^2 + beta^2 = 1 within _CHECK_TOL and beta exceeds it."""
     if u == v:
         raise WalkError("fractional revival needs a pair of distinct vertices")
     alpha = abs(w.transition_entry(t, u, u))
     beta = abs(w.transition_entry(t, v, u))
-    proper = bool(abs(alpha * alpha + beta * beta - 1.0) <= tol and beta > tol)
+    proper = bool(abs(alpha * alpha + beta * beta - 1.0) <= _CHECK_TOL
+                  and beta > _CHECK_TOL)
     return FractionalRevivalCheck(u, v, t, alpha, beta, proper)

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -145,7 +144,7 @@ def test_family_scan_star_trend(capsys):
 
 
 def test_family_scan_rook_row(capsys):
-    code, out, _ = run(capsys, "family-scan", "--family", "rook:k=2,n=3..6",
+    code, out, _ = run(capsys, "family-scan", "--family", "hamming:2,3..6",
                        "--vertex", "0")
     assert code == 0
     payload = json.loads(out)
@@ -166,18 +165,18 @@ def test_family_scan_single_member_matches_analyze(capsys):
     assert scan_out == analyze_out
 
 
-def test_family_scan_deterministic_across_thread_counts(capsys):
-    code, first, _ = run(capsys, "family-scan", "--family", "star:3..7",
-                         "--vertex", "leaf")
+def test_family_scan_reports_equal_analyze_in_member_order(capsys):
+    code, out, _ = run(capsys, "family-scan", "--family", "star:3..7",
+                       "--vertex", "leaf")
     assert code == 0
-    os.environ["QWSED_THREADS"] = "1"
-    try:
-        code, second, _ = run(capsys, "family-scan", "--family", "star:3..7",
-                              "--vertex", "leaf")
-    finally:
-        del os.environ["QWSED_THREADS"]
-    assert code == 0
-    assert first == second
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 5
+    for n, report in zip(range(3, 8), reports):
+        # 'leaf' selects every leaf; the scan classifies the first, leaf:0
+        code, single, _ = run(capsys, "analyze", "--family", f"star:{n}",
+                              "--vertex", "leaf:0")
+        assert code == 0
+        assert report == json.loads(single)
 
 
 def test_expand_family_range():
