@@ -83,19 +83,13 @@ def _dump(payload) -> str:
 
 def _classify_options(args: argparse.Namespace) -> ClassifyOptions:
     window = (0.0, args.window) if args.window is not None else None
-    return ClassifyOptions(window=window, grid=args.grid)
-
-
-def _require_json(args: argparse.Namespace) -> None:
-    if args.format == "csv":
-        raise GraphError(f"{args.command} emits JSON; csv applies to sweep")
+    return ClassifyOptions(window=window)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _require_json(args)
     graph = _load_graph(args)
     reports = [r.to_dict() for r in classify_vertices(
         graph, _resolve_vertices(graph, args.vertex), args.matrix,
@@ -105,14 +99,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.format == "json":
-        raise GraphError("sweep emits csv; json applies to report commands")
+    if args.grid < 1:
+        raise GraphError(f"--grid must be a positive number of samples, got {args.grid}")
     graph = _load_graph(args)
     u = _resolve_vertices(graph, args.vertex)[0]
     w = WalkEvaluator.for_graph(graph, args.matrix)
     horizon = args.window if args.window is not None else 2.0 * math.pi
-    npts = args.grid or 4096
-    ts = np.linspace(0.0, horizon, npts)
+    ts = np.linspace(0.0, horizon, args.grid)
     vals = w.diagonal_entry_series(u, ts)
     rows = ["t,re,im,abs"]
     for t, z in zip(ts, vals):
@@ -143,7 +136,6 @@ def _scan_worker(member: str, args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def cmd_family_scan(args: argparse.Namespace) -> int:
-    _require_json(args)
     if args.family is None:
         raise GraphError("family-scan needs --family")
     results = [_scan_worker(member, args) for member in expand_family_range(args.family)]
@@ -172,12 +164,11 @@ def cmd_family_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    _require_json(args)
     graph = _load_graph(args)
     u = _resolve_vertices(graph, args.vertex)[0]
     w = WalkEvaluator.for_graph(graph, args.matrix)
     window = (0.0, args.window) if args.window is not None else None
-    result = w.minimize_diagonal(u, window, args.grid)
+    result = w.minimize_diagonal(u, window)
     payload = {
         "graph": describe_graph(graph),
         "matrix": str(args.matrix),
@@ -189,7 +180,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_mixing_check(args: argparse.Namespace) -> int:
-    _require_json(args)
     graph = _load_graph(args)
     w = WalkEvaluator.for_graph(graph, args.matrix)
     payload: dict = {"graph": describe_graph(graph), "matrix": str(args.matrix)}
@@ -202,7 +192,7 @@ def cmd_mixing_check(args: argparse.Namespace) -> int:
         t = args.time
         if t is None:
             horizon = args.window if args.window is not None else 2.0 * math.pi
-            t = w.find_fractional_revival(u, v, (0.0, horizon), args.grid)
+            t = w.find_fractional_revival(u, v, (0.0, horizon))
             if t is None:
                 payload["fractional_revival"] = None
                 _emit(_dump(payload), args.out)
@@ -245,10 +235,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="vertex id, 'all', a label, or a role such as apex")
     p.add_argument("--window", type=float, metavar="T",
                    help="restrict times to [0, T]")
-    p.add_argument("--grid", type=int, metavar="N", help="grid point override")
     p.add_argument("--out", metavar="PATH", help="write output here, not stdout")
-    p.add_argument("--format", choices=("json", "csv"),
-                   help="json for reports, csv for sweep series")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("mixing-check", "test uniform mixing or fractional revival")):
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
+        if name == "sweep":
+            p.add_argument("--grid", type=int, default=4096, metavar="N",
+                           help="number of sample times (default 4096)")
         if name == "mixing-check":
             p.add_argument("--time", type=float, metavar="T",
                            help="time to test")

@@ -187,10 +187,9 @@ class SedentaryReport:
 @dataclass(frozen=True)
 class ClassifyOptions:
     """What classify may be told: an oracle window (None takes the vertex's
-    default window) and a grid size."""
+    default window)."""
 
     window: tuple[float, float] | None = None
-    grid: int | None = None
 
 
 # -- subset bounds --------------------------------------------------------------
@@ -211,8 +210,7 @@ def _support_positions(rec: VertexSpectrum, u: int,
 
 
 def subset_bound(w: WalkEvaluator, u: int, subset,
-                 window: tuple[float, float] | None = None,
-                 grid: int | None = None) -> SedentaryCertificate:
+                 window: tuple[float, float] | None = None) -> SedentaryCertificate:
     """Lower bound on |U(t)_{u,u}| from the projector mass of a subset.
 
     Let a be the total diagonal weight of a proper nonempty subset S of the
@@ -245,7 +243,7 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
         window, certified = w.default_window(u)
     t0, t1 = float(window[0]), float(window[1])
     scan = _scan_minima(rec.eigenvalues[pos], rec.weights[pos][:, None], _sq, (t0, t1),
-                        grid, 1e-10)
+                        None, 1e-10)
     # with no band, the scan's threshold is the least grid value
     fmin = math.sqrt(max(min(scan.level, float(scan.fx.min(initial=np.inf))), 0.0))
     bound = max(fmin - (1.0 - a), 0.0)
@@ -301,8 +299,7 @@ def _alignment_defect(k: int) -> _Reducer:
 
 
 def find_equality_time(w: WalkEvaluator, u: int, subset,
-                       window: tuple[float, float],
-                       grid: int | None = None) -> float | None:
+                       window: tuple[float, float]) -> float | None:
     """Earliest time in the window where equality_condition holds, or None.
 
     Scans the smooth alignment defect D(t) = sum_j |e^{i delta_j t} - s_j|^2
@@ -329,7 +326,7 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     sign[pos] = 1.0
     deltas = lam - lam[pos[0]]
     k = len(lam)
-    scan = _scan_minima(deltas, sign[:, None], _alignment_defect(k), window, grid, 1e-12,
+    scan = _scan_minima(deltas, sign[:, None], _alignment_defect(k), window, None, 1e-12,
                         ceiling=k * _PHASE_TOL * _PHASE_TOL)
     for t in scan.x:
         if _equality_holds(rec, pos, float(t)):
@@ -481,8 +478,8 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
 
 
 def find_zero_crossing(w: WalkEvaluator, u: int,
-                       window: tuple[float, float] | None = None,
-                       grid: int | None = None) -> SedentaryCertificate:
+                       window: tuple[float, float] | None = None
+                       ) -> SedentaryCertificate:
     """Prove the infimum is 0 for a vertex with a phase-aligned real diagonal.
 
     When the support eigenvalues are symmetric about their midpoint with
@@ -507,7 +504,7 @@ def find_zero_crossing(w: WalkEvaluator, u: int,
 
     if window is None:
         window, _ = w.default_window(u)
-    ts, vals = _grid_values(mu, wts[:, None], lambda z: z[:, 0].real, window, grid)
+    ts, vals = _grid_values(mu, wts[:, None], lambda z: z[:, 0].real, window)
     # both bracket values must clear numerical noise before claiming a zero
     lo, hi = vals[:-1], vals[1:]
     clean = np.flatnonzero((lo * hi < 0.0) & (np.minimum(np.abs(lo), np.abs(hi)) > 1e-9))
@@ -879,8 +876,7 @@ def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
 # -- classification pipeline ------------------------------------------------------
 
 
-def _verified_ruling(ruling: FamilyRuling, w: WalkEvaluator, u: int,
-                     tol: float) -> FamilyRuling:
+def _verified_ruling(ruling: FamilyRuling, w: WalkEvaluator, u: int) -> FamilyRuling:
     """Cross-check a catalogue claim against the walk before trusting it.
 
     A stated equality time must reproduce the stated bound; a tight claim
@@ -891,7 +887,7 @@ def _verified_ruling(ruling: FamilyRuling, w: WalkEvaluator, u: int,
     t = ruling.equality_times[0]
     value = abs(w.transition_entry(t, u, u))
     target = ruling.bound if ruling.classification != NOT_SEDENTARY else 0.0
-    if abs(value - target) <= max(tol, 1e-6):
+    if abs(value - target) <= RECONCILE_TOL:
         return ruling
     if ruling.classification == NOT_SEDENTARY:
         return replace(ruling, equality_times=(),
@@ -982,15 +978,14 @@ def _classify_vertex(ctx: _Context, u: int, opts: ClassifyOptions) -> SedentaryR
     window, certified = ((opts.window, False) if opts.window is not None
                          else ctx.walk.default_window(u))
     # the oracle certifies only the window it chooses itself
-    oracle = ctx.walk.minimize_diagonal(u, None if certified else window, opts.grid)
+    oracle = ctx.walk.minimize_diagonal(u, None if certified else window)
     certs: list[SedentaryCertificate] = []
-    label, bound = _certify(ctx, u, opts, oracle, certs)
+    label, bound = _certify(ctx, u, oracle, certs)
     return SedentaryReport(describe_graph(ctx.graph), str(ctx.kind), u, label,
                            bound, tuple(certs), oracle)
 
 
-def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
-             oracle: MinimizationResult,
+def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
              certs: list[SedentaryCertificate]) -> tuple[str, float | None]:
     """Label and bound of u, appending the certificates behind them.
 
@@ -1003,7 +998,7 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
 
     # attained zero on a certified window settles the question immediately
     if oracle.certified_window and oracle.minimum <= ZERO_TOL:
-        pst = w.find_perfect_state_transfer(u, oracle.window, opts.grid)
+        pst = w.find_perfect_state_transfer(u, oracle.window)
         if pst is not None:
             certs.append(SedentaryCertificate(
                 NOT_SEDENTARY_PST, u, 0.0, (), None, (pst.time,),
@@ -1030,7 +1025,7 @@ def _certify(ctx: _Context, u: int, opts: ClassifyOptions,
 
     ruling = family_ruling(graph, kind, u, ctx.twins)
     if ruling is not None:
-        ruling = _verified_ruling(ruling, w, u, RECONCILE_TOL)
+        ruling = _verified_ruling(ruling, w, u)
         certs.append(SedentaryCertificate(
             CLOSED_FORM_FAMILY, u,
             ruling.bound if ruling.classification != NOT_SEDENTARY else 0.0,

@@ -37,6 +37,8 @@ _SUPPORT_TOL = 1e-10
 _MAX_DENOMINATOR = 10**6
 _INT_TOL = 1e-9
 _UNIT_TOL = 1e-8
+# cospectrality, strong cospectrality and twin eigenvectors hold within this
+_PAIR_TOL = 1e-9
 
 
 class SpectralError(RuntimeError):
@@ -139,10 +141,9 @@ def support(d: SpectralDecomposition, u: int) -> EigenvalueSupport:
                              tuple(wts[idx].tolist()))
 
 
-def are_cospectral(d: SpectralDecomposition, u: int, v: int,
-                   tol: float = 1e-9) -> bool:
+def are_cospectral(d: SpectralDecomposition, u: int, v: int) -> bool:
     """True when every projector gives u and v the same diagonal weight."""
-    return bool(np.all(np.abs(d.weights[u] - d.weights[v]) <= tol))
+    return bool(np.all(np.abs(d.weights[u] - d.weights[v]) <= _PAIR_TOL))
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,16 @@ class StrongCospectralPartition:
         return self.strongly_cospectral
 
 
-def strong_cospectral(d: SpectralDecomposition, u: int, v: int,
-                      tol: float = 1e-9) -> StrongCospectralPartition:
+def strong_cospectral(d: SpectralDecomposition, u: int, v: int
+                      ) -> StrongCospectralPartition:
     """Check E_j e_u = +/- E_j e_v on every eigenspace touching u or v."""
     if u == v:
         raise SpectralError("strong cospectrality needs two distinct vertices")
     # ||E_j (e_u -+ e_v)|| = ||V_j^T (e_u -+ e_v)||: rows of the blocks
     x, y = d.vectors[u], d.vectors[v]
     seen = (np.sqrt(d.weights[u]) > _SUPPORT_TOL) | (np.sqrt(d.weights[v]) > _SUPPORT_TOL)
-    plus = seen & (np.sqrt(d.cluster_sums((x - y) ** 2)) <= tol)
-    minus = seen & ~plus & (np.sqrt(d.cluster_sums((x + y) ** 2)) <= tol)
+    plus = seen & (np.sqrt(d.cluster_sums((x - y) ** 2)) <= _PAIR_TOL)
+    minus = seen & ~plus & (np.sqrt(d.cluster_sums((x + y) ** 2)) <= _PAIR_TOL)
     bad = np.flatnonzero(seen & ~plus & ~minus)
     if bad.size:
         return StrongCospectralPartition(u, v, False,
@@ -255,8 +256,7 @@ def find_twin_sets(g: WeightedGraph,
     return out
 
 
-def verify_twin_eigenvector(d: SpectralDecomposition, twins: TwinSet,
-                            tol: float = 1e-9) -> bool:
+def verify_twin_eigenvector(d: SpectralDecomposition, twins: TwinSet) -> bool:
     """Check M(e_u - e_v) = theta (e_u - e_v) for every pair in the twin set,
     against the decomposed matrix.
 
@@ -269,7 +269,7 @@ def verify_twin_eigenvector(d: SpectralDecomposition, twins: TwinSet,
     verts = list(twins.vertices)
     r = m[:, verts]
     r[verts, np.arange(len(verts))] -= twins.theta
-    return float(np.max(r.max(axis=1) - r.min(axis=1))) <= tol * scale
+    return float(np.max(r.max(axis=1) - r.min(axis=1))) <= _PAIR_TOL * scale
 
 
 # -- periodicity ---------------------------------------------------------------

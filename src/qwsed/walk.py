@@ -676,8 +676,8 @@ class WalkEvaluator:
         # the grid every search uses, for callers that size it through the class
         return _grid_size(span, spread, grid)
 
-    def minimize_diagonal(self, u: int, window: tuple[float, float] | None = None,
-                          grid: int | None = None) -> MinimizationResult:
+    def minimize_diagonal(self, u: int, window: tuple[float, float] | None = None
+                          ) -> MinimizationResult:
         """Minimize |U(t)_{u,u}|.
 
         With no window, the search takes default_window(u): the certified
@@ -686,15 +686,14 @@ class WalkEvaluator:
         no window to certify, so that is an error; a window passed in is
         reported as uncertified.
 
-        Root path.  On a certified window with no explicit grid, a support
-        of more than one eigenvalue and integer coordinates q_j (relative
-        to the period) of degree Q = max q_j <= _ROOT_CAP, every critical
-        point of |U|^2 over the period is a unit-circle root of one
-        polynomial of degree 2Q (_critical_clusters).  Each root cluster
-        offers, at its centroid, the least |U|^2 over its members and its
-        centroid, evaluated on the support eigenvalues themselves; refinements
-        counts the clusters.  An ambiguous root cluster sends the call to
-        the scan.
+        Root path.  On a certified window, a support of more than one
+        eigenvalue and integer coordinates q_j (relative to the period) of
+        degree Q = max q_j <= _ROOT_CAP, every critical point of |U|^2 over
+        the period is a unit-circle root of one polynomial of degree 2Q
+        (_critical_clusters).  Each root cluster offers, at its centroid,
+        the least |U|^2 over its members and its centroid, evaluated on the
+        support eigenvalues themselves; refinements counts the clusters.  An
+        ambiguous root cluster sends the call to the scan.
 
         Scan.  Otherwise |U(t)_{u,u}|^2 is scanned by _scan_minima with the
         reducer _sq, in O(chunk x support) memory, pruned by the bounds _sq
@@ -724,14 +723,14 @@ class WalkEvaluator:
         if not (math.isfinite(t1) and t1 > t0 >= 0.0):
             raise WalkError(f"bad window {window!r}")
         found = None
-        if certified and grid is None and len(lam) > 1:
+        if certified and len(lam) > 1:
             found = _root_offers(lam, wts, per)
         if found is not None:
             times, offers = found
             npts = _grid_size(t1 - t0, float(lam.max() - lam.min()))
             refinements = len(times) - 2
         else:
-            scan = _scan_minima(lam, wts[:, None], _sq, (t0, t1), grid, _REFINE_TOL,
+            scan = _scan_minima(lam, wts[:, None], _sq, (t0, t1), None, _REFINE_TOL,
                                 band=_TIE_BAND)
             refined = scan.fx < scan.f
             offers = np.concatenate((scan.ends, np.where(refined, scan.fx, scan.f)))
@@ -746,26 +745,23 @@ class WalkEvaluator:
     # -- transfer phenomena -------------------------------------------------
 
     def _column_scan(self, u: int, cols: list[int], reducer: _Reducer,
-                     window: tuple[float, float], grid: int | None,
-                     ceiling: float) -> np.ndarray:
+                     window: tuple[float, float], ceiling: float) -> np.ndarray:
         """Times, in order, among the window ends and the refined grid-local
         minima of the reducer's f of U(t)_{cols,u} where it is at most
         ceiling."""
         lam = self.decomposition.eigenvalues
-        scan = _scan_minima(lam, self._column_data(u)[:, cols], reducer, window, grid,
+        scan = _scan_minima(lam, self._column_data(u)[:, cols], reducer, window, None,
                             1e-12, ceiling=ceiling)
         times = np.concatenate(([float(window[0])], scan.x, [float(window[1])]))
         return times[np.concatenate(([scan.ends[0]], scan.fx, [scan.ends[1]])) <= ceiling]
 
-    def find_perfect_state_transfer(self, u: int, window: tuple[float, float],
-                                    grid: int | None = None
+    def find_perfect_state_transfer(self, u: int, window: tuple[float, float]
                                     ) -> PerfectStateTransferWitness | None:
         """Earliest time in the window where some |U(t)_{v,u}|, v != u,
         reaches 1 within 1e-8.  Numeric evidence only; the caller decides
         whether the window certifies anything."""
         others = [v for v in range(self.n) if v != u]
-        times = self._column_scan(u, others, _neg_peak, window, grid,
-                                  -(1.0 - _PST_TOL) ** 2)
+        times = self._column_scan(u, others, _neg_peak, window, -(1.0 - _PST_TOL) ** 2)
         if not len(times):
             return None
         mags = self.column_magnitude_series(u, times[:1])[0]
@@ -773,15 +769,14 @@ class WalkEvaluator:
         return PerfectStateTransferWitness(u, v, float(times[0]), float(mags[v]))
 
     def find_fractional_revival(self, u: int, v: int,
-                                window: tuple[float, float],
-                                grid: int | None = None) -> float | None:
+                                window: tuple[float, float]) -> float | None:
         """Earliest time where the walk column at u is supported on {u, v}
         with a nonzero cross term: min t with sum of |U(t)_{w,u}|^2 over
         w outside the pair below _LEAK_TOL and |U(t)_{v,u}| > _BETA_TOL."""
         if u == v:
             raise WalkError("fractional revival needs a pair of distinct vertices")
         for t in self._column_scan(u, [w for w in range(self.n) if w not in (u, v)],
-                                   _leak, window, grid, _LEAK_TOL):
+                                   _leak, window, _LEAK_TOL):
             if t > 1e-9 and abs(self.transition_entry(float(t), v, u)) > _BETA_TOL:
                 return float(t)
         return None

@@ -72,10 +72,6 @@ def test_error_paths_exit_two(tmp_path, capsys):
          "--vertex", "0"),
         ("analyze", "--family", "complete:5", "--matrix", "bogus",
          "--vertex", "0"),
-        ("analyze", "--family", "complete:5", "--vertex", "0",
-         "--format", "csv"),
-        ("sweep", "--family", "complete:5", "--vertex", "0",
-         "--format", "json"),
         ("family-scan", "--family", "star:9..3", "--vertex", "leaf"),
         ("mixing-check", "--family", "complete:3", "--vertex", "0"),
     ]
@@ -265,3 +261,44 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "complete:3", "--vertex", "0")
         assert code == 0 and json.loads(out)["vertex"] == 0
     assert built == [1]
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_sweep_grid_must_be_positive(capsys, grid):
+    code, out, err = run(capsys, "sweep", "--family", "complete:4", "--vertex", "0",
+                         f"--grid={grid}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --grid") and err.count("\n") == 1
+
+
+_SOURCE_ARGS = {
+    "analyze": ("--family", "complete:5"),
+    "sweep": ("--family", "complete:5"),
+    "family-scan": ("--family", "complete:5"),
+    "oracle": ("--family", "complete:5"),
+    "mixing-check": ("--family", "complete:5", "--time", "1.0"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((c, ("--grid", "8")) for c in sorted(_SOURCE_ARGS) if c != "sweep"),
+    *((c, ("--format", "json")) for c in sorted(_SOURCE_ARGS)),
+])
+def test_no_grid_override_and_no_format_flag(capsys, command, flag):
+    """--grid is sweep's number of sample times alone; no command takes
+    --format."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_SOURCE_ARGS[command], *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+def test_rook_3_5_meets_the_product_constant(capsys, kind):
+    """(1 - 2/3)(1 - 2/5) = 0.2 at every vertex of K_3 □ K_5."""
+    code, out, _ = run(capsys, "analyze", "--family", "rook:3,5", "--vertex", "0",
+                       "--matrix", kind)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["classification"] == "tightly-sedentary"
+    assert abs(payload["C"] - 0.2) <= 1e-12

@@ -135,11 +135,6 @@ def test_degree_above_cap_scans(scans):
     assert abs(res.minimum - _dense_minimum(lam, wts, res.window)) <= 1e-9
 
 
-def test_explicit_grid_scans(scans):
-    res = _walk("complete:5").minimize_diagonal(0, grid=4096)
-    assert len(scans) == 1 and res.certified_window
-
-
 def test_open_window_scans(scans):
     res = _walk("complete:5").minimize_diagonal(0, (0.0, 10.0))
     assert len(scans) == 1 and not res.certified_window

@@ -33,6 +33,7 @@ from qwsed.sedentary import (
     TIGHTLY_SEDENTARY,
     UNRESOLVED,
     CertificateRefused,
+    ClassifyOptions,
     UnsupportedSpectrum,
     _merge_odd_lattices,
     classify,
@@ -834,3 +835,30 @@ def test_transfer_ceiling_from_diagonal_bound():
     for t in np.linspace(0.0, 2.0 * math.pi, 200):
         off = max(abs(w.transition_entry(t, 0, v)) for v in range(1, 6))
         assert off <= ceiling + 1e-6
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN])
+def test_product_with_a_factor_that_is_not_sedentary(kind):
+    """C_7 has no period, so the oracle window of K_2 □ C_7 is open and the
+    factor K_2, which is not sedentary, decides the product."""
+    g = cartesian_product(path_graph(2), cycle_graph(7))
+    r = classify(g, 0, kind)
+    assert not r.oracle.certified_window
+    assert r.classification == NOT_SEDENTARY and r.bound == 0.0
+    (cert,) = r.certificates
+    assert cert.kind == "product-composition"
+    assert cert.equality_times == pytest.approx((math.pi / 2.0,), abs=1e-12)
+    w = WalkEvaluator.for_graph(g, kind)
+    assert abs(w.transition_entry(cert.equality_times[0], 0, 0)) <= 1e-12
+
+
+def test_reconcile_upgrades_an_attained_subset_bound():
+    """A star leaf with no provenance has no catalogue ruling; its subset
+    bound 1/3 is attained at pi/sqrt(3), so reconciliation labels it tight."""
+    g = WeightedGraph(4, star_graph(3).edges)
+    r = classify(g, 1, ADJACENCY, ClassifyOptions(window=(0.0, 10.0)))
+    assert r.classification == TIGHTLY_SEDENTARY
+    assert r.bound == pytest.approx(1.0 / 3.0, abs=1e-12)
+    subset = [c for c in r.certificates if c.kind == SUBSET_BOUND]
+    assert subset and subset[0].equality_times == pytest.approx(
+        (math.pi / math.sqrt(3.0),), abs=1e-9)

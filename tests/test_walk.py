@@ -498,14 +498,14 @@ def test_two_level_scan_matches_the_full_grid(name, tied, two_levels):
     assert brackets > 200
 
 
-def _caller_results(w, u, v, subset, window, grid):
-    res = w.minimize_diagonal(u, window, grid)
-    pst = w.find_perfect_state_transfer(u, window, grid)
+def _caller_results(w, u, v, subset, window):
+    res = w.minimize_diagonal(u, window)
+    pst = w.find_perfect_state_transfer(u, window)
     return (res.minimum, res.argmin, res.grid,
-            subset_bound(w, u, subset, window, grid).bound,
-            find_equality_time(w, u, subset, window, grid),
+            subset_bound(w, u, subset, window).bound,
+            find_equality_time(w, u, subset, window),
             None if pst is None else (pst.time, pst.target, pst.magnitude),
-            w.find_fractional_revival(u, v, window, grid))
+            w.find_fractional_revival(u, v, window))
 
 
 def _caller_cases():
@@ -523,7 +523,15 @@ def _caller_cases():
 def test_callers_match_the_full_grid_scan(grid, two_levels, monkeypatch):
     """minimize_diagonal, the column scans (perfect state transfer and
     fractional revival), subset_bound and find_equality_time give the same
-    results on two levels as on a scan of every grid point."""
+    results on two levels as on a scan of every grid point.  A grid that is
+    not None is forced on every search the grid rule sizes."""
+    if grid is not None:
+        real = walk._grid_size
+
+        def forced(span, spread, n=None):
+            return real(span, spread, grid if n is None else n)
+
+        monkeypatch.setattr(walk, "_grid_size", forced)
     ours, theirs = [], []
     for w, u, v, window in _caller_cases():
         sup = w.spectrum(u)
@@ -533,14 +541,15 @@ def test_callers_match_the_full_grid_scan(grid, two_levels, monkeypatch):
         if len(sup.indices) < 3 or sup.weights[order[:2]].sum() < 0.5:
             subset = [sup.indices[order[0]], sup.indices[order[-1]]]
         try:
-            ours.append(_caller_results(w, u, v, subset, window, grid))
+            ours.append(_caller_results(w, u, v, subset, window))
         except sedentary.CertificateRefused:
             continue
         with monkeypatch.context() as m:
             m.setattr(walk, "_scan_minima", _full_scan)
             m.setattr(sedentary, "_scan_minima", _full_scan)
-            theirs.append(_caller_results(w, u, v, subset, window, grid))
+            theirs.append(_caller_results(w, u, v, subset, window))
     assert len(ours) >= 5
+    assert grid is None or all(r[2] == grid for r in ours)
     assert any(r[5] is not None for r in ours) and any(r[6] is not None for r in ours)
     for a, b in zip(ours, theirs):
         assert abs(a[0] - b[0]) <= 1e-15 and abs(a[1] - b[1]) <= 1e-12
