@@ -219,10 +219,14 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
     partial sum constant and the bound 2a - 1 analytic; larger subsets
     minimize the squared partial sum by the scan of walk._scan_minima.  On
     a large grid its coarse pass drops every interval between coarse
-    points that the second- or third-derivative bound places above the
-    coarse minimum.  It refines, by batched safeguarded Newton steps on
-    the analytic derivative, every grid-local minimum that no bound places
-    above the grid minimum.  That is honest evidence but not a proof, so
+    points whose floor lies above the coarse minimum: the partial sum,
+    demodulated by its weighted mean eigenvalue, stays within H^2/8 times
+    its weighted variance of the chord between two samples H apart, so its
+    square stays above that much less than the chord's distance from 0,
+    squared.  It refines, by batched safeguarded Newton steps on the
+    analytic derivative, every grid-local minimum whose bracket's floor at
+    the grid step does not lie above the grid minimum.  That is honest
+    evidence but not a proof, so
     the certificate is flagged accordingly; with no window it scans
     w.default_window(u), and only a certified default window certifies the
     bound.
@@ -287,15 +291,15 @@ def _equality_holds(rec: VertexSpectrum, pos: list[int], t1: float) -> bool:
 
 def _alignment_defect(k: int) -> _Reducer:
     """find_equality_time's defect 2k - 2 Re z as a reducer, with the
-    derivatives -2 Re z' and -2 Re z''.  For z = sum_j c_j e^{i lam_j t},
-    its second and third derivatives are at most 2 sum_j |c_j| lam_j^2 and
-    2 sum_j |c_j| |lam_j|^3."""
+    derivatives -2 Re z' and -2 Re z''.  Re z reads the phase of z, so the
+    scan does not demodulate it: z stays within e of the chord from a to b,
+    and Re z below max(Re a, Re b) + e."""
     return _Reducer(
         lambda z: 2.0 * k - 2.0 * z[:, 0].real,
         lambda z, dz, d2z: (2.0 * k - 2.0 * z[:, 0].real, -2.0 * dz[:, 0].real,
                             -2.0 * d2z[:, 0].real),
-        lambda lam, coef: 2.0 * float(np.sum(np.abs(coef[:, 0]) * lam ** 2)),
-        lambda lam, coef: 2.0 * float(np.sum(np.abs(coef[:, 0]) * np.abs(lam) ** 3)))
+        lambda a, b, e: 2.0 * k - 2.0 * (np.maximum(a[:, 0].real, b[:, 0].real) + e[0]),
+        invariant=False)
 
 
 def find_equality_time(w: WalkEvaluator, u: int, subset,
@@ -306,18 +310,17 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     (delta_j the support eigenvalues less the first subset eigenvalue, s_j
     = +1 on the subset and -1 off it) by the scan of walk._scan_minima.  A
     time that passes the condition has D <= k tol^2 for a support of size
-    k (tol = _PHASE_TOL), and the reducer _alignment_defect(k) gives the
-    scan |D''| <= 2 sum_j delta_j^2 and |D'''| <= 2 sum_j |delta_j|^3.
-    On a large grid, a coarse interval (step H) whose lesser end less the
-    first bound times H^2/8, or whose least quadratic through three coarse
-    points less the second bound times H^3/(9 sqrt 3), exceeds k tol^2
-    cannot hold one and is not evaluated further.  Grid-local minima are
-    skipped by the same bounds at the grid step (the first alone on a
-    small grid).  The others are refined together by safeguarded Newton
-    steps on D' = -2 Re sum_j i delta_j s_j e^{i delta_j t} (bisecting
-    where a step would leave its bracket or D'' <= 0, to 1e-12), and the
-    refined times are checked against the exact condition in increasing
-    order.
+    k (tol = _PHASE_TOL).  D = 2k - 2 Re z for z = sum_j s_j e^{i delta_j
+    t}, which stays within e = H^2/8 sum_j delta_j^2 of the chord between
+    two samples H apart, so the reducer _alignment_defect(k) floors D on
+    the interval at 2k - 2 (max(Re z_a, Re z_b) + e).  On a large grid, a
+    coarse interval whose floor exceeds k tol^2 cannot hold such a time
+    and is not evaluated further, and grid-local minima are skipped by the
+    same floor at the grid step.  The others are refined together by
+    safeguarded Newton steps on D' = -2 Re sum_j i delta_j s_j e^{i
+    delta_j t} (bisecting where a step would leave its bracket or D'' <= 0,
+    to 1e-12), and the refined times are checked against the exact
+    condition in increasing order.
     """
     rec = w.spectrum(u)
     _, pos = _support_positions(rec, u, subset)

@@ -105,14 +105,18 @@ def decompose(h: Hamiltonian | np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     tol = cluster_tol * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    # a cluster ends where consecutive eigenvalues differ by more than tol
-    cuts = np.flatnonzero(np.diff(vals) > tol) + 1
-    groups = np.split(np.arange(len(vals)), cuts)[::-1] if len(vals) else []
+    # a cluster starts at the first eigenvalue and wherever consecutive ones
+    # differ by more than tol; clusters are reported in descending order,
+    # members ascending
+    starts = np.flatnonzero(np.concatenate(([np.inf], np.diff(vals)))[:len(vals)] > tol)[::-1]
+    sizes = -np.diff(np.concatenate(([len(vals)], starts)))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    order = np.repeat(starts - offsets[:-1], sizes) + np.arange(len(vals))
     # a singleton's mean is its eigenvalue; only true clusters are averaged
-    eigenvalues = np.array([float(vals[g[0]]) if len(g) == 1 else float(np.mean(vals[g]))
-                            for g in groups])
-    vectors = vecs[:, [i for g in groups for i in g]]
-    offsets = np.cumsum([0] + [len(g) for g in groups])
+    eigenvalues = vals[starts]
+    for c in np.flatnonzero(sizes > 1):
+        eigenvalues[c] = np.mean(vals[order[offsets[c]:offsets[c + 1]]])
+    vectors = vecs[:, order]
     weights = np.add.reduceat(vectors * vectors, offsets[:-1], axis=1)
     mm = np.array(m)
     for a in (vectors, offsets, weights, mm):

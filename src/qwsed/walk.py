@@ -2,31 +2,35 @@
 decomposition, and the scan-and-refine primitive behind every search for a
 minimum over time (_scan_minima): a reducer's f of the sums z = sum_j
 coef_j e^{i lam_j t} is scanned on a uniform grid, and the grid-local minima
-that no derivative bound can exclude are refined together by a batched
-Newton iteration on f' (_newton_batch).
+that no bound can exclude are refined together by a batched Newton
+iteration on f' (_newton_batch).
 
 Each search has one reducer (_Reducer): f of z, (f, f', f'') of z, z' and
-z'', and its bounds M2 (f sags below an interval's ends by at most M2 H^2/8,
-as |f''| <= M2 gives) and M3 >= |f'''| (None when f is not smooth).  The
-scan reads the bounds from the reducer; no caller passes them.
+z'', and its floor.  The bound is on the amplitudes, not on f: on an
+interval of width H each column, demodulated by the |coef|-weighted mean
+mu_c of lam (zeta_c = e^{-i mu_c t} z_c, of the same modulus), stays
+within e_c = H^2/8 sum_j |coef_jc| (lam_j - mu_c)^2 of the chord between
+its two samples, and floor(a, b, e) is the least f over every z that near
+the chords (_interval_floor).  A reducer that reads the phase of z keeps
+mu = 0.  The scan computes e from lam and coef; no caller passes a bound.
 
-Every grid value comes from one evaluator, _fine_values: a run of grid
-points from one direct exponential at its start, times a step table that
-all runs share, built by doubling from directly computed factors
-(_phase_table).  A value is a product of at most ceil(log2 c) + 1 direct
-phases wherever it lies, and runs of c points take ceil(log2 c)
-exponentials plus one per run, none per grid point.  _grid_values is that
-evaluator with a run every _CHUNK points.
+Every grid value comes from one evaluator, _fine_values: runs of grid
+points, each a start phase times a step table that all runs share, and
+the floor of each interval inside a run.  A grid's tables (_tables) hold
+about sqrt(npts) run starts and steps, both built by doubling from
+directly computed factors (_phase_table), so a value is a product of at
+most about log2 npts + 1 direct phases wherever it lies, and a grid takes
+about log2 npts + 1 exponentials, none per grid point or run.
 
 A grid of at least _TWO_LEVEL points times terms is scanned in two levels
 (_scan_minima): a coarse pass on every _COARSE-th grid point drops the
-intervals whose lower bound from M2 or M3 exceeds the search's threshold,
-and a fine pass evaluates the grid points of the rest, where the minimum
-test, both bounds at the grid step and the refinement run
-(_refine_minima).  Only intervals proven to stay above the threshold go
-unevaluated, so a search finds the minima a scan of every grid point
-finds.  A smaller grid is evaluated at every point and pruned by M2 alone,
-which costs less there.
+intervals whose floor exceeds the search's threshold, and a fine pass
+evaluates the grid points of the rest, each run's start phase a product
+of rows of the coarse pass's tables.  There the minimum test, the floors
+at the grid step and the refinement run (_refine_minima).  Only intervals
+proven to stay above the threshold go unevaluated, so a search finds the
+minima a scan of every grid point finds.  A smaller grid is evaluated at
+every point, which costs less there.
 
 The Newton steps and pointwise sums evaluate arbitrary times and take
 direct exponentials.  The sign of f' keeps every iterate inside a bracket
@@ -66,23 +70,20 @@ __all__ = [
 DEFAULT_WINDOW = 200.0 * math.pi
 _GRID_BASE = 4096
 _GRID_CAP = 1 << 21
-# grid points per chunk: the step matrix and a block's base phases take
-# O(_CHUNK * support) memory, not O(grid * support)
+# a product of phase tables takes at most _CHUNK starts times columns and
+# _CHUNK + 1 steps: O(_CHUNK * (support + _CHUNK)) memory, not
+# O(grid * support)
 _CHUNK = 1024
 # candidates this close to the best squared minimum count as ties
 _TIE_BAND = 1e-9
-# a scan's coarse pass evaluates every _COARSE-th point of its grid
-_COARSE = 4
-# the fine pass evaluates aligned blocks of _FINE_BLOCK coarse intervals:
-# kept intervals cluster, and a direct exponential per block costs more
-# than the few grid points a block of several intervals adds
-_FINE_BLOCK = 4
+# a scan's coarse pass evaluates every _COARSE-th point of its grid; the
+# floor on the amplitudes keeps a few percent of its intervals, so the
+# fine pass costs less than at a finer coarse spacing, while a coarser one
+# keeps more than it saves
+_COARSE = 16
 # grid points times terms (support x columns) from which a scan takes two
 # levels: below it one pass over every point costs less than the bookkeeping
 _TWO_LEVEL = 1 << 21
-# the quadratic through three samples h apart is within M3 h^3 _CUBIC of an
-# f with |f'''| <= M3 on their span: max |s(s - 1)(s - 2)|/6 on [0, 2]
-_CUBIC = 1.0 / (9.0 * math.sqrt(3.0))
 _TINY = float(np.finfo(float).tiny)
 _PST_TOL = 1e-8
 # fractional revival: the leak outside the pair and the least cross term
@@ -130,23 +131,6 @@ def _trig_sums(lam: np.ndarray, coef: np.ndarray, times) -> np.ndarray:
     return np.concatenate([np.exp(1j * np.outer(b, lam)) @ coef for b in blocks])
 
 
-def _curvature(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Per column of coef, sum_jk |c_j||c_k|(lam_j - lam_k)^2, which bounds
-    |d^2/dt^2 |sum_j c_j e^{i lam_j t}|^2|; for weights summing to one it
-    is 2 Var_w(lam)."""
-    w = np.abs(coef)
-    total = w.sum(axis=0)
-    mean = (w * lam[:, None]).sum(axis=0) / np.where(total > 0.0, total, 1.0)
-    return 2.0 * total * (w * (lam[:, None] - mean) ** 2).sum(axis=0)
-
-
-def _cubic(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Per column of coef, sum_jk |c_j||c_k||lam_j - lam_k|^3, which bounds
-    |d^3/dt^3 |sum_j c_j e^{i lam_j t}|^2|."""
-    w = np.abs(coef)
-    return np.sum(w * (np.abs(lam[:, None] - lam[None, :]) ** 3 @ w), axis=0)
-
-
 def _phase_table(lam: np.ndarray, dt: float, count: int) -> np.ndarray:
     """e^{i m dt lam} for m < count, one row per m, by doubling: rows
     [2^l, 2^(l+1)) are rows [0, 2^l) times e^{i 2^l dt lam}.  Each level's
@@ -156,36 +140,56 @@ def _phase_table(lam: np.ndarray, dt: float, count: int) -> np.ndarray:
     ceil(log2 count) exponentials of k terms."""
     out = np.empty((count, len(lam)), dtype=complex)
     out[0] = 1.0
-    n = 1
-    while n < count:
+    # the factors of all levels in one call
+    factors = np.exp(1j * np.outer((1 << np.arange((count - 1).bit_length())) * dt, lam))
+    for level, factor in enumerate(factors):
+        n = 1 << level
         r = min(n, count - n)
-        np.multiply(out[:r], np.exp(1j * (n * dt) * lam), out=out[n:n + r])
-        n *= 2
+        np.multiply(out[:r], factor, out=out[n:n + r])
     return out
 
 
-def _fine_values(lam: np.ndarray, coef: np.ndarray, reduce, t0: float, h: float,
-                 starts: np.ndarray, width: int) -> np.ndarray:
-    """reduce of the sums at t0 + (s + p) h for p < width, one row of width
-    values per start s (one value per time, or one row of reduce's output):
-    the one evaluator of every grid.  A start takes one direct e^{i (t0 +
-    s h) lam}, times the step table e^{i p h lam} from _phase_table that
-    all starts share, and the starts go through one product per _CHUNK //
-    columns of them.  A value is thus a product of at most ceil(log2
-    width) + 1 directly computed phases wherever it lies, so errors do not
-    accumulate along the grid, and the call takes ceil(log2 width) +
-    len(starts) exponentials of k terms."""
+def _tables(lam: np.ndarray, t0: float, h: float, count: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The phase tables of the grid t0 + i h, i < count: run starts
+    e^{i lam (t0 + q n h)} for q < ceil(count / n), and steps e^{i p h lam}
+    for p <= n, where n = min(_CHUNK, ceil(sqrt(count))), so point q n + p
+    is starts[q] steps[p].  The step after the last of a run's n points
+    lets a run end on the next run's first point, so that every interval
+    lies in a run.  Both tables are built by doubling (_phase_table), so a
+    point is a product of at most ceil(log2 Q) + ceil(log2 (n + 1)) + 1
+    direct phases, Q = ceil(count / n), and the tables take that many
+    exponentials of k terms, about log2 count + 1."""
+    n = min(_CHUNK, math.isqrt(count - 1) + 1)
+    return (np.exp(1j * t0 * lam) * _phase_table(lam, n * h, -(-count // n)),
+            _phase_table(lam, h, n + 1))
+
+
+def _fine_values(coef: np.ndarray, reduce, starts: np.ndarray, steps: np.ndarray,
+                 floor=None):
+    """reduce of the sums starts[r] steps[p] @ coef for each p, one row of
+    len(steps) values per start r (one value per time, or one row of
+    reduce's output): the one evaluator of every grid.  The starts go
+    through one product per _CHUNK // columns of them, and the call takes
+    no exponential.  With floor, also floor(a, b) of each pair of
+    consecutive sums a, b of a run, one row of len(steps) - 1 per start,
+    computed per product, so no array outgrows O(_CHUNK x (terms + steps)
+    x columns)."""
     k, m = coef.shape
-    step = _phase_table(lam, h, width).T
+    width = len(steps)
     per = max(1, _CHUNK // max(m, 1))
-    out = []
+    vals, floors = [], []
     for i in range(0, len(starts), per):
-        s = starts[i:i + per]
-        base = np.exp(1j * np.outer(t0 + s * h, lam))[:, None, :] * coef.T
-        z = (base.reshape(-1, k) @ step).reshape(len(s), m, width)
-        out.append(reduce(z.transpose(0, 2, 1).reshape(-1, m)))
-    out = np.concatenate(out)
-    return out.reshape(len(starts), width, *out.shape[1:])
+        base = starts[i:i + per, None, :] * coef.T
+        z = (base.reshape(-1, k) @ steps.T).reshape(-1, m, width).transpose(0, 2, 1)
+        vals.append(reduce(z.reshape(-1, m)))
+        if floor is not None:
+            floors.append(floor(z[:, :-1].reshape(-1, m), z[:, 1:].reshape(-1, m)))
+    out = vals[0] if len(vals) == 1 else np.concatenate(vals)
+    out = out.reshape(len(starts), width, *out.shape[1:])
+    if floor is None:
+        return out
+    return out, np.concatenate(floors).reshape(len(starts), width - 1)
 
 
 def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
@@ -193,15 +197,14 @@ def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Grid times (sized from the spread of lam) and reduce of the sums
     there; reduce maps one row per time, one column per coef column, to one
-    value per time.  The values are one _fine_values call with a start
-    every c = min(_CHUNK, npts) grid points, trimmed to npts: ceil(log2 c)
-    + ceil(npts / c) exponentials of k terms, none per grid point."""
+    value per time.  The values are one _fine_values call on the grid's
+    _tables, runs of n points trimmed to npts: about log2 npts + 1
+    exponentials of k terms, none per grid point or run."""
     t0, t1 = float(window[0]), float(window[1])
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
     npts = _grid_size(t1 - t0, spread, grid)
-    c = min(_CHUNK, npts)
-    vals = _fine_values(lam, coef, reduce, t0, (t1 - t0) / (npts - 1),
-                        np.arange(0, npts, c), c)
+    starts, steps = _tables(lam, t0, (t1 - t0) / (npts - 1), npts)
+    vals = _fine_values(coef, reduce, starts, steps[:-1])
     return np.linspace(t0, t1, npts), vals.reshape(-1, *vals.shape[2:])[:npts]
 
 
@@ -252,106 +255,89 @@ def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a: np.ndarray,
     raise WalkError(f"Newton refinement left {act.size} brackets open after {cap} steps")
 
 
-def _quad_floor(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray, lo, hi,
-                ends: np.ndarray) -> np.ndarray:
-    """Least value over r in [lo, hi] of the quadratic through (-1, f0), (0,
-    f1) and (1, f2), elementwise, where lo < hi (scalars or arrays) are
-    sample positions in {-1, 0, 1} and ends is the lesser sample at them."""
-    # p(r) = f1 + b r + a r^2 is least on [lo, hi] at -b/2a, clipped to it,
-    # when a > 0, and at an end otherwise; the tiny divisor for a <= 0 sends
-    # r to an end (or to r = 0, a sample on the range), and an overflow to
-    # +-inf is clipped there too
-    a, b = 0.5 * (f0 + f2) - f1, 0.5 * (f2 - f0)
-    with np.errstate(over="ignore"):
-        r = np.clip(-b / np.maximum(2.0 * a, _TINY), lo, hi)
-    return np.minimum(ends, f1 + r * (b + a * r))
-
-
-def _coarse_keep(vals: np.ndarray, h: float, m2: float, m3: float | None,
-                 threshold: float) -> np.ndarray:
-    """Which intervals [t_i, t_{i+1}] between consecutive samples vals of
-    f, h apart, may hold a value of f at most threshold, where |f''| <= m2
-    and, unless m3 is None, |f'''| <= m3.
-
-    f stays above min(vals_i, vals_{i+1}) - m2 h^2/8 on an interval.  The
-    quadratic through three consecutive samples is within m3 h^3/(9 sqrt
-    3) of f on their span, so f also stays above the least value of that
-    quadratic on the interval, less the margin, for each triple the
-    interval belongs to.  An interval is dropped when any bound exceeds
-    threshold; the cubic bounds are computed only where the first is not."""
-    ends = np.minimum(vals[:-1], vals[1:])
-    keep = ends - m2 * h * h / 8.0 <= threshold
-    if m3 is not None:
-        j = np.flatnonzero(keep)
-        # the triple starting at an interval holds it at r in [-1, 0], the
-        # one starting a sample before it at r in [0, 1]
-        first, lo = np.concatenate((j, j - 1)), np.repeat([-1.0, 0.0], len(j))
-        ok = (first >= 0) & (first + 2 < len(vals))
-        i, first, lo = np.concatenate((j, j))[ok], first[ok], lo[ok]
-        floor = _quad_floor(vals[first], vals[first + 1], vals[first + 2], lo, lo + 1.0,
-                            ends[i])
-        keep[i[floor - m3 * h ** 3 * _CUBIC > threshold]] = False
-    return keep
-
-
-def _refine_minima(lam: np.ndarray, coef: np.ndarray, terms, ts: np.ndarray,
-                   vals: np.ndarray, h: float, m2: float, m3: float | None,
-                   threshold: float, xtol: float, idx: np.ndarray | None = None
+def _refine_minima(lam: np.ndarray, coef: np.ndarray, terms, vals: np.ndarray, time,
+                   bracket_floor, threshold: float, xtol: float,
+                   idx: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions of the kept grid-local minima of vals, their refined times
     and f there, for the f of sum_j coef_j e^{i lam_j t} that vals samples
-    at times ts on a grid of step h and whose reducer's terms give (f, f',
-    f'').  The samples are consecutive grid points, or else at the
-    increasing grid indices idx; a sample is tested only when both its
-    grid neighbours are among them.
+    on a grid and whose reducer's terms give (f, f', f'').  The samples are
+    the grid points from the first, or else those at the increasing grid
+    indices idx; a sample is tested only when both its grid neighbours are
+    among them.  time(g) is the time of grid indices g.
 
-    With the reducer's m2, f stays above vals[i] - m2 h^2/8 on the bracket
-    [t_{i-1}, t_{i+1}] of a grid-local minimum i; with |f'''| <= m3 (m3
-    not None) it also stays above the least value there of the quadratic
-    through the three samples, less m3 h^3/(9 sqrt 3).  A bracket where
-    either bound exceeds threshold cannot reach it and is not refined.  The
-    rest go to one _newton_batch, each starting from its t_i.
+    bracket_floor(g) is the reducer's floor of f on [t_{g-1}, t_{g+1}] for
+    grid indices g.  A minimum whose bracket has its floor above threshold
+    cannot reach it and is not refined.  The rest go to one _newton_batch,
+    each starting from its grid time.
     """
     mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
     low = (mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))
     if idx is not None:
         low &= idx[2:] - idx[:-2] == 2
     p = np.flatnonzero(low) + 1
-    p = p[vals[p] - m2 * h * h / 8.0 <= threshold]
-    if m3 is not None:
-        lo, hi = vals[p - 1], vals[p + 1]
-        p = p[_quad_floor(lo, vals[p], hi, -1.0, 1.0, np.minimum(lo, hi))
-              - m3 * h ** 3 * _CUBIC <= threshold]
-    return (p, *_newton_batch(lam, coef, terms, ts[p - 1], ts[p + 1], ts[p], xtol))
+    g = p if idx is None else idx[p]
+    if len(g):
+        keep = bracket_floor(g) <= threshold
+        p, g = p[keep], g[keep]
+    return (p, *_newton_batch(lam, coef, terms, time(g - 1), time(g + 1), time(g), xtol))
 
 
-def _fine_points(j: np.ndarray, span: int, npts: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fine_points(j: np.ndarray, span: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     """The fine pass's blocks j (increasing) of span grid steps, on a grid
     of npts points.  Block j holds grid points span j to span (j + 1) and
-    one neighbour on each side.  Returns each block's first grid index, the
-    block points to take, and their grid indices, which hold every point
-    of the blocks once, in order."""
-    starts = span * j - 1
-    idx = starts[:, None] + np.arange(span + 3)
+    one neighbour on each side, span + 3 points from span j - 1.  Returns
+    which block points to take and their grid indices, which hold every
+    point of the blocks once, in order."""
+    idx = (span * j - 1)[:, None] + np.arange(span + 3)
     # the leading points of a block that the block before it ends on
     again = span + 3 - span * np.diff(j, prepend=-npts)
     take = (np.arange(span + 3) >= again[:, None]) & (idx >= 0) & (idx < npts)
-    return starts, take, idx[take]
+    return take, idx[take]
 
 
 class _Reducer(NamedTuple):
     """What one search minimizes: an f of the sums z = sum_j coef_j e^{i
-    lam_j t} (one column per column of coef), with the bounds its scan
+    lam_j t} (one column per column of coef), with the floor its scan
     prunes by.  value(z) is f per row of z; terms(z, z', z'') is (f, f',
-    f''); m2(lam, coef) is an M2 such that f stays above the lesser end of
-    any interval of width H less M2 H^2/8 (|f''| <= M2 for a smooth f);
-    m3(lam, coef) bounds |f'''|, and is None when f is not smooth."""
+    f''); floor(a, b, e) is, per row, a lower bound on f over every z whose
+    column c lies within e_c of the segment from a_c to b_c.  invariant
+    says f reads each column only through |z_c|, so the scan may turn a
+    column's phase (_interval_floor)."""
 
     value: Callable[[np.ndarray], np.ndarray]
     terms: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
-    m2: Callable[[np.ndarray, np.ndarray], float]
-    m3: Callable[[np.ndarray, np.ndarray], float] | None
+    floor: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    invariant: bool = True
+
+
+def _demodulated(lam: np.ndarray, coef: np.ndarray, invariant: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per column c of coef, mu_c and sum_j |coef_jc| (lam_j - mu_c)^2,
+    which bounds |zeta_c''| for zeta_c(t) = sum_j coef_jc e^{i (lam_j -
+    mu_c) t}: mu_c is the |coef|-weighted mean of lam, which minimizes the
+    bound, when invariant, and 0 otherwise."""
+    w = np.abs(coef)
+    mu = np.zeros(coef.shape[1])
+    if invariant:
+        total = w.sum(axis=0)
+        mu = (w * lam[:, None]).sum(axis=0) / np.where(total > 0.0, total, 1.0)
+    return mu, (w * (lam[:, None] - mu) ** 2).sum(axis=0)
+
+
+def _interval_floor(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer, width: float):
+    """floor(a, b): the reducer's floor of f on a time interval of that
+    width, from the sums a and b at its ends.
+
+    Each column is bounded demodulated (_demodulated): zeta_c(t) = e^{-i
+    mu_c t} z_c(t), where |zeta_c| = |z_c| and mu_c = 0 unless the reducer
+    is invariant.  zeta_c stays within e_c = width^2/8 max |zeta_c''| of
+    the chord between its two samples.  Turned by e^{i mu_c t_a}, that
+    chord runs from a_c to e^{-i mu_c width} b_c, which changes no |.| an
+    invariant floor reads."""
+    mu, curvature = _demodulated(lam, coef, reducer.invariant)
+    e, turn = width * width / 8.0 * curvature, np.exp(-1j * width * mu)
+    return lambda a, b: reducer.floor(a, b * turn, e)
 
 
 def _sq_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
@@ -362,20 +348,28 @@ def _sq_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
             2.0 * (dz.real ** 2 + dz.imag ** 2 + z.real * d2z.real + z.imag * d2z.imag))
 
 
+def _sq_floor(a: np.ndarray, b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """max(0, dist(0, [a, b]) - e)^2 elementwise: the least |z|^2 over every
+    z within e of the segment from a to b."""
+    d = b - a
+    dd = d.real ** 2 + d.imag ** 2
+    # the segment's point nearest 0 is a + s d, s in [0, 1] (0 where a = b)
+    s = np.minimum(np.maximum(-(a.real * d.real + a.imag * d.imag), 0.0), dd)
+    s /= np.maximum(dd, _TINY)
+    return np.maximum(np.abs(a + s * d) - e, 0.0) ** 2
+
+
 # |first column|^2, bounded through that column alone
 _sq = _Reducer(
     lambda z: z[:, 0].real ** 2 + z[:, 0].imag ** 2,
     lambda z, dz, d2z: _sq_terms(z[:, 0], dz[:, 0], d2z[:, 0]),
-    lambda lam, coef: float(_curvature(lam, coef)[0]),
-    lambda lam, coef: float(_cubic(lam, coef)[0]))
+    lambda a, b, e: _sq_floor(a[:, 0], b[:, 0], e[0]))
 
-# sum_c |z_c|^2 per row: its derivatives, and so its bounds, are the
-# columns' sums
+# sum_c |z_c|^2 per row: its derivatives and its floor are the columns' sums
 _leak = _Reducer(
     lambda z: np.sum(z.real ** 2 + z.imag ** 2, axis=1),
     lambda z, dz, d2z: tuple(v.sum(axis=1) for v in _sq_terms(z, dz, d2z)),
-    lambda lam, coef: float(_curvature(lam, coef).sum()),
-    lambda lam, coef: float(_cubic(lam, coef).sum()))
+    lambda a, b, e: _sq_floor(a, b, e).sum(axis=1))
 
 
 def _neg_peak_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
@@ -385,14 +379,13 @@ def _neg_peak_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
     return tuple(-v for v in _sq_terms(z[rows, col], dz[rows, col], d2z[rows, col]))
 
 
-# -max_c |z_c|^2 per row (0 with no columns): the least of the -|z_c|^2, so
-# the largest column M2 bounds its sag below an interval's ends; it has no
-# third derivative at a kink, where the argmax column changes
+# -max_c |z_c|^2 per row (0 with no columns): |z_c| stays below the larger
+# of |a_c| and |b_c| plus e_c, its largest value on the segment plus e_c
 _neg_peak = _Reducer(
     lambda z: -np.max(z.real ** 2 + z.imag ** 2, axis=1, initial=0.0),
     _neg_peak_terms,
-    lambda lam, coef: float(_curvature(lam, coef).max(initial=0.0)),
-    None)
+    lambda a, b, e: -np.max((np.maximum(np.abs(a), np.abs(b)) + e) ** 2, axis=1,
+                            initial=0.0))
 
 
 class _Scan(NamedTuple):
@@ -416,62 +409,97 @@ def _scan_minima(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer,
                  ceiling: float | None = None, band: float = 0.0) -> _Scan:
     """The refined grid-local minima of the reducer's f of sum_j coef_j
     e^{i lam_j t} on the window's grid (_grid_size), pruned by the
-    reducer's own bounds: M2 = reducer.m2(lam, coef) always, and for a
-    smooth f M3 = reducer.m3(lam, coef), computed only on two levels.
-    Only minima whose bracket can reach the threshold are refined: ceiling
-    when given, else the least grid value plus band.
+    reducer's floor (_interval_floor).  Only minima whose bracket can reach
+    the threshold are refined: ceiling when given, else the least grid
+    value plus band.
 
     A grid of at most 8 _COARSE points, or of fewer than _TWO_LEVEL points
-    times terms (support times columns), is scanned on one level:
-    _grid_values on every point, then _refine_minima with the M2 bound.
-    There that costs less than the bookkeeping of two levels.  Otherwise:
+    times terms (support times columns), is scanned on one level: the sums
+    at every grid point from one _fine_values call on the grid's _tables,
+    as _grid_values does, and f of them.  There that costs less than the
+    bookkeeping of two levels, and the sums, fewer than _TWO_LEVEL /
+    support, are kept for the brackets below.  Otherwise:
 
-    Coarse pass: one _grid_values on every _COARSE-th grid point.
-    _coarse_keep drops an interval between coarse points where a bound on
-    f exceeds the coarse threshold.  That threshold is at least the full
-    grid's, so a dropped interval holds no grid point and no time that
-    reaches the full grid's.  Fine pass: the aligned blocks of _FINE_BLOCK
-    intervals that hold a kept interval, the first and the last block
-    (which hold the window ends) and the partial interval up to t1 when
-    (npts - 1) % _COARSE != 0 evaluate their grid points plus one
-    neighbour on each side (_fine_values), one value per grid point.
-    _refine_minima runs on them with both bounds.  So the least grid value
-    and the refined minima are those a scan of every grid point gives, up
-    to rounding, and npts is the full grid's size.
+    Coarse pass: every _COARSE-th grid point and the floor of every
+    interval between them, from their own tables.  An interval whose floor
+    exceeds the coarse threshold is dropped.  That threshold is at least
+    the full grid's, so a dropped interval holds no grid point and no time
+    that reaches the full grid's.  Fine pass: each kept interval, the first
+    and the last (which hold the window ends) and the partial interval up
+    to t1 when (npts - 1) % _COARSE != 0 is one run of its grid points plus
+    one neighbour on each side.  A run's start phase is a product of rows
+    of the coarse tables, so the pass takes one step table of _COARSE + 3
+    rows and no exponential per run.
+
+    On either level, _refine_minima tests the grid-local minima among the
+    points evaluated, with the floor of each one's bracket at the grid
+    step: from the kept sums on one level, and on two from one more
+    _fine_values call, on runs of its three points phased from the coarse
+    tables.  So the least grid value and the refined minima are those a
+    scan of every grid point gives, up to rounding, and npts is the full
+    grid's size.
     """
     t0, t1 = float(window[0]), float(window[1])
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
     npts = _grid_size(t1 - t0, spread, grid)
     h = (t1 - t0) / (npts - 1)
-    m2 = reducer.m2(lam, coef)
 
     def level(vals: np.ndarray) -> float:
         return ceiling if ceiling is not None else float(vals.min()) + band
 
-    idx = m3 = None
+    idx = None
+    floor = _interval_floor(lam, coef, reducer, h)
     if npts <= 8 * _COARSE or npts * coef.size < _TWO_LEVEL:
-        ts, vals = _grid_values(lam, coef, reducer.value, (t0, t1), npts)
+        # below the gate the sums at the grid points number fewer than
+        # _TWO_LEVEL / support, so they are kept for the brackets
+        m = coef.shape[1]
+        starts, steps = _tables(lam, t0, h, npts)
+        z = _fine_values(coef, lambda z: z, starts, steps[:-1]).reshape(-1, m)[:npts]
+        vals = reducer.value(z)
+
+        def bracket_floor(g: np.ndarray) -> np.ndarray:
+            # the lesser floor of [t_{g-1}, t_g] and [t_g, t_{g+1}]
+            ends = z[np.stack((g - 1, g, g + 1))]
+            floors = floor(ends[:2].reshape(-1, m), ends[1:].reshape(-1, m))
+            return floors.reshape(2, -1).min(axis=0)
     else:
-        if reducer.m3 is not None:
-            m3 = reducer.m3(lam, coef)
         whole = (npts - 1) // _COARSE
-        _, coarse = _grid_values(lam, coef, reducer.value,
-                                 (t0, t0 + _COARSE * h * whole), whole + 1)
-        keep = _coarse_keep(coarse, _COARSE * h, m2, m3, level(coarse))
+        starts, steps = _tables(lam, t0, _COARSE * h, whole + 1)
+        n = len(steps) - 1
+        coarse, floors = _fine_values(coef, reducer.value, starts, steps,
+                                      _interval_floor(lam, coef, reducer, _COARSE * h))
+        coarse = coarse[:, :-1].reshape(-1)[:whole + 1]
+        keep = floors.reshape(-1)[:whole] <= level(coarse)
         if whole * _COARSE < npts - 1:
             keep = np.append(keep, True)
         keep[0] = keep[-1] = True
-        span = _COARSE * _FINE_BLOCK
-        starts, take, idx = _fine_points(np.unique(np.flatnonzero(keep) // _FINE_BLOCK),
-                                         span, npts)
-        vals = _fine_values(lam, coef, reducer.value, t0, h, starts, span + 3)[take]
-        # the times np.linspace(t0, t1, npts) gives these points
-        ts = idx * h + t0
-        ts[-1] = t1
+        j = np.flatnonzero(keep)
+        fine = _phase_table(lam, h, _COARSE + 3)
+
+        def phases(g: np.ndarray) -> np.ndarray:
+            # e^{i lam t_g} from the coarse tables, for grid indices g
+            c = g // _COARSE
+            return starts[c // n] * steps[c % n] * fine[g % _COARSE]
+        # run j starts a grid step before coarse point j
+        vals = _fine_values(coef, reducer.value, phases(_COARSE * j) * fine[1].conj(), fine)
+        take, idx = _fine_points(j, _COARSE, npts)
+        vals = vals[take]
+
+        def bracket_floor(g: np.ndarray) -> np.ndarray:
+            # the three grid points of each bracket, as one run each: the
+            # fine pass keeps no sums, which could number points x columns
+            _, floors = _fine_values(coef, reducer.value, phases(g - 1), fine[:3], floor)
+            return floors.min(axis=1)
+
+    def time(g: np.ndarray) -> np.ndarray:
+        # the times np.linspace(t0, t1, npts) gives grid indices g
+        return np.where(g == npts - 1, t1, g * h + t0)
+
     threshold = level(vals)
-    p, x, fx = _refine_minima(lam, coef, reducer.terms, ts, vals, h, m2, m3, threshold,
-                              xtol, idx)
-    return _Scan(npts, (float(vals[0]), float(vals[-1])), threshold, ts[p], vals[p], x, fx)
+    p, x, fx = _refine_minima(lam, coef, reducer.terms, vals, time, bracket_floor,
+                              threshold, xtol, idx)
+    return _Scan(npts, (float(vals[0]), float(vals[-1])), threshold,
+                 time(p if idx is None else idx[p]), vals[p], x, fx)
 
 
 def _sq_at(lam: np.ndarray, wts: np.ndarray, times) -> np.ndarray:
@@ -696,11 +724,13 @@ class WalkEvaluator:
         ambiguous root cluster sends the call to the scan.
 
         Scan.  Otherwise |U(t)_{u,u}|^2 is scanned by _scan_minima with the
-        reducer _sq, in O(chunk x support) memory, pruned by the bounds _sq
-        carries: |f''| <= M2 = 2 Var_w(lam) and |f'''| <= M3 = sum_jk w_j w_k
-        |lam_j - lam_k|^3.  Its threshold is the grid minimum plus 1e-9, so
-        a pruned interval or bracket holds neither the minimum nor a tie
-        with it.  The kept grid-local minima (refinements counts them) are
+        reducer _sq, in O(chunk x support) memory, pruned by the floor _sq
+        carries: on an interval of width H, e^{-i mu t} U(t)_{u,u} (mu the
+        w-weighted mean of lam) stays within e = H^2/8 Var_w(lam) of the
+        chord between its samples, so |U|^2 stays above max(0, dist(0,
+        chord) - e)^2.  Its threshold is the grid minimum plus 1e-9, so a
+        pruned interval or bracket holds neither the minimum nor a tie with
+        it.  The kept grid-local minima (refinements counts them) are
         refined by safeguarded Newton steps to _REFINE_TOL, and each offers
         the better of its grid sample and its refinement.  The minimum, the
         argmin and the ties are those of a scan of every grid point, and

@@ -70,8 +70,8 @@ def test_refined_values_beat_dense_bracket_samples():
         wts /= wts.sum()
         coef = wts[:, None]
         ts, sq = _grid_values(lam, coef, _sq.value, (0.0, 60.0), 1024)
-        at, x, fx = _refine_minima(lam, coef, _sq.terms, ts, sq, ts[1] - ts[0],
-                                   _sq.m2(lam, coef), None, math.inf, 1e-10)
+        at, x, fx = _refine_minima(lam, coef, _sq.terms, sq, lambda g: ts[g],
+                                   lambda g: np.zeros(len(g)), math.inf, 1e-10)
         for i, t, v in zip(at, x, fx):
             assert ts[i - 1] <= t <= ts[i + 1]
             dense = _sq_at(lam, wts, np.linspace(ts[i - 1], ts[i + 1], 512))

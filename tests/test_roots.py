@@ -105,13 +105,13 @@ def test_star_square_centre_zero_from_the_cluster_centroid(m):
 def scans(monkeypatch):
     """Counts the oracle's grid scans."""
     calls = []
-    real = walk._grid_values
+    real = walk._scan_minima
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(walk, "_grid_values", counted)
+    monkeypatch.setattr(walk, "_scan_minima", counted)
     return calls
 
 

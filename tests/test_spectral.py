@@ -78,6 +78,40 @@ def test_decompose_rejects_asymmetric():
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _grouped_by_lists(vals, vecs, tol):
+    """decompose's former grouping of eigh's output, kept as the reference:
+    np.split into clusters, reversed, then list comprehensions for the
+    eigenvalues and the column order."""
+    cuts = np.flatnonzero(np.diff(vals) > tol) + 1
+    groups = np.split(np.arange(len(vals)), cuts)[::-1] if len(vals) else []
+    eigenvalues = np.array([float(vals[g[0]]) if len(g) == 1 else float(np.mean(vals[g]))
+                            for g in groups])
+    vectors = vecs[:, [i for g in groups for i in g]]
+    offsets = np.cumsum([0] + [len(g) for g in groups])
+    return eigenvalues, vectors, offsets
+
+
+@pytest.mark.parametrize("fam", ["complete:7", "hamming:4,2", "empty:3", "gnp"])
+def test_grouping_matches_the_list_reference(fam):
+    """The vectorised grouping gives the former one's eigenvalues, column
+    order and offsets bit for bit: K_7 and Q_4 (clusters), three isolated
+    vertices (one cluster) and G(60, 0.2) (singletons)."""
+    if fam == "gnp":
+        rng = np.random.default_rng(3)
+        upper = np.triu(rng.random((60, 60)) < 0.2, k=1).astype(float)
+        m = upper + upper.T
+    else:
+        m = assemble(build_family(parse_family(fam)), ADJACENCY).matrix
+    d = decompose(m)
+    vals, vecs = np.linalg.eigh(m)
+    tol = DEFAULT_CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))))
+    eigenvalues, vectors, offsets = _grouped_by_lists(vals, vecs, tol)
+    assert np.array_equal(d.eigenvalues, eigenvalues)
+    assert np.array_equal(d.vectors, vectors)
+    assert np.array_equal(d.offsets, offsets) and d.offsets.dtype == offsets.dtype
+    assert (fam == "gnp") == (d.num_distinct == d.n)
+
+
 def test_support_star_laplacian_leaf():
     d = _decomp("star:4", LAPLACIAN)
     sup = support(d, 1)

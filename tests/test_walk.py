@@ -22,19 +22,17 @@ from qwsed.spectral import decompose, support
 from qwsed.walk import (
     _CHUNK,
     _COARSE,
-    _CUBIC,
     _TIE_BAND,
     DEFAULT_WINDOW,
     WalkError,
     WalkEvaluator,
-    _cubic,
-    _curvature,
+    _demodulated,
     _fine_points,
     _grid_values,
+    _interval_floor,
     _leak,
     _neg_peak,
     _newton_batch,
-    _quad_floor,
     _Scan,
     _scan_minima,
     _sq,
@@ -293,9 +291,11 @@ def test_grid_values_across_base_blocks():
 
 
 def test_grid_values_take_one_exponential_per_chunk(monkeypatch):
-    """A pass over npts grid points with k terms evaluates exactly k
-    (ceil(log2 c) + ceil(npts / c)) exponentials, c = min(_CHUNK, npts):
-    the doubled step table and one direct phase per chunk start."""
+    """A pass over npts grid points with k terms evaluates exactly k (1 +
+    ceil(log2 q) + ceil(log2 (n + 1))) exponentials, n = min(_CHUNK,
+    ceil(sqrt npts)) and q = ceil(npts / n): the window start and the two
+    doubled tables of the grid's runs (_tables), about log2 npts + 1 in
+    all and none per chunk of grid points."""
     lam, coef = _open_window_support()
     evaluated = []
     real_exp = np.exp
@@ -310,26 +310,31 @@ def test_grid_values_take_one_exponential_per_chunk(monkeypatch):
         evaluated.clear()
         ts, _ = _grid_values(lam, coef, _sq.value, (0.0, DEFAULT_WINDOW), grid)
         k, npts = len(lam), len(ts)
-        c = min(_CHUNK, npts)
-        assert sum(evaluated) == k * (math.ceil(math.log2(c)) + -(-npts // c))
+        n = min(_CHUNK, math.ceil(math.sqrt(npts)))
+        q = -(-npts // n)
+        assert sum(evaluated) == k * (1 + math.ceil(math.log2(q))
+                                      + math.ceil(math.log2(n + 1)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 1.0)),
                 min_size=1, max_size=8))
 def test_curvature_bounds_second_derivative(terms):
+    """_demodulated gives the |w|-weighted mean mu of lam and the bound
+    sum_j w_j (lam_j - mu)^2 on |zeta''|, zeta(t) = sum_j w_j e^{i (lam_j -
+    mu) t}; a phase-reading reducer keeps mu = 0."""
     lam = np.array([t[0] for t in terms])
     w = np.array([t[1] for t in terms])
     w /= w.sum()
     mean = float(np.sum(w * lam))
-    m2 = 2.0 * float(np.sum(w * (lam - mean) ** 2))
-    assert _curvature(lam, w[:, None])[0] == pytest.approx(m2, rel=1e-9, abs=1e-12)
-    # |sum_j w_j e^{i lam_j t}|^2 = sum_jk w_j w_k cos((lam_j - lam_k) t)
-    diff = lam[:, None] - lam[None, :]
-    ww = w[:, None] * w[None, :]
+    (mu,), (bound,) = _demodulated(lam, w[:, None], True)
+    assert mu == pytest.approx(mean, rel=1e-9, abs=1e-12)
+    assert bound == pytest.approx(float(np.sum(w * (lam - mean) ** 2)), rel=1e-9, abs=1e-12)
     ts = np.linspace(0.0, 30.0, 3001)
-    f2 = -np.einsum("jk,jk,tjk->t", ww, diff ** 2, np.cos(ts[:, None, None] * diff))
-    assert np.max(np.abs(f2)) <= m2 * (1.0 + 1e-9) + 1e-12
+    d2 = np.exp(1j * np.outer(ts, lam - mu)) @ (-w * (lam - mu) ** 2)
+    assert np.max(np.abs(d2)) <= bound * (1.0 + 1e-9) + 1e-12
+    (mu0,), (raw,) = _demodulated(lam, -w[:, None], False)
+    assert mu0 == 0.0 and raw == pytest.approx(float(np.sum(w * lam ** 2)), rel=1e-12)
 
 
 def _dense_minimum(graph, u, window):
@@ -385,15 +390,13 @@ def test_open_window_oracle_memory():
 
 def _full_scan(lam, coef, reducer, window, grid, xtol, ceiling=None, band=0.0):
     """The reference for _scan_minima, a scan of every grid point:
-    _grid_values on the whole grid, then the grid-local-minimum test, the
-    prune by the reducer's M2 and one _newton_batch.  M3 is not read."""
-    m2 = reducer.m2(lam, coef)
+    _grid_values on the whole grid, then the grid-local-minimum test and
+    one _newton_batch on every minimum it finds.  It prunes nothing, so it
+    reads no bound of the reducer."""
     ts, vals = _grid_values(lam, coef, reducer.value, window, grid)
     threshold = ceiling if ceiling is not None else float(vals.min()) + band
     mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
     at = np.flatnonzero((mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))) + 1
-    h = ts[1] - ts[0]
-    at = at[vals[at] - m2 * h * h / 8.0 <= threshold]
     x, fx = _newton_batch(lam, coef, reducer.terms, ts[at - 1], ts[at + 1], ts[at], xtol)
     return _Scan(len(ts), (float(vals[0]), float(vals[-1])), threshold, ts[at], vals[at], x, fx)
 
@@ -439,7 +442,9 @@ def _scan_case(rng, name, tied):
     return lam, coef, _leak if name == "leak" else _neg_peak, "ceiling"
 
 
-_SCAN_GRIDS = (None, 5, 8, 29, 33, 34, 35, 36, 1001, 4099)
+# around the one-level gate of 8 _COARSE points and with partial coarse
+# intervals at the end ((npts - 1) % _COARSE != 0)
+_SCAN_GRIDS = (None, 5, 8, 29, 33, 34, 35, 36, 128, 129, 130, 131, 132, 140, 1001, 4099)
 _SCAN_WINDOWS = ((0.0, 40.0), (0.7, 40.0), (3.0, 9.5))
 
 
@@ -563,7 +568,7 @@ def test_callers_match_the_full_grid_scan(grid, two_levels, monkeypatch):
             assert abs(a[5][2] - b[5][2]) <= 1e-15
 
 
-# -- the reducers' derivative bounds ------------------------------------------
+# -- the reducers' floors ------------------------------------------------------
 
 
 def _bound_case(rng, name):
@@ -574,113 +579,94 @@ def _bound_case(rng, name):
         w = rng.random(k)
         return lam, (w / w.sum())[:, None], _sq
     if name in ("leak", "neg_peak"):
-        m = 3 if name == "leak" else int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
         coef = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
         return lam, coef, _leak if name == "leak" else _neg_peak
     return lam, np.where(rng.random(k) < 0.5, 1.0, -1.0)[:, None], _alignment_defect(k)
 
 
-def _quadratic(f0, f1, f2, s):
-    """The quadratic through (0, f0), (1, f1) and (2, f2), at s."""
-    return f0 * (s - 1.0) * (s - 2.0) / 2.0 - f1 * s * (s - 2.0) + f2 * s * (s - 1.0) / 2.0
+def _floor_breaches(name, scale):
+    """How many of 300 random intervals [t, t + h] hold a dense sample of
+    the reducer's f below its floor there (_interval_floor), with every
+    chord error e scaled by scale.  Each interval holds the least f within
+    2h of a random time, where pruning decides."""
+    rng = np.random.default_rng(len(name))
+    s = np.linspace(0.0, 1.0, 401)
+    breaches = 0
+    for _ in range(300):
+        lam, coef, reducer = _bound_case(rng, name)
+        scaled = reducer._replace(floor=lambda a, b, e, r=reducer: r.floor(a, b, scale * e))
+        t, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.05, 1.0))
+        near = t + h * np.linspace(-2.0, 2.0, 401)
+        t = near[np.argmin(reducer.value(_trig_sums(lam, coef, near)))]
+        t -= h * float(rng.uniform(0.2, 0.8))
+        z = _trig_sums(lam, coef, t + h * s)
+        f = reducer.value(z)
+        floor = _interval_floor(lam, coef, scaled, h)(z[:1], z[-1:])[0]
+        breaches += f.min() < floor - 1e-12 * (1.0 + np.max(np.abs(f)))
+    return breaches
 
 
 @pytest.mark.parametrize("name", ["sq", "leak", "neg_peak", "defect"])
 def test_declared_bounds_hold(name):
-    """Dense samples of the reducer's f on random brackets [t, t + h] never
-    fall below the lesser end less m2 h^2/8, and on [t, t + 2h] (for an m3
-    not None) never below the quadratic through f(t), f(t + h), f(t + 2h)
-    less m3 h^3/(9 sqrt 3).  Neither bound is slack: some bracket sags
-    more than half of each, so half the declared bound fails."""
-    rng = np.random.default_rng(len(name))
-    s = np.linspace(0.0, 2.0, 801)
-    sag2 = sag3 = 0.0
-    for _ in range(300):
-        lam, coef, reducer = _bound_case(rng, name)
-        t, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.05, 1.0))
-        f = reducer.value(_trig_sums(lam, coef, t + h * s))
-        slack = 1e-12 * (1.0 + np.max(np.abs(f)))
-        cut = reducer.m2(lam, coef) * h * h / 8.0
-        for part in (f[:401], f[400:]):
-            assert part.min() >= min(part[0], part[-1]) - cut - slack
-            sag2 = max(sag2, (min(part[0], part[-1]) - part.min()) / cut)
-        if reducer.m3 is not None:
-            p2 = _quadratic(f[0], f[400], f[800], s)
-            cut = reducer.m3(lam, coef) * h ** 3 * _CUBIC
-            assert np.all(f >= p2 - cut - slack)
-            sag3 = max(sag3, float(np.max(p2 - f)) / cut)
-    assert sag2 > 0.5
-    assert reducer.m3 is None or sag3 > 0.5
-
-
-@pytest.mark.parametrize("name", ["sq", "leak", "defect"])
-def test_quadratic_through_three_samples_bounds_f(name):
-    """Dense samples of f on [t, t + 2h] never fall below _quad_floor of
-    f(t), f(t + h), f(t + 2h) less M3 h^3/(9 sqrt 3), on either half or the
-    whole, with the reducer's M3."""
-    rng = np.random.default_rng(len(name))
-    s = np.linspace(0.0, 2.0, 801)
-    one = np.array([1.0])
-    for _ in range(300):
-        lam, coef, reducer = _bound_case(rng, name)
-        t, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.05, 1.0))
-        f = reducer.value(_trig_sums(lam, coef, t + h * s))
-        f0, f1, f2 = f[0], f[400], f[800]
-        cut = reducer.m3(lam, coef) * h ** 3 * _CUBIC
-        slack = 1e-12 * (1.0 + np.max(np.abs(f)))
-        for lo, hi, part in ((-1, 0, f[:401]), (0, 1, f[400:]), (-1, 1, f)):
-            ends = min(f[400 * (lo + 1)], f[400 * (hi + 1)]) * one
-            floor = float(_quad_floor(f0 * one, f1 * one, f2 * one, lo, hi, ends)[0])
-            assert floor - cut <= part.min() + slack
-
-
-def test_cubic_bounds_third_derivative():
-    rng = np.random.default_rng(9)
-    for _ in range(40):
-        k = int(rng.integers(1, 7))
-        lam = rng.uniform(-3.0, 3.0, k)
-        coef = rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))
-        ts = np.linspace(0.0, 20.0, 2001)
-        # |z|^2 = sum_jk c_j conj(c_k) e^{i (lam_j - lam_k) t}
-        d = lam[:, None] - lam[None, :]
-        for c, m3 in zip(coef.T, _cubic(lam, coef)):
-            cc = c[:, None] * c[None, :].conj()
-            f3 = np.einsum("jk,tjk->t", cc * (1j * d) ** 3,
-                           np.exp(1j * ts[:, None, None] * d)).real
-            assert np.max(np.abs(f3)) <= m3 * (1.0 + 1e-9) + 1e-12
+    """Dense samples of the reducer's f on random intervals never fall
+    below its floor from the sums at the interval's ends.  The floor is
+    not slack: with half of each chord error e, some interval breaks it."""
+    assert _floor_breaches(name, 1.0) == 0
+    assert _floor_breaches(name, 0.5) > 0
 
 
 def test_open_window_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
-    """On the first vertex of the seed-1 G(120, 0.1) workload, one coarse
-    _grid_values call covers every fourth grid point, and the fine pass
-    evaluates at most 5% of the grid.  Both evaluate through _fine_values,
-    the coarse pass in chunks of _CHUNK points."""
+    """On the first vertex of the seed-1 G(120, 0.1) workload, the coarse
+    pass's tables cover every _COARSE-th grid point, and the coarse pass,
+    the fine pass and the brackets of the minima together evaluate at most
+    12% of the grid, each in one _fine_values call.  The fine pass takes no
+    exponential per run: outside the Newton steps the scan takes the coarse
+    tables' exponentials, the fine step table's and one chord turn each for
+    the coarse floors and for the brackets."""
     rng = np.random.default_rng([1, 0])
     g = _gnp(rng, 120, 0.1)
     u = int(rng.integers(120))
     w = WalkEvaluator.for_graph(g)
-    coarse, fine = [], []
-    real_grid, real_fine = walk._grid_values, walk._fine_values
+    k = len(w.spectrum(u).eigenvalues)
+    tables, points, evaluated, newton = [], [], [], []
+    real_tables, real_fine, real_newton, real_exp = (
+        walk._tables, walk._fine_values, walk._newton_batch, np.exp)
 
-    def grid_values(*args, **kwargs):
-        coarse.append(args[4])
-        return real_grid(*args, **kwargs)
+    def counted(x, *args, **kwargs):
+        out = real_exp(x, *args, **kwargs)
+        if not newton:
+            evaluated.append(np.size(out))
+        return out
 
-    def fine_values(lam, coef, reduce, t0, h, starts, width):
-        fine.append(len(starts) * width)
-        return real_fine(lam, coef, reduce, t0, h, starts, width)
+    def refine(*args):
+        newton.append(True)
+        try:
+            return real_newton(*args)
+        finally:
+            newton.pop()
 
-    monkeypatch.setattr(walk, "_grid_values", grid_values)
-    monkeypatch.setattr(walk, "_fine_values", fine_values)
+    monkeypatch.setattr(walk, "_tables", lambda *a: tables.append(a[3]) or real_tables(*a))
+    monkeypatch.setattr(walk, "_fine_values",
+                        lambda *a: points.append(len(a[2]) * len(a[3])) or real_fine(*a))
+    monkeypatch.setattr(walk, "_newton_batch", refine)
+    monkeypatch.setattr(np, "exp", counted)
     res = w.minimize_diagonal(u, (0.0, DEFAULT_WINDOW))
+    monkeypatch.undo()
     assert res.grid > 100_000
-    assert coarse == [(res.grid - 1) // _COARSE + 1]
-    assert len(fine) == 2 and fine[0] == -(-coarse[0] // _CHUNK) * _CHUNK
-    assert fine[1] <= 0.05 * res.grid
+    coarse = (res.grid - 1) // _COARSE + 1
+    assert tables == [coarse]
+    # the coarse pass, the fine pass and the brackets of the minima
+    assert len(points) == 3 and sum(points) <= 0.12 * res.grid
+    n = min(_CHUNK, math.ceil(math.sqrt(coarse)))
+    q = -(-coarse // n)
+    assert points[0] == q * (n + 1) and points[2] % 3 == 0
+    assert sum(evaluated) == k * (1 + math.ceil(math.log2(q)) + math.ceil(math.log2(n + 1))
+                                  + math.ceil(math.log2(_COARSE + 3))) + 2
     assert res.refinements <= 30
 
 
-@pytest.mark.parametrize("span", [1, 2, _COARSE, 16])
+@pytest.mark.parametrize("span", [1, 2, 4, 16])
 def test_fine_points_take_each_block_point_once(span):
     rng = np.random.default_rng(span)
     for _ in range(200):
@@ -688,8 +674,8 @@ def test_fine_points_take_each_block_point_once(span):
         j = np.flatnonzero(rng.random(-(-(npts - 1) // span)) < rng.random())
         if not len(j):
             continue
-        starts, take, idx = _fine_points(j, span, npts)
-        blocks = starts[:, None] + np.arange(span + 3)
+        take, idx = _fine_points(j, span, npts)
+        blocks = (span * j - 1)[:, None] + np.arange(span + 3)
         want = np.unique(blocks[(blocks >= 0) & (blocks < npts)])
         assert np.array_equal(idx, want)
         assert np.array_equal(blocks[take], idx)
@@ -697,22 +683,44 @@ def test_fine_points_take_each_block_point_once(span):
 
 def test_small_scans_take_one_level(monkeypatch):
     """A scan of fewer than _TWO_LEVEL grid points times terms evaluates
-    every grid point once, in one _grid_values call and so one _fine_values
-    call of _CHUNK points per chunk, and refines as the full-grid scan
-    does."""
+    every grid point once, in one _fine_values call on the grid's _tables,
+    and refines as the full-grid scan does."""
     w = _walk("lollipop:5,2")
     lam, wts = w.spectrum(0)[:2]
     coef = wts[:, None]
     calls, fine = [], []
-    real_grid, real_fine = walk._grid_values, walk._fine_values
-    monkeypatch.setattr(walk, "_grid_values",
-                        lambda *a: calls.append(a[4]) or real_grid(*a))
+    real_tables, real_fine = walk._tables, walk._fine_values
+    monkeypatch.setattr(walk, "_tables", lambda *a: calls.append(a[3]) or real_tables(*a))
     monkeypatch.setattr(walk, "_fine_values",
-                        lambda *a: fine.append(len(a[5]) * a[6]) or real_fine(*a))
+                        lambda *a: fine.append(len(a[2]) * len(a[3])) or real_fine(*a))
     res = w.minimize_diagonal(0, (0.0, DEFAULT_WINDOW))
     assert res.grid * len(lam) < walk._TWO_LEVEL
-    assert calls == [res.grid] and fine == [-(-res.grid // _CHUNK) * _CHUNK]
+    n = min(_CHUNK, math.ceil(math.sqrt(res.grid)))
+    assert calls == [res.grid] and fine == [-(-res.grid // n) * n]
     monkeypatch.undo()
     ref = _full_scan(lam, coef, _sq, (0.0, DEFAULT_WINDOW), None, 1e-10, band=_TIE_BAND)
     best, at = _best(ref, (0.0, DEFAULT_WINDOW))
     assert (res.minimum, res.argmin) == (math.sqrt(best), at)
+
+
+def test_column_scan_memory():
+    """A two-level perfect-state-transfer scan (_neg_peak over the 124
+    other columns of hamming:3,5) builds no array of grid points times
+    columns: its floors are reduced per product of phase tables."""
+    w = _walk("hamming:3,5")
+    lam = w.decomposition.eigenvalues
+    # 10 periods: 9600 grid points of 4 distinct eigenvalues, two levels
+    window = (0.0, 20.0 * math.pi)
+    w.spectrum(0)
+    tracemalloc.start()
+    try:
+        pst = w.find_perfect_state_transfer(0, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pst is None
+    npts = walk._grid_size(window[1], float(lam.max() - lam.min()))
+    cols = w.n - 1
+    assert npts * len(lam) * cols >= walk._TWO_LEVEL
+    # one complex grid x columns array
+    assert peak < npts * cols * 16 / 2
