@@ -734,6 +734,14 @@ def _unit_joined_block(graph: WeightedGraph, u: int,
     return None
 
 
+def _role(graph: WeightedGraph, u: int) -> str:
+    """The part of u's label before ":" in a graph of family provenance,
+    which family_ruling reads; "" elsewhere."""
+    if not isinstance(graph.provenance, FamilySpec) or graph.labels is None:
+        return ""
+    return graph.labels[u].partition(":")[0]
+
+
 def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
                   twin_sets: Sequence[TwinSet] | None = None) -> FamilyRuling | None:
     """Exact constants the closed-form catalogue assigns to vertex u, or None.
@@ -756,7 +764,7 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
     spec = graph.provenance
     if isinstance(spec, FamilySpec):
         p = spec.params
-        role = graph.labels[u].partition(":")[0] if graph.labels is not None else ""
+        role = _role(graph, u)
         if kind.is_degree_shifted and spec.kind == "complete":
             return _complete_ruling(p[0])
         if kind.is_degree_shifted and spec.kind in ("rook", "hamming"):
@@ -923,14 +931,24 @@ def _annotated(g: WeightedGraph) -> tuple:
 
 
 class _Context:
-    """What classification reads about one (graph, kind), built once: the
-    walk evaluator over its decomposition, its twin classes and, for a
-    Cartesian product, the contexts of its factors when first asked (one
-    context when both factors are the same graph).  A factor context holds
-    each vertex's default-options report once it is classified (report)."""
+    """What classification reads about one (graph, kind) under one set of
+    options, built once: the walk evaluator over its decomposition, its twin
+    classes, each vertex's report once it is classified (report) and, for a
+    Cartesian product, the contexts of its factors when first asked
+    (default options; one context when both factors are the same graph).
 
-    def __init__(self, graph: WeightedGraph, kind: MatrixKind):
-        self.graph, self.kind = graph, kind
+    report classifies one vertex per twin class.  Swapping two twins u and
+    v is a weighted automorphism under every matrix kind, so U(t)_uu =
+    U(t)_vv, and when u and v also share the label role family_ruling reads,
+    v's report is u's under the transposition (u v): its vertex, its
+    oracle's vertex and every certificate's vertex become v, and the twin
+    bound is rebuilt by twin_bound for v, with v's own detail and mass.  A
+    report whose certificate names another vertex (perfect transfer) is
+    not carried over; v is then classified in full."""
+
+    def __init__(self, graph: WeightedGraph, kind: MatrixKind,
+                 options: ClassifyOptions = ClassifyOptions()):
+        self.graph, self.kind, self.options = graph, kind, options
         self.walk = WalkEvaluator(decompose(assemble(graph, kind)))
         self.twins = find_twin_sets(graph, kind)
         self._reports: dict[int, SedentaryReport] = {}
@@ -943,12 +961,30 @@ class _Context:
             return cx, cx
         return cx, _Context(gy, self.kind)
 
-    def report(self, u: int) -> SedentaryReport:
-        """u classified with default options, once per vertex."""
-        r = self._reports.get(u)
+    def report(self, v: int) -> SedentaryReport:
+        """v's report, made once per vertex: carried over from a classified
+        twin where it can be, else classified."""
+        r = self._reports.get(v)
         if r is None:
-            r = self._reports[u] = _classify_vertex(self, u, ClassifyOptions())
+            r = self._reports[v] = self._from_twin(v) or _classify_vertex(self, v)
         return r
+
+    def _from_twin(self, v: int) -> SedentaryReport | None:
+        ts = next((ts for ts in self.twins if v in ts.vertices), None)
+        if ts is None:
+            return None
+        role = _role(self.graph, v)
+        r = next((self._reports[u] for u in ts.vertices
+                  if u in self._reports and _role(self.graph, u) == role
+                  and all(c.kind != NOT_SEDENTARY_PST
+                          for c in self._reports[u].certificates)), None)
+        if r is None:
+            return None
+        certs = tuple(
+            twin_bound(self.graph, v, self.kind, self.walk.decomposition, self.twins)
+            if c.kind == TWIN_BOUND else replace(c, vertex=v)
+            for c in r.certificates)
+        return replace(r, vertex=v, certificates=certs, oracle=replace(r.oracle, vertex=v))
 
 
 def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
@@ -968,17 +1004,22 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
                       kind: MatrixKind = ADJACENCY,
                       options: ClassifyOptions | None = None) -> list[SedentaryReport]:
     """classify for each vertex in turn, sharing one eigendecomposition and
-    one twin-class search of (graph, kind), and of each Cartesian factor."""
-    opts = options or ClassifyOptions()
+    one twin-class search of (graph, kind), and of each Cartesian factor.
+
+    Only the first requested vertex of each twin class (of one label role)
+    is classified.  Every other member's report is that report under the
+    swap of the two twins: vertex, oracle vertex and certificate vertices
+    rewritten, the twin bound rebuilt for the member.  Where the first
+    report proves perfect transfer, the member is classified in full."""
     for u in vertices:
         if not 0 <= u < graph.n:
             raise CertificateRefused(f"vertex {u} out of range")
-    ctx = _Context(graph, kind)
-    return [_classify_vertex(ctx, u, opts) for u in vertices]
+    ctx = _Context(graph, kind, options or ClassifyOptions())
+    return [ctx.report(u) for u in vertices]
 
 
-def _classify_vertex(ctx: _Context, u: int, opts: ClassifyOptions) -> SedentaryReport:
-    window, certified = ((opts.window, False) if opts.window is not None
+def _classify_vertex(ctx: _Context, u: int) -> SedentaryReport:
+    window, certified = ((ctx.options.window, False) if ctx.options.window is not None
                          else ctx.walk.default_window(u))
     # the oracle certifies only the window it chooses itself
     oracle = ctx.walk.minimize_diagonal(u, None if certified else window)

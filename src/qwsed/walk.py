@@ -217,12 +217,15 @@ def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a: np.ndarray,
     point evaluated for each.
 
     Each step computes e^{i lam t} once and forms z, z' and z'' with one
-    product; the reducer's terms(z, z', z'') gives (f, f', f'').  The sign
-    of f' moves a or b to the iterate, so the bracket keeps a local minimum
-    and closes on a kink.  The Newton step -f'/f'' is taken when f'' > 0
-    and it lands in [a, b]; otherwise the iterate moves to the bracket
-    midpoint.  A bracket is done when its step (zero where f' = 0) or its
-    width is at most xtol; that last step is applied but not evaluated.
+    vector-matrix product per bracket, never one product for the batch,
+    whose rounding would depend on the batch's size: so a bracket gets the
+    iterates and values it gets refined alone.  The reducer's terms(z, z',
+    z'') gives (f, f', f'').  The sign of f' moves a or b to the iterate,
+    so the bracket keeps a local minimum and closes on a kink.  The Newton
+    step -f'/f'' is taken when f'' > 0 and it lands in [a, b]; otherwise
+    the iterate moves to the bracket midpoint.  A bracket is done when its
+    step (zero where f' = 0) or its width is at most xtol; that last step
+    is applied but not evaluated.
     Newton converges in a few steps.  A bracket still open after
     _NEWTON_STEPS only bisects, which halves it at every step, so all are
     done within _NEWTON_STEPS + 2 + log2(width / xtol) steps; running past
@@ -239,7 +242,7 @@ def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a: np.ndarray,
     act = np.arange(len(x))
     for i in range(cap):
         xa = x[act]
-        z = np.exp(1j * np.outer(xa, lam)) @ cols
+        z = np.matmul(np.exp(1j * np.outer(xa, lam))[:, None, :], cols)[:, 0, :]
         f, g, h = terms(z[:, :m], z[:, m:2 * m], z[:, 2 * m:])
         fx[act] = f
         aa = np.where(g < 0.0, xa, a[act])

@@ -80,6 +80,26 @@ def test_refined_values_beat_dense_bracket_samples():
     assert brackets > 1000
 
 
+def test_refinement_does_not_depend_on_the_batch():
+    # each bracket's iterates and values are those it gets refined alone,
+    # so pruning other brackets cannot move a reported value
+    brackets = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(-3.0, 3.0, 8)
+        wts = rng.random(8)
+        coef = (wts / wts.sum())[:, None]
+        ts, sq = _grid_values(lam, coef, _sq.value, (0.0, 100.0))
+        g = np.flatnonzero((sq[1:-1] <= sq[:-2]) & (sq[1:-1] <= sq[2:])) + 1
+        x, fx = _newton_batch(lam, coef, _sq.terms, ts[g - 1], ts[g + 1], ts[g], 1e-10)
+        for i, gi in enumerate(g):
+            xi, fi = _newton_batch(lam, coef, _sq.terms, [ts[gi - 1]], [ts[gi + 1]],
+                                   [ts[gi]], 1e-10)
+            assert (xi[0], fi[0]) == (x[i], fx[i])
+        brackets += len(g)
+    assert brackets > 1000
+
+
 def _counted(reducer):
     """The reducer's terms, counting the calls (one per step)."""
     calls = []

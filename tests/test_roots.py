@@ -176,8 +176,9 @@ def test_periodicity_once_per_vertex(periodicity_calls, tmp_path):
 
 
 def test_periodicity_once_per_factor_vertex(periodicity_calls):
-    # both factors are S_3, so they share one context and its 4 vertices
+    # both factors are S_3, so they share one context, where the centre and
+    # one leaf are classified and the twin leaves carry that leaf's report
     g = cartesian_product(star_graph(3), star_graph(3))
     classify_vertices(g, range(g.n), LAPLACIAN)
-    assert len(periodicity_calls) == g.n + 4
+    assert len(periodicity_calls) == g.n + 2
     assert set(periodicity_calls.values()) == {1}

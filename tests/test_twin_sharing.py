@@ -1,0 +1,151 @@
+"""classify_vertices classifies one vertex per twin class and carries its
+report to the other twins by the swap automorphism: every carried report
+must match the twin's own classification, and the swap must save the
+classifications it claims."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from qwsed import sedentary
+from qwsed.cli import main
+from qwsed.graphs import WeightedGraph, build_family, parse_family
+from qwsed.matrices import ADJACENCY, parse_matrix_kind
+from qwsed.sedentary import NOT_SEDENTARY_PST, TWIN_BOUND, classify, classify_vertices
+from qwsed.spectral import find_twin_sets
+from qwsed.walk import WalkEvaluator
+
+KINDS = ("adjacency", "laplacian", "gen:0.5", "norm-adj", "norm-lap")
+
+_weights = st.builds(lambda p, q: float(Fraction(p, q)),
+                     st.integers(1, 6), st.sampled_from((1, 2, 3, 4)))
+
+
+@st.composite
+def planted_twins(draw):
+    """A graph on at most 8 vertices, with rational weights and loops, in
+    which a planted class of 2 to 4 twins (adjacent or not) shares its loop
+    weight and its weighted neighbourhood; vertices are then shuffled."""
+    size = draw(st.integers(2, 4))
+    rest = draw(st.integers(1, 8 - size))
+    n = size + rest
+    edges = {}
+    for i in range(rest):
+        for j in range(i, rest):
+            if draw(st.booleans()):
+                edges[(i, j)] = draw(_weights)
+    # every twin is joined to the same base vertices with the same weights
+    reach = {b: draw(_weights) for b in range(rest) if draw(st.booleans())}
+    reach = reach or {0: draw(_weights)}
+    loop = draw(st.one_of(st.just(None), _weights))
+    eta = draw(_weights) if draw(st.booleans()) else None
+    twins = range(rest, n)
+    for t in twins:
+        edges.update(((b, t), w) for b, w in reach.items())
+        if loop is not None:
+            edges[(t, t)] = loop
+        if eta is not None:
+            edges.update(((t, s), eta) for s in twins if s > t)
+    perm = draw(st.permutations(range(n)))
+    return WeightedGraph(n, tuple(sorted(
+        (min(perm[a], perm[b]), max(perm[a], perm[b]), w) for (a, b), w in edges.items())))
+
+
+def _close(a, b, tol):
+    return (a is None and b is None) or (a is not None and b is not None
+                                         and abs(a - b) <= tol)
+
+
+def _assert_same(shared, alone, walk):
+    """shared matches alone: labels, kinds and twin bounds exactly, values
+    within 1e-9.  Times agree within 1e-7 or, where a flat minimum leaves
+    the time that far undetermined, give |U(t)_vv| within 1e-9 of each
+    other: the twins' own open-window argmins can lie 1e-4 apart there."""
+    where = f"vertex {alone.vertex}"
+
+    def same_time(x, y):
+        return _close(x, y, 1e-7) or abs(abs(walk.transition_entry(x, v, v))
+                                          - abs(walk.transition_entry(y, v, v))) <= 1e-9
+    v = alone.vertex
+    assert shared.vertex == alone.vertex
+    assert shared.classification == alone.classification, where
+    assert _close(shared.bound, alone.bound, 1e-9), where
+    assert [c.kind for c in shared.certificates] == [c.kind for c in alone.certificates], where
+    for a, b in zip(shared.certificates, alone.certificates):
+        assert a.vertex == b.vertex, where
+        assert _close(a.bound, b.bound, 1e-9), (where, a.kind)
+        assert len(a.equality_times) == len(b.equality_times), (where, a.kind)
+        assert all(same_time(x, y) for x, y in zip(a.equality_times, b.equality_times))
+        if a.kind == TWIN_BOUND:
+            assert (a.detail, a.subset) == (b.detail, b.subset), where
+            assert _close(a.weight, b.weight, 1e-9), where
+    so, ao = shared.oracle, alone.oracle
+    assert so.vertex == ao.vertex == alone.vertex
+    assert (so.window, so.grid, so.certified_window) == (ao.window, ao.grid,
+                                                          ao.certified_window), where
+    assert _close(so.minimum, ao.minimum, 1e-9), where
+    assert same_time(so.argmin, ao.argmin), where
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(g=planted_twins())
+# under gen:0.5 the twins 0 and 4 have an open-window minimum of 6.9e-5
+# whose own argmins lie 8.6e-5 apart
+@example(g=WeightedGraph(5, ((0, 1, 3.0), (1, 1, 3.0), (1, 4, 3.0))))
+def test_carried_reports_match_their_own_classification(kind, g):
+    k = parse_matrix_kind(kind)
+    assert any(ts.size >= 2 for ts in find_twin_sets(g, k))
+    walk = WalkEvaluator.for_graph(g, k)
+    for shared in classify_vertices(g, range(g.n), k):
+        _assert_same(shared, classify(g, shared.vertex, k), walk)
+
+
+def _classifications(monkeypatch):
+    calls = []
+    real = sedentary._classify_vertex
+
+    def counted(ctx, u):
+        calls.append(u)
+        return real(ctx, u)
+    monkeypatch.setattr(sedentary, "_classify_vertex", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,classified", [("star:40", 2), ("complete:30", 1)])
+def test_one_classification_per_twin_class(monkeypatch, tmp_path, family, classified):
+    calls = _classifications(monkeypatch)
+    out = tmp_path / "reports.json"
+    assert main(["analyze", "--family", family, "--vertex", "all", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text(encoding="utf-8"))
+    assert [r["vertex"] for r in reports] == list(range(len(reports)))
+    assert len(calls) == classified
+
+
+def test_perfect_transfer_is_classified_in_full(monkeypatch):
+    # the two ends of K_2 are twins, but each transfers to the other
+    calls = _classifications(monkeypatch)
+    g = build_family(parse_family("complete:2"))
+    reports = classify_vertices(g, [0, 1], ADJACENCY)
+    assert calls == [0, 1]
+    pst = [c for c in reports[1].certificates if c.kind == NOT_SEDENTARY_PST]
+    assert pst and pst[0].vertex == 1
+    assert pst[0].detail.startswith("perfect transfer to vertex 0")
+
+
+def test_twins_of_different_roles_are_classified_apart(monkeypatch):
+    # the catalogue rules star leaves under the adjacency matrix by their
+    # label role, so a leaf relabelled out of that role keeps its own report
+    g = build_family(parse_family("star:3"))
+    g = g.with_labels((*g.labels[:-1], "spare:0"))
+    calls = _classifications(monkeypatch)
+    shared = classify_vertices(g, range(g.n), ADJACENCY)
+    assert calls == [0, 1, 3]
+    walk = WalkEvaluator.for_graph(g, ADJACENCY)
+    for r in shared:
+        _assert_same(r, classify(g, r.vertex, ADJACENCY), walk)
+    assert [c.kind for c in shared[3].certificates] != [c.kind for c in shared[2].certificates]
