@@ -293,12 +293,15 @@ def _alignment_defect(k: int) -> _Reducer:
     """find_equality_time's defect 2k - 2 Re z as a reducer, with the
     derivatives -2 Re z' and -2 Re z''.  Re z reads the phase of z, so the
     scan does not demodulate it: z stays within e of the chord from a to b,
-    and Re z below max(Re a, Re b) + e."""
+    and Re z below max(Re a, Re b) + e; within r of z' it is at least the
+    defect at z' less 2r, so a defect of t needs one of at most t + 2r
+    there."""
     return _Reducer(
         lambda z: 2.0 * k - 2.0 * z[:, 0].real,
         lambda z, dz, d2z: (2.0 * k - 2.0 * z[:, 0].real, -2.0 * dz[:, 0].real,
                             -2.0 * d2z[:, 0].real),
         lambda a, b, e: 2.0 * k - 2.0 * (np.maximum(a[:, 0].real, b[:, 0].real) + e[0]),
+        lambda t, r: t + 2.0 * float(r[0]),
         invariant=False)
 
 
@@ -342,7 +345,8 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
 
 def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
                decomposition: SpectralDecomposition | None = None,
-               twin_sets: Sequence[TwinSet] | None = None) -> SedentaryCertificate:
+               twin_sets: Sequence[TwinSet] | None = None,
+               verdicts: dict[tuple[int, ...], bool] | None = None) -> SedentaryCertificate:
     """Membership in a twin class of size c gives |U(t)_{u,u}| >= 1 - 2/c.
 
     A pair (c = 2) yields the vacuous constant 0; the certificate is still
@@ -350,6 +354,9 @@ def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     supplied, the difference eigenvector is verified against the assembled
     matrix and the projector mass at the twin eigenvalue is recorded.
     twin_sets, when given, is find_twin_sets(graph, kind) already computed.
+    verdicts, when given, holds the eigenvector check's verdict per twin
+    class (its vertices) of this decomposition: a class found there is not
+    checked again, and one checked is added.
     """
     sets = find_twin_sets(graph, kind) if twin_sets is None else twin_sets
     twins = next((ts for ts in sets if u in ts.vertices), None)
@@ -360,7 +367,12 @@ def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     subset: tuple[int, ...] = ()
     weight = None
     if decomposition is not None:
-        if not verify_twin_eigenvector(decomposition, twins):
+        verified = None if verdicts is None else verdicts.get(twins.vertices)
+        if verified is None:
+            verified = verify_twin_eigenvector(decomposition, twins)
+            if verdicts is not None:
+                verdicts[twins.vertices] = verified
+        if not verified:
             raise CertificateRefused(
                 "twin difference vector fails the eigenvector check")
         lam = np.asarray(decomposition.eigenvalues)
@@ -933,9 +945,11 @@ def _annotated(g: WeightedGraph) -> tuple:
 class _Context:
     """What classification reads about one (graph, kind) under one set of
     options, built once: the walk evaluator over its decomposition, its twin
-    classes, each vertex's report once it is classified (report) and, for a
-    Cartesian product, the contexts of its factors when first asked
-    (default options; one context when both factors are the same graph).
+    classes and the eigenvector check's verdict on each (twin_verdicts, one
+    check per class), each vertex's report once it is classified (report)
+    and, for a Cartesian product, the contexts of its factors when first
+    asked (default options; one context when both factors are the same
+    graph).
 
     report classifies one vertex per twin class.  Swapping two twins u and
     v is a weighted automorphism under every matrix kind, so U(t)_uu =
@@ -951,6 +965,8 @@ class _Context:
         self.graph, self.kind, self.options = graph, kind, options
         self.walk = WalkEvaluator(decompose(assemble(graph, kind)))
         self.twins = find_twin_sets(graph, kind)
+        # the twin eigenvector check's verdict per twin class (twin_bound)
+        self.twin_verdicts: dict[tuple[int, ...], bool] = {}
         self._reports: dict[int, SedentaryReport] = {}
 
     @cached_property
@@ -981,7 +997,8 @@ class _Context:
         if r is None:
             return None
         certs = tuple(
-            twin_bound(self.graph, v, self.kind, self.walk.decomposition, self.twins)
+            twin_bound(self.graph, v, self.kind, self.walk.decomposition, self.twins,
+                       self.twin_verdicts)
             if c.kind == TWIN_BOUND else replace(c, vertex=v)
             for c in r.certificates)
         return replace(r, vertex=v, certificates=certs, oracle=replace(r.oracle, vertex=v))
@@ -1056,7 +1073,8 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
 
     twin_cert = None
     try:
-        twin_cert = twin_bound(graph, u, kind, w.decomposition, ctx.twins)
+        twin_cert = twin_bound(graph, u, kind, w.decomposition, ctx.twins,
+                               ctx.twin_verdicts)
         certs.append(twin_cert)
     except CertificateRefused:
         pass

@@ -6,19 +6,23 @@ that no bound can exclude are refined together by a batched Newton
 iteration on f' (_newton_batch).
 
 Each search has one reducer (_Reducer): f of z, (f, f', f'') of z, z' and
-z'', and its floor.  The bound is on the amplitudes, not on f: on an
-interval of width H each column, demodulated by the |coef|-weighted mean
+z'', its floor and its cut.  The bounds are on the amplitudes, not on f: on
+an interval of width H each column, demodulated by the |coef|-weighted mean
 mu_c of lam (zeta_c = e^{-i mu_c t} z_c, of the same modulus), stays
 within e_c = H^2/8 sum_j |coef_jc| (lam_j - mu_c)^2 of the chord between
 its two samples, and floor(a, b, e) is the least f over every z that near
-the chords (_interval_floor).  A reducer that reads the phase of z keeps
-mu = 0.  The scan computes e from lam and coef; no caller passes a bound.
+the chords (_interval_floor).  Every point of a bracket around a grid
+point lies within r_c = h sum_j |coef_jc| |lam_j - mu_c| + e_c of it, and
+cut(t, r) is the largest value a sample can take with some z within r of
+it at f <= t.  A reducer that reads the phase of z keeps mu = 0.  The scan
+computes e and r from lam and coef (_demodulated); no caller passes a
+bound.
 
 Every grid value comes from one evaluator, _fine_values: runs of grid
 points, each a start phase times a step table that all runs share, and
 the floor of each interval inside a run.  A grid's tables (_tables) hold
-about sqrt(npts) run starts and steps, both built by doubling from
-directly computed factors (_phase_table), so a value is a product of at
+about sqrt(npts) run starts and steps, both built by one doubling from
+directly computed factors (_phase_tables), so a value is a product of at
 most about log2 npts + 1 direct phases wherever it lies, and a grid takes
 about log2 npts + 1 exponentials, none per grid point or run.
 
@@ -26,11 +30,16 @@ A grid of at least _TWO_LEVEL points times terms is scanned in two levels
 (_scan_minima): a coarse pass on every _COARSE-th grid point drops the
 intervals whose floor exceeds the search's threshold, and a fine pass
 evaluates the grid points of the rest, each run's start phase a product
-of rows of the coarse pass's tables.  There the minimum test, the floors
-at the grid step and the refinement run (_refine_minima).  Only intervals
-proven to stay above the threshold go unevaluated, so a search finds the
-minima a scan of every grid point finds.  A smaller grid is evaluated at
-every point, which costs less there.
+of rows of the coarse pass's tables.  There the minimum test on the
+samples at most the cut (_local_minima), the floors at the grid step and
+the refinement run.  Only intervals proven to stay above the threshold go
+unevaluated, so a search finds the minima a scan of every grid point
+finds.  A smaller grid is evaluated at every point, which costs less
+there.  Beyond its grid a scan does a fixed amount of array work, whatever
+the grid's size: one exponential for the factors of all its tables and
+one product per doubling level, the bracket floors of the few minima at
+most the cut in one call, and per Newton step one exponential, one
+stacked product and the reducer's terms for the whole batch.
 
 The Newton steps and pointwise sums evaluate arbitrary times and take
 direct exponentials.  The sign of f' keeps every iterate inside a bracket
@@ -41,7 +50,6 @@ grid from _grid_values.  On a certified period of low degree the diagonal
 oracle instead takes every critical point of |U(t)_{u,u}|^2 from one
 polynomial's roots (_critical_clusters).
 """
-
 from __future__ import annotations
 
 import math
@@ -83,6 +91,8 @@ _TIE_BAND = 1e-9
 _COARSE = 16
 # grid points times terms (support x columns) from which a scan takes two
 # levels: below it one pass over every point costs less than the bookkeeping
+# (measured again on [0, 200 pi] with 4 to 120 terms: two levels take 7-43%
+# longer up to about 8e5, and from 1e6 to 6e6 neither wins by more than 20%)
 _TWO_LEVEL = 1 << 21
 _TINY = float(np.finfo(float).tiny)
 _PST_TOL = 1e-8
@@ -131,50 +141,63 @@ def _trig_sums(lam: np.ndarray, coef: np.ndarray, times) -> np.ndarray:
     return np.concatenate([np.exp(1j * np.outer(b, lam)) @ coef for b in blocks])
 
 
-def _phase_table(lam: np.ndarray, dt: float, count: int) -> np.ndarray:
-    """e^{i m dt lam} for m < count, one row per m, by doubling: rows
+def _phase_tables(lam: np.ndarray, dts, count: int) -> np.ndarray:
+    """e^{i m dt lam} for m < count and each dt in dts: row m holds the k
+    terms of each dt in turn (count x len(dts) k).  Built by doubling: rows
     [2^l, 2^(l+1)) are rows [0, 2^l) times e^{i 2^l dt lam}.  Each level's
     factor is a direct exponential, never the square of the last one (which
     would double its phase error), so row m is a product of at most
-    ceil(log2 count) direct phases, and count x k entries cost
-    ceil(log2 count) exponentials of k terms."""
-    out = np.empty((count, len(lam)), dtype=complex)
+    ceil(log2 count) direct phases.  The tables double together: the
+    factors of every level and table are one exponential of ceil(log2
+    count) x len(dts) k terms, and each level is one product of rows."""
+    levels = (count - 1).bit_length()
+    out = np.empty((count, len(dts) * len(lam)), dtype=complex)
     out[0] = 1.0
-    # the factors of all levels in one call
-    factors = np.exp(1j * np.outer((1 << np.arange((count - 1).bit_length())) * dt, lam))
-    for level, factor in enumerate(factors):
+    times = np.multiply.outer(1 << np.arange(levels), dts)
+    factors = np.exp(1j * np.multiply.outer(times, lam).reshape(levels, out.shape[1]))
+    for level in range(levels):
         n = 1 << level
         r = min(n, count - n)
-        np.multiply(out[:r], factor, out=out[n:n + r])
+        np.multiply(out[:r], factors[level], out=out[n:n + r])
     return out
 
 
-def _tables(lam: np.ndarray, t0: float, h: float, count: int
-            ) -> tuple[np.ndarray, np.ndarray]:
+def _tables(lam: np.ndarray, t0: float, h: float, count: int,
+            fine: float | None = None) -> tuple[np.ndarray, ...]:
     """The phase tables of the grid t0 + i h, i < count: run starts
-    e^{i lam (t0 + q n h)} for q < ceil(count / n), and steps e^{i p h lam}
-    for p <= n, where n = min(_CHUNK, ceil(sqrt(count))), so point q n + p
-    is starts[q] steps[p].  The step after the last of a run's n points
+    e^{i lam (t0 + q n h)} for q < Q = ceil(count / n), and steps e^{i p h
+    lam} for p <= n, where n = min(_CHUNK, ceil(sqrt(count))), so point q n
+    + p is starts[q] steps[p].  The step after the last of a run's n points
     lets a run end on the next run's first point, so that every interval
-    lies in a run.  Both tables are built by doubling (_phase_table), so a
-    point is a product of at most ceil(log2 Q) + ceil(log2 (n + 1)) + 1
-    direct phases, Q = ceil(count / n), and the tables take that many
-    exponentials of k terms, about log2 count + 1."""
+    lies in a run.  With fine, also a two-level scan's fine steps e^{i p
+    fine lam} for p < _COARSE + 3.  All come from one doubling
+    (_phase_tables) to R = max(Q, n + 1, ...) rows, so a point is a product
+    of at most ceil(log2 Q) + ceil(log2 (n + 1)) + 1 direct phases, and the
+    tables take 1 + 2 ceil(log2 R) exponentials of k terms, about log2
+    count + 1, and ceil(log2 R) more with fine."""
+    k = len(lam)
     n = min(_CHUNK, math.isqrt(count - 1) + 1)
-    return (np.exp(1j * t0 * lam) * _phase_table(lam, n * h, -(-count // n)),
-            _phase_table(lam, h, n + 1))
+    q = -(-count // n)
+    if fine is None:
+        table = _phase_tables(lam, (n * h, h), max(q, n + 1))
+    else:
+        table = _phase_tables(lam, (n * h, h, fine), max(q, n + 1, _COARSE + 3))
+    starts, steps = np.exp(1j * t0 * lam) * table[:q, :k], table[:n + 1, k:2 * k]
+    if fine is None:
+        return starts, steps
+    return starts, steps, table[:_COARSE + 3, 2 * k:]
 
 
 def _fine_values(coef: np.ndarray, reduce, starts: np.ndarray, steps: np.ndarray,
                  floor=None):
     """reduce of the sums starts[r] steps[p] @ coef for each p, one row of
-    len(steps) values per start r (one value per time, or one row of
-    reduce's output): the one evaluator of every grid.  The starts go
-    through one product per _CHUNK // columns of them, and the call takes
-    no exponential.  With floor, also floor(a, b) of each pair of
-    consecutive sums a, b of a run, one row of len(steps) - 1 per start,
-    computed per product, so no array outgrows O(_CHUNK x (terms + steps)
-    x columns)."""
+    len(steps) values per start r (one value per time, one row of reduce's
+    output, or the sums themselves when reduce is None): the one evaluator
+    of every grid.  The starts go through one product per _CHUNK // columns
+    of them, and the call takes no exponential.  With floor, also floor(a,
+    b) of each pair of consecutive sums a, b of a run, one row of
+    len(steps) - 1 per start, computed per product, so no array outgrows
+    O(_CHUNK x (terms + steps) x columns)."""
     k, m = coef.shape
     width = len(steps)
     per = max(1, _CHUNK // max(m, 1))
@@ -182,7 +205,7 @@ def _fine_values(coef: np.ndarray, reduce, starts: np.ndarray, steps: np.ndarray
     for i in range(0, len(starts), per):
         base = starts[i:i + per, None, :] * coef.T
         z = (base.reshape(-1, k) @ steps.T).reshape(-1, m, width).transpose(0, 2, 1)
-        vals.append(reduce(z.reshape(-1, m)))
+        vals.append(z.reshape(-1, m) if reduce is None else reduce(z.reshape(-1, m)))
         if floor is not None:
             floors.append(floor(z[:, :-1].reshape(-1, m), z[:, 1:].reshape(-1, m)))
     out = vals[0] if len(vals) == 1 else np.concatenate(vals)
@@ -208,8 +231,7 @@ def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
     return np.linspace(t0, t1, npts), vals.reshape(-1, *vals.shape[2:])[:npts]
 
 
-def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a: np.ndarray,
-                  b: np.ndarray, x: np.ndarray, xtol: float
+def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a, b, x, xtol: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton iteration on f' for every bracket [a_i, b_i] at
     once, from x_i inside it, where f is a reducer's value of z = sum_j
@@ -230,60 +252,65 @@ def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a: np.ndarray,
     _NEWTON_STEPS only bisects, which halves it at every step, so all are
     done within _NEWTON_STEPS + 2 + log2(width / xtol) steps; running past
     that is an error.
+
+    A step is about 20 array operations for the whole batch, the reducer's
+    terms included: the products above and f, f', f''.  The bracket
+    updates are a few float operations per bracket, in Python floats,
+    which round as numpy's elementwise operations do; so the open brackets
+    need no gathering or scattering of arrays.
     """
-    a, b, x = (np.array(v, dtype=float) for v in (a, b, x))
-    fx = np.empty(len(x))
-    if not len(x):
-        return x, fx
+    x, a, b = ([float(t) for t in v] for v in (x, a, b))
+    xs, fx = np.array(x), np.empty(len(x))
+    if not x:
+        return xs, fx
     m = coef.shape[1]
-    cols = np.concatenate((coef, 1j * lam[:, None] * coef,
-                           -(lam * lam)[:, None] * coef), axis=1)
-    cap = _NEWTON_STEPS + 2 + max(math.ceil(math.log2(float(np.max(b - a)) / xtol)), 0)
-    act = np.arange(len(x))
+    ilam = 1j * lam
+    cols = np.concatenate((coef, ilam[:, None] * coef, -(lam * lam)[:, None] * coef),
+                          axis=1)
+    width = max(bi - ai for ai, bi in zip(a, b))
+    cap = _NEWTON_STEPS + 2 + max(math.ceil(math.log2(width / xtol)), 0)
+    rows = range(len(x))
     for i in range(cap):
-        xa = x[act]
-        z = np.matmul(np.exp(1j * np.outer(xa, lam))[:, None, :], cols)[:, 0, :]
-        f, g, h = terms(z[:, :m], z[:, m:2 * m], z[:, 2 * m:])
-        fx[act] = f
-        aa = np.where(g < 0.0, xa, a[act])
-        ba = np.where(g > 0.0, xa, b[act])
-        newton = xa - g / np.where(h > 0.0, h, 1.0)
-        ok = (g == 0.0) | ((h > 0.0) & (newton >= aa) & (newton <= ba)
-                           & (i < _NEWTON_STEPS))
-        step = np.where(ok, newton, 0.5 * (aa + ba)) - xa
-        a[act], b[act], x[act] = aa, ba, xa + step
-        act = act[(np.abs(step) > xtol) & (ba - aa > xtol)]
-        if not act.size:
-            return x, fx
-    raise WalkError(f"Newton refinement left {act.size} brackets open after {cap} steps")
+        # x (i lam) has the imaginary part of i (x lam) and a zero real part
+        z = np.matmul(np.exp(np.multiply.outer(x, ilam))[:, None, :], cols)[:, 0, :]
+        f, g, h = (v.tolist() for v in terms(z[:, :m], z[:, m:2 * m], z[:, 2 * m:]))
+        going = []
+        for r, xi, ai, bi, fi, gi, hi in zip(rows, x, a, b, f, g, h):
+            if gi < 0.0:
+                ai = xi
+            if gi > 0.0:
+                bi = xi
+            newton = xi - gi / (hi if hi > 0.0 else 1.0)
+            if gi == 0.0 or (hi > 0.0 and ai <= newton <= bi and i < _NEWTON_STEPS):
+                step = newton - xi
+            else:
+                step = 0.5 * (ai + bi) - xi
+            xi += step
+            if abs(step) > xtol and bi - ai > xtol:
+                going.append((r, xi, ai, bi))
+            else:
+                xs[r], fx[r] = xi, fi
+        if not going:
+            return xs, fx
+        rows, x, a, b = zip(*going)
+    raise WalkError(f"Newton refinement left {len(rows)} brackets open after {cap} steps")
 
 
-def _refine_minima(lam: np.ndarray, coef: np.ndarray, terms, vals: np.ndarray, time,
-                   bracket_floor, threshold: float, xtol: float,
-                   idx: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions of the kept grid-local minima of vals, their refined times
-    and f there, for the f of sum_j coef_j e^{i lam_j t} that vals samples
-    on a grid and whose reducer's terms give (f, f', f'').  The samples are
-    the grid points from the first, or else those at the increasing grid
-    indices idx; a sample is tested only when both its grid neighbours are
-    among them.  time(g) is the time of grid indices g.
-
-    bracket_floor(g) is the reducer's floor of f on [t_{g-1}, t_{g+1}] for
-    grid indices g.  A minimum whose bracket has its floor above threshold
-    cannot reach it and is not refined.  The rest go to one _newton_batch,
-    each starting from its grid time.
-    """
-    mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
-    low = (mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))
+def _local_minima(vals: np.ndarray, idx: np.ndarray | None = None,
+                  cut: float = math.inf) -> np.ndarray:
+    """Positions of the grid-local minima among the samples vals, each no
+    greater than both its neighbours and less than one of them, whose value
+    is at most cut.  The samples are the grid points from the first, or
+    else those at the increasing grid indices idx; a sample is tested only
+    when both its grid neighbours are among them.  One pass over the
+    samples finds those at most cut; the rest of the test reads only
+    them."""
+    c = np.flatnonzero(vals[1:-1] <= cut) + 1
+    lo, mid, hi = vals[c - 1], vals[c], vals[c + 1]
+    c = c[(mid <= np.minimum(lo, hi)) & (mid < np.maximum(lo, hi))]
     if idx is not None:
-        low &= idx[2:] - idx[:-2] == 2
-    p = np.flatnonzero(low) + 1
-    g = p if idx is None else idx[p]
-    if len(g):
-        keep = bracket_floor(g) <= threshold
-        p, g = p[keep], g[keep]
-    return (p, *_newton_batch(lam, coef, terms, time(g - 1), time(g + 1), time(g), xtol))
+        c = c[idx[c + 1] - idx[c - 1] == 2]
+    return c
 
 
 def _fine_points(j: np.ndarray, span: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -301,34 +328,49 @@ def _fine_points(j: np.ndarray, span: int, npts: int) -> tuple[np.ndarray, np.nd
 
 class _Reducer(NamedTuple):
     """What one search minimizes: an f of the sums z = sum_j coef_j e^{i
-    lam_j t} (one column per column of coef), with the floor its scan
+    lam_j t} (one column per column of coef), with the bounds its scan
     prunes by.  value(z) is f per row of z; terms(z, z', z'') is (f, f',
     f''); floor(a, b, e) is, per row, a lower bound on f over every z whose
-    column c lies within e_c of the segment from a_c to b_c.  invariant
-    says f reads each column only through |z_c|, so the scan may turn a
-    column's phase (_interval_floor)."""
+    column c lies within e_c of the segment from a_c to b_c; cut(t, r) is
+    an upper bound on f(z') over every z' that has some z with f(z) <= t
+    whose column c lies within r_c of z'_c (turned, when invariant), so no
+    z within r of a sample above cut reaches t.  invariant says f reads
+    each column only through |z_c|, so the scan may turn a column's phase
+    (_interval_floor)."""
 
     value: Callable[[np.ndarray], np.ndarray]
     terms: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     floor: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    cut: Callable[[float, np.ndarray], float]
     invariant: bool = True
 
 
-def _demodulated(lam: np.ndarray, coef: np.ndarray, invariant: bool
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per column c of coef, mu_c and sum_j |coef_jc| (lam_j - mu_c)^2,
-    which bounds |zeta_c''| for zeta_c(t) = sum_j coef_jc e^{i (lam_j -
-    mu_c) t}: mu_c is the |coef|-weighted mean of lam, which minimizes the
-    bound, when invariant, and 0 otherwise."""
-    w = np.abs(coef)
-    mu = np.zeros(coef.shape[1])
+class _Moments(NamedTuple):
+    """Per column c of coef: mu_c, the |coef|-weighted mean of lam when
+    invariant and 0 otherwise; mass_c = sum_j |coef_jc|, which bounds |z_c|;
+    and sum_j |coef_jc| |lam_j - mu_c| and sum_j |coef_jc| (lam_j -
+    mu_c)^2, which bound |zeta_c'| and |zeta_c''| for zeta_c(t) = sum_j
+    coef_jc e^{i (lam_j - mu_c) t}.  The mean minimizes the last bound."""
+
+    mu: np.ndarray
+    mass: np.ndarray
+    slope: np.ndarray
+    curvature: np.ndarray
+
+
+def _demodulated(lam: np.ndarray, coef: np.ndarray, invariant: bool) -> _Moments:
+    """The _Moments of coef over lam."""
+    w, col = np.abs(coef), lam[:, None]
+    total = w.sum(axis=0)
     if invariant:
-        total = w.sum(axis=0)
-        mu = (w * lam[:, None]).sum(axis=0) / np.where(total > 0.0, total, 1.0)
-    return mu, (w * (lam[:, None] - mu) ** 2).sum(axis=0)
+        mu = (w * col).sum(axis=0) / np.where(total > 0.0, total, 1.0)
+    else:
+        mu = np.zeros(coef.shape[1])
+    d = col - mu
+    return _Moments(mu, total, (w * np.abs(d)).sum(axis=0), (w * d ** 2).sum(axis=0))
 
 
-def _interval_floor(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer, width: float):
+def _interval_floor(reducer: _Reducer, moments: _Moments, width: float):
     """floor(a, b): the reducer's floor of f on a time interval of that
     width, from the sums a and b at its ends.
 
@@ -338,17 +380,25 @@ def _interval_floor(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer, width:
     the chord between its two samples.  Turned by e^{i mu_c t_a}, that
     chord runs from a_c to e^{-i mu_c width} b_c, which changes no |.| an
     invariant floor reads."""
-    mu, curvature = _demodulated(lam, coef, reducer.invariant)
-    e, turn = width * width / 8.0 * curvature, np.exp(-1j * width * mu)
+    e = width * width / 8.0 * moments.curvature
+    turn = np.exp(-1j * width * moments.mu)
     return lambda a, b: reducer.floor(a, b * turn, e)
 
 
 def _sq_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|z|^2 and its first two time derivatives, elementwise."""
-    return (z.real ** 2 + z.imag ** 2,
-            2.0 * (z.real * dz.real + z.imag * dz.imag),
-            2.0 * (dz.real ** 2 + dz.imag ** 2 + z.real * d2z.real + z.imag * d2z.imag))
+    zr, zi, dr, di = z.real, z.imag, dz.real, dz.imag
+    return (zr ** 2 + zi ** 2, 2.0 * (zr * dr + zi * di),
+            2.0 * (dr ** 2 + di ** 2 + zr * d2z.real + zi * d2z.imag))
+
+
+def _sq_value(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of the first column, one pass per part."""
+    c = z[:, 0]
+    v = np.square(c.real)
+    v += np.square(c.imag)
+    return v
 
 
 def _sq_floor(a: np.ndarray, b: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -362,17 +412,22 @@ def _sq_floor(a: np.ndarray, b: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(a + s * d) - e, 0.0) ** 2
 
 
-# |first column|^2, bounded through that column alone
+# |first column|^2, bounded through that column alone: within r of z',
+# |z| >= |z'| - r, so |z|^2 <= t needs |z'| <= sqrt(t) + r
 _sq = _Reducer(
-    lambda z: z[:, 0].real ** 2 + z[:, 0].imag ** 2,
+    _sq_value,
     lambda z, dz, d2z: _sq_terms(z[:, 0], dz[:, 0], d2z[:, 0]),
-    lambda a, b, e: _sq_floor(a[:, 0], b[:, 0], e[0]))
+    lambda a, b, e: _sq_floor(a[:, 0], b[:, 0], e[0]),
+    lambda t, r: (math.sqrt(max(t, 0.0)) + float(r[0])) ** 2)
 
-# sum_c |z_c|^2 per row: its derivatives and its floor are the columns' sums
+# sum_c |z_c|^2 per row: its derivatives and its floor are the columns'
+# sums, and its root, the norm of the columns' moduli, moves by at most the
+# norm of r
 _leak = _Reducer(
     lambda z: np.sum(z.real ** 2 + z.imag ** 2, axis=1),
     lambda z, dz, d2z: tuple(v.sum(axis=1) for v in _sq_terms(z, dz, d2z)),
-    lambda a, b, e: _sq_floor(a, b, e).sum(axis=1))
+    lambda a, b, e: _sq_floor(a, b, e).sum(axis=1),
+    lambda t, r: (math.sqrt(max(t, 0.0)) + math.sqrt(float(np.sum(r * r)))) ** 2)
 
 
 def _neg_peak_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
@@ -383,12 +438,14 @@ def _neg_peak_terms(z: np.ndarray, dz: np.ndarray, d2z: np.ndarray
 
 
 # -max_c |z_c|^2 per row (0 with no columns): |z_c| stays below the larger
-# of |a_c| and |b_c| plus e_c, its largest value on the segment plus e_c
+# of |a_c| and |b_c| plus e_c, its largest value on the segment plus e_c,
+# and below max_c |z'_c| + max_c r_c within r of z'
 _neg_peak = _Reducer(
     lambda z: -np.max(z.real ** 2 + z.imag ** 2, axis=1, initial=0.0),
     _neg_peak_terms,
     lambda a, b, e: -np.max((np.maximum(np.abs(a), np.abs(b)) + e) ** 2, axis=1,
-                            initial=0.0))
+                            initial=0.0),
+    lambda t, r: -max(math.sqrt(max(-t, 0.0)) - float(np.max(r, initial=0.0)), 0.0) ** 2)
 
 
 class _Scan(NamedTuple):
@@ -412,72 +469,89 @@ def _scan_minima(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer,
                  ceiling: float | None = None, band: float = 0.0) -> _Scan:
     """The refined grid-local minima of the reducer's f of sum_j coef_j
     e^{i lam_j t} on the window's grid (_grid_size), pruned by the
-    reducer's floor (_interval_floor).  Only minima whose bracket can reach
-    the threshold are refined: ceiling when given, else the least grid
-    value plus band.
+    reducer's bounds.  Only minima whose bracket can reach the threshold
+    are refined: ceiling when given, else the least grid value plus band.
 
     A grid of at most 8 _COARSE points, or of fewer than _TWO_LEVEL points
     times terms (support times columns), is scanned on one level: the sums
     at every grid point from one _fine_values call on the grid's _tables,
     as _grid_values does, and f of them.  There that costs less than the
-    bookkeeping of two levels, and the sums, fewer than _TWO_LEVEL /
-    support, are kept for the brackets below.  Otherwise:
+    bookkeeping of two levels (measured again for this scan, README), and
+    the sums, fewer than _TWO_LEVEL / support, are kept for the brackets
+    below.  Otherwise:
 
     Coarse pass: every _COARSE-th grid point and the floor of every
-    interval between them, from their own tables.  An interval whose floor
-    exceeds the coarse threshold is dropped.  That threshold is at least
-    the full grid's, so a dropped interval holds no grid point and no time
-    that reaches the full grid's.  Fine pass: each kept interval, the first
-    and the last (which hold the window ends) and the partial interval up
-    to t1 when (npts - 1) % _COARSE != 0 is one run of its grid points plus
-    one neighbour on each side.  A run's start phase is a product of rows
-    of the coarse tables, so the pass takes one step table of _COARSE + 3
-    rows and no exponential per run.
+    interval between them (_interval_floor), from their own tables, which
+    the fine pass's step table is doubled with (_tables).  An interval
+    whose floor exceeds the coarse threshold is dropped.  That threshold
+    is at least the full grid's, so a dropped interval holds no grid point
+    and no time that reaches the full grid's.  Fine pass: each kept
+    interval, the first and the last (which hold the window ends) and
+    the partial interval up to t1 when (npts - 1) % _COARSE != 0 is one run
+    of its grid points plus one neighbour on each side.  A run's start
+    phase is a product of rows of the coarse tables, so the pass takes one
+    step table of _COARSE + 3 rows and no exponential per run.
 
-    On either level, _refine_minima tests the grid-local minima among the
-    points evaluated, with the floor of each one's bracket at the grid
-    step: from the kept sums on one level, and on two from one more
-    _fine_values call, on runs of its three points phased from the coarse
-    tables.  So the least grid value and the refined minima are those a
-    scan of every grid point gives, up to rounding, and npts is the full
-    grid's size.
+    On either level the grid-local minima among the points evaluated are
+    tested against the floor of their bracket at the grid step: from the
+    kept sums on one level, and on two from one more _fine_values call, on
+    runs of its three points phased from the coarse tables.  Every point of
+    a bracket lies, per column, within r = h slope + e of the sample at its
+    centre (_Moments; e the floor's chord error), so no point of a bracket
+    whose centre's value exceeds the reducer's cut(threshold, r) reaches
+    the threshold, and none of its chords' floors does.  r is widened by
+    1e-9 relative and 1e-10 of the column's mass, far above the rounding of
+    either bound.  So _local_minima tests only the samples at most the cut,
+    and the floors of their brackets leave the brackets the floors of every
+    minimum leave.  The rest go to one _newton_batch, each from its grid
+    time.  So the least grid value and the refined minima are those a scan
+    of every grid point gives, up to rounding, and npts is the full grid's
+    size.
+
+    Beyond the passes over its grid a call does a fixed amount of work: the
+    moments (_demodulated), the tables of both levels from one exponential
+    and one product per doubling level (_tables), the floors of the kept
+    brackets in one call, the brackets' times in Python floats, and the
+    Newton steps (_newton_batch).  On the 18 scans of a seed-1
+    lollipop-all round that work took about 60% of the 10.2 ms they took
+    in all (README).
     """
     t0, t1 = float(window[0]), float(window[1])
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
     npts = _grid_size(t1 - t0, spread, grid)
     h = (t1 - t0) / (npts - 1)
+    m = coef.shape[1]
+    moments = _demodulated(lam, coef, reducer.invariant)
 
     def level(vals: np.ndarray) -> float:
         return ceiling if ceiling is not None else float(vals.min()) + band
 
     idx = None
-    floor = _interval_floor(lam, coef, reducer, h)
     if npts <= 8 * _COARSE or npts * coef.size < _TWO_LEVEL:
         # below the gate the sums at the grid points number fewer than
         # _TWO_LEVEL / support, so they are kept for the brackets
-        m = coef.shape[1]
         starts, steps = _tables(lam, t0, h, npts)
-        z = _fine_values(coef, lambda z: z, starts, steps[:-1]).reshape(-1, m)[:npts]
+        z = _fine_values(coef, None, starts, steps[:-1]).reshape(-1, m)[:npts]
         vals = reducer.value(z)
 
         def bracket_floor(g: np.ndarray) -> np.ndarray:
             # the lesser floor of [t_{g-1}, t_g] and [t_g, t_{g+1}]
-            ends = z[np.stack((g - 1, g, g + 1))]
+            ends = z[np.add.outer((-1, 0, 1), g)]
+            floor = _interval_floor(reducer, moments, h)
             floors = floor(ends[:2].reshape(-1, m), ends[1:].reshape(-1, m))
             return floors.reshape(2, -1).min(axis=0)
     else:
         whole = (npts - 1) // _COARSE
-        starts, steps = _tables(lam, t0, _COARSE * h, whole + 1)
+        starts, steps, fine = _tables(lam, t0, _COARSE * h, whole + 1, h)
         n = len(steps) - 1
         coarse, floors = _fine_values(coef, reducer.value, starts, steps,
-                                      _interval_floor(lam, coef, reducer, _COARSE * h))
+                                      _interval_floor(reducer, moments, _COARSE * h))
         coarse = coarse[:, :-1].reshape(-1)[:whole + 1]
         keep = floors.reshape(-1)[:whole] <= level(coarse)
         if whole * _COARSE < npts - 1:
             keep = np.append(keep, True)
         keep[0] = keep[-1] = True
         j = np.flatnonzero(keep)
-        fine = _phase_table(lam, h, _COARSE + 3)
 
         def phases(g: np.ndarray) -> np.ndarray:
             # e^{i lam t_g} from the coarse tables, for grid indices g
@@ -491,18 +565,27 @@ def _scan_minima(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer,
         def bracket_floor(g: np.ndarray) -> np.ndarray:
             # the three grid points of each bracket, as one run each: the
             # fine pass keeps no sums, which could number points x columns
-            _, floors = _fine_values(coef, reducer.value, phases(g - 1), fine[:3], floor)
+            _, floors = _fine_values(coef, reducer.value, phases(g - 1), fine[:3],
+                                     _interval_floor(reducer, moments, h))
             return floors.min(axis=1)
 
-    def time(g: np.ndarray) -> np.ndarray:
-        # the times np.linspace(t0, t1, npts) gives grid indices g
-        return np.where(g == npts - 1, t1, g * h + t0)
-
     threshold = level(vals)
-    p, x, fx = _refine_minima(lam, coef, reducer.terms, vals, time, bracket_floor,
-                              threshold, xtol, idx)
+    radius = ((1.0 + 1e-9) * (h * moments.slope + h * h / 8.0 * moments.curvature)
+              + 1e-10 * moments.mass)
+    p = _local_minima(vals, idx, reducer.cut(threshold, radius))
+    g = p if idx is None else idx[p]
+    if len(g):
+        keep = bracket_floor(g) <= threshold
+        p, g = p[keep], g[keep]
+
+    def time(i: int) -> float:
+        # the time np.linspace(t0, t1, npts) gives grid index i
+        return t1 if i == npts - 1 else i * h + t0
+    g = g.tolist()
+    x, fx = _newton_batch(lam, coef, reducer.terms, [time(i - 1) for i in g],
+                          [time(i + 1) for i in g], [time(i) for i in g], xtol)
     return _Scan(npts, (float(vals[0]), float(vals[-1])), threshold,
-                 time(p if idx is None else idx[p]), vals[p], x, fx)
+                 np.array([time(i) for i in g], dtype=float), vals[p], x, fx)
 
 
 def _sq_at(lam: np.ndarray, wts: np.ndarray, times) -> np.ndarray:
@@ -762,15 +845,18 @@ class WalkEvaluator:
             times, offers = found
             npts = _grid_size(t1 - t0, float(lam.max() - lam.min()))
             refinements = len(times) - 2
+            pairs = list(zip(offers.tolist(), times.tolist()))
         else:
             scan = _scan_minima(lam, wts[:, None], _sq, (t0, t1), None, _REFINE_TOL,
                                 band=_TIE_BAND)
-            refined = scan.fx < scan.f
-            offers = np.concatenate((scan.ends, np.where(refined, scan.fx, scan.f)))
-            times = np.concatenate(([t0, t1], np.where(refined, scan.x, scan.t)))
             npts, refinements = scan.npts, len(scan.x)
-        best_sq = float(offers.min())
-        best_t = float(times[offers <= best_sq + _TIE_BAND].min())
+            # the few refined brackets offer in Python floats, compared
+            # exactly as numpy compares them
+            pairs = [(scan.ends[0], t0), (scan.ends[1], t1)] + [
+                (fx, x) if fx < f else (f, t)
+                for t, f, x, fx in zip(*(v.tolist() for v in scan[3:]))]
+        best_sq = min(o for o, _ in pairs)
+        best_t = min(t for o, t in pairs if o <= best_sq + _TIE_BAND)
         best = math.sqrt(max(best_sq, 0.0))
         return MinimizationResult(u, best, best_t, (t0, t1), npts, certified,
                                   refinements)

@@ -1,7 +1,8 @@
 """The batched, safeguarded Newton refinement behind every scan: the
 reducers' derivatives, the refined values against dense samples of their
-brackets, the sign safeguard and the step cap, and corpus argmins against
-50-digit critical points."""
+brackets, the iterates and values against the reference iteration, the
+sign safeguard and the step cap, and corpus argmins against 50-digit
+critical points."""
 
 import math
 
@@ -16,16 +17,19 @@ from qwsed.graphs import build_family, parse_family
 from qwsed.matrices import parse_matrix_kind
 from qwsed.sedentary import _alignment_defect
 from qwsed.walk import (
+    _NEWTON_STEPS,
     DEFAULT_WINDOW,
+    WalkError,
     WalkEvaluator,
     _grid_values,
     _leak,
+    _local_minima,
     _neg_peak,
     _newton_batch,
-    _refine_minima,
     _sq,
     _sq_at,
 )
+from test_walk import _scan_case
 
 _REDUCERS = {"sq": _sq, "leak": _leak, "neg_peak": _neg_peak,
              "defect": _alignment_defect(5)}
@@ -70,8 +74,8 @@ def test_refined_values_beat_dense_bracket_samples():
         wts /= wts.sum()
         coef = wts[:, None]
         ts, sq = _grid_values(lam, coef, _sq.value, (0.0, 60.0), 1024)
-        at, x, fx = _refine_minima(lam, coef, _sq.terms, sq, lambda g: ts[g],
-                                   lambda g: np.zeros(len(g)), math.inf, 1e-10)
+        at = _local_minima(sq)
+        x, fx = _newton_batch(lam, coef, _sq.terms, ts[at - 1], ts[at + 1], ts[at], 1e-10)
         for i, t, v in zip(at, x, fx):
             assert ts[i - 1] <= t <= ts[i + 1]
             dense = _sq_at(lam, wts, np.linspace(ts[i - 1], ts[i + 1], 512))
@@ -98,6 +102,69 @@ def test_refinement_does_not_depend_on_the_batch():
             assert (xi[0], fi[0]) == (x[i], fx[i])
         brackets += len(g)
     assert brackets > 1000
+
+
+def _reference_newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a: np.ndarray,
+                            b: np.ndarray, x: np.ndarray, xtol: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The batched Newton iteration as it stood before its step stopped
+    gathering and scattering the open brackets at every step, kept verbatim
+    as the reference for _newton_batch's bits."""
+    a, b, x = (np.array(v, dtype=float) for v in (a, b, x))
+    fx = np.empty(len(x))
+    if not len(x):
+        return x, fx
+    m = coef.shape[1]
+    cols = np.concatenate((coef, 1j * lam[:, None] * coef,
+                           -(lam * lam)[:, None] * coef), axis=1)
+    cap = _NEWTON_STEPS + 2 + max(math.ceil(math.log2(float(np.max(b - a)) / xtol)), 0)
+    act = np.arange(len(x))
+    for i in range(cap):
+        xa = x[act]
+        z = np.matmul(np.exp(1j * np.outer(xa, lam))[:, None, :], cols)[:, 0, :]
+        f, g, h = terms(z[:, :m], z[:, m:2 * m], z[:, 2 * m:])
+        fx[act] = f
+        aa = np.where(g < 0.0, xa, a[act])
+        ba = np.where(g > 0.0, xa, b[act])
+        newton = xa - g / np.where(h > 0.0, h, 1.0)
+        ok = (g == 0.0) | ((h > 0.0) & (newton >= aa) & (newton <= ba)
+                           & (i < _NEWTON_STEPS))
+        step = np.where(ok, newton, 0.5 * (aa + ba)) - xa
+        a[act], b[act], x[act] = aa, ba, xa + step
+        act = act[(np.abs(step) > xtol) & (ba - aa > xtol)]
+        if not act.size:
+            return x, fx
+    raise WalkError(f"Newton refinement left {act.size} brackets open after {cap} steps")
+
+
+@pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak", "defect"])
+def test_newton_batch_matches_the_reference_bit_for_bit(name):
+    """On batches of 1 to 40 grid-local minima of seeded searches of each
+    kind (_scan_case), at the tolerance that search refines to, every
+    bracket gets the iterate and value of the reference iteration, bit for
+    bit.  Every other batch lies on a coarse grid and starts each bracket
+    at a random time inside it, so that steps leave their brackets, meet
+    f'' <= 0 and move the ends by the sign of f'."""
+    rng = np.random.default_rng([19, len(name)])
+    xtol = 1e-10 if name in ("sq", "subset") else 1e-12
+    brackets = 0
+    for size in range(1, 41):
+        coarse = size % 2 == 0
+        while True:
+            lam, coef, reducer, _ = _scan_case(rng, name, bool(rng.random() < 0.3))
+            ts, vals = _grid_values(lam, coef, reducer.value, (0.0, 200.0),
+                                    400 if coarse else None)
+            at = _local_minima(vals)
+            if len(at) >= size:
+                break
+        at = rng.choice(at, size, replace=False)
+        x = ts[at] + (rng.uniform(-1.0, 1.0, size) * (ts[1] - ts[0]) if coarse else 0.0)
+        args = (lam, coef, reducer.terms, ts[at - 1], ts[at + 1], x, xtol)
+        new, ref = _newton_batch(*args), _reference_newton_batch(*args)
+        for got, want in zip(new, ref):
+            assert got.tobytes() == want.tobytes()
+        brackets += size
+    assert brackets == 820
 
 
 def _counted(reducer):

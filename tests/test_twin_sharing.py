@@ -149,3 +149,25 @@ def test_twins_of_different_roles_are_classified_apart(monkeypatch):
     for r in shared:
         _assert_same(r, classify(g, r.vertex, ADJACENCY), walk)
     assert [c.kind for c in shared[3].certificates] != [c.kind for c in shared[2].certificates]
+
+
+def test_twin_eigenvector_checked_once_per_class(monkeypatch):
+    """Every vertex of star:40 under the Laplacian is classified in one
+    call: its 40 leaves form one twin class, whose difference eigenvector
+    is checked once, and each leaf's report keeps its own twin bound."""
+    g = build_family(parse_family("star:40"))
+    kind = parse_matrix_kind("laplacian")
+    classes = [ts for ts in find_twin_sets(g, kind) if ts.size > 1]
+    assert [ts.size for ts in classes] == [40]
+    calls = []
+    real = sedentary.verify_twin_eigenvector
+    monkeypatch.setattr(sedentary, "verify_twin_eigenvector",
+                        lambda d, ts: calls.append(ts.vertices) or real(d, ts))
+    reports = classify_vertices(g, range(g.n), kind)
+    assert calls == [classes[0].vertices]
+    for r in reports:
+        twin = [c for c in r.certificates if c.kind == TWIN_BOUND]
+        assert len(twin) == (r.vertex in classes[0].vertices)
+        if twin:
+            assert twin[0].vertex == r.vertex and twin[0].detail.startswith(
+                f"twin class {{{r.vertex}, ")

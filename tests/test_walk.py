@@ -37,6 +37,7 @@ from qwsed.walk import (
     _scan_minima,
     _sq,
     _sq_at,
+    _tables,
     _trig_sums,
     check_fractional_revival,
     check_uniform_mixing,
@@ -263,6 +264,58 @@ def test_grid_values_match_direct_sums(npts):
     assert np.max(np.abs(vals - direct)) < 1e-12
 
 
+def _reference_phase_table(lam: np.ndarray, dt: float, count: int) -> np.ndarray:
+    """One table doubled alone, with a Python loop per level, as the phase
+    tables were built before both tables of a grid doubled together; kept
+    verbatim as the reference for _tables's bits."""
+    out = np.empty((count, len(lam)), dtype=complex)
+    out[0] = 1.0
+    # the factors of all levels in one call
+    factors = np.exp(1j * np.outer((1 << np.arange((count - 1).bit_length())) * dt, lam))
+    for level, factor in enumerate(factors):
+        n = 1 << level
+        r = min(n, count - n)
+        np.multiply(out[:r], factor, out=out[n:n + r])
+    return out
+
+
+def _reference_tables(lam: np.ndarray, t0: float, h: float, count: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    n = min(_CHUNK, math.isqrt(count - 1) + 1)
+    return (np.exp(1j * t0 * lam) * _reference_phase_table(lam, n * h, -(-count // n)),
+            _reference_phase_table(lam, h, n + 1))
+
+
+@pytest.mark.parametrize("k", [1, 5, 120])
+def test_tables_match_the_reference_bit_for_bit(k):
+    """Both tables of every grid of 1 to 2049 points, doubled together, hold
+    the bits of each table doubled alone, from seeded starts and steps;
+    so does a two-level scan's fine step table of _COARSE + 3 rows, doubled
+    with them."""
+    rng = np.random.default_rng(k)
+    lam = rng.uniform(-6.0, 6.0, k)
+    if k > 1:
+        lam[0] = 0.0
+    for count in range(1, 2050):
+        t0, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(1e-3, 0.5))
+        want = _reference_tables(lam, t0, h, count)
+        fine = () if count % 3 else (h / _COARSE,)
+        if fine:
+            want += (_reference_phase_table(lam, fine[0], _COARSE + 3),)
+        got = _tables(lam, t0, h, count, *fine)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_sq_value_matches_the_sum_of_squares():
+    """_sq's value squares each part in one pass and adds in place: the
+    bits of |z|^2 as z.real ** 2 + z.imag ** 2."""
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(5000, 2)) + 1j * rng.normal(size=(5000, 2))
+    assert _sq.value(z).tobytes() == (z[:, 0].real ** 2 + z[:, 0].imag ** 2).tobytes()
+
+
 def _open_window_support():
     """The support of vertex 0 of a seeded G(120, 0.1): about 120 simple
     eigenvalues, scanned on a grid of about 125k points over [0, 200 pi]."""
@@ -292,10 +345,10 @@ def test_grid_values_across_base_blocks():
 
 def test_grid_values_take_one_exponential_per_chunk(monkeypatch):
     """A pass over npts grid points with k terms evaluates exactly k (1 +
-    ceil(log2 q) + ceil(log2 (n + 1))) exponentials, n = min(_CHUNK,
-    ceil(sqrt npts)) and q = ceil(npts / n): the window start and the two
-    doubled tables of the grid's runs (_tables), about log2 npts + 1 in
-    all and none per chunk of grid points."""
+    2 ceil(log2 max(q, n + 1))) exponentials, n = min(_CHUNK, ceil(sqrt
+    npts)) and q = ceil(npts / n): the window start and the two tables of
+    the grid's runs (_tables), doubled together, about log2 npts + 1 in all
+    and none per chunk of grid points."""
     lam, coef = _open_window_support()
     evaluated = []
     real_exp = np.exp
@@ -312,29 +365,37 @@ def test_grid_values_take_one_exponential_per_chunk(monkeypatch):
         k, npts = len(lam), len(ts)
         n = min(_CHUNK, math.ceil(math.sqrt(npts)))
         q = -(-npts // n)
-        assert sum(evaluated) == k * (1 + math.ceil(math.log2(q))
-                                      + math.ceil(math.log2(n + 1)))
+        assert sum(evaluated) == k * (1 + 2 * math.ceil(math.log2(max(q, n + 1))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 1.0)),
                 min_size=1, max_size=8))
 def test_curvature_bounds_second_derivative(terms):
-    """_demodulated gives the |w|-weighted mean mu of lam and the bound
-    sum_j w_j (lam_j - mu)^2 on |zeta''|, zeta(t) = sum_j w_j e^{i (lam_j -
-    mu) t}; a phase-reading reducer keeps mu = 0."""
+    """_demodulated gives the |w|-weighted mean mu of lam, the mass sum_j
+    |w_j| and the bounds sum_j w_j |lam_j - mu| on |zeta'| and sum_j w_j
+    (lam_j - mu)^2 on |zeta''|, zeta(t) = sum_j w_j e^{i (lam_j - mu) t};
+    a phase-reading reducer keeps mu = 0."""
     lam = np.array([t[0] for t in terms])
     w = np.array([t[1] for t in terms])
     w /= w.sum()
     mean = float(np.sum(w * lam))
-    (mu,), (bound,) = _demodulated(lam, w[:, None], True)
+    (mu,), (mass,), (slope,), (bound,) = _demodulated(lam, w[:, None], True)
     assert mu == pytest.approx(mean, rel=1e-9, abs=1e-12)
+    assert mass == pytest.approx(1.0, rel=1e-12)
+    assert slope == pytest.approx(float(np.sum(w * np.abs(lam - mean))),
+                                  rel=1e-9, abs=1e-12)
     assert bound == pytest.approx(float(np.sum(w * (lam - mean) ** 2)), rel=1e-9, abs=1e-12)
     ts = np.linspace(0.0, 30.0, 3001)
-    d2 = np.exp(1j * np.outer(ts, lam - mu)) @ (-w * (lam - mu) ** 2)
+    phases = np.exp(1j * np.outer(ts, lam - mu))
+    d1 = phases @ (1j * w * (lam - mu))
+    d2 = phases @ (-w * (lam - mu) ** 2)
+    assert np.max(np.abs(d1)) <= slope * (1.0 + 1e-9) + 1e-12
     assert np.max(np.abs(d2)) <= bound * (1.0 + 1e-9) + 1e-12
-    (mu0,), (raw,) = _demodulated(lam, -w[:, None], False)
-    assert mu0 == 0.0 and raw == pytest.approx(float(np.sum(w * lam ** 2)), rel=1e-12)
+    (mu0,), (mass0,), (slope0,), (raw,) = _demodulated(lam, -w[:, None], False)
+    assert mu0 == 0.0 and mass0 == pytest.approx(1.0, rel=1e-12)
+    assert slope0 == pytest.approx(float(np.sum(w * np.abs(lam))), rel=1e-12)
+    assert raw == pytest.approx(float(np.sum(w * lam ** 2)), rel=1e-12)
 
 
 def _dense_minimum(graph, u, window):
@@ -602,7 +663,8 @@ def _floor_breaches(name, scale):
         t -= h * float(rng.uniform(0.2, 0.8))
         z = _trig_sums(lam, coef, t + h * s)
         f = reducer.value(z)
-        floor = _interval_floor(lam, coef, scaled, h)(z[:1], z[-1:])[0]
+        moments = _demodulated(lam, coef, reducer.invariant)
+        floor = _interval_floor(scaled, moments, h)(z[:1], z[-1:])[0]
         breaches += f.min() < floor - 1e-12 * (1.0 + np.max(np.abs(f)))
     return breaches
 
@@ -616,14 +678,81 @@ def test_declared_bounds_hold(name):
     assert _floor_breaches(name, 0.5) > 0
 
 
+def _cut_breaches(name, scale):
+    """How many of 300 random brackets [t - h, t + h] hold a dense sample of
+    the reducer's f so low that the value at t exceeds the reducer's cut of
+    it, with the radius h times the slope bound (_Moments), scaled by
+    scale."""
+    rng = np.random.default_rng([len(name), 1])
+    s = np.linspace(-1.0, 1.0, 801)
+    breaches = 0
+    for _ in range(300):
+        lam, coef, reducer = _bound_case(rng, name)
+        t, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.05, 1.0))
+        f = reducer.value(_trig_sums(lam, coef, t + h * s))
+        slope = _demodulated(lam, coef, reducer.invariant).slope
+        cut = reducer.cut(float(f.min()), scale * h * slope)
+        breaches += f[400] > cut + 1e-12 * (1.0 + np.max(np.abs(f)))
+    return breaches
+
+
+@pytest.mark.parametrize("name", ["sq", "leak", "neg_peak", "defect"])
+def test_cut_holds(name):
+    """A time within a bracket's half-width of a sample reaches no value
+    that the reducer's cut of it, with the radius that distance bounds
+    each column's move by, puts below the sample.  With a fifth of the
+    radius, some bracket breaks it."""
+    assert _cut_breaches(name, 1.0) == 0
+    assert _cut_breaches(name, 0.2) > 0
+
+
+def _no_cut(t, r):
+    return math.inf
+
+
+@pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak", "defect"])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_cut_keeps_the_brackets_the_floor_keeps(name, levels, monkeypatch):
+    """A scan that tests only the grid-local minima at most the reducer's
+    cut of its threshold against their bracket floors refines the
+    brackets, and finds the bits, of the scan that computes the floor of
+    every grid-local minimum; and the cut spares some floors."""
+    if levels == 2:
+        monkeypatch.setattr(walk, "_TWO_LEVEL", 0)
+    rng = np.random.default_rng([len(name), levels])
+    rows = {True: 0, False: 0}
+    for grid in (None, 129, 1001, 4099):
+        for window in _SCAN_WINDOWS:
+            for _ in range(2):
+                lam, coef, reducer, mode = _scan_case(rng, name, bool(rng.random() < 0.3))
+                kw = {"band": _TIE_BAND} if mode == "band" else {}
+                if mode == "ceiling":
+                    ref = _full_scan(lam, coef, reducer, window, grid, 1e-12)
+                    quantile = np.quantile(np.concatenate((ref.f, ref.ends)), 0.3)
+                    kw = {"ceiling": float(quantile)}
+                scans = {}
+                for cut in (True, False):
+                    counted = reducer._replace(
+                        floor=lambda a, b, e, r=reducer, k=cut: (
+                            rows.__setitem__(k, rows[k] + len(a)) or r.floor(a, b, e)),
+                        cut=reducer.cut if cut else _no_cut)
+                    scans[cut] = _scan_minima(lam, coef, counted, window, grid, 1e-12,
+                                              **kw)
+                for got, want in zip(scans[True], scans[False]):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the coarse floors are the same with and without the cut
+    assert rows[True] < rows[False]
+
+
 def test_open_window_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
     """On the first vertex of the seed-1 G(120, 0.1) workload, the coarse
     pass's tables cover every _COARSE-th grid point, and the coarse pass,
     the fine pass and the brackets of the minima together evaluate at most
     12% of the grid, each in one _fine_values call.  The fine pass takes no
-    exponential per run: outside the Newton steps the scan takes the coarse
-    tables' exponentials, the fine step table's and one chord turn each for
-    the coarse floors and for the brackets."""
+    exponential per run: outside the Newton steps the scan takes the
+    exponentials of the coarse tables and the fine step table, doubled
+    together, and one chord turn each for the coarse floors and for the
+    brackets."""
     rng = np.random.default_rng([1, 0])
     g = _gnp(rng, 120, 0.1)
     u = int(rng.integers(120))
@@ -661,8 +790,8 @@ def test_open_window_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
     n = min(_CHUNK, math.ceil(math.sqrt(coarse)))
     q = -(-coarse // n)
     assert points[0] == q * (n + 1) and points[2] % 3 == 0
-    assert sum(evaluated) == k * (1 + math.ceil(math.log2(q)) + math.ceil(math.log2(n + 1))
-                                  + math.ceil(math.log2(_COARSE + 3))) + 2
+    levels = math.ceil(math.log2(max(q, n + 1, _COARSE + 3)))
+    assert sum(evaluated) == k * (1 + 3 * levels) + 2
     assert res.refinements <= 30
 
 
