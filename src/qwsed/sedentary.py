@@ -47,11 +47,12 @@ from .spectral import (
     verify_twin_eigenvector,
 )
 from .walk import (
+    _CHUNK,
     MinimizationResult,
     VertexSpectrum,
     WalkEvaluator,
     _grid_values,
-    _Reducer,
+    _newton_batch,
     _scan_minima,
     _sq,
 )
@@ -108,6 +109,7 @@ RECONCILE_TOL = 1e-6
 ZERO_TOL = 1e-8
 _HALF_TOL = 1e-9
 _PHASE_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 class CertificateRefused(ValueError):
@@ -289,41 +291,39 @@ def _equality_holds(rec: VertexSpectrum, pos: list[int], t1: float) -> bool:
     return abs(value - abs(2.0 * a - 1.0)) <= 100.0 * _PHASE_TOL
 
 
-def _alignment_defect(k: int) -> _Reducer:
-    """find_equality_time's defect 2k - 2 Re z as a reducer, with the
-    derivatives -2 Re z' and -2 Re z''.  Re z reads the phase of z, so the
-    scan does not demodulate it: z stays within e of the chord from a to b,
-    and Re z below max(Re a, Re b) + e; within r of z' it is at least the
-    defect at z' less 2r, so a defect of t needs one of at most t + 2r
-    there."""
-    return _Reducer(
-        lambda z: 2.0 * k - 2.0 * z[:, 0].real,
-        lambda z, dz, d2z: (2.0 * k - 2.0 * z[:, 0].real, -2.0 * dz[:, 0].real,
-                            -2.0 * d2z[:, 0].real),
-        lambda a, b, e: 2.0 * k - 2.0 * (np.maximum(a[:, 0].real, b[:, 0].real) + e[0]),
-        lambda t, r: t + 2.0 * float(r[0]),
-        invariant=False)
+def _alignment_defect(k: int):
+    """The terms (D, D', D'') of find_equality_time's alignment defect D =
+    2k - 2 Re z, z = sum_j s_j e^{i delta_j t}, for _newton_batch."""
+    def terms(z, dz, d2z):
+        return 2.0 * k - 2.0 * z[:, 0].real, -2.0 * dz[:, 0].real, -2.0 * d2z[:, 0].real
+    return terms
 
 
 def find_equality_time(w: WalkEvaluator, u: int, subset,
                        window: tuple[float, float]) -> float | None:
     """Earliest time in the window where equality_condition holds, or None.
 
-    Scans the smooth alignment defect D(t) = sum_j |e^{i delta_j t} - s_j|^2
+    The time comes from the phase lattice, not a scan.  A time t that
+    passes the condition has |e^{i delta_j t} - s_j| <= tol for every j
     (delta_j the support eigenvalues less the first subset eigenvalue, s_j
-    = +1 on the subset and -1 off it) by the scan of walk._scan_minima.  A
-    time that passes the condition has D <= k tol^2 for a support of size
-    k (tol = _PHASE_TOL).  D = 2k - 2 Re z for z = sum_j s_j e^{i delta_j
-    t}, which stays within e = H^2/8 sum_j delta_j^2 of the chord between
-    two samples H apart, so the reducer _alignment_defect(k) floors D on
-    the interval at 2k - 2 (max(Re z_a, Re z_b) + e).  On a large grid, a
-    coarse interval whose floor exceeds k tol^2 cannot hold such a time
-    and is not evaluated further, and grid-local minima are skipped by the
-    same floor at the grid step.  The others are refined together by
-    safeguarded Newton steps on D' = -2 Re sum_j i delta_j s_j e^{i
-    delta_j t} (bisecting where a step would leave its bracket or D'' <= 0,
-    to 1e-12), and the refined times are checked against the exact
-    condition in increasing order.
+    = +1 on the subset and -1 off it, tol = _PHASE_TOL), up to rounding.
+    For delta*, the largest |delta_j|, t then lies within a = 2 asin(tol/2)
+    / |delta*| of a lattice point c_m = (phi* + 2 pi m) / |delta*|, phi* =
+    0 when delta* is on the subset and pi when it is off.  At c_m every j
+    is within tol + |delta_j| a <= tol + 2 asin(tol/2) of its target, which
+    is 2 tol to within tol^3.  So only the lattice points within a of the
+    window (about |delta*| span / 2 pi of them; the search takes 2a, for
+    rounding) that pass 2 tol, plus a slack for the rounding of the phases
+    t lam, can have such a time near them.  The phases are tested one at a
+    time, each on the candidates the ones before it leave.  Those left are
+    refined together by safeguarded Newton steps on
+    D(t) = sum_j |e^{i delta_j t} - s_j|^2 = 2k - 2 Re sum_j s_j e^{i
+    delta_j t} (_newton_batch, to 1e-12), each from c_m inside [c_m - pi /
+    (2 |delta*|), c_m + pi / (2 |delta*|)] and the window, and the refined
+    times are checked against the exact condition in increasing order.
+    The lattice is taken _CHUNK points at a time, so memory stays bounded
+    on any window, and the search stops at the first chunk that holds a
+    time.
     """
     rec = w.spectrum(u)
     _, pos = _support_positions(rec, u, subset)
@@ -331,12 +331,39 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     sign = np.full(len(lam), -1.0)
     sign[pos] = 1.0
     deltas = lam - lam[pos[0]]
-    k = len(lam)
-    scan = _scan_minima(deltas, sign[:, None], _alignment_defect(k), window, None, 1e-12,
-                        ceiling=k * _PHASE_TOL * _PHASE_TOL)
-    for t in scan.x:
-        if _equality_holds(rec, pos, float(t)):
-            return float(t)
+    # the fastest phase first: it is on target at every c_m, and one more
+    # phase leaves few candidates, so the rest test only those
+    star, *rest = np.argsort(-np.abs(deltas), kind="stable").tolist()
+    speed = abs(float(deltas[star]))
+    phi = 0.0 if sign[star] > 0.0 else math.pi
+    t0, t1 = float(window[0]), float(window[1])
+    a = 2.0 * math.asin(_PHASE_TOL / 2.0) / speed
+    # rounding of the phases t lam, both here and in _equality_holds
+    near = 2.0 * _PHASE_TOL + 64.0 * _EPS * (1.0 + (max(abs(t0), abs(t1)) + a)
+                                            * float(np.max(np.abs(lam))))
+    half = 0.5 * math.pi / speed
+    terms = _alignment_defect(len(lam))
+    # the lattice points within 2a of the window: a covers every time that
+    # passes, and the rest of the margin the rounding of c_m
+    first = math.ceil(((t0 - 2.0 * a) * speed - phi) / (2.0 * math.pi))
+    last = math.floor(((t1 + 2.0 * a) * speed - phi) / (2.0 * math.pi))
+    for m in range(first, last + 1, _CHUNK):
+        c = (phi + 2.0 * math.pi * np.arange(m, min(m + _CHUNK, last + 1))) / speed
+        for j in rest:
+            # |e^{i x} - 1| = 2 |sin(x/2)| and |e^{i x} + 1| = 2 |cos(x/2)|
+            half_phase = c * (0.5 * deltas[j])
+            miss = np.sin(half_phase) if sign[j] > 0.0 else np.cos(half_phase)
+            c = c[np.abs(miss) <= 0.5 * near]
+            if not len(c):
+                break
+        if not len(c):
+            continue
+        lo, hi = np.maximum(c - half, t0), np.minimum(c + half, t1)
+        x, _ = _newton_batch(deltas, sign[:, None], terms, lo, hi,
+                             np.clip(c, lo, hi), 1e-12)
+        for t in x.tolist():
+            if _equality_holds(rec, pos, t):
+                return t
     return None
 
 

@@ -1,22 +1,27 @@
 """Evaluation of the continuous-time walk U(t) = exp(itM) through a spectral
-decomposition, and the scan-and-refine primitive behind every search for a
-minimum over time (_scan_minima): a reducer's f of the sums z = sum_j
-coef_j e^{i lam_j t} is scanned on a uniform grid, and the grid-local minima
-that no bound can exclude are refined together by a batched Newton
-iteration on f' (_newton_batch).
+decomposition, and the scan-and-refine primitive behind the searches for a
+minimum over time that the spectrum alone does not settle (_scan_minima):
+a reducer's f of the sums z = sum_j coef_j e^{i lam_j t} is scanned on a
+uniform grid, and the grid-local minima that no bound can exclude are
+refined together by a batched Newton iteration on f' (_newton_batch).  The
+scan serves the diagonal oracle, the subset bound, perfect state transfer
+and fractional revival.  Perfect state transfer first takes the triangle
+guard: no |U(t)_{v,u}| exceeds sum_j |(E_j)_{v,u}|, so where no column
+reaches 1 there is no scan.  The subset bound's equality time comes from
+the phase lattice in sedentary, refined by _newton_batch, with no scan.
 
-Each search has one reducer (_Reducer): f of z, (f, f', f'') of z, z' and
-z'', its floor and its cut.  The bounds are on the amplitudes, not on f: on
-an interval of width H each column, demodulated by the |coef|-weighted mean
-mu_c of lam (zeta_c = e^{-i mu_c t} z_c, of the same modulus), stays
-within e_c = H^2/8 sum_j |coef_jc| (lam_j - mu_c)^2 of the chord between
-its two samples, and floor(a, b, e) is the least f over every z that near
-the chords (_interval_floor).  Every point of a bracket around a grid
-point lies within r_c = h sum_j |coef_jc| |lam_j - mu_c| + e_c of it, and
-cut(t, r) is the largest value a sample can take with some z within r of
-it at f <= t.  A reducer that reads the phase of z keeps mu = 0.  The scan
-computes e and r from lam and coef (_demodulated); no caller passes a
-bound.
+Each scanned search has one reducer (_Reducer): f of z, (f, f', f'') of z,
+z' and z'', its floor and its cut.  f reads each column only through its
+modulus.  The bounds are on the amplitudes, not on f: on an interval of
+width H each column, demodulated by the |coef|-weighted mean mu_c of lam
+(zeta_c = e^{-i mu_c t} z_c, of the same modulus), stays within e_c =
+H^2/8 sum_j |coef_jc| (lam_j - mu_c)^2 of the chord between its two
+samples, and floor(a, b, e) is the least f over every z that near the
+chords (_interval_floor).  Every point of a bracket around a grid point
+lies within r_c = h sum_j |coef_jc| |lam_j - mu_c| + e_c of it, and cut(t,
+r) is the largest value a sample can take with some z within r of it at f
+<= t.  The scan computes e and r from lam and coef (_demodulated); no
+caller passes a bound.
 
 Every grid value comes from one evaluator, _fine_values: runs of grid
 points, each a start phase times a step table that all runs share, and
@@ -48,7 +53,8 @@ bisects instead, and a checked cap bounds the steps.  find_zero_crossing
 in sedentary looks for a sign change, not a minimum, and reads the full
 grid from _grid_values.  On a certified period of low degree the diagonal
 oracle instead takes every critical point of |U(t)_{u,u}|^2 from one
-polynomial's roots (_critical_clusters).
+polynomial's roots, the eigenvalues of its companion matrix
+(_critical_clusters).
 """
 from __future__ import annotations
 
@@ -96,6 +102,9 @@ _COARSE = 16
 _TWO_LEVEL = 1 << 21
 _TINY = float(np.finfo(float).tiny)
 _PST_TOL = 1e-8
+# the triangle guard's allowance for rounding: a computed |U(t)_{v,u}| can
+# exceed sum_j |(E_j)_{v,u}| by about eps per phase summed, far below this
+_PST_SLACK = 1e-10
 # fractional revival: the leak outside the pair and the least cross term
 _LEAK_TOL = 1e-9
 _BETA_TOL = 1e-8
@@ -105,8 +114,9 @@ _CHECK_TOL = 1e-8
 _REFINE_TOL = 1e-10
 # Newton steps a bracket may take before it only bisects
 _NEWTON_STEPS = 16
-# the root path takes certified windows of degree Q <= _ROOT_CAP; np.roots
-# on the degree-2Q polynomial costs more than the scan beyond it
+# the root path takes certified windows of degree Q <= _ROOT_CAP; the
+# eigenvalues of the degree-2Q polynomial's companion matrix cost more than
+# the scan beyond it
 _ROOT_CAP = 32
 # roots this close to the unit circle are kept as critical points
 _ROOT_BAND = 1e-2
@@ -329,25 +339,26 @@ def _fine_points(j: np.ndarray, span: int, npts: int) -> tuple[np.ndarray, np.nd
 class _Reducer(NamedTuple):
     """What one search minimizes: an f of the sums z = sum_j coef_j e^{i
     lam_j t} (one column per column of coef), with the bounds its scan
-    prunes by.  value(z) is f per row of z; terms(z, z', z'') is (f, f',
-    f''); floor(a, b, e) is, per row, a lower bound on f over every z whose
-    column c lies within e_c of the segment from a_c to b_c; cut(t, r) is
-    an upper bound on f(z') over every z' that has some z with f(z) <= t
-    whose column c lies within r_c of z'_c (turned, when invariant), so no
-    z within r of a sample above cut reaches t.  invariant says f reads
-    each column only through |z_c|, so the scan may turn a column's phase
-    (_interval_floor)."""
+    prunes by.  f reads each column only through its modulus |z_c|, so the
+    scan may turn a column's phase (_interval_floor).  value(z) is f per
+    row of z; terms(z, z', z'') is (f, f', f''); floor(a, b, e) is, per
+    row, a lower bound on f over every z whose column c lies within e_c of
+    the segment from a_c to b_c; cut(t, r) is an upper bound on f(z') over
+    every z' that has some z with f(z) <= t whose column c, turned, lies
+    within r_c of z'_c, so no z within r of a sample above cut reaches t.
+    The four reducers are the oracle's and the subset bound's |z|^2 (_sq),
+    fractional revival's leak (_leak) and perfect transfer's -max_c
+    |z_c|^2 (_neg_peak)."""
 
     value: Callable[[np.ndarray], np.ndarray]
     terms: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     floor: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     cut: Callable[[float, np.ndarray], float]
-    invariant: bool = True
 
 
 class _Moments(NamedTuple):
-    """Per column c of coef: mu_c, the |coef|-weighted mean of lam when
-    invariant and 0 otherwise; mass_c = sum_j |coef_jc|, which bounds |z_c|;
+    """Per column c of coef: mu_c, the |coef|-weighted mean of lam;
+    mass_c = sum_j |coef_jc|, which bounds |z_c|;
     and sum_j |coef_jc| |lam_j - mu_c| and sum_j |coef_jc| (lam_j -
     mu_c)^2, which bound |zeta_c'| and |zeta_c''| for zeta_c(t) = sum_j
     coef_jc e^{i (lam_j - mu_c) t}.  The mean minimizes the last bound."""
@@ -358,14 +369,12 @@ class _Moments(NamedTuple):
     curvature: np.ndarray
 
 
-def _demodulated(lam: np.ndarray, coef: np.ndarray, invariant: bool) -> _Moments:
-    """The _Moments of coef over lam."""
+def _demodulated(lam: np.ndarray, coef: np.ndarray) -> _Moments:
+    """The _Moments of coef over lam: every reducer reads only |z_c|, so
+    every column is demodulated by its mean (mu_c = 0 for a zero column)."""
     w, col = np.abs(coef), lam[:, None]
     total = w.sum(axis=0)
-    if invariant:
-        mu = (w * col).sum(axis=0) / np.where(total > 0.0, total, 1.0)
-    else:
-        mu = np.zeros(coef.shape[1])
+    mu = (w * col).sum(axis=0) / np.where(total > 0.0, total, 1.0)
     d = col - mu
     return _Moments(mu, total, (w * np.abs(d)).sum(axis=0), (w * d ** 2).sum(axis=0))
 
@@ -375,11 +384,10 @@ def _interval_floor(reducer: _Reducer, moments: _Moments, width: float):
     width, from the sums a and b at its ends.
 
     Each column is bounded demodulated (_demodulated): zeta_c(t) = e^{-i
-    mu_c t} z_c(t), where |zeta_c| = |z_c| and mu_c = 0 unless the reducer
-    is invariant.  zeta_c stays within e_c = width^2/8 max |zeta_c''| of
-    the chord between its two samples.  Turned by e^{i mu_c t_a}, that
-    chord runs from a_c to e^{-i mu_c width} b_c, which changes no |.| an
-    invariant floor reads."""
+    mu_c t} z_c(t), where |zeta_c| = |z_c|.  zeta_c stays within e_c =
+    width^2/8 max |zeta_c''| of the chord between its two samples.  Turned
+    by e^{i mu_c t_a}, that chord runs from a_c to e^{-i mu_c width} b_c,
+    which changes no |.| a reducer's floor reads."""
     e = width * width / 8.0 * moments.curvature
     turn = np.exp(-1j * width * moments.mu)
     return lambda a, b: reducer.floor(a, b * turn, e)
@@ -513,15 +521,16 @@ def _scan_minima(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer,
     and one product per doubling level (_tables), the floors of the kept
     brackets in one call, the brackets' times in Python floats, and the
     Newton steps (_newton_batch).  On the 18 scans of a seed-1
-    lollipop-all round that work took about 60% of the 10.2 ms they took
-    in all (README).
+    lollipop-all round, six of them equality-time searches that no longer
+    scan, that work took about 60% of the 10.2 ms they took in all
+    (README).
     """
     t0, t1 = float(window[0]), float(window[1])
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
     npts = _grid_size(t1 - t0, spread, grid)
     h = (t1 - t0) / (npts - 1)
     m = coef.shape[1]
-    moments = _demodulated(lam, coef, reducer.invariant)
+    moments = _demodulated(lam, coef)
 
     def level(vals: np.ndarray) -> float:
         return ceiling if ceiling is not None else float(vals.min()) + band
@@ -604,17 +613,24 @@ def _critical_clusters(q: np.ndarray, wts: np.ndarray
 
     On |z| = 1, |g|^2 = sum_{d=-Q}^{Q} c_d z^d with c the autocorrelation of
     g's coefficients, so its derivative in the angle vanishes exactly at
-    the unit-circle roots of sum_d d c_d z^{d+Q}, of degree 2Q.  A multiple
-    root comes back split by about eps^(1/m); the roots whose angles are
-    closer than _ROOT_CLUSTER form one cluster, and its mean, an analytic
-    function of the perturbation, locates the root far better than any
-    member.
+    the unit-circle roots of sum_d d c_d z^{d+Q}, of degree 2Q: the
+    eigenvalues of the companion matrix np.roots would build, taken without
+    np.roots' checks and trimming, which cost more than the eigenvalues at
+    this size and find nothing to trim: q holds 0 and Q, so the leading and
+    trailing coefficients, Q c_2Q and -Q c_0, are both +-Q w_0 w_Q != 0.
+    A multiple root comes back split by about eps^(1/m); the roots whose
+    angles are closer than _ROOT_CLUSTER form one cluster, and its mean, an
+    analytic function of the perturbation, locates the root far better
+    than any member.
     """
     big_q = int(q.max())
     v = np.zeros(big_q + 1)
     v[q] = wts
     c = np.convolve(v, v[::-1])
-    roots = np.roots((np.arange(-big_q, big_q + 1) * c)[::-1])
+    p = (np.arange(-big_q, big_q + 1) * c)[::-1]
+    companion = np.eye(2 * big_q, k=-1)
+    companion[0] = -p[1:] / p[0]
+    roots = np.linalg.eigvals(companion)
     roots = roots[np.abs(np.abs(roots) - 1.0) < _ROOT_BAND]
     ang = np.angle(roots) % (2.0 * math.pi)
     order = np.argsort(ang)
@@ -632,7 +648,9 @@ def _critical_clusters(q: np.ndarray, wts: np.ndarray
 def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """Times and |U|^2 offers of the window ends [0, rho] and of every root
-    cluster over the period, or None when the root path does not apply."""
+    cluster over the period, or None when the root path does not apply.
+    The ends, the centroids and the members take one _sq_at call, and each
+    cluster's least member one np.minimum.reduceat."""
     q = np.array(per.coordinates) // math.gcd(*per.coordinates)
     if q.max() > _ROOT_CAP:
         return None
@@ -642,10 +660,13 @@ def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
     centre, member, label = found
     rho = float(per.period)
     scale = rho / (2.0 * math.pi)
-    best = _sq_at(lam, wts, centre * scale)
-    np.minimum.at(best, label, _sq_at(lam, wts, member * scale))
-    return (np.concatenate(([0.0, rho], centre * scale)),
-            np.concatenate((_sq_at(lam, wts, [0.0, rho]), best)))
+    times = np.concatenate(([0.0, rho], centre * scale))
+    sq = _sq_at(lam, wts, np.concatenate((times, member * scale)))
+    offers, members = sq[:len(times)], sq[len(times):]
+    # labels run 0, 1, ... in member order, so each cluster is one slice
+    first = np.flatnonzero(np.diff(label, prepend=-1))
+    np.minimum(offers[2:], np.minimum.reduceat(members, first), out=offers[2:])
+    return times, offers
 
 
 class VertexSpectrum(NamedTuple):
@@ -863,13 +884,12 @@ class WalkEvaluator:
 
     # -- transfer phenomena -------------------------------------------------
 
-    def _column_scan(self, u: int, cols: list[int], reducer: _Reducer,
+    def _column_scan(self, coef: np.ndarray, reducer: _Reducer,
                      window: tuple[float, float], ceiling: float) -> np.ndarray:
         """Times, in order, among the window ends and the refined grid-local
-        minima of the reducer's f of U(t)_{cols,u} where it is at most
-        ceiling."""
-        lam = self.decomposition.eigenvalues
-        scan = _scan_minima(lam, self._column_data(u)[:, cols], reducer, window, None,
+        minima of the reducer's f of the walk columns sum_j coef_j e^{i
+        lam_j t} (rows of _column_data) where it is at most ceiling."""
+        scan = _scan_minima(self.decomposition.eigenvalues, coef, reducer, window, None,
                             1e-12, ceiling=ceiling)
         times = np.concatenate(([float(window[0])], scan.x, [float(window[1])]))
         return times[np.concatenate(([scan.ends[0]], scan.fx, [scan.ends[1]])) <= ceiling]
@@ -877,10 +897,22 @@ class WalkEvaluator:
     def find_perfect_state_transfer(self, u: int, window: tuple[float, float]
                                     ) -> PerfectStateTransferWitness | None:
         """Earliest time in the window where some |U(t)_{v,u}|, v != u,
-        reaches 1 within 1e-8.  Numeric evidence only; the caller decides
-        whether the window certifies anything."""
+        reaches 1 within _PST_TOL.  Numeric evidence only; the caller
+        decides whether the window certifies anything.
+
+        Triangle guard: |U(t)_{v,u}| <= reach_v = sum_j |(E_j)_{v,u}| at
+        every t, so when no v != u has reach_v >= 1 - _PST_TOL - _PST_SLACK,
+        no time of any window transfers and the call returns None without
+        a scan.  Otherwise -max_v |U(t)_{v,u}|^2 over every v != u is
+        scanned (_neg_peak) with the ceiling -(1 - _PST_TOL)^2."""
+        cols = self._column_data(u)
+        reach = np.abs(cols).sum(axis=0)
+        reach[u] = 0.0
+        if reach.max() < 1.0 - _PST_TOL - _PST_SLACK:
+            return None
         others = [v for v in range(self.n) if v != u]
-        times = self._column_scan(u, others, _neg_peak, window, -(1.0 - _PST_TOL) ** 2)
+        times = self._column_scan(cols[:, others], _neg_peak, window,
+                                  -(1.0 - _PST_TOL) ** 2)
         if not len(times):
             return None
         mags = self.column_magnitude_series(u, times[:1])[0]
@@ -894,8 +926,8 @@ class WalkEvaluator:
         w outside the pair below _LEAK_TOL and |U(t)_{v,u}| > _BETA_TOL."""
         if u == v:
             raise WalkError("fractional revival needs a pair of distinct vertices")
-        for t in self._column_scan(u, [w for w in range(self.n) if w not in (u, v)],
-                                   _leak, window, _LEAK_TOL):
+        rest = [w for w in range(self.n) if w not in (u, v)]
+        for t in self._column_scan(self._column_data(u)[:, rest], _leak, window, _LEAK_TOL):
             if t > 1e-9 and abs(self.transition_entry(float(t), v, u)) > _BETA_TOL:
                 return float(t)
         return None

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import qwsed.walk as walk
 from qwsed.graphs import build_family, parse_family
 from qwsed.matrices import parse_matrix_kind
-from qwsed.sedentary import _alignment_defect
 from qwsed.walk import (
     _NEWTON_STEPS,
     DEFAULT_WINDOW,
@@ -29,10 +28,9 @@ from qwsed.walk import (
     _sq,
     _sq_at,
 )
-from test_walk import _scan_case
+from test_walk import _defect, _scan_case
 
-_REDUCERS = {"sq": _sq, "leak": _leak, "neg_peak": _neg_peak,
-             "defect": _alignment_defect(5)}
+_REDUCERS = {"sq": _sq, "leak": _leak, "neg_peak": _neg_peak, "defect": _defect(5)}
 
 
 def _sums(lam, coef, t):

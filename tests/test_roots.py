@@ -182,3 +182,112 @@ def test_periodicity_once_per_factor_vertex(periodicity_calls):
     classify_vertices(g, range(g.n), LAPLACIAN)
     assert len(periodicity_calls) == g.n + 2
     assert set(periodicity_calls.values()) == {1}
+
+
+# -- the root path against its np.roots form -----------------------------------
+
+
+def _reference_critical_clusters(q: np.ndarray, wts: np.ndarray):
+    """_critical_clusters as it stood when it called np.roots and the
+    offers took one minimum per member, kept verbatim as the reference for
+    its bits."""
+    big_q = int(q.max())
+    v = np.zeros(big_q + 1)
+    v[q] = wts
+    c = np.convolve(v, v[::-1])
+    roots = np.roots((np.arange(-big_q, big_q + 1) * c)[::-1])
+    roots = roots[np.abs(np.abs(roots) - 1.0) < walk._ROOT_BAND]
+    ang = np.angle(roots) % (2.0 * math.pi)
+    order = np.argsort(ang)
+    roots, ang = roots[order], ang[order]
+    label = np.concatenate(([0], np.cumsum(np.diff(ang) >= walk._ROOT_CLUSTER)))
+    size = np.bincount(label)
+    centre = (np.bincount(label, roots.real) + 1j * np.bincount(label, roots.imag)) / size
+    if np.any(np.abs(np.abs(centre) - 1.0) > walk._ROOT_EXACT):
+        return None
+    return np.angle(centre) % (2.0 * math.pi), ang, label
+
+
+def _reference_root_offers(lam, wts, per):
+    """_root_offers as it stood with three _sq_at calls and np.minimum.at,
+    verbatim but for the reference _critical_clusters."""
+    q = np.array(per.coordinates) // math.gcd(*per.coordinates)
+    if q.max() > _ROOT_CAP:
+        return None
+    found = _reference_critical_clusters(q, wts)
+    if found is None:
+        return None
+    centre, member, label = found
+    rho = float(per.period)
+    scale = rho / (2.0 * math.pi)
+    best = _sq_at(lam, wts, centre * scale)
+    np.minimum.at(best, label, _sq_at(lam, wts, member * scale))
+    return (np.concatenate(([0.0, rho], centre * scale)),
+            np.concatenate((_sq_at(lam, wts, [0.0, rho]), best)))
+
+
+def _family_supports():
+    """The certified supports of the families the benchmark's families-all
+    workload draws from, under its three matrices: its lattice pools, the
+    ranges its family scans draw from, and the star squares."""
+    # the lattices are vertex-transitive: one vertex shows every support
+    lattices = ["hamming:2,6", "rook:4,9", "rook:3,12", "hamming:3,3", "rook:3,9",
+                "hamming:3,5"]
+    specs = [f"complete:{n}" for n in range(3, 15)] + [f"star:{n}" for n in range(3, 15)]
+    specs += [f"cone:cycle:{n}" for n in range(3, 13)]
+    graphs = [(build_family(parse_family(s)), s in lattices) for s in specs + lattices]
+    graphs += [(cartesian_product(star_graph(m), star_graph(m)), False) for m in (3, 4)]
+    for g, transitive in graphs:
+        for kind in (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY):
+            w = WalkEvaluator.for_graph(g, kind)
+            seen = set()
+            for u in range(1 if transitive else g.n):
+                lam, wts, _, per = w.spectrum(u)
+                key = (lam.tobytes(), wts.tobytes())
+                if key in seen or len(lam) < 2 or not w.default_window(u)[1]:
+                    continue
+                seen.add(key)
+                yield lam, wts, per
+
+
+def _random_supports(count):
+    """Random integer supports of degree Q <= _ROOT_CAP with random weights,
+    some with repeated weight patterns (symmetric, so roots repeat)."""
+    rng = np.random.default_rng(31)
+    for i in range(count):
+        big_q = int(rng.integers(1, _ROOT_CAP + 1))
+        inner = rng.choice(np.arange(1, big_q), min(big_q - 1, int(rng.integers(0, 6))),
+                           replace=False) if big_q > 1 else np.array([], dtype=int)
+        q = np.unique(np.concatenate(([0, big_q], inner))).astype(int)
+        wts = rng.random(len(q))
+        if i % 3 == 0:
+            wts = wts + wts[::-1]
+        wts /= wts.sum()
+        step = float(rng.uniform(0.2, 3.0))
+        lam = float(rng.uniform(-2.0, 2.0)) + step * q
+        yield lam, wts, walk.PeriodicityInfo(0, True, 2.0 * math.pi / step,
+                                             "integer-spectrum", tuple(q.tolist()), step)
+
+
+def test_root_offers_match_the_np_roots_form_bit_for_bit():
+    """The companion matrix built in place of np.roots' wrapper, the one
+    _sq_at call and np.minimum.reduceat give the critical points and offers
+    of the np.roots form, bit for bit."""
+    cases = rooted = 0
+    for lam, wts, per in list(_family_supports()) + list(_random_supports(400)):
+        q = np.array(per.coordinates) // math.gcd(*per.coordinates)
+        if q.max() > _ROOT_CAP:
+            continue
+        new, ref = walk._critical_clusters(q, wts), _reference_critical_clusters(q, wts)
+        assert (new is None) == (ref is None)
+        if new is not None:
+            for got, want in zip(new, ref):
+                assert got.tobytes() == want.tobytes()
+        new, ref = walk._root_offers(lam, wts, per), _reference_root_offers(lam, wts, per)
+        assert (new is None) == (ref is None)
+        if new is not None:
+            rooted += 1
+            for got, want in zip(new, ref):
+                assert got.tobytes() == want.tobytes()
+        cases += 1
+    assert cases > 900 and rooted > 900

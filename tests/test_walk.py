@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -374,13 +375,12 @@ def test_grid_values_take_one_exponential_per_chunk(monkeypatch):
 def test_curvature_bounds_second_derivative(terms):
     """_demodulated gives the |w|-weighted mean mu of lam, the mass sum_j
     |w_j| and the bounds sum_j w_j |lam_j - mu| on |zeta'| and sum_j w_j
-    (lam_j - mu)^2 on |zeta''|, zeta(t) = sum_j w_j e^{i (lam_j - mu) t};
-    a phase-reading reducer keeps mu = 0."""
+    (lam_j - mu)^2 on |zeta''|, zeta(t) = sum_j w_j e^{i (lam_j - mu) t}."""
     lam = np.array([t[0] for t in terms])
     w = np.array([t[1] for t in terms])
     w /= w.sum()
     mean = float(np.sum(w * lam))
-    (mu,), (mass,), (slope,), (bound,) = _demodulated(lam, w[:, None], True)
+    (mu,), (mass,), (slope,), (bound,) = _demodulated(lam, w[:, None])
     assert mu == pytest.approx(mean, rel=1e-9, abs=1e-12)
     assert mass == pytest.approx(1.0, rel=1e-12)
     assert slope == pytest.approx(float(np.sum(w * np.abs(lam - mean))),
@@ -392,10 +392,6 @@ def test_curvature_bounds_second_derivative(terms):
     d2 = phases @ (-w * (lam - mu) ** 2)
     assert np.max(np.abs(d1)) <= slope * (1.0 + 1e-9) + 1e-12
     assert np.max(np.abs(d2)) <= bound * (1.0 + 1e-9) + 1e-12
-    (mu0,), (mass0,), (slope0,), (raw,) = _demodulated(lam, -w[:, None], False)
-    assert mu0 == 0.0 and mass0 == pytest.approx(1.0, rel=1e-12)
-    assert slope0 == pytest.approx(float(np.sum(w * np.abs(lam))), rel=1e-12)
-    assert raw == pytest.approx(float(np.sum(w * lam ** 2)), rel=1e-12)
 
 
 def _dense_minimum(graph, u, window):
@@ -472,10 +468,20 @@ def _best(scan, window):
     return best, float(times[offers <= best + _TIE_BAND].min())
 
 
+def _defect(k):
+    """find_equality_time's alignment defect for a k-term support as the
+    value and terms that a scan of every grid point (_full_scan) and
+    _newton_batch read."""
+    terms = _alignment_defect(k)
+    return SimpleNamespace(value=lambda z: terms(z, z, z)[0], terms=terms)
+
+
 def _scan_case(rng, name, tied):
     """(lam, coef, reducer, mode) of one search: mode is 'band' for
     minimize_diagonal's threshold, 'low' for subset_bound's and 'ceiling'
-    for the fixed ceilings of the column scans and find_equality_time.
+    for the fixed ceilings of the column scans.  The 'defect' case is
+    find_equality_time's Newton refinement, which no scan runs: its
+    reducer has a value and terms only (_defect).
     tied supports are symmetric integer multiples of one step, so their
     minima repeat every period and tie."""
     k = int(rng.integers(2, 8))
@@ -496,7 +502,7 @@ def _scan_case(rng, name, tied):
         inside = rng.random(k) < 0.5
         inside[0] = True
         sign = np.where(inside, 1.0, -1.0)[:, None]
-        return lam - lam[0], sign, _alignment_defect(k), "ceiling"
+        return lam - lam[0], sign, _defect(k), "ceiling"
     m = int(rng.integers(1, 5))
     coef = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
     coef /= np.linalg.norm(coef)
@@ -552,7 +558,7 @@ def two_levels(monkeypatch):
     monkeypatch.setattr(walk, "_TWO_LEVEL", 0)
 
 
-@pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak", "defect"])
+@pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak"])
 @pytest.mark.parametrize("tied", [False, True])
 def test_two_level_scan_matches_the_full_grid(name, tied, two_levels):
     rng = np.random.default_rng([len(name), tied])
@@ -634,16 +640,14 @@ def test_callers_match_the_full_grid_scan(grid, two_levels, monkeypatch):
 
 def _bound_case(rng, name):
     """(lam, coef, reducer) of a random search with that reducer."""
-    k = int(rng.integers(1 if name == "defect" else 2, 7))
+    k = int(rng.integers(2, 7))
     lam = rng.uniform(-3.0, 3.0, k)
     if name == "sq":
         w = rng.random(k)
         return lam, (w / w.sum())[:, None], _sq
-    if name in ("leak", "neg_peak"):
-        m = int(rng.integers(1, 4))
-        coef = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
-        return lam, coef, _leak if name == "leak" else _neg_peak
-    return lam, np.where(rng.random(k) < 0.5, 1.0, -1.0)[:, None], _alignment_defect(k)
+    m = int(rng.integers(1, 4))
+    coef = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    return lam, coef, _leak if name == "leak" else _neg_peak
 
 
 def _floor_breaches(name, scale):
@@ -663,13 +667,13 @@ def _floor_breaches(name, scale):
         t -= h * float(rng.uniform(0.2, 0.8))
         z = _trig_sums(lam, coef, t + h * s)
         f = reducer.value(z)
-        moments = _demodulated(lam, coef, reducer.invariant)
+        moments = _demodulated(lam, coef)
         floor = _interval_floor(scaled, moments, h)(z[:1], z[-1:])[0]
         breaches += f.min() < floor - 1e-12 * (1.0 + np.max(np.abs(f)))
     return breaches
 
 
-@pytest.mark.parametrize("name", ["sq", "leak", "neg_peak", "defect"])
+@pytest.mark.parametrize("name", ["sq", "leak", "neg_peak"])
 def test_declared_bounds_hold(name):
     """Dense samples of the reducer's f on random intervals never fall
     below its floor from the sums at the interval's ends.  The floor is
@@ -690,13 +694,13 @@ def _cut_breaches(name, scale):
         lam, coef, reducer = _bound_case(rng, name)
         t, h = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.05, 1.0))
         f = reducer.value(_trig_sums(lam, coef, t + h * s))
-        slope = _demodulated(lam, coef, reducer.invariant).slope
+        slope = _demodulated(lam, coef).slope
         cut = reducer.cut(float(f.min()), scale * h * slope)
         breaches += f[400] > cut + 1e-12 * (1.0 + np.max(np.abs(f)))
     return breaches
 
 
-@pytest.mark.parametrize("name", ["sq", "leak", "neg_peak", "defect"])
+@pytest.mark.parametrize("name", ["sq", "leak", "neg_peak"])
 def test_cut_holds(name):
     """A time within a bracket's half-width of a sample reaches no value
     that the reducer's cut of it, with the radius that distance bounds
@@ -710,7 +714,7 @@ def _no_cut(t, r):
     return math.inf
 
 
-@pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak", "defect"])
+@pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak"])
 @pytest.mark.parametrize("levels", [1, 2])
 def test_cut_keeps_the_brackets_the_floor_keeps(name, levels, monkeypatch):
     """A scan that tests only the grid-local minima at most the reducer's
