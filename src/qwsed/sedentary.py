@@ -18,7 +18,8 @@ drives the classification.
 
 The spectral certificates take the walk evaluator and a vertex, and read
 the vertex's support, periodicity and default window from it
-(WalkEvaluator.spectrum, computed once per vertex, and default_window).
+(WalkEvaluator.spectrum, computed once per vertex, and default_window;
+classify_vertices computes them per group of vertices with one support).
 
 The closed-form families (stars, cones and double cones, complete graphs
 and their box powers, double stars) form one catalogue read through one
@@ -1004,6 +1005,24 @@ class _Context:
             return cx, cx
         return cx, _Context(gy, self.kind)
 
+    def _twin_set(self, v: int) -> TwinSet | None:
+        return next((ts for ts in self.twins if v in ts.vertices), None)
+
+    def prepare(self, vertices: Sequence[int]) -> None:
+        """Before the first report: compute, in one walk.spectra call, the
+        records of the vertices that report will classify rather than carry
+        over from a twin, the first requested of each twin class and label
+        role.  Those of one support index set then share one periodicity
+        fit, one default window and one root solve."""
+        todo, seen = [], set()
+        for v in dict.fromkeys(vertices):
+            ts = self._twin_set(v)
+            key = v if ts is None else (ts.vertices, _role(self.graph, v))
+            if key not in seen:
+                seen.add(key)
+                todo.append(v)
+        self.walk.spectra(todo)
+
     def report(self, v: int) -> SedentaryReport:
         """v's report, made once per vertex: carried over from a classified
         twin where it can be, else classified."""
@@ -1013,7 +1032,7 @@ class _Context:
         return r
 
     def _from_twin(self, v: int) -> SedentaryReport | None:
-        ts = next((ts for ts in self.twins if v in ts.vertices), None)
+        ts = self._twin_set(v)
         if ts is None:
             return None
         role = _role(self.graph, v)
@@ -1054,11 +1073,22 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
     is classified.  Every other member's report is that report under the
     swap of the two twins: vertex, oracle vertex and certificate vertices
     rewritten, the twin bound rebuilt for the member.  Where the first
-    report proves perfect transfer, the member is classified in full."""
+    report proves perfect transfer, the member is classified in full.
+
+    The vertices to classify are grouped by support index set before the
+    first report (_Context.prepare, WalkEvaluator.spectra).  A group has
+    one set of support eigenvalues, so it takes one periodicity fit, one
+    default window and, on a certified window, one root solve of the
+    oracle over all its members.  Each member keeps its own weights, its
+    own |U(rho)_{u,u}| = 1 check, its own root offers (its fallback to the
+    scan when its own clusters are ambiguous) and its own certificates, and
+    each record and oracle result holds the bits the vertex gets in a
+    group of its own, so the grouping changes no report."""
     for u in vertices:
         if not 0 <= u < graph.n:
             raise CertificateRefused(f"vertex {u} out of range")
     ctx = _Context(graph, kind, options or ClassifyOptions())
+    ctx.prepare(vertices)
     return [ctx.report(u) for u in vertices]
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,8 @@ DEFAULT_CLUSTER_TOL = 1e-8
 # an eigenvalue is in a vertex's support when ||E_j e_u|| exceeds this
 _SUPPORT_TOL = 1e-10
 _MAX_DENOMINATOR = 10**6
+# far below 1 / (2 _MAX_DENOMINATOR), so the integer is the closest fraction
+_WHOLE_TOL = 1e-9
 _INT_TOL = 1e-9
 _UNIT_TOL = 1e-8
 # cospectrality, strong cospectrality and twin eigenvectors hold within this
@@ -86,13 +89,13 @@ class SpectralDecomposition:
         return max(1.0, float(np.max(np.abs(self.eigenvalues))) if len(self.eigenvalues) else 1.0)
 
 
-def decompose(h: Hamiltonian | np.ndarray,
-              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
+def decompose(h: Hamiltonian | np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a real symmetric matrix into distinct eigenvalues and
     orthonormal eigenvector blocks.
 
-    Eigenvalues closer than cluster_tol * max(1, spectral norm) are merged
-    into one eigenspace; each reported eigenvalue is the mean of its cluster.
+    Eigenvalues closer than DEFAULT_CLUSTER_TOL * max(1, spectral norm) are
+    merged into one eigenspace; each reported eigenvalue is the mean of its
+    cluster.
     """
     m = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -104,7 +107,7 @@ def decompose(h: Hamiltonian | np.ndarray,
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
-    tol = cluster_tol * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
+    tol = DEFAULT_CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
     # a cluster starts at the first eigenvalue and wherever consecutive ones
     # differ by more than tol; clusters are reported in descending order,
     # members ascending
@@ -312,8 +315,13 @@ def _rescale_to_integers(values: np.ndarray, scale: float):
         return [0] * len(vals), 1.0, ref
     d = float(pos.min())
     ratios = diffs / d
+    # a ratio within _WHOLE_TOL of an integer m has m for its closest
+    # fraction of denominator at most _MAX_DENOMINATOR, since every other
+    # such fraction lies at least 1/_MAX_DENOMINATOR from m; so it leaves q
+    # as it is, and only the others take the Fraction loop
+    whole = np.abs(ratios - np.round(ratios)) <= _WHOLE_TOL
     q = 1
-    for r in ratios:
+    for r in ratios[~whole]:
         frac = Fraction(float(r)).limit_denominator(_MAX_DENOMINATOR)
         q = q * frac.denominator // math.gcd(q, frac.denominator)
         if q > _MAX_DENOMINATOR:
@@ -326,37 +334,48 @@ def _rescale_to_integers(values: np.ndarray, scale: float):
     return p, s, ref
 
 
-def periodicity(d: SpectralDecomposition, u: int,
-                sup: EigenvalueSupport | None = None) -> PeriodicityInfo:
-    """Detect a period of the diagonal walk entry at u.
+def periodicity(d: SpectralDecomposition, vertices: Sequence[int],
+                sups: Sequence[EigenvalueSupport] | None = None
+                ) -> tuple[PeriodicityInfo, ...]:
+    """Detect a period of the diagonal walk entry at each of vertices, which
+    share one support index set, so one set of support eigenvalues.
 
     |U(t)_{u,u}| is periodic exactly when the support eigenvalues become
     integers under an affine rescaling; the minimal period is then
     2*pi / (s * gcd of the integer coordinates relative to the smallest).
-    The reported period is verified by evaluating |U(rho)_{u,u}| = 1.
-    sup, when given, is support(d, u) already computed.
+    The rescaling reads the eigenvalues alone, so the vertices share one
+    fit, one method and one candidate period.  Each vertex's period is
+    verified by evaluating |U(rho)_{u,u}| = 1 with its own weights, and a
+    vertex that fails gets 'undetected'.  sups, when given, are the
+    vertices' supports already computed.
     """
-    if sup is None:
-        sup = support(d, u)
-    lam = np.array(sup.eigenvalues)
-    wts = np.array(sup.weights)
+    if sups is None:
+        sups = [support(d, u) for u in vertices]
+    if not sups:
+        return ()
+    if any(s.indices != sups[0].indices for s in sups):
+        raise SpectralError("a periodicity group must share one support index set")
+    lam = np.array(sups[0].eigenvalues)
     scale = d.scale()
     near_int = bool(np.all(np.abs(lam - np.round(lam)) <= _INT_TOL * scale))
     method = "integer-spectrum" if near_int else "rational-rescaled"
-    if len(lam) <= 1:
-        return PeriodicityInfo(u, True, 2.0 * math.pi, method)
     res = _rescale_to_integers(lam, scale)
     if res is None:
-        return PeriodicityInfo(u, False, None, "undetected")
-    p, s, _ = res
+        return tuple(PeriodicityInfo(s.vertex, False, None, "undetected") for s in sups)
+    p, step, _ = res
     g = 0
     for pj in p:
         g = math.gcd(g, pj)
     if g == 0:
-        return PeriodicityInfo(u, True, 2.0 * math.pi, method)
-    rho = 2.0 * math.pi / (s * g)
-    # the claim must survive a direct evaluation
-    mag = abs(complex(np.sum(wts * np.exp(1j * rho * lam))))
-    if abs(mag - 1.0) > _UNIT_TOL:
-        return PeriodicityInfo(u, False, None, "undetected")
-    return PeriodicityInfo(u, True, float(rho), method, tuple(p), s)
+        # a single eigenvalue: U(t)_{u,u} is a phase
+        return tuple(PeriodicityInfo(s.vertex, True, 2.0 * math.pi, method) for s in sups)
+    rho = 2.0 * math.pi / (step * g)
+    phases = np.exp(1j * rho * lam)
+    out = []
+    for s in sups:
+        # the claim must survive a direct evaluation
+        mag = abs(complex(np.sum(np.array(s.weights) * phases)))
+        out.append(PeriodicityInfo(s.vertex, False, None, "undetected")
+                   if abs(mag - 1.0) > _UNIT_TOL
+                   else PeriodicityInfo(s.vertex, True, float(rho), method, tuple(p), step))
+    return tuple(out)

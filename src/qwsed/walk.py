@@ -55,19 +55,29 @@ grid from _grid_values.  On a certified period of low degree the diagonal
 oracle instead takes every critical point of |U(t)_{u,u}|^2 from one
 polynomial's roots, the eigenvalues of its companion matrix
 (_critical_clusters).
+
+The evaluator computes its vertices' records in support groups
+(WalkEvaluator.spectra): vertices with one support index set have the
+same support eigenvalues, so a group takes one periodicity fit, one
+default window and, on a certified window, one root solve, whose
+companion matrices form one stack for one np.linalg.eigvals call and
+whose clusters and offers are array operations over the stack.  What
+reads a vertex's weights stays per vertex: its |U(rho)_{u,u}| = 1 check,
+its companion matrix and offers, and its fallback to the scan when its
+own clusters are ambiguous.  A vertex computed alone is a group of one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import WeightedGraph
 from .matrices import ADJACENCY, MatrixKind, assemble
-from .spectral import (PeriodicityInfo, SpectralDecomposition, decompose,
-                       periodicity, support)
+from .spectral import (EigenvalueSupport, PeriodicityInfo, SpectralDecomposition,
+                       decompose, periodicity, support)
 
 __all__ = [
     "WalkError",
@@ -599,17 +609,31 @@ def _scan_minima(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer,
 
 def _sq_at(lam: np.ndarray, wts: np.ndarray, times) -> np.ndarray:
     """|sum_j wts_j e^{i lam_j t}|^2 at each time, summed per time in the
-    order np.sum uses, for refinement."""
+    order np.sum uses, for refinement; wts is one row of weights, or one
+    row per time."""
     z = (wts * np.exp(1j * np.outer(times, lam))).sum(axis=1)
     return z.real ** 2 + z.imag ** 2
 
 
-def _critical_clusters(q: np.ndarray, wts: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Critical points of |g(z)|^2 on the unit circle, g(z) = sum_j wts_j
-    z^{q_j} for integers q_j >= 0, as (centroid angles, member angles,
-    member cluster index); angles lie in [0, 2 pi).  None when a cluster
-    centroid is too far from the circle to tell.
+class _Clusters(NamedTuple):
+    """The critical points of |g|^2 on the unit circle for each row of a
+    stack of weights (_critical_clusters): ok[r] when row r's clusters are
+    unambiguous; for those rows, in row order and by angle within a row,
+    the centroid angle of each cluster and its row, and the angle of each
+    member root and its cluster's index into centre."""
+
+    ok: np.ndarray
+    centre: np.ndarray
+    row: np.ndarray
+    member: np.ndarray
+    label: np.ndarray
+
+
+def _critical_clusters(q: np.ndarray, wts: np.ndarray) -> _Clusters:
+    """Critical points of |g_r(z)|^2 on the unit circle for each row r of
+    wts, g_r(z) = sum_j wts[r, j] z^{q_j} for integers q_j >= 0; angles lie
+    in [0, 2 pi).  A row with a cluster centroid too far from the circle to
+    tell is not ok, and none of its clusters is returned.
 
     On |z| = 1, |g|^2 = sum_{d=-Q}^{Q} c_d z^d with c the autocorrelation of
     g's coefficients, so its derivative in the angle vanishes exactly at
@@ -618,55 +642,91 @@ def _critical_clusters(q: np.ndarray, wts: np.ndarray
     np.roots' checks and trimming, which cost more than the eigenvalues at
     this size and find nothing to trim: q holds 0 and Q, so the leading and
     trailing coefficients, Q c_2Q and -Q c_0, are both +-Q w_0 w_Q != 0.
-    A multiple root comes back split by about eps^(1/m); the roots whose
-    angles are closer than _ROOT_CLUSTER form one cluster, and its mean, an
-    analytic function of the perturbation, locates the root far better
-    than any member.
+    The rows share q, so their companion matrices form one stack and take
+    one np.linalg.eigvals call, which gives each matrix the bits a call of
+    its own gives it.  A multiple root comes back split by about
+    eps^(1/m); the roots whose angles are closer than _ROOT_CLUSTER form
+    one cluster, and its mean, an analytic function of the perturbation,
+    locates the root far better than any member.
+
+    The band, the sort and the clusters are array operations over the
+    whole stack: the roots in the band are sorted by row, then by angle,
+    and a cluster also starts at each row's first root.  Each cluster's
+    sum takes its members in the order the row alone takes them, so every
+    row gets the bits it gets alone.
     """
-    big_q = int(q.max())
-    v = np.zeros(big_q + 1)
-    v[q] = wts
-    c = np.convolve(v, v[::-1])
-    p = (np.arange(-big_q, big_q + 1) * c)[::-1]
-    companion = np.eye(2 * big_q, k=-1)
-    companion[0] = -p[1:] / p[0]
+    big_q, rows = int(q.max()), len(wts)
+    n = 2 * big_q
+    v = np.zeros((rows, big_q + 1))
+    v[:, q] = wts
+    c = np.array([np.convolve(r, r[::-1]) for r in v])
+    p = (np.arange(-big_q, big_q + 1) * c)[:, ::-1]
+    companion = np.zeros((rows, n, n))
+    # ones on each matrix's subdiagonal
+    companion.reshape(rows, n * n)[:, n::n + 1] = 1.0
+    companion[:, 0] = -p[:, 1:] / p[:, :1]
     roots = np.linalg.eigvals(companion)
-    roots = roots[np.abs(np.abs(roots) - 1.0) < _ROOT_BAND]
-    ang = np.angle(roots) % (2.0 * math.pi)
-    order = np.argsort(ang)
+    band = np.abs(np.abs(roots) - 1.0) < _ROOT_BAND
+    row, roots = band.nonzero()[0], roots[band]
+    # np.angle's arctan2, without its wrapper
+    ang = np.arctan2(roots.imag, roots.real) % (2.0 * math.pi)
+    # by row, then by angle: row is ascending already, so it stays aligned
+    order = np.lexsort((ang, row))
     roots, ang = roots[order], ang[order]
     # a run across angle 0 would split in two; z = 1 is always a simple root
-    # there, the maximum |U(0)| = 1, so that never touches a minimum
-    label = np.concatenate(([0], np.cumsum(np.diff(ang) >= _ROOT_CLUSTER)))
-    size = np.bincount(label)
-    centre = (np.bincount(label, roots.real) + 1j * np.bincount(label, roots.imag)) / size
-    if np.any(np.abs(np.abs(centre) - 1.0) > _ROOT_EXACT):
-        return None
-    return np.angle(centre) % (2.0 * math.pi), ang, label
+    # there, the maximum |U(0)| = 1, so that never touches a minimum, and
+    # every row has it in the band
+    step = ang[1:] - ang[:-1] >= _ROOT_CLUSTER
+    step |= row[1:] != row[:-1]
+    start = np.concatenate(([True], step))
+    label = start.cumsum() - 1
+    centre = (np.bincount(label, roots.real) + 1j * np.bincount(label, roots.imag)
+              ) / np.bincount(label)
+    crow = row[start]
+    ok = np.bincount(crow[np.abs(np.abs(centre) - 1.0) > _ROOT_EXACT], minlength=rows) == 0
+    if not ok.all():
+        kept, members = ok[crow], ok[row]
+        centre, crow, ang, start = centre[kept], crow[kept], ang[members], start[members]
+        label = start.cumsum() - 1
+    return _Clusters(ok, np.arctan2(centre.imag, centre.real) % (2.0 * math.pi), crow, ang,
+                     label)
 
 
 def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
-                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Times and |U|^2 offers of the window ends [0, rho] and of every root
-    cluster over the period, or None when the root path does not apply.
-    The ends, the centroids and the members take one _sq_at call, and each
-    cluster's least member one np.minimum.reduceat."""
+                 ) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """For each row of wts, one vertex's weights on the support lam with
+    periodicity per: the times and |U|^2 offers of the window ends [0, rho]
+    and of every root cluster over the period, or None when the root path
+    does not apply to it.  The rows share one _critical_clusters call; the
+    ends, the centroids and the members of every row take one _sq_at call
+    (one row of weights per time), and each cluster's least member one
+    np.minimum.reduceat."""
     q = np.array(per.coordinates) // math.gcd(*per.coordinates)
     if q.max() > _ROOT_CAP:
-        return None
+        return [None] * len(wts)
     found = _critical_clusters(q, wts)
-    if found is None:
-        return None
-    centre, member, label = found
+    rows = found.ok.nonzero()[0]
+    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(wts)
+    if not len(rows):
+        return out
     rho = float(per.period)
     scale = rho / (2.0 * math.pi)
-    times = np.concatenate(([0.0, rho], centre * scale))
-    sq = _sq_at(lam, wts, np.concatenate((times, member * scale)))
-    offers, members = sq[:len(times)], sq[len(times):]
+    e, k = 2 * len(rows), len(found.centre)
+    ends = np.zeros(e)
+    ends[1::2] = rho
+    centre = found.centre * scale
+    whose = np.concatenate((rows.repeat(2), found.row, found.row[found.label]))
+    sq = _sq_at(lam, wts[whose], np.concatenate((ends, centre, found.member * scale)))
     # labels run 0, 1, ... in member order, so each cluster is one slice
-    first = np.flatnonzero(np.diff(label, prepend=-1))
-    np.minimum(offers[2:], np.minimum.reduceat(members, first), out=offers[2:])
-    return times, offers
+    first = found.label.searchsorted(np.arange(k))
+    offers = np.minimum(sq[e:e + k], np.minimum.reduceat(sq[e + k:], first))
+    # and so is each row's run of clusters
+    bounds = found.row.searchsorted(rows).tolist() + [k]
+    for i, r in enumerate(rows.tolist()):
+        a, b = bounds[i], bounds[i + 1]
+        out[r] = (np.concatenate((ends[:2], centre[a:b])),
+                  np.concatenate((sq[2 * i:2 * i + 2], offers[a:b])))
+    return out
 
 
 class VertexSpectrum(NamedTuple):
@@ -678,6 +738,32 @@ class VertexSpectrum(NamedTuple):
     weights: np.ndarray
     indices: tuple[int, ...]
     periodicity: PeriodicityInfo
+
+
+def _default_window(lam: np.ndarray, rho: float | None
+                    ) -> tuple[tuple[float, float], bool]:
+    """WalkEvaluator.default_window of a support lam with detected period
+    rho (None without one)."""
+    if rho is None:
+        return (0.0, DEFAULT_WINDOW), False
+    spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
+    if math.ceil(64.0 * rho * spread / (2.0 * math.pi)) > _GRID_CAP:
+        return (0.0, min(rho, DEFAULT_WINDOW)), False
+    return (0.0, rho), True
+
+
+@dataclass
+class _SupportGroup:
+    """Vertices of one decomposition with one support index set, so one
+    set of support eigenvalues: they share one periodicity fit and the
+    default window of their periodic members (window, certified), and on a
+    certified window one root solve (_root_offers) whose offers, per
+    member it applies to, are made when the oracle first needs one."""
+
+    vertices: tuple[int, ...]
+    window: tuple[float, float]
+    certified: bool
+    offers: dict[int, tuple[np.ndarray, np.ndarray] | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -734,11 +820,13 @@ class PerfectStateTransferWitness:
 class WalkEvaluator:
     """Evaluates entries of U(t) = sum_j exp(it lambda_j) E_j, holding one
     VertexSpectrum per vertex (spectrum) that the oracle and every
-    certificate read, computed on first use."""
+    certificate read, computed on first use, and the support group each
+    vertex was computed in (spectra)."""
 
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
         self._diag_cache: dict[int, VertexSpectrum] = {}
+        self._groups: dict[int, _SupportGroup] = {}
 
     @classmethod
     def for_graph(cls, graph: WeightedGraph,
@@ -763,28 +851,47 @@ class WalkEvaluator:
         return complex(np.sum(np.exp(1j * t * d.eigenvalues) * proj))
 
     def spectrum(self, u: int) -> VertexSpectrum:
-        """The support and periodicity of u, computed once per vertex."""
+        """The support and periodicity of u, computed once per vertex: in
+        the group spectra made it in, or else in a group of its own."""
         rec = self._diag_cache.get(u)
         if rec is None:
-            sup = support(self.decomposition, u)
-            rec = self._diag_cache[u] = VertexSpectrum(
-                np.array(sup.eigenvalues), np.array(sup.weights), sup.indices,
-                periodicity(self.decomposition, u, sup))
+            rec = self.spectra([u])[0]
         return rec
+
+    def spectra(self, vertices: Sequence[int]) -> list[VertexSpectrum]:
+        """The records of vertices.  Those not yet computed are grouped by
+        support index set: each group takes one periodicity call (one fit,
+        each member's own |U(rho)_{u,u}| = 1 check) and one default window,
+        and the oracle later solves the group's root path once.  Each
+        member keeps its own weights."""
+        d = self.decomposition
+        groups: dict[tuple[int, ...], list[EigenvalueSupport]] = {}
+        for u in dict.fromkeys(vertices):
+            if u not in self._diag_cache:
+                sup = support(d, u)
+                groups.setdefault(sup.indices, []).append(sup)
+        for sups in groups.values():
+            lam = np.array(sups[0].eigenvalues)
+            pers = periodicity(d, [sup.vertex for sup in sups], sups)
+            rho = next((per.period for per in pers if per.periodic), None)
+            group = _SupportGroup(tuple(sup.vertex for sup in sups),
+                                  *_default_window(lam, rho))
+            for sup, per in zip(sups, pers):
+                self._diag_cache[sup.vertex] = VertexSpectrum(
+                    lam, np.array(sup.weights), sup.indices, per)
+                self._groups[sup.vertex] = group
+        return [self._diag_cache[u] for u in vertices]
 
     def default_window(self, u: int) -> tuple[tuple[float, float], bool]:
         """The window a search over u's diagonal takes when given none, and
         whether it certifies: [0, rho] for a detected period rho; the open
         window [0, DEFAULT_WINDOW] without one; and [0, min(rho,
         DEFAULT_WINDOW)], uncertified, when rho is too long to scan in
-        _GRID_CAP points."""
-        lam, _, _, per = self.spectrum(u)
-        if not per.periodic:
+        _GRID_CAP points.  u's support group shares one."""
+        if not self.spectrum(u).periodicity.periodic:
             return (0.0, DEFAULT_WINDOW), False
-        spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
-        if math.ceil(64.0 * per.period * spread / (2.0 * math.pi)) > _GRID_CAP:
-            return (0.0, min(per.period, DEFAULT_WINDOW)), False
-        return (0.0, per.period), True
+        group = self._groups[u]
+        return group.window, group.certified
 
     def _column_data(self, u: int) -> np.ndarray:
         """E_j e_u, one row per distinct eigenvalue: row j is V_j V_j[u]."""
@@ -828,7 +935,13 @@ class WalkEvaluator:
         (_critical_clusters).  Each root cluster offers, at its centroid,
         the least |U|^2 over its members and its centroid, evaluated on the
         support eigenvalues themselves; refinements counts the clusters.  An
-        ambiguous root cluster sends the call to the scan.
+        ambiguous root cluster sends the call to the scan.  The first call
+        on a member of u's support group (spectra) solves the root path
+        for every periodic member at once (_root_offers: one stacked
+        eigvals call, clusters and offers over the stack) and keeps each
+        member's offers, or its fallback to the scan, for its own call;
+        each member's polynomial has its own weights, and its offers are
+        the bits a solve of its own gives.
 
         Scan.  Otherwise |U(t)_{u,u}|^2 is scanned by _scan_minima with the
         reducer _sq, in O(chunk x support) memory, pruned by the floor _sq
@@ -861,7 +974,7 @@ class WalkEvaluator:
             raise WalkError(f"bad window {window!r}")
         found = None
         if certified and len(lam) > 1:
-            found = _root_offers(lam, wts, per)
+            found = self._group_root_offers(u)
         if found is not None:
             times, offers = found
             npts = _grid_size(t1 - t0, float(lam.max() - lam.min()))
@@ -881,6 +994,20 @@ class WalkEvaluator:
         best = math.sqrt(max(best_sq, 0.0))
         return MinimizationResult(u, best, best_t, (t0, t1), npts, certified,
                                   refinements)
+
+    def _group_root_offers(self, u: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """u's root offers (_root_offers), from the one solve of its support
+        group over every periodic member, made when a member first needs
+        it.  The members share the certified window, the support and the
+        coordinates, so one member's periodicity serves them all."""
+        group = self._groups[u]
+        if group.offers is None:
+            members = [v for v in group.vertices
+                       if self._diag_cache[v].periodicity.periodic]
+            wts = np.array([self._diag_cache[v].weights for v in members])
+            lam, _, _, per = self._diag_cache[u]
+            group.offers = dict(zip(members, _root_offers(lam, wts, per)))
+        return group.offers[u]
 
     # -- transfer phenomena -------------------------------------------------
 

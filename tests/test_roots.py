@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import qwsed.walk as walk
+from qwsed import spectral
 from qwsed.cli import main
 from qwsed.graphs import build_family, cartesian_product, parse_family, star_graph
 from qwsed.matrices import ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY
@@ -154,34 +155,63 @@ def test_ambiguous_centroid_scans(scans, monkeypatch):
 
 @pytest.fixture
 def periodicity_calls(monkeypatch):
-    """Counts spectral.periodicity calls per (decomposition, vertex)."""
-    calls = collections.Counter()
+    """Records each spectral.periodicity call as (decomposition, vertices)."""
+    calls = []
     real = walk.periodicity
 
-    def counted(d, u, *args, **kwargs):
-        calls[(id(d), u)] += 1
-        return real(d, u, *args, **kwargs)
+    def counted(d, vertices, *args, **kwargs):
+        calls.append((id(d), tuple(vertices)))
+        return real(d, vertices, *args, **kwargs)
 
     monkeypatch.setattr(walk, "periodicity", counted)
     return calls
 
 
 def test_periodicity_once_per_vertex(periodicity_calls, tmp_path):
+    # hamming:2,3 is vertex-transitive: its vertices share one support
+    # index set, so one call fits them all and checks each one's period
     out = tmp_path / "out.json"
     assert main(["analyze", "--family", "hamming:2,3", "--vertex", "all",
                  "--out", str(out)]) == 0
     assert len(json.loads(out.read_text(encoding="utf-8"))) == 9
-    assert sorted(u for _, u in periodicity_calls) == list(range(9))
-    assert set(periodicity_calls.values()) == {1}
+    assert [vs for _, vs in periodicity_calls] == [tuple(range(9))]
 
 
 def test_periodicity_once_per_factor_vertex(periodicity_calls):
     # both factors are S_3, so they share one context, where the centre and
-    # one leaf are classified and the twin leaves carry that leaf's report
+    # one leaf are classified, each when the product first asks, and the
+    # twin leaves carry that leaf's report; the product's 16 vertices fall
+    # into three support groups: (centre, centre), a centre and a leaf in
+    # either order, and two leaves
     g = cartesian_product(star_graph(3), star_graph(3))
     classify_vertices(g, range(g.n), LAPLACIAN)
-    assert len(periodicity_calls) == g.n + 2
-    assert set(periodicity_calls.values()) == {1}
+    per_decomposition = collections.defaultdict(list)
+    for d, vs in periodicity_calls:
+        per_decomposition[d].append(vs)
+    product, factor = per_decomposition.values()
+    assert product == [(0,), (1, 2, 3, 4, 8, 12), (5, 6, 7, 9, 10, 11, 13, 14, 15)]
+    assert factor == [(0,), (1,)]
+
+
+def test_hamming_3_5_one_fit_and_one_eigvals_per_support_group(monkeypatch, tmp_path):
+    """Every vertex of K_5^3 has one support index set: analyze --vertex
+    all takes one rational fit and one stacked eigvals call of 125
+    companion matrices for its 125 vertices, and no scan."""
+    calls = collections.defaultdict(list)
+    for owner, name in ((spectral, "_rescale_to_integers"), (np.linalg, "eigvals"),
+                        (walk, "_scan_minima")):
+        def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
+            calls[_name].append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    out = tmp_path / "out.json"
+    assert main(["analyze", "--family", "hamming:3,5", "--vertex", "all",
+                 "--out", str(out)]) == 0
+    reports = json.loads(out.read_text(encoding="utf-8"))
+    assert {r["classification"] for r in reports} == {"tightly-sedentary"}
+    assert len(calls["_rescale_to_integers"]) == 1
+    assert [a.shape for a, in calls["eigvals"]] == [(125, 6, 6)]
+    assert not calls["_scan_minima"]
 
 
 # -- the root path against its np.roots form -----------------------------------
@@ -269,25 +299,73 @@ def _random_supports(count):
                                              "integer-spectrum", tuple(q.tolist()), step)
 
 
+def _stacked_supports(count):
+    """Stacks of 2 to 8 weight rows on one random integer support: random
+    rows, rows that differ from one another in the last bits (as the
+    weights of the vertices of a vertex-transitive graph do), and in every
+    third stack, on q = 0, ..., Q, the weights of ((1 + z)/2)^Q, whose
+    critical point at z = -1 has multiplicity 2Q - 1 and is ambiguous for
+    Q >= 4, beside unambiguous rows."""
+    rng = np.random.default_rng(37)
+    for i in range(count):
+        if i % 3 == 0:
+            big_q = int(rng.integers(4, 9))
+            q = np.arange(big_q + 1)
+        else:
+            big_q = int(rng.integers(1, _ROOT_CAP + 1))
+            inner = rng.choice(np.arange(1, big_q), min(big_q - 1, int(rng.integers(0, 6))),
+                               replace=False) if big_q > 1 else np.array([], dtype=int)
+            q = np.unique(np.concatenate(([0, big_q], inner))).astype(int)
+        rows = rng.random((int(rng.integers(2, 9)), len(q)))
+        rows[1] = rows[0] * (1.0 + 1e-16 * rng.standard_normal(len(q)))
+        if i % 3 == 0:
+            rows[-1] = [math.comb(big_q, k) for k in q]
+        rows /= rows.sum(axis=1, keepdims=True)
+        step = float(rng.uniform(0.2, 3.0))
+        lam = float(rng.uniform(-2.0, 2.0)) + step * q
+        yield lam, rows, walk.PeriodicityInfo(0, True, 2.0 * math.pi / step,
+                                              "integer-spectrum", tuple(q.tolist()), step)
+
+
+def _row(found, r):
+    """Row r of a stacked _critical_clusters result in the reference's form
+    (centroid angles, member angles, member cluster labels from 0), or
+    None when the row is ambiguous."""
+    if not found.ok[r]:
+        return None
+    mine = found.row == r
+    member = mine[found.label]
+    return (found.centre[mine], found.member[member],
+            found.label[member] - np.flatnonzero(mine)[0])
+
+
 def test_root_offers_match_the_np_roots_form_bit_for_bit():
-    """The companion matrix built in place of np.roots' wrapper, the one
-    _sq_at call and np.minimum.reduceat give the critical points and offers
-    of the np.roots form, bit for bit."""
-    cases = rooted = 0
-    for lam, wts, per in list(_family_supports()) + list(_random_supports(400)):
+    """The companion matrices built in place of np.roots' wrapper and
+    stacked into one eigvals call, the clusters taken over the stack, the
+    one _sq_at call and np.minimum.reduceat give every row the critical
+    points and offers of the np.roots form, bit for bit: alone, and in a
+    stack of rows that share a support, where an ambiguous row alone gets
+    None."""
+    cases = rooted = mixed = 0
+    stacks = [(lam, wts[None], per)
+              for lam, wts, per in list(_family_supports()) + list(_random_supports(400))]
+    for lam, stack, per in stacks + list(_stacked_supports(120)):
         q = np.array(per.coordinates) // math.gcd(*per.coordinates)
         if q.max() > _ROOT_CAP:
             continue
-        new, ref = walk._critical_clusters(q, wts), _reference_critical_clusters(q, wts)
-        assert (new is None) == (ref is None)
-        if new is not None:
-            for got, want in zip(new, ref):
-                assert got.tobytes() == want.tobytes()
-        new, ref = walk._root_offers(lam, wts, per), _reference_root_offers(lam, wts, per)
-        assert (new is None) == (ref is None)
-        if new is not None:
-            rooted += 1
-            for got, want in zip(new, ref):
-                assert got.tobytes() == want.tobytes()
-        cases += 1
-    assert cases > 900 and rooted > 900
+        found, offers = walk._critical_clusters(q, stack), walk._root_offers(lam, stack, per)
+        for r, wts in enumerate(stack):
+            new, ref = _row(found, r), _reference_critical_clusters(q, wts)
+            assert (new is None) == (ref is None)
+            if new is not None:
+                for got, want in zip(new, ref):
+                    assert got.tobytes() == want.tobytes()
+            ref = _reference_root_offers(lam, wts, per)
+            assert (offers[r] is None) == (ref is None)
+            if ref is not None:
+                rooted += 1
+                for got, want in zip(offers[r], ref):
+                    assert got.tobytes() == want.tobytes()
+            cases += 1
+        mixed += 0 < sum(o is None for o in offers) < len(stack)
+    assert cases > 1500 and rooted > 1450 and mixed > 20

@@ -149,30 +149,43 @@ def test_star_400_leaf_laplacian_within_budget():
     assert min(times) < 0.2
 
 
-@pytest.mark.parametrize("g,kind,factor_vertices", [
-    (build_family(parse_family("rook:3,4")), ADJACENCY, 0),
+@pytest.mark.parametrize("g,kind,factor_vertices,groups", [
+    # vertex-transitive: one support group of all twelve vertices
+    (build_family(parse_family("rook:3,4")), ADJACENCY, 0, 1),
     # the equal factors share one context, where S_3's centre and one leaf
-    # are classified and the other two leaves are that leaf's twins
-    (cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 2),
+    # are classified, each in a group of its own when the product first
+    # asks, and the other two leaves are that leaf's twins; the product's
+    # vertices fall into three support groups
+    (cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 2, 5),
 ], ids=["rook:3,4-adjacency", "star3xstar3-laplacian"])
 def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, g, kind,
-                                                  factor_vertices):
+                                                  factor_vertices, groups):
     """Classification computes each vertex's support and periodicity once
-    per evaluator, however many certificates read them."""
+    per evaluator, however many certificates read them, and one
+    periodicity call serves each group of vertices that share a support."""
     calls = {name: collections.Counter() for name in ("support", "periodicity")}
-    for name, real in (("support", spectral.support),
-                       ("periodicity", spectral.periodicity)):
-        def counted(d, u, *args, _name=name, _real=real, **kwargs):
-            calls[_name][(id(d), u)] += 1
-            return _real(d, u, *args, **kwargs)
-        for module in (spectral, walk):
-            monkeypatch.setattr(module, name, counted)
+    periodicity_calls = []
+
+    def counted_support(d, u, *args, **kwargs):
+        calls["support"][(id(d), u)] += 1
+        return spectral_support(d, u, *args, **kwargs)
+
+    def counted_periodicity(d, vertices, *args, **kwargs):
+        periodicity_calls.append(vertices)
+        calls["periodicity"].update((id(d), u) for u in vertices)
+        return spectral_periodicity(d, vertices, *args, **kwargs)
+
+    spectral_support, spectral_periodicity = spectral.support, spectral.periodicity
+    for module in (spectral, walk):
+        monkeypatch.setattr(module, "support", counted_support)
+        monkeypatch.setattr(module, "periodicity", counted_periodicity)
     reports = classify_vertices(g, range(g.n), kind)
     assert {r.vertex for r in reports} == set(range(g.n))
     assert set(calls["support"]) == set(calls["periodicity"])
     assert len(calls["support"]) == g.n + factor_vertices
     assert set(calls["support"].values()) == {1}
     assert set(calls["periodicity"].values()) == {1}
+    assert len(periodicity_calls) == groups
 
 
 def _random_graphs(rng):
@@ -645,6 +658,17 @@ def test_factors_differing_in_provenance_keep_their_own_contexts(monkeypatch):
     assert len(eighs) == 3
 
 
+def _flat(report: dict, prefix: str = "") -> dict:
+    """Every leaf of a report's dict by its path."""
+    out = {}
+    for key, value in (report.items() if isinstance(report, dict) else enumerate(report)):
+        if isinstance(value, (dict, list)):
+            out.update(_flat(value, f"{prefix}{key}/"))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
 def test_classify_vertices_matches_classify():
     g = cartesian_product(star_graph(3), complete_graph(3))
     many = classify_vertices(g, [0, 4, 7], LAPLACIAN)
@@ -652,7 +676,32 @@ def test_classify_vertices_matches_classify():
         assert r.to_dict() == classify(g, u, LAPLACIAN).to_dict()
     with pytest.raises(CertificateRefused):
         classify_vertices(g, [0, g.n], LAPLACIAN)
-
+    # vertices that share a support share one periodicity fit and one root
+    # solve in classify_vertices, and each report is the one classify makes
+    # of its vertex alone; in Q_4 under the Laplacian every vertex's root
+    # cluster at pi/2 is ambiguous, so each member of its one support group
+    # falls back to the scan
+    star4 = cartesian_product(star_graph(4), star_graph(4))
+    kinds = (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY)
+    cases = [(build_family(parse_family(spec)), kind)
+             for spec in ("hamming:3,3", "rook:4,9") for kind in kinds]
+    cases += [(star4, ADJACENCY), (star4, NORMALIZED_ADJACENCY),
+              (build_family(parse_family("hamming:4,2")), LAPLACIAN)]
+    for g, kind in cases:
+        for u, r in enumerate(classify_vertices(g, range(g.n), kind)):
+            assert r.to_dict() == classify(g, u, kind).to_dict()
+    # S_4 x S_4 under the Laplacian: a product vertex's factor report can be
+    # carried from a twin leaf classified for an earlier vertex, whose
+    # oracle minimum differs from the leaf's own in the last bit, so the
+    # product-composition bound and C may differ by an ulp
+    for u, r in enumerate(classify_vertices(star4, range(star4.n), LAPLACIAN)):
+        got, want = _flat(r.to_dict()), _flat(classify(star4, u, LAPLACIAN).to_dict())
+        assert got.keys() == want.keys()
+        for key, value in got.items():
+            if isinstance(value, float):
+                assert value == pytest.approx(want[key], rel=1e-14, abs=0.0)
+            else:
+                assert value == want[key]
 
 
 def test_classify_complete():

@@ -66,11 +66,11 @@ def test_eigenvalues_descending_and_multiplicities():
 
 
 def test_cluster_tolerance_merges_near_duplicates():
-    h = np.diag([1.0, 1.0 + 5e-9, 3.0])
-    d = decompose(h)
-    assert d.num_distinct == 2
-    tight = decompose(h, cluster_tol=1e-12)
-    assert tight.num_distinct == 3
+    # eigenvalues within DEFAULT_CLUSTER_TOL * 3 of each other merge; a gap
+    # twice that keeps them apart
+    tol = DEFAULT_CLUSTER_TOL * 3.0
+    assert decompose(np.diag([1.0, 1.0 + 0.5 * tol, 3.0])).num_distinct == 2
+    assert decompose(np.diag([1.0, 1.0 + 2.0 * tol, 3.0])).num_distinct == 3
 
 
 def test_decompose_rejects_asymmetric():
@@ -307,7 +307,7 @@ def test_twin_theta_matches_found_sets():
 
 def test_periodicity_integer_spectrum():
     d = _decomp("star:4")
-    per = periodicity(d, 1)
+    per = periodicity(d, [1])[0]
     assert per.periodic
     assert per.period == pytest.approx(math.pi)
     assert per.method == "integer-spectrum"
@@ -315,7 +315,7 @@ def test_periodicity_integer_spectrum():
 
 def test_periodicity_rescaled():
     d = _decomp("star:3")
-    per = periodicity(d, 1)
+    per = periodicity(d, [1])[0]
     assert per.periodic
     assert per.period == pytest.approx(2.0 * math.pi / math.sqrt(3.0))
     assert per.method == "rational-rescaled"
@@ -323,7 +323,7 @@ def test_periodicity_rescaled():
 
 def test_periodicity_undetected():
     d = _decomp("path:4")
-    per = periodicity(d, 0)
+    per = periodicity(d, [0])[0]
     assert not per.periodic
     assert per.period is None
     assert per.method == "undetected"
@@ -331,22 +331,22 @@ def test_periodicity_undetected():
 
 def test_periodicity_single_eigenvalue():
     d = decompose(np.zeros((1, 1)))
-    per = periodicity(d, 0)
+    per = periodicity(d, [0])[0]
     assert per.periodic and per.period == pytest.approx(2.0 * math.pi)
 
 
 def test_integer_coordinates():
     d = _decomp("complete:5")
-    ints = periodicity(d, 0).coordinates
+    ints = periodicity(d, [0])[0].coordinates
     assert ints == (1, 0)
     d3 = _decomp("star:3")
     # support (sqrt 3, 0, -sqrt 3) rescales to consecutive integers
-    assert periodicity(d3, 1).coordinates == (2, 1, 0)
+    assert periodicity(d3, [1])[0].coordinates == (2, 1, 0)
 
 
 def test_integer_coordinates_none_for_incommensurable():
     d = _decomp("path:4")
-    assert periodicity(d, 0).coordinates is None
+    assert periodicity(d, [0])[0].coordinates is None
 
 
 def test_blow_up_twin_union():
