@@ -250,7 +250,7 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
         window, certified = w.default_window(u)
     t0, t1 = float(window[0]), float(window[1])
     scan = _scan_minima(rec.eigenvalues[pos], rec.weights[pos][:, None], _sq, (t0, t1),
-                        None, 1e-10)
+                        1e-10)
     # with no band, the scan's threshold is the least grid value
     fmin = math.sqrt(max(min(scan.level, float(scan.fx.min(initial=np.inf))), 0.0))
     bound = max(fmin - (1.0 - a), 0.0)
@@ -979,14 +979,18 @@ class _Context:
     asked (default options; one context when both factors are the same
     graph).
 
-    report classifies one vertex per twin class.  Swapping two twins u and
-    v is a weighted automorphism under every matrix kind, so U(t)_uu =
-    U(t)_vv, and when u and v also share the label role family_ruling reads,
-    v's report is u's under the transposition (u v): its vertex, its
-    oracle's vertex and every certificate's vertex become v, and the twin
-    bound is rebuilt by twin_bound for v, with v's own detail and mass.  A
-    report whose certificate names another vertex (perfect transfer) is
-    not carried over; v is then classified in full."""
+    report classifies one vertex per twin class and label role, the
+    representative: the least vertex of the class with the role
+    family_ruling reads.  Swapping two twins u and v is a weighted
+    automorphism under every matrix kind, so U(t)_uu = U(t)_vv, and when u
+    and v also share the label role, v's report is u's under the
+    transposition (u v): its vertex, its oracle's vertex and every
+    certificate's vertex become v, and the twin bound is rebuilt by
+    twin_bound for v, with v's own detail and mass.  So a report depends
+    only on (graph, kind, vertex), not on which vertices were asked for
+    or in which order.  A report whose certificate names another vertex
+    (perfect transfer) is not carried over; v is then classified in
+    full."""
 
     def __init__(self, graph: WeightedGraph, kind: MatrixKind,
                  options: ClassifyOptions = ClassifyOptions()):
@@ -1005,49 +1009,40 @@ class _Context:
             return cx, cx
         return cx, _Context(gy, self.kind)
 
-    def _twin_set(self, v: int) -> TwinSet | None:
-        return next((ts for ts in self.twins if v in ts.vertices), None)
+    def _representative(self, v: int) -> int:
+        """The least twin of v with v's label role (v without a twin)."""
+        ts = next((ts for ts in self.twins if v in ts.vertices), None)
+        if ts is None:
+            return v
+        role = _role(self.graph, v)
+        return next(u for u in ts.vertices if _role(self.graph, u) == role)
 
     def prepare(self, vertices: Sequence[int]) -> None:
         """Before the first report: compute, in one walk.spectra call, the
-        records of the vertices that report will classify rather than carry
-        over from a twin, the first requested of each twin class and label
-        role.  Those of one support index set then share one periodicity
-        fit, one default window and one root solve."""
-        todo, seen = [], set()
-        for v in dict.fromkeys(vertices):
-            ts = self._twin_set(v)
-            key = v if ts is None else (ts.vertices, _role(self.graph, v))
-            if key not in seen:
-                seen.add(key)
-                todo.append(v)
-        self.walk.spectra(todo)
+        records of the representatives of vertices, the vertices report
+        classifies.  Those of one support index set then share one
+        periodicity fit and one root solve."""
+        self.walk.spectra(list(dict.fromkeys(self._representative(v) for v in vertices)))
 
     def report(self, v: int) -> SedentaryReport:
-        """v's report, made once per vertex: carried over from a classified
-        twin where it can be, else classified."""
+        """v's report, made once per vertex: its representative's carried
+        over to v where it can be, else v's own classification."""
         r = self._reports.get(v)
         if r is None:
-            r = self._reports[v] = self._from_twin(v) or _classify_vertex(self, v)
+            u = self._representative(v)
+            r = self.report(u) if u != v else None
+            if r is None or any(c.kind == NOT_SEDENTARY_PST for c in r.certificates):
+                r = _classify_vertex(self, v)
+            else:
+                certs = tuple(
+                    twin_bound(self.graph, v, self.kind, self.walk.decomposition,
+                               self.twins, self.twin_verdicts)
+                    if c.kind == TWIN_BOUND else replace(c, vertex=v)
+                    for c in r.certificates)
+                r = replace(r, vertex=v, certificates=certs,
+                            oracle=replace(r.oracle, vertex=v))
+            self._reports[v] = r
         return r
-
-    def _from_twin(self, v: int) -> SedentaryReport | None:
-        ts = self._twin_set(v)
-        if ts is None:
-            return None
-        role = _role(self.graph, v)
-        r = next((self._reports[u] for u in ts.vertices
-                  if u in self._reports and _role(self.graph, u) == role
-                  and all(c.kind != NOT_SEDENTARY_PST
-                          for c in self._reports[u].certificates)), None)
-        if r is None:
-            return None
-        certs = tuple(
-            twin_bound(self.graph, v, self.kind, self.walk.decomposition, self.twins,
-                       self.twin_verdicts)
-            if c.kind == TWIN_BOUND else replace(c, vertex=v)
-            for c in r.certificates)
-        return replace(r, vertex=v, certificates=certs, oracle=replace(r.oracle, vertex=v))
 
 
 def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
@@ -1069,17 +1064,19 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
     """classify for each vertex in turn, sharing one eigendecomposition and
     one twin-class search of (graph, kind), and of each Cartesian factor.
 
-    Only the first requested vertex of each twin class (of one label role)
-    is classified.  Every other member's report is that report under the
-    swap of the two twins: vertex, oracle vertex and certificate vertices
-    rewritten, the twin bound rebuilt for the member.  Where the first
-    report proves perfect transfer, the member is classified in full.
+    Only the least vertex of each twin class and label role is classified,
+    whichever of its twins are requested.  Every other member's report is
+    that report under the swap of the two twins: vertex, oracle vertex and
+    certificate vertices rewritten, the twin bound rebuilt for the member.
+    Where the least twin's report proves perfect transfer, the member is
+    classified in full.  So each report is the one classify gives its
+    vertex alone, bit for bit.
 
     The vertices to classify are grouped by support index set before the
     first report (_Context.prepare, WalkEvaluator.spectra).  A group has
-    one set of support eigenvalues, so it takes one periodicity fit, one
-    default window and, on a certified window, one root solve of the
-    oracle over all its members.  Each member keeps its own weights, its
+    one set of support eigenvalues, so it takes one periodicity fit and,
+    on a certified window, one root solve of the oracle over all its
+    members, both in spectra.  Each member keeps its own weights, its
     own |U(rho)_{u,u}| = 1 check, its own root offers (its fallback to the
     scan when its own clusters are ambiguous) and its own certificates, and
     each record and oracle result holds the bits the vertex gets in a

@@ -56,15 +56,18 @@ oracle instead takes every critical point of |U(t)_{u,u}|^2 from one
 polynomial's roots, the eigenvalues of its companion matrix
 (_critical_clusters).
 
-The evaluator computes its vertices' records in support groups
-(WalkEvaluator.spectra): vertices with one support index set have the
-same support eigenvalues, so a group takes one periodicity fit, one
-default window and, on a certified window, one root solve, whose
+The evaluator holds one record per vertex, its VertexSpectrum, which
+carries the oracle's default window, certified flag and root offers, and
+computes the records in support groups (WalkEvaluator.spectra): vertices with one support
+index set have the same support eigenvalues, so a group takes one
+periodicity fit and, on a certified window, one root solve, whose
 companion matrices form one stack for one np.linalg.eigvals call and
 whose clusters and offers are array operations over the stack.  What
 reads a vertex's weights stays per vertex: its |U(rho)_{u,u}| = 1 check,
 its companion matrix and offers, and its fallback to the scan when its
-own clusters are ambiguous.  A vertex computed alone is a group of one.
+own clusters are ambiguous.  So a record holds the bits the vertex gets
+computed alone, in a group of one, and the oracle reads it with no solve
+of its own.
 """
 from __future__ import annotations
 
@@ -108,7 +111,10 @@ _COARSE = 16
 # grid points times terms (support x columns) from which a scan takes two
 # levels: below it one pass over every point costs less than the bookkeeping
 # (measured again on [0, 200 pi] with 4 to 120 terms: two levels take 7-43%
-# longer up to about 8e5, and from 1e6 to 6e6 neither wins by more than 20%)
+# longer up to about 8e5, and from 1e6 to 6e6 neither wins by more than 20%).
+# Each level serves a benchmark workload (seeds 1-3): a gnp-open round makes
+# 3 two-level _sq scans of about 1.5e7 points x terms, a lollipop-all round
+# 12 one-level ones of 9e4-1.8e5; families-all scans nothing
 _TWO_LEVEL = 1 << 21
 _TINY = float(np.finfo(float).tiny)
 _PST_TOL = 1e-8
@@ -144,11 +150,9 @@ class WalkError(RuntimeError):
 # -- scan and refine ----------------------------------------------------------
 
 
-def _grid_size(span: float, spread: float, grid: int | None = None) -> int:
+def _grid_size(span: float, spread: float) -> int:
     """Points of a uniform grid: 64 per period of the fastest phase
-    difference, between _GRID_BASE and _GRID_CAP; an explicit grid wins."""
-    if grid is not None:
-        return max(int(grid), 8)
+    difference, between _GRID_BASE and _GRID_CAP."""
     n = max(_GRID_BASE, math.ceil(64.0 * span * spread / (2.0 * math.pi)))
     return min(n, _GRID_CAP)
 
@@ -236,8 +240,7 @@ def _fine_values(coef: np.ndarray, reduce, starts: np.ndarray, steps: np.ndarray
 
 
 def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
-                 window: tuple[float, float], grid: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Grid times (sized from the spread of lam) and reduce of the sums
     there; reduce maps one row per time, one column per coef column, to one
     value per time.  The values are one _fine_values call on the grid's
@@ -245,7 +248,7 @@ def _grid_values(lam: np.ndarray, coef: np.ndarray, reduce,
     exponentials of k terms, none per grid point or run."""
     t0, t1 = float(window[0]), float(window[1])
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
-    npts = _grid_size(t1 - t0, spread, grid)
+    npts = _grid_size(t1 - t0, spread)
     starts, steps = _tables(lam, t0, (t1 - t0) / (npts - 1), npts)
     vals = _fine_values(coef, reduce, starts, steps[:-1])
     return np.linspace(t0, t1, npts), vals.reshape(-1, *vals.shape[2:])[:npts]
@@ -483,7 +486,7 @@ class _Scan(NamedTuple):
 
 
 def _scan_minima(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer,
-                 window: tuple[float, float], grid: int | None, xtol: float,
+                 window: tuple[float, float], xtol: float,
                  ceiling: float | None = None, band: float = 0.0) -> _Scan:
     """The refined grid-local minima of the reducer's f of sum_j coef_j
     e^{i lam_j t} on the window's grid (_grid_size), pruned by the
@@ -537,7 +540,7 @@ def _scan_minima(lam: np.ndarray, coef: np.ndarray, reducer: _Reducer,
     """
     t0, t1 = float(window[0]), float(window[1])
     spread = float(lam.max() - lam.min()) if len(lam) > 1 else 0.0
-    npts = _grid_size(t1 - t0, spread, grid)
+    npts = _grid_size(t1 - t0, spread)
     h = (t1 - t0) / (npts - 1)
     m = coef.shape[1]
     moments = _demodulated(lam, coef)
@@ -732,12 +735,18 @@ def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
 class VertexSpectrum(NamedTuple):
     """What every search over one vertex's diagonal reads: its eigenvalue
     support (eigenvalues, diagonal projector weights and their indices into
-    the decomposition, in the decomposition's order) and its periodicity."""
+    the decomposition, in the decomposition's order) and its periodicity;
+    and what the oracle reads of it (WalkEvaluator.spectra): its default
+    window, whether that certifies, and its root offers there (None sends
+    the oracle to the scan)."""
 
     eigenvalues: np.ndarray
     weights: np.ndarray
     indices: tuple[int, ...]
     periodicity: PeriodicityInfo
+    window: tuple[float, float] = (0.0, DEFAULT_WINDOW)
+    certified: bool = False
+    offers: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _default_window(lam: np.ndarray, rho: float | None
@@ -750,20 +759,6 @@ def _default_window(lam: np.ndarray, rho: float | None
     if math.ceil(64.0 * rho * spread / (2.0 * math.pi)) > _GRID_CAP:
         return (0.0, min(rho, DEFAULT_WINDOW)), False
     return (0.0, rho), True
-
-
-@dataclass
-class _SupportGroup:
-    """Vertices of one decomposition with one support index set, so one
-    set of support eigenvalues: they share one periodicity fit and the
-    default window of their periodic members (window, certified), and on a
-    certified window one root solve (_root_offers) whose offers, per
-    member it applies to, are made when the oracle first needs one."""
-
-    vertices: tuple[int, ...]
-    window: tuple[float, float]
-    certified: bool
-    offers: dict[int, tuple[np.ndarray, np.ndarray] | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -820,13 +815,11 @@ class PerfectStateTransferWitness:
 class WalkEvaluator:
     """Evaluates entries of U(t) = sum_j exp(it lambda_j) E_j, holding one
     VertexSpectrum per vertex (spectrum) that the oracle and every
-    certificate read, computed on first use, and the support group each
-    vertex was computed in (spectra)."""
+    certificate read, computed on first use (spectra)."""
 
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
         self._diag_cache: dict[int, VertexSpectrum] = {}
-        self._groups: dict[int, _SupportGroup] = {}
 
     @classmethod
     def for_graph(cls, graph: WeightedGraph,
@@ -852,7 +845,7 @@ class WalkEvaluator:
 
     def spectrum(self, u: int) -> VertexSpectrum:
         """The support and periodicity of u, computed once per vertex: in
-        the group spectra made it in, or else in a group of its own."""
+        the group spectra computed it in, or else in a group of its own."""
         rec = self._diag_cache.get(u)
         if rec is None:
             rec = self.spectra([u])[0]
@@ -860,10 +853,14 @@ class WalkEvaluator:
 
     def spectra(self, vertices: Sequence[int]) -> list[VertexSpectrum]:
         """The records of vertices.  Those not yet computed are grouped by
-        support index set: each group takes one periodicity call (one fit,
-        each member's own |U(rho)_{u,u}| = 1 check) and one default window,
-        and the oracle later solves the group's root path once.  Each
-        member keeps its own weights."""
+        support index set, and each group writes every member's record:
+        one periodicity call (one fit, each member's own |U(rho)_{u,u}| = 1
+        check), each member's default window (default_window) and, on a
+        certified window, one root solve (_root_offers) over the members
+        whose window certifies.  Those share the period and its
+        coordinates, and each keeps its own weights, its own offers or its
+        fallback to the scan when its own clusters are ambiguous: the bits
+        a group of its own gives it."""
         d = self.decomposition
         groups: dict[tuple[int, ...], list[EigenvalueSupport]] = {}
         for u in dict.fromkeys(vertices):
@@ -873,13 +870,16 @@ class WalkEvaluator:
         for sups in groups.values():
             lam = np.array(sups[0].eigenvalues)
             pers = periodicity(d, [sup.vertex for sup in sups], sups)
-            rho = next((per.period for per in pers if per.periodic), None)
-            group = _SupportGroup(tuple(sup.vertex for sup in sups),
-                                  *_default_window(lam, rho))
-            for sup, per in zip(sups, pers):
+            windows = [_default_window(lam, per.period) for per in pers]
+            solve = [i for i, (_, certified) in enumerate(windows)
+                     if certified and len(lam) > 1]
+            offers = {}
+            if solve:
+                wts = np.array([sups[i].weights for i in solve])
+                offers = dict(zip(solve, _root_offers(lam, wts, pers[solve[0]])))
+            for i, (sup, per) in enumerate(zip(sups, pers)):
                 self._diag_cache[sup.vertex] = VertexSpectrum(
-                    lam, np.array(sup.weights), sup.indices, per)
-                self._groups[sup.vertex] = group
+                    lam, np.array(sup.weights), sup.indices, per, *windows[i], offers.get(i))
         return [self._diag_cache[u] for u in vertices]
 
     def default_window(self, u: int) -> tuple[tuple[float, float], bool]:
@@ -887,11 +887,9 @@ class WalkEvaluator:
         whether it certifies: [0, rho] for a detected period rho; the open
         window [0, DEFAULT_WINDOW] without one; and [0, min(rho,
         DEFAULT_WINDOW)], uncertified, when rho is too long to scan in
-        _GRID_CAP points.  u's support group shares one."""
-        if not self.spectrum(u).periodicity.periodic:
-            return (0.0, DEFAULT_WINDOW), False
-        group = self._groups[u]
-        return group.window, group.certified
+        _GRID_CAP points.  spectra writes it into u's record."""
+        rec = self.spectrum(u)
+        return rec.window, rec.certified
 
     def _column_data(self, u: int) -> np.ndarray:
         """E_j e_u, one row per distinct eigenvalue: row j is V_j V_j[u]."""
@@ -914,9 +912,10 @@ class WalkEvaluator:
 
     # -- diagonal minimization ---------------------------------------------
 
-    def _grid_size(self, span: float, spread: float, grid: int | None) -> int:
-        # the grid every search uses, for callers that size it through the class
-        return _grid_size(span, spread, grid)
+    def _grid_size(self, span: float, spread: float, grid: None = None) -> int:
+        # the grid every search uses, for callers that size it through the
+        # class; they pass grid as None, and it is not read
+        return _grid_size(span, spread)
 
     def minimize_diagonal(self, u: int, window: tuple[float, float] | None = None
                           ) -> MinimizationResult:
@@ -935,13 +934,13 @@ class WalkEvaluator:
         (_critical_clusters).  Each root cluster offers, at its centroid,
         the least |U|^2 over its members and its centroid, evaluated on the
         support eigenvalues themselves; refinements counts the clusters.  An
-        ambiguous root cluster sends the call to the scan.  The first call
-        on a member of u's support group (spectra) solves the root path
-        for every periodic member at once (_root_offers: one stacked
-        eigvals call, clusters and offers over the stack) and keeps each
-        member's offers, or its fallback to the scan, for its own call;
-        each member's polynomial has its own weights, and its offers are
-        the bits a solve of its own gives.
+        ambiguous root cluster sends the call to the scan.  The call reads
+        u's offers from its record: spectra solves the root path once per
+        support group, for every member whose window certifies
+        (_root_offers: one stacked eigvals call, clusters and offers over
+        the stack), when it computes their records; each member's
+        polynomial has its own weights, and its offers are the bits a
+        solve of its own gives.
 
         Scan.  Otherwise |U(t)_{u,u}|^2 is scanned by _scan_minima with the
         reducer _sq, in O(chunk x support) memory, pruned by the floor _sq
@@ -962,26 +961,23 @@ class WalkEvaluator:
         occurrence.  grid is the grid size for the window either way, so
         reports do not depend on the path.
         """
-        lam, wts, _, per = self.spectrum(u)
-        certified = False
+        lam, wts, _, per, *default = self.spectrum(u)
+        certified, found = False, None
         if window is None:
             if not per.periodic:
                 raise WalkError(
                     f"no certified period for vertex {u}; pass an explicit window")
-            window, certified = self.default_window(u)
+            window, certified, found = default
         t0, t1 = float(window[0]), float(window[1])
         if not (math.isfinite(t1) and t1 > t0 >= 0.0):
             raise WalkError(f"bad window {window!r}")
-        found = None
-        if certified and len(lam) > 1:
-            found = self._group_root_offers(u)
         if found is not None:
             times, offers = found
             npts = _grid_size(t1 - t0, float(lam.max() - lam.min()))
             refinements = len(times) - 2
             pairs = list(zip(offers.tolist(), times.tolist()))
         else:
-            scan = _scan_minima(lam, wts[:, None], _sq, (t0, t1), None, _REFINE_TOL,
+            scan = _scan_minima(lam, wts[:, None], _sq, (t0, t1), _REFINE_TOL,
                                 band=_TIE_BAND)
             npts, refinements = scan.npts, len(scan.x)
             # the few refined brackets offer in Python floats, compared
@@ -995,20 +991,6 @@ class WalkEvaluator:
         return MinimizationResult(u, best, best_t, (t0, t1), npts, certified,
                                   refinements)
 
-    def _group_root_offers(self, u: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """u's root offers (_root_offers), from the one solve of its support
-        group over every periodic member, made when a member first needs
-        it.  The members share the certified window, the support and the
-        coordinates, so one member's periodicity serves them all."""
-        group = self._groups[u]
-        if group.offers is None:
-            members = [v for v in group.vertices
-                       if self._diag_cache[v].periodicity.periodic]
-            wts = np.array([self._diag_cache[v].weights for v in members])
-            lam, _, _, per = self._diag_cache[u]
-            group.offers = dict(zip(members, _root_offers(lam, wts, per)))
-        return group.offers[u]
-
     # -- transfer phenomena -------------------------------------------------
 
     def _column_scan(self, coef: np.ndarray, reducer: _Reducer,
@@ -1016,8 +998,8 @@ class WalkEvaluator:
         """Times, in order, among the window ends and the refined grid-local
         minima of the reducer's f of the walk columns sum_j coef_j e^{i
         lam_j t} (rows of _column_data) where it is at most ceiling."""
-        scan = _scan_minima(self.decomposition.eigenvalues, coef, reducer, window, None,
-                            1e-12, ceiling=ceiling)
+        scan = _scan_minima(self.decomposition.eigenvalues, coef, reducer, window, 1e-12,
+                            ceiling=ceiling)
         times = np.concatenate(([float(window[0])], scan.x, [float(window[1])]))
         return times[np.concatenate(([scan.ends[0]], scan.fx, [scan.ends[1]])) <= ceiling]
 

@@ -28,7 +28,7 @@ from qwsed.walk import (
     _sq,
     _sq_at,
 )
-from test_walk import _defect, _scan_case
+from test_walk import _defect, _force_grid, _scan_case
 
 _REDUCERS = {"sq": _sq, "leak": _leak, "neg_peak": _neg_peak, "defect": _defect(5)}
 
@@ -62,8 +62,9 @@ def test_reducer_derivatives_match_central_differences(name, seed, k, m, t):
     assert abs(h - (gp - gm) / (2.0 * d)) <= 1e-6 * scale * 3.0
 
 
-def test_refined_values_beat_dense_bracket_samples():
+def test_refined_values_beat_dense_bracket_samples(monkeypatch):
     rng = np.random.default_rng(7)
+    _force_grid(monkeypatch, 1024)
     brackets = 0
     for _ in range(60):
         k = int(rng.integers(2, 7))
@@ -71,7 +72,7 @@ def test_refined_values_beat_dense_bracket_samples():
         wts = rng.random(k)
         wts /= wts.sum()
         coef = wts[:, None]
-        ts, sq = _grid_values(lam, coef, _sq.value, (0.0, 60.0), 1024)
+        ts, sq = _grid_values(lam, coef, _sq.value, (0.0, 60.0))
         at = _local_minima(sq)
         x, fx = _newton_batch(lam, coef, _sq.terms, ts[at - 1], ts[at + 1], ts[at], 1e-10)
         for i, t, v in zip(at, x, fx):
@@ -136,7 +137,7 @@ def _reference_newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a: np.ndar
 
 
 @pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak", "defect"])
-def test_newton_batch_matches_the_reference_bit_for_bit(name):
+def test_newton_batch_matches_the_reference_bit_for_bit(name, monkeypatch):
     """On batches of 1 to 40 grid-local minima of seeded searches of each
     kind (_scan_case), at the tolerance that search refines to, every
     bracket gets the iterate and value of the reference iteration, bit for
@@ -150,8 +151,8 @@ def test_newton_batch_matches_the_reference_bit_for_bit(name):
         coarse = size % 2 == 0
         while True:
             lam, coef, reducer, _ = _scan_case(rng, name, bool(rng.random() < 0.3))
-            ts, vals = _grid_values(lam, coef, reducer.value, (0.0, 200.0),
-                                    400 if coarse else None)
+            _force_grid(monkeypatch, 400 if coarse else None)
+            ts, vals = _grid_values(lam, coef, reducer.value, (0.0, 200.0))
             at = _local_minima(vals)
             if len(at) >= size:
                 break

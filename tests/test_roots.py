@@ -272,7 +272,7 @@ def _family_supports():
             w = WalkEvaluator.for_graph(g, kind)
             seen = set()
             for u in range(1 if transitive else g.n):
-                lam, wts, _, per = w.spectrum(u)
+                lam, wts, _, per = w.spectrum(u)[:4]
                 key = (lam.tobytes(), wts.tobytes())
                 if key in seen or len(lam) < 2 or not w.default_window(u)[1]:
                     continue

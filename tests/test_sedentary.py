@@ -658,17 +658,6 @@ def test_factors_differing_in_provenance_keep_their_own_contexts(monkeypatch):
     assert len(eighs) == 3
 
 
-def _flat(report: dict, prefix: str = "") -> dict:
-    """Every leaf of a report's dict by its path."""
-    out = {}
-    for key, value in (report.items() if isinstance(report, dict) else enumerate(report)):
-        if isinstance(value, (dict, list)):
-            out.update(_flat(value, f"{prefix}{key}/"))
-        else:
-            out[f"{prefix}{key}"] = value
-    return out
-
-
 def test_classify_vertices_matches_classify():
     g = cartesian_product(star_graph(3), complete_graph(3))
     many = classify_vertices(g, [0, 4, 7], LAPLACIAN)
@@ -680,28 +669,19 @@ def test_classify_vertices_matches_classify():
     # solve in classify_vertices, and each report is the one classify makes
     # of its vertex alone; in Q_4 under the Laplacian every vertex's root
     # cluster at pi/2 is ambiguous, so each member of its one support group
-    # falls back to the scan
+    # falls back to the scan; in S_4 x S_4 a product vertex reads the
+    # report of its factor's least twin leaf, whichever vertex asks first,
+    # and twin leaves' own oracle minima differ in the last bit under the
+    # Laplacian
     star4 = cartesian_product(star_graph(4), star_graph(4))
     kinds = (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY)
-    cases = [(build_family(parse_family(spec)), kind)
-             for spec in ("hamming:3,3", "rook:4,9") for kind in kinds]
-    cases += [(star4, ADJACENCY), (star4, NORMALIZED_ADJACENCY),
-              (build_family(parse_family("hamming:4,2")), LAPLACIAN)]
+    cases = [(g, kind) for g in (build_family(parse_family("hamming:3,3")),
+                                 build_family(parse_family("rook:4,9")), star4)
+             for kind in kinds]
+    cases.append((build_family(parse_family("hamming:4,2")), LAPLACIAN))
     for g, kind in cases:
         for u, r in enumerate(classify_vertices(g, range(g.n), kind)):
             assert r.to_dict() == classify(g, u, kind).to_dict()
-    # S_4 x S_4 under the Laplacian: a product vertex's factor report can be
-    # carried from a twin leaf classified for an earlier vertex, whose
-    # oracle minimum differs from the leaf's own in the last bit, so the
-    # product-composition bound and C may differ by an ulp
-    for u, r in enumerate(classify_vertices(star4, range(star4.n), LAPLACIAN)):
-        got, want = _flat(r.to_dict()), _flat(classify(star4, u, LAPLACIAN).to_dict())
-        assert got.keys() == want.keys()
-        for key, value in got.items():
-            if isinstance(value, float):
-                assert value == pytest.approx(want[key], rel=1e-14, abs=0.0)
-            else:
-                assert value == want[key]
 
 
 def test_classify_complete():

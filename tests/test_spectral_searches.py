@@ -55,7 +55,7 @@ def _scan_equality_time(w, u, subset, window):
     sign[pos] = 1.0
     deltas = lam - lam[pos[0]]
     k = len(lam)
-    scan = _scan_minima(deltas, sign[:, None], _alignment_defect(k), window, None, 1e-12,
+    scan = _scan_minima(deltas, sign[:, None], _alignment_defect(k), window, 1e-12,
                         ceiling=k * _PHASE_TOL * _PHASE_TOL)
     for t in scan.x:
         if _equality_holds(rec, pos, float(t)):
@@ -76,7 +76,7 @@ def _equality_cases():
         for kind in KINDS:
             w = WalkEvaluator.for_graph(g, parse_matrix_kind(kind))
             for u in range(g.n):
-                lam, wts, indices, _ = w.spectrum(u)
+                lam, wts, indices, _ = w.spectrum(u)[:4]
                 window, certified = w.default_window(u)
                 windows = [window] if certified else []
                 for i, j in enumerate(indices):
@@ -139,8 +139,8 @@ def test_lattice_points_are_tested_at_twice_the_tolerance():
 def _column_scan(self, u, cols, reducer, window, ceiling):
     """WalkEvaluator._column_scan as it stood before the guard, verbatim."""
     lam = self.decomposition.eigenvalues
-    scan = _scan_minima(lam, self._column_data(u)[:, cols], reducer, window, None,
-                        1e-12, ceiling=ceiling)
+    scan = _scan_minima(lam, self._column_data(u)[:, cols], reducer, window, 1e-12,
+                        ceiling=ceiling)
     times = np.concatenate(([float(window[0])], scan.x, [float(window[1])]))
     return times[np.concatenate(([scan.ends[0]], scan.fx, [scan.ends[1]])) <= ceiling]
 

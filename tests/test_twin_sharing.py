@@ -1,7 +1,8 @@
-"""classify_vertices classifies one vertex per twin class and carries its
-report to the other twins by the swap automorphism: every carried report
-must match the twin's own classification, and the swap must save the
-classifications it claims."""
+"""classify_vertices classifies the least vertex of each twin class and
+carries its report to the other twins by the swap automorphism: every
+report must be the one classify makes of its vertex alone, whatever was
+requested with it, and the swap must save the classifications it
+claims."""
 
 import json
 from fractions import Fraction
@@ -16,7 +17,6 @@ from qwsed.graphs import WeightedGraph, build_family, parse_family
 from qwsed.matrices import ADJACENCY, parse_matrix_kind
 from qwsed.sedentary import NOT_SEDENTARY_PST, TWIN_BOUND, classify, classify_vertices
 from qwsed.spectral import find_twin_sets
-from qwsed.walk import WalkEvaluator
 
 KINDS = ("adjacency", "laplacian", "gen:0.5", "norm-adj", "norm-lap")
 
@@ -54,27 +54,44 @@ def planted_twins(draw):
         (min(perm[a], perm[b]), max(perm[a], perm[b]), w) for (a, b), w in edges.items())))
 
 
+@st.composite
+def planted_requests(draw):
+    """A planted_twins graph and a requested subset of its vertices, in
+    random order."""
+    g = draw(planted_twins())
+    return g, draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+
+
+def _assert_same(shared, alone):
+    """shared is alone exactly: every field bit for bit, the vertices of
+    its oracle and its certificates included, and so the same JSON."""
+    assert shared == alone, f"vertex {alone.vertex}"
+    assert shared.to_dict() == alone.to_dict()
+
+
 def _close(a, b, tol):
     return (a is None and b is None) or (a is not None and b is not None
                                          and abs(a - b) <= tol)
 
 
-def _assert_same(shared, alone, walk):
-    """shared matches alone: labels, kinds and twin bounds exactly, values
-    within 1e-9.  Times agree within 1e-7 or, where a flat minimum leaves
-    the time that far undetermined, give |U(t)_vv| within 1e-9 of each
-    other: the twins' own open-window argmins can lie 1e-4 apart there."""
-    where = f"vertex {alone.vertex}"
+def _assert_carried(carried, own, walk):
+    """carried, a twin's report under the swap, matches own, the vertex's
+    own classification: labels, kinds, vertices and twin bounds exactly,
+    values within 1e-9.  Times agree within 1e-7 or, where a flat minimum
+    leaves the time that far undetermined, give |U(t)_vv| within 1e-9 of
+    each other: the twins' own open-window argmins can lie 1e-4 apart."""
+    v = own.vertex
+    where = f"vertex {v}"
 
     def same_time(x, y):
         return _close(x, y, 1e-7) or abs(abs(walk.transition_entry(x, v, v))
                                           - abs(walk.transition_entry(y, v, v))) <= 1e-9
-    v = alone.vertex
-    assert shared.vertex == alone.vertex
-    assert shared.classification == alone.classification, where
-    assert _close(shared.bound, alone.bound, 1e-9), where
-    assert [c.kind for c in shared.certificates] == [c.kind for c in alone.certificates], where
-    for a, b in zip(shared.certificates, alone.certificates):
+    assert carried.vertex == carried.oracle.vertex == v, where
+    assert all(c.vertex == v for c in carried.certificates), where
+    assert carried.classification == own.classification, where
+    assert _close(carried.bound, own.bound, 1e-9), where
+    assert [c.kind for c in carried.certificates] == [c.kind for c in own.certificates], where
+    for a, b in zip(carried.certificates, own.certificates):
         assert a.vertex == b.vertex, where
         assert _close(a.bound, b.bound, 1e-9), (where, a.kind)
         assert len(a.equality_times) == len(b.equality_times), (where, a.kind)
@@ -82,27 +99,35 @@ def _assert_same(shared, alone, walk):
         if a.kind == TWIN_BOUND:
             assert (a.detail, a.subset) == (b.detail, b.subset), where
             assert _close(a.weight, b.weight, 1e-9), where
-    so, ao = shared.oracle, alone.oracle
-    assert so.vertex == ao.vertex == alone.vertex
-    assert (so.window, so.grid, so.certified_window) == (ao.window, ao.grid,
-                                                          ao.certified_window), where
-    assert _close(so.minimum, ao.minimum, 1e-9), where
-    assert same_time(so.argmin, ao.argmin), where
+    co, oo = carried.oracle, own.oracle
+    assert co.vertex == oo.vertex, where
+    assert (co.window, co.grid, co.certified_window) == (oo.window, oo.grid,
+                                                          oo.certified_window), where
+    assert _close(co.minimum, oo.minimum, 1e-9), where
+    assert same_time(co.argmin, oo.argmin), where
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(g=planted_twins())
+@given(case=planted_requests())
 # under gen:0.5 the twins 0 and 4 have an open-window minimum of 6.9e-5
-# whose own argmins lie 8.6e-5 apart
-@example(g=WeightedGraph(5, ((0, 1, 3.0), (1, 1, 3.0), (1, 4, 3.0))))
-def test_carried_reports_match_their_own_classification(kind, g):
+# whose own argmins lie 8.6e-5 apart, so a report that depended on which
+# twin was requested first would show it here, and vertex 4's carried
+# report matches its own classification only through the flat minimum
+@example(case=(WeightedGraph(5, ((0, 1, 3.0), (1, 1, 3.0), (1, 4, 3.0))), [4, 0]))
+def test_carried_reports_match_their_own_classification(kind, case):
+    """Each report of classify_vertices, for any requested subset in any
+    order, is the report classify makes of its vertex alone, and matches
+    the vertex's own classification (_classify_vertex in a context of its
+    own, where no report is carried)."""
+    g, requested = case
     k = parse_matrix_kind(kind)
     assert any(ts.size >= 2 for ts in find_twin_sets(g, k))
-    walk = WalkEvaluator.for_graph(g, k)
-    for shared in classify_vertices(g, range(g.n), k):
-        _assert_same(shared, classify(g, shared.vertex, k), walk)
+    own = sedentary._Context(g, k)
+    for v, shared in zip(requested, classify_vertices(g, requested, k)):
+        _assert_same(shared, classify(g, v, k))
+        _assert_carried(shared, sedentary._classify_vertex(own, v), own.walk)
 
 
 def _classifications(monkeypatch):
@@ -126,6 +151,18 @@ def test_one_classification_per_twin_class(monkeypatch, tmp_path, family, classi
     assert len(calls) == classified
 
 
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian", "norm-adj"])
+def test_a_lone_twin_classifies_its_least_twin(monkeypatch, kind):
+    # leaf 17 of star:30 alone takes the report of leaf 1, the least leaf,
+    # carried over, which is its report in --vertex all too
+    k = parse_matrix_kind(kind)
+    g = build_family(parse_family("star:30"))
+    calls = _classifications(monkeypatch)
+    lone = classify(g, 17, k)
+    assert calls == [1]
+    assert lone.to_dict() == classify_vertices(g, range(g.n), k)[17].to_dict()
+
+
 def test_perfect_transfer_is_classified_in_full(monkeypatch):
     # the two ends of K_2 are twins, but each transfers to the other
     calls = _classifications(monkeypatch)
@@ -145,9 +182,8 @@ def test_twins_of_different_roles_are_classified_apart(monkeypatch):
     calls = _classifications(monkeypatch)
     shared = classify_vertices(g, range(g.n), ADJACENCY)
     assert calls == [0, 1, 3]
-    walk = WalkEvaluator.for_graph(g, ADJACENCY)
     for r in shared:
-        _assert_same(r, classify(g, r.vertex, ADJACENCY), walk)
+        _assert_same(r, classify(g, r.vertex, ADJACENCY))
     assert [c.kind for c in shared[3].certificates] != [c.kind for c in shared[2].certificates]
 
 

@@ -253,12 +253,23 @@ def _gnp(rng, n, p):
     return WeightedGraph(n, tuple((int(a), int(b), 1.0) for a, b in zip(*np.nonzero(upper))))
 
 
+_GRID_RULE = walk._grid_size
+
+
+def _force_grid(monkeypatch, grid):
+    """Size every grid of a scan or a _grid_values call at grid points, at
+    least 8; None takes the grid rule."""
+    monkeypatch.setattr(walk, "_grid_size", _GRID_RULE if grid is None else
+                        lambda span, spread: max(int(grid), 8))
+
+
 @pytest.mark.parametrize("npts", [8, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
-def test_grid_values_match_direct_sums(npts):
+def test_grid_values_match_direct_sums(npts, monkeypatch):
     rng = np.random.default_rng(npts)
     lam = rng.uniform(-4.0, 4.0, 7)
     coef = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
-    ts, vals = _grid_values(lam, coef, lambda z: z, (0.3, 17.0), npts)
+    _force_grid(monkeypatch, npts)
+    ts, vals = _grid_values(lam, coef, lambda z: z, (0.3, 17.0))
     assert np.array_equal(ts, np.linspace(0.3, 17.0, npts))
     direct = np.exp(1j * np.outer(ts, lam)) @ coef
     assert vals.shape == (npts, 2)
@@ -332,14 +343,15 @@ def test_grid_values_match_direct_sums_over_the_open_window():
     assert np.max(np.abs(vals - _trig_sums(lam, coef, ts))) <= 1e-12
 
 
-def test_grid_values_across_base_blocks():
+def test_grid_values_across_base_blocks(monkeypatch):
     # 257 columns leave 3 chunk starts to a product, so 5 chunks take two
     # products
     rng = np.random.default_rng(11)
     lam = rng.uniform(-4.0, 4.0, 9)
     coef = rng.normal(size=(9, 257)) + 1j * rng.normal(size=(9, 257))
     npts = 4 * _CHUNK + 9
-    ts, vals = _grid_values(lam, coef, lambda z: z, (2.5, 60.0), npts)
+    _force_grid(monkeypatch, npts)
+    ts, vals = _grid_values(lam, coef, lambda z: z, (2.5, 60.0))
     assert np.array_equal(ts, np.linspace(2.5, 60.0, npts))
     assert np.max(np.abs(vals - np.exp(1j * np.outer(ts, lam)) @ coef)) < 1e-12
 
@@ -362,7 +374,8 @@ def test_grid_values_take_one_exponential_per_chunk(monkeypatch):
     monkeypatch.setattr(np, "exp", counted)
     for grid in (None, 8, _CHUNK + 1):
         evaluated.clear()
-        ts, _ = _grid_values(lam, coef, _sq.value, (0.0, DEFAULT_WINDOW), grid)
+        _force_grid(monkeypatch, grid)
+        ts, _ = _grid_values(lam, coef, _sq.value, (0.0, DEFAULT_WINDOW))
         k, npts = len(lam), len(ts)
         n = min(_CHUNK, math.ceil(math.sqrt(npts)))
         q = -(-npts // n)
@@ -445,12 +458,12 @@ def test_open_window_oracle_memory():
 # -- the two-level scan against a scan of every grid point ---------------------
 
 
-def _full_scan(lam, coef, reducer, window, grid, xtol, ceiling=None, band=0.0):
+def _full_scan(lam, coef, reducer, window, xtol, ceiling=None, band=0.0):
     """The reference for _scan_minima, a scan of every grid point:
     _grid_values on the whole grid, then the grid-local-minimum test and
     one _newton_batch on every minimum it finds.  It prunes nothing, so it
     reads no bound of the reducer."""
-    ts, vals = _grid_values(lam, coef, reducer.value, window, grid)
+    ts, vals = _grid_values(lam, coef, reducer.value, window)
     threshold = ceiling if ceiling is not None else float(vals.min()) + band
     mid, lo, hi = vals[1:-1], vals[:-2], vals[2:]
     at = np.flatnonzero((mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))) + 1
@@ -515,18 +528,18 @@ _SCAN_GRIDS = (None, 5, 8, 29, 33, 34, 35, 36, 128, 129, 130, 131, 132, 140, 100
 _SCAN_WINDOWS = ((0.0, 40.0), (0.7, 40.0), (3.0, 9.5))
 
 
-def _compare_scans(rng, name, tied, grid, window):
+def _compare_scans(rng, name, tied, window):
     lam, coef, reducer, mode = _scan_case(rng, name, tied)
     xtol = 1e-12
-    ref = _full_scan(lam, coef, reducer, window, grid, xtol)
+    ref = _full_scan(lam, coef, reducer, window, xtol)
     kw = {}
     if mode == "band":
         kw = {"band": _TIE_BAND}
     elif mode == "ceiling":
         # a ceiling a few minima reach, so that pruning decides which
         kw = {"ceiling": float(np.quantile(np.concatenate((ref.f, ref.ends)), 0.3))}
-    ref = _full_scan(lam, coef, reducer, window, grid, xtol, **kw)
-    new = _scan_minima(lam, coef, reducer, window, grid, xtol, **kw)
+    ref = _full_scan(lam, coef, reducer, window, xtol, **kw)
+    new = _scan_minima(lam, coef, reducer, window, xtol, **kw)
     assert new.npts == ref.npts
     # the fine pass samples the window ends through another product of
     # phases than the full grid does: they differ by rounding in time, about
@@ -560,13 +573,14 @@ def two_levels(monkeypatch):
 
 @pytest.mark.parametrize("name", ["sq", "subset", "leak", "neg_peak"])
 @pytest.mark.parametrize("tied", [False, True])
-def test_two_level_scan_matches_the_full_grid(name, tied, two_levels):
+def test_two_level_scan_matches_the_full_grid(name, tied, two_levels, monkeypatch):
     rng = np.random.default_rng([len(name), tied])
     brackets = 0
     for grid in _SCAN_GRIDS:
+        _force_grid(monkeypatch, grid)
         for window in _SCAN_WINDOWS:
             for _ in range(3):
-                brackets += _compare_scans(rng, name, tied, grid, window)
+                brackets += _compare_scans(rng, name, tied, window)
     assert brackets > 200
 
 
@@ -597,13 +611,7 @@ def test_callers_match_the_full_grid_scan(grid, two_levels, monkeypatch):
     fractional revival), subset_bound and find_equality_time give the same
     results on two levels as on a scan of every grid point.  A grid that is
     not None is forced on every search the grid rule sizes."""
-    if grid is not None:
-        real = walk._grid_size
-
-        def forced(span, spread, n=None):
-            return real(span, spread, grid if n is None else n)
-
-        monkeypatch.setattr(walk, "_grid_size", forced)
+    _force_grid(monkeypatch, grid)
     ours, theirs = [], []
     for w, u, v, window in _caller_cases():
         sup = w.spectrum(u)
@@ -726,12 +734,13 @@ def test_cut_keeps_the_brackets_the_floor_keeps(name, levels, monkeypatch):
     rng = np.random.default_rng([len(name), levels])
     rows = {True: 0, False: 0}
     for grid in (None, 129, 1001, 4099):
+        _force_grid(monkeypatch, grid)
         for window in _SCAN_WINDOWS:
             for _ in range(2):
                 lam, coef, reducer, mode = _scan_case(rng, name, bool(rng.random() < 0.3))
                 kw = {"band": _TIE_BAND} if mode == "band" else {}
                 if mode == "ceiling":
-                    ref = _full_scan(lam, coef, reducer, window, grid, 1e-12)
+                    ref = _full_scan(lam, coef, reducer, window, 1e-12)
                     quantile = np.quantile(np.concatenate((ref.f, ref.ends)), 0.3)
                     kw = {"ceiling": float(quantile)}
                 scans = {}
@@ -740,8 +749,7 @@ def test_cut_keeps_the_brackets_the_floor_keeps(name, levels, monkeypatch):
                         floor=lambda a, b, e, r=reducer, k=cut: (
                             rows.__setitem__(k, rows[k] + len(a)) or r.floor(a, b, e)),
                         cut=reducer.cut if cut else _no_cut)
-                    scans[cut] = _scan_minima(lam, coef, counted, window, grid, 1e-12,
-                                              **kw)
+                    scans[cut] = _scan_minima(lam, coef, counted, window, 1e-12, **kw)
                 for got, want in zip(scans[True], scans[False]):
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     # the coarse floors are the same with and without the cut
@@ -831,7 +839,7 @@ def test_small_scans_take_one_level(monkeypatch):
     n = min(_CHUNK, math.ceil(math.sqrt(res.grid)))
     assert calls == [res.grid] and fine == [-(-res.grid // n) * n]
     monkeypatch.undo()
-    ref = _full_scan(lam, coef, _sq, (0.0, DEFAULT_WINDOW), None, 1e-10, band=_TIE_BAND)
+    ref = _full_scan(lam, coef, _sq, (0.0, DEFAULT_WINDOW), 1e-10, band=_TIE_BAND)
     best, at = _best(ref, (0.0, DEFAULT_WINDOW))
     assert (res.minimum, res.argmin) == (math.sqrt(best), at)
 
