@@ -51,26 +51,28 @@ direct exponentials.  The sign of f' keeps every iterate inside a bracket
 that holds a local minimum, a step that leaves it or meets f'' <= 0
 bisects instead, and a checked cap bounds the steps.  find_zero_crossing
 in sedentary looks for a sign change, not a minimum, and reads the full
-grid from _grid_values.  On a certified period of low degree the diagonal
-oracle instead takes every critical point of |U(t)_{u,u}|^2 from one
-polynomial's roots, the eigenvalues of its companion matrix
-(_critical_clusters).
+grid from _grid_values.  On a certified period of low degree Q the
+diagonal oracle instead takes every critical point of |U(t)_{u,u}|^2 from
+theta = 0 and pi and the roots of one polynomial in x = cos(theta), of
+degree Q - 1 in the Chebyshev U basis, the eigenvalues of its colleague
+matrix; for Q <= 2 it takes no eigenvalue solve (_critical_points).
 
 The evaluator holds one record per vertex, its VertexSpectrum, which
 carries the oracle's default window, certified flag and root offers, and
 computes the records in support groups (WalkEvaluator.spectra): vertices with one support
 index set have the same support eigenvalues, so a group takes one
 periodicity fit and, on a certified window, one root solve, whose
-companion matrices form one stack for one np.linalg.eigvals call and
-whose clusters and offers are array operations over the stack.  What
-reads a vertex's weights stays per vertex: its |U(rho)_{u,u}| = 1 check,
-its companion matrix and offers, and its fallback to the scan when its
-own clusters are ambiguous.  So a record holds the bits the vertex gets
+colleague matrices form one stack for one np.linalg.eigvals call and
+whose offers take one evaluation over the stack.  What reads a vertex's
+weights stays per vertex: its |U(rho)_{u,u}| = 1 check, its colleague
+matrix, root chains and offers, and its fallback to the scan when its
+own chains are ambiguous.  So a record holds the bits the vertex gets
 computed alone, in a group of one, and the oracle reads it with no solve
 of its own.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -130,16 +132,23 @@ _CHECK_TOL = 1e-8
 _REFINE_TOL = 1e-10
 # Newton steps a bracket may take before it only bisects
 _NEWTON_STEPS = 16
-# the root path takes certified windows of degree Q <= _ROOT_CAP; the
-# eigenvalues of the degree-2Q polynomial's companion matrix cost more than
-# the scan beyond it
+# the root path takes certified windows of degree Q <= _ROOT_CAP.  Against
+# the scan of [0, rho] (5 support eigenvalues, a 4096-point grid, one x86
+# core) the (Q - 1)-size colleague matrix costs as much near Q = 24 (0.35
+# ms each) and 0.44 ms against 0.30 ms at Q = 32; the degree-2Q companion
+# matrix it replaced crossed near Q = 12 and took 1.5 ms at Q = 32.  The
+# cap stays, since moving it moves reports
 _ROOT_CAP = 32
-# roots this close to the unit circle are kept as critical points
+# roots of P this close to the segment [-1, 1] (or to one of its ends) are
+# read, and a chain's members this close to the unit circle (through z =
+# e^{i arccos x}) are kept
 _ROOT_BAND = 1e-2
-# a cluster centroid off the circle by more than this (but inside the band)
-# is ambiguous, and the scan runs instead
+# a root mean this close to x = 1 or -1 is that end, theta = 0 or pi; a
+# chain's centroid in z off the circle by more than this is ambiguous, and
+# the scan runs instead
 _ROOT_EXACT = 1e-6
-# root angles closer than this form one cluster (a split multiple root)
+# roots whose real parts lie closer than this form one chain (a split
+# multiple root)
 _ROOT_CLUSTER = 1e-3
 
 
@@ -614,121 +623,166 @@ def _sq_at(lam: np.ndarray, wts: np.ndarray, times) -> np.ndarray:
     """|sum_j wts_j e^{i lam_j t}|^2 at each time, summed per time in the
     order np.sum uses, for refinement; wts is one row of weights, or one
     row per time."""
-    z = (wts * np.exp(1j * np.outer(times, lam))).sum(axis=1)
+    z = (wts * np.exp(1j * np.multiply.outer(times, lam))).sum(axis=1)
     return z.real ** 2 + z.imag ** 2
 
 
-class _Clusters(NamedTuple):
-    """The critical points of |g|^2 on the unit circle for each row of a
-    stack of weights (_critical_clusters): ok[r] when row r's clusters are
-    unambiguous; for those rows, in row order and by angle within a row,
-    the centroid angle of each cluster and its row, and the angle of each
-    member root and its cluster's index into centre."""
+def _clusters(roots: list) -> list[tuple[float, list[float]]] | None:
+    """The critical points that one row's roots of P (_critical_points)
+    give, as (x, members): x = cos(theta) of the point, and the angles of
+    the other roots that locate it; None when the row is ambiguous.
 
-    ok: np.ndarray
-    centre: np.ndarray
-    row: np.ndarray
-    member: np.ndarray
-    label: np.ndarray
-
-
-def _critical_clusters(q: np.ndarray, wts: np.ndarray) -> _Clusters:
-    """Critical points of |g_r(z)|^2 on the unit circle for each row r of
-    wts, g_r(z) = sum_j wts[r, j] z^{q_j} for integers q_j >= 0; angles lie
-    in [0, 2 pi).  A row with a cluster centroid too far from the circle to
-    tell is not ok, and none of its clusters is returned.
-
-    On |z| = 1, |g|^2 = sum_{d=-Q}^{Q} c_d z^d with c the autocorrelation of
-    g's coefficients, so its derivative in the angle vanishes exactly at
-    the unit-circle roots of sum_d d c_d z^{d+Q}, of degree 2Q: the
-    eigenvalues of the companion matrix np.roots would build, taken without
-    np.roots' checks and trimming, which cost more than the eigenvalues at
-    this size and find nothing to trim: q holds 0 and Q, so the leading and
-    trailing coefficients, Q c_2Q and -Q c_0, are both +-Q w_0 w_Q != 0.
-    The rows share q, so their companion matrices form one stack and take
-    one np.linalg.eigvals call, which gives each matrix the bits a call of
-    its own gives it.  A multiple root comes back split by about
-    eps^(1/m); the roots whose angles are closer than _ROOT_CLUSTER form
-    one cluster, and its mean, an analytic function of the perturbation,
-    locates the root far better than any member.
-
-    The band, the sort and the clusters are array operations over the
-    whole stack: the roots in the band are sorted by row, then by angle,
-    and a cluster also starts at each row's first root.  Each cluster's
-    sum takes its members in the order the row alone takes them, so every
-    row gets the bits it gets alone.
+    A multiple root of P comes back split by about eps^(1/m), as a pair or
+    a ring around it, and the mean of the split roots locates it far
+    better than any of them.  P is real, so the roots off the axis come in
+    conjugate pairs.  The roots within _ROOT_BAND of an end x = -1 or 1
+    whose mean lies within _ROOT_EXACT of it are that end, theta = pi or
+    0, exactly.  The other roots within _ROOT_BAND of the segment [-1, 1]
+    are sorted by real part and chained while consecutive real parts lie
+    closer than _ROOT_CLUSTER, so a pair shares a chain.  Each chain is
+    judged on the unit circle, as the np.roots form of degree 2Q judged
+    its clusters: z = e^{i arccos x} maps a pair x +- iy to the radii r and
+    1/r, the members within _ROOT_BAND of the circle form the chain, and a
+    chain whose centroid in z lies more than _ROOT_EXACT off the circle
+    cannot be told apart from a near miss, so the row is ambiguous.  A
+    chain with no member near the circle, or with its mean outside (-1,
+    1), is no critical point.
     """
+    out = []
+    for end in (-1.0, 1.0):
+        near = [z for z in roots if abs(z - end) < _ROOT_BAND]
+        if near and abs(sum(near) / len(near) - end) < _ROOT_EXACT:
+            out.append((end, [cmath.acos(z).real for z in near]))
+            roots = [z for z in roots if abs(z - end) >= _ROOT_BAND]
+    pts = sorted((z.real, z.imag) for z in roots
+                 if abs(z.imag) < _ROOT_BAND and abs(z.real) < 1.0 + _ROOT_BAND)
+    chains: list[list[complex]] = []
+    for re, im in pts:
+        if chains and re - chains[-1][-1].real < _ROOT_CLUSTER:
+            chains[-1].append(complex(re, im))
+        else:
+            chains.append([complex(re, im)])
+    for chain in chains:
+        if len(chain) == 1 and not chain[0].imag and abs(chain[0].real) < 1.0:
+            # a simple real root inside the segment lies on the circle
+            x, off, members = chain[0].real, 0.0, []
+        else:
+            kept = [(m, a) for m, a in zip(chain, map(cmath.acos, chain))
+                    if abs(math.exp(-a.imag) - 1.0) < _ROOT_BAND]
+            if not kept:
+                continue
+            off = abs(abs(sum(cmath.exp(1j * a) for _, a in kept) / len(kept)) - 1.0)
+            x = sum(m.real for m, _ in kept) / len(kept)
+            members = [a.real for m, a in kept if m != x]
+        if off > _ROOT_EXACT:
+            return None
+        if abs(x) < 1.0:
+            out.append((x, members))
+    return out
+
+
+def _critical_points(q: np.ndarray, wts: np.ndarray
+                     ) -> list[list[tuple[float, list[float]]] | None]:
+    """Critical points of |g_r(e^{i theta})|^2 for each row r of wts,
+    g_r(z) = sum_j wts[r, j] z^{q_j} for integers q_j >= 0 that hold 0 and
+    Q = max q_j, as _clusters gives them, or None for an ambiguous row.
+
+    With real weights, |g|^2 = c_0 + 2 sum_{d=1}^{Q} c_d cos(d theta), where
+    c_d = sum_j w_j w_{j+d} is the autocorrelation of the weights placed
+    on q, so its derivative in theta is -2 sin(theta) P(cos theta), P(x) =
+    sum_{k<Q} a_k U_k(x) with a_k = (k + 1) c_{k+1} in the Chebyshev U
+    basis, of degree Q - 1 with a_{Q-1} = Q w_0 w_Q != 0 (Boyd, J. Eng.
+    Math. 56 (2006) 203-219).  The critical points over the period are
+    theta = 0 and pi, where sin vanishes, and theta and 2 pi - theta for
+    theta = arccos x at each real root x of P in (-1, 1).  The roots of P
+    are the eigenvalues of its (Q - 1) x (Q - 1) colleague matrix (Good,
+    Quart. J. Math. 12 (1961) 61-68): 1/2 on both off-diagonals, and its
+    last row less a_k / (2 a_{Q-1}).  The rows share q, so their matrices
+    form one stack and take one np.linalg.eigvals call, which gives each
+    matrix the bits a call of its own gives it.  For Q = 1, P is a nonzero
+    constant, with no root; for Q = 2 its one root is -a_0 / (2 a_1) =
+    -c_1 / (4 c_2); neither takes a matrix.  The autocorrelations of every
+    row are one np.bincount over the ordered pairs of support points, in
+    one order whatever the stack, so they are 2 c_d, a scale that moves
+    no root."""
     big_q, rows = int(q.max()), len(wts)
-    n = 2 * big_q
-    v = np.zeros((rows, big_q + 1))
-    v[:, q] = wts
-    c = np.array([np.convolve(r, r[::-1]) for r in v])
-    p = (np.arange(-big_q, big_q + 1) * c)[:, ::-1]
-    companion = np.zeros((rows, n, n))
-    # ones on each matrix's subdiagonal
-    companion.reshape(rows, n * n)[:, n::n + 1] = 1.0
-    companion[:, 0] = -p[:, 1:] / p[:, :1]
-    roots = np.linalg.eigvals(companion)
-    band = np.abs(np.abs(roots) - 1.0) < _ROOT_BAND
-    row, roots = band.nonzero()[0], roots[band]
-    # np.angle's arctan2, without its wrapper
-    ang = np.arctan2(roots.imag, roots.real) % (2.0 * math.pi)
-    # by row, then by angle: row is ascending already, so it stays aligned
-    order = np.lexsort((ang, row))
-    roots, ang = roots[order], ang[order]
-    # a run across angle 0 would split in two; z = 1 is always a simple root
-    # there, the maximum |U(0)| = 1, so that never touches a minimum, and
-    # every row has it in the band
-    step = ang[1:] - ang[:-1] >= _ROOT_CLUSTER
-    step |= row[1:] != row[:-1]
-    start = np.concatenate(([True], step))
-    label = start.cumsum() - 1
-    centre = (np.bincount(label, roots.real) + 1j * np.bincount(label, roots.imag)
-              ) / np.bincount(label)
-    crow = row[start]
-    ok = np.bincount(crow[np.abs(np.abs(centre) - 1.0) > _ROOT_EXACT], minlength=rows) == 0
-    if not ok.all():
-        kept, members = ok[crow], ok[row]
-        centre, crow, ang, start = centre[kept], crow[kept], ang[members], start[members]
-        label = start.cumsum() - 1
-    return _Clusters(ok, np.arctan2(centre.imag, centre.real) % (2.0 * math.pi), crow, ang,
-                     label)
+    if big_q == 1:
+        return [[] for _ in range(rows)]
+    k1 = big_q + 1
+    bins = np.abs(np.subtract.outer(q, q)) + np.arange(0, rows * k1, k1)[:, None, None]
+    c = np.bincount(bins.ravel(), (wts[:, :, None] * wts[:, None, :]).ravel(), rows * k1)
+    a = c.reshape(rows, k1)[:, 1:] * np.arange(1, k1)
+    n = big_q - 1
+    last = a[:, :n] / (-2.0 * a[:, n:])
+    if n > 1:
+        m = np.zeros((rows, n, n))
+        flat = m.reshape(rows, n * n)
+        flat[:, 1::n + 1] = 0.5
+        flat[:, n::n + 1] = 0.5
+        m[:, -1] += last
+        last = np.linalg.eigvals(m)
+    return [_clusters(r) for r in last.tolist()]
 
 
 def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
                  ) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """For each row of wts, one vertex's weights on the support lam with
-    periodicity per: the times and |U|^2 offers of the window ends [0, rho]
-    and of every root cluster over the period, or None when the root path
-    does not apply to it.  The rows share one _critical_clusters call; the
-    ends, the centroids and the members of every row take one _sq_at call
-    (one row of weights per time), and each cluster's least member one
-    np.minimum.reduceat."""
+    periodicity per: the times and |U|^2 offers of its critical points over
+    the period [0, rho], or None when the root path does not apply to it.
+    The window ends and theta = pi offer at every row, and each interior
+    point x of _critical_points at theta = arccos x and 2 pi - theta.  Each
+    offers |U|^2 at its own time, unless one of its members (mirrored for
+    2 pi - theta) lies lower by more than _TIE_BAND: then the chain joined
+    distinct roots, and that member offers at its own time.  The members of
+    a point at x = -1 belong to theta = pi and those at x = 1 to both ends.
+    So every offer is |U|^2 at its own time.  The rows share one
+    _critical_points call, and every time of every row one _sq_at call (one
+    row of weights per time).
+    """
     q = np.array(per.coordinates) // math.gcd(*per.coordinates)
     if q.max() > _ROOT_CAP:
         return [None] * len(wts)
-    found = _critical_clusters(q, wts)
-    rows = found.ok.nonzero()[0]
-    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(wts)
-    if not len(rows):
-        return out
     rho = float(per.period)
     scale = rho / (2.0 * math.pi)
-    e, k = 2 * len(rows), len(found.centre)
-    ends = np.zeros(e)
-    ends[1::2] = rho
-    centre = found.centre * scale
-    whose = np.concatenate((rows.repeat(2), found.row, found.row[found.label]))
-    sq = _sq_at(lam, wts[whose], np.concatenate((ends, centre, found.member * scale)))
-    # labels run 0, 1, ... in member order, so each cluster is one slice
-    first = found.label.searchsorted(np.arange(k))
-    offers = np.minimum(sq[e:e + k], np.minimum.reduceat(sq[e + k:], first))
-    # and so is each row's run of clusters
-    bounds = found.row.searchsorted(rows).tolist() + [k]
-    for i, r in enumerate(rows.tolist()):
-        a, b = bounds[i], bounds[i + 1]
-        out[r] = (np.concatenate((ends[:2], centre[a:b])),
-                  np.concatenate((sq[2 * i:2 * i + 2], offers[a:b])))
+    times: list[float] = []
+    starts: list[int] = []
+    whose: list[int] = []
+    # the groups with members: (group, first time, end)
+    multi: list[tuple[int, int, int]] = []
+    spans: dict[int, tuple[int, int]] = {}
+    for r, found in enumerate(_critical_points(q, wts)):
+        if found is None:
+            continue
+        groups = [[0.0], [rho], [0.5 * rho]]
+        for x, members in found:
+            lo = [scale * a for a in members]
+            hi = [rho - t for t in lo]
+            if x == 1.0:
+                groups[0] += lo
+                groups[1] += hi
+            elif x == -1.0:
+                groups[2] += lo
+            else:
+                t = scale * math.acos(x)
+                groups += [[t, *lo], [rho - t, *hi]]
+        spans[r] = (len(starts), len(starts) + len(groups))
+        for g in groups:
+            if len(g) > 1:
+                multi.append((len(starts), len(times), len(times) + len(g)))
+            starts.append(len(times))
+            times += g
+        whose += [r] * (len(times) - len(whose))
+    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(wts)
+    if spans:
+        ts = np.array(times)
+        sq = _sq_at(lam, wts if len(wts) == 1 else wts[whose], ts)
+        at, own = (ts[starts], sq[starts]) if multi else (ts, sq)
+        for g, a, b in multi:
+            i = a + int(sq[a:b].argmin())
+            if sq[i] + _TIE_BAND < own[g]:
+                at[g], own[g] = ts[i], sq[i]
+        for r, (a, b) in spans.items():
+            out[r] = (at[a:b], own[a:b])
     return out
 
 
@@ -769,8 +823,8 @@ class MinimizationResult:
     root path of a certified window evaluates critical points instead of a
     grid but reports the same size, so reports do not depend on the path.
     refinements (not in to_dict) counts the brackets the scan refines by
-    Newton steps and the critical points (root clusters) evaluated on the
-    root path.
+    Newton steps and the critical points (theta = pi and each root chain's
+    theta and 2 pi - theta) that offer on the root path.
     """
 
     vertex: int
@@ -859,8 +913,8 @@ class WalkEvaluator:
         certified window, one root solve (_root_offers) over the members
         whose window certifies.  Those share the period and its
         coordinates, and each keeps its own weights, its own offers or its
-        fallback to the scan when its own clusters are ambiguous: the bits
-        a group of its own gives it."""
+        fallback to the scan when its own chains are ambiguous: the bits a
+        group of its own gives it."""
         d = self.decomposition
         groups: dict[tuple[int, ...], list[EigenvalueSupport]] = {}
         for u in dict.fromkeys(vertices):
@@ -930,15 +984,20 @@ class WalkEvaluator:
         Root path.  On a certified window, a support of more than one
         eigenvalue and integer coordinates q_j (relative to the period) of
         degree Q = max q_j <= _ROOT_CAP, every critical point of |U|^2 over
-        the period is a unit-circle root of one polynomial of degree 2Q
-        (_critical_clusters).  Each root cluster offers, at its centroid,
-        the least |U|^2 over its members and its centroid, evaluated on the
-        support eigenvalues themselves; refinements counts the clusters.  An
-        ambiguous root cluster sends the call to the scan.  The call reads
-        u's offers from its record: spectra solves the root path once per
-        support group, for every member whose window certifies
-        (_root_offers: one stacked eigvals call, clusters and offers over
-        the stack), when it computes their records; each member's
+        the period is theta = 0, theta = pi, or theta = arccos x or 2 pi -
+        theta for a root x in (-1, 1) of one polynomial P of degree Q - 1
+        in the Chebyshev U basis (_critical_points): the eigenvalues of its
+        colleague matrix for Q >= 3, one division for Q = 2, none for Q =
+        1.  Split multiple roots form chains (_clusters); a chain at x = 1
+        or -1 is that end exactly.  Each point offers |U|^2 at its own
+        time, evaluated on the support eigenvalues themselves, unless a
+        member of its chain lies lower by more than 1e-9, which then
+        offers at its own time; refinements counts the points other than
+        the window ends.  An ambiguous chain sends the call to the scan.
+        The call reads u's offers from its record: spectra solves the root
+        path once per support group, for every member whose window
+        certifies (_root_offers: one stacked eigvals call, one evaluation
+        of every offer), when it computes their records; each member's
         polynomial has its own weights, and its offers are the bits a
         solve of its own gives.
 

@@ -94,8 +94,8 @@ def test_star_square_leaf_pair_attained_at_pi_over_root3():
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_star_square_centre_zero_from_the_cluster_centroid(m):
-    # the zero of U(t)_00 at pi/(2 sqrt m) is a double root of the
-    # critical-point polynomial; its split roots lie 3e-9 from it
+    # the zero of U(t)_00 at pi/(2 sqrt m) is theta = pi, half the period,
+    # where P (Q = 2) has its one root x = -1
     g = cartesian_product(star_graph(m), star_graph(m))
     res = WalkEvaluator.for_graph(g, ADJACENCY).minimize_diagonal(0)
     assert res.minimum <= 1e-15
@@ -153,6 +153,64 @@ def test_ambiguous_centroid_scans(scans, monkeypatch):
     assert scanned.grid == rooted.grid
 
 
+@pytest.mark.parametrize("fam", ["hamming:4,2", "hamming:5,2"])
+@pytest.mark.parametrize("u", [0, 3])
+def test_cube_laplacian_zero_at_pi_over_2(scans, fam, u):
+    """Q_4 and Q_5 under the Laplacian: |U(t)_uu|^2 = cos^(2k) t, so P has
+    a root of multiplicity k - 1 at x = -1, which comes back split and
+    merges into the exact theta = pi: the zero at pi/2, with no scan.  The
+    float spectrum puts the diagonal of Q_5's vertex 3 at 1.28e-15 at pi/2
+    (40-digit evaluation), so no report at that argmin reads below it."""
+    res = _walk(fam, LAPLACIAN).minimize_diagonal(u)
+    assert not scans and res.certified_window
+    assert abs(res.argmin - math.pi / 2.0) <= 1e-12
+    assert res.minimum <= 2e-15
+
+
+def test_a_member_below_its_chain_offers_at_its_own_time(monkeypatch):
+    """A chain that joined distinct roots, its mean away from the least of
+    them, offers at the lower member's own time and value, so the least
+    offer is not overstated and its time attains it."""
+    q = np.array([0, 2, 3])
+    wts = np.array([[0.4, 0.3, 0.3]])
+    lam = 0.4 + 1.3 * q
+    per = _period(q, 1.3)
+    times, sq = walk._root_offers(lam, wts, per)[0]
+    inside = np.flatnonzero((times > 0.0) & (times < 0.5 * per.period))
+    i = int(inside[sq[inside].argmin()])
+    theta = 2.0 * math.pi * times[i] / per.period
+    assert 0.0 < theta < math.pi and sq[i] <= sq.min() + 1e-15
+    # the chain's mean 0.05 away from the least root, which is its member
+    monkeypatch.setattr(walk, "_clusters", lambda roots: [(math.cos(theta + 0.05), [theta])])
+    got_times, got = walk._root_offers(lam, wts, per)[0]
+    assert got.min() == pytest.approx(sq[i], abs=1e-15)
+    assert got_times[int(got.argmin())] == pytest.approx(times[i], abs=1e-12)
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Records the shape of each np.linalg.eigvals argument."""
+    calls = []
+    real = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fam, u, degree", [("complete:5", 0, 1), ("star:4", 1, 2)])
+def test_low_degree_takes_no_eigenvalue_solve(scans, eigvals_calls, fam, u, degree):
+    # Q = 1: P is a constant; Q = 2: its one root is -c_1 / (4 c_2)
+    w = _walk(fam)
+    per = w.spectrum(u).periodicity
+    assert max(per.coordinates) // math.gcd(*per.coordinates) == degree
+    res = w.minimize_diagonal(u)
+    assert res.certified_window and not scans and not eigvals_calls
+
+
 @pytest.fixture
 def periodicity_calls(monkeypatch):
     """Records each spectral.periodicity call as (decomposition, vertices)."""
@@ -196,7 +254,8 @@ def test_periodicity_once_per_factor_vertex(periodicity_calls):
 def test_hamming_3_5_one_fit_and_one_eigvals_per_support_group(monkeypatch, tmp_path):
     """Every vertex of K_5^3 has one support index set: analyze --vertex
     all takes one rational fit and one stacked eigvals call of 125
-    companion matrices for its 125 vertices, and no scan."""
+    colleague matrices for its 125 vertices (Q = 3, so of size 2), and no
+    scan."""
     calls = collections.defaultdict(list)
     for owner, name in ((spectral, "_rescale_to_integers"), (np.linalg, "eigvals"),
                         (walk, "_scan_minima")):
@@ -210,7 +269,7 @@ def test_hamming_3_5_one_fit_and_one_eigvals_per_support_group(monkeypatch, tmp_
     reports = json.loads(out.read_text(encoding="utf-8"))
     assert {r["classification"] for r in reports} == {"tightly-sedentary"}
     assert len(calls["_rescale_to_integers"]) == 1
-    assert [a.shape for a, in calls["eigvals"]] == [(125, 6, 6)]
+    assert [a.shape for a, in calls["eigvals"]] == [(125, 2, 2)]
     assert not calls["_scan_minima"]
 
 
@@ -280,6 +339,14 @@ def _family_supports():
                 yield lam, wts, per
 
 
+def _period(q, step):
+    """The periodicity spectral.periodicity finds for eigenvalues ref +
+    step*q_j: the period 2 pi / (step gcd(q)), over which z^(q_j / gcd)
+    winds once."""
+    return walk.PeriodicityInfo(0, True, 2.0 * math.pi / (step * math.gcd(*q.tolist())),
+                                "integer-spectrum", tuple(q.tolist()), step)
+
+
 def _random_supports(count):
     """Random integer supports of degree Q <= _ROOT_CAP with random weights,
     some with repeated weight patterns (symmetric, so roots repeat)."""
@@ -295,17 +362,18 @@ def _random_supports(count):
         wts /= wts.sum()
         step = float(rng.uniform(0.2, 3.0))
         lam = float(rng.uniform(-2.0, 2.0)) + step * q
-        yield lam, wts, walk.PeriodicityInfo(0, True, 2.0 * math.pi / step,
-                                             "integer-spectrum", tuple(q.tolist()), step)
+        yield lam, wts, _period(q, step)
 
 
 def _stacked_supports(count):
     """Stacks of 2 to 8 weight rows on one random integer support: random
     rows, rows that differ from one another in the last bits (as the
     weights of the vertices of a vertex-transitive graph do), and in every
-    third stack, on q = 0, ..., Q, the weights of ((1 + z)/2)^Q, whose
-    critical point at z = -1 has multiplicity 2Q - 1 and is ambiguous for
-    Q >= 4, beside unambiguous rows."""
+    third stack, on q = 0, ..., Q, the weights of ((1 + z)/2)^Q beside
+    random rows.  There |U|^2 = ((1 + x)/2)^Q, so P has a root of
+    multiplicity Q - 1 at x = -1, which comes back split and merges into
+    the exact theta = pi; the np.roots form's critical point at z = -1 has
+    multiplicity 2Q - 1, ambiguous or lost from its band for Q >= 4."""
     rng = np.random.default_rng(37)
     for i in range(count):
         if i % 3 == 0:
@@ -323,49 +391,58 @@ def _stacked_supports(count):
         rows /= rows.sum(axis=1, keepdims=True)
         step = float(rng.uniform(0.2, 3.0))
         lam = float(rng.uniform(-2.0, 2.0)) + step * q
-        yield lam, rows, walk.PeriodicityInfo(0, True, 2.0 * math.pi / step,
-                                              "integer-spectrum", tuple(q.tolist()), step)
+        yield lam, rows, _period(q, step)
 
 
-def _row(found, r):
-    """Row r of a stacked _critical_clusters result in the reference's form
-    (centroid angles, member angles, member cluster labels from 0), or
-    None when the row is ambiguous."""
-    if not found.ok[r]:
-        return None
-    mine = found.row == r
-    member = mine[found.label]
-    return (found.centre[mine], found.member[member],
-            found.label[member] - np.flatnonzero(mine)[0])
-
-
-def test_root_offers_match_the_np_roots_form_bit_for_bit():
-    """The companion matrices built in place of np.roots' wrapper and
-    stacked into one eigvals call, the clusters taken over the stack, the
-    one _sq_at call and np.minimum.reduceat give every row the critical
-    points and offers of the np.roots form, bit for bit: alone, and in a
-    stack of rows that share a support, where an ambiguous row alone gets
-    None."""
-    cases = rooted = mixed = 0
+def test_root_offers_match_the_np_roots_form():
+    """The Chebyshev form against the np.roots form it replaced, on the
+    family supports, 400 random supports and 120 stacks.  Where the
+    reference resolves a row, the least offers agree within 1e-12, and the
+    argmin (the earliest offer within _TIE_BAND of the least) attains the
+    least within _TIE_BAND.  Where only the new form resolves a row, or the
+    reference's least offer lies above the row's dense minimum (its band
+    lost every root at z = -1 of a ((1 + z)/2)^Q row), the least offer
+    matches _dense_minimum within 1e-9, and a ((1 + z)/2)^Q row has its
+    argmin at theta = pi exactly.  Every row of a stack gets the
+    offers of a solve of its own, bit for bit, and a stack can mix rows
+    that resolve with a row that falls back to the scan."""
+    counts = collections.Counter()
     stacks = [(lam, wts[None], per)
               for lam, wts, per in list(_family_supports()) + list(_random_supports(400))]
     for lam, stack, per in stacks + list(_stacked_supports(120)):
         q = np.array(per.coordinates) // math.gcd(*per.coordinates)
         if q.max() > _ROOT_CAP:
             continue
-        found, offers = walk._critical_clusters(q, stack), walk._root_offers(lam, stack, per)
+        offers = walk._root_offers(lam, stack, per)
         for r, wts in enumerate(stack):
-            new, ref = _row(found, r), _reference_critical_clusters(q, wts)
-            assert (new is None) == (ref is None)
-            if new is not None:
-                for got, want in zip(new, ref):
-                    assert got.tobytes() == want.tobytes()
+            alone = walk._root_offers(lam, wts[None], per)[0]
+            assert (offers[r] is None) == (alone is None)
             ref = _reference_root_offers(lam, wts, per)
-            assert (offers[r] is None) == (ref is None)
-            if ref is not None:
-                rooted += 1
-                for got, want in zip(offers[r], ref):
-                    assert got.tobytes() == want.tobytes()
-            cases += 1
-        mixed += 0 < sum(o is None for o in offers) < len(stack)
-    assert cases > 1500 and rooted > 1450 and mixed > 20
+            if alone is None:
+                counts["scan" if ref is None else "scan, reference resolves"] += 1
+                continue
+            for got, want in zip(offers[r], alone):
+                assert got.tobytes() == want.tobytes()
+            times, sq = alone
+            best = float(sq.min())
+            argmin = float(times[sq <= best + _TIE_BAND].min())
+            assert float(_sq_at(lam, wts, [argmin])[0]) <= best + _TIE_BAND
+            big_q = int(q.max())
+            if len(q) == big_q + 1 and np.allclose(wts * 2 ** big_q,
+                                                   [math.comb(big_q, k) for k in q]):
+                # ((1 + z)/2)^Q: its zero at theta = pi exactly
+                assert argmin == 0.5 * per.period
+                counts["binomial"] += 1
+            if ref is not None and abs(best - float(ref[1].min())) <= 1e-12:
+                counts["agree"] += 1
+                continue
+            dense = _dense_minimum(lam, wts, (0.0, per.period))
+            assert abs(math.sqrt(max(best, 0.0)) - dense) <= 1e-9
+            if ref is None:
+                counts["new form only"] += 1
+            else:
+                assert math.sqrt(float(ref[1].min())) > dense + 1e-9
+                counts["reference above dense"] += 1
+        counts["mixed stacks"] += 0 < sum(o is None for o in offers) < len(stack)
+    assert counts["agree"] > 1450 and counts["new form only"] > 10 and counts["binomial"] >= 40
+    assert counts["mixed stacks"] > 0 and counts["scan, reference resolves"] <= 5, counts

@@ -667,9 +667,9 @@ def test_classify_vertices_matches_classify():
         classify_vertices(g, [0, g.n], LAPLACIAN)
     # vertices that share a support share one periodicity fit and one root
     # solve in classify_vertices, and each report is the one classify makes
-    # of its vertex alone; in Q_4 under the Laplacian every vertex's root
-    # cluster at pi/2 is ambiguous, so each member of its one support group
-    # falls back to the scan; in S_4 x S_4 a product vertex reads the
+    # of its vertex alone; in Q_4 under the Laplacian every vertex's split
+    # root at x = -1 merges into the exact theta = pi (t = pi/2) within its
+    # one support group's solve; in S_4 x S_4 a product vertex reads the
     # report of its factor's least twin leaf, whichever vertex asks first,
     # and twin leaves' own oracle minima differ in the last bit under the
     # Laplacian
