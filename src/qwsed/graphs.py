@@ -247,6 +247,12 @@ class WeightedGraph:
     def with_provenance(self, provenance) -> "WeightedGraph":
         return replace(self, provenance=provenance)
 
+    @cached_property
+    def _spectra(self) -> dict:
+        """The spectral data of this graph object per matrix kind, filled by
+        qwsed.sedentary.graph_spectra; it lives as long as the graph."""
+        return {}
+
     def content_hash(self) -> str:
         return self._content_hash
 

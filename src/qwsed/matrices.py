@@ -7,6 +7,7 @@ a loop twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class MatrixKind:
     def __post_init__(self):
         if self.name not in ("adjacency", "laplacian", "gen", "norm-adj", "norm-lap"):
             raise MatrixError(f"unknown matrix kind {self.name!r}")
+        if not math.isfinite(self.alpha):
+            raise MatrixError(f"alpha must be finite, got {self.alpha!r}")
 
     @property
     def is_degree_shifted(self) -> bool:
@@ -74,9 +77,10 @@ def parse_matrix_kind(text: str) -> MatrixKind:
         return MatrixKind(text)
     if text.startswith("gen:"):
         try:
-            return generalized_adjacency(float(text[4:]))
+            alpha = float(text[4:])
         except ValueError as exc:
             raise MatrixError(f"bad alpha in {text!r}") from exc
+        return generalized_adjacency(alpha)
     raise MatrixError(f"unknown matrix kind {text!r}")
 
 
@@ -98,27 +102,32 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
 
     Normalized kinds scale by 1/sqrt(deg) and put 0 in place of 1/sqrt(0) for
     isolated (zero-degree) vertices; negative degrees are rejected for them.
+    A matrix with an entry that is not finite (an overflow) is rejected.
     """
     a = graph.adjacency_matrix()
-    deg = adjacency_degrees(a)
-    zero = tuple(int(i) for i in np.flatnonzero(np.abs(deg) < 1e-12))
-    if kind.name == "adjacency":
-        m = a
-    elif kind.name == "laplacian":
-        m = np.diag(deg) - a
-    elif kind.name == "gen":
-        m = kind.alpha * np.diag(deg) + a
-    elif kind.name in ("norm-adj", "norm-lap"):
-        if np.any(deg < -1e-12):
-            raise MatrixError("normalized kinds need nonnegative degrees")
-        with np.errstate(divide="ignore"):
-            inv_sqrt = np.where(np.abs(deg) < 1e-12, 0.0, 1.0 / np.sqrt(np.abs(deg)))
-        m = inv_sqrt[:, None] * a * inv_sqrt[None, :]
-        if kind.name == "norm-lap":
-            m = np.eye(graph.n) - m
-    else:  # pragma: no cover
-        raise MatrixError(f"unknown matrix kind {kind!r}")
-    m = (m + m.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        deg = adjacency_degrees(a)
+        zero = tuple(int(i) for i in np.flatnonzero(np.abs(deg) < 1e-12))
+        if kind.name == "adjacency":
+            m = a
+        elif kind.name == "laplacian":
+            m = np.diag(deg) - a
+        elif kind.name == "gen":
+            m = kind.alpha * np.diag(deg) + a
+        elif kind.name in ("norm-adj", "norm-lap"):
+            if np.any(deg < -1e-12):
+                raise MatrixError("normalized kinds need nonnegative degrees")
+            with np.errstate(divide="ignore"):
+                inv_sqrt = np.where(np.abs(deg) < 1e-12, 0.0, 1.0 / np.sqrt(np.abs(deg)))
+            m = inv_sqrt[:, None] * a * inv_sqrt[None, :]
+            if kind.name == "norm-lap":
+                m = np.eye(graph.n) - m
+        else:  # pragma: no cover
+            raise MatrixError(f"unknown matrix kind {kind!r}")
+        m = (m + m.T) / 2.0
+    if not np.all(np.isfinite(m)):
+        raise MatrixError(f"the {kind} matrix of this graph has an entry that "
+                          "is not finite")
     m.setflags(write=False)
     return Hamiltonian(kind, m, zero)
 

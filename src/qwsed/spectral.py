@@ -122,7 +122,7 @@ def decompose(h: Hamiltonian | np.ndarray) -> SpectralDecomposition:
     vectors = vecs[:, order]
     weights = np.add.reduceat(vectors * vectors, offsets[:-1], axis=1)
     mm = np.array(m)
-    for a in (vectors, offsets, weights, mm):
+    for a in (eigenvalues, vectors, offsets, weights, mm):
         a.setflags(write=False)
     return SpectralDecomposition(eigenvalues, vectors, offsets, weights, mm)
 

@@ -80,9 +80,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .matrices import ADJACENCY, MatrixKind, assemble
+from .matrices import ADJACENCY, MatrixKind
 from .spectral import (EigenvalueSupport, PeriodicityInfo, SpectralDecomposition,
-                       decompose, periodicity, support)
+                       periodicity, support)
 
 __all__ = [
     "WalkError",
@@ -878,7 +878,14 @@ class WalkEvaluator:
     @classmethod
     def for_graph(cls, graph: WeightedGraph,
                   kind: MatrixKind = ADJACENCY) -> "WalkEvaluator":
-        return cls(decompose(assemble(graph, kind)))
+        """An evaluator of (graph, kind).  Its decomposition is computed
+        once per graph object and kind and kept on the graph with the twin
+        classes, for as long as the graph lives (two n x n float arrays per
+        kind), so every later call on that graph, classify's included,
+        reads the same one; its vertex records are its own."""
+        # sedentary imports this module, so it is imported on first use
+        from .sedentary import _graph_spectra
+        return cls(_graph_spectra(graph, kind).decomposition)
 
     @property
     def n(self) -> int:

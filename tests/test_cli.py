@@ -96,6 +96,31 @@ def test_window_must_be_finite_and_positive(capsys, argv, window):
     assert err.startswith("error: --window") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("alpha,message", [
+    ("nan", "error: alpha must be finite, got nan"),
+    ("inf", "error: alpha must be finite, got inf"),
+    ("-inf", "error: alpha must be finite, got -inf"),
+    # finite, but 1e308 times a degree of 2 overflows
+    ("1e308", "error: the gen:1e+308 matrix of this graph has an entry that "
+              "is not finite"),
+])
+def test_gen_alpha_must_give_a_finite_matrix(capsys, alpha, message):
+    code, out, err = run(capsys, "analyze", "--family", "complete:3",
+                         "--matrix", f"gen:{alpha}")
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+def test_an_overflowing_weight_is_refused(tmp_path, capsys):
+    # (A + A^T) / 2 overflows for a weight above half the largest float
+    path = tmp_path / "big.graph"
+    path.write_text("2 1\n0 1 1.7e308\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: the adjacency matrix of this graph has an entry "
+                   "that is not finite\n")
+
+
 def test_sweep_csv_shape(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "complete:4",
                        "--vertex", "0", "--window", str(math.pi),

@@ -35,6 +35,23 @@ def test_parse_matrix_kind():
         parse_matrix_kind("seidel")
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_gen_alpha_must_be_finite(alpha):
+    with pytest.raises(MatrixError, match="alpha must be finite"):
+        generalized_adjacency(alpha)
+    with pytest.raises(MatrixError, match="alpha must be finite"):
+        parse_matrix_kind(f"gen:{alpha}")
+
+
+@pytest.mark.parametrize("kind,weight", [
+    (generalized_adjacency(1e308), 1.0), (ADJACENCY, 1.7e308),
+    (LAPLACIAN, 1e308)])
+def test_assemble_refuses_an_entry_that_overflows(kind, weight):
+    g = WeightedGraph(3, ((0, 1, weight), (1, 2, weight)))
+    with pytest.raises(MatrixError, match="not finite"):
+        assemble(g, kind)
+
+
 def test_degree_shifted_kinds():
     assert ADJACENCY.is_degree_shifted
     assert LAPLACIAN.is_degree_shifted

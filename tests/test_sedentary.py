@@ -1,9 +1,11 @@
 import collections
+import gc
 import itertools
 import json
 import math
 import pathlib
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -149,20 +151,22 @@ def test_star_400_leaf_laplacian_within_budget():
     assert min(times) < 0.2
 
 
-@pytest.mark.parametrize("g,kind,factor_vertices,groups", [
+@pytest.mark.parametrize("build,kind,factor_vertices,groups", [
     # vertex-transitive: one support group of all twelve vertices
-    (build_family(parse_family("rook:3,4")), ADJACENCY, 0, 1),
+    (lambda: build_family(parse_family("rook:3,4")), ADJACENCY, 0, 1),
     # the equal factors share one context, where S_3's centre and one leaf
     # are classified, each in a group of its own when the product first
     # asks, and the other two leaves are that leaf's twins; the product's
     # vertices fall into three support groups
-    (cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 2, 5),
+    (lambda: cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 2, 5),
 ], ids=["rook:3,4-adjacency", "star3xstar3-laplacian"])
-def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, g, kind,
+def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, build, kind,
                                                   factor_vertices, groups):
     """Classification computes each vertex's support and periodicity once
     per evaluator, however many certificates read them, and one
-    periodicity call serves each group of vertices that share a support."""
+    periodicity call serves each group of vertices that share a support.
+    The graph is built here, so no earlier call has left spectra on it."""
+    g = build()
     calls = {name: collections.Counter() for name in ("support", "periodicity")}
     periodicity_calls = []
 
@@ -656,6 +660,40 @@ def test_factors_differing_in_provenance_keep_their_own_contexts(monkeypatch):
     r = classify(g, 5, LAPLACIAN)
     assert "product-composition" in [c.kind for c in r.certificates]
     assert len(eighs) == 3
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN], ids=["adjacency", "laplacian"])
+def test_per_vertex_classify_decomposes_once_per_graph(monkeypatch, kind):
+    """One classify call per vertex of S_4 x S_4: the product and its one
+    factor are decomposed and twin-searched once each over all 25 calls,
+    and every report is the one classify_vertices gives."""
+    g = cartesian_product(star_graph(4), star_graph(4))
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    twins = _count_calls(monkeypatch, sedentary, "find_twin_sets")
+    alone = [classify(g, u, kind) for u in range(g.n)]
+    assert len(eighs) == 2
+    assert len(twins) == 2
+    together = classify_vertices(g, range(g.n), kind)
+    assert len(eighs) == 2
+    assert [r.to_dict() for r in alone] == [r.to_dict() for r in together]
+
+
+def test_the_graph_holds_its_spectra_while_it_lives():
+    g = cartesian_product(star_graph(3), star_graph(3))
+    classify(g, 4, LAPLACIAN)
+    spectra = sedentary._graph_spectra(g, LAPLACIAN)
+    # every evaluator of (g, kind) reads the one decomposition, but holds
+    # its own vertex records
+    w = WalkEvaluator.for_graph(g, LAPLACIAN)
+    assert w.decomposition is spectra.decomposition
+    assert w._diag_cache == {}
+    assert WalkEvaluator.for_graph(g, ADJACENCY).decomposition is not spectra.decomposition
+    # a graph with the same edges is another object, with its own memo
+    assert sedentary._graph_spectra(g.with_labels(g.labels), LAPLACIAN) is not spectra
+    ref = weakref.ref(spectra.decomposition)
+    del g, spectra, w
+    gc.collect()
+    assert ref() is None
 
 
 def test_classify_vertices_matches_classify():
