@@ -250,7 +250,7 @@ class WeightedGraph:
     @cached_property
     def _spectra(self) -> dict:
         """The spectral data of this graph object per matrix kind, filled by
-        qwsed.sedentary.graph_spectra; it lives as long as the graph."""
+        qwsed.sedentary._graph_spectra; it lives as long as the graph."""
         return {}
 
     def content_hash(self) -> str:
