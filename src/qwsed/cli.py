@@ -281,6 +281,9 @@ def main(argv=None) -> int:
         window = args.window
         if window is not None and not (math.isfinite(window) and window > 0.0):
             raise GraphError(f"--window must be a finite positive time, got {window!r}")
+        time = getattr(args, "time", None)
+        if time is not None and not math.isfinite(time):
+            raise GraphError(f"--time must be a finite time, got {time!r}")
         args.matrix = parse_matrix_kind(args.matrix)
         return _COMMANDS[args.command](args)
     except (GraphError, WalkError, CertificateRefused, OSError, ValueError) as exc:

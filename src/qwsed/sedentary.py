@@ -972,11 +972,14 @@ def _annotated(g: WeightedGraph) -> tuple:
 
 @dataclass(frozen=True)
 class _GraphSpectra:
-    """What classification reads of one (graph object, kind) whatever the
-    vertex: the decomposition of the assembled matrix, the twin classes and
-    the twin eigenvector check's verdict per class (twin_bound adds them)."""
+    """What classification reads of one (graph object, kind): the walk
+    evaluator over the decomposition of the assembled matrix, with its
+    vertex records, the twin classes and the twin eigenvector check's
+    verdict per class (twin_bound adds them).  A record, like a verdict,
+    depends only on (graph, kind, vertex or class), never on the options
+    or the calls that asked first."""
 
-    decomposition: SpectralDecomposition
+    walk: WalkEvaluator
     twins: tuple[TwinSet, ...]
     twin_verdicts: dict[tuple[int, ...], bool]
 
@@ -985,25 +988,27 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     """The spectral data of (graph, kind), computed on the first call for
     this graph object and kind and kept on the graph (graph._spectra) for
     as long as the graph lives: two n x n float arrays per kind (the
-    eigenvectors and the matrix), the twin classes and their verdicts."""
+    eigenvectors and the matrix), one vertex record per vertex classified
+    or asked about (k support eigenvalues, weights and root offers), the
+    twin classes and their verdicts."""
     memo = graph._spectra
     s = memo.get(kind)
     if s is None:
-        s = memo[kind] = _GraphSpectra(decompose(assemble(graph, kind)),
+        s = memo[kind] = _GraphSpectra(WalkEvaluator(decompose(assemble(graph, kind))),
                                        tuple(find_twin_sets(graph, kind)), {})
     return s
 
 
 class _Context:
     """What classification reads about one (graph, kind) under one set of
-    options.  The decomposition, the twin classes and the eigenvector
-    check's verdict on each (twin_verdicts, one check per class) are read
-    from _graph_spectra, so they are computed once per graph object and
-    kind and shared by every later call on that graph.  Built per call: the
-    walk evaluator over the decomposition with its vertex records, each
-    vertex's report once it is classified (report) and, for a Cartesian
-    product, the contexts of its factors when first asked (default options;
-    one context when both factors are the same graph).
+    options.  The walk evaluator with its decomposition and vertex records,
+    the twin classes and the eigenvector check's verdict on each
+    (twin_verdicts, one check per class) are read from _graph_spectra, so
+    they are computed once per graph object and kind and shared by every
+    later call on that graph; the options never enter them.  Built per
+    call: each vertex's report once it is classified (report) and, for a
+    Cartesian product, the contexts of its factors when first asked
+    (default options; one context when both factors are the same graph).
 
     report classifies one vertex per twin class and label role, the
     representative: the least vertex of the class with the role
@@ -1022,7 +1027,7 @@ class _Context:
                  options: ClassifyOptions = ClassifyOptions()):
         self.graph, self.kind, self.options = graph, kind, options
         spectra = _graph_spectra(graph, kind)
-        self.walk = WalkEvaluator(spectra.decomposition)
+        self.walk = spectra.walk
         self.twins, self.twin_verdicts = spectra.twins, spectra.twin_verdicts
         self._reports: dict[int, SedentaryReport] = {}
 
@@ -1080,13 +1085,15 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     structure cannot tell), box-product composition, then reconciliation of
     the best certified bound against the oracle minimum.
 
-    The assembled matrix, its eigendecomposition, the twin classes and
-    their eigenvector checks are computed once per graph object and kind,
-    for graph and for each Cartesian factor, and kept on the graph: a later
-    classify of another vertex of the same graph object reads them.  The
-    graph then holds two n x n float arrays per kind it was classified
-    under, for as long as it lives.  Vertex records and reports are made
-    per call.
+    The assembled matrix, its eigendecomposition, the vertex records, the
+    twin classes and their eigenvector checks are computed once per graph
+    object and kind, for graph and for each Cartesian factor, and kept on
+    the graph: a later classify of any vertex of the same graph object
+    reads them, whatever its options.  The graph then holds, per kind it
+    was classified under and for as long as it lives, two n x n float
+    arrays and one record per vertex classified or reached through a
+    product (k support eigenvalues, weights and root offers).  Reports are
+    made per call.
     """
     return classify_vertices(graph, [u], kind, options)[0]
 
@@ -1095,10 +1102,11 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
                       kind: MatrixKind = ADJACENCY,
                       options: ClassifyOptions | None = None) -> list[SedentaryReport]:
     """classify for each vertex in turn.  Like classify, it reads the one
-    eigendecomposition and twin-class search of (graph, kind), and of each
-    Cartesian factor, that is kept on the graph object (computed by the
-    first call on that graph and kind).  Vertex records, factor contexts
-    and reports are made once per call and shared by its vertices.
+    eigendecomposition, vertex records and twin-class search of (graph,
+    kind), and of each Cartesian factor, that are kept on the graph object
+    (computed by the first call on that graph and kind that needs them).
+    Factor contexts and reports are made once per call and shared by its
+    vertices.
 
     Only the least vertex of each twin class and label role is classified,
     whichever of its twins are requested.  Every other member's report is

@@ -68,7 +68,9 @@ weights stays per vertex: its |U(rho)_{u,u}| = 1 check, its colleague
 matrix, root chains and offers, and its fallback to the scan when its
 own chains are ambiguous.  So a record holds the bits the vertex gets
 computed alone, in a group of one, and the oracle reads it with no solve
-of its own.
+of its own.  A record depends only on (graph, kind, vertex), so the one
+evaluator of a graph object and kind (WalkEvaluator.for_graph) is kept on
+the graph with its records, read-only, for every later call to share.
 """
 from __future__ import annotations
 
@@ -869,7 +871,9 @@ class PerfectStateTransferWitness:
 class WalkEvaluator:
     """Evaluates entries of U(t) = sum_j exp(it lambda_j) E_j, holding one
     VertexSpectrum per vertex (spectrum) that the oracle and every
-    certificate read, computed on first use (spectra)."""
+    certificate read, computed on first use (spectra).  A record's arrays
+    are read-only: the evaluator of a graph (for_graph) is kept on it, so
+    its records are shared by every later call on that graph."""
 
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
@@ -878,14 +882,15 @@ class WalkEvaluator:
     @classmethod
     def for_graph(cls, graph: WeightedGraph,
                   kind: MatrixKind = ADJACENCY) -> "WalkEvaluator":
-        """An evaluator of (graph, kind).  Its decomposition is computed
-        once per graph object and kind and kept on the graph with the twin
-        classes, for as long as the graph lives (two n x n float arrays per
-        kind), so every later call on that graph, classify's included,
-        reads the same one; its vertex records are its own."""
+        """The evaluator of (graph, kind), made on the first call for this
+        graph object and kind and kept on the graph with the twin classes
+        for as long as the graph lives, so every later call on that graph,
+        classify's included, reads the same one: its decomposition (two n x
+        n float arrays per kind) and its vertex records (one per vertex
+        asked about, k support eigenvalues, weights and offers)."""
         # sedentary imports this module, so it is imported on first use
         from .sedentary import _graph_spectra
-        return cls(_graph_spectra(graph, kind).decomposition)
+        return _graph_spectra(graph, kind).walk
 
     @property
     def n(self) -> int:
@@ -921,7 +926,8 @@ class WalkEvaluator:
         whose window certifies.  Those share the period and its
         coordinates, and each keeps its own weights, its own offers or its
         fallback to the scan when its own chains are ambiguous: the bits a
-        group of its own gives it."""
+        group of its own gives it.  The records are kept, with their arrays
+        read-only, for every later call on this evaluator."""
         d = self.decomposition
         groups: dict[tuple[int, ...], list[EigenvalueSupport]] = {}
         for u in dict.fromkeys(vertices):
@@ -939,8 +945,11 @@ class WalkEvaluator:
                 wts = np.array([sups[i].weights for i in solve])
                 offers = dict(zip(solve, _root_offers(lam, wts, pers[solve[0]])))
             for i, (sup, per) in enumerate(zip(sups, pers)):
-                self._diag_cache[sup.vertex] = VertexSpectrum(
-                    lam, np.array(sup.weights), sup.indices, per, *windows[i], offers.get(i))
+                rec = VertexSpectrum(lam, np.array(sup.weights), sup.indices, per,
+                                     *windows[i], offers.get(i))
+                for a in (rec.eigenvalues, rec.weights, *(rec.offers or ())):
+                    a.setflags(write=False)
+                self._diag_cache[sup.vertex] = rec
         return [self._diag_cache[u] for u in vertices]
 
     def default_window(self, u: int) -> tuple[tuple[float, float], bool]:

@@ -96,6 +96,25 @@ def test_window_must_be_finite_and_positive(capsys, argv, window):
     assert err.startswith("error: --window") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("pair", [(), ("--pair", "0,1")], ids=["column", "pair"])
+def test_time_must_be_finite(capsys, time, pair):
+    # a non-finite time would print NaN or Infinity, which is not JSON
+    code, out, err = run(capsys, "mixing-check", "--family", "complete:3",
+                         f"--time={time}", *pair)
+    assert code == 2 and out == ""
+    assert err == f"error: --time must be a finite time, got {time}\n"
+
+
+@pytest.mark.parametrize("pair", [(), ("--pair", "0,1")], ids=["column", "pair"])
+def test_a_negative_time_is_checked(capsys, pair):
+    code, out, _ = run(capsys, "mixing-check", "--family", "complete:3",
+                       "--time=-1.5", *pair)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload.get("fractional_revival") or payload)["time"] == -1.5
+
+
 @pytest.mark.parametrize("alpha,message", [
     ("nan", "error: alpha must be finite, got nan"),
     ("inf", "error: alpha must be finite, got inf"),

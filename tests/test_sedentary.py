@@ -682,18 +682,69 @@ def test_the_graph_holds_its_spectra_while_it_lives():
     g = cartesian_product(star_graph(3), star_graph(3))
     classify(g, 4, LAPLACIAN)
     spectra = sedentary._graph_spectra(g, LAPLACIAN)
-    # every evaluator of (g, kind) reads the one decomposition, but holds
-    # its own vertex records
+    # every later call on (g, kind) reads the one kept evaluator, with the
+    # vertex records classify made
     w = WalkEvaluator.for_graph(g, LAPLACIAN)
-    assert w.decomposition is spectra.decomposition
-    assert w._diag_cache == {}
-    assert WalkEvaluator.for_graph(g, ADJACENCY).decomposition is not spectra.decomposition
+    assert w is spectra.walk
+    assert 4 in w._diag_cache
+    assert w.spectrum(4) is w.spectrum(4)
+    other = WalkEvaluator.for_graph(g, ADJACENCY)
+    assert other is not w and other.decomposition is not w.decomposition
     # a graph with the same edges is another object, with its own memo
     assert sedentary._graph_spectra(g.with_labels(g.labels), LAPLACIAN) is not spectra
-    ref = weakref.ref(spectra.decomposition)
-    del g, spectra, w
+    refs = [weakref.ref(w), weakref.ref(w.decomposition), weakref.ref(w.spectrum(4).weights)]
+    del g, spectra, w, other
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def _s4_square():
+    return cartesian_product(star_graph(4), star_graph(4))
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY],
+                         ids=["adjacency", "laplacian", "norm-adj"])
+@pytest.mark.parametrize("make", [_s4_square,
+                                  lambda: build_family(parse_family("hamming:3,3"))],
+                         ids=["s4xs4", "hamming:3,3"])
+def test_kept_records_do_not_depend_on_options_or_order(make, kind):
+    """A windowed classify and a default one of each vertex, in either
+    order on one graph object, give the reports a fresh graph gives under
+    those options alone: the records they share hold nothing of the
+    options."""
+    windowed = ClassifyOptions(window=(0.0, 3.0))
+    n = make().n
+    want = {opts: [r.to_dict() for r in classify_vertices(make(), range(n), kind, opts)]
+            for opts in (windowed, None)}
+    for order in ((windowed, None), (None, windowed)):
+        g = make()
+        for u in range(n):
+            for opts in order:
+                assert classify(g, u, kind, opts).to_dict() == want[opts][u], (u, opts)
+
+
+def test_a_second_pass_reads_the_kept_records(monkeypatch):
+    """Per-vertex classify over S_4 x S_4, run again on the same graph
+    object, makes no periodicity fit and no root solve: every record, the
+    factors' included, is kept on the graph."""
+    g = _s4_square()
+    kinds = (ADJACENCY, LAPLACIAN)
+    first = [classify(g, u, kind).to_dict() for kind in kinds for u in range(g.n)]
+    fits = _count_calls(monkeypatch, walk, "periodicity")
+    solves = _count_calls(monkeypatch, walk, "_root_offers")
+    second = [classify(g, u, kind).to_dict() for kind in kinds for u in range(g.n)]
+    assert (len(fits), len(solves)) == (0, 0)
+    assert second == first
+
+
+def test_kept_records_are_read_only():
+    w = WalkEvaluator.for_graph(build_family(parse_family("complete:5")), ADJACENCY)
+    rec = w.spectrum(0)
+    assert rec.offers is not None
+    for a in (rec.eigenvalues, rec.weights, *rec.offers):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert w.minimize_diagonal(0).minimum == pytest.approx(0.6, abs=1e-9)
 
 
 def test_classify_vertices_matches_classify():
