@@ -69,6 +69,15 @@ def _resolve_vertices(graph: WeightedGraph, selector: str) -> list[int]:
     raise GraphError(f"vertex selector {s!r} matches nothing")
 
 
+def _one_vertex(graph: WeightedGraph, selector: str, command: str) -> int:
+    """The vertex a one-vertex command reads: the first one the selector
+    matches (a role picks its first vertex).  'all' is refused, since only
+    analyze reports on several vertices."""
+    if selector.strip().lower() == "all":
+        raise GraphError(f"{command} takes one vertex; --vertex all is for analyze")
+    return _resolve_vertices(graph, selector)[0]
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -102,7 +111,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise GraphError(f"--grid must be a positive number of samples, got {args.grid}")
     graph = _load_graph(args)
-    u = _resolve_vertices(graph, args.vertex)[0]
+    u = _one_vertex(graph, args.vertex, "sweep")
     w = WalkEvaluator.for_graph(graph, args.matrix)
     horizon = args.window if args.window is not None else 2.0 * math.pi
     ts = np.linspace(0.0, horizon, args.grid)
@@ -131,7 +140,7 @@ def expand_family_range(text: str) -> list[str]:
 def _scan_worker(member: str, args: argparse.Namespace) -> tuple[int, dict]:
     """Vertex count and report of one family member."""
     graph = build_family(parse_family(member))
-    u = _resolve_vertices(graph, args.vertex)[0]
+    u = _one_vertex(graph, args.vertex, "family-scan")
     return graph.n, classify(graph, u, args.matrix, _classify_options(args)).to_dict()
 
 
@@ -165,7 +174,7 @@ def cmd_family_scan(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    u = _resolve_vertices(graph, args.vertex)[0]
+    u = _one_vertex(graph, args.vertex, "oracle")
     w = WalkEvaluator.for_graph(graph, args.matrix)
     window = (0.0, args.window) if args.window is not None else None
     result = w.minimize_diagonal(u, window)
@@ -187,8 +196,7 @@ def cmd_mixing_check(args: argparse.Namespace) -> int:
         parts = args.pair.split(",")
         if len(parts) != 2:
             raise GraphError("--pair takes two vertices, e.g. 0,1")
-        u = _resolve_vertices(graph, parts[0])[0]
-        v = _resolve_vertices(graph, parts[1])[0]
+        u, v = (_one_vertex(graph, p, "each side of --pair") for p in parts)
         t = args.time
         if t is None:
             horizon = args.window if args.window is not None else 2.0 * math.pi
@@ -206,7 +214,7 @@ def cmd_mixing_check(args: argparse.Namespace) -> int:
         return 0
     if args.time is None:
         raise GraphError("mixing-check needs --time (or --pair to search)")
-    u = _resolve_vertices(graph, args.vertex)[0]
+    u = _one_vertex(graph, args.vertex, "mixing-check")
     payload["vertex"] = u
     payload["time"] = args.time
     payload["uniform_mixing"] = check_uniform_mixing(w, u, args.time)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -138,6 +138,35 @@ def _checked_labels(n: int, labels) -> tuple[str, ...]:
     return labels
 
 
+class _Incidence:
+    """Who meets whom in a graph, read from its canonical (u, v, w) columns
+    by one vectorised pass.  Each edge is listed from both ends, so vertex
+    u has start[u + 1] - start[u] entries (a loop gives two); loop[u] tells
+    whether u has a loop, and non_unit[u] whether an edge at u has a weight
+    other than 1.  u's neighbours are neighbors[start[u]:start[u + 1]], in
+    increasing order (u itself twice for a loop).  neighbors is made on
+    first use, by a stable argsort of the edge ends: the lower ends of u's
+    edges come first."""
+
+    def __init__(self, n: int, columns):
+        u, v, w = columns
+        self._columns = columns
+        self._ends = np.concatenate((v, u))
+        self.start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._ends, minlength=n), out=self.start[1:])
+        self.loop = np.zeros(n, dtype=bool)
+        self.loop[u[u == v]] = True
+        self.non_unit = np.zeros(n, dtype=bool)
+        heavy = w != 1.0
+        self.non_unit[u[heavy]] = True
+        self.non_unit[v[heavy]] = True
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        u, v, _ = self._columns
+        return np.concatenate((u, v))[np.argsort(self._ends, kind="stable")]
+
+
 def adjacency_degrees(a: np.ndarray) -> np.ndarray:
     """Weighted degrees from an adjacency matrix, with loops counted twice."""
     return a.sum(axis=1) + np.diag(a)
@@ -147,10 +176,18 @@ def adjacency_degrees(a: np.ndarray) -> np.ndarray:
 class WeightedGraph:
     """An undirected weighted graph with optional loops.
 
-    ``edges`` is canonicalized on construction: endpoints ordered u <= v,
-    sorted lexicographically, duplicates rejected.  ``columns`` holds the
-    same edges as read-only arrays.  ``labels`` and ``provenance`` are
-    annotations and do not participate in equality.
+    ``edges`` is canonicalized on construction, once: endpoints ordered
+    u <= v, sorted lexicographically, duplicates rejected.  ``columns``
+    holds the same edges as read-only arrays.  ``labels`` and
+    ``provenance`` are annotations and do not participate in equality;
+    with_labels and with_provenance return a graph that shares this one's
+    ``edges`` and ``columns``.
+
+    What depends only on the graph object is computed on first use and
+    kept on it: the three edge flags (is_simple, is_unweighted,
+    is_positively_weighted), the incidence record the closed-form catalogue
+    reads (_incidence), the description of reports (describe_graph), and
+    the spectral data classification keeps per matrix kind (_spectra).
     """
 
     n: int
@@ -202,6 +239,10 @@ class WeightedGraph:
             maps[v][u] = w
         return tuple(maps)
 
+    @cached_property
+    def _incidence(self) -> _Incidence:
+        return _Incidence(self.n, self.columns)
+
     def loop_weight(self, u: int) -> float:
         return self.weight(u, u)
 
@@ -218,16 +259,16 @@ class WeightedGraph:
         """Weighted degrees of all vertices, with loops counted twice."""
         return adjacency_degrees(self.adjacency_matrix())
 
-    @property
+    @cached_property
     def is_simple(self) -> bool:
         u, v, _ = self.columns
         return not np.any(u == v)
 
-    @property
+    @cached_property
     def is_unweighted(self) -> bool:
         return bool(np.all(self.columns[2] == 1.0))
 
-    @property
+    @cached_property
     def is_positively_weighted(self) -> bool:
         return bool(np.all(self.columns[2] > 0.0))
 
@@ -242,10 +283,24 @@ class WeightedGraph:
         return None
 
     def with_labels(self, labels) -> "WeightedGraph":
-        return replace(self, labels=labels)
+        """This graph with the given labels (checked as on construction) and
+        this graph's provenance.  The new graph shares ``edges`` and
+        ``columns`` with this one; nothing is canonicalized again, and
+        nothing computed on this graph is kept on the new one."""
+        checked = None if labels is None else _checked_labels(self.n, labels)
+        return self._with_annotations(checked, self.provenance)
 
     def with_provenance(self, provenance) -> "WeightedGraph":
-        return replace(self, provenance=provenance)
+        """This graph with the given provenance and this graph's labels,
+        sharing ``edges`` and ``columns`` as with_labels does."""
+        return self._with_annotations(self.labels, provenance)
+
+    def _with_annotations(self, labels, provenance) -> "WeightedGraph":
+        # fields set as the frozen dataclass sets them, without __post_init__
+        g = object.__new__(WeightedGraph)
+        g.__dict__.update(n=self.n, edges=self.edges, labels=labels,
+                          provenance=provenance, columns=self.columns)
+        return g
 
     @cached_property
     def _spectra(self) -> dict:
@@ -255,6 +310,10 @@ class WeightedGraph:
 
     def content_hash(self) -> str:
         return self._content_hash
+
+    @cached_property
+    def _description(self) -> str:
+        return _describe(self)
 
     @cached_property
     def _content_hash(self) -> str:
@@ -795,7 +854,14 @@ def write_graph_file(g: WeightedGraph, path) -> None:
 
 
 def describe_graph(g: WeightedGraph) -> str:
-    """Stable human-readable identity used in reports."""
+    """Stable human-readable identity used in reports: the family spec of
+    a family graph, op(args) for a construction, else the vertex and edge
+    counts with a content hash.  It is a pure function of g's provenance
+    and edges, so it is made once per graph object and kept on it."""
+    return g._description
+
+
+def _describe(g: WeightedGraph) -> str:
     prov = g.provenance
     if isinstance(prov, FamilySpec):
         return str(prov)

@@ -31,6 +31,7 @@ reads the family provenance only where structure cannot tell.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -371,9 +372,18 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
 # -- twin classes ---------------------------------------------------------------
 
 
+def _twin_class(twin_sets: Sequence[TwinSet] | Mapping[int, TwinSet],
+                u: int) -> TwinSet | None:
+    """u's twin class: looked up in a vertex -> class map, or found in a
+    sequence of classes."""
+    if isinstance(twin_sets, Mapping):
+        return twin_sets.get(u)
+    return next((ts for ts in twin_sets if u in ts.vertices), None)
+
+
 def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
                decomposition: SpectralDecomposition | None = None,
-               twin_sets: Sequence[TwinSet] | None = None,
+               twin_sets: Sequence[TwinSet] | Mapping[int, TwinSet] | None = None,
                verdicts: dict[tuple[int, ...], bool] | None = None) -> SedentaryCertificate:
     """Membership in a twin class of size c gives |U(t)_{u,u}| >= 1 - 2/c.
 
@@ -381,13 +391,14 @@ def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     emitted so reports can show the twin structure.  When a decomposition is
     supplied, the difference eigenvector is verified against the assembled
     matrix and the projector mass at the twin eigenvalue is recorded.
-    twin_sets, when given, is find_twin_sets(graph, kind) already computed.
-    verdicts, when given, holds the eigenvector check's verdict per twin
-    class (its vertices) of this decomposition: a class found there is not
-    checked again, and one checked is added.
+    twin_sets, when given, is find_twin_sets(graph, kind) already computed,
+    or its vertex -> class map (_GraphSpectra.twin_of), where u's class is
+    looked up rather than searched for.  verdicts, when given, holds the
+    eigenvector check's verdict per twin class (its vertices) of this
+    decomposition: a class found there is not checked again, and one
+    checked is added.
     """
-    sets = find_twin_sets(graph, kind) if twin_sets is None else twin_sets
-    twins = next((ts for ts in sets if u in ts.vertices), None)
+    twins = _twin_class(find_twin_sets(graph, kind) if twin_sets is None else twin_sets, u)
     if twins is None:
         raise CertificateRefused(f"vertex {u} has no twin")
     c = twins.size
@@ -744,28 +755,29 @@ def _induced(graph: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:
 
 
 def _unit_neighbors(graph: WeightedGraph, u: int) -> np.ndarray | None:
-    """The neighbours of u, read from the edge columns, when u has no loop
-    and every edge at u has weight 1; else None."""
-    a, b, w = graph.columns
-    at = (a == u) | (b == u)
-    # the other end of each edge at u (u itself for a loop)
-    nb = (a + b)[at] - u
-    if u in nb or np.any(w[at] != 1.0):
+    """The neighbours of u, read from the graph's incidence record, when u
+    has no loop and every edge at u has weight 1; else None."""
+    rec = graph._incidence
+    if rec.loop[u] or rec.non_unit[u]:
         return None
-    return nb
+    return rec.neighbors[rec.start[u]:rec.start[u + 1]]
 
 
 def _is_dominating_unit(graph: WeightedGraph, u: int) -> bool:
-    nb = _unit_neighbors(graph, u)
-    return nb is not None and len(nb) == graph.n - 1
+    """u has no loop, and an edge of weight 1 to every other vertex; read
+    from the incidence record's counts, without its neighbour lists."""
+    rec = graph._incidence
+    return (not (rec.loop[u] or rec.non_unit[u])
+            and rec.start[u + 1] - rec.start[u] == graph.n - 1)
 
 
 def _unit_joined_block(graph: WeightedGraph, u: int,
-                       twin_sets: Sequence[TwinSet]) -> int | None:
+                       twin_sets: Sequence[TwinSet] | Mapping[int, TwinSet]
+                       ) -> int | None:
     """Size of the independent twin block through u whose members are
     unit-adjacent to every vertex outside the block, or None.  Twin classes
     and their omega and eta do not depend on the matrix kind."""
-    ts = next((ts for ts in twin_sets if u in ts.vertices), None)
+    ts = _twin_class(twin_sets, u)
     if ts is None or ts.eta != 0.0 or ts.omega != 0.0:
         return None
     nb = _unit_neighbors(graph, u)
@@ -783,7 +795,8 @@ def _role(graph: WeightedGraph, u: int) -> str:
 
 
 def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
-                  twin_sets: Sequence[TwinSet] | None = None) -> FamilyRuling | None:
+                  twin_sets: Sequence[TwinSet] | Mapping[int, TwinSet] | None = None
+                  ) -> FamilyRuling | None:
     """Exact constants the closed-form catalogue assigns to vertex u, or None.
 
     Joins are ruled by the graph's structure alone, so a family graph and
@@ -799,7 +812,15 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
     graphs, rook and Hamming lattices under every degree-shifted kind (those
     agree with the adjacency diagonal up to a phase), star leaves under the
     adjacency matrix, and double stars.  twin_sets, when given, is
-    find_twin_sets(graph, kind) already computed.
+    find_twin_sets(graph, kind) already computed, or its vertex -> class
+    map.
+
+    The structure is read from what the graph object keeps: its edge flags
+    (is_simple, is_positively_weighted) and its incidence record
+    (graph._incidence: each vertex's edge count and loop and non-unit
+    flags, and its neighbours once a ruling needs them), each made by one
+    pass over the edge columns.  So a ruling after the graph's first makes
+    no pass over the edges.
     """
     spec = graph.provenance
     if isinstance(spec, FamilySpec):
@@ -974,13 +995,15 @@ def _annotated(g: WeightedGraph) -> tuple:
 class _GraphSpectra:
     """What classification reads of one (graph object, kind): the walk
     evaluator over the decomposition of the assembled matrix, with its
-    vertex records, the twin classes and the twin eigenvector check's
-    verdict per class (twin_bound adds them).  A record, like a verdict,
-    depends only on (graph, kind, vertex or class), never on the options
-    or the calls that asked first."""
+    vertex records, the twin classes as a map from each vertex with a twin
+    to its class (twin_of, where twin_bound, family_ruling and
+    _Context._representative look a vertex up), and the twin eigenvector
+    check's verdict per class (twin_bound adds them).  A record, like a
+    verdict, depends only on (graph, kind, vertex or class), never on the
+    options or the calls that asked first."""
 
     walk: WalkEvaluator
-    twins: tuple[TwinSet, ...]
+    twin_of: dict[int, TwinSet]
     twin_verdicts: dict[tuple[int, ...], bool]
 
 
@@ -990,20 +1013,22 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     as long as the graph lives: two n x n float arrays per kind (the
     eigenvectors and the matrix), one vertex record per vertex classified
     or asked about (k support eigenvalues, weights and root offers), the
-    twin classes and their verdicts."""
+    twin classes (as their vertex map) and their verdicts."""
     memo = graph._spectra
     s = memo.get(kind)
     if s is None:
-        s = memo[kind] = _GraphSpectra(WalkEvaluator(decompose(assemble(graph, kind))),
-                                       tuple(find_twin_sets(graph, kind)), {})
+        walk = WalkEvaluator(decompose(assemble(graph, kind)))
+        s = memo[kind] = _GraphSpectra(
+            walk, {v: ts for ts in find_twin_sets(graph, kind) for v in ts.vertices}, {})
     return s
 
 
 class _Context:
     """What classification reads about one (graph, kind) under one set of
     options.  The walk evaluator with its decomposition and vertex records,
-    the twin classes and the eigenvector check's verdict on each
-    (twin_verdicts, one check per class) are read from _graph_spectra, so
+    the map from each vertex with a twin to its class (twin_of) and the
+    eigenvector check's verdict on each class (twin_verdicts, one check per
+    class) are read from _graph_spectra, so
     they are computed once per graph object and kind and shared by every
     later call on that graph; the options never enter them.  Built per
     call: each vertex's report once it is classified (report) and, for a
@@ -1028,7 +1053,7 @@ class _Context:
         self.graph, self.kind, self.options = graph, kind, options
         spectra = _graph_spectra(graph, kind)
         self.walk = spectra.walk
-        self.twins, self.twin_verdicts = spectra.twins, spectra.twin_verdicts
+        self.twin_of, self.twin_verdicts = spectra.twin_of, spectra.twin_verdicts
         self._reports: dict[int, SedentaryReport] = {}
 
     @cached_property
@@ -1040,8 +1065,9 @@ class _Context:
         return cx, _Context(gy, self.kind)
 
     def _representative(self, v: int) -> int:
-        """The least twin of v with v's label role (v without a twin)."""
-        ts = next((ts for ts in self.twins if v in ts.vertices), None)
+        """The least twin of v with v's label role (v without a twin).  v's
+        class is looked up in the kept vertex -> class map (twin_of)."""
+        ts = self.twin_of.get(v)
         if ts is None:
             return v
         role = _role(self.graph, v)
@@ -1066,7 +1092,7 @@ class _Context:
             else:
                 certs = tuple(
                     twin_bound(self.graph, v, self.kind, self.walk.decomposition,
-                               self.twins, self.twin_verdicts)
+                               self.twin_of, self.twin_verdicts)
                     if c.kind == TWIN_BOUND else replace(c, vertex=v)
                     for c in r.certificates)
                 r = replace(r, vertex=v, certificates=certs,
@@ -1171,7 +1197,7 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
 
     twin_cert = None
     try:
-        twin_cert = twin_bound(graph, u, kind, w.decomposition, ctx.twins,
+        twin_cert = twin_bound(graph, u, kind, w.decomposition, ctx.twin_of,
                                ctx.twin_verdicts)
         certs.append(twin_cert)
     except CertificateRefused:
@@ -1183,7 +1209,7 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
         except CertificateRefused:
             pass
 
-    ruling = family_ruling(graph, kind, u, ctx.twins)
+    ruling = family_ruling(graph, kind, u, ctx.twin_of)
     if ruling is not None:
         ruling = _verified_ruling(ruling, w, u)
         certs.append(SedentaryCertificate(

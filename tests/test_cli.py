@@ -283,6 +283,36 @@ def test_mixing_check_pair_search(capsys):
         math.pi / 3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("oracle", "--family", "star:3", "--vertex", "all"),
+     "oracle takes one vertex; --vertex all is for analyze"),
+    (("sweep", "--family", "star:3", "--vertex", "all"),
+     "sweep takes one vertex; --vertex all is for analyze"),
+    (("mixing-check", "--family", "star:3", "--vertex", "all", "--time", "1"),
+     "mixing-check takes one vertex; --vertex all is for analyze"),
+    (("mixing-check", "--family", "star:3", "--pair", "all,1"),
+     "each side of --pair takes one vertex; --vertex all is for analyze"),
+    (("mixing-check", "--family", "star:3", "--pair", "0,ALL", "--time", "1"),
+     "each side of --pair takes one vertex; --vertex all is for analyze"),
+    (("family-scan", "--family", "star:3..4", "--vertex", "all"),
+     "family-scan takes one vertex; --vertex all is for analyze"),
+], ids=["oracle", "sweep", "mixing-check", "pair-search", "pair-time", "family-scan"])
+def test_one_vertex_commands_refuse_all(tmp_path, capsys, argv, message):
+    """'all' used to report vertex 0 alone and exit 0; only analyze takes it."""
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {message}\n"
+
+
+def test_a_role_still_picks_its_first_vertex(capsys):
+    code, by_role, _ = run(capsys, "oracle", "--family", "star:3", "--vertex", "leaf")
+    assert code == 0
+    code, by_label, _ = run(capsys, "oracle", "--family", "star:3", "--vertex", "leaf:0")
+    assert code == 0 and by_role == by_label
+    assert json.loads(by_role)["vertex"] == 1
+
+
 def test_parser_rejects_missing_source():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -308,6 +308,102 @@ def test_columns_and_predicates_read_the_canonical_edges():
     assert all(np.array_equal(x, y) for x, y in zip(h.columns, g.columns))
 
 
+# -- the incidence record and annotations, against the edge list --------------------
+
+
+@st.composite
+def _small_graphs(draw):
+    """Graphs with n <= 8, loops allowed, weights from {1, 2, 0.5, -1}."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0, 0.5, -1.0]),
+                            min_size=len(chosen), max_size=len(chosen)))
+    # input order and orientation do not matter to the canonical graph
+    edges = [(v, u, w) if draw(st.booleans()) else (u, v, w)
+             for (u, v), w in zip(chosen, weights)]
+    return WeightedGraph(n, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs())
+def test_the_incidence_record_reads_the_edges(g):
+    rec = g._incidence
+    for u in range(g.n):
+        at = [(a, b, w) for a, b, w in g.edges if u in (a, b)]
+        want = sorted(b if a == u else a for a, b, _ in at
+                      for _ in range(2 if a == b else 1))
+        assert rec.neighbors[rec.start[u]:rec.start[u + 1]].tolist() == want
+        assert bool(rec.loop[u]) == any(a == b for a, b, _ in at)
+        assert bool(rec.non_unit[u]) == any(w != 1.0 for *_, w in at)
+    assert g.is_simple == all(a != b for a, b, _ in g.edges)
+    assert g.is_unweighted == all(w == 1.0 for *_, w in g.edges)
+    assert g.is_positively_weighted == all(w > 0.0 for *_, w in g.edges)
+    assert g._incidence is rec
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs(), st.sampled_from(["plain", "family", "op"]))
+def test_annotations_equal_a_graph_built_with_them(g, kind):
+    labels = [f"v{i}:{i % 3}" for i in range(g.n)]
+    prov = {"plain": None, "family": FamilySpec("star", (3,)),
+            "op": ("join", complete_graph(2), g)}[kind]
+    for h, want in ((g.with_labels(labels), WeightedGraph(g.n, g.edges, labels=labels)),
+                    (g.with_provenance(prov), WeightedGraph(g.n, g.edges, provenance=prov)),
+                    (g.with_labels(labels).with_provenance(prov),
+                     WeightedGraph(g.n, g.edges, labels=labels, provenance=prov))):
+        assert h == want and h.edges == want.edges
+        assert h.labels == want.labels and h.provenance is want.provenance
+        assert describe_graph(h) == describe_graph(want)
+        assert h.content_hash() == want.content_hash()
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype
+                   for x, y in zip(h.columns, want.columns))
+        # shared with the source, not canonicalized again
+        assert h.columns is g.columns and h.edges is g.edges
+        assert "_spectra" not in vars(h) and "_incidence" not in vars(h)
+    with pytest.raises(GraphError):
+        g.with_labels(labels + ["spare"])
+    with pytest.raises(GraphError):
+        g.with_provenance(prov).with_labels(labels[:-1] if g.n else ["a"])
+
+
+def test_annotations_drop_nothing_they_do_not_set():
+    g = star_graph(3)
+    spec = FamilySpec("star", (3,))
+    h = g.with_provenance(spec)
+    assert h.labels == g.labels and h.provenance is spec
+    assert h.with_labels(None).labels is None and h.with_labels(None).provenance is spec
+    assert describe_graph(h) == "star:3" and describe_graph(g).startswith("graph:4v,3e,")
+    assert describe_graph(h) is describe_graph(h)
+
+
+def _count_canonicalizations(monkeypatch):
+    import qwsed.graphs as graphs
+
+    calls = []
+    original = graphs._canonical_edges
+
+    def counting(n, edges):
+        calls.append(n)
+        return original(n, edges)
+
+    monkeypatch.setattr(graphs, "_canonical_edges", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text,built", [("star:12", 1), ("complete:13", 1),
+                                        ("hamming:3,5", 5), ("rook:4,9", 3),
+                                        ("cone:cycle:11", 3)])
+def test_build_family_canonicalizes_each_graph_once(monkeypatch, text, built):
+    """One canonicalization per graph a build constructs: hamming:3,5 makes
+    three K_5 and two products, cone:cycle:11 a K_1, the join and its base
+    (the base is built by parse_family)."""
+    spec = parse_family(text)
+    calls = _count_canonicalizations(monkeypatch)
+    build_family(spec)
+    assert len(calls) == built - (1 if spec.base is not None else 0)
+
+
 # -- the graph file reader -----------------------------------------------------------
 
 

@@ -678,6 +678,76 @@ def test_per_vertex_classify_decomposes_once_per_graph(monkeypatch, kind):
     assert [r.to_dict() for r in alone] == [r.to_dict() for r in together]
 
 
+def test_per_vertex_classify_builds_one_incidence_record_per_graph(monkeypatch):
+    """Every vertex of a fresh S_4 x S_4 by one classify call each, under A
+    and L: the product and its one factor (shared by both sides) each get
+    one incidence record, read by every later ruling.  The product has no
+    twins, so its rulings read only the record's counts and flags, and its
+    neighbour lists are never made."""
+    import qwsed.graphs as graphs
+
+    g = cartesian_product(star_graph(4), star_graph(4))
+    records = _count_calls(monkeypatch, graphs, "_Incidence")
+    for kind in (ADJACENCY, LAPLACIAN):
+        for u in range(g.n):
+            classify(g, u, kind)
+    assert len(records) == 2
+    gx, gy = g.provenance[1:3]
+    assert "_incidence" in vars(g) and "_incidence" in vars(gx)
+    assert "_incidence" not in vars(gy)
+    assert "neighbors" not in vars(g._incidence)
+    assert "neighbors" in vars(gx._incidence)
+
+
+@pytest.mark.parametrize("make,kind", [
+    (lambda: cartesian_product(star_graph(4), star_graph(4)), ADJACENCY),
+    (lambda: cartesian_product(star_graph(4), star_graph(4)), LAPLACIAN),
+    (lambda: star_graph(6), LAPLACIAN),
+    (lambda: double_cone(complete_graph(3)), LAPLACIAN),
+], ids=["s4xs4-adjacency", "s4xs4-laplacian", "star-laplacian", "doublecone-laplacian"])
+def test_family_ruling_reads_the_columns_once(monkeypatch, make, kind):
+    """The first ruling on a graph reads its flags and incidence record
+    from the edge columns; the rulings of the other vertices make no
+    np.any or np.all pass."""
+    g = make()
+    twin_of = sedentary._graph_spectra(g, kind).twin_of
+    passes = []
+
+    def spy(fn):
+        def counted(*args, **kwargs):
+            passes.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("any", "all"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    first = family_ruling(g, kind, 0, twin_of)
+    assert passes
+    passes.clear()
+    rest = [family_ruling(g, kind, u, twin_of) for u in range(1, g.n)]
+    assert passes == []
+    monkeypatch.undo()
+    fresh = make()
+    assert [first, *rest] == [family_ruling(fresh, kind, u) for u in range(fresh.n)]
+
+
+def test_the_twin_index_maps_each_twin_to_its_class():
+    g = build_family(parse_family("doublecone:disconnected:cycle:4"))
+    for kind in (ADJACENCY, LAPLACIAN):
+        spectra = sedentary._graph_spectra(g, kind)
+        twins = spectral.find_twin_sets(g, kind)
+        assert twins and spectra.twin_of == {v: ts for ts in twins for v in ts.vertices}
+        for u in range(g.n):
+            # the map and a scan of the classes give one certificate
+            try:
+                want = twin_bound(g, u, kind, spectra.walk.decomposition, twins)
+            except CertificateRefused:
+                assert u not in spectra.twin_of
+                continue
+            assert twin_bound(g, u, kind, spectra.walk.decomposition,
+                              spectra.twin_of) == want
+
+
 def test_the_graph_holds_its_spectra_while_it_lives():
     g = cartesian_product(star_graph(3), star_graph(3))
     classify(g, 4, LAPLACIAN)
