@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -146,7 +146,8 @@ class _Incidence:
     other than 1.  u's neighbours are neighbors[start[u]:start[u + 1]], in
     increasing order (u itself twice for a loop).  neighbors is made on
     first use, by a stable argsort of the edge ends: the lower ends of u's
-    edges come first."""
+    edges come first.  Every ruling on the graph reads these arrays, so
+    they are read-only."""
 
     def __init__(self, n: int, columns):
         u, v, w = columns
@@ -160,11 +161,19 @@ class _Incidence:
         heavy = w != 1.0
         self.non_unit[u[heavy]] = True
         self.non_unit[v[heavy]] = True
+        for a in (self.start, self.loop, self.non_unit):
+            a.setflags(write=False)
+
+    def unit(self, u: int) -> bool:
+        """u has no loop, and every edge at u has weight 1."""
+        return not (self.loop[u] or self.non_unit[u])
 
     @cached_property
     def neighbors(self) -> np.ndarray:
         u, v, _ = self._columns
-        return np.concatenate((u, v))[np.argsort(self._ends, kind="stable")]
+        nb = np.concatenate((u, v))[np.argsort(self._ends, kind="stable")]
+        nb.setflags(write=False)
+        return nb
 
 
 def adjacency_degrees(a: np.ndarray) -> np.ndarray:
@@ -296,10 +305,11 @@ class WeightedGraph:
         return self._with_annotations(self.labels, provenance)
 
     def _with_annotations(self, labels, provenance) -> "WeightedGraph":
-        # fields set as the frozen dataclass sets them, without __post_init__
-        g = object.__new__(WeightedGraph)
-        g.__dict__.update(n=self.n, edges=self.edges, labels=labels,
-                          provenance=provenance, columns=self.columns)
+        # every field copied as the frozen dataclass sets it, without
+        # __post_init__; the caches live in __dict__ under other names
+        g = object.__new__(type(self))
+        g.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)},
+                          labels=labels, provenance=provenance)
         return g
 
     @cached_property

@@ -372,18 +372,15 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
 # -- twin classes ---------------------------------------------------------------
 
 
-def _twin_class(twin_sets: Sequence[TwinSet] | Mapping[int, TwinSet],
-                u: int) -> TwinSet | None:
-    """u's twin class: looked up in a vertex -> class map, or found in a
-    sequence of classes."""
-    if isinstance(twin_sets, Mapping):
-        return twin_sets.get(u)
-    return next((ts for ts in twin_sets if u in ts.vertices), None)
+def _twin_map(graph: WeightedGraph, kind: MatrixKind) -> dict[int, TwinSet]:
+    """The twin classes of (graph, kind) as a map from each vertex with a
+    twin to its class."""
+    return {v: ts for ts in find_twin_sets(graph, kind) for v in ts.vertices}
 
 
 def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
                decomposition: SpectralDecomposition | None = None,
-               twin_sets: Sequence[TwinSet] | Mapping[int, TwinSet] | None = None,
+               twin_of: Mapping[int, TwinSet] | None = None,
                verdicts: dict[tuple[int, ...], bool] | None = None) -> SedentaryCertificate:
     """Membership in a twin class of size c gives |U(t)_{u,u}| >= 1 - 2/c.
 
@@ -391,14 +388,13 @@ def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     emitted so reports can show the twin structure.  When a decomposition is
     supplied, the difference eigenvector is verified against the assembled
     matrix and the projector mass at the twin eigenvalue is recorded.
-    twin_sets, when given, is find_twin_sets(graph, kind) already computed,
-    or its vertex -> class map (_GraphSpectra.twin_of), where u's class is
-    looked up rather than searched for.  verdicts, when given, holds the
+    twin_of, when given, is the vertex -> class map of (graph, kind)
+    already computed (_GraphSpectra.twin_of).  verdicts, when given, holds the
     eigenvector check's verdict per twin class (its vertices) of this
     decomposition: a class found there is not checked again, and one
     checked is added.
     """
-    twins = _twin_class(find_twin_sets(graph, kind) if twin_sets is None else twin_sets, u)
+    twins = (_twin_map(graph, kind) if twin_of is None else twin_of).get(u)
     if twins is None:
         raise CertificateRefused(f"vertex {u} has no twin")
     c = twins.size
@@ -758,7 +754,7 @@ def _unit_neighbors(graph: WeightedGraph, u: int) -> np.ndarray | None:
     """The neighbours of u, read from the graph's incidence record, when u
     has no loop and every edge at u has weight 1; else None."""
     rec = graph._incidence
-    if rec.loop[u] or rec.non_unit[u]:
+    if not rec.unit(u):
         return None
     return rec.neighbors[rec.start[u]:rec.start[u + 1]]
 
@@ -767,17 +763,15 @@ def _is_dominating_unit(graph: WeightedGraph, u: int) -> bool:
     """u has no loop, and an edge of weight 1 to every other vertex; read
     from the incidence record's counts, without its neighbour lists."""
     rec = graph._incidence
-    return (not (rec.loop[u] or rec.non_unit[u])
-            and rec.start[u + 1] - rec.start[u] == graph.n - 1)
+    return rec.unit(u) and rec.start[u + 1] - rec.start[u] == graph.n - 1
 
 
 def _unit_joined_block(graph: WeightedGraph, u: int,
-                       twin_sets: Sequence[TwinSet] | Mapping[int, TwinSet]
-                       ) -> int | None:
+                       twin_of: Mapping[int, TwinSet]) -> int | None:
     """Size of the independent twin block through u whose members are
     unit-adjacent to every vertex outside the block, or None.  Twin classes
     and their omega and eta do not depend on the matrix kind."""
-    ts = _twin_class(twin_sets, u)
+    ts = twin_of.get(u)
     if ts is None or ts.eta != 0.0 or ts.omega != 0.0:
         return None
     nb = _unit_neighbors(graph, u)
@@ -795,7 +789,7 @@ def _role(graph: WeightedGraph, u: int) -> str:
 
 
 def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
-                  twin_sets: Sequence[TwinSet] | Mapping[int, TwinSet] | None = None
+                  twin_of: Mapping[int, TwinSet] | None = None
                   ) -> FamilyRuling | None:
     """Exact constants the closed-form catalogue assigns to vertex u, or None.
 
@@ -811,9 +805,8 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
     The family provenance rules only what structure cannot see: complete
     graphs, rook and Hamming lattices under every degree-shifted kind (those
     agree with the adjacency diagonal up to a phase), star leaves under the
-    adjacency matrix, and double stars.  twin_sets, when given, is
-    find_twin_sets(graph, kind) already computed, or its vertex -> class
-    map.
+    adjacency matrix, and double stars.  twin_of, when given, is the
+    vertex -> class map of (graph, kind) already computed.
 
     The structure is read from what the graph object keeps: its edge flags
     (is_simple, is_positively_weighted) and its incidence record
@@ -851,7 +844,7 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
         d = _induced(graph, [v for v in range(graph.n) if v != u]).regular_degree()
         return None if d is None else _cone_apex_adjacency_ruling(d, graph.n - 1)
     block = _unit_joined_block(
-        graph, u, find_twin_sets(graph, kind) if twin_sets is None else twin_sets)
+        graph, u, _twin_map(graph, kind) if twin_of is None else twin_of)
     if block is None or block == graph.n:
         return None
     if laplacian:
@@ -1018,8 +1011,7 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     s = memo.get(kind)
     if s is None:
         walk = WalkEvaluator(decompose(assemble(graph, kind)))
-        s = memo[kind] = _GraphSpectra(
-            walk, {v: ts for ts in find_twin_sets(graph, kind) for v in ts.vertices}, {})
+        s = memo[kind] = _GraphSpectra(walk, _twin_map(graph, kind), {})
     return s
 
 

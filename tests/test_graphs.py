@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
@@ -375,6 +376,21 @@ def test_annotations_drop_nothing_they_do_not_set():
     assert h.with_labels(None).labels is None and h.with_labels(None).provenance is spec
     assert describe_graph(h) == "star:3" and describe_graph(g).startswith("graph:4v,3e,")
     assert describe_graph(h) is describe_graph(h)
+
+
+def test_annotations_copy_every_field_and_the_class():
+    @dataclass(frozen=True)
+    class Tagged(WeightedGraph):
+        tag: str = field(default="", compare=False)
+
+    names = {f.name for f in fields(WeightedGraph)}
+    g = star_graph(3)
+    for h in (g.with_labels("abcd"), g.with_provenance(None)):
+        assert names <= set(vars(h))
+    t = Tagged(3, ((0, 1), (1, 2)), tag="kept")
+    for h in (t.with_labels("xyz"), t.with_provenance(FamilySpec("path", (3,)))):
+        assert type(h) is Tagged and h.tag == "kept" and h == t
+        assert {f.name for f in fields(Tagged)} <= set(vars(h))
 
 
 def _count_canonicalizations(monkeypatch):

@@ -496,9 +496,9 @@ def _neighbors_dominating_unit(graph, u):
     return all(w == 1.0 for w in nb.values())
 
 
-def _neighbors_joined_block(graph, u, twin_sets):
+def _neighbors_joined_block(graph, u, twin_of):
     """_unit_joined_block as it read graph.neighbors."""
-    ts = next((ts for ts in twin_sets if u in ts.vertices), None)
+    ts = twin_of.get(u)
     if ts is None or ts.eta != 0.0 or ts.omega != 0.0:
         return None
     nb = graph.neighbors(u)
@@ -530,7 +530,7 @@ def _ruling_graphs():
 def test_rulings_unchanged_from_the_neighbour_maps(monkeypatch):
     for g in _ruling_graphs():
         for kind in (ADJACENCY, LAPLACIAN):
-            twins = spectral.find_twin_sets(g, kind)
+            twins = {v: ts for ts in spectral.find_twin_sets(g, kind) for v in ts.vertices}
             ours = [family_ruling(g, kind, u) for u in range(g.n)]
             for u in range(g.n):
                 assert sedentary._is_dominating_unit(g, u) == _neighbors_dominating_unit(g, u)
@@ -738,9 +738,9 @@ def test_the_twin_index_maps_each_twin_to_its_class():
         twins = spectral.find_twin_sets(g, kind)
         assert twins and spectra.twin_of == {v: ts for ts in twins for v in ts.vertices}
         for u in range(g.n):
-            # the map and a scan of the classes give one certificate
+            # the kept map and one built from the graph give one certificate
             try:
-                want = twin_bound(g, u, kind, spectra.walk.decomposition, twins)
+                want = twin_bound(g, u, kind, spectra.walk.decomposition)
             except CertificateRefused:
                 assert u not in spectra.twin_of
                 continue
@@ -815,6 +815,14 @@ def test_kept_records_are_read_only():
         with pytest.raises(ValueError):
             a[0] = 0.0
     assert w.minimize_diagonal(0).minimum == pytest.approx(0.6, abs=1e-9)
+    # the incidence record every ruling on the graph reads
+    g = cone(cycle_graph(5))
+    ruling = family_ruling(g, LAPLACIAN, 0)
+    rec = g._incidence
+    for a in (rec.start, rec.loop, rec.non_unit, rec.neighbors):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    assert family_ruling(g, LAPLACIAN, 0) == ruling
 
 
 def test_classify_vertices_matches_classify():
