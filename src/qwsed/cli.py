@@ -193,6 +193,7 @@ def cmd_mixing_check(args: argparse.Namespace) -> int:
     w = WalkEvaluator.for_graph(graph, args.matrix)
     payload: dict = {"graph": describe_graph(graph), "matrix": str(args.matrix)}
     if args.pair is not None:
+        _one_vertex(graph, args.vertex, "mixing-check")  # --vertex checked as without --pair
         parts = args.pair.split(",")
         if len(parts) != 2:
             raise GraphError("--pair takes two vertices, e.g. 0,1")

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "GraphError",
     "WeightedGraph",
-    "adjacency_degrees",
     "empty_graph",
     "complete_graph",
     "path_graph",
@@ -139,15 +138,15 @@ def _checked_labels(n: int, labels) -> tuple[str, ...]:
 
 
 class _Incidence:
-    """Who meets whom in a graph, read from its canonical (u, v, w) columns
-    by one vectorised pass.  Each edge is listed from both ends, so vertex
-    u has start[u + 1] - start[u] entries (a loop gives two); loop[u] tells
-    whether u has a loop, and non_unit[u] whether an edge at u has a weight
-    other than 1.  u's neighbours are neighbors[start[u]:start[u + 1]], in
-    increasing order (u itself twice for a loop).  neighbors is made on
-    first use, by a stable argsort of the edge ends: the lower ends of u's
-    edges come first.  Every ruling on the graph reads these arrays, so
-    they are read-only."""
+    """The graph's adjacency record, read from its canonical (u, v, w)
+    columns by one vectorised pass.  Each edge is listed from both ends, so
+    vertex u has start[u + 1] - start[u] entries (a loop gives two), and
+    u's weighted degree degrees[u] counts a loop twice; loop[u] and
+    non_unit[u] tell whether u has a loop or an edge of weight other than 1.
+    u's neighbours are neighbors[start[u]:start[u + 1]], in increasing
+    order (u twice for a loop), and weights holds their edges' weights in
+    the same slice.  Those two are made on first use (_sorted) by one
+    stable argsort of the edge ends.  All arrays are shared, so read-only."""
 
     def __init__(self, n: int, columns):
         u, v, w = columns
@@ -155,13 +154,15 @@ class _Incidence:
         self._ends = np.concatenate((v, u))
         self.start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self._ends, minlength=n), out=self.start[1:])
+        self.degrees = np.bincount(self._ends, weights=np.concatenate((w, w)),
+                                   minlength=n)
         self.loop = np.zeros(n, dtype=bool)
         self.loop[u[u == v]] = True
         self.non_unit = np.zeros(n, dtype=bool)
         heavy = w != 1.0
         self.non_unit[u[heavy]] = True
         self.non_unit[v[heavy]] = True
-        for a in (self.start, self.loop, self.non_unit):
+        for a in (self.start, self.degrees, self.loop, self.non_unit):
             a.setflags(write=False)
 
     def unit(self, u: int) -> bool:
@@ -169,16 +170,30 @@ class _Incidence:
         return not (self.loop[u] or self.non_unit[u])
 
     @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        u, v, w = self._columns
+        order = np.argsort(self._ends, kind="stable")
+        arrays = (np.concatenate((u, v))[order], np.concatenate((w, w))[order])
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    @property
     def neighbors(self) -> np.ndarray:
-        u, v, _ = self._columns
-        nb = np.concatenate((u, v))[np.argsort(self._ends, kind="stable")]
-        nb.setflags(write=False)
-        return nb
+        return self._sorted[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._sorted[1]
 
 
-def adjacency_degrees(a: np.ndarray) -> np.ndarray:
-    """Weighted degrees from an adjacency matrix, with loops counted twice."""
-    return a.sum(axis=1) + np.diag(a)
+def _common_value(values: np.ndarray) -> float | None:
+    """values[0] when every entry agrees with it to 1e-12 (relative and
+    absolute), else None; None when there are no values."""
+    if len(values) == 0:
+        return None
+    d = float(values[0])
+    return d if np.allclose(values, d, rtol=1e-12, atol=1e-12) else None
 
 
 @dataclass(frozen=True)
@@ -194,7 +209,7 @@ class WeightedGraph:
 
     What depends only on the graph object is computed on first use and
     kept on it: the three edge flags (is_simple, is_unweighted,
-    is_positively_weighted), the incidence record the closed-form catalogue
+    is_positively_weighted), the adjacency record every per-vertex query
     reads (_incidence), the description of reports (describe_graph), and
     the spectral data classification keeps per matrix kind (_spectra).
     """
@@ -223,30 +238,22 @@ class WeightedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def _weight_map(self) -> dict[tuple[int, int], float]:
-        return {(u, v): w for u, v, w in self.edges}
-
     def weight(self, u: int, v: int) -> float:
         """Weight of the edge between u and v, 0.0 if absent."""
-        if u > v:
-            u, v = v, u
-        return self._weight_map.get((u, v), 0.0)
+        rec = self._incidence
+        lo, hi = rec.start[u], rec.start[u + 1]
+        i = lo + np.searchsorted(rec.neighbors[lo:hi], v)
+        return float(rec.weights[i]) if i < hi and rec.neighbors[i] == v else 0.0
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.weight(u, v) != 0.0
 
     def neighbors(self, u: int) -> dict[int, float]:
         """Weighted neighborhood of u, excluding u itself."""
-        return {v: w for v, w in self._neighbor_maps[u].items() if v != u}
-
-    @cached_property
-    def _neighbor_maps(self) -> tuple[dict[int, float], ...]:
-        maps: list[dict[int, float]] = [dict() for _ in range(self.n)]
-        for u, v, w in self.edges:
-            maps[u][v] = w
-            maps[v][u] = w
-        return tuple(maps)
+        rec = self._incidence
+        lo, hi = rec.start[u], rec.start[u + 1]
+        return {v: w for v, w in zip(rec.neighbors[lo:hi].tolist(),
+                                     rec.weights[lo:hi].tolist()) if v != u}
 
     @cached_property
     def _incidence(self) -> _Incidence:
@@ -265,8 +272,8 @@ class WeightedGraph:
         return a
 
     def degrees(self) -> np.ndarray:
-        """Weighted degrees of all vertices, with loops counted twice."""
-        return adjacency_degrees(self.adjacency_matrix())
+        """Weighted degrees of all vertices, loops counted twice (read-only)."""
+        return self._incidence.degrees
 
     @cached_property
     def is_simple(self) -> bool:
@@ -283,13 +290,7 @@ class WeightedGraph:
 
     def regular_degree(self) -> float | None:
         """Common weighted degree if the graph is regular, else None."""
-        if self.n == 0:
-            return None
-        degs = self.degrees()
-        d = float(degs[0])
-        if np.allclose(degs, d, rtol=1e-12, atol=1e-12):
-            return d
-        return None
+        return _common_value(self.degrees())
 
     def with_labels(self, labels) -> "WeightedGraph":
         """This graph with the given labels (checked as on construction) and

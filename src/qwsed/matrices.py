@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, adjacency_degrees
+from .graphs import WeightedGraph
 
 __all__ = [
     "MatrixError",
@@ -106,7 +106,8 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
     """
     a = graph.adjacency_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
-        deg = adjacency_degrees(a)
+        # row sums, not graph.degrees(): a bincount's add order moves reports' last bits
+        deg = a.sum(axis=1) + np.diag(a)
         zero = tuple(int(i) for i in np.flatnonzero(np.abs(deg) < 1e-12))
         if kind.name == "adjacency":
             m = a

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FamilySpec, WeightedGraph, describe_graph
+from .graphs import FamilySpec, WeightedGraph, _common_value, describe_graph
 from .matrices import ADJACENCY, MatrixKind, assemble
 from .spectral import (
     SpectralDecomposition,
@@ -743,15 +743,8 @@ def _double_star_leaf_ruling(side: int, other: int) -> FamilyRuling:
                         "window decides")
 
 
-def _induced(graph: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:
-    index = {v: i for i, v in enumerate(keep)}
-    edges = tuple((index[a], index[b], w) for a, b, w in graph.edges
-                  if a in index and b in index)
-    return WeightedGraph(len(keep), edges)
-
-
 def _unit_neighbors(graph: WeightedGraph, u: int) -> np.ndarray | None:
-    """The neighbours of u, read from the graph's incidence record, when u
+    """The neighbours of u, read from the graph's adjacency record, when u
     has no loop and every edge at u has weight 1; else None."""
     rec = graph._incidence
     if not rec.unit(u):
@@ -761,7 +754,7 @@ def _unit_neighbors(graph: WeightedGraph, u: int) -> np.ndarray | None:
 
 def _is_dominating_unit(graph: WeightedGraph, u: int) -> bool:
     """u has no loop, and an edge of weight 1 to every other vertex; read
-    from the incidence record's counts, without its neighbour lists."""
+    from the adjacency record's counts, without its neighbour lists."""
     rec = graph._incidence
     return rec.unit(u) and rec.start[u + 1] - rec.start[u] == graph.n - 1
 
@@ -809,11 +802,11 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
     vertex -> class map of (graph, kind) already computed.
 
     The structure is read from what the graph object keeps: its edge flags
-    (is_simple, is_positively_weighted) and its incidence record
-    (graph._incidence: each vertex's edge count and loop and non-unit
-    flags, and its neighbours once a ruling needs them), each made by one
-    pass over the edge columns.  So a ruling after the graph's first makes
-    no pass over the edges.
+    (is_simple, is_positively_weighted) and its adjacency record
+    (graph._incidence: each vertex's edge count, degree, and loop and
+    non-unit flags, and its neighbours once a ruling needs them), each made
+    by one pass over the edge columns.  A remainder's degrees are the
+    record's less the unit edges to the apexes, so no subgraph is built.
     """
     spec = graph.provenance
     if isinstance(spec, FamilySpec):
@@ -838,10 +831,12 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
             or not (graph.is_simple and graph.is_positively_weighted)):
         return None
     laplacian = kind.name == "laplacian"
+    rec = graph._incidence
     if _is_dominating_unit(graph, u):
         if laplacian:
             return _clique_join_laplacian_ruling(graph.n)
-        d = _induced(graph, [v for v in range(graph.n) if v != u]).regular_degree()
+        # the remainder's degrees lose u's unit edge
+        d = _common_value(np.delete(rec.degrees, u) - 1.0)
         return None if d is None else _cone_apex_adjacency_ruling(d, graph.n - 1)
     block = _unit_joined_block(
         graph, u, _twin_map(graph, kind) if twin_of is None else twin_of)
@@ -850,11 +845,12 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
     if laplacian:
         return _indep_block_laplacian_ruling(block, graph.n - block)
     if block == 2:
-        # the block check already proved u's neighbours are the base set
-        base = _induced(graph, sorted(_unit_neighbors(graph, u).tolist()))
-        d = base.regular_degree()
-        if d is not None and base.is_unweighted:
-            return _indep_pair_adjacency_ruling(int(round(d)), base.n)
+        # the block check proved u's neighbours are the base, unit-joined to
+        # the pair; so the base is unweighted when no base vertex is non-unit
+        base = _unit_neighbors(graph, u)
+        d = _common_value(rec.degrees[base] - 2.0)
+        if d is not None and not rec.non_unit[base].any():
+            return _indep_pair_adjacency_ruling(int(round(d)), len(base))
     return None
 
 

@@ -305,6 +305,21 @@ def test_one_vertex_commands_refuse_all(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("vertex,message", [
+    ("banana", "vertex selector 'banana' matches nothing"),
+    ("all", "mixing-check takes one vertex; --vertex all is for analyze"),
+    ("9", "vertex 9 out of range for 4 vertices"),
+])
+@pytest.mark.parametrize("time", [("--time", "1"), ()], ids=["time", "search"])
+def test_mixing_check_pair_resolves_the_vertex(tmp_path, capsys, vertex, message, time):
+    """--vertex is refused with --pair as without it; --pair used to skip it."""
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "mixing-check", "--family", "star:3", "--pair", "0,1",
+                            "--vertex", vertex, *time, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {message}\n"
+
+
 def test_a_role_still_picks_its_first_vertex(capsys):
     code, by_role, _ = run(capsys, "oracle", "--family", "star:3", "--vertex", "leaf")
     assert code == 0

@@ -330,13 +330,30 @@ def _small_graphs(draw):
 @given(_small_graphs())
 def test_the_incidence_record_reads_the_edges(g):
     rec = g._incidence
+    degrees = []
     for u in range(g.n):
         at = [(a, b, w) for a, b, w in g.edges if u in (a, b)]
-        want = sorted(b if a == u else a for a, b, _ in at
+        want = sorted((b if a == u else a, w) for a, b, w in at
                       for _ in range(2 if a == b else 1))
-        assert rec.neighbors[rec.start[u]:rec.start[u + 1]].tolist() == want
+        got = slice(rec.start[u], rec.start[u + 1])
+        assert rec.neighbors[got].tolist() == [v for v, _ in want]
+        assert rec.weights[got].tolist() == [w for _, w in want]
         assert bool(rec.loop[u]) == any(a == b for a, b, _ in at)
         assert bool(rec.non_unit[u]) == any(w != 1.0 for *_, w in at)
+        # the weights are dyadic, so every sum is exact
+        degrees.append(sum(w for _, w in want))
+        assert rec.degrees[u] == degrees[-1]
+        weight = dict(want)
+        for v in range(g.n):
+            assert g.weight(u, v) == g.weight(v, u) == weight.get(v, 0.0)
+            assert g.has_edge(u, v) == (v in weight)
+        assert g.neighbors(u) == {v: w for v, w in weight.items() if v != u}
+        assert g.loop_weight(u) == weight.get(u, 0.0)
+    assert g.degrees() is rec.degrees and g.degrees().tolist() == degrees
+    regular = degrees and all(d == degrees[0] for d in degrees)
+    assert g.regular_degree() == (degrees[0] if regular else None)
+    a = g.adjacency_matrix()
+    np.testing.assert_allclose(g.degrees(), a.sum(axis=1) + np.diag(a), rtol=1e-12, atol=0)
     assert g.is_simple == all(a != b for a, b, _ in g.edges)
     assert g.is_unweighted == all(w == 1.0 for *_, w in g.edges)
     assert g.is_positively_weighted == all(w > 0.0 for *_, w in g.edges)

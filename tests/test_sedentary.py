@@ -508,11 +508,61 @@ def _neighbors_joined_block(graph, u, twin_of):
     return None
 
 
+def _induced(graph, keep):
+    index = {v: i for i, v in enumerate(keep)}
+    edges = tuple((index[a], index[b], w) for a, b, w in graph.edges
+                  if a in index and b in index)
+    return WeightedGraph(len(keep), edges)
+
+
+def _row_sum_regular_degree(graph):
+    """regular_degree as it read the dense adjacency matrix's row sums."""
+    a = graph.adjacency_matrix()
+    degs = a.sum(axis=1) + np.diag(a)
+    d = float(degs[0])
+    return d if np.allclose(degs, d, rtol=1e-12, atol=1e-12) else None
+
+
+def _induced_ruling(graph, kind, u, twin_of):
+    """The structural rulings of family_ruling as they read the regular
+    degree of an induced remainder or base graph."""
+    if (kind.name not in ("adjacency", "laplacian") or graph.n < 2
+            or not (graph.is_simple and graph.is_positively_weighted)):
+        return None
+    laplacian = kind.name == "laplacian"
+    if _neighbors_dominating_unit(graph, u):
+        if laplacian:
+            return sedentary._clique_join_laplacian_ruling(graph.n)
+        d = _row_sum_regular_degree(_induced(graph, [v for v in range(graph.n) if v != u]))
+        return None if d is None else sedentary._cone_apex_adjacency_ruling(d, graph.n - 1)
+    block = _neighbors_joined_block(graph, u, twin_of)
+    if block is None or block == graph.n:
+        return None
+    if laplacian:
+        return sedentary._indep_block_laplacian_ruling(block, graph.n - block)
+    if block == 2:
+        base = _induced(graph, sorted(graph.neighbors(u)))
+        d = _row_sum_regular_degree(base)
+        if d is not None and base.is_unweighted:
+            return sedentary._indep_pair_adjacency_ruling(int(round(d)), base.n)
+    return None
+
+
+def _weighted_cycle(weights):
+    n = len(weights)
+    return WeightedGraph(n, tuple((i, (i + 1) % n, w) for i, w in enumerate(weights)))
+
+
 def _ruling_graphs():
     yield from (star_graph(1), star_graph(5), cone(cycle_graph(5)), cone(path_graph(4)),
                 double_cone(cycle_graph(4)), double_cone(cycle_graph(6), "connected"),
                 double_cone(build_family(parse_family("empty:3"))),
                 complete_graph(2), complete_graph(6))
+    # weighted regular remainders: the apex's degree less its unit edge
+    # rounds apart from a fresh sum of the base's weights
+    for weights in ([0.1, 0.7] * 3, [1.0 / 3.0] * 6, [0.1, 0.7, 0.2] * 2):
+        base = _weighted_cycle(weights)
+        yield from (cone(base), double_cone(base), double_cone(base, "connected"))
     rng = np.random.default_rng(17)
     for _ in range(6):
         n = int(rng.integers(4, 9))
@@ -532,6 +582,17 @@ def test_rulings_unchanged_from_the_neighbour_maps(monkeypatch):
         for kind in (ADJACENCY, LAPLACIAN):
             twins = {v: ts for ts in spectral.find_twin_sets(g, kind) for v in ts.vertices}
             ours = [family_ruling(g, kind, u) for u in range(g.n)]
+            for u, ruling in enumerate(ours):
+                # the record's degrees, not an induced graph's: equal up to
+                # the rounding of d - 1 against a fresh sum
+                want = _induced_ruling(g, kind, u, twins)
+                assert (ruling is None) == (want is None), (g, kind, u)
+                if ruling is not None:
+                    assert ruling.classification == want.classification
+                    assert ruling.detail == want.detail
+                    assert ruling.bound == pytest.approx(want.bound, rel=0, abs=1e-15)
+                    assert ruling.equality_times == pytest.approx(
+                        want.equality_times, rel=0, abs=1e-15)
             for u in range(g.n):
                 assert sedentary._is_dominating_unit(g, u) == _neighbors_dominating_unit(g, u)
                 assert sedentary._unit_joined_block(g, u, twins) == \
@@ -547,11 +608,27 @@ def test_classify_leaves_the_neighbour_maps_unbuilt():
     upper = np.triu(rng.random((120, 120)) < 0.1, k=1)
     g = WeightedGraph(120, tuple((int(a), int(b), 1.0) for a, b in zip(*np.nonzero(upper))))
     classify(g, 0)
-    assert "_neighbor_maps" not in vars(g)
-    # a cone apex is a dominating unit, found without them too
+    # the adjacency record is read, but its neighbour lists are never sorted
+    assert "_incidence" in vars(g) and "_sorted" not in vars(g._incidence)
+    # a cone apex is a dominating unit, found without them too, and its
+    # remainder's degrees are the record's
     c = cone(cycle_graph(7))
-    assert family_ruling(c, LAPLACIAN, 0) is not None
-    assert "_neighbor_maps" not in vars(c)
+    for kind in (LAPLACIAN, ADJACENCY):
+        assert family_ruling(c, kind, 0) is not None
+    assert "_incidence" in vars(c) and "_sorted" not in vars(c._incidence)
+
+
+@pytest.mark.parametrize("fam", ["cone:cycle:11", "doublecone:disconnected:cycle:6"])
+def test_apex_rulings_build_no_graph(monkeypatch, fam):
+    """An apex's ruling under the adjacency matrix reads its remainder's or
+    base's degrees from the graph's record, so it canonicalizes no edges."""
+    import qwsed.graphs as graphs
+
+    g = build_family(parse_family(fam))
+    calls = _count_calls(monkeypatch, graphs, "_canonical_edges")
+    rulings = [family_ruling(g, ADJACENCY, 0) for _ in range(10)]
+    assert calls == []
+    assert rulings[0] is not None and rulings == rulings[:1] * 10
 
 
 @pytest.mark.parametrize("fam,u,base", [("star:2", 1, 1),
@@ -695,8 +772,8 @@ def test_per_vertex_classify_builds_one_incidence_record_per_graph(monkeypatch):
     gx, gy = g.provenance[1:3]
     assert "_incidence" in vars(g) and "_incidence" in vars(gx)
     assert "_incidence" not in vars(gy)
-    assert "neighbors" not in vars(g._incidence)
-    assert "neighbors" in vars(gx._incidence)
+    assert "_sorted" not in vars(g._incidence)
+    assert "_sorted" in vars(gx._incidence)
 
 
 @pytest.mark.parametrize("make,kind", [
@@ -819,7 +896,7 @@ def test_kept_records_are_read_only():
     g = cone(cycle_graph(5))
     ruling = family_ruling(g, LAPLACIAN, 0)
     rec = g._incidence
-    for a in (rec.start, rec.loop, rec.non_unit, rec.neighbors):
+    for a in (rec.start, rec.degrees, rec.loop, rec.non_unit, rec.neighbors, rec.weights):
         with pytest.raises(ValueError):
             a[0] = a[1]
     assert family_ruling(g, LAPLACIAN, 0) == ruling
