@@ -238,8 +238,16 @@ class WeightedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    def _vertex(self, u: int) -> int:
+        """u, when it is a vertex of this graph; GraphError otherwise."""
+        if not 0 <= u < self.n:
+            raise GraphError(f"vertex {u} out of range for n={self.n}")
+        return u
+
     def weight(self, u: int, v: int) -> float:
-        """Weight of the edge between u and v, 0.0 if absent."""
+        """Weight of the edge between u and v, 0.0 if absent; GraphError
+        when u or v is not a vertex (as for has_edge and loop_weight)."""
+        u, v = self._vertex(u), self._vertex(v)
         rec = self._incidence
         lo, hi = rec.start[u], rec.start[u + 1]
         i = lo + np.searchsorted(rec.neighbors[lo:hi], v)
@@ -249,7 +257,9 @@ class WeightedGraph:
         return self.weight(u, v) != 0.0
 
     def neighbors(self, u: int) -> dict[int, float]:
-        """Weighted neighborhood of u, excluding u itself."""
+        """Weighted neighborhood of u, excluding u itself; GraphError when u
+        is not a vertex."""
+        u = self._vertex(u)
         rec = self._incidence
         lo, hi = rec.start[u], rec.start[u + 1]
         return {v: w for v, w in zip(rec.neighbors[lo:hi].tolist(),
@@ -316,7 +326,9 @@ class WeightedGraph:
     @cached_property
     def _spectra(self) -> dict:
         """The spectral data of this graph object per matrix kind, filled by
-        qwsed.sedentary._graph_spectra; it lives as long as the graph."""
+        qwsed.sedentary._graph_spectra, and under the key None the twin
+        classes every kind shares (qwsed.sedentary._twin_map); it lives as
+        long as the graph."""
         return {}
 
     def content_hash(self) -> str:

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FamilySpec, WeightedGraph, _common_value, describe_graph
-from .matrices import ADJACENCY, MatrixKind, assemble
+from .matrices import ADJACENCY, MatrixKind, assemble, twin_theta
 from .spectral import (
     SpectralDecomposition,
     TwinSet,
@@ -374,8 +374,16 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
 
 def _twin_map(graph: WeightedGraph, kind: MatrixKind) -> dict[int, TwinSet]:
     """The twin classes of (graph, kind) as a map from each vertex with a
-    twin to its class."""
-    return {v: ts for ts in find_twin_sets(graph, kind) for v in ts.vertices}
+    twin to its class.  The classes, with their omega, eta and degree, do
+    not depend on the kind: find_twin_sets runs once per graph object, its
+    classes are kept on the graph (graph._spectra[None]), and each kind
+    only sets its own theta."""
+    classes = graph._spectra.get(None)
+    if classes is None:
+        classes = graph._spectra[None] = find_twin_sets(graph)
+    return {v: ts for ts in (replace(c, theta=twin_theta(kind, c.degree, c.omega, c.eta),
+                                     kind=kind) for c in classes)
+            for v in ts.vertices}
 
 
 def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
@@ -986,14 +994,18 @@ class _GraphSpectra:
     evaluator over the decomposition of the assembled matrix, with its
     vertex records, the twin classes as a map from each vertex with a twin
     to its class (twin_of, where twin_bound, family_ruling and
-    _Context._representative look a vertex up), and the twin eigenvector
-    check's verdict per class (twin_bound adds them).  A record, like a
-    verdict, depends only on (graph, kind, vertex or class), never on the
-    options or the calls that asked first."""
+    _Context._representative look a vertex up), the twin eigenvector
+    check's verdict per class (twin_bound adds them), and the report of
+    each vertex classified as a Cartesian factor's vertex (reports, read
+    and filled by the factor contexts of _Context.factors).  A record, a
+    verdict and a report at default options depend only on (graph, kind,
+    vertex or class), never on the options or the calls that asked first;
+    none of them refers to the graph."""
 
     walk: WalkEvaluator
     twin_of: dict[int, TwinSet]
     twin_verdicts: dict[tuple[int, ...], bool]
+    reports: dict[int, SedentaryReport]
 
 
 def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
@@ -1002,12 +1014,14 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     as long as the graph lives: two n x n float arrays per kind (the
     eigenvectors and the matrix), one vertex record per vertex classified
     or asked about (k support eigenvalues, weights and root offers), the
-    twin classes (as their vertex map) and their verdicts."""
+    twin classes (as their vertex map, from the kind-free classes kept
+    once per graph) and their verdicts, and one report per vertex reached
+    as a factor vertex of a product."""
     memo = graph._spectra
     s = memo.get(kind)
     if s is None:
         walk = WalkEvaluator(decompose(assemble(graph, kind)))
-        s = memo[kind] = _GraphSpectra(walk, _twin_map(graph, kind), {})
+        s = memo[kind] = _GraphSpectra(walk, _twin_map(graph, kind), {}, {})
     return s
 
 
@@ -1018,10 +1032,15 @@ class _Context:
     eigenvector check's verdict on each class (twin_verdicts, one check per
     class) are read from _graph_spectra, so
     they are computed once per graph object and kind and shared by every
-    later call on that graph; the options never enter them.  Built per
-    call: each vertex's report once it is classified (report) and, for a
-    Cartesian product, the contexts of its factors when first asked
-    (default options; one context when both factors are the same graph).
+    later call on that graph; the options never enter them.  Each vertex's
+    report is made once it is asked for (report): per call under the
+    caller's options, and in the map kept on the graph
+    (_GraphSpectra.reports) for a factor's context.  A factor's context
+    (options None) takes the default options, under which a report depends
+    only on (graph, kind, vertex), so every later product vertex over that
+    factor graph reads the one kept report.  For a Cartesian product the
+    factors' contexts are made per call when first asked (one context when
+    both factors are the same graph).
 
     report classifies one vertex per twin class and label role, the
     representative: the least vertex of the class with the role
@@ -1037,12 +1056,13 @@ class _Context:
     full."""
 
     def __init__(self, graph: WeightedGraph, kind: MatrixKind,
-                 options: ClassifyOptions = ClassifyOptions()):
-        self.graph, self.kind, self.options = graph, kind, options
+                 options: ClassifyOptions | None = None):
+        self.graph, self.kind = graph, kind
+        self.options = options or ClassifyOptions()
         spectra = _graph_spectra(graph, kind)
         self.walk = spectra.walk
         self.twin_of, self.twin_verdicts = spectra.twin_of, spectra.twin_verdicts
-        self._reports: dict[int, SedentaryReport] = {}
+        self._reports = spectra.reports if options is None else {}
 
     @cached_property
     def factors(self) -> tuple[_Context, _Context]:
@@ -1106,8 +1126,11 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     reads them, whatever its options.  The graph then holds, per kind it
     was classified under and for as long as it lives, two n x n float
     arrays and one record per vertex classified or reached through a
-    product (k support eigenvalues, weights and root offers).  Reports are
-    made per call.
+    product (k support eigenvalues, weights and root offers).  A factor
+    graph also keeps the report of each of its vertices a product vertex
+    reached (default options), so each factor vertex is classified once
+    per factor graph object and kind.  The report of u itself is made per
+    call.
     """
     return classify_vertices(graph, [u], kind, options)[0]
 
@@ -1119,8 +1142,9 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
     eigendecomposition, vertex records and twin-class search of (graph,
     kind), and of each Cartesian factor, that are kept on the graph object
     (computed by the first call on that graph and kind that needs them).
-    Factor contexts and reports are made once per call and shared by its
-    vertices.
+    The reports of the requested vertices are made once per call; a
+    factor vertex's report is read from its factor graph, where the first
+    product vertex that needed it kept it.
 
     Only the least vertex of each twin class and label role is classified,
     whichever of its twins are requested.  Every other member's report is

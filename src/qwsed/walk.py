@@ -884,10 +884,12 @@ class WalkEvaluator:
                   kind: MatrixKind = ADJACENCY) -> "WalkEvaluator":
         """The evaluator of (graph, kind), made on the first call for this
         graph object and kind and kept on the graph with the twin classes
-        for as long as the graph lives, so every later call on that graph,
-        classify's included, reads the same one: its decomposition (two n x
-        n float arrays per kind) and its vertex records (one per vertex
-        asked about, k support eigenvalues, weights and offers)."""
+        (and, once the graph is a product's factor, its factor vertices'
+        reports) for as long as the graph lives, so every later call on
+        that graph, classify's included, reads the same one: its
+        decomposition (two n x n float arrays per kind) and its vertex
+        records (one per vertex asked about, k support eigenvalues, weights
+        and offers)."""
         # sedentary imports this module, so it is imported on first use
         from .sedentary import _graph_spectra
         return _graph_spectra(graph, kind).walk

@@ -360,6 +360,29 @@ def test_the_incidence_record_reads_the_edges(g):
     assert g._incidence is rec
 
 
+@pytest.mark.parametrize("g", [star_graph(3), WeightedGraph(2, ((1, 1, 2.0),))],
+                         ids=["star:3", "loop"])
+def test_vertex_queries_refuse_an_endpoint_outside_the_graph(g):
+    """weight, has_edge, loop_weight and neighbors refuse -1 and n alike,
+    at either end, with one GraphError."""
+    for bad in (-1, g.n):
+        calls = {"weight(bad, 0)": lambda: g.weight(bad, 0),
+                 "weight(0, bad)": lambda: g.weight(0, bad),
+                 "has_edge(bad, 0)": lambda: g.has_edge(bad, 0),
+                 "has_edge(0, bad)": lambda: g.has_edge(0, bad),
+                 "loop_weight(bad)": lambda: g.loop_weight(bad),
+                 "neighbors(bad)": lambda: g.neighbors(bad)}
+        for name, call in calls.items():
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range for n={g.n}$"):
+                call()
+    # n - 1 and 0 are still vertices
+    last = g.n - 1
+    want = {b if a == last else a: w for a, b, w in g.edges if last in (a, b)}
+    assert g.weight(last, 0) == g.weight(0, last) == want.get(0, 0.0)
+    assert g.loop_weight(last) == want.get(last, 0.0)
+    assert g.neighbors(last) == {v: w for v, w in want.items() if v != last}
+
+
 @settings(max_examples=200, deadline=None)
 @given(_small_graphs(), st.sampled_from(["plain", "family", "op"]))
 def test_annotations_equal_a_graph_built_with_them(g, kind):

@@ -884,6 +884,70 @@ def test_a_second_pass_reads_the_kept_records(monkeypatch):
     assert second == first
 
 
+@pytest.mark.parametrize("kind,want,kept", [(ADJACENCY, 1, {1, 2, 3, 4}),
+                                            (LAPLACIAN, 2, {0, 1, 2, 3, 4})],
+                         ids=["adjacency", "laplacian"])
+def test_a_product_pass_classifies_each_factor_representative_once(monkeypatch, kind,
+                                                                   want, kept):
+    """One classify call per vertex of a fresh S_4 x S_4 classifies each
+    representative of its factor it reaches once (the least leaf, and
+    under L also the centre; under A the catalogue rules the vertices over
+    the centre before the product step): the factor reports are kept on
+    the factor graph and read by every later product vertex, a second pass
+    included.  Every report is the one classify_vertices gives a fresh
+    square."""
+    fresh = [r.to_dict() for r in classify_vertices(_s4_square(), range(25), kind)]
+    g = _s4_square()
+    calls = _count_calls(monkeypatch, sedentary, "_classify_vertex")
+    for _ in range(2):
+        assert [classify(g, u, kind).to_dict() for u in range(g.n)] == fresh
+    # the factor vertices classified in full
+    runs = [(ctx.graph, u) for ctx, u in calls if ctx.graph is not g]
+    assert len(runs) == len({(id(h), u) for h, u in runs}) == want
+    gx = g.provenance[1]
+    assert all(h is gx for h, _ in runs)
+    assert set(sedentary._graph_spectra(gx, kind).reports) == kept
+    # the product's own reports stay per call
+    assert sedentary._graph_spectra(g, kind).reports == {}
+
+
+def test_factor_reports_are_kept_at_default_options_only(monkeypatch):
+    """A windowed classify of a product vertex reads the factor reports
+    kept at default options, and its own report is the one a fresh product
+    gives under that window."""
+    windowed = ClassifyOptions(window=(0.0, 3.0))
+    want = classify(_s4_square(), 7, LAPLACIAN, windowed).to_dict()
+    g = _s4_square()
+    classify(g, 7, LAPLACIAN)
+    calls = _count_calls(monkeypatch, sedentary, "_classify_vertex")
+    assert classify(g, 7, LAPLACIAN, windowed).to_dict() == want
+    assert [ctx.graph for ctx, _ in calls] == [g]
+
+
+def test_twin_classes_are_found_once_per_graph(monkeypatch):
+    """Vertex 0 of cone:cycle:11 under all five kinds on one graph object
+    takes one twin-class search, and every report is the one a fresh graph
+    gives when each kind searches the classes again."""
+    kinds = [parse_matrix_kind(k) for k in
+             ("adjacency", "laplacian", "gen:0.5", "norm-adj", "norm-lap")]
+
+    def make():
+        return build_family(parse_family("cone:cycle:11"))
+
+    with monkeypatch.context() as m:
+        m.setattr(sedentary, "_twin_map", lambda g, kind: {
+            v: ts for ts in spectral.find_twin_sets(g, kind) for v in ts.vertices})
+        want = [json.dumps(classify(make(), 0, kind).to_dict()) for kind in kinds]
+    searches = _count_calls(monkeypatch, sedentary, "find_twin_sets")
+    g = make()
+    got = [json.dumps(classify(g, 0, kind).to_dict()) for kind in kinds]
+    assert len(searches) == 1
+    assert got == want
+    for kind in kinds:
+        assert sedentary._graph_spectra(g, kind).twin_of == {
+            v: ts for ts in spectral.find_twin_sets(g, kind) for v in ts.vertices}
+
+
 def test_kept_records_are_read_only():
     w = WalkEvaluator.for_graph(build_family(parse_family("complete:5")), ADJACENCY)
     rec = w.spectrum(0)
