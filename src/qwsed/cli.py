@@ -86,8 +86,79 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    # json's float text, by json's own comparisons, so that a float
+    # subclass gets the text json gives it
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(o, indent: str, out: list[str]) -> None:
+    """Append the text of o as json.dumps(o, indent=2) writes it at the
+    depth whose newline and indentation is indent.  Types are tested in
+    json's order; a type json refuses, or a key that is not a str, raises
+    TypeError."""
+    if isinstance(o, str):
+        out.append(_JSON_STR(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(type(k).__name__)
+            out.append(sep + _JSON_STR(k) + ": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(type(o).__name__)
+
+
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The report text: the bytes of json.dumps(payload, indent=2) and a
+    newline.  json writes indented text with its pure-Python encoder, so
+    _write_json writes it directly; a payload it does not take (a non-str
+    key, a type json refuses, a cycle) goes to json itself, which writes
+    it or raises its own error."""
+    out: list[str] = []
+    try:
+        _write_json(payload, "\n", out)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(payload, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def _classify_options(args: argparse.Namespace) -> ClassifyOptions:

@@ -52,6 +52,7 @@ from .walk import (
     _CHUNK,
     MinimizationResult,
     VertexSpectrum,
+    WalkError,
     WalkEvaluator,
     _grid_values,
     _newton_batch,
@@ -325,7 +326,8 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     times are checked against the exact condition in increasing order.
     The lattice is taken _CHUNK points at a time, so memory stays bounded
     on any window, and the search stops at the first chunk that holds a
-    time.
+    time.  A window whose last lattice index overflows a float is refused
+    (WalkError).
     """
     rec = w.spectrum(u)
     _, pos = _support_positions(rec, u, subset)
@@ -347,8 +349,11 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     terms = _alignment_defect(len(lam))
     # the lattice points within 2a of the window: a covers every time that
     # passes, and the rest of the margin the rounding of c_m
+    top = ((t1 + 2.0 * a) * speed - phi) / (2.0 * math.pi)
+    if top == math.inf:
+        raise WalkError(f"a window ending at {t1!r} is too long to search")
     first = math.ceil(((t0 - 2.0 * a) * speed - phi) / (2.0 * math.pi))
-    last = math.floor(((t1 + 2.0 * a) * speed - phi) / (2.0 * math.pi))
+    last = math.floor(top)
     for m in range(first, last + 1, _CHUNK):
         c = (phi + 2.0 * math.pi * np.arange(m, min(m + _CHUNK, last + 1))) / speed
         for j in rest:

@@ -1,10 +1,23 @@
 """Spectral decomposition and the vertex-level spectral structure the
 certificates are built from: eigenvalue supports, cospectrality, twin sets,
 and periodicity detection.
+
+Arrays whose size grows with n or with a grid stay in numpy, and so does
+every reduction (a cluster's np.mean, np.add.reduceat, the np.sum of a
+period check) and every complex exponential.  Bookkeeping whose size is the
+number of eigenvalues (the cluster tolerance, starts and order, a support's
+mask, the scale, the near-integer test and the rescaling to integers) runs
+on tolist() Python floats, which round as numpy's elementwise operations
+do, so the results are numpy's to the bit; on the small graphs most
+reports are made from, one numpy call per such step costs more than the
+eigensolve.  No built-in sum() replaces a numpy reduction: its rounding
+differs from numpy's pairwise sum, and from Python 3.12 on it differs
+between versions too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +99,8 @@ class SpectralDecomposition:
         return float(self.weights[u, j])
 
     def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.eigenvalues))) if len(self.eigenvalues) else 1.0)
+        """max(1, the largest |eigenvalue|)."""
+        return max(1.0, max(map(abs, self.eigenvalues.tolist()), default=1.0))
 
 
 def decompose(h: Hamiltonian | np.ndarray) -> SpectralDecomposition:
@@ -100,25 +114,25 @@ def decompose(h: Hamiltonian | np.ndarray) -> SpectralDecomposition:
     m = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpectralError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if m.size and float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    if m.size and float(np.abs(m - m.T).max()) > 1e-12 * scale:
         raise SpectralError("matrix must be symmetric")
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
-    tol = DEFAULT_CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
+    ev = vals.tolist()
+    tol = DEFAULT_CLUSTER_TOL * max(1.0, max(map(abs, ev), default=1.0))
     # a cluster starts at the first eigenvalue and wherever consecutive ones
     # differ by more than tol; clusters are reported in descending order,
     # members ascending
-    starts = np.flatnonzero(np.concatenate(([np.inf], np.diff(vals)))[:len(vals)] > tol)[::-1]
-    sizes = -np.diff(np.concatenate(([len(vals)], starts)))
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    order = np.repeat(starts - offsets[:-1], sizes) + np.arange(len(vals))
+    cuts = [i for i in range(1, len(ev)) if ev[i] - ev[i - 1] > tol]
+    spans = list(zip([0, *cuts], [*cuts, len(ev)]))[::-1] if ev else []
+    order = [i for a, b in spans for i in range(a, b)]
+    offsets = np.array([0, *itertools.accumulate(b - a for a, b in spans)])
     # a singleton's mean is its eigenvalue; only true clusters are averaged
-    eigenvalues = vals[starts]
-    for c in np.flatnonzero(sizes > 1):
-        eigenvalues[c] = np.mean(vals[order[offsets[c]:offsets[c + 1]]])
+    eigenvalues = np.array([ev[a] if b - a == 1 else np.mean(vals[a:b]) for a, b in spans],
+                           dtype=float)
     vectors = vecs[:, order]
     weights = np.add.reduceat(vectors * vectors, offsets[:-1], axis=1)
     mm = np.array(m)
@@ -142,10 +156,9 @@ def support(d: SpectralDecomposition, u: int) -> EigenvalueSupport:
     """Eigenvalue support of a vertex: indices j with ||E_j e_u|| > 1e-10."""
     if not 0 <= u < d.n:
         raise SpectralError(f"vertex {u} out of range")
-    wts = d.weights[u]
-    idx = np.flatnonzero(np.sqrt(wts) > _SUPPORT_TOL)
-    return EigenvalueSupport(u, tuple(idx.tolist()), tuple(d.eigenvalues[idx].tolist()),
-                             tuple(wts[idx].tolist()))
+    wts, lam = d.weights[u].tolist(), d.eigenvalues.tolist()
+    idx = tuple(j for j, w in enumerate(wts) if math.sqrt(w) > _SUPPORT_TOL)
+    return EigenvalueSupport(u, idx, tuple(lam[j] for j in idx), tuple(wts[j] for j in idx))
 
 
 def are_cospectral(d: SpectralDecomposition, u: int, v: int) -> bool:
@@ -301,35 +314,37 @@ class PeriodicityInfo:
     step: float | None = None
 
 
-def _rescale_to_integers(values: np.ndarray, scale: float):
+def _rescale_to_integers(values: Sequence[float], scale: float):
     """Find integers p_j and a real step s with values = ref + s*p_j.
 
     Returns (p, s, ref) or None.  The step's rational structure is recovered
     with continued fractions, denominator capped at 10**6.
     """
-    vals = np.asarray(values, dtype=float)
-    ref = float(vals.min())
-    diffs = vals - ref
-    pos = diffs[diffs > _INT_TOL * scale]
-    if len(pos) == 0:
+    vals = [float(v) for v in values]
+    tol = _INT_TOL * scale
+    ref = min(vals)
+    diffs = [v - ref for v in vals]
+    pos = [x for x in diffs if x > tol]
+    if not pos:
         return [0] * len(vals), 1.0, ref
-    d = float(pos.min())
-    ratios = diffs / d
-    # a ratio within _WHOLE_TOL of an integer m has m for its closest
-    # fraction of denominator at most _MAX_DENOMINATOR, since every other
-    # such fraction lies at least 1/_MAX_DENOMINATOR from m; so it leaves q
-    # as it is, and only the others take the Fraction loop
-    whole = np.abs(ratios - np.round(ratios)) <= _WHOLE_TOL
+    d = min(pos)
+    ratios = [x / d for x in diffs]
     q = 1
-    for r in ratios[~whole]:
-        frac = Fraction(float(r)).limit_denominator(_MAX_DENOMINATOR)
+    for r in ratios:
+        # a ratio within _WHOLE_TOL of an integer m has m for its closest
+        # fraction of denominator at most _MAX_DENOMINATOR, since every
+        # other such fraction lies at least 1/_MAX_DENOMINATOR from m; so it
+        # leaves q as it is, and only the others take the Fraction loop
+        if abs(r - round(r)) <= _WHOLE_TOL:
+            continue
+        frac = Fraction(r).limit_denominator(_MAX_DENOMINATOR)
         q = q * frac.denominator // math.gcd(q, frac.denominator)
         if q > _MAX_DENOMINATOR:
             return None
-    p = [int(round(float(r) * q)) for r in ratios]
+    p = [int(round(r * q)) for r in ratios]
     s = d / q
     for v, pj in zip(vals, p):
-        if abs(v - (ref + s * pj)) > _INT_TOL * scale:
+        if abs(v - (ref + s * pj)) > tol:
             return None
     return p, s, ref
 
@@ -355,22 +370,20 @@ def periodicity(d: SpectralDecomposition, vertices: Sequence[int],
         return ()
     if any(s.indices != sups[0].indices for s in sups):
         raise SpectralError("a periodicity group must share one support index set")
-    lam = np.array(sups[0].eigenvalues)
+    lam = sups[0].eigenvalues
     scale = d.scale()
-    near_int = bool(np.all(np.abs(lam - np.round(lam)) <= _INT_TOL * scale))
+    near_int = all(abs(x - round(x)) <= _INT_TOL * scale for x in lam)
     method = "integer-spectrum" if near_int else "rational-rescaled"
     res = _rescale_to_integers(lam, scale)
     if res is None:
         return tuple(PeriodicityInfo(s.vertex, False, None, "undetected") for s in sups)
     p, step, _ = res
-    g = 0
-    for pj in p:
-        g = math.gcd(g, pj)
+    g = math.gcd(*p)
     if g == 0:
         # a single eigenvalue: U(t)_{u,u} is a phase
         return tuple(PeriodicityInfo(s.vertex, True, 2.0 * math.pi, method) for s in sups)
     rho = 2.0 * math.pi / (step * g)
-    phases = np.exp(1j * rho * lam)
+    phases = np.exp(1j * rho * np.array(lam))
     out = []
     for s in sups:
         # the claim must survive a direct evaluation

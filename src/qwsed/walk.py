@@ -163,9 +163,12 @@ class WalkError(RuntimeError):
 
 def _grid_size(span: float, spread: float) -> int:
     """Points of a uniform grid: 64 per period of the fastest phase
-    difference, between _GRID_BASE and _GRID_CAP."""
-    n = max(_GRID_BASE, math.ceil(64.0 * span * spread / (2.0 * math.pi)))
-    return min(n, _GRID_CAP)
+    difference, between _GRID_BASE and _GRID_CAP.  A window whose count
+    overflows a float is refused (WalkError)."""
+    points = 64.0 * span * spread / (2.0 * math.pi)
+    if points == math.inf:
+        raise WalkError(f"a window of length {span!r} is too long to scan")
+    return min(max(_GRID_BASE, math.ceil(points)), _GRID_CAP)
 
 
 def _trig_sums(lam: np.ndarray, coef: np.ndarray, times) -> np.ndarray:
@@ -285,7 +288,7 @@ def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a, b, x, xtol: float
     Newton converges in a few steps.  A bracket still open after
     _NEWTON_STEPS only bisects, which halves it at every step, so all are
     done within _NEWTON_STEPS + 2 + log2(width / xtol) steps; running past
-    that is an error.
+    that is an error, and so is a width / xtol that overflows a float.
 
     A step is about 20 array operations for the whole batch, the reducer's
     terms included: the products above and f, f', f''.  The bracket
@@ -302,7 +305,10 @@ def _newton_batch(lam: np.ndarray, coef: np.ndarray, terms, a, b, x, xtol: float
     cols = np.concatenate((coef, ilam[:, None] * coef, -(lam * lam)[:, None] * coef),
                           axis=1)
     width = max(bi - ai for ai, bi in zip(a, b))
-    cap = _NEWTON_STEPS + 2 + max(math.ceil(math.log2(width / xtol)), 0)
+    halvings = width / xtol
+    if halvings == math.inf:
+        raise WalkError(f"a bracket of width {width!r} is too wide to refine")
+    cap = _NEWTON_STEPS + 2 + max(math.ceil(math.log2(halvings)), 0)
     rows = range(len(x))
     for i in range(cap):
         # x (i lam) has the imaginary part of i (x lam) and a zero real part

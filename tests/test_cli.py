@@ -1,7 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import cases as golden_cases
 
 from qwsed import cli
 from qwsed.cli import build_parser, expand_family_range, main
@@ -391,3 +395,114 @@ def test_rook_3_5_meets_the_product_constant(capsys, kind):
     payload = json.loads(out)
     assert payload["classification"] == "tightly-sedentary"
     assert abs(payload["C"] - 0.2) <= 1e-12
+
+
+# -- long windows ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", ["1e305", "1e308"])
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--family", "path:3"),
+    ("oracle", "--family", "path:3"),
+    ("mixing-check", "--family", "path:3", "--pair", "0,2"),
+], ids=["analyze", "oracle", "mixing-check"])
+def test_a_window_too_long_to_scan_exits_two(capsys, argv, window):
+    # its grid size or its refinement's step cap overflows a float
+    code, out, err = run(capsys, *argv, "--window", window)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_long_window_that_scans_still_reports(capsys):
+    code, out, err = run(capsys, "analyze", "--family", "path:3", "--window", "1e300")
+    assert code == 0 and err == ""
+    assert json.loads(out)["oracle"]["window"] == [0.0, 1e300]
+
+
+# -- the report writer -----------------------------------------------------------
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7, math.nan,
+                   math.inf, -math.inf, 1.7976931348623157e308, 0.1]
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.floats(allow_subnormal=True),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é \U0001f600", "\ud800", "/"]),
+    st.text().map(_Str),
+    st.integers().map(_Int),
+    st.floats().map(_Float),
+    st.floats().map(np.float64),
+    st.sampled_from(_SPECIAL_FLOATS).map(np.float64),
+)
+_json_values = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.text().map(_Str)), kids, max_size=4)),
+    max_leaves=40)
+
+
+def _written(value) -> str:
+    out: list[str] = []
+    cli._write_json(value, "\n", out)
+    return "".join(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_report_writer_writes_the_bytes_of_json(value):
+    want = json.dumps(value, indent=2)
+    assert _written(value) == want
+    assert cli._dump(value) == want + "\n"
+
+
+def test_report_writer_hands_keys_json_converts_to_json():
+    value = {"a": {1: "a", 2.5: None, True: [], None: {}}}
+    assert cli._dump(value) == json.dumps(value, indent=2) + "\n"
+
+
+def _circular():
+    x: list = []
+    x.append({"x": x})
+    return x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: {"a": [1.0, object()]},
+    lambda: [np.int64(3)],
+    lambda: {"s": {1, 2}},
+    lambda: {(1, 2): 3},
+    _circular,
+], ids=["object", "np.int64", "set", "tuple-key", "circular"])
+def test_report_writer_raises_as_json_does(make):
+    with pytest.raises((TypeError, ValueError)) as want:
+        json.dumps(make(), indent=2)
+    with pytest.raises(want.type) as got:
+        cli._dump(make())
+    assert str(got.value) == str(want.value)
+
+
+def test_every_golden_argv_writes_the_bytes_of_json(tmp_path):
+    for argv in golden_cases():
+        dest = tmp_path / "out.json"
+        assert main(argv + ["--out", str(dest)]) == 0
+        text = dest.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", argv

@@ -18,7 +18,8 @@ from qwsed.sedentary import (NOT_SEDENTARY, NOT_SEDENTARY_ZERO_CROSSING, _PHASE_
                              find_equality_time)
 from qwsed.spectral import PeriodicityInfo
 from qwsed.walk import (_PST_TOL, DEFAULT_WINDOW, PerfectStateTransferWitness,
-                        VertexSpectrum, WalkEvaluator, _neg_peak, _scan_minima)
+                        VertexSpectrum, WalkError, WalkEvaluator, _neg_peak,
+                        _scan_minima)
 from test_walk import _defect, _full_scan, _walk
 
 KINDS = ("adjacency", "laplacian", "gen:0.5", "norm-adj", "norm-lap")
@@ -107,6 +108,12 @@ def _aligned(eta):
     rec = VertexSpectrum(np.array([0.0, 1.0, 1.0 + eta]), np.array([0.8, 0.1, 0.1]),
                          (0, 1, 2), PeriodicityInfo(0, False, None, "undetected"))
     return SimpleNamespace(spectrum=lambda u: rec)
+
+
+def test_a_lattice_too_long_to_count_raises_walk_error():
+    # the last lattice point's index overflows a float
+    with pytest.raises(WalkError, match="too long"):
+        find_equality_time(_aligned(0.01), 0, (0,), (0.0, 1.79e308))
 
 
 def _mutant(old, new):

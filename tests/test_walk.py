@@ -241,6 +241,22 @@ def test_minimize_rejects_bad_window_end(end):
         _walk("complete:3").minimize_diagonal(0, (0.0, end))
 
 
+@pytest.mark.parametrize("end", [1e305, 1e308])
+def test_a_window_too_long_to_scan_raises_walk_error(end):
+    # 1e305 overflows the refinement's step cap, 1e308 the grid size
+    w = _walk("path:3")
+    with pytest.raises(WalkError, match="too"):
+        w.minimize_diagonal(0, (0.0, end))
+    with pytest.raises(WalkError, match="too"):
+        w.find_fractional_revival(0, 2, (0.0, end))
+
+
+def test_a_bracket_too_wide_to_refine_raises_walk_error():
+    lam = np.array([0.0, 1.0])
+    with pytest.raises(WalkError, match="too wide"):
+        _newton_batch(lam, np.array([[0.5], [0.5]]), _sq.terms, [0.0], [1e300], [1.0], 1e-12)
+
+
 def test_default_window_constant():
     assert DEFAULT_WINDOW == pytest.approx(200.0 * math.pi)
 
