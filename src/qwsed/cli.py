@@ -15,10 +15,12 @@ that match nothing).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -78,12 +80,15 @@ def _one_vertex(graph: WeightedGraph, selector: str, command: str) -> int:
     return _resolve_vertices(graph, selector)[0]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or each string of an iterable in turn, to out (stdout
+    when None)."""
+    parts = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 _JSON_STR = json.encoder.encode_basestring_ascii
@@ -187,10 +192,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     horizon = args.window if args.window is not None else 2.0 * math.pi
     ts = np.linspace(0.0, horizon, args.grid)
     vals = w.diagonal_entry_series(u, ts)
-    rows = ["t,re,im,abs"]
-    for t, z in zip(ts, vals):
-        rows.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g},{abs(z):.17g}")
-    _emit("\n".join(rows) + "\n", args.out)
+    # the rows are written as they are made, never held together: their
+    # text takes about 255 bytes a sample, the time and value 24
+    rows = (f"{t:.17g},{z.real:.17g},{z.imag:.17g},{abs(z):.17g}\n" for t, z in zip(ts, vals))
+    _emit(itertools.chain(["t,re,im,abs\n"], rows), args.out)
     return 0
 
 

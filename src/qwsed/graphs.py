@@ -326,9 +326,9 @@ class WeightedGraph:
     @cached_property
     def _spectra(self) -> dict:
         """The spectral data of this graph object per matrix kind, filled by
-        qwsed.sedentary._graph_spectra, and under the key None the twin
-        classes every kind shares (qwsed.sedentary._twin_map); it lives as
-        long as the graph."""
+        qwsed.sedentary._graph_spectra, and under the key None the map
+        from each vertex with a twin to its class, which every kind shares
+        (qwsed.sedentary._twin_map); it lives as long as the graph."""
         return {}
 
     def content_hash(self) -> str:

@@ -31,7 +31,6 @@ reads the family provenance only where structure cannot tell.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -42,7 +41,6 @@ import numpy as np
 from .graphs import FamilySpec, WeightedGraph, _common_value, describe_graph
 from .matrices import ADJACENCY, MatrixKind, assemble, twin_theta
 from .spectral import (
-    SpectralDecomposition,
     TwinSet,
     decompose,
     find_twin_sets,
@@ -113,6 +111,11 @@ ZERO_TOL = 1e-8
 _HALF_TOL = 1e-9
 _PHASE_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+# the most phase-lattice points find_equality_time searches: at about 17 us
+# per _CHUNK points, about a second of search
+_MAX_LATTICE = 1 << 26
+# lattice indices from here on are not all floats, and t lam keeps no phase
+_MAX_INDEX = float(1 << 53)
 
 
 class CertificateRefused(ValueError):
@@ -326,8 +329,10 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     times are checked against the exact condition in increasing order.
     The lattice is taken _CHUNK points at a time, so memory stays bounded
     on any window, and the search stops at the first chunk that holds a
-    time.  A window whose last lattice index overflows a float is refused
-    (WalkError).
+    time.  It searches at most the first _MAX_LATTICE points: a window with
+    more and no time among those is refused after them (WalkError), and so,
+    before the search, is one whose last lattice index overflows a float or
+    whose first reaches _MAX_INDEX.
     """
     rec = w.spectrum(u)
     _, pos = _support_positions(rec, u, subset)
@@ -342,18 +347,25 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
     phi = 0.0 if sign[star] > 0.0 else math.pi
     t0, t1 = float(window[0]), float(window[1])
     a = 2.0 * math.asin(_PHASE_TOL / 2.0) / speed
-    # rounding of the phases t lam, both here and in _equality_holds
-    near = 2.0 * _PHASE_TOL + 64.0 * _EPS * (1.0 + (max(abs(t0), abs(t1)) + a)
-                                            * float(np.max(np.abs(lam))))
-    half = 0.5 * math.pi / speed
-    terms = _alignment_defect(len(lam))
     # the lattice points within 2a of the window: a covers every time that
     # passes, and the rest of the margin the rounding of c_m
     top = ((t1 + 2.0 * a) * speed - phi) / (2.0 * math.pi)
     if top == math.inf:
         raise WalkError(f"a window ending at {t1!r} is too long to search")
-    first = math.ceil(((t0 - 2.0 * a) * speed - phi) / (2.0 * math.pi))
-    last = math.floor(top)
+    bottom = ((t0 - 2.0 * a) * speed - phi) / (2.0 * math.pi)
+    if not abs(bottom) < _MAX_INDEX:
+        raise WalkError(f"a window starting at {t0!r} is too far out to search")
+    first, last = math.ceil(bottom), math.floor(top)
+    capped = last - first >= _MAX_LATTICE
+    if capped:
+        last = first + _MAX_LATTICE - 1
+    # a capped search ends short of the next lattice point
+    reach = (phi + 2.0 * math.pi * (last + 1)) / speed if capped else t1
+    # rounding of the phases t lam, both here and in _equality_holds
+    near = 2.0 * _PHASE_TOL + 64.0 * _EPS * (1.0 + (max(abs(t0), abs(reach)) + a)
+                                            * float(np.max(np.abs(lam))))
+    half = 0.5 * math.pi / speed
+    terms = _alignment_defect(len(lam))
     for m in range(first, last + 1, _CHUNK):
         c = (phi + 2.0 * math.pi * np.arange(m, min(m + _CHUNK, last + 1))) / speed
         for j in rest:
@@ -371,69 +383,60 @@ def find_equality_time(w: WalkEvaluator, u: int, subset,
         for t in x.tolist():
             if _equality_holds(rec, pos, t):
                 return t
+    if capped:
+        raise WalkError(f"a window ending at {t1!r} is too long to search")
     return None
 
 
 # -- twin classes ---------------------------------------------------------------
 
 
-def _twin_map(graph: WeightedGraph, kind: MatrixKind) -> dict[int, TwinSet]:
-    """The twin classes of (graph, kind) as a map from each vertex with a
-    twin to its class.  The classes, with their omega, eta and degree, do
-    not depend on the kind: find_twin_sets runs once per graph object, its
-    classes are kept on the graph (graph._spectra[None]), and each kind
-    only sets its own theta."""
-    classes = graph._spectra.get(None)
-    if classes is None:
-        classes = graph._spectra[None] = find_twin_sets(graph)
-    return {v: ts for ts in (replace(c, theta=twin_theta(kind, c.degree, c.omega, c.eta),
-                                     kind=kind) for c in classes)
-            for v in ts.vertices}
+def _twin_map(graph: WeightedGraph) -> dict[int, TwinSet]:
+    """The twin classes of graph as a map from each vertex with a twin to
+    its class.  Twins share their neighbourhoods under every matrix kind,
+    so the map holds no kind: find_twin_sets runs once per graph object,
+    and the map is kept on the graph (graph._spectra[None]), where every
+    kind, twin_bound, family_ruling and _Context._representative read it."""
+    twin_of = graph._spectra.get(None)
+    if twin_of is None:
+        twin_of = graph._spectra[None] = {
+            v: ts for ts in find_twin_sets(graph) for v in ts.vertices}
+    return twin_of
 
 
-def twin_bound(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
-               decomposition: SpectralDecomposition | None = None,
-               twin_of: Mapping[int, TwinSet] | None = None,
-               verdicts: dict[tuple[int, ...], bool] | None = None) -> SedentaryCertificate:
+def twin_bound(graph: WeightedGraph, u: int,
+               kind: MatrixKind = ADJACENCY) -> SedentaryCertificate:
     """Membership in a twin class of size c gives |U(t)_{u,u}| >= 1 - 2/c.
 
     A pair (c = 2) yields the vacuous constant 0; the certificate is still
-    emitted so reports can show the twin structure.  When a decomposition is
-    supplied, the difference eigenvector is verified against the assembled
-    matrix and the projector mass at the twin eigenvalue is recorded.
-    twin_of, when given, is the vertex -> class map of (graph, kind)
-    already computed (_GraphSpectra.twin_of).  verdicts, when given, holds the
-    eigenvector check's verdict per twin class (its vertices) of this
-    decomposition: a class found there is not checked again, and one
-    checked is added.
+    emitted so reports can show the twin structure.  The difference
+    eigenvalue theta of the kind is computed here from the class's degree,
+    omega and eta; the difference eigenvector is verified against the
+    assembled matrix of (graph, kind), and the projector mass at theta is
+    recorded.  The decomposition and the verdict of each class's check are
+    read from, and the verdict kept in, _graph_spectra(graph, kind), so a
+    class is checked once per graph object and kind.
     """
-    twins = (_twin_map(graph, kind) if twin_of is None else twin_of).get(u)
+    twins = _twin_map(graph).get(u)
     if twins is None:
         raise CertificateRefused(f"vertex {u} has no twin")
     c = twins.size
     bound = max(1.0 - 2.0 / c, 0.0)
-    subset: tuple[int, ...] = ()
-    weight = None
-    if decomposition is not None:
-        verified = None if verdicts is None else verdicts.get(twins.vertices)
-        if verified is None:
-            verified = verify_twin_eigenvector(decomposition, twins)
-            if verdicts is not None:
-                verdicts[twins.vertices] = verified
-        if not verified:
-            raise CertificateRefused(
-                "twin difference vector fails the eigenvector check")
-        lam = np.asarray(decomposition.eigenvalues)
-        j = int(np.argmin(np.abs(lam - twins.theta)))
-        scale = max(decomposition.scale(), 1.0)
-        if abs(float(lam[j]) - twins.theta) <= 1e-8 * scale:
-            subset = (j,)
-            weight = decomposition.diagonal_weight(j, u)
+    theta = twin_theta(kind, twins.degree, twins.omega, twins.eta)
+    spectra = _graph_spectra(graph, kind)
+    d, verdicts = spectra.walk.decomposition, spectra.twin_verdicts
+    verified = verdicts.get(twins.vertices)
+    if verified is None:
+        verified = verdicts[twins.vertices] = verify_twin_eigenvector(d, twins, theta)
+    if not verified:
+        raise CertificateRefused("twin difference vector fails the eigenvector check")
+    j = int(np.argmin(np.abs(d.eigenvalues - theta)))
+    near = abs(float(d.eigenvalues[j]) - theta) <= 1e-8 * max(d.scale(), 1.0)
     others = ", ".join(str(v) for v in twins.vertices if v != u)
     return SedentaryCertificate(
-        TWIN_BOUND, u, bound, subset, weight,
+        TWIN_BOUND, u, bound, (j,) if near else (), d.diagonal_weight(j, u) if near else None,
         detail=f"twin class {{{u}, {others}}} of size {c}, "
-               f"difference eigenvalue {twins.theta:g}")
+               f"difference eigenvalue {theta:g}")
 
 
 # -- integer relations and sharpness ---------------------------------------------
@@ -772,12 +775,10 @@ def _is_dominating_unit(graph: WeightedGraph, u: int) -> bool:
     return rec.unit(u) and rec.start[u + 1] - rec.start[u] == graph.n - 1
 
 
-def _unit_joined_block(graph: WeightedGraph, u: int,
-                       twin_of: Mapping[int, TwinSet]) -> int | None:
+def _unit_joined_block(graph: WeightedGraph, u: int) -> int | None:
     """Size of the independent twin block through u whose members are
-    unit-adjacent to every vertex outside the block, or None.  Twin classes
-    and their omega and eta do not depend on the matrix kind."""
-    ts = twin_of.get(u)
+    unit-adjacent to every vertex outside the block, or None."""
+    ts = _twin_map(graph).get(u)
     if ts is None or ts.eta != 0.0 or ts.omega != 0.0:
         return None
     nb = _unit_neighbors(graph, u)
@@ -794,9 +795,7 @@ def _role(graph: WeightedGraph, u: int) -> str:
     return graph.labels[u].partition(":")[0]
 
 
-def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
-                  twin_of: Mapping[int, TwinSet] | None = None
-                  ) -> FamilyRuling | None:
+def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int) -> FamilyRuling | None:
     """Exact constants the closed-form catalogue assigns to vertex u, or None.
 
     Joins are ruled by the graph's structure alone, so a family graph and
@@ -811,8 +810,8 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
     The family provenance rules only what structure cannot see: complete
     graphs, rook and Hamming lattices under every degree-shifted kind (those
     agree with the adjacency diagonal up to a phase), star leaves under the
-    adjacency matrix, and double stars.  twin_of, when given, is the
-    vertex -> class map of (graph, kind) already computed.
+    adjacency matrix, and double stars.  The twin blocks are read from the
+    kind-free twin map kept on the graph (_twin_map).
 
     The structure is read from what the graph object keeps: its edge flags
     (is_simple, is_positively_weighted) and its adjacency record
@@ -851,8 +850,7 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int,
         # the remainder's degrees lose u's unit edge
         d = _common_value(np.delete(rec.degrees, u) - 1.0)
         return None if d is None else _cone_apex_adjacency_ruling(d, graph.n - 1)
-    block = _unit_joined_block(
-        graph, u, _twin_map(graph, kind) if twin_of is None else twin_of)
+    block = _unit_joined_block(graph, u)
     if block is None or block == graph.n:
         return None
     if laplacian:
@@ -997,18 +995,17 @@ def _annotated(g: WeightedGraph) -> tuple:
 class _GraphSpectra:
     """What classification reads of one (graph object, kind): the walk
     evaluator over the decomposition of the assembled matrix, with its
-    vertex records, the twin classes as a map from each vertex with a twin
-    to its class (twin_of, where twin_bound, family_ruling and
-    _Context._representative look a vertex up), the twin eigenvector
-    check's verdict per class (twin_bound adds them), and the report of
-    each vertex classified as a Cartesian factor's vertex (reports, read
-    and filled by the factor contexts of _Context.factors).  A record, a
-    verdict and a report at default options depend only on (graph, kind,
-    vertex or class), never on the options or the calls that asked first;
-    none of them refers to the graph."""
+    vertex records, the twin eigenvector check's verdict per twin class
+    under this kind (twin_verdicts, keyed by the class's vertices; twin_bound
+    adds them), and the report of each vertex classified as a Cartesian
+    factor's vertex (reports, read and filled by the factor contexts of
+    _Context.factors).  The twin classes themselves are kind-free and kept
+    once per graph (_twin_map).  A record, a verdict and a report at default
+    options depend only on (graph, kind, vertex or class), never on the
+    options or the calls that asked first; none of them refers to the
+    graph."""
 
     walk: WalkEvaluator
-    twin_of: dict[int, TwinSet]
     twin_verdicts: dict[tuple[int, ...], bool]
     reports: dict[int, SedentaryReport]
 
@@ -1019,28 +1016,25 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     as long as the graph lives: two n x n float arrays per kind (the
     eigenvectors and the matrix), one vertex record per vertex classified
     or asked about (k support eigenvalues, weights and root offers), the
-    twin classes (as their vertex map, from the kind-free classes kept
-    once per graph) and their verdicts, and one report per vertex reached
+    twin classes' eigenvector verdicts, and one report per vertex reached
     as a factor vertex of a product."""
     memo = graph._spectra
     s = memo.get(kind)
     if s is None:
         walk = WalkEvaluator(decompose(assemble(graph, kind)))
-        s = memo[kind] = _GraphSpectra(walk, _twin_map(graph, kind), {}, {})
+        s = memo[kind] = _GraphSpectra(walk, {}, {})
     return s
 
 
 class _Context:
     """What classification reads about one (graph, kind) under one set of
-    options.  The walk evaluator with its decomposition and vertex records,
-    the map from each vertex with a twin to its class (twin_of) and the
-    eigenvector check's verdict on each class (twin_verdicts, one check per
-    class) are read from _graph_spectra, so
-    they are computed once per graph object and kind and shared by every
-    later call on that graph; the options never enter them.  Each vertex's
-    report is made once it is asked for (report): per call under the
-    caller's options, and in the map kept on the graph
-    (_GraphSpectra.reports) for a factor's context.  A factor's context
+    options.  The walk evaluator with its decomposition and vertex records
+    is read from _graph_spectra, and the twin classes from the kind-free
+    map kept once per graph (_twin_map), so they are computed once per
+    graph object (and kind) and shared by every later call on that graph;
+    the options never enter them.  Each vertex's report is made once it is
+    asked for (report): per call under the caller's options, and in the
+    map kept on the graph (_GraphSpectra.reports) for a factor's context.  A factor's context
     (options None) takes the default options, under which a report depends
     only on (graph, kind, vertex), so every later product vertex over that
     factor graph reads the one kept report.  For a Cartesian product the
@@ -1066,7 +1060,6 @@ class _Context:
         self.options = options or ClassifyOptions()
         spectra = _graph_spectra(graph, kind)
         self.walk = spectra.walk
-        self.twin_of, self.twin_verdicts = spectra.twin_of, spectra.twin_verdicts
         self._reports = spectra.reports if options is None else {}
 
     @cached_property
@@ -1079,8 +1072,8 @@ class _Context:
 
     def _representative(self, v: int) -> int:
         """The least twin of v with v's label role (v without a twin).  v's
-        class is looked up in the kept vertex -> class map (twin_of)."""
-        ts = self.twin_of.get(v)
+        class is looked up in the graph's kept twin map (_twin_map)."""
+        ts = _twin_map(self.graph).get(v)
         if ts is None:
             return v
         role = _role(self.graph, v)
@@ -1103,11 +1096,8 @@ class _Context:
             if r is None or any(c.kind == NOT_SEDENTARY_PST for c in r.certificates):
                 r = _classify_vertex(self, v)
             else:
-                certs = tuple(
-                    twin_bound(self.graph, v, self.kind, self.walk.decomposition,
-                               self.twin_of, self.twin_verdicts)
-                    if c.kind == TWIN_BOUND else replace(c, vertex=v)
-                    for c in r.certificates)
+                certs = tuple(twin_bound(self.graph, v, self.kind) if c.kind == TWIN_BOUND
+                              else replace(c, vertex=v) for c in r.certificates)
                 r = replace(r, vertex=v, certificates=certs,
                             oracle=replace(r.oracle, vertex=v))
             self._reports[v] = r
@@ -1124,9 +1114,10 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     structure cannot tell), box-product composition, then reconciliation of
     the best certified bound against the oracle minimum.
 
-    The assembled matrix, its eigendecomposition, the vertex records, the
-    twin classes and their eigenvector checks are computed once per graph
-    object and kind, for graph and for each Cartesian factor, and kept on
+    The assembled matrix, its eigendecomposition, the vertex records and
+    the twin classes' eigenvector checks are computed once per graph
+    object and kind, and the twin classes once per graph object for every
+    kind (_twin_map), for graph and for each Cartesian factor, and kept on
     the graph: a later classify of any vertex of the same graph object
     reads them, whatever its options.  The graph then holds, per kind it
     was classified under and for as long as it lives, two n x n float
@@ -1144,9 +1135,10 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
                       kind: MatrixKind = ADJACENCY,
                       options: ClassifyOptions | None = None) -> list[SedentaryReport]:
     """classify for each vertex in turn.  Like classify, it reads the one
-    eigendecomposition, vertex records and twin-class search of (graph,
-    kind), and of each Cartesian factor, that are kept on the graph object
-    (computed by the first call on that graph and kind that needs them).
+    eigendecomposition and vertex records of (graph, kind), the one
+    twin-class search of graph, and those of each Cartesian factor, that
+    are kept on the graph object (computed by the first call that needs
+    them).
     The reports of the requested vertices are made once per call; a
     factor vertex's report is read from its factor graph, where the first
     product vertex that needed it kept it.
@@ -1214,8 +1206,7 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
 
     twin_cert = None
     try:
-        twin_cert = twin_bound(graph, u, kind, w.decomposition, ctx.twin_of,
-                               ctx.twin_verdicts)
+        twin_cert = twin_bound(graph, u, kind)
         certs.append(twin_cert)
     except CertificateRefused:
         pass
@@ -1226,7 +1217,7 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
         except CertificateRefused:
             pass
 
-    ruling = family_ruling(graph, kind, u, ctx.twin_of)
+    ruling = family_ruling(graph, kind, u)
     if ruling is not None:
         ruling = _verified_ruling(ruling, w, u)
         certs.append(SedentaryCertificate(

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .matrices import ADJACENCY, Hamiltonian, MatrixKind, twin_theta
+from .matrices import Hamiltonian
 
 __all__ = [
     "SpectralError",
@@ -207,15 +207,15 @@ def strong_cospectral(d: SpectralDecomposition, u: int, v: int
 @dataclass(frozen=True)
 class TwinSet:
     """A maximal set of pairwise twins: common loop weight omega, common
-    pairwise weight eta (0 when the set is independent), and the eigenvalue
-    theta of any difference of two of its characteristic vectors."""
+    pairwise weight eta (0 when the set is independent) and common degree.
+    Twins share their neighbourhoods under every matrix kind, so a set
+    holds no kind; the eigenvalue theta of a difference of two of its
+    characteristic vectors is matrices.twin_theta(kind, degree, omega, eta)."""
 
     vertices: tuple[int, ...]
     omega: float
     eta: float
     degree: float
-    theta: float
-    kind: MatrixKind
 
     @property
     def size(self) -> int:
@@ -239,12 +239,11 @@ def _twin_classes(a: np.ndarray, bucket: list[int], adjacent: bool) -> list[list
     return classes
 
 
-def find_twin_sets(g: WeightedGraph,
-                   kind: MatrixKind = ADJACENCY) -> list[TwinSet]:
+def find_twin_sets(g: WeightedGraph) -> list[TwinSet]:
     """Partition the vertices into maximal twin classes (singletons omitted).
 
     Weight comparisons are exact: twins are a combinatorial notion on the
-    given weights.  theta is computed for the requested matrix kind.
+    given weights, the same under every matrix kind.
     """
     a = g.adjacency_matrix()
     loops = np.diag(a).tolist()
@@ -271,12 +270,12 @@ def find_twin_sets(g: WeightedGraph,
         row = a[verts[0]]
         omega, eta = loops[verts[0]], float(row[verts[1]])
         degree = 2.0 * omega + sum(row[row != 0.0].tolist())
-        theta = twin_theta(kind, degree, omega, eta)
-        out.append(TwinSet(tuple(verts), omega, eta, degree, theta, kind))
+        out.append(TwinSet(tuple(verts), omega, eta, degree))
     return out
 
 
-def verify_twin_eigenvector(d: SpectralDecomposition, twins: TwinSet) -> bool:
+def verify_twin_eigenvector(d: SpectralDecomposition, twins: TwinSet,
+                            theta: float) -> bool:
     """Check M(e_u - e_v) = theta (e_u - e_v) for every pair in the twin set,
     against the decomposed matrix.
 
@@ -288,7 +287,7 @@ def verify_twin_eigenvector(d: SpectralDecomposition, twins: TwinSet) -> bool:
     scale = max(1.0, float(np.max(np.abs(m))))
     verts = list(twins.vertices)
     r = m[:, verts]
-    r[verts, np.arange(len(verts))] -= twins.theta
+    r[verts, np.arange(len(verts))] -= theta
     return float(np.max(r.max(axis=1) - r.min(axis=1))) <= _PAIR_TOL * scale
 
 

@@ -327,7 +327,7 @@ def test_criterion_10_property_suites(criterion_log):
 
         if i % 7 == 0 and n <= 10:
             b = blow_up(g, "vertex", [(3, "empty")] + [(1, "empty")] * (n - 1))
-            twins = find_twin_sets(b, ADJACENCY)
+            twins = find_twin_sets(b)
             if twins:
                 twin_hits += 1
                 tset = max(twins, key=lambda s: s.size)

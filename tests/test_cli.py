@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from test_golden import cases as golden_cases
 
 from qwsed import cli
 from qwsed.cli import build_parser, expand_family_range, main
-from qwsed.graphs import WeightedGraph, write_graph_file
+from qwsed.graphs import WeightedGraph, build_family, parse_family, write_graph_file
+from qwsed.matrices import ADJACENCY
+from qwsed.walk import WalkEvaluator
 
 
 def run(capsys, *argv):
@@ -160,6 +163,43 @@ def test_sweep_csv_shape(capsys):
         assert re * re + im * im == pytest.approx(mag * mag, abs=1e-12)
         min_abs = min(min_abs, mag)
     assert min_abs == pytest.approx(0.5, abs=1e-6)
+
+
+def _sweep_at_once(family, vertex, grid):
+    """sweep's CSV as it was made: every time evaluated in one call and
+    every row joined in one string."""
+    g = build_family(parse_family(family))
+    w = WalkEvaluator.for_graph(g, ADJACENCY)
+    ts = np.linspace(0.0, 2.0 * math.pi, grid)
+    rows = ["t,re,im,abs"] + [f"{t:.17g},{z.real:.17g},{z.imag:.17g},{abs(z):.17g}"
+                              for t, z in zip(ts, w.diagonal_entry_series(vertex, ts))]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("grid", [1, 2, 1023, 1024, 1025, 5000])
+def test_sweep_rows_written_one_by_one_are_the_bytes_of_one_string(tmp_path, capsys, grid):
+    out = tmp_path / "sweep.csv"
+    argv = ("sweep", "--family", "lollipop:4,3", "--vertex", "1", "--grid", str(grid))
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    want = _sweep_at_once("lollipop:4,3", 1, grid)
+    assert out.read_text(encoding="utf-8") == want
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout == want
+
+
+def test_sweep_memory_holds_the_values_not_the_rows(tmp_path):
+    # the rows in one string took about 255 bytes a sample: 25 MB here;
+    # the times, the values and their evaluation take about 40
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--family", "star:4", "--vertex", "1", "--grid", "100000",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8").count("\n") == 100001
+    assert peak < 64 * 100000
 
 
 def test_sweep_double_cone_laplacian_apex(capsys):
@@ -417,6 +457,16 @@ def test_a_long_window_that_scans_still_reports(capsys):
     code, out, err = run(capsys, "analyze", "--family", "path:3", "--window", "1e300")
     assert code == 0 and err == ""
     assert json.loads(out)["oracle"]["window"] == [0.0, 1e300]
+
+
+def test_an_equality_search_too_long_to_run_exits_two(tmp_path, capsys):
+    # vertex 1's twin-bound equality time would be sought over about 1e300
+    # lattice points; the search used to run on until it was killed
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "analyze", "--family", "lollipop:4,3", "--vertex", "1",
+                            "--window", "1e300", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: a window ending at 1e+300 is too long to search\n"
 
 
 # -- the report writer -----------------------------------------------------------

@@ -25,7 +25,7 @@ from qwsed.graphs import (
     star_graph,
 )
 from qwsed.matrices import (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY, assemble,
-                            parse_matrix_kind)
+                            parse_matrix_kind, twin_theta)
 from qwsed.cli import main
 from qwsed.sedentary import (
     NOT_SEDENTARY,
@@ -33,6 +33,7 @@ from qwsed.sedentary import (
     SHARPLY_SEDENTARY,
     SUBSET_BOUND,
     TIGHTLY_SEDENTARY,
+    TWIN_BOUND,
     UNRESOLVED,
     CertificateRefused,
     ClassifyOptions,
@@ -235,8 +236,7 @@ def test_subset_bound_never_exceeds_dense_partial_sum():
 
 def test_twin_bound_complete():
     g = build_family(parse_family("complete:5"))
-    d = decompose(assemble(g, ADJACENCY))
-    cert = twin_bound(g, 0, ADJACENCY, d)
+    cert = twin_bound(g, 0, ADJACENCY)
     assert cert.bound == pytest.approx(0.6)
     assert cert.subset and cert.weight == pytest.approx(0.8)
 
@@ -245,6 +245,9 @@ def test_twin_bound_pair_is_vacuous_but_reported():
     g = build_family(parse_family("path:3"))
     cert = twin_bound(g, 0, ADJACENCY)
     assert cert.bound == 0.0
+    # the ends' difference vector is verified at theta = 0, where e_0 has
+    # half its mass
+    assert cert.subset and cert.weight == pytest.approx(0.5)
 
 
 def test_twin_bound_refused_without_twin():
@@ -257,10 +260,62 @@ def test_twin_bound_soundness_on_blow_up():
     g = blow_up(path_graph(3), "vertex",
                 [(4, "empty"), (1, "empty"), (3, "empty")])
     d = decompose(assemble(g, ADJACENCY))
-    cert = twin_bound(g, 0, ADJACENCY, d)
+    cert = twin_bound(g, 0, ADJACENCY)
     assert cert.bound == pytest.approx(1.0 - 2.0 / 7.0)
     res = WalkEvaluator(d).minimize_diagonal(0)
     assert res.minimum >= cert.bound - 1e-6
+
+
+def _per_kind_twin_bound(g, u, kind):
+    """twin_bound as it was made from per-kind copies of the twin classes:
+    theta set on u's class for the kind, the check and the mass read off a
+    decomposition of the kind's matrix made here."""
+    ts = next((t for t in spectral.find_twin_sets(g) if u in t.vertices), None)
+    if ts is None:
+        raise CertificateRefused(f"vertex {u} has no twin")
+    theta = twin_theta(kind, ts.degree, ts.omega, ts.eta)
+    d = decompose(assemble(g, kind))
+    if not spectral.verify_twin_eigenvector(d, ts, theta):
+        raise CertificateRefused("twin difference vector fails the eigenvector check")
+    j = int(np.argmin(np.abs(d.eigenvalues - theta)))
+    near = abs(float(d.eigenvalues[j]) - theta) <= 1e-8 * max(d.scale(), 1.0)
+    others = ", ".join(str(v) for v in ts.vertices if v != u)
+    return sedentary.SedentaryCertificate(
+        TWIN_BOUND, u, max(1.0 - 2.0 / ts.size, 0.0), (j,) if near else (),
+        d.diagonal_weight(j, u) if near else None,
+        detail=f"twin class {{{u}, {others}}} of size {ts.size}, "
+               f"difference eigenvalue {theta:g}")
+
+
+def test_twin_bounds_match_per_kind_classes_on_weighted_blow_ups():
+    """On vertex blow-ups of small graphs with non-dyadic weights and
+    loops, every twin bound, under all five kinds on one graph object, is
+    field for field the one made from a per-kind copy of its class."""
+    rng = np.random.default_rng(29)
+    weights = (0.1, 0.3, 0.7, 1.0 / 3.0, 2.0 / 3.0)
+    kinds = [parse_matrix_kind(k) for k in
+             ("adjacency", "laplacian", "gen:0.5", "norm-adj", "norm-lap")]
+    certified = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        edges = {(a, b): weights[int(rng.integers(5))] for a in range(n)
+                 for b in range(a, n) if rng.random() < (0.3 if a == b else 0.6)}
+        edges[(0, 1)] = float(rng.uniform(0.05, 3.0))
+        base = WeightedGraph(n, tuple((a, b, w) for (a, b), w in edges.items()))
+        parts = [(int(rng.integers(1, 4)), ("empty", "complete")[int(rng.integers(2))])
+                 for _ in range(n)]
+        g = blow_up(base, "vertex", parts)
+        for kind in kinds:
+            for u in range(g.n):
+                try:
+                    want = _per_kind_twin_bound(g, u, kind)
+                except CertificateRefused as exc:
+                    with pytest.raises(CertificateRefused, match=str(exc)):
+                        twin_bound(g, u, kind)
+                    continue
+                assert twin_bound(g, u, kind) == want, (g, kind, u)
+                certified += 1
+    assert certified >= 300
 
 
 # -- integer relations -----------------------------------------------------------
@@ -580,7 +635,7 @@ def _ruling_graphs():
 def test_rulings_unchanged_from_the_neighbour_maps(monkeypatch):
     for g in _ruling_graphs():
         for kind in (ADJACENCY, LAPLACIAN):
-            twins = {v: ts for ts in spectral.find_twin_sets(g, kind) for v in ts.vertices}
+            twins = {v: ts for ts in spectral.find_twin_sets(g) for v in ts.vertices}
             ours = [family_ruling(g, kind, u) for u in range(g.n)]
             for u, ruling in enumerate(ours):
                 # the record's degrees, not an induced graph's: equal up to
@@ -595,11 +650,12 @@ def test_rulings_unchanged_from_the_neighbour_maps(monkeypatch):
                         want.equality_times, rel=0, abs=1e-15)
             for u in range(g.n):
                 assert sedentary._is_dominating_unit(g, u) == _neighbors_dominating_unit(g, u)
-                assert sedentary._unit_joined_block(g, u, twins) == \
+                assert sedentary._unit_joined_block(g, u) == \
                     _neighbors_joined_block(g, u, twins)
             with monkeypatch.context() as m:
                 m.setattr(sedentary, "_is_dominating_unit", _neighbors_dominating_unit)
-                m.setattr(sedentary, "_unit_joined_block", _neighbors_joined_block)
+                m.setattr(sedentary, "_unit_joined_block",
+                          lambda graph, u: _neighbors_joined_block(graph, u, twins))
                 assert ours == [family_ruling(g, kind, u) for u in range(g.n)]
 
 
@@ -787,7 +843,7 @@ def test_family_ruling_reads_the_columns_once(monkeypatch, make, kind):
     from the edge columns; the rulings of the other vertices make no
     np.any or np.all pass."""
     g = make()
-    twin_of = sedentary._graph_spectra(g, kind).twin_of
+    sedentary._twin_map(g)
     passes = []
 
     def spy(fn):
@@ -798,10 +854,10 @@ def test_family_ruling_reads_the_columns_once(monkeypatch, make, kind):
 
     for name in ("any", "all"):
         monkeypatch.setattr(np, name, spy(getattr(np, name)))
-    first = family_ruling(g, kind, 0, twin_of)
+    first = family_ruling(g, kind, 0)
     assert passes
     passes.clear()
-    rest = [family_ruling(g, kind, u, twin_of) for u in range(1, g.n)]
+    rest = [family_ruling(g, kind, u) for u in range(1, g.n)]
     assert passes == []
     monkeypatch.undo()
     fresh = make()
@@ -809,20 +865,24 @@ def test_family_ruling_reads_the_columns_once(monkeypatch, make, kind):
 
 
 def test_the_twin_index_maps_each_twin_to_its_class():
-    g = build_family(parse_family("doublecone:disconnected:cycle:4"))
+    def make():
+        return build_family(parse_family("doublecone:disconnected:cycle:4"))
+
+    g = make()
+    twins = spectral.find_twin_sets(g)
+    twin_of = sedentary._twin_map(g)
+    assert twins and twin_of == {v: ts for ts in twins for v in ts.vertices}
+    assert g._spectra[None] is twin_of
     for kind in (ADJACENCY, LAPLACIAN):
-        spectra = sedentary._graph_spectra(g, kind)
-        twins = spectral.find_twin_sets(g, kind)
-        assert twins and spectra.twin_of == {v: ts for ts in twins for v in ts.vertices}
         for u in range(g.n):
-            # the kept map and one built from the graph give one certificate
+            # the kept map and one built on a fresh graph give one certificate
             try:
-                want = twin_bound(g, u, kind, spectra.walk.decomposition)
+                want = twin_bound(make(), u, kind)
             except CertificateRefused:
-                assert u not in spectra.twin_of
+                assert u not in twin_of
                 continue
-            assert twin_bound(g, u, kind, spectra.walk.decomposition,
-                              spectra.twin_of) == want
+            assert twin_bound(g, u, kind) == want
+        assert sedentary._twin_map(g) is twin_of
 
 
 def test_the_graph_holds_its_spectra_while_it_lives():
@@ -926,8 +986,9 @@ def test_factor_reports_are_kept_at_default_options_only(monkeypatch):
 
 def test_twin_classes_are_found_once_per_graph(monkeypatch):
     """Vertex 0 of cone:cycle:11 under all five kinds on one graph object
-    takes one twin-class search, and every report is the one a fresh graph
-    gives when each kind searches the classes again."""
+    takes one twin-class search, every kind reads the one map kept on the
+    graph, and every report is the one a fresh graph gives when each call
+    searches the classes again."""
     kinds = [parse_matrix_kind(k) for k in
              ("adjacency", "laplacian", "gen:0.5", "norm-adj", "norm-lap")]
 
@@ -935,17 +996,23 @@ def test_twin_classes_are_found_once_per_graph(monkeypatch):
         return build_family(parse_family("cone:cycle:11"))
 
     with monkeypatch.context() as m:
-        m.setattr(sedentary, "_twin_map", lambda g, kind: {
-            v: ts for ts in spectral.find_twin_sets(g, kind) for v in ts.vertices})
+        m.setattr(sedentary, "_twin_map", lambda g: {
+            v: ts for ts in spectral.find_twin_sets(g) for v in ts.vertices})
         want = [json.dumps(classify(make(), 0, kind).to_dict()) for kind in kinds]
     searches = _count_calls(monkeypatch, sedentary, "find_twin_sets")
+    kept, read = sedentary._twin_map, []
+    monkeypatch.setattr(sedentary, "_twin_map", lambda g: read.append(kept(g)) or read[-1])
     g = make()
-    got = [json.dumps(classify(g, 0, kind).to_dict()) for kind in kinds]
+    got = []
+    for kind in kinds:
+        before = len(read)
+        got.append(json.dumps(classify(g, 0, kind).to_dict()))
+        assert len(read) > before, kind
     assert len(searches) == 1
     assert got == want
-    for kind in kinds:
-        assert sedentary._graph_spectra(g, kind).twin_of == {
-            v: ts for ts in spectral.find_twin_sets(g, kind) for v in ts.vertices}
+    # every kind read the one map kept on the graph
+    assert all(m is g._spectra[None] for m in read)
+    assert g._spectra[None] == {v: ts for ts in spectral.find_twin_sets(g) for v in ts.vertices}
 
 
 def test_kept_records_are_read_only():

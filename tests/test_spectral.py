@@ -153,23 +153,26 @@ def test_star_leaves_not_strongly_cospectral():
     assert not strong_cospectral(d, 1, 2)
 
 
+def _theta(kind, ts):
+    """The difference eigenvalue of a twin set under kind."""
+    return twin_theta(kind, ts.degree, ts.omega, ts.eta)
+
+
 def test_find_twin_sets_join():
     g = join(complete_graph(3), cycle_graph(4))
-    twins_a = find_twin_sets(g, ADJACENCY)
-    triple = next(t for t in twins_a if t.size == 3)
+    twins = find_twin_sets(g)
+    triple = next(t for t in twins if t.size == 3)
     assert triple.vertices == (0, 1, 2)
-    assert triple.theta == -1.0
-    twins_l = find_twin_sets(g, LAPLACIAN)
-    triple_l = next(t for t in twins_l if t.size == 3)
-    assert triple_l.theta == 7.0
+    assert _theta(ADJACENCY, triple) == -1.0
+    assert _theta(LAPLACIAN, triple) == 7.0
     # the cycle contributes two opposite twin pairs
-    assert sorted(t.vertices for t in twins_a if t.size == 2) == [(3, 5), (4, 6)]
+    assert sorted(t.vertices for t in twins if t.size == 2) == [(3, 5), (4, 6)]
 
 
 def test_twin_sets_exclude_near_misses():
     # weights differ, so no twins even though the shape matches
     g = WeightedGraph(3, ((0, 2, 1.0), (1, 2, 1.0 + 1e-13)))
-    assert list(find_twin_sets(g, ADJACENCY)) == []
+    assert list(find_twin_sets(g)) == []
 
 
 def _planted_twins(rng) -> WeightedGraph:
@@ -224,7 +227,7 @@ def test_twin_sets_match_an_all_pairs_search():
     found = 0
     for _ in range(300):
         g = _planted_twins(rng)
-        got = sorted(t.vertices for t in find_twin_sets(g, ADJACENCY))
+        got = sorted(t.vertices for t in find_twin_sets(g))
         assert got == _twin_classes_by_all_pairs(g)
         found += len(got)
     assert found >= 300
@@ -237,18 +240,18 @@ def test_twin_sets_split_buckets_whose_row_hashes_collide(monkeypatch):
     monkeypatch.setattr(spectral, "hash", lambda row: 0, raising=False)
     for _ in range(100):
         g = _planted_twins(rng)
-        got = sorted(t.vertices for t in find_twin_sets(g, ADJACENCY))
+        got = sorted(t.vertices for t in find_twin_sets(g))
         assert got == _twin_classes_by_all_pairs(g)
 
 
 def test_verify_twin_eigenvector():
     g = join(complete_graph(3), cycle_graph(4))
     d = decompose(assemble(g, ADJACENCY))
-    for twins in find_twin_sets(g, ADJACENCY):
-        assert verify_twin_eigenvector(d, twins)
+    for twins in find_twin_sets(g):
+        assert verify_twin_eigenvector(d, twins, _theta(ADJACENCY, twins))
 
 
-def _verify_all_pairs(d, twins, tol=1e-9):
+def _verify_all_pairs(d, twins, theta, tol=1e-9):
     """M(e_u - e_v) = theta (e_u - e_v), checked pair by pair."""
     m = d.matrix
     scale = max(1.0, float(np.max(np.abs(m))))
@@ -257,7 +260,7 @@ def _verify_all_pairs(d, twins, tol=1e-9):
         for v in verts[i + 1:]:
             x = np.zeros(d.n)
             x[u], x[v] = 1.0, -1.0
-            if float(np.max(np.abs(m @ x - twins.theta * x))) > tol * scale:
+            if float(np.max(np.abs(m @ x - theta * x))) > tol * scale:
                 return False
     return True
 
@@ -270,8 +273,10 @@ def test_verify_twin_eigenvector_matches_an_all_pairs_check():
         kind = (ADJACENCY, LAPLACIAN)[i % 2]
         d = decompose(assemble(g, kind))
         scale = max(1.0, float(np.max(np.abs(d.matrix))))
-        for twins in find_twin_sets(g, kind):
-            assert verify_twin_eigenvector(d, twins) and _verify_all_pairs(d, twins)
+        for twins in find_twin_sets(g):
+            theta = _theta(kind, twins)
+            assert verify_twin_eigenvector(d, twins, theta)
+            assert _verify_all_pairs(d, twins, theta)
             # move one member's column: by half the tolerance it still
             # passes, by twice the tolerance the class is rejected
             u = twins.vertices[int(rng.integers(twins.size))]
@@ -279,8 +284,8 @@ def test_verify_twin_eigenvector_matches_an_all_pairs_check():
                 m = np.array(d.matrix)
                 m[:, u] += shift
                 moved = dataclasses.replace(d, matrix=m)
-                assert verify_twin_eigenvector(moved, twins) is ok
-                assert _verify_all_pairs(moved, twins) is ok
+                assert verify_twin_eigenvector(moved, twins, theta) is ok
+                assert _verify_all_pairs(moved, twins, theta) is ok
             checked += 1
     assert checked >= 150
 
@@ -289,20 +294,22 @@ def test_star_twin_class_of_2000_leaves_within_budget():
     g = star_graph(2000)
     m = assemble(g, LAPLACIAN).matrix
     start = time.perf_counter()
-    (leaves,) = find_twin_sets(g, LAPLACIAN)
+    (leaves,) = find_twin_sets(g)
+    theta = _theta(LAPLACIAN, leaves)
     # the check reads only the matrix, so no 2001-vertex eigh is needed
-    ok = verify_twin_eigenvector(types.SimpleNamespace(matrix=m), leaves)
+    ok = verify_twin_eigenvector(types.SimpleNamespace(matrix=m), leaves, theta)
     elapsed = time.perf_counter() - start
-    assert leaves.vertices == tuple(range(1, 2001)) and leaves.theta == 1.0
+    assert leaves.vertices == tuple(range(1, 2001)) and theta == 1.0
     assert ok
     assert elapsed < 2.0
 
 
 def test_twin_theta_matches_found_sets():
     g = double_cone(build_family(parse_family("cycle:4")), "disconnected")
-    twins = find_twin_sets(g, LAPLACIAN)
+    twins = find_twin_sets(g)
     pair = next(t for t in twins if t.vertices == (0, 1))
-    assert pair.theta == twin_theta(LAPLACIAN, 4.0, 0.0, 0.0)
+    assert (pair.degree, pair.omega, pair.eta) == (4.0, 0.0, 0.0)
+    assert _theta(LAPLACIAN, pair) == twin_theta(LAPLACIAN, 4.0, 0.0, 0.0) == 4.0
 
 
 def test_periodicity_integer_spectrum():
@@ -352,10 +359,10 @@ def test_integer_coordinates_none_for_incommensurable():
 def test_blow_up_twin_union():
     # all copies of both path ends merge into one twin class
     g = blow_up(path_graph(3), "vertex", [(3, "empty"), (1, "empty"), (2, "empty")])
-    twins = find_twin_sets(g, ADJACENCY)
+    twins = find_twin_sets(g)
     assert len(twins) == 1
     assert twins[0].vertices == (0, 1, 2, 4, 5)
-    assert twins[0].theta == 0.0
+    assert _theta(ADJACENCY, twins[0]) == 0.0
 
 
 # -- eigenvector blocks against dense projectors ----------------------------------

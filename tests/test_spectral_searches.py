@@ -17,7 +17,7 @@ from qwsed.sedentary import (NOT_SEDENTARY, NOT_SEDENTARY_ZERO_CROSSING, _PHASE_
                              _equality_holds, _support_positions, classify,
                              find_equality_time)
 from qwsed.spectral import PeriodicityInfo
-from qwsed.walk import (_PST_TOL, DEFAULT_WINDOW, PerfectStateTransferWitness,
+from qwsed.walk import (_CHUNK, _PST_TOL, DEFAULT_WINDOW, PerfectStateTransferWitness,
                         VertexSpectrum, WalkError, WalkEvaluator, _neg_peak,
                         _scan_minima)
 from test_walk import _defect, _full_scan, _walk
@@ -114,6 +114,49 @@ def test_a_lattice_too_long_to_count_raises_walk_error():
     # the last lattice point's index overflows a float
     with pytest.raises(WalkError, match="too long"):
         find_equality_time(_aligned(0.01), 0, (0,), (0.0, 1.79e308))
+
+
+def test_a_window_starting_too_far_out_raises_walk_error():
+    # the first lattice index is past 2^53, or the window start overflows
+    for window in ((1e20, 1e20 + 1.0), (1e308, 1.7e308), (-1.7e308, 1.0)):
+        with pytest.raises(WalkError, match="too far out"):
+            find_equality_time(_aligned(0.01), 0, (0,), window)
+
+
+def test_a_long_window_returns_an_early_time():
+    """The cap bounds the search, not the window: every case that finds a
+    time on [0, 20 pi] finds the same time on [0, 1e12], whose lattice
+    holds far more than _MAX_LATTICE points."""
+    found = 0
+    for w, u, subset, window in _equality_cases():
+        if window == (0.0, DEFAULT_WINDOW / 10.0):
+            t = find_equality_time(w, u, subset, window)
+            if t is not None:
+                assert find_equality_time(w, u, subset, (0.0, 1e12)) == t, (u, subset)
+                found += 1
+    assert found > 200
+
+
+def test_a_long_window_with_no_early_time_is_refused(monkeypatch):
+    # about 1.6e11 lattice points, none of the first _MAX_LATTICE a time
+    monkeypatch.setattr(sedentary, "_MAX_LATTICE", 4 * _CHUNK)
+    with pytest.raises(WalkError, match="too long"):
+        find_equality_time(_aligned(0.01), 0, (0,), (0.0, 1e12))
+
+
+@pytest.mark.parametrize("points,refused", [(4 * _CHUNK, False), (4 * _CHUNK + 1, True)])
+def test_the_lattice_cap_counts_the_points_of_the_window(monkeypatch, points, refused):
+    """With the cap at 4 _CHUNK, a window of 4 _CHUNK lattice points and no
+    time is searched to its end, and one of a point more is refused.  The
+    record's fastest phase runs at 1.01 and is off the subset, so its
+    lattice points are (pi + 2 pi m) / 1.01, the first at m = 0."""
+    monkeypatch.setattr(sedentary, "_MAX_LATTICE", 4 * _CHUNK)
+    t1 = (math.pi + 2.0 * math.pi * (points - 0.5)) / 1.01
+    if refused:
+        with pytest.raises(WalkError, match="too long"):
+            find_equality_time(_aligned(0.01), 0, (0,), (0.0, t1))
+    else:
+        assert find_equality_time(_aligned(0.01), 0, (0,), (0.0, t1)) is None
 
 
 def _mutant(old, new):

@@ -123,7 +123,7 @@ def test_carried_reports_match_their_own_classification(kind, case):
     own, where no report is carried)."""
     g, requested = case
     k = parse_matrix_kind(kind)
-    assert any(ts.size >= 2 for ts in find_twin_sets(g, k))
+    assert any(ts.size >= 2 for ts in find_twin_sets(g))
     own = sedentary._Context(g, k)
     for v, shared in zip(requested, classify_vertices(g, requested, k)):
         _assert_same(shared, classify(g, v, k))
@@ -193,12 +193,12 @@ def test_twin_eigenvector_checked_once_per_class(monkeypatch):
     is checked once, and each leaf's report keeps its own twin bound."""
     g = build_family(parse_family("star:40"))
     kind = parse_matrix_kind("laplacian")
-    classes = [ts for ts in find_twin_sets(g, kind) if ts.size > 1]
+    classes = [ts for ts in find_twin_sets(g) if ts.size > 1]
     assert [ts.size for ts in classes] == [40]
     calls = []
     real = sedentary.verify_twin_eigenvector
     monkeypatch.setattr(sedentary, "verify_twin_eigenvector",
-                        lambda d, ts: calls.append(ts.vertices) or real(d, ts))
+                        lambda d, ts, theta: calls.append(ts.vertices) or real(d, ts, theta))
     reports = classify_vertices(g, range(g.n), kind)
     assert calls == [classes[0].vertices]
     for r in reports:
