@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +40,7 @@ from .graphs import FamilySpec, WeightedGraph, _common_value, describe_graph
 from .matrices import ADJACENCY, MatrixKind, assemble, twin_theta
 from .spectral import (
     TwinSet,
+    _limit_denominator,
     decompose,
     find_twin_sets,
     verify_twin_eigenvector,
@@ -871,17 +870,19 @@ def family_ruling(graph: WeightedGraph, kind: MatrixKind, u: int) -> FamilyRulin
 def _merge_odd_lattices(t1: float, t2: float) -> float | None:
     """Base of the intersection of {odd multiples of t1} and {odd multiples
     of t2}, or None when the ratio is not a quotient of odd integers.  The
-    ratio is matched within 1e-7: oracle argmins resolve a flat minimum only
-    to about 1e-8, and product_compose checks the merged time."""
+    ratio is matched within 1e-7 by its closest fraction p/q with q at most
+    10**6, in integers (spectral._limit_denominator): oracle argmins
+    resolve a flat minimum only to about 1e-8, and product_compose checks
+    the merged time."""
     if t1 <= 0.0 or t2 <= 0.0:
         return None
     ratio = t1 / t2
-    frac = Fraction(ratio).limit_denominator(10**6)
-    if frac.numerator <= 0 or abs(ratio - float(frac)) > 1e-7 * ratio:
+    p, q = _limit_denominator(ratio, 10**6)
+    if p <= 0 or abs(ratio - p / q) > 1e-7 * ratio:
         return None
-    if frac.numerator % 2 == 0 or frac.denominator % 2 == 0:
+    if p % 2 == 0 or q % 2 == 0:
         return None
-    return frac.denominator * t1
+    return q * t1
 
 
 def _tight_time(report: SedentaryReport) -> float | None:
@@ -896,17 +897,19 @@ def _tight_time(report: SedentaryReport) -> float | None:
 
 
 def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
-                    evaluators: Sequence[WalkEvaluator] | None = None
-                    ) -> SedentaryCertificate:
-    """Combine factor bounds across a box product.
+                    evaluators: Sequence[WalkEvaluator] | None = None, *,
+                    vertex: int = -1) -> SedentaryCertificate:
+    """Combine factor bounds across a box product into the certificate of
+    the product vertex vertex (-1 when none is named).
 
     For degree-shifted kinds the product diagonal factors entrywise, so
     per-factor lower bounds multiply.  Factors that are not sedentary (a
     two-vertex factor, say) poison the product, and composing them into a
     positive bound is refused.  When every factor is tight and a common
     attainment time exists (their odd equality lattices intersect, verified
-    numerically, to _PHASE_TOL, when evaluators are given), the product
-    bound is attained.
+    numerically, to _PHASE_TOL, when evaluators are given: each factor
+    vertex's |U(t)_{x,x}| read from the kept weights by transition_entry),
+    the product bound is attained.
     """
     if not kind.is_degree_shifted:
         raise CertificateRefused(
@@ -941,7 +944,7 @@ def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
                 times = (float(base),)
     detail = " * ".join(f"{r.bound:.9f} [{r.graph}]" for r in reports)
     return SedentaryCertificate(
-        PRODUCT_COMPOSITION, -1, bound, (), None, times, analytic,
+        PRODUCT_COMPOSITION, vertex, bound, (), None, times, analytic,
         detail=f"product of factor bounds: {detail}")
 
 
@@ -991,23 +994,26 @@ def _annotated(g: WeightedGraph) -> tuple:
     return g, g.labels, prov, describe_graph(g)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _GraphSpectra:
     """What classification reads of one (graph object, kind): the walk
     evaluator over the decomposition of the assembled matrix, with its
     vertex records, the twin eigenvector check's verdict per twin class
     under this kind (twin_verdicts, keyed by the class's vertices; twin_bound
-    adds them), and the report of each vertex classified as a Cartesian
+    adds them), the report of each vertex classified as a Cartesian
     factor's vertex (reports, read and filled by the factor contexts of
-    _Context.factors).  The twin classes themselves are kind-free and kept
-    once per graph (_twin_map).  A record, a verdict and a report at default
-    options depend only on (graph, kind, vertex or class), never on the
-    options or the calls that asked first; none of them refers to the
-    graph."""
+    _Context.factors), and, for a Cartesian product, the contexts of its
+    two factors (factors, made by the first _Context.factors call).  The
+    twin classes themselves are kind-free and kept once per graph
+    (_twin_map).  A record, a verdict, a report at default options and a
+    factor context depend only on (graph, kind, vertex or class), never on
+    the options or the calls that asked first; none of them refers to the
+    graph (a factor context refers to a factor graph only)."""
 
     walk: WalkEvaluator
     twin_verdicts: dict[tuple[int, ...], bool]
     reports: dict[int, SedentaryReport]
+    factors: tuple[_Context, _Context] | None = None
 
 
 def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
@@ -1016,8 +1022,8 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     as long as the graph lives: two n x n float arrays per kind (the
     eigenvectors and the matrix), one vertex record per vertex classified
     or asked about (k support eigenvalues, weights and root offers), the
-    twin classes' eigenvector verdicts, and one report per vertex reached
-    as a factor vertex of a product."""
+    twin classes' eigenvector verdicts, one report per vertex reached
+    as a factor vertex of a product, and a product's factor contexts."""
     memo = graph._spectra
     s = memo.get(kind)
     if s is None:
@@ -1034,12 +1040,12 @@ class _Context:
     graph object (and kind) and shared by every later call on that graph;
     the options never enter them.  Each vertex's report is made once it is
     asked for (report): per call under the caller's options, and in the
-    map kept on the graph (_GraphSpectra.reports) for a factor's context.  A factor's context
-    (options None) takes the default options, under which a report depends
-    only on (graph, kind, vertex), so every later product vertex over that
-    factor graph reads the one kept report.  For a Cartesian product the
-    factors' contexts are made per call when first asked (one context when
-    both factors are the same graph).
+    map kept on the graph (_GraphSpectra.reports) for a factor's context.
+    A factor's context (options None) takes the default options, under
+    which a report depends only on (graph, kind, vertex), so every later
+    product vertex over that factor graph reads the one kept report.  For
+    a Cartesian product the factors' contexts (factors) are made once per
+    product graph object and kind and kept on its _GraphSpectra.
 
     report classifies one vertex per twin class and label role, the
     representative: the least vertex of the class with the role
@@ -1058,17 +1064,24 @@ class _Context:
                  options: ClassifyOptions | None = None):
         self.graph, self.kind = graph, kind
         self.options = options or ClassifyOptions()
-        spectra = _graph_spectra(graph, kind)
+        self._spectra = spectra = _graph_spectra(graph, kind)
         self.walk = spectra.walk
         self._reports = spectra.reports if options is None else {}
 
-    @cached_property
+    @property
     def factors(self) -> tuple[_Context, _Context]:
-        gx, gy = self.graph.provenance[1:3]
-        cx = _Context(gx, self.kind)
-        if _annotated(gy) == _annotated(gx):
-            return cx, cx
-        return cx, _Context(gy, self.kind)
+        """The contexts of a Cartesian product's two factors (options None),
+        one context when both are the same graph (_annotated).  The pair is
+        made by the first call on this product graph object and kind and
+        kept on its _GraphSpectra, so every later context of the product
+        reads the same pair, whatever its options."""
+        pair = self._spectra.factors
+        if pair is None:
+            gx, gy = self.graph.provenance[1:3]
+            cx = _Context(gx, self.kind)
+            cy = cx if _annotated(gy) == _annotated(gx) else _Context(gy, self.kind)
+            pair = self._spectra.factors = (cx, cy)
+        return pair
 
     def _representative(self, v: int) -> int:
         """The least twin of v with v's label role (v without a twin).  v's
@@ -1082,8 +1095,8 @@ class _Context:
     def prepare(self, vertices: Sequence[int]) -> None:
         """Before the first report: compute, in one walk.spectra call, the
         records of the representatives of vertices, the vertices report
-        classifies.  Those of one support index set then share one
-        periodicity fit and one root solve."""
+        classifies.  Those of one support index set then share one root
+        solve, and every vertex of that set one periodicity fit."""
         self.walk.spectra(list(dict.fromkeys(self._representative(v) for v in vertices)))
 
     def report(self, v: int) -> SedentaryReport:
@@ -1125,7 +1138,8 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     product (k support eigenvalues, weights and root offers).  A factor
     graph also keeps the report of each of its vertices a product vertex
     reached (default options), so each factor vertex is classified once
-    per factor graph object and kind.  The report of u itself is made per
+    per factor graph object and kind, and a product graph keeps its factor
+    pair (_Context.factors) per kind.  The report of u itself is made per
     call.
     """
     return classify_vertices(graph, [u], kind, options)[0]
@@ -1153,9 +1167,10 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
 
     The vertices to classify are grouped by support index set before the
     first report (_Context.prepare, WalkEvaluator.spectra).  A group has
-    one set of support eigenvalues, so it takes one periodicity fit and,
-    on a certified window, one root solve of the oracle over all its
-    members, both in spectra.  Each member keeps its own weights, its
+    one set of support eigenvalues, so it takes one root solve of the
+    oracle over all its members on a certified window, in spectra, and
+    reads the one periodicity fit the evaluator keeps per support index
+    set.  Each member keeps its own weights, its
     own |U(rho)_{u,u}| = 1 check, its own root offers (its fallback to the
     scan when its own clusters are ambiguous) and its own certificates, and
     each record and oracle result holds the bits the vertex gets in a
@@ -1248,8 +1263,7 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
                 detail=f"factor {bad.graph} has vanishing diagonal infimum"))
             return NOT_SEDENTARY, 0.0
         try:
-            certs.append(replace(
-                product_compose([rx, ry], kind, [cx.walk, cy.walk]), vertex=u))
+            certs.append(product_compose([rx, ry], kind, [cx.walk, cy.walk], vertex=u))
         except CertificateRefused:
             pass
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +41,8 @@ __all__ = [
     "find_twin_sets",
     "verify_twin_eigenvector",
     "PeriodicityInfo",
+    "PeriodFit",
+    "period_fit",
     "periodicity",
 ]
 
@@ -313,11 +314,39 @@ class PeriodicityInfo:
     step: float | None = None
 
 
+def _limit_denominator(x: float, max_denominator: int) -> tuple[int, int]:
+    """The numerator and denominator of Fraction(x).limit_denominator(
+    max_denominator), in integers: the closest fraction to x with a
+    denominator at most max_denominator, from the continued fraction of
+    x's exact ratio.  The last convergent p1/q1 within the cap and the
+    semiconvergent (p0 + k p1)/(q0 + k q1) bracket x; the one nearer x is
+    returned, p1/q1 on a tie, as Fraction does."""
+    num, den = x.as_integer_ratio()
+    if den <= max_denominator:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    # the candidates lie 1/(q1 (q0 + k q1)) apart, and p1/q1 lies d/(q1 den)
+    # from x
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _rescale_to_integers(values: Sequence[float], scale: float):
     """Find integers p_j and a real step s with values = ref + s*p_j.
 
     Returns (p, s, ref) or None.  The step's rational structure is recovered
-    with continued fractions, denominator capped at 10**6.
+    with continued fractions (_limit_denominator), denominator capped at
+    10**6.
     """
     vals = [float(v) for v in values]
     tol = _INT_TOL * scale
@@ -333,11 +362,11 @@ def _rescale_to_integers(values: Sequence[float], scale: float):
         # a ratio within _WHOLE_TOL of an integer m has m for its closest
         # fraction of denominator at most _MAX_DENOMINATOR, since every
         # other such fraction lies at least 1/_MAX_DENOMINATOR from m; so it
-        # leaves q as it is, and only the others take the Fraction loop
+        # leaves q as it is, and only the others take the continued fraction
         if abs(r - round(r)) <= _WHOLE_TOL:
             continue
-        frac = Fraction(r).limit_denominator(_MAX_DENOMINATOR)
-        q = q * frac.denominator // math.gcd(q, frac.denominator)
+        den = _limit_denominator(r, _MAX_DENOMINATOR)[1]
+        q = q * den // math.gcd(q, den)
         if q > _MAX_DENOMINATOR:
             return None
     p = [int(round(r * q)) for r in ratios]
@@ -348,9 +377,45 @@ def _rescale_to_integers(values: Sequence[float], scale: float):
     return p, s, ref
 
 
+class PeriodFit(NamedTuple):
+    """The period candidate of one set of support eigenvalues, shared by
+    every vertex whose support has that index set: the method, the period
+    rho (None when undetected), the integer coordinates and step, and the
+    phases exp(i rho lambda_j) that each vertex's check reads (None for a
+    single eigenvalue, whose period needs no check)."""
+
+    method: str
+    period: float | None
+    coordinates: tuple[int, ...] | None = None
+    step: float | None = None
+    phases: np.ndarray | None = None
+
+
+def period_fit(eigenvalues: Sequence[float], scale: float) -> PeriodFit:
+    """The period candidate of a support's eigenvalues: they become
+    integers p_j under an affine rescaling lambda_j = min + s*p_j
+    (_rescale_to_integers), and the candidate is 2*pi / (s * gcd of the
+    p_j).  It reads the eigenvalues alone, so the vertices of one support
+    index set share one fit; periodicity checks it per vertex."""
+    near_int = all(abs(x - round(x)) <= _INT_TOL * scale for x in eigenvalues)
+    method = "integer-spectrum" if near_int else "rational-rescaled"
+    res = _rescale_to_integers(eigenvalues, scale)
+    if res is None:
+        return PeriodFit("undetected", None)
+    p, step, _ = res
+    g = math.gcd(*p)
+    if g == 0:
+        # a single eigenvalue: U(t)_{u,u} is a phase
+        return PeriodFit(method, 2.0 * math.pi)
+    rho = 2.0 * math.pi / (step * g)
+    phases = np.exp(1j * rho * np.array(eigenvalues))
+    phases.setflags(write=False)
+    return PeriodFit(method, rho, tuple(p), step, phases)
+
+
 def periodicity(d: SpectralDecomposition, vertices: Sequence[int],
-                sups: Sequence[EigenvalueSupport] | None = None
-                ) -> tuple[PeriodicityInfo, ...]:
+                sups: Sequence[EigenvalueSupport] | None = None,
+                fit: PeriodFit | None = None) -> tuple[PeriodicityInfo, ...]:
     """Detect a period of the diagonal walk entry at each of vertices, which
     share one support index set, so one set of support eigenvalues.
 
@@ -358,10 +423,11 @@ def periodicity(d: SpectralDecomposition, vertices: Sequence[int],
     integers under an affine rescaling; the minimal period is then
     2*pi / (s * gcd of the integer coordinates relative to the smallest).
     The rescaling reads the eigenvalues alone, so the vertices share one
-    fit, one method and one candidate period.  Each vertex's period is
-    verified by evaluating |U(rho)_{u,u}| = 1 with its own weights, and a
-    vertex that fails gets 'undetected'.  sups, when given, are the
-    vertices' supports already computed.
+    fit (period_fit), one method and one candidate period.  Each vertex's
+    period is verified by evaluating |U(rho)_{u,u}| = 1 with its own
+    weights, and a vertex that fails gets 'undetected'.  sups, when given,
+    are the vertices' supports already computed, and fit the fit of their
+    eigenvalues already made.
     """
     if sups is None:
         sups = [support(d, u) for u in vertices]
@@ -369,25 +435,18 @@ def periodicity(d: SpectralDecomposition, vertices: Sequence[int],
         return ()
     if any(s.indices != sups[0].indices for s in sups):
         raise SpectralError("a periodicity group must share one support index set")
-    lam = sups[0].eigenvalues
-    scale = d.scale()
-    near_int = all(abs(x - round(x)) <= _INT_TOL * scale for x in lam)
-    method = "integer-spectrum" if near_int else "rational-rescaled"
-    res = _rescale_to_integers(lam, scale)
-    if res is None:
+    if fit is None:
+        fit = period_fit(sups[0].eigenvalues, d.scale())
+    if fit.period is None:
         return tuple(PeriodicityInfo(s.vertex, False, None, "undetected") for s in sups)
-    p, step, _ = res
-    g = math.gcd(*p)
-    if g == 0:
-        # a single eigenvalue: U(t)_{u,u} is a phase
-        return tuple(PeriodicityInfo(s.vertex, True, 2.0 * math.pi, method) for s in sups)
-    rho = 2.0 * math.pi / (step * g)
-    phases = np.exp(1j * rho * np.array(lam))
+    if fit.phases is None:
+        return tuple(PeriodicityInfo(s.vertex, True, fit.period, fit.method) for s in sups)
     out = []
     for s in sups:
         # the claim must survive a direct evaluation
-        mag = abs(complex(np.sum(np.array(s.weights) * phases)))
+        mag = abs(complex(np.sum(np.array(s.weights) * fit.phases)))
         out.append(PeriodicityInfo(s.vertex, False, None, "undetected")
                    if abs(mag - 1.0) > _UNIT_TOL
-                   else PeriodicityInfo(s.vertex, True, float(rho), method, tuple(p), step))
+                   else PeriodicityInfo(s.vertex, True, fit.period, fit.method,
+                                        fit.coordinates, fit.step))
     return tuple(out)

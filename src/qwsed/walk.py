@@ -60,8 +60,9 @@ matrix; for Q <= 2 it takes no eigenvalue solve (_critical_points).
 The evaluator holds one record per vertex, its VertexSpectrum, which
 carries the oracle's default window, certified flag and root offers, and
 computes the records in support groups (WalkEvaluator.spectra): vertices with one support
-index set have the same support eigenvalues, so a group takes one
-periodicity fit and, on a certified window, one root solve, whose
+index set have the same support eigenvalues, so they share one
+periodicity fit, made by the first group of that set and kept for the
+later ones, and a group takes, on a certified window, one root solve, whose
 colleague matrices form one stack for one np.linalg.eigvals call and
 whose offers take one evaluation over the stack.  What reads a vertex's
 weights stays per vertex: its |U(rho)_{u,u}| = 1 check, its colleague
@@ -83,8 +84,8 @@ import numpy as np
 
 from .graphs import WeightedGraph
 from .matrices import ADJACENCY, MatrixKind
-from .spectral import (EigenvalueSupport, PeriodicityInfo, SpectralDecomposition,
-                       periodicity, support)
+from .spectral import (EigenvalueSupport, PeriodFit, PeriodicityInfo,
+                       SpectralDecomposition, period_fit, periodicity, support)
 
 __all__ = [
     "WalkError",
@@ -877,13 +878,16 @@ class PerfectStateTransferWitness:
 class WalkEvaluator:
     """Evaluates entries of U(t) = sum_j exp(it lambda_j) E_j, holding one
     VertexSpectrum per vertex (spectrum) that the oracle and every
-    certificate read, computed on first use (spectra).  A record's arrays
-    are read-only: the evaluator of a graph (for_graph) is kept on it, so
-    its records are shared by every later call on that graph."""
+    certificate read, computed on first use (spectra), and one period fit
+    per support index set (spectral.period_fit), which the later vertices
+    of that set read.  A record's arrays are read-only: the evaluator of a
+    graph (for_graph) is kept on it, so its records are shared by every
+    later call on that graph."""
 
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
         self._diag_cache: dict[int, VertexSpectrum] = {}
+        self._fits: dict[tuple[int, ...], PeriodFit] = {}
 
     @classmethod
     def for_graph(cls, graph: WeightedGraph,
@@ -912,9 +916,12 @@ class WalkEvaluator:
         return (d.vectors * phases) @ d.vectors.T
 
     def transition_entry(self, t: float, u: int, v: int) -> complex:
+        """U(t)_{u,v} = sum_j exp(it lambda_j) (E_j)_{u,v}, where (E_j)_{u,v}
+        = V_j[u] . V_j[v].  On the diagonal those are u's row of the
+        decomposition's weights, the same cluster sums to the bit, which
+        the decomposition already holds."""
         d = self.decomposition
-        # (E_j)_{u,v} = V_j[u] . V_j[v]
-        proj = d.cluster_sums(d.vectors[u] * d.vectors[v])
+        proj = d.weights[u] if u == v else d.cluster_sums(d.vectors[u] * d.vectors[v])
         return complex(np.sum(np.exp(1j * t * d.eigenvalues) * proj))
 
     def spectrum(self, u: int) -> VertexSpectrum:
@@ -928,23 +935,29 @@ class WalkEvaluator:
     def spectra(self, vertices: Sequence[int]) -> list[VertexSpectrum]:
         """The records of vertices.  Those not yet computed are grouped by
         support index set, and each group writes every member's record:
-        one periodicity call (one fit, each member's own |U(rho)_{u,u}| = 1
-        check), each member's default window (default_window) and, on a
-        certified window, one root solve (_root_offers) over the members
-        whose window certifies.  Those share the period and its
-        coordinates, and each keeps its own weights, its own offers or its
-        fallback to the scan when its own chains are ambiguous: the bits a
-        group of its own gives it.  The records are kept, with their arrays
-        read-only, for every later call on this evaluator."""
+        one periodicity call (each member's own |U(rho)_{u,u}| = 1 check
+        of the set's one fit), each member's default window
+        (default_window) and, on a certified window, one root solve
+        (_root_offers) over the members whose window certifies.  Those
+        share the period and its coordinates, and each keeps its own
+        weights, its own offers or its fallback to the scan when its own
+        chains are ambiguous: the bits a group of its own gives it.  The
+        fit of a support index set is made by its first group and kept
+        for the later groups of that set, which read it.  The records are
+        kept, with their arrays read-only, for every later call on this
+        evaluator."""
         d = self.decomposition
         groups: dict[tuple[int, ...], list[EigenvalueSupport]] = {}
         for u in dict.fromkeys(vertices):
             if u not in self._diag_cache:
                 sup = support(d, u)
                 groups.setdefault(sup.indices, []).append(sup)
-        for sups in groups.values():
+        for indices, sups in groups.items():
             lam = np.array(sups[0].eigenvalues)
-            pers = periodicity(d, [sup.vertex for sup in sups], sups)
+            fit = self._fits.get(indices)
+            if fit is None:
+                fit = self._fits[indices] = period_fit(sups[0].eigenvalues, d.scale())
+            pers = periodicity(d, [sup.vertex for sup in sups], sups, fit)
             windows = [_default_window(lam, per.period) for per in pers]
             solve = [i for i, (_, certified) in enumerate(windows)
                      if certified and len(lam) > 1]

@@ -4,6 +4,8 @@ decompose, support, SpectralDecomposition.scale and periodicity do their
 per-eigenvalue steps on Python floats.  The reference versions below do
 every step with numpy, as the layer once did; the two must agree to the
 bit: every array with its dtype, and every PeriodicityInfo with its repr.
+The continued fractions run in integers (_limit_denominator), and must give
+Fraction(x).limit_denominator(n)'s numerator and denominator.
 """
 
 import math
@@ -25,8 +27,10 @@ from qwsed.spectral import (
     DEFAULT_CLUSTER_TOL,
     EigenvalueSupport,
     PeriodicityInfo,
+    _limit_denominator,
     _rescale_to_integers,
     decompose,
+    period_fit,
     periodicity,
     support,
 )
@@ -135,6 +139,8 @@ def check_matches_reference(m: np.ndarray) -> None:
         got = periodicity(d, [s.vertex for s in sups], sups)
         want = ref_periodicity(d, sups)
         assert got == want and repr(got) == repr(want)
+        fit = period_fit(sups[0].eigenvalues, d.scale())
+        assert repr(periodicity(d, [s.vertex for s in sups], sups, fit)) == repr(want)
         assert repr(_rescale_to_integers(sups[0].eigenvalues, d.scale())) == repr(
             ref_rescale_to_integers(sups[0].eigenvalues, d.scale()))
 
@@ -208,3 +214,91 @@ def test_bookkeeping_matches_numpy_reference_on_families(kind):
                  "multipartite:2,3,4", "complete:40"):
         check_matches_reference(
             assemble(build_family(parse_family(spec)), parse_matrix_kind(kind)).matrix)
+
+
+# -- continued fractions in integers ----------------------------------------------
+
+
+def _check_limit_denominator(x: float, n: int) -> None:
+    frac = Fraction(x).limit_denominator(n)
+    got = _limit_denominator(x, n)
+    assert got == (frac.numerator, frac.denominator)
+    assert all(type(v) is int for v in got)
+
+
+_caps = st.one_of(st.sampled_from([1, 2, 3, 10, 1000, _MAX_DENOMINATOR]),
+                  st.integers(1, 10**7))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.builds(lambda m, e: m * 2.0 ** e, st.floats(-2.0, 2.0),
+                           st.integers(-80, 80))),
+       _caps)
+def test_limit_denominator_on_floats_of_every_magnitude(x, n):
+    _check_limit_denominator(x, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**7, 10**7), st.integers(1, _MAX_DENOMINATOR), _caps)
+def test_limit_denominator_on_rationals(p, q, n):
+    _check_limit_denominator(p / q, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 5000), st.floats(-1e-9, 1e-9))
+def test_limit_denominator_on_perturbed_odd_quotients(a, b, eps):
+    # what _merge_odd_lattices receives: a ratio of two argmins that
+    # resolve odd multiples of one base time to about 1e-9
+    _check_limit_denominator((2 * a + 1) / (2 * b + 1) * (1.0 + eps), 10**6)
+
+
+def _farey_neighbours(b: int, d: int, whole: int) -> tuple[int, int, int, int]:
+    """a/b < c/d with c b - a d = 1, b and d coprime, a/b above whole."""
+    a = (-pow(d, -1, b)) % b if b > 1 else 0
+    c = (1 + a * d) // b
+    return a + whole * b, b, c + whole * d, d
+
+
+_denominators = st.one_of(st.integers(1, 3000), st.sampled_from([2**j for j in range(12)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_denominators, _denominators, st.integers(0, 50), st.integers(-4, 4))
+def test_limit_denominator_on_near_ties(b, d, whole, ulps):
+    """x at, or a few ulps from, the midpoint of Farey neighbours a/b and
+    c/d of order n = max(b, d): the two candidates the last step compares
+    are those neighbours, and at the midpoint they tie (Fraction keeps the
+    convergent); the midpoint is a float when b d is a power of two."""
+    if math.gcd(b, d) != 1:
+        d += 1
+    if math.gcd(b, d) != 1:
+        return
+    a, b, c, d = _farey_neighbours(b, d, whole)
+    x = float(Fraction(a * d + b * c, 2 * b * d))
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    _check_limit_denominator(x, max(b, d))
+
+
+@pytest.mark.parametrize("x, n, want", [
+    # exact ties between the convergent and the semiconvergent
+    (0.75, 2, (1, 1)),
+    (0.25, 2, (0, 1)),
+    (1.25, 2, (1, 1)),
+    (0.125, 4, (0, 1)),
+    (0.875, 4, (1, 1)),
+    (-0.75, 2, (-1, 1)),
+    (2.0**-20, 2**19, (0, 1)),
+    (1.0 - 2.0**-20, 2**19, (1, 1)),
+])
+def test_limit_denominator_ties_keep_the_convergent(x, n, want):
+    _check_limit_denominator(x, n)
+    assert _limit_denominator(x, n) == want
+
+
+@pytest.mark.parametrize("x", [math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+                               -math.nextafter(1.0, 2.0), -math.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("n", [1, 2, 10**6, 2**52, 2**53, 2**54])
+def test_limit_denominator_one_ulp_from_one(x, n):
+    _check_limit_denominator(x, n)

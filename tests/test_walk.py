@@ -17,7 +17,8 @@ from qwsed.graphs import (
     parse_family,
 )
 from qwsed import sedentary, walk
-from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, generalized_adjacency
+from qwsed.matrices import (ADJACENCY, LAPLACIAN, assemble, generalized_adjacency,
+                             parse_matrix_kind)
 from qwsed.sedentary import _alignment_defect, find_equality_time, subset_bound
 from qwsed.spectral import decompose, support
 from qwsed.walk import (
@@ -47,6 +48,55 @@ from qwsed.walk import (
 
 def _walk(fam, kind=ADJACENCY):
     return WalkEvaluator.for_graph(build_family(parse_family(fam)), kind)
+
+
+_KINDS = ("adjacency", "laplacian", "gen:0.5", "norm-adj", "norm-lap")
+
+
+@st.composite
+def repeated_spectrum_graphs(draw):
+    """A graph whose spectrum repeats under every matrix kind: a class of 3
+    to 10 twins (adjacent or not, with or without loops) over a base of 1
+    to 4 vertices, rational weights, shuffled; twins give e_u - e_v one
+    eigenvalue whatever the kind, so it has multiplicity at least c - 1,
+    up to 9 (numpy sums a block of 8 or more pairwise)."""
+    weight = st.sampled_from((1.0, 0.5, 2.0, 1.0 / 3.0, 0.7))
+    size, rest = draw(st.integers(3, 10)), draw(st.integers(1, 4))
+    edges = {(i, j): draw(weight) for i in range(rest) for j in range(i, rest)
+             if draw(st.booleans())}
+    reach = {b: draw(weight) for b in range(rest) if draw(st.booleans())} or {0: 1.0}
+    loop = draw(st.one_of(st.none(), weight))
+    eta = draw(st.one_of(st.none(), weight))
+    twins = range(rest, rest + size)
+    for t in twins:
+        edges.update(((b, t), w) for b, w in reach.items())
+        if loop is not None:
+            edges[(t, t)] = loop
+        if eta is not None:
+            edges.update(((t, s), eta) for s in twins if s > t)
+    perm = draw(st.permutations(range(rest + size)))
+    return WeightedGraph(rest + size, tuple(sorted(
+        (min(perm[a], perm[b]), max(perm[a], perm[b]), w) for (a, b), w in edges.items())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=repeated_spectrum_graphs(), times=st.lists(st.floats(0.0, 50.0), min_size=1,
+                                                      max_size=3))
+def test_transition_entry_reads_the_kept_weights_bit_for_bit(g, times):
+    """U(t)_{u,u} from the decomposition's weights row is the cluster-sum
+    form sum_j exp(it lambda_j) V_j[u] . V_j[u] to the bit, and every
+    off-diagonal entry is still that form."""
+    for name in _KINDS:
+        d = decompose(assemble(g, parse_matrix_kind(name)))
+        assert max(d.multiplicities) >= 2
+        w = WalkEvaluator(d)
+        for t in times:
+            phases = np.exp(1j * t * d.eigenvalues)
+            for u in range(g.n):
+                for v in range(g.n):
+                    want = complex(np.sum(phases * d.cluster_sums(d.vectors[u] * d.vectors[v])))
+                    got = w.transition_entry(t, u, v)
+                    assert repr(got) == repr(want), (name, t, u, v)
 
 
 def test_transition_matrix_unitary():
