@@ -410,11 +410,9 @@ def twin_bound(graph: WeightedGraph, u: int,
     A pair (c = 2) yields the vacuous constant 0; the certificate is still
     emitted so reports can show the twin structure.  The difference
     eigenvalue theta of the kind is computed here from the class's degree,
-    omega and eta; the difference eigenvector is verified against the
-    assembled matrix of (graph, kind), and the projector mass at theta is
-    recorded.  The decomposition and the verdict of each class's check are
-    read from, and the verdict kept in, _graph_spectra(graph, kind), so a
-    class is checked once per graph object and kind.
+    omega and eta; the verdict of the difference eigenvector's check is
+    read from _graph_spectra(graph, kind), which checked every class, and
+    the projector mass at theta is recorded.
     """
     twins = _twin_map(graph).get(u)
     if twins is None:
@@ -423,17 +421,12 @@ def twin_bound(graph: WeightedGraph, u: int,
     bound = max(1.0 - 2.0 / c, 0.0)
     theta = twin_theta(kind, twins.degree, twins.omega, twins.eta)
     spectra = _graph_spectra(graph, kind)
-    d, verdicts = spectra.walk.decomposition, spectra.twin_verdicts
-    verified = verdicts.get(twins.vertices)
-    if verified is None:
-        verified = verdicts[twins.vertices] = verify_twin_eigenvector(d, twins, theta)
-    if not verified:
+    if not spectra.twin_verdicts[twins.vertices]:
         raise CertificateRefused("twin difference vector fails the eigenvector check")
-    j = int(np.argmin(np.abs(d.eigenvalues - theta)))
-    near = abs(float(d.eigenvalues[j]) - theta) <= 1e-8 * max(d.scale(), 1.0)
+    near = spectra.walk.eigenspace_weight(u, theta)
     others = ", ".join(str(v) for v in twins.vertices if v != u)
     return SedentaryCertificate(
-        TWIN_BOUND, u, bound, (j,) if near else (), d.diagonal_weight(j, u) if near else None,
+        TWIN_BOUND, u, bound, near[:1] if near else (), near[1] if near else None,
         detail=f"twin class {{{u}, {others}}} of size {c}, "
                f"difference eigenvalue {theta:g}")
 
@@ -559,8 +552,7 @@ def find_zero_crossing(w: WalkEvaluator, u: int,
     center = (float(lam.max()) + float(lam.min())) / 2.0
     mu = lam - center
     order = np.argsort(mu)
-    scale = max(w.decomposition.scale(), 1.0)
-    if (float(np.max(np.abs(mu[order] + mu[order[::-1]]))) > 1e-9 * scale
+    if (float(np.max(np.abs(mu[order] + mu[order[::-1]]))) > 1e-9 * w.scale
             or float(np.max(np.abs(wts[order] - wts[order[::-1]]))) > 1e-9):
         raise CertificateRefused("diagonal entry is not phase-aligned real")
 
@@ -998,12 +990,13 @@ def _annotated(g: WeightedGraph) -> tuple:
 class _GraphSpectra:
     """What classification reads of one (graph object, kind): the walk
     evaluator over the decomposition of the assembled matrix, with its
-    vertex records, the twin eigenvector check's verdict per twin class
-    under this kind (twin_verdicts, keyed by the class's vertices; twin_bound
-    adds them), the report of each vertex classified as a Cartesian
-    factor's vertex (reports, read and filled by the factor contexts of
-    _Context.factors), and, for a Cartesian product, the contexts of its
-    two factors (factors, made by the first _Context.factors call).  The
+    vertex records, the twin eigenvector check's verdict of every twin
+    class under this kind (twin_verdicts, keyed by the class's vertices,
+    made with the evaluator and read by twin_bound), the report of each
+    vertex classified as a Cartesian factor's vertex (reports, read and
+    filled by the factor contexts of _Context.factors), and, for a
+    Cartesian product, the contexts of its two factors (factors, made by
+    the first _Context.factors call).  The
     twin classes themselves are kind-free and kept once per graph
     (_twin_map).  A record, a verdict, a report at default options and a
     factor context depend only on (graph, kind, vertex or class), never on
@@ -1019,16 +1012,23 @@ class _GraphSpectra:
 def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     """The spectral data of (graph, kind), computed on the first call for
     this graph object and kind and kept on the graph (graph._spectra) for
-    as long as the graph lives: two n x n float arrays per kind (the
-    eigenvectors and the matrix), one vertex record per vertex classified
-    or asked about (k support eigenvalues, weights and root offers), the
-    twin classes' eigenvector verdicts, one report per vertex reached
-    as a factor vertex of a product, and a product's factor contexts."""
+    as long as the graph lives: per kind the eigenvectors (n x n) and
+    weights (n x distinct eigenvalues), one vertex record per vertex
+    classified or asked about (k support eigenvalues, weights and root
+    offers), the twin verdicts, one report per vertex reached as a factor
+    vertex of a product, and a product's factor contexts.  Every class of
+    _twin_map is checked by verify_twin_eigenvector(m, twins, theta)
+    against the matrix m just assembled, and m is not kept."""
     memo = graph._spectra
     s = memo.get(kind)
     if s is None:
-        walk = WalkEvaluator(decompose(assemble(graph, kind)))
-        s = memo[kind] = _GraphSpectra(walk, {}, {})
+        h = assemble(graph, kind)
+        walk = WalkEvaluator(decompose(h))
+        # each class once, at its least vertex
+        verdicts = {ts.vertices: verify_twin_eigenvector(
+                        h.matrix, ts, twin_theta(kind, ts.degree, ts.omega, ts.eta))
+                    for v, ts in _twin_map(graph).items() if v == ts.vertices[0]}
+        s = memo[kind] = _GraphSpectra(walk, verdicts, {})
     return s
 
 
@@ -1133,9 +1133,10 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     kind (_twin_map), for graph and for each Cartesian factor, and kept on
     the graph: a later classify of any vertex of the same graph object
     reads them, whatever its options.  The graph then holds, per kind it
-    was classified under and for as long as it lives, two n x n float
-    arrays and one record per vertex classified or reached through a
-    product (k support eigenvalues, weights and root offers).  A factor
+    was classified under and for as long as it lives, the eigenvectors (n
+    x n), the weights (n x distinct eigenvalues) and one record per vertex
+    classified or reached through a product (k support eigenvalues,
+    weights and root offers), but not the matrix.  A factor
     graph also keeps the report of each of its vertices a product vertex
     reached (default options), so each factor vertex is classified once
     per factor graph object and kind, and a product graph keeps its factor

@@ -66,21 +66,16 @@ class SpectralError(RuntimeError):
 class SpectralDecomposition:
     """Distinct eigenvalues (descending), the eigenvectors as columns
     grouped by eigenvalue (block V_j is columns offsets[j]:offsets[j+1], so
-    E_j = V_j V_j^T), weights[u, j] = (E_j)_{u,u}, and the matrix."""
+    E_j = V_j V_j^T) and weights[u, j] = (E_j)_{u,u}; no copy of the matrix."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     offsets: np.ndarray
     weights: np.ndarray
-    matrix: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_distinct(self) -> int:
-        return len(self.eigenvalues)
+        return self.vectors.shape[0]
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -94,10 +89,6 @@ class SpectralDecomposition:
     def projectors(self) -> tuple[np.ndarray, ...]:
         """Dense projectors E_j, built on each call."""
         return tuple(v @ v.T for v in np.split(self.vectors, self.offsets[1:-1], axis=1))
-
-    def diagonal_weight(self, j: int, u: int) -> float:
-        """(E_j)_{u,u}: the squared length of the projection of e_u."""
-        return float(self.weights[u, j])
 
     def scale(self) -> float:
         """max(1, the largest |eigenvalue|)."""
@@ -136,10 +127,9 @@ def decompose(h: Hamiltonian | np.ndarray) -> SpectralDecomposition:
                            dtype=float)
     vectors = vecs[:, order]
     weights = np.add.reduceat(vectors * vectors, offsets[:-1], axis=1)
-    mm = np.array(m)
-    for a in (eigenvalues, vectors, offsets, weights, mm):
+    for a in (eigenvalues, vectors, offsets, weights):
         a.setflags(write=False)
-    return SpectralDecomposition(eigenvalues, vectors, offsets, weights, mm)
+    return SpectralDecomposition(eigenvalues, vectors, offsets, weights)
 
 
 @dataclass(frozen=True)
@@ -275,21 +265,21 @@ def find_twin_sets(g: WeightedGraph) -> list[TwinSet]:
     return out
 
 
-def verify_twin_eigenvector(d: SpectralDecomposition, twins: TwinSet,
-                            theta: float) -> bool:
+def verify_twin_eigenvector(m: np.ndarray, twins: TwinSet, theta: float) -> bool:
     """Check M(e_u - e_v) = theta (e_u - e_v) for every pair in the twin set,
-    against the decomposed matrix.
+    against the matrix m.
 
     With R = M[:, class] - theta I[:, class], the pair defect
     ||R_u - R_v||_inf is largest over pairs as the largest row spread
     max(R) - min(R), so one pass over the class's columns checks all pairs.
+    The tolerance is _PAIR_TOL * max(1, max |m|); a spread within _PAIR_TOL
+    passes without the pass over all of m that max |m| takes.
     """
-    m = d.matrix
-    scale = max(1.0, float(np.max(np.abs(m))))
     verts = list(twins.vertices)
     r = m[:, verts]
     r[verts, np.arange(len(verts))] -= theta
-    return float(np.max(r.max(axis=1) - r.min(axis=1))) <= _PAIR_TOL * scale
+    spread = float(np.max(r.max(axis=1) - r.min(axis=1)))
+    return spread <= _PAIR_TOL or spread <= _PAIR_TOL * max(1.0, float(np.max(np.abs(m))))
 
 
 # -- periodicity ---------------------------------------------------------------

@@ -882,10 +882,12 @@ class WalkEvaluator:
     per support index set (spectral.period_fit), which the later vertices
     of that set read.  A record's arrays are read-only: the evaluator of a
     graph (for_graph) is kept on it, so its records are shared by every
-    later call on that graph."""
+    later call on that graph.  scale, the decomposition's scale(), sizes
+    the tolerances of the period fits and the certificates."""
 
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
+        self.scale = decomposition.scale()
         self._diag_cache: dict[int, VertexSpectrum] = {}
         self._fits: dict[tuple[int, ...], PeriodFit] = {}
 
@@ -897,9 +899,10 @@ class WalkEvaluator:
         (and, once the graph is a product's factor, its factor vertices'
         reports) for as long as the graph lives, so every later call on
         that graph, classify's included, reads the same one: its
-        decomposition (two n x n float arrays per kind) and its vertex
-        records (one per vertex asked about, k support eigenvalues, weights
-        and offers)."""
+        decomposition (eigenvectors n x n, weights n x distinct eigenvalues)
+        and its vertex records (one per vertex asked about, k support
+        eigenvalues, weights and offers).  The twin verdicts are made with
+        the evaluator, from the assembled matrix, which is not kept."""
         # sedentary imports this module, so it is imported on first use
         from .sedentary import _graph_spectra
         return _graph_spectra(graph, kind).walk
@@ -956,7 +959,7 @@ class WalkEvaluator:
             lam = np.array(sups[0].eigenvalues)
             fit = self._fits.get(indices)
             if fit is None:
-                fit = self._fits[indices] = period_fit(sups[0].eigenvalues, d.scale())
+                fit = self._fits[indices] = period_fit(sups[0].eigenvalues, self.scale)
             pers = periodicity(d, [sup.vertex for sup in sups], sups, fit)
             windows = [_default_window(lam, per.period) for per in pers]
             solve = [i for i, (_, certified) in enumerate(windows)
@@ -982,6 +985,15 @@ class WalkEvaluator:
         rec = self.spectrum(u)
         return rec.window, rec.certified
 
+    def eigenspace_weight(self, u: int, theta: float) -> tuple[int, float] | None:
+        """(j, (E_j)_{u,u}) for the eigenvalue nearest theta, or None when
+        it lies farther than 1e-8 * scale from theta."""
+        lam = self.decomposition.eigenvalues
+        j = int(np.argmin(np.abs(lam - theta)))
+        if abs(float(lam[j]) - theta) > 1e-8 * self.scale:
+            return None
+        return j, float(self.decomposition.weights[u, j])
+
     def _column_data(self, u: int) -> np.ndarray:
         """E_j e_u, one row per distinct eigenvalue: row j is V_j V_j[u]."""
         d = self.decomposition
@@ -996,10 +1008,6 @@ class WalkEvaluator:
         """Matrix of |U(t)_{v,u}| with one row per time, one column per v."""
         return np.abs(_trig_sums(self.decomposition.eigenvalues,
                                  self._column_data(u), times))
-
-    def unitarity_defect(self, t: float) -> float:
-        um = self.transition_matrix(t)
-        return float(np.max(np.abs(um @ um.conj().T - np.eye(self.n))))
 
     # -- diagonal minimization ---------------------------------------------
 

@@ -294,11 +294,12 @@ def test_criterion_10_property_suites(criterion_log):
         d = decompose(h)
         w = WalkEvaluator(d)
         for t in (0.7, 2.3):
-            if w.unitarity_defect(t) > 1e-9:
+            um = w.transition_matrix(t)
+            if float(np.max(np.abs(um @ um.conj().T - np.eye(n)))) > 1e-9:
                 fails.append(f"graph {i}: unitarity defect at t={t}")
         total = np.zeros((n, n))
         recon = np.zeros((n, n))
-        for j in range(d.num_distinct):
+        for j in range(len(d.eigenvalues)):
             e = d.projectors[j]
             if float(np.max(np.abs(e @ e - e))) > 1e-9:
                 fails.append(f"graph {i}: projector {j} not idempotent")

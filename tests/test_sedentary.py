@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import itertools
 import json
@@ -274,15 +275,16 @@ def _per_kind_twin_bound(g, u, kind):
     if ts is None:
         raise CertificateRefused(f"vertex {u} has no twin")
     theta = twin_theta(kind, ts.degree, ts.omega, ts.eta)
-    d = decompose(assemble(g, kind))
-    if not spectral.verify_twin_eigenvector(d, ts, theta):
+    h = assemble(g, kind)
+    d = decompose(h)
+    if not spectral.verify_twin_eigenvector(h.matrix, ts, theta):
         raise CertificateRefused("twin difference vector fails the eigenvector check")
     j = int(np.argmin(np.abs(d.eigenvalues - theta)))
     near = abs(float(d.eigenvalues[j]) - theta) <= 1e-8 * max(d.scale(), 1.0)
     others = ", ".join(str(v) for v in ts.vertices if v != u)
     return sedentary.SedentaryCertificate(
         TWIN_BOUND, u, max(1.0 - 2.0 / ts.size, 0.0), (j,) if near else (),
-        d.diagonal_weight(j, u) if near else None,
+        float(d.weights[u, j]) if near else None,
         detail=f"twin class {{{u}, {others}}} of size {ts.size}, "
                f"difference eigenvalue {theta:g}")
 
@@ -907,6 +909,23 @@ def test_the_graph_holds_its_spectra_while_it_lives():
 
 def _s4_square():
     return cartesian_product(star_graph(4), star_graph(4))
+
+
+def test_a_classified_graph_keeps_one_square_array_per_kind():
+    """After every vertex of S_4 x S_4 is classified under A and under L,
+    the decomposition kept per kind holds one array of n^2 or more entries,
+    its eigenvectors: the weights are n x (distinct eigenvalues), and no
+    copy of the matrix is kept."""
+    g = _s4_square()
+    n = g.n
+    for kind in (ADJACENCY, LAPLACIAN):
+        classify_vertices(g, range(n), kind)
+    for kind in (ADJACENCY, LAPLACIAN):
+        d = sedentary._graph_spectra(g, kind).walk.decomposition
+        arrays = [getattr(d, f.name) for f in dataclasses.fields(d)]
+        square = [a for a in arrays if isinstance(a, np.ndarray) and a.size >= n * n]
+        assert len(square) == 1 and square[0] is d.vectors, kind
+        assert d.weights.shape == (n, len(d.eigenvalues)) and len(d.eigenvalues) < n
 
 
 @pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY],

@@ -39,7 +39,7 @@ from qwsed.spectral import (
 
 
 def ref_decompose(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(eigenvalues, vectors, offsets, weights, matrix) with numpy steps."""
+    """(eigenvalues, vectors, offsets, weights) with numpy steps."""
     vals, vecs = np.linalg.eigh(m)
     tol = DEFAULT_CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
     starts = np.flatnonzero(np.concatenate(([np.inf], np.diff(vals)))[:len(vals)] > tol)[::-1]
@@ -51,7 +51,7 @@ def ref_decompose(m: np.ndarray) -> tuple[np.ndarray, ...]:
         eigenvalues[c] = np.mean(vals[order[offsets[c]:offsets[c + 1]]])
     vectors = vecs[:, order]
     weights = np.add.reduceat(vectors * vectors, offsets[:-1], axis=1)
-    return eigenvalues, vectors, offsets, weights, np.array(m)
+    return eigenvalues, vectors, offsets, weights
 
 
 def ref_scale(eigenvalues: np.ndarray) -> float:
@@ -126,7 +126,7 @@ def check_matches_reference(m: np.ndarray) -> None:
     """decompose, scale, every support and every support group's periodicity
     of m equal the references bit for bit."""
     d = decompose(m)
-    fields = ("eigenvalues", "vectors", "offsets", "weights", "matrix")
+    fields = ("eigenvalues", "vectors", "offsets", "weights")
     for name, want in zip(fields, ref_decompose(m)):
         assert _same_array(getattr(d, name), want), name
     assert repr(d.scale()) == repr(ref_scale(d.eigenvalues))

@@ -188,22 +188,40 @@ def test_twins_of_different_roles_are_classified_apart(monkeypatch):
 
 
 def test_twin_eigenvector_checked_once_per_class(monkeypatch):
-    """Every vertex of star:40 under the Laplacian is classified in one
-    call: its 40 leaves form one twin class, whose difference eigenvector
-    is checked once, and each leaf's report keeps its own twin bound."""
-    g = build_family(parse_family("star:40"))
-    kind = parse_matrix_kind("laplacian")
-    classes = [ts for ts in find_twin_sets(g) if ts.size > 1]
-    assert [ts.size for ts in classes] == [40]
-    calls = []
-    real = sedentary.verify_twin_eigenvector
-    monkeypatch.setattr(sedentary, "verify_twin_eigenvector",
-                        lambda d, ts, theta: calls.append(ts.vertices) or real(d, ts, theta))
-    reports = classify_vertices(g, range(g.n), kind)
-    assert calls == [classes[0].vertices]
-    for r in reports:
-        twin = [c for c in r.certificates if c.kind == TWIN_BOUND]
-        assert len(twin) == (r.vertex in classes[0].vertices)
-        if twin:
-            assert twin[0].vertex == r.vertex and twin[0].detail.startswith(
-                f"twin class {{{r.vertex}, ")
+    """Every vertex of one graph object is classified in one call under A,
+    then under L: star:40 has one twin class of its 40 leaves, the double
+    cone over two disconnected squares three pairs (its apexes and two
+    pairs of opposite corners).  Per kind the matrix is assembled once and
+    each class's difference eigenvector is checked once, against that
+    matrix, and each twin's report keeps its own twin bound."""
+    assembled, checked = [], []
+    real_assemble, real_check = sedentary.assemble, sedentary.verify_twin_eigenvector
+
+    def assemble(graph, kind):
+        h = real_assemble(graph, kind)
+        assembled.append(h.matrix)
+        return h
+
+    def check(m, ts, theta):
+        assert m is assembled[-1]
+        checked.append(ts.vertices)
+        return real_check(m, ts, theta)
+    monkeypatch.setattr(sedentary, "assemble", assemble)
+    monkeypatch.setattr(sedentary, "verify_twin_eigenvector", check)
+    for family, sizes in (("star:40", [40]), ("doublecone:disconnected:cycle:4", [2, 2, 2])):
+        g = build_family(parse_family(family))
+        classes = [ts for ts in find_twin_sets(g) if ts.size > 1]
+        assert [ts.size for ts in classes] == sizes
+        for kind in ("adjacency", "laplacian"):
+            assembled.clear()
+            checked.clear()
+            reports = classify_vertices(g, range(g.n), parse_matrix_kind(kind))
+            assert len(assembled) == 1, (family, kind)
+            assert checked == [ts.vertices for ts in classes], (family, kind)
+            for r in reports:
+                twin = [c for c in r.certificates if c.kind == TWIN_BOUND]
+                cls = next((ts for ts in classes if r.vertex in ts.vertices), None)
+                assert len(twin) == (cls is not None), (family, kind, r.vertex)
+                if twin:
+                    assert twin[0].vertex == r.vertex and twin[0].detail.startswith(
+                        f"twin class {{{r.vertex}, ")
