@@ -298,10 +298,6 @@ class WeightedGraph:
     def is_positively_weighted(self) -> bool:
         return bool(np.all(self.columns[2] > 0.0))
 
-    def regular_degree(self) -> float | None:
-        """Common weighted degree if the graph is regular, else None."""
-        return _common_value(self.degrees())
-
     def with_labels(self, labels) -> "WeightedGraph":
         """This graph with the given labels (checked as on construction) and
         this graph's provenance.  The new graph shares ``edges`` and

@@ -90,7 +90,6 @@ class Hamiltonian:
 
     kind: MatrixKind
     matrix: np.ndarray
-    zero_degree_vertices: tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
@@ -108,7 +107,6 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
     with np.errstate(over="ignore", invalid="ignore"):
         # row sums, not graph.degrees(): a bincount's add order moves reports' last bits
         deg = a.sum(axis=1) + np.diag(a)
-        zero = tuple(int(i) for i in np.flatnonzero(np.abs(deg) < 1e-12))
         if kind.name == "adjacency":
             m = a
         elif kind.name == "laplacian":
@@ -130,7 +128,7 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
         raise MatrixError(f"the {kind} matrix of this graph has an entry that "
                           "is not finite")
     m.setflags(write=False)
-    return Hamiltonian(kind, m, zero)
+    return Hamiltonian(kind, m)
 
 
 def twin_theta(kind: MatrixKind, degree: float, omega: float, eta: float) -> float:

@@ -40,8 +40,8 @@ __all__ = [
     "TwinSet",
     "find_twin_sets",
     "verify_twin_eigenvector",
-    "PeriodicityInfo",
     "PeriodFit",
+    "UNDETECTED",
     "period_fit",
     "periodicity",
 ]
@@ -285,25 +285,6 @@ def verify_twin_eigenvector(m: np.ndarray, twins: TwinSet, theta: float) -> bool
 # -- periodicity ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicityInfo:
-    """Certified period of |U(t)_{u,u}| when one is detected.
-
-    method: 'integer-spectrum', 'rational-rescaled', or 'undetected'.
-    Detection is sound but incomplete: 'undetected' makes no claim.
-    coordinates and step, when the support has more than one eigenvalue and
-    a period is found, are the integers p_j (aligned with the support's
-    index order, smallest 0) and the real s with lambda_j = min + s*p_j.
-    """
-
-    vertex: int
-    periodic: bool
-    period: float | None
-    method: str
-    coordinates: tuple[int, ...] | None = None
-    step: float | None = None
-
-
 def _limit_denominator(x: float, max_denominator: int) -> tuple[int, int]:
     """The numerator and denominator of Fraction(x).limit_denominator(
     max_denominator), in integers: the closest fraction to x with a
@@ -368,17 +349,23 @@ def _rescale_to_integers(values: Sequence[float], scale: float):
 
 
 class PeriodFit(NamedTuple):
-    """The period candidate of one set of support eigenvalues, shared by
-    every vertex whose support has that index set: the method, the period
-    rho (None when undetected), the integer coordinates and step, and the
-    phases exp(i rho lambda_j) that each vertex's check reads (None for a
-    single eigenvalue, whose period needs no check)."""
+    """The period of |U(t)_{u,u}| for the vertices whose support has one
+    index set, shared by all of them: the method ('integer-spectrum',
+    'rational-rescaled' or 'undetected'), the period rho (None when
+    undetected), and, for a support of more than one eigenvalue, the
+    integers p_j (aligned with the support's index order, smallest 0), the
+    real step s with lambda_j = min + s*p_j, and the phases
+    exp(i rho lambda_j) that each vertex's check reads.  Detection is sound
+    but incomplete: 'undetected' makes no claim."""
 
     method: str
     period: float | None
     coordinates: tuple[int, ...] | None = None
     step: float | None = None
     phases: np.ndarray | None = None
+
+
+UNDETECTED = PeriodFit("undetected", None)
 
 
 def period_fit(eigenvalues: Sequence[float], scale: float) -> PeriodFit:
@@ -391,7 +378,7 @@ def period_fit(eigenvalues: Sequence[float], scale: float) -> PeriodFit:
     method = "integer-spectrum" if near_int else "rational-rescaled"
     res = _rescale_to_integers(eigenvalues, scale)
     if res is None:
-        return PeriodFit("undetected", None)
+        return UNDETECTED
     p, step, _ = res
     g = math.gcd(*p)
     if g == 0:
@@ -403,40 +390,25 @@ def period_fit(eigenvalues: Sequence[float], scale: float) -> PeriodFit:
     return PeriodFit(method, rho, tuple(p), step, phases)
 
 
-def periodicity(d: SpectralDecomposition, vertices: Sequence[int],
-                sups: Sequence[EigenvalueSupport] | None = None,
-                fit: PeriodFit | None = None) -> tuple[PeriodicityInfo, ...]:
-    """Detect a period of the diagonal walk entry at each of vertices, which
-    share one support index set, so one set of support eigenvalues.
+def periodicity(fit: PeriodFit, weights: Sequence[Sequence[float]]
+                ) -> tuple[PeriodFit, ...]:
+    """The period of the diagonal walk entry at each vertex of a group that
+    shares one support index set: fit is that set's period_fit, and
+    weights holds each member's support weights, in the set's order.
 
     |U(t)_{u,u}| is periodic exactly when the support eigenvalues become
     integers under an affine rescaling; the minimal period is then
     2*pi / (s * gcd of the integer coordinates relative to the smallest).
-    The rescaling reads the eigenvalues alone, so the vertices share one
-    fit (period_fit), one method and one candidate period.  Each vertex's
-    period is verified by evaluating |U(rho)_{u,u}| = 1 with its own
-    weights, and a vertex that fails gets 'undetected'.  sups, when given,
-    are the vertices' supports already computed, and fit the fit of their
-    eigenvalues already made.
+    A member keeps fit itself when |U(rho)_{u,u}| = |sum_j w_j
+    exp(i rho lambda_j)| is within _UNIT_TOL of 1 with its own weights,
+    and gets UNDETECTED otherwise; a fit with no phases (undetected, or a
+    single eigenvalue) needs no check.
     """
-    if sups is None:
-        sups = [support(d, u) for u in vertices]
-    if not sups:
-        return ()
-    if any(s.indices != sups[0].indices for s in sups):
-        raise SpectralError("a periodicity group must share one support index set")
-    if fit is None:
-        fit = period_fit(sups[0].eigenvalues, d.scale())
-    if fit.period is None:
-        return tuple(PeriodicityInfo(s.vertex, False, None, "undetected") for s in sups)
     if fit.phases is None:
-        return tuple(PeriodicityInfo(s.vertex, True, fit.period, fit.method) for s in sups)
+        return (fit,) * len(weights)
     out = []
-    for s in sups:
+    for w in weights:
         # the claim must survive a direct evaluation
-        mag = abs(complex(np.sum(np.array(s.weights) * fit.phases)))
-        out.append(PeriodicityInfo(s.vertex, False, None, "undetected")
-                   if abs(mag - 1.0) > _UNIT_TOL
-                   else PeriodicityInfo(s.vertex, True, fit.period, fit.method,
-                                        fit.coordinates, fit.step))
+        mag = abs(complex(np.sum(np.array(w) * fit.phases)))
+        out.append(UNDETECTED if abs(mag - 1.0) > _UNIT_TOL else fit)
     return tuple(out)

@@ -84,8 +84,8 @@ import numpy as np
 
 from .graphs import WeightedGraph
 from .matrices import ADJACENCY, MatrixKind
-from .spectral import (EigenvalueSupport, PeriodFit, PeriodicityInfo,
-                       SpectralDecomposition, period_fit, periodicity, support)
+from .spectral import (EigenvalueSupport, PeriodFit, SpectralDecomposition, period_fit,
+                       periodicity, support)
 
 __all__ = [
     "WalkError",
@@ -733,10 +733,10 @@ def _critical_points(q: np.ndarray, wts: np.ndarray
     return [_clusters(r) for r in last.tolist()]
 
 
-def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
+def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodFit
                  ) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """For each row of wts, one vertex's weights on the support lam with
-    periodicity per: the times and |U|^2 offers of its critical points over
+    period fit per: the times and |U|^2 offers of its critical points over
     the period [0, rho], or None when the root path does not apply to it.
     The window ends and theta = pi offer at every row, and each interior
     point x of _critical_points at theta = arccos x and 2 pi - theta.  Each
@@ -798,15 +798,16 @@ def _root_offers(lam: np.ndarray, wts: np.ndarray, per: PeriodicityInfo
 class VertexSpectrum(NamedTuple):
     """What every search over one vertex's diagonal reads: its eigenvalue
     support (eigenvalues, diagonal projector weights and their indices into
-    the decomposition, in the decomposition's order) and its periodicity;
-    and what the oracle reads of it (WalkEvaluator.spectra): its default
+    the decomposition, in the decomposition's order) and its periodicity,
+    its support index set's kept PeriodFit or spectral.UNDETECTED; and
+    what the oracle reads of it (WalkEvaluator.spectra): its default
     window, whether that certifies, and its root offers there (None sends
     the oracle to the scan)."""
 
     eigenvalues: np.ndarray
     weights: np.ndarray
     indices: tuple[int, ...]
-    periodicity: PeriodicityInfo
+    periodicity: PeriodFit
     window: tuple[float, float] = (0.0, DEFAULT_WINDOW)
     certified: bool = False
     offers: tuple[np.ndarray, np.ndarray] | None = None
@@ -880,10 +881,11 @@ class WalkEvaluator:
     VertexSpectrum per vertex (spectrum) that the oracle and every
     certificate read, computed on first use (spectra), and one period fit
     per support index set (spectral.period_fit), which the later vertices
-    of that set read.  A record's arrays are read-only: the evaluator of a
-    graph (for_graph) is kept on it, so its records are shared by every
-    later call on that graph.  scale, the decomposition's scale(), sizes
-    the tolerances of the period fits and the certificates."""
+    of that set read and whose records hold it.  A record's arrays are
+    read-only: the evaluator of a graph (for_graph) is kept on it, so its
+    records are shared by every later call on that graph.  scale, the
+    decomposition's scale(), sizes the tolerances of the period fits and
+    the certificates."""
 
     def __init__(self, decomposition: SpectralDecomposition):
         self.decomposition = decomposition
@@ -939,7 +941,8 @@ class WalkEvaluator:
         """The records of vertices.  Those not yet computed are grouped by
         support index set, and each group writes every member's record:
         one periodicity call (each member's own |U(rho)_{u,u}| = 1 check
-        of the set's one fit), each member's default window
+        of the set's one fit, whose record then holds that fit object or
+        spectral.UNDETECTED), each member's default window
         (default_window) and, on a certified window, one root solve
         (_root_offers) over the members whose window certifies.  Those
         share the period and its coordinates, and each keeps its own
@@ -960,14 +963,14 @@ class WalkEvaluator:
             fit = self._fits.get(indices)
             if fit is None:
                 fit = self._fits[indices] = period_fit(sups[0].eigenvalues, self.scale)
-            pers = periodicity(d, [sup.vertex for sup in sups], sups, fit)
+            pers = periodicity(fit, [sup.weights for sup in sups])
             windows = [_default_window(lam, per.period) for per in pers]
             solve = [i for i, (_, certified) in enumerate(windows)
                      if certified and len(lam) > 1]
             offers = {}
             if solve:
                 wts = np.array([sups[i].weights for i in solve])
-                offers = dict(zip(solve, _root_offers(lam, wts, pers[solve[0]])))
+                offers = dict(zip(solve, _root_offers(lam, wts, fit)))
             for i, (sup, per) in enumerate(zip(sups, pers)):
                 rec = VertexSpectrum(lam, np.array(sup.weights), sup.indices, per,
                                      *windows[i], offers.get(i))
@@ -1068,7 +1071,7 @@ class WalkEvaluator:
         lam, wts, _, per, *default = self.spectrum(u)
         certified, found = False, None
         if window is None:
-            if not per.periodic:
+            if per.period is None:
                 raise WalkError(
                     f"no certified period for vertex {u}; pass an explicit window")
             window, certified, found = default

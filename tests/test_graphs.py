@@ -11,6 +11,7 @@ from qwsed.graphs import (
     FamilySpec,
     GraphError,
     WeightedGraph,
+    _common_value,
     blow_up,
     build_family,
     cartesian_product,
@@ -74,9 +75,9 @@ def test_predicates():
 
 
 def test_regular_degree():
-    assert cycle_graph(5).regular_degree() == 2.0
-    assert star_graph(3).regular_degree() is None
-    assert complete_graph(4).regular_degree() == 3.0
+    assert _common_value(cycle_graph(5).degrees()) == 2.0
+    assert _common_value(star_graph(3).degrees()) is None
+    assert _common_value(complete_graph(4).degrees()) == 3.0
 
 
 def test_star_labels():
@@ -163,7 +164,7 @@ def test_direct_product_is_kronecker():
 def test_rook_and_hamming():
     r = rook_graph([3, 4])
     assert r.n == 12
-    assert r.regular_degree() == 5.0
+    assert _common_value(r.degrees()) == 5.0
     h = hamming_graph(2, 3)
     assert h.n == 9
     assert np.allclose(sorted(np.linalg.eigvalsh(h.adjacency_matrix())),
@@ -351,7 +352,7 @@ def test_the_incidence_record_reads_the_edges(g):
         assert g.loop_weight(u) == weight.get(u, 0.0)
     assert g.degrees() is rec.degrees and g.degrees().tolist() == degrees
     regular = degrees and all(d == degrees[0] for d in degrees)
-    assert g.regular_degree() == (degrees[0] if regular else None)
+    assert _common_value(g.degrees()) == (degrees[0] if regular else None)
     a = g.adjacency_matrix()
     np.testing.assert_allclose(g.degrees(), a.sum(axis=1) + np.diag(a), rtol=1e-12, atol=0)
     assert g.is_simple == all(a != b for a, b, _ in g.edges)

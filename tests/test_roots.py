@@ -213,14 +213,23 @@ def test_low_degree_takes_no_eigenvalue_solve(scans, eigvals_calls, fam, u, degr
 
 @pytest.fixture
 def periodicity_calls(monkeypatch):
-    """Records each spectral.periodicity call as (decomposition, vertices)."""
-    calls = []
-    real = walk.periodicity
+    """Records each spectral.periodicity call as (decomposition, vertices):
+    its members are the supports, made by walk.support, whose weights it
+    is given."""
+    calls, made = [], {}
+    real_support, real = walk.support, walk.periodicity
 
-    def counted(d, vertices, *args, **kwargs):
-        calls.append((id(d), tuple(vertices)))
-        return real(d, vertices, *args, **kwargs)
+    def counted_support(d, u):
+        sup = real_support(d, u)
+        made[id(sup.weights)] = (id(d), sup)
+        return sup
 
+    def counted(fit, weights):
+        members = [made[id(w)] for w in weights]
+        calls.append((members[0][0], tuple(sup.vertex for _, sup in members)))
+        return real(fit, weights)
+
+    monkeypatch.setattr(walk, "support", counted_support)
     monkeypatch.setattr(walk, "periodicity", counted)
     return calls
 
@@ -249,6 +258,20 @@ def test_periodicity_once_per_factor_vertex(periodicity_calls):
     product, factor = per_decomposition.values()
     assert product == [(0,), (1, 2, 3, 4, 8, 12), (5, 6, 7, 9, 10, 11, 13, 14, 15)]
     assert factor == [(0,), (1,)]
+
+
+def test_records_hold_their_support_sets_kept_fit():
+    # hamming:3,3 under L is one support group: vertices asked for in two
+    # spectra calls hold the one fit the first call kept, by identity
+    w = WalkEvaluator.for_graph(build_family(parse_family("hamming:3,3")), LAPLACIAN)
+    records = w.spectra(range(0, 27, 2)) + w.spectra(range(1, 27, 2))
+    fit = w._fits[records[0].indices]
+    assert len(w._fits) == 1 and fit.period is not None
+    assert all(rec.periodicity is fit for rec in records)
+    # G(120, 0.1) has no detected period: its vertex holds the one constant
+    rng = np.random.default_rng(1)
+    upper = np.triu(rng.random((120, 120)) < 0.1, k=1).astype(float)
+    assert WalkEvaluator(decompose(upper + upper.T)).spectrum(0).periodicity is spectral.UNDETECTED
 
 
 def test_hamming_3_5_one_fit_and_one_eigvals_per_support_group(monkeypatch, tmp_path):
@@ -340,11 +363,11 @@ def _family_supports():
 
 
 def _period(q, step):
-    """The periodicity spectral.periodicity finds for eigenvalues ref +
-    step*q_j: the period 2 pi / (step gcd(q)), over which z^(q_j / gcd)
-    winds once."""
-    return walk.PeriodicityInfo(0, True, 2.0 * math.pi / (step * math.gcd(*q.tolist())),
-                                "integer-spectrum", tuple(q.tolist()), step)
+    """The period fit spectral.period_fit makes for eigenvalues ref +
+    step*q_j, less the phases _root_offers does not read: the period
+    2 pi / (step gcd(q)), over which z^(q_j / gcd) winds once."""
+    return spectral.PeriodFit("integer-spectrum", 2.0 * math.pi / (step * math.gcd(*q.tolist())),
+                              tuple(q.tolist()), step)
 
 
 def _random_supports(count):

@@ -170,16 +170,20 @@ def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, build, kind,
     The graph is built here, so no earlier call has left spectra on it."""
     g = build()
     calls = {name: collections.Counter() for name in ("support", "periodicity")}
-    periodicity_calls = []
+    periodicity_calls, made = [], {}
 
     def counted_support(d, u, *args, **kwargs):
         calls["support"][(id(d), u)] += 1
-        return spectral_support(d, u, *args, **kwargs)
+        sup = spectral_support(d, u, *args, **kwargs)
+        made[id(sup.weights)] = (id(d), sup)
+        return sup
 
-    def counted_periodicity(d, vertices, *args, **kwargs):
-        periodicity_calls.append(vertices)
-        calls["periodicity"].update((id(d), u) for u in vertices)
-        return spectral_periodicity(d, vertices, *args, **kwargs)
+    def counted_periodicity(fit, weights):
+        # a call's members are the supports whose weights it is given
+        members = [made[id(w)] for w in weights]
+        periodicity_calls.append([sup.vertex for _, sup in members])
+        calls["periodicity"].update((d, sup.vertex) for d, sup in members)
+        return spectral_periodicity(fit, weights)
 
     spectral_support, spectral_periodicity = spectral.support, spectral.periodicity
     for module in (spectral, walk):

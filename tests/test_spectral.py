@@ -25,7 +25,6 @@ from qwsed.spectral import (
     are_cospectral,
     decompose,
     find_twin_sets,
-    periodicity,
     strong_cospectral,
     support,
     verify_twin_eigenvector,
@@ -308,48 +307,52 @@ def test_twin_theta_matches_found_sets():
     assert _theta(LAPLACIAN, pair) == twin_theta(LAPLACIAN, 4.0, 0.0, 0.0) == 4.0
 
 
+def _period(d, u):
+    """u's record's periodicity: its support index set's kept fit, or
+    spectral.UNDETECTED."""
+    return WalkEvaluator(d).spectrum(u).periodicity
+
+
 def test_periodicity_integer_spectrum():
     d = _decomp("star:4")
-    per = periodicity(d, [1])[0]
-    assert per.periodic
+    per = _period(d, 1)
     assert per.period == pytest.approx(math.pi)
     assert per.method == "integer-spectrum"
 
 
 def test_periodicity_rescaled():
     d = _decomp("star:3")
-    per = periodicity(d, [1])[0]
-    assert per.periodic
+    per = _period(d, 1)
     assert per.period == pytest.approx(2.0 * math.pi / math.sqrt(3.0))
     assert per.method == "rational-rescaled"
 
 
 def test_periodicity_undetected():
     d = _decomp("path:4")
-    per = periodicity(d, [0])[0]
-    assert not per.periodic
+    per = _period(d, 0)
+    assert per is spectral.UNDETECTED
     assert per.period is None
     assert per.method == "undetected"
 
 
 def test_periodicity_single_eigenvalue():
     d = decompose(np.zeros((1, 1)))
-    per = periodicity(d, [0])[0]
-    assert per.periodic and per.period == pytest.approx(2.0 * math.pi)
+    per = _period(d, 0)
+    assert per.period == pytest.approx(2.0 * math.pi)
 
 
 def test_integer_coordinates():
     d = _decomp("complete:5")
-    ints = periodicity(d, [0])[0].coordinates
+    ints = _period(d, 0).coordinates
     assert ints == (1, 0)
     d3 = _decomp("star:3")
     # support (sqrt 3, 0, -sqrt 3) rescales to consecutive integers
-    assert periodicity(d3, [1])[0].coordinates == (2, 1, 0)
+    assert _period(d3, 1).coordinates == (2, 1, 0)
 
 
 def test_integer_coordinates_none_for_incommensurable():
     d = _decomp("path:4")
-    assert periodicity(d, [0])[0].coordinates is None
+    assert _period(d, 0).coordinates is None
 
 
 def test_blow_up_twin_union():

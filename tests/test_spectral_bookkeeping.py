@@ -3,7 +3,8 @@
 decompose, support, SpectralDecomposition.scale and periodicity do their
 per-eigenvalue steps on Python floats.  The reference versions below do
 every step with numpy, as the layer once did; the two must agree to the
-bit: every array with its dtype, and every PeriodicityInfo with its repr.
+bit: every array with its dtype, and every period fit field by field (its
+phases by their bytes, since a fit holding an array has no exact ==).
 The continued fractions run in integers (_limit_denominator), and must give
 Fraction(x).limit_denominator(n)'s numerator and denominator.
 """
@@ -25,8 +26,9 @@ from qwsed.spectral import (
     _UNIT_TOL,
     _WHOLE_TOL,
     DEFAULT_CLUSTER_TOL,
+    UNDETECTED,
     EigenvalueSupport,
-    PeriodicityInfo,
+    PeriodFit,
     _limit_denominator,
     _rescale_to_integers,
     decompose,
@@ -89,28 +91,27 @@ def ref_rescale_to_integers(values, scale: float):
     return p, s, ref
 
 
-def ref_periodicity(d, sups) -> tuple[PeriodicityInfo, ...]:
+def ref_periodicity(d, sups) -> tuple[PeriodFit, ...]:
     lam = np.array(sups[0].eigenvalues)
     scale = ref_scale(d.eigenvalues)
     near_int = bool(np.all(np.abs(lam - np.round(lam)) <= _INT_TOL * scale))
     method = "integer-spectrum" if near_int else "rational-rescaled"
     res = ref_rescale_to_integers(lam, scale)
     if res is None:
-        return tuple(PeriodicityInfo(s.vertex, False, None, "undetected") for s in sups)
+        return tuple(PeriodFit("undetected", None) for s in sups)
     p, step, _ = res
     g = 0
     for pj in p:
         g = math.gcd(g, pj)
     if g == 0:
-        return tuple(PeriodicityInfo(s.vertex, True, 2.0 * math.pi, method) for s in sups)
+        return tuple(PeriodFit(method, 2.0 * math.pi) for s in sups)
     rho = 2.0 * math.pi / (step * g)
     phases = np.exp(1j * rho * lam)
     out = []
     for s in sups:
         mag = abs(complex(np.sum(np.array(s.weights) * phases)))
-        out.append(PeriodicityInfo(s.vertex, False, None, "undetected")
-                   if abs(mag - 1.0) > _UNIT_TOL
-                   else PeriodicityInfo(s.vertex, True, float(rho), method, tuple(p), step))
+        out.append(PeriodFit("undetected", None) if abs(mag - 1.0) > _UNIT_TOL
+                   else PeriodFit(method, float(rho), tuple(p), step, phases))
     return tuple(out)
 
 
@@ -120,6 +121,13 @@ def ref_periodicity(d, sups) -> tuple[PeriodicityInfo, ...]:
 def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
     return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
             and a.tobytes() == b.tobytes())
+
+
+def _same_fit(a: PeriodFit, b: PeriodFit) -> bool:
+    return (all(repr(getattr(a, f)) == repr(getattr(b, f))
+                for f in ("method", "period", "coordinates", "step"))
+            and (a.phases is None) == (b.phases is None)
+            and (a.phases is None or a.phases.tobytes() == b.phases.tobytes()))
 
 
 def check_matches_reference(m: np.ndarray) -> None:
@@ -136,11 +144,13 @@ def check_matches_reference(m: np.ndarray) -> None:
         assert repr(sup) == repr(ref_support(d, u))
         groups.setdefault(sup.indices, []).append(sup)
     for sups in groups.values():
-        got = periodicity(d, [s.vertex for s in sups], sups)
-        want = ref_periodicity(d, sups)
-        assert got == want and repr(got) == repr(want)
         fit = period_fit(sups[0].eigenvalues, d.scale())
-        assert repr(periodicity(d, [s.vertex for s in sups], sups, fit)) == repr(want)
+        got = periodicity(fit, [s.weights for s in sups])
+        want = ref_periodicity(d, sups)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g is fit or g is UNDETECTED
+            assert _same_fit(g, w), (g, w)
         assert repr(_rescale_to_integers(sups[0].eigenvalues, d.scale())) == repr(
             ref_rescale_to_integers(sups[0].eigenvalues, d.scale()))
 

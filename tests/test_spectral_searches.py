@@ -16,7 +16,7 @@ from qwsed.matrices import ADJACENCY, parse_matrix_kind
 from qwsed.sedentary import (NOT_SEDENTARY, NOT_SEDENTARY_ZERO_CROSSING, _PHASE_TOL,
                              _equality_holds, _support_positions, classify,
                              find_equality_time)
-from qwsed.spectral import PeriodicityInfo
+from qwsed.spectral import UNDETECTED
 from qwsed.walk import (_CHUNK, _PST_TOL, DEFAULT_WINDOW, PerfectStateTransferWitness,
                         VertexSpectrum, WalkError, WalkEvaluator, _neg_peak,
                         _scan_minima)
@@ -106,7 +106,7 @@ def _aligned(eta):
     eta pi / 2 on either side of -1; the lattice point pi / (1 + eta) of
     the fastest phase lies about eta pi from -1 for the other."""
     rec = VertexSpectrum(np.array([0.0, 1.0, 1.0 + eta]), np.array([0.8, 0.1, 0.1]),
-                         (0, 1, 2), PeriodicityInfo(0, False, None, "undetected"))
+                         (0, 1, 2), UNDETECTED)
     return SimpleNamespace(spectrum=lambda u: rec)
 
 
