@@ -24,6 +24,7 @@ __all__ = [
     "generalized_adjacency",
     "parse_matrix_kind",
     "Hamiltonian",
+    "matrix_degrees",
     "assemble",
     "twin_theta",
 ]
@@ -96,6 +97,15 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
+def matrix_degrees(a: np.ndarray) -> np.ndarray:
+    """The weighted degrees of an adjacency matrix, a loop counted twice:
+    its row sums plus its diagonal.  assemble and the twin classes read
+    these, not graph.degrees(): a bincount's add order moves reports' last
+    bits.  An overflow gives inf, which assemble refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.sum(axis=1) + np.diag(a)
+
+
 def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
     """Build the requested Hamiltonian.
 
@@ -105,8 +115,7 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
     """
     a = graph.adjacency_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
-        # row sums, not graph.degrees(): a bincount's add order moves reports' last bits
-        deg = a.sum(axis=1) + np.diag(a)
+        deg = matrix_degrees(a)
         if kind.name == "adjacency":
             m = a
         elif kind.name == "laplacian":

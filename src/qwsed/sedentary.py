@@ -80,7 +80,6 @@ __all__ = [
     "equality_condition",
     "find_equality_time",
     "twin_bound",
-    "integer_kernel_basis",
     "sharpness_parity",
     "find_zero_crossing",
     "family_ruling",
@@ -431,67 +430,30 @@ def twin_bound(graph: WeightedGraph, u: int,
                f"difference eigenvalue {theta:g}")
 
 
-# -- integer relations and sharpness ---------------------------------------------
-
-
-def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x : R x = 0} of an integer matrix R.
-
-    Column-style elimination with unimodular operations; the transform
-    columns that end up annihilated by every row form a lattice basis of the
-    kernel.  All arithmetic is exact, and the result is verified.
-    """
-    mat = [[int(x) for x in row] for row in rows]
-    if not mat:
-        raise ValueError("need at least one row")
-    n = len(mat[0])
-    if any(len(row) != n for row in mat):
-        raise ValueError("ragged rows")
-    work = [[row[j] for row in mat] for j in range(n)]
-    trans = [[int(i == j) for i in range(n)] for j in range(n)]
-    pivot = 0
-    for i in range(len(mat)):
-        while True:
-            nz = [j for j in range(pivot, n) if work[j][i] != 0]
-            if len(nz) <= 1:
-                break
-            jmin = min(nz, key=lambda j: abs(work[j][i]))
-            for j in nz:
-                if j == jmin:
-                    continue
-                q = work[j][i] // work[jmin][i]
-                if q:
-                    work[j] = [x - q * y for x, y in zip(work[j], work[jmin])]
-                    trans[j] = [x - q * y for x, y in zip(trans[j], trans[jmin])]
-        nz = [j for j in range(pivot, n) if work[j][i] != 0]
-        if nz:
-            j = nz[0]
-            work[pivot], work[j] = work[j], work[pivot]
-            trans[pivot], trans[j] = trans[j], trans[pivot]
-            pivot += 1
-    basis = [trans[j] for j in range(pivot, n)]
-    for vec in basis:
-        for row in mat:
-            if sum(a * b for a, b in zip(row, vec)) != 0:
-                raise RuntimeError("kernel verification failed")
-    return basis
+# -- sharpness ------------------------------------------------------------------
 
 
 def sharpness_parity(w: WalkEvaluator, u: int, subset) -> SedentaryCertificate:
     """Certify that the subset bound 2a - 1 is the exact infimum.
 
-    The infimum of |U(t)_{u,u}| reaches 2a - 1 unless an integer relation
-    among the support eigenvalues (with zero coefficient sum) forces the
-    subset phases and the complementary phases to stay entangled.  The
-    obstruction is a parity condition: the bound is the infimum when every
-    such relation has an even coefficient sum over the subset.  Relations
-    live in the integer kernel of the rescaled eigenvalue row stacked on the
-    all-ones row; checking a lattice basis decides all of them.  The
-    rescaled row is the vertex's periodicity coordinates.
+    The vertex's period coordinates p (integers, smallest 0, with
+    lambda_j = min + s p_j) and q = p / gcd(p) decide it.  The infimum of
+    |U(t)_{u,u}| reaches 2a - 1 unless an integer relation n among the
+    support eigenvalues (n . p = 0, sum n = 0) has an odd coefficient sum
+    over the subset.  Those relations form the lattice dual to Z q + Z 1,
+    so every one has an even sum over the subset exactly when the subset is
+    one parity class of q: every subset position has one parity of q_j and
+    every other position the other.  That is the test; no relation is
+    built.  p is not constant, so [p; 1] has rank 2 and a basis of the
+    relations has len(p) - 2 of them, the count the detail gives.
+
+    On a period rho = 2 pi / (s gcd(p)) that holds, exp(i rho lambda_j / 2)
+    is one phase times (-1)^{q_j}, so |U(rho/2)_{u,u}| = |a - (1 - a)| =
+    2a - 1: the bound is attained at the odd multiples of rho/2.
 
     Raises UnsupportedSpectrum when no period gives the support integer
-    coordinates, and CertificateRefused when a parity-violating relation
-    exists.
+    coordinates, and CertificateRefused when the subset mass is below 1/2
+    or the subset is not a parity class.
     """
     rec = w.spectrum(u)
     s, pos = _support_positions(rec, u, subset)
@@ -502,16 +464,15 @@ def sharpness_parity(w: WalkEvaluator, u: int, subset) -> SedentaryCertificate:
     if ints is None:
         raise UnsupportedSpectrum(
             "no detected period gives the support integer coordinates")
-    rows = [list(ints), [1] * len(ints)]
-    basis = integer_kernel_basis(rows)
-    for vec in basis:
-        if sum(vec[p] for p in pos) % 2 != 0:
-            raise CertificateRefused(
-                f"integer relation {vec} has odd coefficient sum on the subset")
+    g, inside = math.gcd(*ints), set(pos)
+    # one parity class: the parity of q_j, flipped on the subset, is constant
+    if len({(x // g + (j in inside)) % 2 for j, x in enumerate(ints)}) != 1:
+        raise CertificateRefused("the subset is not a parity class of the "
+                                 f"period coordinates over their gcd {g}")
     return SedentaryCertificate(
         SHARPNESS_PARITY, u, max(2.0 * a - 1.0, 0.0), s, a,
         detail="every integer eigenvalue relation keeps even parity on the "
-               f"subset ({len(basis)} basis relations checked)")
+               f"subset ({len(ints) - 2} basis relations checked)")
 
 
 # -- zero crossings --------------------------------------------------------------
@@ -1022,11 +983,11 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     memo = graph._spectra
     s = memo.get(kind)
     if s is None:
-        h = assemble(graph, kind)
-        walk = WalkEvaluator(decompose(h))
+        m = assemble(graph, kind).matrix
+        walk = WalkEvaluator(decompose(m))
         # each class once, at its least vertex
         verdicts = {ts.vertices: verify_twin_eigenvector(
-                        h.matrix, ts, twin_theta(kind, ts.degree, ts.omega, ts.eta))
+                        m, ts, twin_theta(kind, ts.degree, ts.omega, ts.eta))
                     for v, ts in _twin_map(graph).items() if v == ts.vertices[0]}
         s = memo[kind] = _GraphSpectra(walk, verdicts, {})
     return s

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .matrices import Hamiltonian
+from .matrices import matrix_degrees
 
 __all__ = [
     "SpectralError",
@@ -95,7 +95,7 @@ class SpectralDecomposition:
         return max(1.0, max(map(abs, self.eigenvalues.tolist()), default=1.0))
 
 
-def decompose(h: Hamiltonian | np.ndarray) -> SpectralDecomposition:
+def decompose(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a real symmetric matrix into distinct eigenvalues and
     orthonormal eigenvector blocks.
 
@@ -103,7 +103,7 @@ def decompose(h: Hamiltonian | np.ndarray) -> SpectralDecomposition:
     merged into one eigenspace; each reported eigenvalue is the mean of its
     cluster.
     """
-    m = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=float)
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpectralError("matrix must be square")
     scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
@@ -237,7 +237,7 @@ def find_twin_sets(g: WeightedGraph) -> list[TwinSet]:
     given weights, the same under every matrix kind.
     """
     a = g.adjacency_matrix()
-    loops = np.diag(a).tolist()
+    loops, degrees = np.diag(a).tolist(), matrix_degrees(a).tolist()
     np.fill_diagonal(a, 0.0)
     closed = a != 0.0
     np.fill_diagonal(closed, True)
@@ -256,13 +256,8 @@ def find_twin_sets(g: WeightedGraph) -> list[TwinSet]:
             if len(bucket) > 1:
                 classes += [c for c in _twin_classes(a, bucket, adjacent) if len(c) > 1]
 
-    out = []
-    for verts in sorted(classes):
-        row = a[verts[0]]
-        omega, eta = loops[verts[0]], float(row[verts[1]])
-        degree = 2.0 * omega + sum(row[row != 0.0].tolist())
-        out.append(TwinSet(tuple(verts), omega, eta, degree))
-    return out
+    return [TwinSet(tuple(verts), loops[verts[0]], float(a[verts[0], verts[1]]),
+                    degrees[verts[0]]) for verts in sorted(classes)]
 
 
 def verify_twin_eigenvector(m: np.ndarray, twins: TwinSet, theta: float) -> bool:

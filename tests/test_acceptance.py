@@ -291,7 +291,7 @@ def test_criterion_10_property_suites(criterion_log):
         n = int(rng.integers(2, 13))
         g = _random_graph(rng, n)
         h = assemble(g, ADJACENCY)
-        d = decompose(h)
+        d = decompose(h.matrix)
         w = WalkEvaluator(d)
         for t in (0.7, 2.3):
             um = w.transition_matrix(t)
@@ -344,7 +344,7 @@ def test_criterion_10_property_suites(criterion_log):
 
         if i % 11 == 0 and n <= 10:
             dc = double_cone(g, "disconnected")
-            dd = decompose(assemble(dc, ADJACENCY))
+            dd = decompose(assemble(dc, ADJACENCY).matrix)
             sc = strong_cospectral(dd, 0, 1)
             if sc:
                 sc_hits += 1
@@ -356,7 +356,7 @@ def test_criterion_10_property_suites(criterion_log):
 
         if i % 50 == 0 and n <= 8:
             b = blow_up(g, "vertex", [(2, "empty")] + [(1, "empty")] * (n - 1))
-            db = decompose(assemble(b, ADJACENCY))
+            db = decompose(assemble(b, ADJACENCY).matrix)
             if are_cospectral(db, 0, 1):
                 classify_pairs += 1
                 ra = classify(b, 0, ADJACENCY)

@@ -6,10 +6,13 @@ import json
 import math
 import pathlib
 import time
+import types
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwsed.graphs import (
     WeightedGraph,
@@ -46,7 +49,6 @@ from qwsed.sedentary import (
     family_ruling,
     find_equality_time,
     find_zero_crossing,
-    integer_kernel_basis,
     product_compose,
     sharpness_parity,
     subset_bound,
@@ -264,7 +266,7 @@ def test_twin_bound_refused_without_twin():
 def test_twin_bound_soundness_on_blow_up():
     g = blow_up(path_graph(3), "vertex",
                 [(4, "empty"), (1, "empty"), (3, "empty")])
-    d = decompose(assemble(g, ADJACENCY))
+    d = decompose(assemble(g, ADJACENCY).matrix)
     cert = twin_bound(g, 0, ADJACENCY)
     assert cert.bound == pytest.approx(1.0 - 2.0 / 7.0)
     res = WalkEvaluator(d).minimize_diagonal(0)
@@ -279,9 +281,9 @@ def _per_kind_twin_bound(g, u, kind):
     if ts is None:
         raise CertificateRefused(f"vertex {u} has no twin")
     theta = twin_theta(kind, ts.degree, ts.omega, ts.eta)
-    h = assemble(g, kind)
-    d = decompose(h)
-    if not spectral.verify_twin_eigenvector(h.matrix, ts, theta):
+    m = assemble(g, kind).matrix
+    d = decompose(m)
+    if not spectral.verify_twin_eigenvector(m, ts, theta):
         raise CertificateRefused("twin difference vector fails the eigenvector check")
     j = int(np.argmin(np.abs(d.eigenvalues - theta)))
     near = abs(float(d.eigenvalues[j]) - theta) <= 1e-8 * max(d.scale(), 1.0)
@@ -327,6 +329,45 @@ def test_twin_bounds_match_per_kind_classes_on_weighted_blow_ups():
 # -- integer relations -----------------------------------------------------------
 
 
+def integer_kernel_basis(rows):
+    """Basis of the integer kernel {x : R x = 0} of an integer matrix R: the
+    reference sharpness_parity's parity-class test is checked against.
+
+    Column-style elimination with unimodular operations; the transform
+    columns that end up annihilated by every row form a lattice basis of the
+    kernel.  All arithmetic is exact, and the result is verified.
+    """
+    mat = [[int(x) for x in row] for row in rows]
+    n = len(mat[0])
+    work = [[row[j] for row in mat] for j in range(n)]
+    trans = [[int(i == j) for i in range(n)] for j in range(n)]
+    pivot = 0
+    for i in range(len(mat)):
+        while True:
+            nz = [j for j in range(pivot, n) if work[j][i] != 0]
+            if len(nz) <= 1:
+                break
+            jmin = min(nz, key=lambda j: abs(work[j][i]))
+            for j in nz:
+                if j == jmin:
+                    continue
+                q = work[j][i] // work[jmin][i]
+                if q:
+                    work[j] = [x - q * y for x, y in zip(work[j], work[jmin])]
+                    trans[j] = [x - q * y for x, y in zip(trans[j], trans[jmin])]
+        nz = [j for j in range(pivot, n) if work[j][i] != 0]
+        if nz:
+            j = nz[0]
+            work[pivot], work[j] = work[j], work[pivot]
+            trans[pivot], trans[j] = trans[j], trans[pivot]
+            pivot += 1
+    basis = [trans[j] for j in range(pivot, n)]
+    for vec in basis:
+        for row in mat:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+    return basis
+
+
 def test_integer_kernel_basis_frozen():
     basis = integer_kernel_basis([[3, 1, -1, -3], [1, 1, 1, 1]])
     assert len(basis) == 2
@@ -344,6 +385,49 @@ def test_integer_kernel_single_row():
     assert len(basis) == 1
     a, b = basis[0]
     assert 2 * a - 4 * b == 0 and (a, b) != (0, 0)
+
+
+@st.composite
+def _coordinates(draw):
+    """Period coordinates as period_fit makes them: 2 to 8 nonnegative
+    integers, one of them 0 and not all 0, repeats allowed, times a common
+    factor."""
+    k = draw(st.integers(2, 8))
+    rest = draw(st.lists(st.integers(0, 60), min_size=k - 1, max_size=k - 1)
+                .filter(any))
+    factor = draw(st.integers(1, 30))
+    p = [0] + [factor * x for x in rest]
+    return draw(st.permutations(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_coordinates())
+def test_sharpness_parity_is_the_lattice_parity_test(p):
+    """On every proper nonempty subset of the support, sharpness_parity
+    accepts exactly when every relation of a kernel basis of [p; 1] has an
+    even coefficient sum over the subset, and that basis has k - 2
+    relations, the count its detail gives."""
+    k = len(p)
+    basis = integer_kernel_basis([p, [1] * k])
+    assert len(basis) == k - 2
+    fit = spectral.PeriodFit("integer-spectrum", 1.0, tuple(p), 1.0)
+    for size in range(1, k):
+        for subset in itertools.combinations(range(k), size):
+            # mass 3/4 on the subset, so the parity alone decides
+            weights = np.array([0.75 / size if j in subset else 0.25 / (k - size)
+                                for j in range(k)])
+            rec = walk.VertexSpectrum(np.array(p, dtype=float), weights,
+                                      tuple(range(k)), fit)
+            w = types.SimpleNamespace(spectrum=lambda u, rec=rec: rec)
+            even = all(sum(vec[j] for j in subset) % 2 == 0 for vec in basis)
+            try:
+                cert = sharpness_parity(w, 0, subset)
+            except CertificateRefused:
+                assert not even, (p, subset)
+                continue
+            assert even, (p, subset)
+            assert cert.detail.endswith(f"({k - 2} basis relations checked)")
+            assert cert.bound == pytest.approx(0.5)
 
 
 def test_sharpness_parity_vacuous_on_complete():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qwsed import sedentary
 from qwsed.cli import main
 from qwsed.graphs import WeightedGraph, build_family, parse_family
-from qwsed.matrices import ADJACENCY, parse_matrix_kind
+from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, parse_matrix_kind
 from qwsed.sedentary import NOT_SEDENTARY_PST, TWIN_BOUND, classify, classify_vertices
 from qwsed.spectral import find_twin_sets
 
@@ -25,10 +25,11 @@ _weights = st.builds(lambda p, q: float(Fraction(p, q)),
 
 
 @st.composite
-def planted_twins(draw):
-    """A graph on at most 8 vertices, with rational weights and loops, in
-    which a planted class of 2 to 4 twins (adjacent or not) shares its loop
-    weight and its weighted neighbourhood; vertices are then shuffled."""
+def planted_twins(draw, weights=_weights):
+    """A graph on at most 8 vertices, with loops and weights drawn from
+    the strategy weights (rational by default), in which a planted class of
+    2 to 4 twins (adjacent or not) shares its loop weight and its weighted
+    neighbourhood; vertices are then shuffled."""
     size = draw(st.integers(2, 4))
     rest = draw(st.integers(1, 8 - size))
     n = size + rest
@@ -36,12 +37,12 @@ def planted_twins(draw):
     for i in range(rest):
         for j in range(i, rest):
             if draw(st.booleans()):
-                edges[(i, j)] = draw(_weights)
+                edges[(i, j)] = draw(weights)
     # every twin is joined to the same base vertices with the same weights
-    reach = {b: draw(_weights) for b in range(rest) if draw(st.booleans())}
-    reach = reach or {0: draw(_weights)}
-    loop = draw(st.one_of(st.just(None), _weights))
-    eta = draw(_weights) if draw(st.booleans()) else None
+    reach = {b: draw(weights) for b in range(rest) if draw(st.booleans())}
+    reach = reach or {0: draw(weights)}
+    loop = draw(st.one_of(st.just(None), weights))
+    eta = draw(weights) if draw(st.booleans()) else None
     twins = range(rest, n)
     for t in twins:
         edges.update(((b, t), w) for b, w in reach.items())
@@ -185,6 +186,24 @@ def test_twins_of_different_roles_are_classified_apart(monkeypatch):
     for r in shared:
         _assert_same(r, classify(g, r.vertex, ADJACENCY))
     assert [c.kind for c in shared[3].certificates] != [c.kind for c in shared[2].certificates]
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=planted_twins(st.floats(0.1, 2.5)))
+# the leaves' degree was 2 * 0.2 + 0.7 = 1.1, where assemble adds
+# (0.7 + 0.2) + 0.2 = 1.0999999999999999
+@example(g=WeightedGraph(3, ((0, 1, 0.7), (0, 2, 0.7), (1, 1, 0.2), (2, 2, 0.2))))
+def test_twin_degree_is_the_assembled_degree(g):
+    """A twin set's degree is the one assemble puts on the diagonal, to
+    the bit: with weights that are not dyadic, adding the same weights in
+    another order moves the last bit.  It is read at the least twin, since
+    the row sums of two adjacent twins may differ in the last bit."""
+    lap = assemble(g, LAPLACIAN).matrix
+    classes = find_twin_sets(g)
+    assert classes
+    for ts in classes:
+        w = ts.vertices[0]
+        assert ts.degree - ts.omega == lap[w, w], ts
 
 
 def test_twin_eigenvector_checked_once_per_class(monkeypatch):

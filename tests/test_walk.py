@@ -87,7 +87,7 @@ def test_transition_entry_reads_the_kept_weights_bit_for_bit(g, times):
     form sum_j exp(it lambda_j) V_j[u] . V_j[u] to the bit, and every
     off-diagonal entry is still that form."""
     for name in _KINDS:
-        d = decompose(assemble(g, parse_matrix_kind(name)))
+        d = decompose(assemble(g, parse_matrix_kind(name)).matrix)
         assert max(d.multiplicities) >= 2
         w = WalkEvaluator(d)
         for t in times:
