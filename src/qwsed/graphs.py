@@ -456,12 +456,24 @@ def cartesian_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
 
 def direct_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """Tensor product: adjacency is the Kronecker product of the factors'.
-    Vertex (u, v) gets id u*y.n + v."""
-    a = np.kron(x.adjacency_matrix(), y.adjacency_matrix())
-    n = x.n * y.n
-    edges = [(u, v, float(a[u, v]))
-             for u in range(n) for v in range(u, n) if a[u, v] != 0.0]
-    return WeightedGraph(n, tuple(edges), provenance=("direct", x, y))
+    Vertex (u, v) gets id u*y.n + v.  Each pair of factor edges {a, b} and
+    {c, d} (a <= b, c <= d) gives the edges {(a, c), (b, d)} and
+    {(a, d), (b, c)} of weight w_ab * w_cd, which are one edge when either
+    factor edge is a loop (one loop when both are); a weight that
+    underflows to 0 gives no edge."""
+    ny, mx, my = y.n, len(x.edges), len(y.edges)
+    a, b, w = (np.repeat(col, my) for col in x.columns)
+    c, d, z = (np.tile(col, mx) for col in y.columns)
+    w = w * z
+    cross = (a != b) & (c != d)
+    u = np.concatenate([a * ny + c, a[cross] * ny + d[cross]])
+    v = np.concatenate([b * ny + d, b[cross] * ny + c[cross]])
+    rows = np.column_stack([u, v, np.concatenate([w, w[cross]])])
+    rows = rows[rows[:, 2] != 0.0]
+    # in the Kronecker array's row-major order, so an overflow is named at
+    # the same edge
+    return WeightedGraph(x.n * ny, rows[np.lexsort((rows[:, 1], rows[:, 0]))],
+                         provenance=("direct", x, y))
 
 
 def blow_up(x: WeightedGraph, mode: str, parts) -> WeightedGraph:

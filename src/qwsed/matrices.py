@@ -2,7 +2,9 @@
 
 Supported kinds: adjacency A, Laplacian D - A, the degree-shifted family
 alpha*D + A, and the two degree-normalized kinds.  The weighted degree counts
-a loop twice.
+a loop twice.  assemble is the one place that knows how a kind scales
+degrees, loops and weights: what depends on the kind, such as a twin
+class's difference eigenvalue, is read from the matrix it returns.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ __all__ = [
     "generalized_adjacency",
     "parse_matrix_kind",
     "Hamiltonian",
-    "matrix_degrees",
     "assemble",
-    "twin_theta",
 ]
 
 
@@ -97,15 +97,6 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
-def matrix_degrees(a: np.ndarray) -> np.ndarray:
-    """The weighted degrees of an adjacency matrix, a loop counted twice:
-    its row sums plus its diagonal.  assemble and the twin classes read
-    these, not graph.degrees(): a bincount's add order moves reports' last
-    bits.  An overflow gives inf, which assemble refuses."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a.sum(axis=1) + np.diag(a)
-
-
 def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
     """Build the requested Hamiltonian.
 
@@ -115,7 +106,9 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
     """
     a = graph.adjacency_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
-        deg = matrix_degrees(a)
+        # row sums plus the diagonal, a loop counted twice; not
+        # graph.degrees(), whose bincount adds in another order
+        deg = a.sum(axis=1) + np.diag(a)
         if kind.name == "adjacency":
             m = a
         elif kind.name == "laplacian":
@@ -138,22 +131,3 @@ def assemble(graph: WeightedGraph, kind: MatrixKind) -> Hamiltonian:
                           "is not finite")
     m.setflags(write=False)
     return Hamiltonian(kind, m)
-
-
-def twin_theta(kind: MatrixKind, degree: float, omega: float, eta: float) -> float:
-    """Eigenvalue of the difference of two twin characteristic vectors.
-
-    omega is the common loop weight, eta the weight between the twins (0 if
-    non-adjacent), degree their common weighted degree.
-    """
-    if kind.name == "adjacency":
-        return omega - eta
-    if kind.name == "gen":
-        return kind.alpha * degree + omega - eta
-    if kind.name == "laplacian":
-        return degree - omega + eta
-    if kind.name == "norm-adj":
-        return (omega - eta) / degree if degree != 0 else 0.0
-    if kind.name == "norm-lap":
-        return 1.0 - (omega - eta) / degree if degree != 0 else 1.0
-    raise MatrixError(f"unknown matrix kind {kind!r}")  # pragma: no cover

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FamilySpec, WeightedGraph, _common_value, describe_graph
-from .matrices import ADJACENCY, MatrixKind, assemble, twin_theta
+from .matrices import ADJACENCY, MatrixKind, assemble
 from .spectral import (
     TwinSet,
     _limit_denominator,
@@ -408,24 +408,28 @@ def twin_bound(graph: WeightedGraph, u: int,
 
     A pair (c = 2) yields the vacuous constant 0; the certificate is still
     emitted so reports can show the twin structure.  The difference
-    eigenvalue theta of the kind is computed here from the class's degree,
-    omega and eta; the verdict of the difference eigenvector's check is
-    read from _graph_spectra(graph, kind), which checked every class, and
-    the projector mass at theta is recorded.
+    eigenvalue theta is the one _graph_spectra(graph, kind) read from the
+    assembled matrix and checked for the class (None when the check
+    failed), and the projector mass at theta is u's own: the support
+    eigenvalue of u's vertex record nearest theta, when it lies within
+    1e-8 * scale of theta.
     """
     twins = _twin_map(graph).get(u)
     if twins is None:
         raise CertificateRefused(f"vertex {u} has no twin")
     c = twins.size
     bound = max(1.0 - 2.0 / c, 0.0)
-    theta = twin_theta(kind, twins.degree, twins.omega, twins.eta)
     spectra = _graph_spectra(graph, kind)
-    if not spectra.twin_verdicts[twins.vertices]:
+    theta = spectra.twin_verdicts[twins.vertices]
+    if theta is None:
         raise CertificateRefused("twin difference vector fails the eigenvector check")
-    near = spectra.walk.eigenspace_weight(u, theta)
+    rec = spectra.walk.spectrum(u)
+    i = int(np.argmin(np.abs(rec.eigenvalues - theta)))
+    near = abs(float(rec.eigenvalues[i]) - theta) <= 1e-8 * spectra.walk.scale
     others = ", ".join(str(v) for v in twins.vertices if v != u)
     return SedentaryCertificate(
-        TWIN_BOUND, u, bound, near[:1] if near else (), near[1] if near else None,
+        TWIN_BOUND, u, bound, (rec.indices[i],) if near else (),
+        float(rec.weights[i]) if near else None,
         detail=f"twin class {{{u}, {others}}} of size {c}, "
                f"difference eigenvalue {theta:g}")
 
@@ -951,11 +955,13 @@ def _annotated(g: WeightedGraph) -> tuple:
 class _GraphSpectra:
     """What classification reads of one (graph object, kind): the walk
     evaluator over the decomposition of the assembled matrix, with its
-    vertex records, the twin eigenvector check's verdict of every twin
-    class under this kind (twin_verdicts, keyed by the class's vertices,
-    made with the evaluator and read by twin_bound), the report of each
+    vertex records; the verdict of every twin class under this kind
+    (twin_verdicts, keyed by the class's vertices, made with the evaluator
+    and read by twin_bound), its difference eigenvalue theta read from the
+    assembled matrix, or None when the class's eigenvector check fails
+    there; the report of each
     vertex classified as a Cartesian factor's vertex (reports, read and
-    filled by the factor contexts of _Context.factors), and, for a
+    filled by the factor contexts of _Context.factors); and, for a
     Cartesian product, the contexts of its two factors (factors, made by
     the first _Context.factors call).  The
     twin classes themselves are kind-free and kept once per graph
@@ -965,7 +971,7 @@ class _GraphSpectra:
     graph (a factor context refers to a factor graph only)."""
 
     walk: WalkEvaluator
-    twin_verdicts: dict[tuple[int, ...], bool]
+    twin_verdicts: dict[tuple[int, ...], float | None]
     reports: dict[int, SedentaryReport]
     factors: tuple[_Context, _Context] | None = None
 
@@ -978,17 +984,22 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     classified or asked about (k support eigenvalues, weights and root
     offers), the twin verdicts, one report per vertex reached as a factor
     vertex of a product, and a product's factor contexts.  Every class of
-    _twin_map is checked by verify_twin_eigenvector(m, twins, theta)
-    against the matrix m just assembled, and m is not kept."""
+    _twin_map takes its theta from the matrix m just assembled, m[a, a] -
+    m[a, b] at its first two vertices a and b, and is checked by
+    verify_twin_eigenvector(m, twins, theta) against m, which is not
+    kept."""
     memo = graph._spectra
     s = memo.get(kind)
     if s is None:
         m = assemble(graph, kind).matrix
         walk = WalkEvaluator(decompose(m))
+        verdicts = {}
         # each class once, at its least vertex
-        verdicts = {ts.vertices: verify_twin_eigenvector(
-                        m, ts, twin_theta(kind, ts.degree, ts.omega, ts.eta))
-                    for v, ts in _twin_map(graph).items() if v == ts.vertices[0]}
+        for v, ts in _twin_map(graph).items():
+            if v == ts.vertices[0]:
+                a, b = ts.vertices[:2]
+                theta = float(m[a, a] - m[a, b])
+                verdicts[ts.vertices] = theta if verify_twin_eigenvector(m, ts, theta) else None
         s = memo[kind] = _GraphSpectra(walk, verdicts, {})
     return s
 
@@ -1055,10 +1066,12 @@ class _Context:
 
     def prepare(self, vertices: Sequence[int]) -> None:
         """Before the first report: compute, in one walk.spectra call, the
-        records of the representatives of vertices, the vertices report
+        records report reads: those of vertices, whose twin bounds read
+        them, and of their representatives, the vertices report
         classifies.  Those of one support index set then share one root
         solve, and every vertex of that set one periodicity fit."""
-        self.walk.spectra(list(dict.fromkeys(self._representative(v) for v in vertices)))
+        self.walk.spectra(list(dict.fromkeys(
+            u for v in vertices for u in (self._representative(v), v))))
 
     def report(self, v: int) -> SedentaryReport:
         """v's report, made once per vertex: its representative's carried
@@ -1089,17 +1102,17 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     the best certified bound against the oracle minimum.
 
     The assembled matrix, its eigendecomposition, the vertex records and
-    the twin classes' eigenvector checks are computed once per graph
+    the twin classes' difference eigenvalues are computed once per graph
     object and kind, and the twin classes once per graph object for every
     kind (_twin_map), for graph and for each Cartesian factor, and kept on
     the graph: a later classify of any vertex of the same graph object
     reads them, whatever its options.  The graph then holds, per kind it
     was classified under and for as long as it lives, the eigenvectors (n
     x n), the weights (n x distinct eigenvalues) and one record per vertex
-    classified or reached through a product (k support eigenvalues,
-    weights and root offers), but not the matrix.  A factor
-    graph also keeps the report of each of its vertices a product vertex
-    reached (default options), so each factor vertex is classified once
+    classified, given a twin's report or reached through a product (k
+    support eigenvalues, weights and root offers), but not the matrix.  A
+    factor graph also keeps the report of each of its vertices a product
+    vertex reached (default options), so each factor vertex is classified once
     per factor graph object and kind, and a product graph keeps its factor
     pair (_Context.factors) per kind.  The report of u itself is made per
     call.

@@ -25,7 +25,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .matrices import matrix_degrees
 
 __all__ = [
     "SpectralError",
@@ -197,16 +196,15 @@ def strong_cospectral(d: SpectralDecomposition, u: int, v: int
 
 @dataclass(frozen=True)
 class TwinSet:
-    """A maximal set of pairwise twins: common loop weight omega, common
-    pairwise weight eta (0 when the set is independent) and common degree.
-    Twins share their neighbourhoods under every matrix kind, so a set
-    holds no kind; the eigenvalue theta of a difference of two of its
-    characteristic vectors is matrices.twin_theta(kind, degree, omega, eta)."""
+    """A maximal set of pairwise twins: common loop weight omega and common
+    pairwise weight eta (0 when the set is independent).  Twins share their
+    neighbourhoods under every matrix kind, so a set holds no kind; the
+    eigenvalue theta of a difference e_a - e_b of two of its characteristic
+    vectors is read from a kind's assembled matrix M, as M[a, a] - M[a, b]."""
 
     vertices: tuple[int, ...]
     omega: float
     eta: float
-    degree: float
 
     @property
     def size(self) -> int:
@@ -234,10 +232,11 @@ def find_twin_sets(g: WeightedGraph) -> list[TwinSet]:
     """Partition the vertices into maximal twin classes (singletons omitted).
 
     Weight comparisons are exact: twins are a combinatorial notion on the
-    given weights, the same under every matrix kind.
+    given weights, the same under every matrix kind, so a class holds no
+    degree or other per-kind value.
     """
     a = g.adjacency_matrix()
-    loops, degrees = np.diag(a).tolist(), matrix_degrees(a).tolist()
+    loops = np.diag(a).tolist()
     np.fill_diagonal(a, 0.0)
     closed = a != 0.0
     np.fill_diagonal(closed, True)
@@ -256,13 +255,13 @@ def find_twin_sets(g: WeightedGraph) -> list[TwinSet]:
             if len(bucket) > 1:
                 classes += [c for c in _twin_classes(a, bucket, adjacent) if len(c) > 1]
 
-    return [TwinSet(tuple(verts), loops[verts[0]], float(a[verts[0], verts[1]]),
-                    degrees[verts[0]]) for verts in sorted(classes)]
+    return [TwinSet(tuple(verts), loops[verts[0]], float(a[verts[0], verts[1]]))
+            for verts in sorted(classes)]
 
 
 def verify_twin_eigenvector(m: np.ndarray, twins: TwinSet, theta: float) -> bool:
     """Check M(e_u - e_v) = theta (e_u - e_v) for every pair in the twin set,
-    against the matrix m.
+    against the matrix m, at the theta the caller read from m.
 
     With R = M[:, class] - theta I[:, class], the pair defect
     ||R_u - R_v||_inf is largest over pairs as the largest row spread

@@ -903,8 +903,9 @@ class WalkEvaluator:
         that graph, classify's included, reads the same one: its
         decomposition (eigenvectors n x n, weights n x distinct eigenvalues)
         and its vertex records (one per vertex asked about, k support
-        eigenvalues, weights and offers).  The twin verdicts are made with
-        the evaluator, from the assembled matrix, which is not kept."""
+        eigenvalues, weights and offers).  Each twin class's difference
+        eigenvalue is read and checked with the evaluator, from the
+        assembled matrix, which is not kept."""
         # sedentary imports this module, so it is imported on first use
         from .sedentary import _graph_spectra
         return _graph_spectra(graph, kind).walk
@@ -987,15 +988,6 @@ class WalkEvaluator:
         _GRID_CAP points.  spectra writes it into u's record."""
         rec = self.spectrum(u)
         return rec.window, rec.certified
-
-    def eigenspace_weight(self, u: int, theta: float) -> tuple[int, float] | None:
-        """(j, (E_j)_{u,u}) for the eigenvalue nearest theta, or None when
-        it lies farther than 1e-8 * scale from theta."""
-        lam = self.decomposition.eigenvalues
-        j = int(np.argmin(np.abs(lam - theta)))
-        if abs(float(lam[j]) - theta) > 1e-8 * self.scale:
-            return None
-        return j, float(self.decomposition.weights[u, j])
 
     def _column_data(self, u: int) -> np.ndarray:
         """E_j e_u, one row per distinct eigenvalue: row j is V_j V_j[u]."""

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -154,11 +155,50 @@ def test_cartesian_index_order():
     assert not g.has_edge(0, 4)
 
 
+def _kronecker_product(x, y):
+    """The direct product read off the dense Kronecker array, entry by entry."""
+    a = np.kron(x.adjacency_matrix(), y.adjacency_matrix())
+    n = x.n * y.n
+    return WeightedGraph(n, tuple((u, v, float(a[u, v])) for u in range(n)
+                                  for v in range(u, n) if a[u, v] != 0.0))
+
+
 def test_direct_product_is_kronecker():
     x, y = complete_graph(2), path_graph(3)
     g = direct_product(x, y)
     assert np.allclose(g.adjacency_matrix(),
                        np.kron(x.adjacency_matrix(), y.adjacency_matrix()))
+    # weighted factors with loops: a loop pair gives one loop, a loop and
+    # an edge one edge, two edges two; every weight is the one product
+    rng = np.random.default_rng(7)
+    weights = (0.1, 1.0 / 3.0, 0.7, 1.0, 2.0, -0.5)
+    for _ in range(60):
+        x, y = (WeightedGraph(n, tuple(
+            (a, b, weights[int(rng.integers(len(weights)))])
+            for a in range(n) for b in range(a, n) if rng.random() < 0.5))
+            for n in rng.integers(0, 6, size=2).tolist())
+        g = direct_product(x, y)
+        assert g == _kronecker_product(x, y)
+        assert g.provenance == ("direct", x, y)
+    # a weight that underflows gives no edge
+    tiny = WeightedGraph(2, ((0, 1, 1e-200),))
+    assert direct_product(tiny, WeightedGraph(2, ((0, 0, 1e-200), (0, 1, 1.0)))) == \
+        WeightedGraph(4, ((0, 3, 1e-200), (1, 2, 1e-200)))
+    # C_60 x C_60 would take a 3600 x 3600 Kronecker array; its 7200 edges
+    # join (i, j) to (i +- 1, j +- 1)
+    x = cycle_graph(60)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        g = direct_product(x, x)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    assert g.num_edges == 7200 and np.all(g.degrees() == 4.0)
+    assert g.has_edge(0, 61) and g.has_edge(60, 1) and g.has_edge(0, 3599)
+    small = cycle_graph(12)
+    assert direct_product(small, small) == _kronecker_product(small, small)
+
+
 
 
 def test_rook_and_hamming():

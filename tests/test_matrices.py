@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qwsed.graphs import WeightedGraph, complete_graph, cycle_graph, path_graph, star_graph, union, empty_graph
+from qwsed import sedentary
+from qwsed.graphs import (WeightedGraph, complete_graph, cycle_graph, double_cone, empty_graph,
+                          join, path_graph, star_graph, union)
 from qwsed.matrices import (
     ADJACENCY,
     LAPLACIAN,
@@ -14,8 +16,9 @@ from qwsed.matrices import (
     assemble,
     generalized_adjacency,
     parse_matrix_kind,
-    twin_theta,
 )
+from qwsed.spectral import find_twin_sets
+from twin_reference import class_theta
 
 
 def test_kind_strings():
@@ -107,16 +110,45 @@ def test_assemble_is_symmetric():
 
 
 def test_twin_theta_conventions():
-    # adjacent unweighted twins in a join: A gives -1
-    assert twin_theta(ADJACENCY, 6.0, 0.0, 1.0) == -1.0
-    # Laplacian of the same configuration
-    assert twin_theta(LAPLACIAN, 6.0, 0.0, 1.0) == 7.0
-    # non-adjacent twins
-    assert twin_theta(ADJACENCY, 4.0, 0.0, 0.0) == 0.0
-    assert twin_theta(LAPLACIAN, 4.0, 0.0, 0.0) == 4.0
-    # loops shift the adjacency value
-    assert twin_theta(ADJACENCY, 4.0, 2.0, 1.0) == 1.0
-    assert twin_theta(generalized_adjacency(1.0), 4.0, 0.0, 1.0) == 3.0
+    """Each twin class keeps the difference eigenvalue theta read from the
+    kind's assembled matrix, M[a, a] - M[a, b] at its first two twins, and
+    that is the closed form of every kind: on adjacent twins in a join,
+    non-adjacent twins, twins with a loop and a weighted eta, and an
+    isolated pair under the normalized kinds."""
+    looped = WeightedGraph(3, ((0, 0, 2.0), (1, 1, 2.0), (0, 1, 0.7), (0, 2, 1.5), (1, 2, 1.5)))
+    graphs = {
+        "join": join(complete_graph(3), cycle_graph(4)),
+        "cone": double_cone(cycle_graph(4), "disconnected"),
+        "looped": looped,
+        "isolated": empty_graph(2),
+    }
+    kinds = (ADJACENCY, LAPLACIAN, generalized_adjacency(1.0), generalized_adjacency(-0.5),
+             NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN)
+    kept = {}
+    for name, g in graphs.items():
+        for kind in kinds:
+            m = assemble(g, kind).matrix
+            verdicts = sedentary._graph_spectra(g, kind).twin_verdicts
+            for ts in find_twin_sets(g):
+                a, b = ts.vertices[:2]
+                theta = verdicts[ts.vertices]
+                assert theta == m[a, a] - m[a, b], (name, kind, ts)
+                want = class_theta(g, kind, ts)
+                assert abs(theta - want) <= 1e-12 * max(1.0, abs(want)), (name, kind, ts)
+                kept[name, str(kind), ts.vertices] = theta
+    # adjacent unweighted twins of degree 6: A gives -1, L 7
+    assert kept["join", "adjacency", (0, 1, 2)] == -1.0
+    assert kept["join", "laplacian", (0, 1, 2)] == 7.0
+    assert kept["join", "gen:1", (0, 1, 2)] == 5.0
+    # the non-adjacent apexes of degree 4
+    assert kept["cone", "adjacency", (0, 1)] == 0.0
+    assert kept["cone", "laplacian", (0, 1)] == 4.0
+    # a loop shifts the adjacency value, and the degree counts it twice
+    assert kept["looped", "adjacency", (0, 1)] == 2.0 - 0.7
+    assert kept["looped", "laplacian", (0, 1)] == pytest.approx(6.2 - 2.0 + 0.7)
+    # an isolated pair has no degree to normalize by
+    assert kept["isolated", "norm-adj", (0, 1)] == 0.0
+    assert kept["isolated", "norm-lap", (0, 1)] == 1.0
 
 
 def test_graph_hash_tag():

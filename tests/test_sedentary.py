@@ -29,7 +29,7 @@ from qwsed.graphs import (
     star_graph,
 )
 from qwsed.matrices import (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY, assemble,
-                            parse_matrix_kind, twin_theta)
+                            parse_matrix_kind)
 from qwsed.cli import main
 from qwsed.sedentary import (
     NOT_SEDENTARY,
@@ -37,7 +37,6 @@ from qwsed.sedentary import (
     SHARPLY_SEDENTARY,
     SUBSET_BOUND,
     TIGHTLY_SEDENTARY,
-    TWIN_BOUND,
     UNRESOLVED,
     CertificateRefused,
     ClassifyOptions,
@@ -57,6 +56,7 @@ from qwsed.sedentary import (
 from qwsed import sedentary, spectral, walk
 from qwsed.spectral import decompose
 from qwsed.walk import WalkEvaluator
+from twin_reference import twin_bound_reference
 
 
 def _walk(fam, kind=ADJACENCY):
@@ -160,9 +160,10 @@ def test_star_400_leaf_laplacian_within_budget():
     (lambda: build_family(parse_family("rook:3,4")), ADJACENCY, 0, 1),
     # the equal factors share one context, where S_3's centre and one leaf
     # are classified, each in a group of its own when the product first
-    # asks, and the other two leaves are that leaf's twins; the product's
-    # vertices fall into three support groups
-    (lambda: cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 2, 5),
+    # asks, and the other two leaves are that leaf's twins, each reading
+    # its twin bound from a record of its own; the product's vertices fall
+    # into three support groups
+    (lambda: cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 4, 7),
 ], ids=["rook:3,4-adjacency", "star3xstar3-laplacian"])
 def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, build, kind,
                                                   factor_vertices, groups):
@@ -273,32 +274,12 @@ def test_twin_bound_soundness_on_blow_up():
     assert res.minimum >= cert.bound - 1e-6
 
 
-def _per_kind_twin_bound(g, u, kind):
-    """twin_bound as it was made from per-kind copies of the twin classes:
-    theta set on u's class for the kind, the check and the mass read off a
-    decomposition of the kind's matrix made here."""
-    ts = next((t for t in spectral.find_twin_sets(g) if u in t.vertices), None)
-    if ts is None:
-        raise CertificateRefused(f"vertex {u} has no twin")
-    theta = twin_theta(kind, ts.degree, ts.omega, ts.eta)
-    m = assemble(g, kind).matrix
-    d = decompose(m)
-    if not spectral.verify_twin_eigenvector(m, ts, theta):
-        raise CertificateRefused("twin difference vector fails the eigenvector check")
-    j = int(np.argmin(np.abs(d.eigenvalues - theta)))
-    near = abs(float(d.eigenvalues[j]) - theta) <= 1e-8 * max(d.scale(), 1.0)
-    others = ", ".join(str(v) for v in ts.vertices if v != u)
-    return sedentary.SedentaryCertificate(
-        TWIN_BOUND, u, max(1.0 - 2.0 / ts.size, 0.0), (j,) if near else (),
-        float(d.weights[u, j]) if near else None,
-        detail=f"twin class {{{u}, {others}}} of size {ts.size}, "
-               f"difference eigenvalue {theta:g}")
-
-
 def test_twin_bounds_match_per_kind_classes_on_weighted_blow_ups():
     """On vertex blow-ups of small graphs with non-dyadic weights and
     loops, every twin bound, under all five kinds on one graph object, is
-    field for field the one made from a per-kind copy of its class."""
+    field for field the reference's: theta by the kind's closed form, the
+    check and the mass read off a decomposition of the kind's matrix made
+    for that bound alone."""
     rng = np.random.default_rng(29)
     weights = (0.1, 0.3, 0.7, 1.0 / 3.0, 2.0 / 3.0)
     kinds = [parse_matrix_kind(k) for k in
@@ -316,7 +297,7 @@ def test_twin_bounds_match_per_kind_classes_on_weighted_blow_ups():
         for kind in kinds:
             for u in range(g.n):
                 try:
-                    want = _per_kind_twin_bound(g, u, kind)
+                    want = twin_bound_reference(g, u, kind)
                 except CertificateRefused as exc:
                     with pytest.raises(CertificateRefused, match=str(exc)):
                         twin_bound(g, u, kind)

@@ -18,7 +18,8 @@ from qwsed.graphs import (
     path_graph,
     star_graph,
 )
-from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, twin_theta
+from qwsed import sedentary
+from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble
 from qwsed.spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralError,
@@ -30,6 +31,7 @@ from qwsed.spectral import (
     verify_twin_eigenvector,
 )
 from qwsed.walk import WalkEvaluator
+from twin_reference import class_theta
 
 
 def _decomp(fam, kind=ADJACENCY):
@@ -150,18 +152,13 @@ def test_star_leaves_not_strongly_cospectral():
     assert not strong_cospectral(d, 1, 2)
 
 
-def _theta(kind, ts):
-    """The difference eigenvalue of a twin set under kind."""
-    return twin_theta(kind, ts.degree, ts.omega, ts.eta)
-
-
 def test_find_twin_sets_join():
     g = join(complete_graph(3), cycle_graph(4))
     twins = find_twin_sets(g)
     triple = next(t for t in twins if t.size == 3)
     assert triple.vertices == (0, 1, 2)
-    assert _theta(ADJACENCY, triple) == -1.0
-    assert _theta(LAPLACIAN, triple) == 7.0
+    assert class_theta(g, ADJACENCY, triple) == -1.0
+    assert class_theta(g, LAPLACIAN, triple) == 7.0
     # the cycle contributes two opposite twin pairs
     assert sorted(t.vertices for t in twins if t.size == 2) == [(3, 5), (4, 6)]
 
@@ -245,7 +242,7 @@ def test_verify_twin_eigenvector():
     g = join(complete_graph(3), cycle_graph(4))
     m = assemble(g, ADJACENCY).matrix
     for twins in find_twin_sets(g):
-        assert verify_twin_eigenvector(m, twins, _theta(ADJACENCY, twins))
+        assert verify_twin_eigenvector(m, twins, class_theta(g, ADJACENCY, twins))
 
 
 def _verify_all_pairs(m, twins, theta, tol=1e-9):
@@ -270,7 +267,7 @@ def test_verify_twin_eigenvector_matches_an_all_pairs_check():
         m = assemble(g, kind).matrix
         scale = max(1.0, float(np.max(np.abs(m))))
         for twins in find_twin_sets(g):
-            theta = _theta(kind, twins)
+            theta = class_theta(g, kind, twins)
             assert verify_twin_eigenvector(m, twins, theta)
             assert _verify_all_pairs(m, twins, theta)
             # move one member's column: by half the tolerance it still
@@ -290,7 +287,7 @@ def test_star_twin_class_of_2000_leaves_within_budget():
     m = assemble(g, LAPLACIAN).matrix
     start = time.perf_counter()
     (leaves,) = find_twin_sets(g)
-    theta = _theta(LAPLACIAN, leaves)
+    theta = class_theta(g, LAPLACIAN, leaves)
     # the check reads only the matrix, so no 2001-vertex eigh is needed
     ok = verify_twin_eigenvector(m, leaves, theta)
     elapsed = time.perf_counter() - start
@@ -300,11 +297,16 @@ def test_star_twin_class_of_2000_leaves_within_budget():
 
 
 def test_twin_theta_matches_found_sets():
+    """The two apexes of a double cone over C_4, not joined to each other,
+    have loop weight 0 and degree 4, so their kept Laplacian theta, read
+    from the assembled matrix, is 4, the closed form."""
     g = double_cone(build_family(parse_family("cycle:4")), "disconnected")
     twins = find_twin_sets(g)
     pair = next(t for t in twins if t.vertices == (0, 1))
-    assert (pair.degree, pair.omega, pair.eta) == (4.0, 0.0, 0.0)
-    assert _theta(LAPLACIAN, pair) == twin_theta(LAPLACIAN, 4.0, 0.0, 0.0) == 4.0
+    assert (pair.omega, pair.eta) == (0.0, 0.0)
+    assert g.degrees()[0] == 4.0
+    theta = sedentary._graph_spectra(g, LAPLACIAN).twin_verdicts[pair.vertices]
+    assert theta == class_theta(g, LAPLACIAN, pair) == 4.0
 
 
 def _period(d, u):
@@ -361,7 +363,8 @@ def test_blow_up_twin_union():
     twins = find_twin_sets(g)
     assert len(twins) == 1
     assert twins[0].vertices == (0, 1, 2, 4, 5)
-    assert _theta(ADJACENCY, twins[0]) == 0.0
+    assert class_theta(g, ADJACENCY, twins[0]) == 0.0
+    assert sedentary._graph_spectra(g, ADJACENCY).twin_verdicts[twins[0].vertices] == 0.0
 
 
 # -- eigenvector blocks against dense projectors ----------------------------------

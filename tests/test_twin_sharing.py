@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from qwsed import sedentary
 from qwsed.cli import main
 from qwsed.graphs import WeightedGraph, build_family, parse_family
-from qwsed.matrices import ADJACENCY, LAPLACIAN, assemble, parse_matrix_kind
-from qwsed.sedentary import NOT_SEDENTARY_PST, TWIN_BOUND, classify, classify_vertices
+from qwsed.matrices import ADJACENCY, assemble, parse_matrix_kind
+from qwsed.sedentary import (NOT_SEDENTARY_PST, TWIN_BOUND, classify, classify_vertices,
+                             twin_bound)
 from qwsed.spectral import find_twin_sets
+from twin_reference import class_theta, twin_bound_reference
 
 KINDS = ("adjacency", "laplacian", "gen:0.5", "norm-adj", "norm-lap")
 
@@ -25,12 +27,12 @@ _weights = st.builds(lambda p, q: float(Fraction(p, q)),
 
 
 @st.composite
-def planted_twins(draw, weights=_weights):
+def planted_twins(draw, weights=_weights, sizes=st.integers(2, 4)):
     """A graph on at most 8 vertices, with loops and weights drawn from
     the strategy weights (rational by default), in which a planted class of
-    2 to 4 twins (adjacent or not) shares its loop weight and its weighted
-    neighbourhood; vertices are then shuffled."""
-    size = draw(st.integers(2, 4))
+    twins (adjacent or not), of a size drawn from sizes, shares its loop
+    weight and its weighted neighbourhood; vertices are then shuffled."""
+    size = draw(sizes)
     rest = draw(st.integers(1, 8 - size))
     n = size + rest
     edges = {}
@@ -188,32 +190,44 @@ def test_twins_of_different_roles_are_classified_apart(monkeypatch):
     assert [c.kind for c in shared[3].certificates] != [c.kind for c in shared[2].certificates]
 
 
-@settings(max_examples=200, deadline=None)
-@given(g=planted_twins(st.floats(0.1, 2.5)))
-# the leaves' degree was 2 * 0.2 + 0.7 = 1.1, where assemble adds
-# (0.7 + 0.2) + 0.2 = 1.0999999999999999
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(g=planted_twins(st.sampled_from((0.1, 1.0 / 3.0, 0.7, 1.0, 2.0)), st.integers(2, 5)))
+# the leaves' degree is 2 * 0.2 + 0.7 = 1.1 by hand, where assemble adds
+# (0.7 + 0.2) + 0.2 = 1.0999999999999999: the kept theta is the matrix's
 @example(g=WeightedGraph(3, ((0, 1, 0.7), (0, 2, 0.7), (1, 1, 0.2), (2, 2, 0.2))))
-def test_twin_degree_is_the_assembled_degree(g):
-    """A twin set's degree is the one assemble puts on the diagonal, to
-    the bit: with weights that are not dyadic, adding the same weights in
-    another order moves the last bit.  It is read at the least twin, since
-    the row sums of two adjacent twins may differ in the last bit."""
-    lap = assemble(g, LAPLACIAN).matrix
+def test_kept_twin_theta_matches_the_reference(kind, g):
+    """Each twin class keeps the theta of its kind's assembled matrix to
+    the bit, which is the closed form within 1e-12 * max(1, |theta|), and
+    every twin's bound has the subset, mass and detail of the reference,
+    which looks theta up over the whole spectrum of a decomposition of its
+    own."""
+    k = parse_matrix_kind(kind)
+    m = assemble(g, k).matrix
+    verdicts = sedentary._graph_spectra(g, k).twin_verdicts
     classes = find_twin_sets(g)
     assert classes
     for ts in classes:
-        w = ts.vertices[0]
-        assert ts.degree - ts.omega == lap[w, w], ts
+        a, b = ts.vertices[:2]
+        theta, want = verdicts[ts.vertices], class_theta(g, k, ts)
+        assert theta == m[a, a] - m[a, b], ts
+        assert abs(theta - want) <= 1e-12 * max(1.0, abs(want)), ts
+        for u in ts.vertices:
+            got, ref = twin_bound(g, u, k), twin_bound_reference(g, u, k)
+            assert (got.bound, got.subset, got.weight, got.detail) == (
+                ref.bound, ref.subset, ref.weight, ref.detail), (ts, u)
 
 
 def test_twin_eigenvector_checked_once_per_class(monkeypatch):
-    """Every vertex of one graph object is classified in one call under A,
-    then under L: star:40 has one twin class of its 40 leaves, the double
-    cone over two disconnected squares three pairs (its apexes and two
-    pairs of opposite corners).  Per kind the matrix is assembled once and
-    each class's difference eigenvector is checked once, against that
-    matrix, and each twin's report keeps its own twin bound."""
-    assembled, checked = [], []
+    """Every vertex of one graph object is classified in one call under
+    each of the five kinds in turn: star:40 has one twin class of its 40
+    leaves, the double cone over two disconnected squares three pairs (its
+    apexes and two pairs of opposite corners).  Per kind the matrix is
+    assembled once and each class's difference eigenvector is checked
+    once, against that matrix, at the theta the kind's closed form gives,
+    and each twin's report keeps its own twin bound, made from that kept
+    theta."""
+    assembled, checked = [], {}
     real_assemble, real_check = sedentary.assemble, sedentary.verify_twin_eigenvector
 
     def assemble(graph, kind):
@@ -223,7 +237,8 @@ def test_twin_eigenvector_checked_once_per_class(monkeypatch):
 
     def check(m, ts, theta):
         assert m is assembled[-1]
-        checked.append(ts.vertices)
+        assert ts.vertices not in checked
+        checked[ts.vertices] = theta
         return real_check(m, ts, theta)
     monkeypatch.setattr(sedentary, "assemble", assemble)
     monkeypatch.setattr(sedentary, "verify_twin_eigenvector", check)
@@ -231,12 +246,16 @@ def test_twin_eigenvector_checked_once_per_class(monkeypatch):
         g = build_family(parse_family(family))
         classes = [ts for ts in find_twin_sets(g) if ts.size > 1]
         assert [ts.size for ts in classes] == sizes
-        for kind in ("adjacency", "laplacian"):
+        for kind in KINDS:
+            k = parse_matrix_kind(kind)
             assembled.clear()
             checked.clear()
-            reports = classify_vertices(g, range(g.n), parse_matrix_kind(kind))
+            reports = classify_vertices(g, range(g.n), k)
             assert len(assembled) == 1, (family, kind)
-            assert checked == [ts.vertices for ts in classes], (family, kind)
+            assert list(checked) == [ts.vertices for ts in classes], (family, kind)
+            for ts in classes:
+                want = class_theta(g, k, ts)
+                assert abs(checked[ts.vertices] - want) <= 1e-12 * max(1.0, abs(want))
             for r in reports:
                 twin = [c for c in r.certificates if c.kind == TWIN_BOUND]
                 cls = next((ts for ts in classes if r.vertex in ts.vertices), None)
@@ -244,3 +263,5 @@ def test_twin_eigenvector_checked_once_per_class(monkeypatch):
                 if twin:
                     assert twin[0].vertex == r.vertex and twin[0].detail.startswith(
                         f"twin class {{{r.vertex}, ")
+                    assert twin[0].detail.endswith(
+                        f"difference eigenvalue {checked[cls.vertices]:g}")
