@@ -135,7 +135,6 @@ class SedentaryCertificate:
     """
 
     kind: str
-    vertex: int
     bound: float
     subset: tuple[int, ...] = ()
     weight: float | None = None
@@ -245,7 +244,7 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
             f"subset mass {a:.9f} is below 1/2; the bound would be vacuous")
     if len(s) == 1:
         return SedentaryCertificate(
-            SUBSET_BOUND, u, max(2.0 * a - 1.0, 0.0), s, a,
+            SUBSET_BOUND, max(2.0 * a - 1.0, 0.0), s, a,
             detail="single-eigenvalue mass bound")
 
     certified = False
@@ -259,7 +258,7 @@ def subset_bound(w: WalkEvaluator, u: int, subset,
     bound = max(fmin - (1.0 - a), 0.0)
     where = "certified period" if certified else "open window"
     return SedentaryCertificate(
-        SUBSET_BOUND, u, bound, s, a, analytic=False, certified=certified,
+        SUBSET_BOUND, bound, s, a, analytic=False, certified=certified,
         detail=f"partial-sum minimum {fmin:.9f} on the {where} [{t0:g}, {t1:g}]")
 
 
@@ -410,9 +409,11 @@ def twin_bound(graph: WeightedGraph, u: int,
     emitted so reports can show the twin structure.  The difference
     eigenvalue theta is the one _graph_spectra(graph, kind) read from the
     assembled matrix and checked for the class (None when the check
-    failed), and the projector mass at theta is u's own: the support
-    eigenvalue of u's vertex record nearest theta, when it lies within
-    1e-8 * scale of theta.
+    failed), and the projector mass at theta is u's own: the eigenvalue of
+    u's support (WalkEvaluator.support, which builds no vertex record)
+    nearest theta, when it lies within 1e-8 * scale of theta.  The detail
+    lists u first, then the rest of the class in order, joined in one
+    pass.
     """
     twins = _twin_map(graph).get(u)
     if twins is None:
@@ -423,13 +424,17 @@ def twin_bound(graph: WeightedGraph, u: int,
     theta = spectra.twin_verdicts[twins.vertices]
     if theta is None:
         raise CertificateRefused("twin difference vector fails the eigenvector check")
-    rec = spectra.walk.spectrum(u)
-    i = int(np.argmin(np.abs(rec.eigenvalues - theta)))
-    near = abs(float(rec.eigenvalues[i]) - theta) <= 1e-8 * spectra.walk.scale
-    others = ", ".join(str(v) for v in twins.vertices if v != u)
+    sup = spectra.walk.support(u)
+    i = min(range(len(sup.indices)), key=lambda j: abs(sup.eigenvalues[j] - theta))
+    near = abs(sup.eigenvalues[i] - theta) <= 1e-8 * spectra.walk.scale
+    # the rest of the class, joined in C: repr of a vertex, a Python int,
+    # is its str, and costs less to call
+    vs = twins.vertices
+    k = vs.index(u)
+    others = ", ".join(map(repr, vs[:k] + vs[k + 1:]))
     return SedentaryCertificate(
-        TWIN_BOUND, u, bound, (rec.indices[i],) if near else (),
-        float(rec.weights[i]) if near else None,
+        TWIN_BOUND, bound, (sup.indices[i],) if near else (),
+        sup.weights[i] if near else None,
         detail=f"twin class {{{u}, {others}}} of size {c}, "
                f"difference eigenvalue {theta:g}")
 
@@ -474,7 +479,7 @@ def sharpness_parity(w: WalkEvaluator, u: int, subset) -> SedentaryCertificate:
         raise CertificateRefused("the subset is not a parity class of the "
                                  f"period coordinates over their gcd {g}")
     return SedentaryCertificate(
-        SHARPNESS_PARITY, u, max(2.0 * a - 1.0, 0.0), s, a,
+        SHARPNESS_PARITY, max(2.0 * a - 1.0, 0.0), s, a,
         detail="every integer eigenvalue relation keeps even parity on the "
                f"subset ({len(ints) - 2} basis relations checked)")
 
@@ -536,7 +541,7 @@ def find_zero_crossing(w: WalkEvaluator, u: int,
     t_zero = _bisect(f, float(ts[i]), float(ts[i + 1]), 1e-14)
     mag = abs(complex(np.sum(wts * np.exp(1j * t_zero * lam))))
     return SedentaryCertificate(
-        NOT_SEDENTARY_ZERO_CROSSING, u, 0.0, (), None, (t_zero,),
+        NOT_SEDENTARY_ZERO_CROSSING, 0.0, (), None, (t_zero,),
         detail=f"real diagonal changes sign on "
                f"[{ts[i]:.9f}, {ts[i + 1]:.9f}]; |U| there is {mag:.3e}")
 
@@ -854,10 +859,10 @@ def _tight_time(report: SedentaryReport) -> float | None:
 
 
 def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
-                    evaluators: Sequence[WalkEvaluator] | None = None, *,
-                    vertex: int = -1) -> SedentaryCertificate:
-    """Combine factor bounds across a box product into the certificate of
-    the product vertex vertex (-1 when none is named).
+                    evaluators: Sequence[WalkEvaluator] | None = None
+                    ) -> SedentaryCertificate:
+    """Combine factor bounds across a box product into one certificate of
+    the product vertex over the factor vertices the reports name.
 
     For degree-shifted kinds the product diagonal factors entrywise, so
     per-factor lower bounds multiply.  Factors that are not sedentary (a
@@ -901,7 +906,7 @@ def product_compose(reports: Sequence[SedentaryReport], kind: MatrixKind,
                 times = (float(base),)
     detail = " * ".join(f"{r.bound:.9f} [{r.graph}]" for r in reports)
     return SedentaryCertificate(
-        PRODUCT_COMPOSITION, vertex, bound, (), None, times, analytic,
+        PRODUCT_COMPOSITION, bound, (), None, times, analytic,
         detail=f"product of factor bounds: {detail}")
 
 
@@ -982,8 +987,9 @@ def _graph_spectra(graph: WeightedGraph, kind: MatrixKind) -> _GraphSpectra:
     as long as the graph lives: per kind the eigenvectors (n x n) and
     weights (n x distinct eigenvalues), one vertex record per vertex
     classified or asked about (k support eigenvalues, weights and root
-    offers), the twin verdicts, one report per vertex reached as a factor
-    vertex of a product, and a product's factor contexts.  Every class of
+    offers; a twin given its representative's report has none), the twin
+    verdicts, one report per vertex reached as a factor vertex of a
+    product, and a product's factor contexts.  Every class of
     _twin_map takes its theta from the matrix m just assembled, m[a, a] -
     m[a, b] at its first two vertices a and b, and is checked by
     verify_twin_eigenvector(m, twins, theta) against m, which is not
@@ -1024,13 +1030,14 @@ class _Context:
     family_ruling reads.  Swapping two twins u and v is a weighted
     automorphism under every matrix kind, so U(t)_uu = U(t)_vv, and when u
     and v also share the label role, v's report is u's under the
-    transposition (u v): its vertex, its oracle's vertex and every
-    certificate's vertex become v, and the twin bound is rebuilt by
-    twin_bound for v, with v's own detail and mass.  So a report depends
-    only on (graph, kind, vertex), not on which vertices were asked for
-    or in which order.  A report whose certificate names another vertex
-    (perfect transfer) is not carried over; v is then classified in
-    full."""
+    transposition (u v).  Only the report names its vertex, and only the
+    twin bound's detail and mass differ between twins, so v's report is
+    u's with its vertex v and its twin bound rebuilt by twin_bound for v,
+    which reads v's support and builds no vertex record for v.  So a
+    report depends only on (graph, kind, vertex), not on which vertices
+    were asked for or in which order.  A report whose certificate names
+    another vertex (perfect transfer) is not carried over; v is then
+    classified in full."""
 
     def __init__(self, graph: WeightedGraph, kind: MatrixKind,
                  options: ClassifyOptions | None = None):
@@ -1066,16 +1073,16 @@ class _Context:
 
     def prepare(self, vertices: Sequence[int]) -> None:
         """Before the first report: compute, in one walk.spectra call, the
-        records report reads: those of vertices, whose twin bounds read
-        them, and of their representatives, the vertices report
+        records of the representatives of vertices, the vertices report
         classifies.  Those of one support index set then share one root
-        solve, and every vertex of that set one periodicity fit."""
-        self.walk.spectra(list(dict.fromkeys(
-            u for v in vertices for u in (self._representative(v), v))))
+        solve and one periodicity fit.  A carried twin needs no record."""
+        self.walk.spectra(list(dict.fromkeys(map(self._representative, vertices))))
 
     def report(self, v: int) -> SedentaryReport:
         """v's report, made once per vertex: its representative's carried
-        over to v where it can be, else v's own classification."""
+        over to v where it can be (one replace, sharing the oracle result
+        and every certificate but the twin bound), else v's own
+        classification."""
         r = self._reports.get(v)
         if r is None:
             u = self._representative(v)
@@ -1083,10 +1090,9 @@ class _Context:
             if r is None or any(c.kind == NOT_SEDENTARY_PST for c in r.certificates):
                 r = _classify_vertex(self, v)
             else:
-                certs = tuple(twin_bound(self.graph, v, self.kind) if c.kind == TWIN_BOUND
-                              else replace(c, vertex=v) for c in r.certificates)
-                r = replace(r, vertex=v, certificates=certs,
-                            oracle=replace(r.oracle, vertex=v))
+                r = replace(r, vertex=v, certificates=tuple(
+                    twin_bound(self.graph, v, self.kind) if c.kind == TWIN_BOUND else c
+                    for c in r.certificates))
             self._reports[v] = r
         return r
 
@@ -1109,12 +1115,13 @@ def classify(graph: WeightedGraph, u: int, kind: MatrixKind = ADJACENCY,
     reads them, whatever its options.  The graph then holds, per kind it
     was classified under and for as long as it lives, the eigenvectors (n
     x n), the weights (n x distinct eigenvalues) and one record per vertex
-    classified, given a twin's report or reached through a product (k
-    support eigenvalues, weights and root offers), but not the matrix.  A
-    factor graph also keeps the report of each of its vertices a product
-    vertex reached (default options), so each factor vertex is classified once
-    per factor graph object and kind, and a product graph keeps its factor
-    pair (_Context.factors) per kind.  The report of u itself is made per
+    classified or reached through a product (k support eigenvalues,
+    weights and root offers), but not the matrix: a twin given its
+    representative's report keeps no record.  A factor graph also keeps
+    the report of each of its vertices a product vertex reached (default
+    options), so each factor vertex is classified once per factor graph
+    object and kind, and a product graph keeps its factor pair
+    (_Context.factors) per kind.  The report of u itself is made per
     call.
     """
     return classify_vertices(graph, [u], kind, options)[0]
@@ -1134,14 +1141,16 @@ def classify_vertices(graph: WeightedGraph, vertices: Sequence[int],
 
     Only the least vertex of each twin class and label role is classified,
     whichever of its twins are requested.  Every other member's report is
-    that report under the swap of the two twins: vertex, oracle vertex and
-    certificate vertices rewritten, the twin bound rebuilt for the member.
-    Where the least twin's report proves perfect transfer, the member is
-    classified in full.  So each report is the one classify gives its
-    vertex alone, bit for bit.
+    that report under the swap of the two twins: the report's vertex
+    rewritten and the twin bound rebuilt for the member from its support,
+    with no record of its own; the oracle result and the other
+    certificates name no vertex and are shared.  Where the least twin's
+    report proves perfect transfer, the member is classified in full.  So
+    each report is the one classify gives its vertex alone, bit for bit.
 
-    The vertices to classify are grouped by support index set before the
-    first report (_Context.prepare, WalkEvaluator.spectra).  A group has
+    The vertices to classify, the representatives, are grouped by
+    support index set before the first report (_Context.prepare,
+    WalkEvaluator.spectra).  A group has
     one set of support eigenvalues, so it takes one root solve of the
     oracle over all its members on a certified window, in spectra, and
     reads the one periodicity fit the evaluator keeps per support index
@@ -1185,12 +1194,12 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
         pst = w.find_perfect_state_transfer(u, oracle.window)
         if pst is not None:
             certs.append(SedentaryCertificate(
-                NOT_SEDENTARY_PST, u, 0.0, (), None, (pst.time,),
+                NOT_SEDENTARY_PST, 0.0, (), None, (pst.time,),
                 detail=f"perfect transfer to vertex {pst.target}, magnitude "
                        f"{pst.magnitude:.12f}"))
         else:
             certs.append(SedentaryCertificate(
-                NOT_SEDENTARY_ZERO_CROSSING, u, 0.0, (), None, (oracle.argmin,),
+                NOT_SEDENTARY_ZERO_CROSSING, 0.0, (), None, (oracle.argmin,),
                 detail="certified-window minimum vanishes"))
         return NOT_SEDENTARY, 0.0
 
@@ -1211,7 +1220,7 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
     if ruling is not None:
         ruling = _verified_ruling(ruling, w, u)
         certs.append(SedentaryCertificate(
-            CLOSED_FORM_FAMILY, u,
+            CLOSED_FORM_FAMILY,
             ruling.bound if ruling.classification != NOT_SEDENTARY else 0.0,
             (), None, ruling.equality_times, detail=ruling.detail))
         if ruling.classification == NOT_SEDENTARY:
@@ -1233,12 +1242,12 @@ def _certify(ctx: _Context, u: int, oracle: MinimizationResult,
             t0 = next(
                 (t for c in bad.certificates for t in c.equality_times), None)
             certs.append(SedentaryCertificate(
-                PRODUCT_COMPOSITION, u, 0.0, (), None,
+                PRODUCT_COMPOSITION, 0.0, (), None,
                 (t0,) if t0 is not None else (),
                 detail=f"factor {bad.graph} has vanishing diagonal infimum"))
             return NOT_SEDENTARY, 0.0
         try:
-            certs.append(product_compose([rx, ry], kind, [cx.walk, cy.walk], vertex=u))
+            certs.append(product_compose([rx, ry], kind, [cx.walk, cy.walk]))
         except CertificateRefused:
             pass
 

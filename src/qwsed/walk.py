@@ -834,10 +834,10 @@ class MinimizationResult:
     grid but reports the same size, so reports do not depend on the path.
     refinements (not in to_dict) counts the brackets the scan refines by
     Newton steps and the critical points (theta = pi and each root chain's
-    theta and 2 pi - theta) that offer on the root path.
+    theta and 2 pi - theta) that offer on the root path.  It names no
+    vertex: the report or the oracle payload that holds it does.
     """
 
-    vertex: int
     minimum: float
     argmin: float
     window: tuple[float, float]
@@ -870,7 +870,9 @@ class FractionalRevivalCheck:
 
 @dataclass(frozen=True)
 class PerfectStateTransferWitness:
-    source: int
+    """The first time in a window at which the walk from the searched
+    vertex reaches target with magnitude within _PST_TOL of 1."""
+
     target: int
     time: float
     magnitude: float
@@ -930,6 +932,12 @@ class WalkEvaluator:
         proj = d.weights[u] if u == v else d.cluster_sums(d.vectors[u] * d.vectors[v])
         return complex(np.sum(np.exp(1j * t * d.eigenvalues) * proj))
 
+    def support(self, u: int) -> EigenvalueSupport:
+        """u's eigenvalue support over the decomposition (spectral.support),
+        made anew and kept nowhere: what spectra builds a record from, and
+        all that the twin bound reads."""
+        return support(self.decomposition, u)
+
     def spectrum(self, u: int) -> VertexSpectrum:
         """The support and periodicity of u, computed once per vertex: in
         the group spectra computed it in, or else in a group of its own."""
@@ -953,11 +961,10 @@ class WalkEvaluator:
         for the later groups of that set, which read it.  The records are
         kept, with their arrays read-only, for every later call on this
         evaluator."""
-        d = self.decomposition
         groups: dict[tuple[int, ...], list[EigenvalueSupport]] = {}
         for u in dict.fromkeys(vertices):
             if u not in self._diag_cache:
-                sup = support(d, u)
+                sup = self.support(u)
                 groups.setdefault(sup.indices, []).append(sup)
         for indices, sups in groups.items():
             lam = np.array(sups[0].eigenvalues)
@@ -1087,8 +1094,7 @@ class WalkEvaluator:
         best_sq = min(o for o, _ in pairs)
         best_t = min(t for o, t in pairs if o <= best_sq + _TIE_BAND)
         best = math.sqrt(max(best_sq, 0.0))
-        return MinimizationResult(u, best, best_t, (t0, t1), npts, certified,
-                                  refinements)
+        return MinimizationResult(best, best_t, (t0, t1), npts, certified, refinements)
 
     # -- transfer phenomena -------------------------------------------------
 
@@ -1125,7 +1131,7 @@ class WalkEvaluator:
             return None
         mags = self.column_magnitude_series(u, times[:1])[0]
         v = others[int(np.argmax(mags[others]))]
-        return PerfectStateTransferWitness(u, v, float(times[0]), float(mags[v]))
+        return PerfectStateTransferWitness(v, float(times[0]), float(mags[v]))
 
     def find_fractional_revival(self, u: int, v: int,
                                 window: tuple[float, float]) -> float | None:

@@ -109,36 +109,47 @@ def factor_contexts(monkeypatch):
 
 @pytest.mark.parametrize("build, n, pairs", _PRODUCTS, ids=["S4xS4", "S3xS3xS3"])
 @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
-def test_a_product_builds_its_factor_pair_once_per_kind(factor_contexts, build, n,
-                                                        pairs, kind):
+def test_a_product_builds_its_factor_pair_once_per_kind(monkeypatch, factor_contexts,
+                                                        build, n, pairs, kind):
+    """Two per-vertex classify passes over one product graph give the bytes
+    of classify_vertices on a fresh one, make each product graph's factor
+    pair once and classify each factor vertex they reach once: the factor
+    graphs keep those reports."""
     kind = parse_matrix_kind(kind)
     want = [json.dumps(r.to_dict()) for r in classify_vertices(build(), range(n), kind)]
     g = build()
     factor_contexts.clear()
+    runs, classify_vertex = [], sedentary._classify_vertex
+    monkeypatch.setattr(sedentary, "_classify_vertex",
+                        lambda ctx, u: runs.append((ctx.graph, u)) or classify_vertex(ctx, u))
     kept = []
     for _ in range(2):
         assert [json.dumps(classify(g, u, kind).to_dict()) for u in range(n)] == want
         kept.append(sedentary._graph_spectra(g, kind).factors)
     assert kept[0] is kept[1] and kept[0] is not None
     assert len(factor_contexts) == pairs
+    factor_runs = [(id(h), u) for h, u in runs if h is not g]
+    assert factor_runs and len(factor_runs) == len(set(factor_runs))
+
+
+def _kept_graphs(g):
+    """g and the distinct factor graphs below it."""
+    graphs, seen = [g], {}
+    while graphs:
+        h = graphs.pop()
+        if id(h) not in seen:
+            seen[id(h)] = h
+            prov = h.provenance
+            if isinstance(prov, tuple) and prov and prov[0] == "cartesian":
+                graphs += prov[1:3]
+    return list(seen.values())
 
 
 def _support_sets(g, kind) -> int:
     """Distinct (decomposition, support index set) pairs among the records
     kept on g and on the factor graphs below it."""
-    graphs, seen, found = [g], set(), 0
-    while graphs:
-        h = graphs.pop()
-        if id(h) in seen:
-            continue
-        seen.add(id(h))
-        if kind in h._spectra:
-            w = h._spectra[kind].walk
-            found += len({rec.indices for rec in w._diag_cache.values()})
-        prov = h.provenance
-        if isinstance(prov, tuple) and prov and prov[0] == "cartesian":
-            graphs += prov[1:3]
-    return found
+    return sum(len({rec.indices for rec in h._spectra[kind].walk._diag_cache.values()})
+               for h in _kept_graphs(g) if kind in h._spectra)
 
 
 @pytest.mark.parametrize("build, n, fits", [
@@ -164,3 +175,8 @@ def test_one_period_fit_per_support_index_set(monkeypatch, build, n, fits, kind)
     together = [json.dumps(r.to_dict()) for r in classify_vertices(g, range(n), kind_)]
     assert len(calls) == _support_sets(g, kind_) == fits[kind]
     assert alone == together
+    # every kept record, the factor graphs' included, holds its support
+    # index set's one kept fit, by identity, or spectral.UNDETECTED
+    for w in (h._spectra[kind_].walk for h in _kept_graphs(g) if kind_ in h._spectra):
+        assert all(rec.periodicity is w._fits.get(rec.indices)
+                   or rec.periodicity is spectral.UNDETECTED for rec in w._diag_cache.values())

@@ -248,9 +248,9 @@ def test_periodicity_once_per_factor_vertex(periodicity_calls):
     # both factors are S_3, so they share one context, where the centre and
     # one leaf are classified, each when the product first asks, and the
     # twin leaves carry that leaf's report, each with the twin bound read
-    # from its own record; the product's 16 vertices fall into three
-    # support groups: (centre, centre), a centre and a leaf in either
-    # order, and two leaves
+    # from its support, with no record or period check of its own; the
+    # product's 16 vertices fall into three support groups: (centre,
+    # centre), a centre and a leaf in either order, and two leaves
     g = cartesian_product(star_graph(3), star_graph(3))
     classify_vertices(g, range(g.n), LAPLACIAN)
     per_decomposition = collections.defaultdict(list)
@@ -258,7 +258,7 @@ def test_periodicity_once_per_factor_vertex(periodicity_calls):
         per_decomposition[d].append(vs)
     product, factor = per_decomposition.values()
     assert product == [(0,), (1, 2, 3, 4, 8, 12), (5, 6, 7, 9, 10, 11, 13, 14, 15)]
-    assert factor == [(0,), (1,), (2,), (3,)]
+    assert factor == [(0,), (1,)]
 
 
 def test_records_hold_their_support_sets_kept_fit():

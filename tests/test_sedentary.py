@@ -160,19 +160,21 @@ def test_star_400_leaf_laplacian_within_budget():
     (lambda: build_family(parse_family("rook:3,4")), ADJACENCY, 0, 1),
     # the equal factors share one context, where S_3's centre and one leaf
     # are classified, each in a group of its own when the product first
-    # asks, and the other two leaves are that leaf's twins, each reading
-    # its twin bound from a record of its own; the product's vertices fall
-    # into three support groups
-    (lambda: cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 4, 7),
+    # asks, and the other two leaves are that leaf's twins, which carry its
+    # report and read their twin bounds from their supports, with no
+    # record; the product's vertices fall into three support groups
+    (lambda: cartesian_product(star_graph(3), star_graph(3)), LAPLACIAN, 2, 5),
 ], ids=["rook:3,4-adjacency", "star3xstar3-laplacian"])
 def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, build, kind,
                                                   factor_vertices, groups):
-    """Classification computes each vertex's support and periodicity once
-    per evaluator, however many certificates read them, and one
-    periodicity call serves each group of vertices that share a support.
-    The graph is built here, so no earlier call has left spectra on it."""
+    """Classification computes at most one record (support and
+    periodicity) per vertex and evaluator, however many certificates read
+    it, and one periodicity call serves each group of vertices that share a
+    support.  A support is made once more for each twin bound made, and
+    for nothing else.  The graph is built here, so no earlier call has
+    left spectra on it."""
     g = build()
-    calls = {name: collections.Counter() for name in ("support", "periodicity")}
+    calls = {name: collections.Counter() for name in ("support", "periodicity", "twin")}
     periodicity_calls, made = [], {}
 
     def counted_support(d, u, *args, **kwargs):
@@ -188,16 +190,23 @@ def test_vertex_spectrum_computed_once_per_vertex(monkeypatch, build, kind,
         calls["periodicity"].update((d, sup.vertex) for d, sup in members)
         return spectral_periodicity(fit, weights)
 
+    def counted_twin_bound(graph, u, kind):
+        cert = real_twin_bound(graph, u, kind)
+        # a bound that is made reads u's support once; a refused one none
+        calls["twin"][(id(sedentary._graph_spectra(graph, kind).walk.decomposition), u)] += 1
+        return cert
+
     spectral_support, spectral_periodicity = spectral.support, spectral.periodicity
+    real_twin_bound = sedentary.twin_bound
     for module in (spectral, walk):
         monkeypatch.setattr(module, "support", counted_support)
         monkeypatch.setattr(module, "periodicity", counted_periodicity)
+    monkeypatch.setattr(sedentary, "twin_bound", counted_twin_bound)
     reports = classify_vertices(g, range(g.n), kind)
     assert {r.vertex for r in reports} == set(range(g.n))
-    assert set(calls["support"]) == set(calls["periodicity"])
-    assert len(calls["support"]) == g.n + factor_vertices
-    assert set(calls["support"].values()) == {1}
+    assert len(calls["periodicity"]) == g.n + factor_vertices
     assert set(calls["periodicity"].values()) == {1}
+    assert calls["support"] == calls["periodicity"] + calls["twin"]
     assert len(periodicity_calls) == groups
 
 

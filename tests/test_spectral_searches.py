@@ -197,14 +197,15 @@ def _column_scan(self, u, cols, reducer, window, ceiling):
 
 def _unguarded_pst(self, u, window):
     """WalkEvaluator.find_perfect_state_transfer as it stood before the
-    guard, verbatim but for the method call to the copy above."""
+    guard, verbatim but for the method call to the copy above and the
+    witness, which no longer names its source."""
     others = [v for v in range(self.n) if v != u]
     times = _column_scan(self, u, others, _neg_peak, window, -(1.0 - _PST_TOL) ** 2)
     if not len(times):
         return None
     mags = self.column_magnitude_series(u, times[:1])[0]
     v = others[int(np.argmax(mags[others]))]
-    return PerfectStateTransferWitness(u, v, float(times[0]), float(mags[v]))
+    return PerfectStateTransferWitness(v, float(times[0]), float(mags[v]))
 
 
 @pytest.fixture

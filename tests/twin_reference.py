@@ -52,7 +52,7 @@ def twin_bound_reference(g, u, kind):
     near = abs(float(d.eigenvalues[j]) - theta) <= 1e-8 * d.scale()
     others = ", ".join(str(v) for v in ts.vertices if v != u)
     return sedentary.SedentaryCertificate(
-        TWIN_BOUND, u, max(1.0 - 2.0 / ts.size, 0.0), (j,) if near else (),
+        TWIN_BOUND, max(1.0 - 2.0 / ts.size, 0.0), (j,) if near else (),
         float(d.weights[u, j]) if near else None,
         detail=f"twin class {{{u}, {others}}} of size {ts.size}, "
                f"difference eigenvalue {theta:g}")
