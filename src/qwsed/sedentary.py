@@ -487,58 +487,46 @@ def sharpness_parity(w: WalkEvaluator, u: int, subset) -> SedentaryCertificate:
 # -- zero crossings --------------------------------------------------------------
 
 
-def _bisect(f, a: float, b: float, xtol: float) -> float:
-    """A zero of f on [a, b], where f(a) and f(b) have opposite signs, to
-    within xtol or to adjacent floats."""
-    neg = f(a) < 0.0
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        if not a < m < b:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == neg:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
 def find_zero_crossing(w: WalkEvaluator, u: int,
                        window: tuple[float, float] | None = None
                        ) -> SedentaryCertificate:
     """Prove the infimum is 0 for a vertex with a phase-aligned real diagonal.
 
     When the support eigenvalues are symmetric about their midpoint with
-    matching weights, U(t)_{u,u} is a real cosine combination times a global
-    phase.  A sign change of that real function brackets an exact zero of
-    the magnitude, which no window restriction can take away.  With no
-    window it scans w.default_window(u).
+    matching weights, U(t)_{u,u} is R(t) = sum_j w_j cos(mu_j t) (mu_j the
+    eigenvalues less their midpoint) times a global phase.  A sign change
+    of R brackets an exact zero of the magnitude, which no window
+    restriction can take away.  R is read on the grid of _grid_values
+    (with no window, w.default_window(u)); a grid value counts only when
+    it clears 1e-9 plus the rounding of its phases, 64 eps (1 + |t| max
+    |mu_j|), which on a long window can flip a small value's sign.  The
+    first sign change between two such values is refined by _newton_batch
+    on an F with F' = s R, the sign s making F' negative at the left end,
+    so the bracket keeps the sign change.
     """
     lam, wts = w.spectrum(u)[:2]
     if len(lam) < 2:
         raise CertificateRefused("single-eigenvalue support never vanishes")
     center = (float(lam.max()) + float(lam.min())) / 2.0
     mu = lam - center
-    order = np.argsort(mu)
-    if (float(np.max(np.abs(mu[order] + mu[order[::-1]]))) > 1e-9 * w.scale
-            or float(np.max(np.abs(wts[order] - wts[order[::-1]]))) > 1e-9):
+    # the support is in descending order, so mu[::-1] pairs each mu_j with -mu_j
+    if (float(np.max(np.abs(mu + mu[::-1]))) > 1e-9 * w.scale
+            or float(np.max(np.abs(wts - wts[::-1]))) > 1e-9):
         raise CertificateRefused("diagonal entry is not phase-aligned real")
-
-    def f(t: float) -> float:
-        return float(np.sum(wts * np.cos(mu * t)))
-
     if window is None:
         window, _ = w.default_window(u)
     ts, vals = _grid_values(mu, wts[:, None], lambda z: z[:, 0].real, window)
     # both bracket values must clear numerical noise before claiming a zero
-    lo, hi = vals[:-1], vals[1:]
-    clean = np.flatnonzero((lo * hi < 0.0) & (np.minimum(np.abs(lo), np.abs(hi)) > 1e-9))
+    clear = np.abs(vals) > 1e-9 + 64.0 * _EPS * (1.0 + np.abs(ts) * float(np.max(np.abs(mu))))
+    clean = np.flatnonzero((vals[:-1] * vals[1:] < 0.0) & clear[:-1] & clear[1:])
     if not clean.size:
         raise CertificateRefused("no sign change found on the window")
     i = int(clean[0])
-    t_zero = _bisect(f, float(ts[i]), float(ts[i + 1]), 1e-14)
+    s = -1.0 if vals[i] > 0.0 else 1.0
+    a, b = float(ts[i]), float(ts[i + 1])
+    x, _ = _newton_batch(mu, wts[:, None], lambda z, dz, d2z: (
+        np.zeros(len(z)), s * z[:, 0].real, s * dz[:, 0].real), [a], [b], [0.5 * (a + b)], 1e-14)
+    t_zero = float(x[0])
     mag = abs(complex(np.sum(wts * np.exp(1j * t_zero * lam))))
     return SedentaryCertificate(
         NOT_SEDENTARY_ZERO_CROSSING, 0.0, (), None, (t_zero,),

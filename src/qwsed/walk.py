@@ -50,8 +50,11 @@ The Newton steps and pointwise sums evaluate arbitrary times and take
 direct exponentials.  The sign of f' keeps every iterate inside a bracket
 that holds a local minimum, a step that leaves it or meets f'' <= 0
 bisects instead, and a checked cap bounds the steps.  find_zero_crossing
-in sedentary looks for a sign change, not a minimum, and reads the full
-grid from _grid_values.  On a certified period of low degree Q the
+in sedentary looks for a sign change, not a minimum: it reads the full
+grid from _grid_values, takes the first sign change between values that
+clear 1e-9 plus the rounding of their phases, and refines it by
+_newton_batch on an F whose F' is that real diagonal, signed to be
+negative at the left end.  On a certified period of low degree Q the
 diagonal oracle instead takes every critical point of |U(t)_{u,u}|^2 from
 theta = 0 and pi and the roots of one polynomial in x = cos(theta), of
 degree Q - 1 in the Chebyshev U basis, the eigenvalues of its colleague

@@ -485,22 +485,54 @@ def _corpus_zero_crossings():
     return out
 
 
-def test_zero_crossing_bisection_agrees_with_brentq(monkeypatch):
+def test_zero_crossing_agrees_with_brentq():
+    # brentq on the real diagonal sum_j w_j cos(mu_j t) (mu_j the support
+    # eigenvalues less their midpoint) near each frozen time, not through
+    # the search's own refinement
     from scipy.optimize import brentq
 
-    import qwsed.sedentary as sed
-
     cases = _corpus_zero_crossings()
-    assert len(cases) >= 10
+    assert len(cases) == 18
     for fam, kind, u, window, frozen in cases:
         w = _walk(fam, parse_matrix_kind(kind))
+        lam, wts = w.spectrum(u)[:2]
+        mu = lam - (lam.max() + lam.min()) / 2.0
+
+        def real_diagonal(t):
+            return float(np.sum(wts * np.cos(mu * t)))
+
+        a, b = frozen - 1e-6, frozen + 1e-6
+        assert real_diagonal(a) * real_diagonal(b) < 0.0
+        t_brentq = brentq(real_diagonal, a, b, xtol=1e-15)
         t = find_zero_crossing(w, u, window).equality_times[0]
-        with monkeypatch.context() as m:
-            m.setattr(sed, "_bisect",
-                      lambda f, a, b, xtol: float(brentq(f, a, b, xtol=xtol)))
-            t_brentq = find_zero_crossing(w, u, window).equality_times[0]
         assert abs(t - t_brentq) <= 1e-12
         assert abs(t - frozen) <= 1e-12
+
+
+def _double_star_s22():
+    """S_{2,2} as a plain graph: centres 0 and 3, leaves 1, 2 and 4, 5."""
+    return WeightedGraph(6, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (3, 4, 1.0),
+                             (3, 5, 1.0)))
+
+
+@pytest.mark.parametrize("graph, u, window", [
+    (_double_star_s22(), 4, (0.0, 1e20)),
+    (complete_graph(2), 0, (0.0, 1e300)),
+], ids=["s22-leaf-1e20", "k2-1e300"])
+def test_zero_crossing_refuses_sign_changes_of_rounded_phases(graph, u, window):
+    # on a long window the rounding of the phases t mu_j flips the sign of
+    # grid values that are not small: |U| never drops below 1/4 on the leaf,
+    # and K_2's zeros |cos t| = 0 are far finer than a grid step of 5e293
+    with pytest.raises(CertificateRefused):
+        find_zero_crossing(WalkEvaluator.for_graph(graph, ADJACENCY), u, window)
+
+
+def test_zero_crossing_long_window_still_certifies():
+    w = _walk("path:5")
+    t = find_zero_crossing(w, 0, (0.0, 1e12)).equality_times[0]
+    assert 0.0 < t < 1e12
+    # |U| is at the rounding of the phases t lam at that time
+    assert abs(w.transition_entry(t, 0, 0)) <= 1e-8
 
 
 # -- family catalogue ------------------------------------------------------------
